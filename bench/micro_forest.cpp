@@ -5,11 +5,11 @@
 //
 // Self-checking, in the micro_timed_sim tradition: before any timing is
 // reported the two substrates must agree *exactly* —
-//   1. the packed popcount trainer must grow node arrays identical to the
-//      retained row-scan reference trainer (fitReference) for every tree of
+//   1. the packed popcount grower must append an arena identical to the
+//      retained row-scan reference grower's (addForestReference) for
 //      every per-bit forest, and
-//   2. the 64-lane batched forest inference must match the scalar
-//      per-row walk lane for lane on every test cycle and output bit, and
+//   2. the 64-lane masked forest walk must match the scalar per-row walk
+//      lane for lane on every test cycle and output bit, and
 //   3. the batched evaluate() metrics must equal the scalar per-cycle
 //      pipeline's ABPER/AVPE bit for bit.
 //
@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "experiments/cli.h"
-#include "ml/random_forest.h"
+#include "ml/flat_forest.h"
 #include "predict/bit_predictor.h"
 #include "predict/features.h"
 
@@ -101,18 +101,14 @@ oisa::ml::Dataset extractDataset(const FeatureExtractor& fx,
   return data;
 }
 
-bool sameNodes(const oisa::ml::DecisionTree& a,
-               const oisa::ml::DecisionTree& b) {
-  if (a.nodes().size() != b.nodes().size()) return false;
-  for (std::size_t i = 0; i < a.nodes().size(); ++i) {
-    const auto& x = a.nodes()[i];
-    const auto& y = b.nodes()[i];
-    if (x.feature != y.feature || x.left != y.left || x.right != y.right ||
-        x.probability != y.probability) {
-      return false;
-    }
-  }
-  return true;
+bool sameArena(const oisa::ml::FlatBankView& a,
+               const oisa::ml::FlatBankView& b) {
+  return std::ranges::equal(a.feature, b.feature) &&
+         std::ranges::equal(a.left, b.left) &&
+         std::ranges::equal(a.right, b.right) &&
+         std::ranges::equal(a.prob, b.prob) &&
+         std::ranges::equal(a.roots, b.roots) &&
+         std::ranges::equal(a.forestBegin, b.forestBegin);
 }
 
 }  // namespace
@@ -149,34 +145,28 @@ int main(int argc, char** argv) {
   };
 
   // -------------------------------------------------------------------
-  // Correctness gate 1: packed trainer == reference trainer, node for
-  // node, on every tree of every per-bit forest.
+  // Correctness gate 1: packed grower == reference grower, node for node
+  // across the whole arena of every per-bit forest.
   // -------------------------------------------------------------------
   const predict::PackedTraceFeatures packedTrain = fx.packTrace(trainTrace);
-  std::vector<ml::RandomForest> refForests(static_cast<std::size_t>(bits));
-  std::uint64_t nodesCompared = 0;
+  const auto featureCount = static_cast<std::uint32_t>(fx.featureCount());
+  ml::FlatForestBank refBank(featureCount);
+  ml::FlatForestBank packedBank(featureCount);
   for (int bit = 0; bit < bits; ++bit) {
-    const ml::Dataset data = extractDataset(fx, trainTrace, bit);
-    ml::RandomForest& ref = refForests[static_cast<std::size_t>(bit)];
-    ref.fitReference(data, params.forest, bitSeed(bit));
-    ml::RandomForest packed;
-    packed.fit(fx.bitView(packedTrain, bit), params.forest, bitSeed(bit));
-    if (ref.trees().size() != packed.trees().size()) {
-      std::cerr << "MISMATCH: tree counts differ at bit " << bit << "\n";
-      return EXIT_FAILURE;
-    }
-    for (std::size_t t = 0; t < ref.trees().size(); ++t) {
-      if (!sameNodes(ref.trees()[t], packed.trees()[t])) {
-        std::cerr << "MISMATCH: packed and reference trainers disagree at "
-                     "bit " << bit << ", tree " << t << "\n";
-        return EXIT_FAILURE;
-      }
-      nodesCompared += ref.trees()[t].nodeCount();
-    }
+    refBank.addForestReference(extractDataset(fx, trainTrace, bit),
+                               params.forest, bitSeed(bit));
+    packedBank.addForest(fx.bitView(packedTrain, bit), params.forest,
+                         bitSeed(bit));
   }
+  if (!sameArena(refBank.view(), packedBank.view())) {
+    std::cerr << "MISMATCH: packed and reference growers disagree\n";
+    return EXIT_FAILURE;
+  }
+  const ml::FlatBankView refView = refBank.view();
+  const std::uint64_t nodesCompared = refView.nodeCount();
 
   // -------------------------------------------------------------------
-  // Correctness gate 2: batched inference == scalar walk, lane for lane,
+  // Correctness gate 2: masked lane walk == scalar walk, lane for lane,
   // on every test cycle and output bit.
   // -------------------------------------------------------------------
   const predict::PackedTraceFeatures packedTest = fx.packTrace(testTrace);
@@ -197,12 +187,14 @@ int main(int argc, char** argv) {
             packedTest.goldPrev[b * packedTest.wordCount + w];
         featureWords[shared + 1] =
             packedTest.goldCur[b * packedTest.wordCount + w];
-        const std::uint64_t batch =
-            refForests[b].predictBatch(featureWords, probs);
+        const ml::FlatForest forest(refView, b);
+        probs.fill(0.0);
+        const std::uint64_t batch = forest.predictWord(featureWords,
+                                                       probs.data());
         for (std::size_t lane = 0; lane < lanes; ++lane) {
           const std::size_t t = w * 64 + lane + 1;
           fx.extract(testTrace[t - 1], testTrace[t], bit, row);
-          const bool scalar = refForests[b].predict(row);
+          const bool scalar = forest.predict(row);
           if (scalar != (((batch >> lane) & 1u) != 0)) {
             std::cerr << "MISMATCH: batched and scalar inference disagree "
                          "at cycle " << t << ", bit " << bit << "\n";
@@ -239,19 +231,20 @@ int main(int argc, char** argv) {
     }
   };
 
-  std::vector<ml::RandomForest> timedRef(static_cast<std::size_t>(bits));
+  ml::FlatForestBank timedRef;
   predict::BitLevelPredictor predictor(width, params);
   double refTrainSec = 0.0;
   double packedTrainSec = 0.0;
   timePair(
       [&] {
+        timedRef = ml::FlatForestBank(featureCount);
         for (int bit = 0; bit < bits; ++bit) {
           const ml::Dataset data = extractDataset(fx, trainTrace, bit);
-          timedRef[static_cast<std::size_t>(bit)].fitReference(
-              data, params.forest, bitSeed(bit));
+          timedRef.addForestReference(data, params.forest, bitSeed(bit));
         }
       },
       [&] { predictor.fit(trainTrace); }, refTrainSec, packedTrainSec);
+  const ml::FlatBankView timedRefView = timedRef.view();
 
   std::vector<std::uint64_t> refWrong(static_cast<std::size_t>(bits), 0);
   double refAvpeSum = 0.0;
@@ -272,7 +265,8 @@ int main(int argc, char** argv) {
       for (int bit = 0; bit < bits; ++bit) {
         fx.extract(prev, cur, bit, row);
         const bool predicted =
-            timedRef[static_cast<std::size_t>(bit)].predict(row);
+            ml::FlatForest(timedRefView, static_cast<std::size_t>(bit))
+                .predict(row);
         if (predicted) {
           if (bit == width) {
             coutFlip = true;
@@ -338,7 +332,7 @@ int main(int argc, char** argv) {
       packedPredictSec > 0 ? refPredictSec / packedPredictSec : 0.0;
   const double speedup = packedSec > 0 ? refSec / packedSec : 0.0;
 
-  std::cout << "trainers agree: " << nodesCompared
+  std::cout << "growers agree: " << nodesCompared
             << " nodes node-for-node across " << bits << " forests\n"
             << "inference agrees: " << refCycles << " cycles x " << bits
             << " bits lane-for-lane (abper " << eval.abper << ")\n\n"

@@ -7,7 +7,7 @@
 
 #include "circuits/synthesis.h"
 #include "core/isa_adder.h"
-#include "ml/random_forest.h"
+#include "ml/flat_forest.h"
 #include "netlist/evaluator.h"
 #include "timing/event_sim.h"
 #include "timing/sta.h"
@@ -99,10 +99,11 @@ void BM_ForestInference(benchmark::State& state) {
     for (auto& v : row) v = static_cast<std::uint8_t>(rng() & 1);
     data.addRow(row, (row[0] & ~row[65]) != 0);
   }
-  oisa::ml::RandomForest forest;
+  oisa::ml::FlatForestBank bank(130);
   oisa::ml::ForestParams params;
   params.treeCount = 10;
-  forest.fit(data, params, 1);
+  bank.addForest(data.packed(), params, 1);
+  const oisa::ml::FlatForest forest(bank.view(), 0);
   for (auto _ : state) {
     for (auto& v : row) v = static_cast<std::uint8_t>(rng() & 1);
     benchmark::DoNotOptimize(forest.predict(row));

@@ -1,12 +1,12 @@
 // Throughput of the flat-bank batch-64 predictFlips hot path against the
-// seed scalar path (per-record byte-feature extraction + pointer-forest
-// walks) on the paper's per-bit timing-error model — the acceptance
-// benchmark for the flat inference substrate (>= 4x is the CI gate).
+// scalar path (per-record byte-feature extraction + one-row forest walks)
+// on the paper's per-bit timing-error model — the acceptance benchmark
+// for the flat inference substrate (>= 4x is the CI gate).
 //
 // Self-checking, in the micro_forest tradition: before any timing is
 // reported the paths must agree *exactly* —
-//   1. the flattened bank must hold the pointer forests node for node
-//      (same features, rebased child offsets, identical probabilities),
+//   1. the trained arena must pass structural validation and hold one
+//      forest per output bit,
 //   2. predictFlipsBlock must match predictFlipsReference lane for lane
 //      on every test record pair, including the ragged final block, and
 //   3. a binary-envelope round trip (saveFlat -> mmap loadFlat) must
@@ -142,9 +142,8 @@ int main(int argc, char** argv) {
               << "\n\n";
 
     // -----------------------------------------------------------------
-    // Correctness gate 1: the flat arena is the pointer forests node for
-    // node (flattening preserves tree and node order; child offsets are
-    // rebased by each tree's arena base).
+    // Correctness gate 1: the grown arena is structurally sound (children
+    // follow parents, features in range) with one forest per output bit.
     // -----------------------------------------------------------------
     const ml::FlatBankView flat = predictor.flatView();
     if (core::Status s = ml::validateFlatBank(flat); !s.isOk()) {
@@ -196,8 +195,8 @@ int main(int argc, char** argv) {
 
     // -----------------------------------------------------------------
     // Timed runs, interleaved min-of-reps (micro_forest's scheme): the
-    // reference is the seed scalar predictFlips shape, the contender the
-    // flat batch-64 block path.
+    // reference is the scalar predictFlipsReference shape, the contender
+    // the flat batch-64 block path.
     // -----------------------------------------------------------------
     const auto reps = std::max<std::uint64_t>(1, args.getU64("reps", 5));
     const auto timeOnce = [](auto&& phase) {

@@ -118,16 +118,16 @@ netlist::Netlist buildIsaNetlist(const core::IsaConfig& cfg,
   a.reserve(static_cast<std::size_t>(width));
   b.reserve(static_cast<std::size_t>(width));
   for (int i = 0; i < width; ++i) {
-    a.push_back(nl.input("a" + std::to_string(i)));
+    a.push_back(nl.input(std::string("a").append(std::to_string(i))));
   }
   for (int i = 0; i < width; ++i) {
-    b.push_back(nl.input("b" + std::to_string(i)));
+    b.push_back(nl.input(std::string("b").append(std::to_string(i))));
   }
   const NetId cin = nl.input("cin");
 
   const AdderPorts ports = buildIsaCore(nl, cfg, a, b, cin, options);
   for (int i = 0; i < width; ++i) {
-    nl.output("s" + std::to_string(i),
+    nl.output(std::string("s").append(std::to_string(i)),
               ports.sum[static_cast<std::size_t>(i)]);
   }
   nl.output("cout", ports.carryOut);

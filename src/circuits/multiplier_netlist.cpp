@@ -18,8 +18,12 @@ netlist::Netlist buildMultiplierNetlist(const core::MultiplierConfig& cfg,
              cfg.adder.name());
 
   std::vector<NetId> a, b;
-  for (int i = 0; i < w; ++i) a.push_back(nl.input("a" + std::to_string(i)));
-  for (int i = 0; i < w; ++i) b.push_back(nl.input("b" + std::to_string(i)));
+  for (int i = 0; i < w; ++i) {
+    a.push_back(nl.input(std::string("a").append(std::to_string(i))));
+  }
+  for (int i = 0; i < w; ++i) {
+    b.push_back(nl.input(std::string("b").append(std::to_string(i))));
+  }
   const NetId zero = nl.constant(false);
 
   // Row 0 initializes the accumulator with (a & b0) in the low W bits.
@@ -43,7 +47,8 @@ netlist::Netlist buildMultiplierNetlist(const core::MultiplierConfig& cfg,
   }
 
   for (int j = 0; j < pw; ++j) {
-    nl.output("p" + std::to_string(j), acc[static_cast<std::size_t>(j)]);
+    nl.output(std::string("p").append(std::to_string(j)),
+              acc[static_cast<std::size_t>(j)]);
   }
   nl.validate();
   return nl;

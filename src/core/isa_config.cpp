@@ -6,9 +6,13 @@ namespace oisa::core {
 
 std::string IsaConfig::name() const {
   if (exact) return "exact";
-  return "(" + std::to_string(block) + "," + std::to_string(spec) + "," +
-         std::to_string(correction) + "," + std::to_string(reduction) + ")" +
-         (speculateHigh ? "+" : "");
+  std::string out = "(";
+  for (const int field : {block, spec, correction, reduction}) {
+    out.append(std::to_string(field)).push_back(',');
+  }
+  out.back() = ')';
+  if (speculateHigh) out.push_back('+');
+  return out;
 }
 
 void IsaConfig::validate() const {

@@ -2,8 +2,6 @@
 
 #include <array>
 #include <bit>
-#include <limits>
-#include <stdexcept>
 #include <string>
 
 namespace oisa::ml {
@@ -27,12 +25,13 @@ void FlatForest::accumulateTreeLanes(
     std::uint32_t idx, std::uint64_t mask,
     std::span<const std::uint64_t> featureWords,
     double* sums) const noexcept {
-  // The explicit-stack lane-mask traversal of DecisionTree::
-  // accumulateLanes, re-rooted on the flat arrays. The stack bound holds
-  // for any bank that passed validateFlatBank: children strictly follow
-  // their parent, so depth never exceeds the node count, and grown trees
-  // are capped far below 64 levels; a deeper (hand-built) tree spills
-  // into recursion rather than overflowing.
+  // Lane-mask traversal: each (node, mask) pair splits its lanes by the
+  // feature word and follows only populated sides, so one walk serves all
+  // 64 lanes. Pending right branches live on a fixed-size explicit stack;
+  // grown trees are capped far below 64 levels, and a deeper (hand-built)
+  // tree spills into recursion rather than overflowing. Any bank that
+  // passed validateFlatBank terminates: children strictly follow their
+  // parent.
   const FlatBankView& b = bank_;
   struct Frame {
     std::uint32_t idx;
@@ -93,63 +92,6 @@ std::uint64_t FlatForest::predictWord(
   return predictions;
 }
 
-FlatForestBank FlatForestBank::build(std::span<const RandomForest> forests,
-                                     std::uint32_t featureCount) {
-  if (featureCount >
-      static_cast<std::uint32_t>(std::numeric_limits<std::int16_t>::max()) +
-          1u) {
-    throw std::invalid_argument(
-        "FlatForestBank::build: featureCount exceeds the int16 node format");
-  }
-  FlatForestBank bank;
-  bank.featureCount_ = featureCount;
-  std::size_t totalNodes = 0;
-  std::size_t totalTrees = 0;
-  for (const RandomForest& forest : forests) {
-    if (!forest.trained()) {
-      throw std::invalid_argument("FlatForestBank::build: untrained forest");
-    }
-    totalTrees += forest.trees().size();
-    for (const DecisionTree& tree : forest.trees()) {
-      totalNodes += tree.nodes().size();
-    }
-  }
-  if (totalNodes > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::invalid_argument(
-        "FlatForestBank::build: arena exceeds uint32 offsets");
-  }
-  bank.feature_.reserve(totalNodes);
-  bank.left_.reserve(totalNodes);
-  bank.right_.reserve(totalNodes);
-  bank.prob_.reserve(totalNodes);
-  bank.roots_.reserve(totalTrees);
-  bank.forestBegin_.reserve(forests.size() + 1);
-
-  bank.forestBegin_.push_back(0);
-  for (const RandomForest& forest : forests) {
-    for (const DecisionTree& tree : forest.trees()) {
-      const auto base = static_cast<std::uint32_t>(bank.feature_.size());
-      bank.roots_.push_back(base);
-      for (const DecisionTree::Node& n : tree.nodes()) {
-        if (n.feature >= static_cast<std::int32_t>(featureCount)) {
-          throw std::invalid_argument(
-              "FlatForestBank::build: split feature " +
-              std::to_string(n.feature) + " out of range");
-        }
-        bank.feature_.push_back(
-            n.feature < 0 ? std::int16_t{-1}
-                          : static_cast<std::int16_t>(n.feature));
-        bank.left_.push_back(base + n.left);
-        bank.right_.push_back(base + n.right);
-        bank.prob_.push_back(n.probability);
-      }
-    }
-    bank.forestBegin_.push_back(
-        static_cast<std::uint32_t>(bank.roots_.size()));
-  }
-  return bank;
-}
-
 FlatBankView FlatForestBank::view() const noexcept {
   FlatBankView v;
   v.feature = feature_;
@@ -185,7 +127,7 @@ core::Status validateFlatBank(const FlatBankView& bank) {
     }
     if (bank.forestBegin[f] == bank.forestBegin[f - 1]) {
       // An empty forest would make predictWord divide by zero; the
-      // builder never emits one (trained() forests have trees).
+      // growers never emit one (every forest has at least one tree).
       return corrupt("forest " + std::to_string(f - 1) + " has no trees");
     }
   }

@@ -1,40 +1,59 @@
-// oisa_ml: flat, mmap-able forest banks — the serving-grade inference
-// substrate.
+// oisa_ml: random forests as one flat, mmap-able arena — the only model
+// representation.
 //
-// A trained RandomForest is a vector of DecisionTree objects, each owning
-// its own node vector: three pointer hops per tree before the first node
-// is touched, and nothing about the layout survives serialization without
-// per-node parsing. FlatForestBank flattens a whole *bank* of forests
-// (the bit-level predictor's 33 per-output-bit forests) into one
-// structure-of-arrays arena:
+// The paper's model is a Random Forest ("RFC alleviates overfitting by
+// developing more than one decision tree and using their average result
+// as final prediction") of CART trees over binary features. A *bank* of
+// forests (the bit-level predictor's one forest per output bit) lives in
+// one structure-of-arrays arena:
 //
 //   feature[i]  int16   split feature of node i (-1 = leaf)
 //   left[i]     uint32  arena-absolute child when the feature is 0
 //   right[i]    uint32  arena-absolute child when the feature is 1
 //   prob[i]     float   P(positive) at node i (meaningful at leaves)
 //
-// plus a forest-major table of tree-root offsets. Children are always
-// appended after their parent (the growers' invariant, revalidated at
-// every trust boundary), so the arena is trivially acyclic and a walk
-// always terminates. The arrays are exactly what the binary model
+// plus a forest-major table of tree-root offsets. The growers append
+// nodes straight into the arena in pre-order, so children always follow
+// their parent (revalidated at every trust boundary): the arena is
+// trivially acyclic and a walk always terminates. A leaf's children both
+// point at its tree's root. The arrays are exactly what the binary model
 // envelope v2 (serialize.h) writes, so a saved bank loads by mmap with
 // zero per-node work: validate the header and CRC, then cast.
 //
-// Inference is bit-identical to the pointer forests: the scalar walk
-// takes the same branches, and the 64-lane masked walk accumulates leaf
-// probabilities tree by tree in the same order as
-// RandomForest::predictBatch (the explicit-stack traversal of
-// DecisionTree::accumulateLanes, re-rooted on the flat arrays).
+// Training runs on the packed column-major substrate: every candidate
+// split's counts come from popcount(featureWord & rowPlane), with
+// bootstrap multiplicities carried as bit-planes. The seed row-scan
+// trainer is retained as the *Reference growers, which append the
+// identical arena for the same inputs and rng state (the wheel-vs-heap
+// differential pattern applied to training).
 #pragma once
 
 #include <cstdint>
+#include <random>
 #include <span>
 #include <vector>
 
 #include "core/status.h"
-#include "ml/random_forest.h"
+#include "ml/dataset.h"
 
 namespace oisa::ml {
+
+/// Tree growth controls.
+struct TreeParams {
+  int maxDepth = 12;
+  std::size_t minSamplesSplit = 4;  ///< below this a node becomes a leaf
+  std::size_t minSamplesLeaf = 1;   ///< both split sides must keep this many
+  /// Features examined per split: 0 = all (plain CART); forests pass
+  /// ~sqrt(featureCount) for decorrelation.
+  std::size_t featuresPerSplit = 0;
+};
+
+/// Forest growth controls.
+struct ForestParams {
+  std::size_t treeCount = 10;
+  TreeParams tree{};  ///< tree.featuresPerSplit 0 = auto (sqrt(featureCount))
+  bool bootstrap = true;  ///< sample rows with replacement per tree
+};
 
 /// Non-owning structure-of-arrays view over a whole bank arena. Spans
 /// point either at a FlatForestBank's vectors or straight into an mmap-ed
@@ -77,9 +96,8 @@ class FlatForest {
     return roots_.size();
   }
 
-  /// Mean leaf probability over the trees — the scalar forest walk on
-  /// flat arrays, branch-for-branch RandomForest::probabilityUnchecked.
-  /// Precondition: treeCount() > 0.
+  /// Mean leaf probability over the trees: the scalar walk, one byte per
+  /// feature. Precondition: treeCount() > 0.
   [[nodiscard]] double probability(
       std::span<const std::uint8_t> features) const noexcept;
 
@@ -92,8 +110,8 @@ class FlatForest {
   /// lane L in bit L. Accumulates each lane's leaf probability tree by
   /// tree into sums[0..63] (caller-provided, NOT cleared here), divides
   /// by the tree count, and returns the mask of lanes with probability
-  /// >= 0.5 — the same summation order as RandomForest::predictBatch, so
-  /// results match the pointer forests bit for bit. Allocation-free.
+  /// >= 0.5 — the scalar walk's summation order, so every lane equals
+  /// probability() bit for bit. Allocation-free.
   /// Precondition: treeCount() > 0, sums zero-filled by the caller.
   [[nodiscard]] std::uint64_t predictWord(
       std::span<const std::uint64_t> featureWords,
@@ -108,23 +126,66 @@ class FlatForest {
   std::span<const std::uint32_t> roots_;
 };
 
-/// Owning flat bank: builds the arena from trained pointer forests.
+/// Owning flat bank: the growers append forests straight into its arena.
 class FlatForestBank {
  public:
   FlatForestBank() = default;
 
-  /// Flattens `forests` (all trained, all over rows of `featureCount`
-  /// features) into one arena. Tree and node order are preserved, so the
-  /// result is node-for-node the concatenation of the inputs with child
-  /// offsets rebased to the arena. Throws std::invalid_argument on an
-  /// untrained forest or an out-of-range split feature.
-  [[nodiscard]] static FlatForestBank build(
-      std::span<const RandomForest> forests, std::uint32_t featureCount);
+  /// An empty bank over rows of `featureCount` features. Throws
+  /// std::invalid_argument past the int16 node format.
+  explicit FlatForestBank(std::uint32_t featureCount);
+
+  /// Appends a forest of params.treeCount trees grown on `data` by the
+  /// packed popcount trainer: bootstrap samples and split-feature subsets
+  /// are drawn from one rng seeded with `seed`. Constant labels grow a
+  /// single one-leaf tree instead. Throws std::invalid_argument on an
+  /// empty dataset, zero trees or a feature count unlike the bank's.
+  void addForest(const PackedView& data, const ForestParams& params,
+                 std::uint64_t seed = 1);
+
+  /// Appends a one-tree forest grown on the row multiset `rows` (indices
+  /// into `data`, duplicates carry multiplicity); `rng` drives feature
+  /// subsampling when params.featuresPerSplit > 0. Throws
+  /// std::invalid_argument on no rows, std::out_of_range on a bad index.
+  void addTree(const PackedView& data, std::span<const std::uint32_t> rows,
+               const TreeParams& params, std::mt19937_64& rng);
+
+  /// The seed per-row-scan growers, retained as the differential-testing
+  /// reference: same rng draws, same pre-order, identical arena.
+  void addForestReference(const Dataset& data, const ForestParams& params,
+                          std::uint64_t seed = 1);
+  void addTreeReference(const Dataset& data,
+                        std::span<const std::uint32_t> rows,
+                        const TreeParams& params, std::mt19937_64& rng);
 
   [[nodiscard]] FlatBankView view() const noexcept;
-  [[nodiscard]] bool empty() const noexcept { return forestBegin_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return roots_.empty(); }
 
  private:
+  struct PackedGrowContext;
+  struct PackedRows;
+
+  template <typename GrowTree>
+  void growForest(std::size_t rowCount, std::size_t positiveCount,
+                  std::size_t featureCount, const ForestParams& params,
+                  std::uint64_t seed, GrowTree&& growTree);
+  void checkFeatureCount(std::size_t featureCount) const;
+  void closeForest();
+  /// Appends one node (a leaf until its split is recorded) and returns
+  /// its arena index.
+  std::uint32_t pushNode(std::uint32_t treeRoot, std::size_t pos,
+                         std::size_t n);
+  void growPacked(const PackedView& data, std::span<const std::uint32_t> rows,
+                  const TreeParams& params, std::mt19937_64& rng);
+  std::uint32_t growPackedNode(PackedGrowContext& ctx, PackedRows& rows,
+                               int depth);
+  void growReference(const Dataset& data, std::span<const std::uint32_t> rows,
+                     const TreeParams& params, std::mt19937_64& rng);
+  std::uint32_t growReferenceNode(const Dataset& data,
+                                  std::vector<std::uint32_t>& rows, int depth,
+                                  const TreeParams& params,
+                                  std::mt19937_64& rng, std::uint32_t root);
+
   std::vector<std::int16_t> feature_;
   std::vector<std::uint32_t> left_;
   std::vector<std::uint32_t> right_;

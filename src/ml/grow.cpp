@@ -1,10 +1,15 @@
-#include "ml/decision_tree.h"
-
+// oisa_ml: the forest growers. Both append nodes straight into a
+// FlatForestBank arena in pre-order with arena-absolute child indices;
+// the packed popcount grower and the row-scan reference grower draw the
+// same rng values and grow identical arenas.
 #include <algorithm>
-#include <array>
 #include <bit>
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+
+#include "ml/flat_forest.h"
 
 namespace oisa::ml {
 
@@ -18,7 +23,7 @@ namespace {
 }
 
 /// Candidate features for one split: all, or a random subset (forest
-/// mode). Shared by the packed and reference trainers so both consume the
+/// mode). Shared by the packed and reference growers so both consume the
 /// rng identically — a precondition of their node-for-node equality.
 void selectCandidates(std::size_t featureCount, const TreeParams& params,
                       std::mt19937_64& rng,
@@ -40,20 +45,145 @@ void selectCandidates(std::size_t featureCount, const TreeParams& params,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Packed popcount trainer
+// Arena bookkeeping and the forest pipeline
 // ---------------------------------------------------------------------------
 
-/// Per-fit state of the packed trainer. A node's row multiset is a stack of
-/// multiplicity bit-planes (`planeCount` x `wordCount` words): plane k holds
-/// bit k of every row's repeat count, so weighted counts are
-/// sum_k 2^k * popcount(plane_k & ...). Plain subsets are the planeCount==1
-/// special case.
-struct DecisionTree::PackedGrowContext {
+FlatForestBank::FlatForestBank(std::uint32_t featureCount)
+    : forestBegin_{0}, featureCount_(featureCount) {
+  if (featureCount >
+      static_cast<std::uint32_t>(std::numeric_limits<std::int16_t>::max()) +
+          1u) {
+    throw std::invalid_argument(
+        "FlatForestBank: featureCount exceeds the int16 node format");
+  }
+}
+
+void FlatForestBank::checkFeatureCount(std::size_t featureCount) const {
+  if (forestBegin_.empty() || featureCount != featureCount_) {
+    throw std::invalid_argument(
+        "FlatForestBank: dataset feature count does not match the bank");
+  }
+}
+
+void FlatForestBank::closeForest() {
+  forestBegin_.push_back(static_cast<std::uint32_t>(roots_.size()));
+}
+
+std::uint32_t FlatForestBank::pushNode(std::uint32_t treeRoot,
+                                       std::size_t pos, std::size_t n) {
+  if (feature_.size() >= std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("FlatForestBank: arena exceeds uint32 offsets");
+  }
+  const auto index = static_cast<std::uint32_t>(feature_.size());
+  feature_.push_back(-1);
+  left_.push_back(treeRoot);
+  right_.push_back(treeRoot);
+  prob_.push_back(
+      n ? static_cast<float>(static_cast<double>(pos) / static_cast<double>(n))
+        : 0.0f);
+  return index;
+}
+
+/// The forest pipeline, shared by the packed and reference growers so
+/// both draw identical bootstrap samples from the same rng stream.
+/// `growTree` appends one tree grown on a row multiset.
+template <typename GrowTree>
+void FlatForestBank::growForest(std::size_t rowCount,
+                                std::size_t positiveCount,
+                                std::size_t featureCount,
+                                const ForestParams& params,
+                                std::uint64_t seed, GrowTree&& growTree) {
+  checkFeatureCount(featureCount);
+  if (rowCount == 0) {
+    throw std::invalid_argument("FlatForestBank::addForest: empty dataset");
+  }
+  if (params.treeCount == 0) {
+    throw std::invalid_argument(
+        "FlatForestBank::addForest: treeCount must be > 0");
+  }
+  TreeParams treeParams = params.tree;
+  if (treeParams.featuresPerSplit == 0) {
+    treeParams.featuresPerSplit = static_cast<std::size_t>(
+        std::lround(std::sqrt(static_cast<double>(featureCount))));
+  }
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint32_t> rows(rowCount);
+  std::iota(rows.begin(), rows.end(), 0u);
+
+  // Degenerate case short-cut: constant labels need a single leaf (frequent
+  // for timing bits that never fail at a mild overclock).
+  if (positiveCount == 0 || positiveCount == rowCount) {
+    growTree(rows, TreeParams{0, 2, 1, 0}, rng);
+    closeForest();
+    return;
+  }
+
+  for (std::size_t t = 0; t < params.treeCount; ++t) {
+    if (params.bootstrap) {
+      std::uniform_int_distribution<std::uint32_t> pick(
+          0, static_cast<std::uint32_t>(rowCount - 1));
+      for (std::size_t i = 0; i < rowCount; ++i) rows[i] = pick(rng);
+    }
+    growTree(rows, treeParams, rng);
+  }
+  closeForest();
+}
+
+void FlatForestBank::addForest(const PackedView& data,
+                               const ForestParams& params,
+                               std::uint64_t seed) {
+  growForest(data.rowCount, data.positiveCount(), data.featureCount(), params,
+             seed,
+             [&](std::span<const std::uint32_t> rows,
+                 const TreeParams& treeParams, std::mt19937_64& rng) {
+               growPacked(data, rows, treeParams, rng);
+             });
+}
+
+void FlatForestBank::addForestReference(const Dataset& data,
+                                        const ForestParams& params,
+                                        std::uint64_t seed) {
+  growForest(data.rowCount(), data.positiveCount(), data.featureCount(),
+             params, seed,
+             [&](std::span<const std::uint32_t> rows,
+                 const TreeParams& treeParams, std::mt19937_64& rng) {
+               growReference(data, rows, treeParams, rng);
+             });
+}
+
+void FlatForestBank::addTree(const PackedView& data,
+                             std::span<const std::uint32_t> rows,
+                             const TreeParams& params, std::mt19937_64& rng) {
+  checkFeatureCount(data.featureCount());
+  growPacked(data, rows, params, rng);
+  closeForest();
+}
+
+void FlatForestBank::addTreeReference(const Dataset& data,
+                                      std::span<const std::uint32_t> rows,
+                                      const TreeParams& params,
+                                      std::mt19937_64& rng) {
+  checkFeatureCount(data.featureCount());
+  growReference(data, rows, params, rng);
+  closeForest();
+}
+
+// ---------------------------------------------------------------------------
+// Packed popcount grower
+// ---------------------------------------------------------------------------
+
+/// Per-tree state of the packed grower. A node's row multiset is a stack
+/// of multiplicity bit-planes (`planeCount` x `wordCount` words): plane k
+/// holds bit k of every row's repeat count, so weighted counts are
+/// sum_k 2^k * popcount(plane_k & ...). Plain subsets are the
+/// planeCount==1 special case.
+struct FlatForestBank::PackedGrowContext {
   const PackedView& data;
   const TreeParams& params;
   std::mt19937_64& rng;
   std::size_t planeCount;
   std::size_t words;
+  std::uint32_t root;                     // arena index of the tree root
   std::vector<std::uint32_t> candidates;  // scratch, rebuilt per node
 };
 
@@ -62,20 +192,20 @@ struct DecisionTree::PackedGrowContext {
 /// every scan (candidate counting, partitioning) touches only those words
 /// — and the node's weighted (n, pos), which the parent knows from its
 /// winning split, so nothing is ever rescanned to recover statistics.
-struct DecisionTree::PackedRows {
+struct FlatForestBank::PackedRows {
   std::vector<std::uint64_t> planes;               // planeCount x words
   std::vector<std::vector<std::uint32_t>> active;  // per plane
   std::size_t n = 0;    ///< weighted row count
   std::size_t pos = 0;  ///< weighted positive count
 };
 
-void DecisionTree::fit(const PackedView& data,
-                       std::span<const std::uint32_t> rows,
-                       const TreeParams& params, std::mt19937_64& rng) {
+void FlatForestBank::growPacked(const PackedView& data,
+                                std::span<const std::uint32_t> rows,
+                                const TreeParams& params,
+                                std::mt19937_64& rng) {
   if (rows.empty()) {
-    throw std::invalid_argument("DecisionTree::fit: no training rows");
+    throw std::invalid_argument("FlatForestBank: no training rows");
   }
-  nodes_.clear();
   const std::size_t words = data.wordCount;
   // Row multiplicities (bootstrap samples repeat rows) as bit-planes,
   // built in one pass: adding a row is a bitwise ripple-carry increment
@@ -85,7 +215,7 @@ void DecisionTree::fit(const PackedView& data,
   std::size_t planeCount = 1;
   for (std::uint32_t r : rows) {
     if (r >= data.rowCount) {
-      throw std::out_of_range("DecisionTree::fit: row index out of range");
+      throw std::out_of_range("FlatForestBank: row index out of range");
     }
     const std::size_t w = r / 64;
     std::uint64_t carry = std::uint64_t{1} << (r % 64);
@@ -115,43 +245,21 @@ void DecisionTree::fit(const PackedView& data,
     }
     root.pos += cp << k;
   }
-  PackedGrowContext ctx{data, params, rng, planeCount, words, {}};
-  (void)growPacked(ctx, root, 0);
+  const auto rootIndex = static_cast<std::uint32_t>(feature_.size());
+  roots_.push_back(rootIndex);
+  PackedGrowContext ctx{data, params, rng, planeCount, words, rootIndex, {}};
+  (void)growPackedNode(ctx, root, 0);
 }
 
-void DecisionTree::fit(const PackedView& data, const TreeParams& params,
-                       std::uint64_t seed) {
-  std::vector<std::uint32_t> rows(data.rowCount);
-  std::iota(rows.begin(), rows.end(), 0u);
-  std::mt19937_64 rng(seed);
-  fit(data, rows, params, rng);
-}
-
-void DecisionTree::fit(const Dataset& data,
-                       std::span<const std::uint32_t> rows,
-                       const TreeParams& params, std::mt19937_64& rng) {
-  fit(data.packed(), rows, params, rng);
-}
-
-void DecisionTree::fit(const Dataset& data, const TreeParams& params,
-                       std::uint64_t seed) {
-  fit(data.packed(), params, seed);
-}
-
-std::uint32_t DecisionTree::growPacked(PackedGrowContext& ctx,
-                                       PackedRows& rows, int depth) {
+std::uint32_t FlatForestBank::growPackedNode(PackedGrowContext& ctx,
+                                             PackedRows& rows, int depth) {
   const std::size_t words = ctx.words;
   const std::size_t planeCount = ctx.planeCount;
   const std::uint64_t* labels = ctx.data.labels;
   const std::size_t n = rows.n;
   const std::size_t pos = rows.pos;
 
-  const auto nodeIndex = static_cast<std::uint32_t>(nodes_.size());
-  Node node;
-  node.probability =
-      n ? static_cast<float>(static_cast<double>(pos) / static_cast<double>(n))
-        : 0.0f;
-  nodes_.push_back(node);
+  const std::uint32_t nodeIndex = pushNode(ctx.root, pos, n);
 
   const bool pure = pos == 0 || pos == n;
   if (pure || depth >= ctx.params.maxDepth ||
@@ -235,52 +343,39 @@ std::uint32_t DecisionTree::growPacked(PackedGrowContext& ctx,
   rows.n = n - bestN1;
   rows.pos = pos - bestPos1;
 
-  nodes_[nodeIndex].feature = bestFeature;
-  const std::uint32_t left = growPacked(ctx, rows, depth + 1);
-  nodes_[nodeIndex].left = left;
-  const std::uint32_t rightIndex = growPacked(ctx, right, depth + 1);
-  nodes_[nodeIndex].right = rightIndex;
+  feature_[nodeIndex] = static_cast<std::int16_t>(bestFeature);
+  const std::uint32_t left = growPackedNode(ctx, rows, depth + 1);
+  left_[nodeIndex] = left;
+  const std::uint32_t rightIndex = growPackedNode(ctx, right, depth + 1);
+  right_[nodeIndex] = rightIndex;
   return nodeIndex;
 }
 
 // ---------------------------------------------------------------------------
-// Reference row-scan trainer (the seed algorithm, kept verbatim)
+// Reference row-scan grower (the seed algorithm)
 // ---------------------------------------------------------------------------
 
-void DecisionTree::fitReference(const Dataset& data,
-                                std::span<const std::uint32_t> rows,
-                                const TreeParams& params,
-                                std::mt19937_64& rng) {
+void FlatForestBank::growReference(const Dataset& data,
+                                   std::span<const std::uint32_t> rows,
+                                   const TreeParams& params,
+                                   std::mt19937_64& rng) {
   if (rows.empty()) {
-    throw std::invalid_argument("DecisionTree::fit: no training rows");
+    throw std::invalid_argument("FlatForestBank: no training rows");
   }
-  nodes_.clear();
   std::vector<std::uint32_t> work(rows.begin(), rows.end());
-  (void)grow(data, work, 0, params, rng);
+  const auto rootIndex = static_cast<std::uint32_t>(feature_.size());
+  roots_.push_back(rootIndex);
+  (void)growReferenceNode(data, work, 0, params, rng, rootIndex);
 }
 
-void DecisionTree::fitReference(const Dataset& data, const TreeParams& params,
-                                std::uint64_t seed) {
-  std::vector<std::uint32_t> rows(data.rowCount());
-  std::iota(rows.begin(), rows.end(), 0u);
-  std::mt19937_64 rng(seed);
-  fitReference(data, rows, params, rng);
-}
-
-std::uint32_t DecisionTree::grow(const Dataset& data,
-                                 std::vector<std::uint32_t>& rows, int depth,
-                                 const TreeParams& params,
-                                 std::mt19937_64& rng) {
+std::uint32_t FlatForestBank::growReferenceNode(
+    const Dataset& data, std::vector<std::uint32_t>& rows, int depth,
+    const TreeParams& params, std::mt19937_64& rng, std::uint32_t root) {
   const std::size_t n = rows.size();
   std::size_t pos = 0;
   for (std::uint32_t r : rows) pos += data.label(r) ? 1 : 0;
 
-  const auto nodeIndex = static_cast<std::uint32_t>(nodes_.size());
-  Node node;
-  node.probability =
-      n ? static_cast<float>(static_cast<double>(pos) / static_cast<double>(n))
-        : 0.0f;
-  nodes_.push_back(node);
+  const std::uint32_t nodeIndex = pushNode(root, pos, n);
 
   const bool pure = pos == 0 || pos == n;
   if (pure || depth >= params.maxDepth || n < params.minSamplesSplit) {
@@ -328,131 +423,14 @@ std::uint32_t DecisionTree::grow(const Dataset& data,
   std::vector<std::uint32_t> rightRows(mid, rows.end());
   rows.erase(mid, rows.end());
 
-  nodes_[nodeIndex].feature = bestFeature;
-  const std::uint32_t left = grow(data, rows, depth + 1, params, rng);
-  nodes_[nodeIndex].left = left;
-  const std::uint32_t right = grow(data, rightRows, depth + 1, params, rng);
-  nodes_[nodeIndex].right = right;
+  feature_[nodeIndex] = static_cast<std::int16_t>(bestFeature);
+  const std::uint32_t left =
+      growReferenceNode(data, rows, depth + 1, params, rng, root);
+  left_[nodeIndex] = left;
+  const std::uint32_t right =
+      growReferenceNode(data, rightRows, depth + 1, params, rng, root);
+  right_[nodeIndex] = right;
   return nodeIndex;
-}
-
-// ---------------------------------------------------------------------------
-// Inference
-// ---------------------------------------------------------------------------
-
-bool DecisionTree::predict(std::span<const std::uint8_t> features) const {
-  return predictProbability(features) >= 0.5;
-}
-
-double DecisionTree::predictProbability(
-    std::span<const std::uint8_t> features) const {
-  if (nodes_.empty()) {
-    throw std::logic_error("DecisionTree: predict before fit");
-  }
-  return probabilityUnchecked(features);
-}
-
-double DecisionTree::probabilityUnchecked(
-    std::span<const std::uint8_t> features) const noexcept {
-  std::uint32_t idx = 0;
-  while (nodes_[idx].feature >= 0) {
-    const auto feat = static_cast<std::size_t>(nodes_[idx].feature);
-    idx = features[feat] ? nodes_[idx].right : nodes_[idx].left;
-  }
-  return nodes_[idx].probability;
-}
-
-std::uint64_t DecisionTree::predictBatch(
-    std::span<const std::uint64_t> featureWords,
-    std::span<double> probabilities) const {
-  if (nodes_.empty()) {
-    throw std::logic_error("DecisionTree: predict before fit");
-  }
-  if (probabilities.size() < 64) {
-    throw std::invalid_argument(
-        "DecisionTree::predictBatch: need 64 probability slots");
-  }
-  std::fill_n(probabilities.data(), 64, 0.0);
-  accumulateBatch(featureWords, probabilities.data());
-  std::uint64_t predictions = 0;
-  for (std::size_t lane = 0; lane < 64; ++lane) {
-    if (probabilities[lane] >= 0.5) predictions |= std::uint64_t{1} << lane;
-  }
-  return predictions;
-}
-
-void DecisionTree::accumulateBatch(std::span<const std::uint64_t> featureWords,
-                                   double* sums) const noexcept {
-  accumulateLanes(featureWords, 0, ~std::uint64_t{0}, sums);
-}
-
-void DecisionTree::accumulateLanes(std::span<const std::uint64_t> featureWords,
-                                   std::uint32_t idx, std::uint64_t mask,
-                                   double* sums) const noexcept {
-  // Lane-mask traversal: each (node, mask) pair splits its lanes by the
-  // feature word and follows only populated sides, so one walk serves all
-  // 64 lanes. Pending right branches live on a fixed-size explicit stack
-  // sized past any grown tree's depth; pathologically deep trees (only
-  // reachable through setNodes/deserialization) spill into recursion.
-  struct Frame {
-    std::uint32_t idx;
-    std::uint64_t mask;
-  };
-  std::array<Frame, 64> stack;
-  std::size_t top = 0;
-  for (;;) {
-    while (nodes_[idx].feature >= 0) {
-      const auto feat = static_cast<std::size_t>(nodes_[idx].feature);
-      const std::uint64_t right = mask & featureWords[feat];
-      const std::uint64_t left = mask ^ right;
-      if (right == 0) {
-        idx = nodes_[idx].left;
-        continue;
-      }
-      if (left == 0) {
-        idx = nodes_[idx].right;
-        mask = right;
-        continue;
-      }
-      if (top < stack.size()) {
-        stack[top++] = Frame{nodes_[idx].right, right};
-      } else {
-        accumulateLanes(featureWords, nodes_[idx].right, right, sums);
-      }
-      idx = nodes_[idx].left;
-      mask = left;
-    }
-    const double p = nodes_[idx].probability;
-    if (mask == ~std::uint64_t{0}) {
-      for (std::size_t lane = 0; lane < 64; ++lane) sums[lane] += p;
-    } else {
-      while (mask != 0) {
-        sums[std::countr_zero(mask)] += p;
-        mask &= mask - 1;
-      }
-    }
-    if (top == 0) return;
-    --top;
-    idx = stack[top].idx;
-    mask = stack[top].mask;
-  }
-}
-
-int DecisionTree::depth() const noexcept {
-  if (nodes_.empty()) return 0;
-  // Iterative depth computation over the flat representation.
-  std::vector<std::pair<std::uint32_t, int>> stack{{0u, 1}};
-  int best = 0;
-  while (!stack.empty()) {
-    const auto [idx, d] = stack.back();
-    stack.pop_back();
-    best = std::max(best, d);
-    if (nodes_[idx].feature >= 0) {
-      stack.emplace_back(nodes_[idx].left, d + 1);
-      stack.emplace_back(nodes_[idx].right, d + 1);
-    }
-  }
-  return best;
 }
 
 }  // namespace oisa::ml

@@ -7,20 +7,17 @@
 // carry real signal.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
-#include "ml/decision_tree.h"
-#include "ml/random_forest.h"
+#include "ml/flat_forest.h"
 
 namespace oisa::ml {
 
-/// Per-feature importance of one tree, normalized to sum to 1 (all zeros
-/// for a leaf-only tree). `featureCount` sizes the result.
-[[nodiscard]] std::vector<double> featureImportance(const DecisionTree& tree,
-                                                    std::size_t featureCount);
-
-/// Mean tree importance across a forest, normalized to sum to 1.
-[[nodiscard]] std::vector<double> featureImportance(
-    const RandomForest& forest, std::size_t featureCount);
+/// Importance of forest `forest` of `bank`, one entry per feature: each
+/// tree's weighted split usage normalized to sum 1 (all zeros for a
+/// one-leaf tree), summed over the trees, normalized again.
+[[nodiscard]] std::vector<double> featureImportance(const FlatBankView& bank,
+                                                    std::size_t forest);
 
 }  // namespace oisa::ml

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <istream>
-#include <ostream>
+#include <numeric>
 #include <stdexcept>
 
 #include "ml/importance.h"
@@ -39,96 +38,39 @@ void BitLevelPredictor::fit(const PackedTraceFeatures& packed) {
         "BitLevelPredictor::fit: need at least one packed row");
   }
   const int bits = extractor_.outputBitCount();
-  forests_.clear();
-  treesOnly_.clear();
-  majorities_.clear();
-
+  ml::FlatForestBank bank(
+      static_cast<std::uint32_t>(extractor_.featureCount()));
+  std::vector<std::uint32_t> allRows(packed.rowCount);
+  std::iota(allRows.begin(), allRows.end(), 0u);
   for (int bit = 0; bit < bits; ++bit) {
     const ml::PackedView view = extractor_.bitView(packed, bit);
     const std::uint64_t seed =
         params_.seed + 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(bit + 1);
-    switch (params_.model) {
-      case ModelKind::RandomForest: {
-        ml::RandomForest forest;
-        forest.fit(view, params_.forest, seed);
-        forests_.push_back(std::move(forest));
-        break;
-      }
-      case ModelKind::DecisionTree: {
-        ml::DecisionTree tree;
-        tree.fit(view, params_.tree, seed);
-        treesOnly_.push_back(std::move(tree));
-        break;
-      }
-      case ModelKind::Majority: {
-        ml::MajorityClassifier majority;
-        majority.fit(view);
-        majorities_.push_back(std::move(majority));
-        break;
-      }
+    if (params_.model == ModelKind::RandomForest) {
+      bank.addForest(view, params_.forest, seed);
+      continue;
     }
+    // The ablation kinds grow one tree on every row: plain CART, or a
+    // single leaf (maxDepth 0) for the majority baseline.
+    std::mt19937_64 rng(seed);
+    bank.addTree(view, allRows,
+                 params_.model == ModelKind::DecisionTree
+                     ? params_.tree
+                     : ml::TreeParams{0, 2, 1, 0},
+                 rng);
   }
-  trained_ = true;
+  flatBank_ = std::move(bank);
   mappedBank_ = ml::MappedForestBank{};  // re-fit drops any mapped file
-  buildFlatBank();
-}
-
-void BitLevelPredictor::buildFlatBank() {
-  if (params_.model == ModelKind::RandomForest) {
-    flatBank_ = ml::FlatForestBank::build(
-        forests_, static_cast<std::uint32_t>(extractor_.featureCount()));
-  } else {
-    flatBank_ = ml::FlatForestBank{};
-  }
-}
-
-bool BitLevelPredictor::predictBit(std::span<const std::uint8_t> features,
-                                   int bit) const noexcept {
-  const auto idx = static_cast<std::size_t>(bit);
-  switch (params_.model) {
-    case ModelKind::RandomForest:
-      return forests_[idx].probabilityUnchecked(features) >= 0.5;
-    case ModelKind::DecisionTree:
-      return treesOnly_[idx].probabilityUnchecked(features) >= 0.5;
-    case ModelKind::Majority: return majorities_[idx].predict(features);
-  }
-  return false;
-}
-
-std::uint64_t BitLevelPredictor::predictBitWord(
-    std::span<const std::uint64_t> featureWords, int bit,
-    std::span<double> probabilities, const ml::FlatBankView& flat) const {
-  const auto idx = static_cast<std::size_t>(bit);
-  switch (params_.model) {
-    case ModelKind::RandomForest: {
-      // The flat walk accumulates into caller-zeroed sums; same summation
-      // order as RandomForest::predictBatch, so the word is bit-identical
-      // to the pointer-forest path.
-      std::fill_n(probabilities.data(), 64, 0.0);
-      return ml::FlatForest(flat, idx).predictWord(featureWords,
-                                                   probabilities.data());
-    }
-    case ModelKind::DecisionTree:
-      return treesOnly_[idx].predictBatch(featureWords, probabilities);
-    case ModelKind::Majority:
-      return majorities_[idx].predictBatch(featureWords, probabilities);
-  }
-  return 0;
+  trained_ = true;
 }
 
 std::vector<double> BitLevelPredictor::featureImportance() const {
   std::vector<double> total(extractor_.featureCount(), 0.0);
   if (!trained_) return total;
-  double mass = 0.0;
-  auto accumulate = [&](const std::vector<double>& one) {
+  const ml::FlatBankView flat = flatView();
+  for (std::size_t forest = 0; forest < flat.forestCount(); ++forest) {
+    const std::vector<double> one = ml::featureImportance(flat, forest);
     for (std::size_t i = 0; i < total.size(); ++i) total[i] += one[i];
-    mass += 1.0;
-  };
-  for (const auto& forest : forests_) {
-    accumulate(ml::featureImportance(forest, total.size()));
-  }
-  for (const auto& tree : treesOnly_) {
-    accumulate(ml::featureImportance(tree, total.size()));
   }
   double sum = 0.0;
   for (const double v : total) sum += v;
@@ -138,77 +80,10 @@ std::vector<double> BitLevelPredictor::featureImportance() const {
   return total;
 }
 
-core::Status BitLevelPredictor::write(std::ostream& os) const {
-  if (!trained_ || params_.model != ModelKind::RandomForest) {
-    return Status::invalidInput(
-        "BitLevelPredictor::write: only trained RandomForest banks persist");
-  }
-  if (forests_.empty()) {
-    return Status::invalidInput(
-        "BitLevelPredictor::write: flat-loaded bank carries no pointer "
-        "forests (use saveFlat)");
-  }
-  os << "bitpredictor " << extractor_.width() << ' '
-     << (params_.includeOutputBits ? 1 : 0) << ' ' << forests_.size()
-     << "\n";
-  for (const ml::RandomForest& forest : forests_) {
-    ml::saveForest(forest, os);
-  }
-  if (!os) {
-    return Status::ioError("BitLevelPredictor::write: stream write failed");
-  }
-  return Status::ok();
-}
-
-void BitLevelPredictor::save(std::ostream& os) const {
-  if (!trained_ || params_.model != ModelKind::RandomForest ||
-      forests_.empty()) {
-    throw std::logic_error(
-        "BitLevelPredictor::save: only trained RandomForest banks persist");
-  }
-  core::throwIfError(write(os));
-}
-
-core::StatusOr<BitLevelPredictor> BitLevelPredictor::read(std::istream& is) {
-  std::string tag;
-  int width = 0;
-  int includeOutputBits = 0;
-  std::size_t banks = 0;
-  if (!(is >> tag >> width >> includeOutputBits >> banks) ||
-      tag != "bitpredictor") {
-    return Status::corruption("BitLevelPredictor::read: bad header");
-  }
-  if (width < 1 || width > 63) {
-    return Status::corruption("BitLevelPredictor::read: width " +
-                              std::to_string(width) + " out of range");
-  }
-  PredictorParams params;
-  params.model = ModelKind::RandomForest;
-  params.includeOutputBits = includeOutputBits != 0;
-  BitLevelPredictor predictor(width, params);
-  if (banks != static_cast<std::size_t>(width) + 1) {
-    return Status::corruption("BitLevelPredictor::read: bank count mismatch");
-  }
-  predictor.forests_.reserve(banks);
-  for (std::size_t i = 0; i < banks; ++i) {
-    StatusOr<ml::RandomForest> forest = ml::readForest(is);
-    if (!forest.isOk()) return forest.status();
-    predictor.forests_.push_back(std::move(forest).value());
-  }
-  predictor.trained_ = true;
-  predictor.buildFlatBank();
-  return predictor;
-}
-
-BitLevelPredictor BitLevelPredictor::load(std::istream& is) {
-  return read(is).valueOrThrow();
-}
-
 core::Status BitLevelPredictor::saveFlat(const std::string& path) const {
-  if (!trained_ || params_.model != ModelKind::RandomForest) {
+  if (!trained_) {
     return Status::invalidInput(
-        "BitLevelPredictor::saveFlat: only trained RandomForest banks "
-        "persist");
+        "BitLevelPredictor::saveFlat: only trained banks persist");
   }
   return ml::writeFlatBankFile(
       path, flatView(), static_cast<std::uint32_t>(extractor_.width()),
@@ -225,7 +100,6 @@ core::StatusOr<BitLevelPredictor> BitLevelPredictor::loadFlat(
                               std::to_string(width) + " out of range");
   }
   PredictorParams params;
-  params.model = ModelKind::RandomForest;
   params.includeOutputBits = (bank.value().meta1() & 1u) != 0;
   BitLevelPredictor predictor(static_cast<int>(width), params);
   const ml::FlatBankView& view = bank.value().view();
@@ -278,9 +152,7 @@ void BitLevelPredictor::predictFlipsBlock(
   const std::size_t lanes = extractor_.packBlock(
       records, std::span(featureWords).first(shared), goldPrevCols,
       goldCurCols);
-  const ml::FlatBankView flat = params_.model == ModelKind::RandomForest
-                                    ? flatView()
-                                    : ml::FlatBankView{};
+  const ml::FlatBankView flat = flatView();
   std::array<std::uint64_t, 64> predWords{};
   std::array<double, 64> probabilities;
   const std::span<const std::uint64_t> features(featureWords.data(),
@@ -291,7 +163,9 @@ void BitLevelPredictor::predictFlipsBlock(
       featureWords[shared] = goldPrevCols[b];
       featureWords[shared + 1] = goldCurCols[b];
     }
-    predWords[b] = predictBitWord(features, bit, probabilities, flat);
+    probabilities.fill(0.0);
+    predWords[b] = ml::FlatForest(flat, b).predictWord(features,
+                                                       probabilities.data());
   }
   // predWords rows are output bits; one transpose turns them into
   // per-lane flip words (bit b of word L = bit b's prediction for lane L).
@@ -317,11 +191,6 @@ PredictedFlips BitLevelPredictor::predictFlipsReference(
   if (!trained_) {
     throw std::logic_error("BitLevelPredictor: predict before fit");
   }
-  if (params_.model == ModelKind::RandomForest && forests_.empty()) {
-    throw std::logic_error(
-        "BitLevelPredictor::predictFlipsReference: flat-loaded bank has no "
-        "pointer models");
-  }
   PredictedFlips flips;
   // Stack row buffer (width <= 63 caps featureCount); the shared operand
   // block is extracted once, only the two yRTL_n bytes change per bit.
@@ -329,10 +198,13 @@ PredictedFlips BitLevelPredictor::predictFlipsReference(
   const std::span<std::uint8_t> row{buffer.data(),
                                     extractor_.featureCount()};
   extractor_.extractShared(previous, current, row);
+  const ml::FlatBankView flat = flatView();
   const int width = extractor_.width();
   for (int bit = 0; bit <= width; ++bit) {
     extractor_.patchBitFeatures(previous, current, bit, row);
-    if (!predictBit(row, bit)) continue;
+    if (!ml::FlatForest(flat, static_cast<std::size_t>(bit)).predict(row)) {
+      continue;
+    }
     if (bit == width) {
       flips.coutFlip = true;
     } else {
@@ -389,9 +261,7 @@ PredictorEvaluation BitLevelPredictor::evaluate(
   const std::size_t words = packed.wordCount;
   const std::size_t rows = packed.rowCount;
   const std::size_t shared = packed.sharedCount;
-  const ml::FlatBankView flat = params_.model == ModelKind::RandomForest
-                                    ? flatView()
-                                    : ml::FlatBankView{};
+  const ml::FlatBankView flat = flatView();
   std::vector<std::uint64_t> featureWords(extractor_.featureCount());
   std::vector<std::uint64_t> predWords(static_cast<std::size_t>(bits));
   std::array<double, 64> probabilities;
@@ -410,8 +280,9 @@ PredictorEvaluation BitLevelPredictor::evaluate(
         featureWords[shared] = packed.goldPrev[b * words + w];
         featureWords[shared + 1] = packed.goldCur[b * words + w];
       }
-      const std::uint64_t pred =
-          predictBitWord(featureWords, bit, probabilities, flat);
+      probabilities.fill(0.0);
+      const std::uint64_t pred = ml::FlatForest(flat, b).predictWord(
+          featureWords, probabilities.data());
       predWords[b] = pred;
       // Bit-level accuracy (ABPER numerator): one popcount per 64 cycles.
       wrong[b] += static_cast<std::uint64_t>(

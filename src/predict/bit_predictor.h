@@ -7,46 +7,41 @@
 // vector (bit-flip positions) and deduces the predicted y_silver from
 // y_gold (Sec. IV-B).
 //
-// The bank runs on the packed column-major substrate end to end: fit()
-// extracts the shared operand/transition columns once per trace (only the
-// two yRTL_n columns differ per bit) and trains every forest with the
-// popcount CART trainer; evaluate() sweeps the test trace 64 cycles at a
-// time through the lane-masked batched forest walk, so ABPER reduces to
-// popcounts of prediction-vs-label words.
-//
-// Serving path: a trained RandomForest bank is flattened into an
-// ml::FlatForestBank (structure-of-arrays node arena, ml/flat_forest.h)
-// the moment training or loading completes, and every batched inference
-// — evaluate() and the predictFlipsBlock hot path — walks the flat
-// arrays. predictFlipsBlock scores up to 64 record pairs per call with
-// zero allocation: one packBlock column extraction shared by all output
-// bits, one lane-masked flat walk per bit, one 64x64 transpose back to
-// per-lane flip masks. Banks persist either as the text format (v1,
-// pointer forests, human-diffable) or the binary flat envelope v2
-// (saveFlat/loadFlat), which mmaps straight into the inference arrays.
+// The bank is one ml::FlatForestBank — a structure-of-arrays node arena
+// holding one forest per output bit (ml/flat_forest.h) — for every model
+// kind: the ablation's single CART tree is a one-tree forest and the
+// majority baseline a one-leaf tree. fit() extracts the shared
+// operand/transition columns once per trace (only the two yRTL_n columns
+// differ per bit) and the popcount CART grower appends every forest
+// straight into the arena; evaluate() sweeps the test trace 64 cycles at
+// a time through the lane-masked flat walk, so ABPER reduces to popcounts
+// of prediction-vs-label words. predictFlipsBlock scores up to 64 record
+// pairs per call with zero allocation: one packBlock column extraction
+// shared by all output bits, one lane-masked flat walk per bit, one 64x64
+// transpose back to per-lane flip masks. Banks persist as the binary flat
+// envelope v2 (saveFlat/loadFlat), which mmaps straight into the
+// inference arrays.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/status.h"
 #include "ml/flat_forest.h"
-#include "ml/random_forest.h"
 #include "ml/serialize.h"
 #include "predict/features.h"
 #include "predict/trace.h"
 
 namespace oisa::predict {
 
-/// Model family for the per-bit classifiers (ablation bench).
+/// Model family for the per-bit classifiers (ablation bench). Every kind
+/// trains into the same flat forest bank.
 enum class ModelKind : std::uint8_t {
   RandomForest,  ///< the paper's choice
-  DecisionTree,  ///< single CART tree
-  Majority,      ///< constant baseline
+  DecisionTree,  ///< one CART tree grown on all rows with params.tree
+  Majority,      ///< constant baseline: one leaf per bit (maxDepth 0)
 };
 
 /// Training controls.
@@ -115,10 +110,10 @@ class BitLevelPredictor {
   void predictFlipsBlock(std::span<const TraceRecord> records,
                          std::span<PredictedFlips> out) const;
 
-  /// The seed scalar reference path — per-record byte-feature extraction
-  /// and pointer-model walks — kept as the differential baseline for
-  /// bench/micro_predict and the flat-equivalence tests. Requires pointer
-  /// models (unavailable on a loadFlat()-ed bank: throws std::logic_error).
+  /// The scalar reference path — per-record byte-feature extraction and
+  /// the one-row FlatForest::probability walk per bit — kept as the
+  /// differential baseline for bench/micro_predict and the block-path
+  /// tests.
   [[nodiscard]] PredictedFlips predictFlipsReference(
       const TraceRecord& previous, const TraceRecord& current) const;
 
@@ -139,74 +134,38 @@ class BitLevelPredictor {
   }
   [[nodiscard]] bool trained() const noexcept { return trained_; }
 
-  /// Aggregate feature importance across all per-bit models (RandomForest
-  /// and DecisionTree kinds; all-zero for Majority). Normalized to sum 1.
+  /// Aggregate feature importance across all per-bit forests, read off
+  /// the arena (all zeros for the Majority kind). Normalized to sum 1.
   [[nodiscard]] std::vector<double> featureImportance() const;
 
-  /// Persists a trained RandomForest-kind predictor (text format v1).
-  /// InvalidInput for other model kinds, untrained banks, or flat-loaded
-  /// banks (which carry no pointer forests — use saveFlat); IoError when
-  /// the stream fails.
-  [[nodiscard]] core::Status write(std::ostream& os) const;
-
-  /// Status-returning loader for the text format: Corruption for any
-  /// malformed or integrity-failing input, IoError for stream failures.
-  [[nodiscard]] static core::StatusOr<BitLevelPredictor> read(
-      std::istream& is);
-
-  /// Throwing wrappers around write()/read(), preserving the pre-Status
-  /// contract: save() throws std::logic_error on non-persistable banks,
-  /// load() throws core::StatusError (is-a std::runtime_error).
-  void save(std::ostream& os) const;
-  [[nodiscard]] static BitLevelPredictor load(std::istream& is);
-
-  /// Persists the flat bank as binary envelope v2 (serialize.h), the
+  /// Persists the trained bank as binary envelope v2 (serialize.h), the
   /// serving/design-cache format: width and feature configuration ride in
   /// the header meta words, the node arrays are the file body.
-  /// InvalidInput unless trained RandomForest kind.
+  /// InvalidInput unless trained.
   [[nodiscard]] core::Status saveFlat(const std::string& path) const;
 
   /// Loads a saveFlat() file by mmap (one read fallback): header + CRC +
   /// structural validation, zero per-node parsing. The result serves
-  /// predictFlips/predictFlipsBlock/evaluate straight off the mapped
-  /// arrays; it carries no pointer forests (write()/save() and
-  /// featureImportance() are unavailable).
+  /// every prediction path and featureImportance() straight off the
+  /// mapped arrays.
   [[nodiscard]] static core::StatusOr<BitLevelPredictor> loadFlat(
       const std::string& path);
 
   /// The flat inference arrays (valid while this predictor lives).
-  /// Precondition: trained RandomForest kind.
+  /// Precondition: trained().
   [[nodiscard]] ml::FlatBankView flatView() const noexcept {
     return mappedBank_.empty() ? flatBank_.view() : mappedBank_.view();
   }
 
  private:
-  /// Scalar per-bit prediction on the pointer models (reference path);
-  /// precondition: trained() with pointer models present.
-  [[nodiscard]] bool predictBit(std::span<const std::uint8_t> features,
-                                int bit) const noexcept;
-  /// Batched per-bit prediction over one 64-cycle lane word. `flat` is
-  /// the bank view (hoisted by the caller; only read for RandomForest
-  /// kind).
-  [[nodiscard]] std::uint64_t predictBitWord(
-      std::span<const std::uint64_t> featureWords, int bit,
-      std::span<double> probabilities, const ml::FlatBankView& flat) const;
   /// Checks that `packed` matches this bank's extractor configuration.
   void validatePacked(const PackedTraceFeatures& packed) const;
-  /// Rebuilds flatBank_ from forests_ (RandomForest kind after fit/read).
-  void buildFlatBank();
 
   PredictorParams params_;
   FeatureExtractor extractor_;
-  // One model per output bit; exactly one of these is populated per bit
-  // depending on params_.model. A loadFlat()-ed bank populates none of
-  // them (mappedBank_ carries the nodes instead).
-  std::vector<ml::RandomForest> forests_;
-  std::vector<ml::DecisionTree> treesOnly_;
-  std::vector<ml::MajorityClassifier> majorities_;
-  // Flat serving substrate for RandomForest kind: exactly one of these
-  // is non-empty once trained (built from forests_, or mmap-ed by
-  // loadFlat). Views are computed on demand, so copies/moves stay safe.
+  // The bank, one forest per output bit: exactly one of these is
+  // non-empty once trained (grown by fit, or mmap-ed by loadFlat). Views
+  // are computed on demand, so copies/moves stay safe.
   ml::FlatForestBank flatBank_;
   ml::MappedForestBank mappedBank_;
   bool trained_ = false;

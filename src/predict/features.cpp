@@ -223,8 +223,10 @@ std::string FeatureExtractor::featureName(std::size_t index) const {
   if (index >= 2 * perCycle) {
     return index == 2 * perCycle ? "yRTL_n[t-1]" : "yRTL_n[t]";
   }
-  if (k < w) return "a" + std::to_string(k) + suffix;
-  if (k < 2 * w) return "b" + std::to_string(k - w) + suffix;
+  if (k < w) return std::string("a").append(std::to_string(k)).append(suffix);
+  if (k < 2 * w) {
+    return std::string("b").append(std::to_string(k - w)).append(suffix);
+  }
   return std::string("cin") + suffix;
 }
 

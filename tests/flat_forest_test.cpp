@@ -1,14 +1,17 @@
-// Flat forest bank tests: SoA flattening vs pointer forests (bit-exact,
-// on random datasets and on banks trained from real collected traces),
-// the binary envelope v2 (round trips, mmap loads, flip-any-byte /
-// truncate-anywhere corruption), and the batch-64 predictFlipsBlock hot
-// path vs the scalar reference, including the ragged final block.
+// Flat forest bank tests: the 64-lane masked walk vs the scalar walk
+// (bit-exact, on random datasets and on banks trained from real collected
+// traces), structural validation, the binary envelope v2 (round trips,
+// mmap loads, flip-any-byte / truncate-anywhere corruption, and a stored
+// fixture the trainer must keep reproducing byte for byte), and the
+// batch-64 predictFlipsBlock hot path vs the scalar reference, including
+// the ragged final block.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <random>
 #include <span>
 #include <sstream>
@@ -21,9 +24,9 @@
 #include "experiments/workload.h"
 #include "ml/dataset.h"
 #include "ml/flat_forest.h"
-#include "ml/random_forest.h"
 #include "ml/serialize.h"
 #include "predict/bit_predictor.h"
+#include "sha256.h"
 #include "timing/cell_library.h"
 
 namespace {
@@ -35,7 +38,6 @@ using oisa::ml::FlatForest;
 using oisa::ml::FlatForestBank;
 using oisa::ml::ForestParams;
 using oisa::ml::MappedForestBank;
-using oisa::ml::RandomForest;
 using oisa::predict::BitLevelPredictor;
 using oisa::predict::PredictedFlips;
 using oisa::predict::PredictorParams;
@@ -57,21 +59,20 @@ oisa::ml::Dataset randomDataset(std::size_t features, std::size_t rows,
   return data;
 }
 
-std::vector<RandomForest> trainForests(std::size_t count,
-                                       std::size_t features,
-                                       std::uint64_t seed) {
-  std::vector<RandomForest> forests;
+FlatForestBank trainBank(std::size_t count, std::size_t features,
+                         std::uint64_t seed) {
+  FlatForestBank bank(static_cast<std::uint32_t>(features));
   for (std::size_t i = 0; i < count; ++i) {
     ForestParams params;
     params.treeCount = 5;
     // Shallow trees keep banks small enough for the O(bytes^2)
     // flip-every-byte / truncate-everywhere corruption sweeps.
     params.tree.maxDepth = 4;
-    RandomForest forest;
-    forest.fit(randomDataset(features, 200, seed * 31 + i), params, seed + i);
-    forests.push_back(std::move(forest));
+    const oisa::ml::Dataset data =
+        randomDataset(features, 200, seed * 31 + i);
+    bank.addForest(data.packed(), params, seed + i);
   }
-  return forests;
+  return bank;
 }
 
 /// Synthetic overclocked-adder trace with transition-sensitized flips
@@ -126,30 +127,9 @@ void expectBlockMatchesReference(const BitLevelPredictor& predictor,
   }
 }
 
-TEST(FlatForestTest, MatchesPointerForestsOnRandomDatasets) {
-  for (const std::uint64_t seed : {7u, 19u, 83u}) {
-    constexpr std::size_t kFeatures = 12;
-    const auto forests = trainForests(4, kFeatures, seed);
-    const FlatForestBank bank = FlatForestBank::build(forests, kFeatures);
-    ASSERT_TRUE(oisa::ml::validateFlatBank(bank.view()).isOk());
-    std::mt19937_64 rng(seed ^ 0xabcdu);
-    std::vector<std::uint8_t> row(kFeatures);
-    for (int r = 0; r < 200; ++r) {
-      for (auto& f : row) f = static_cast<std::uint8_t>(rng() & 1u);
-      for (std::size_t i = 0; i < forests.size(); ++i) {
-        const FlatForest flat(bank.view(), i);
-        ASSERT_DOUBLE_EQ(flat.probability(row),
-                         forests[i].predictProbability(row));
-        ASSERT_EQ(flat.predict(row), forests[i].predict(row));
-      }
-    }
-  }
-}
-
 TEST(FlatForestTest, PredictWordMatchesScalarLaneForLane) {
   constexpr std::size_t kFeatures = 10;
-  const auto forests = trainForests(3, kFeatures, 5);
-  const FlatForestBank bank = FlatForestBank::build(forests, kFeatures);
+  const FlatForestBank bank = trainBank(3, kFeatures, 5);
   std::mt19937_64 rng(99);
   // 64 random rows as bit-columns: featureWords[f] bit `lane` = row value.
   std::array<std::vector<std::uint8_t>, 64> rows;
@@ -162,20 +142,20 @@ TEST(FlatForestTest, PredictWordMatchesScalarLaneForLane) {
     }
   }
   std::array<double, 64> sums{};
-  for (std::size_t i = 0; i < forests.size(); ++i) {
+  for (std::size_t i = 0; i < bank.view().forestCount(); ++i) {
     const FlatForest flat(bank.view(), i);
     sums.fill(0.0);
     const std::uint64_t word = flat.predictWord(featureWords, sums.data());
     for (std::size_t lane = 0; lane < 64; ++lane) {
-      ASSERT_DOUBLE_EQ(sums[lane], forests[i].predictProbability(rows[lane]));
-      ASSERT_EQ(((word >> lane) & 1u) != 0, forests[i].predict(rows[lane]));
+      // Same tree-by-tree summation order: exact equality.
+      ASSERT_EQ(sums[lane], flat.probability(rows[lane]));
+      ASSERT_EQ(((word >> lane) & 1u) != 0, flat.predict(rows[lane]));
     }
   }
 }
 
 TEST(FlatForestTest, ValidateRejectsStructuralViolations) {
-  const auto forests = trainForests(2, 8, 11);
-  const FlatForestBank bank = FlatForestBank::build(forests, 8);
+  const FlatForestBank bank = trainBank(2, 8, 11);
   const FlatBankView good = bank.view();
   ASSERT_TRUE(oisa::ml::validateFlatBank(good).isOk());
 
@@ -239,8 +219,7 @@ TEST(FlatForestTest, ValidateRejectsStructuralViolations) {
 }
 
 TEST(EnvelopeV2Test, RoundTripsThroughBufferAndFile) {
-  const auto forests = trainForests(3, 9, 23);
-  const FlatForestBank bank = FlatForestBank::build(forests, 9);
+  const FlatForestBank bank = trainBank(3, 9, 23);
   const std::string bytes = oisa::ml::serializeFlatBank(bank.view(), 17, 1);
 
   auto fromBuf = MappedForestBank::fromBuffer(bytes);
@@ -274,8 +253,7 @@ TEST(EnvelopeV2Test, RoundTripsThroughBufferAndFile) {
 }
 
 TEST(EnvelopeV2Test, FlippingAnyByteIsCorruption) {
-  const auto forests = trainForests(2, 6, 3);
-  const FlatForestBank bank = FlatForestBank::build(forests, 6);
+  const FlatForestBank bank = trainBank(2, 6, 3);
   const std::string bytes = oisa::ml::serializeFlatBank(bank.view());
   ASSERT_TRUE(MappedForestBank::fromBuffer(bytes).isOk());
   for (std::size_t i = 0; i < bytes.size(); ++i) {
@@ -288,8 +266,7 @@ TEST(EnvelopeV2Test, FlippingAnyByteIsCorruption) {
 }
 
 TEST(EnvelopeV2Test, TruncatingAnywhereIsCorruption) {
-  const auto forests = trainForests(2, 6, 13);
-  const FlatForestBank bank = FlatForestBank::build(forests, 6);
+  const FlatForestBank bank = trainBank(2, 6, 13);
   const std::string bytes = oisa::ml::serializeFlatBank(bank.view());
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     const auto result = MappedForestBank::fromBuffer(bytes.substr(0, len));
@@ -355,20 +332,45 @@ TEST(FlatBankPersistenceTest, SaveFlatLoadFlatServesIdentically) {
     ASSERT_EQ(a.sumFlips, b.sumFlips);
     ASSERT_EQ(a.coutFlip, b.coutFlip);
   }
+}
 
-  // A flat-loaded bank carries no pointer forests: the text envelope and
-  // the scalar reference path are unavailable, explicitly.
-  std::ostringstream os;
-  EXPECT_EQ(loaded.write(os).code(), StatusCode::InvalidInput);
-  EXPECT_THROW((void)loaded.predictFlipsReference(test[0], test[1]),
-               std::logic_error);
+TEST(FlatBankPersistenceTest, LoadedBankKeepsImportanceAndReferencePath) {
+  // Everything reads the arena, so a loadFlat()-ed bank answers the
+  // importance query and the scalar reference path exactly like the
+  // bank it was saved from — not with zeros or an exception.
+  const Trace train = syntheticTrace(12, 1200, 31);
+  const Trace test = syntheticTrace(12, 200, 32);
+  PredictorParams params;
+  params.forest.treeCount = 4;
+  BitLevelPredictor predictor(12, params);
+  predictor.fit(train);
+  const auto path =
+      (std::filesystem::temp_directory_path() / "flat_bank_importance.ffb")
+          .string();
+  ASSERT_TRUE(predictor.saveFlat(path).isOk());
+  auto loadedOr = BitLevelPredictor::loadFlat(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loadedOr.isOk()) << loadedOr.status().toString();
+  const BitLevelPredictor loaded = std::move(loadedOr).valueOrThrow();
+
+  const std::vector<double> trained = predictor.featureImportance();
+  ASSERT_GT(*std::max_element(trained.begin(), trained.end()), 0.0);
+  EXPECT_EQ(loaded.featureImportance(), trained);
+  for (std::size_t r = 0; r + 1 < test.size(); ++r) {
+    const PredictedFlips a = predictor.predictFlipsReference(test[r],
+                                                             test[r + 1]);
+    const PredictedFlips b = loaded.predictFlipsReference(test[r],
+                                                          test[r + 1]);
+    ASSERT_EQ(a.sumFlips, b.sumFlips) << "row " << r;
+    ASSERT_EQ(a.coutFlip, b.coutFlip) << "row " << r;
+  }
+  expectBlockMatchesReference(loaded, test);
 }
 
 TEST(FlatBankPersistenceTest, LoadFlatRejectsForeignBanks) {
   // A structurally valid envelope whose forest count does not match any
   // predictor geometry (meta0 width + 1 forests) must be refused.
-  const auto forests = trainForests(3, 8, 47);
-  const FlatForestBank bank = FlatForestBank::build(forests, 8);
+  const FlatForestBank bank = trainBank(3, 8, 47);
   const auto path =
       (std::filesystem::temp_directory_path() / "flat_bank_foreign.ffb")
           .string();
@@ -377,10 +379,88 @@ TEST(FlatBankPersistenceTest, LoadFlatRejectsForeignBanks) {
   std::remove(path.c_str());
 }
 
-TEST(FlatForestTest, TrainedFigureBanksMatchPointerPath) {
+// ---------------------------------------------------------------------
+// On-disk compatibility fixture. tests/data/flat_bank_w8.ffb is a width-8
+// bank (3 trees per forest, depth 5, seed 5) trained on
+// syntheticTrace(8, 800, 41). It was written by the pointer-forest
+// trainer (each tree grown into its own node vector, then concatenated
+// into the arena) before the growers appended straight into the arena,
+// as `trainFixtureBank().saveFlat("tests/data/flat_bank_w8.ffb")`.
+//
+// Loading it must keep serving the recorded predictions, and retraining
+// the same parameters must reproduce the file byte for byte. No test
+// rewrites the file: a deliberate format or trainer change replaces it
+// in its own diff.
+// ---------------------------------------------------------------------
+
+constexpr const char* kFixtureServingDigest =
+    "616a8f980c5d49d1a38a2f7e5ec69768abdc750e5afe807d11411e68fb4bbc4d";
+
+std::string fixturePath() {
+  return std::string(OISA_TEST_DATA_DIR) + "/flat_bank_w8.ffb";
+}
+
+BitLevelPredictor trainFixtureBank() {
+  PredictorParams params;
+  params.forest.treeCount = 3;
+  params.forest.tree.maxDepth = 5;
+  params.seed = 5;
+  BitLevelPredictor predictor(8, params);
+  predictor.fit(syntheticTrace(8, 800, 41));
+  return predictor;
+}
+
+/// Canonical text of everything a bank serves on the fixture's test
+/// trace: evaluate()'s metrics (hexfloat) and every predictFlipsBlock
+/// lane, digested.
+std::string servingDigest(const BitLevelPredictor& predictor) {
+  const Trace test = syntheticTrace(8, 300, 42);
+  const auto eval = predictor.evaluate(test);
+  char buf[128];
+  std::snprintf(buf, sizeof buf, "%a,%a,%llu,%llu\n", eval.abper, eval.avpe,
+                static_cast<unsigned long long>(eval.cycles),
+                static_cast<unsigned long long>(eval.avpeSkipped));
+  std::string text = buf;
+  const std::size_t rows = test.size() - 1;
+  std::vector<PredictedFlips> flips(rows);
+  const std::span<const TraceRecord> records(test);
+  for (std::size_t base = 0; base < rows; base += 64) {
+    const std::size_t n = std::min<std::size_t>(64, rows - base);
+    predictor.predictFlipsBlock(records.subspan(base, n + 1),
+                                std::span(flips).subspan(base, n));
+  }
+  for (const PredictedFlips& f : flips) {
+    text += std::to_string(f.sumFlips) + (f.coutFlip ? "c\n" : "\n");
+  }
+  return oisa::testing::sha256Hex(text);
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << is.rdbuf();
+  return bytes.str();
+}
+
+TEST(FlatBankFixtureTest, RetrainingReproducesTheFileByteForByte) {
+  const BitLevelPredictor trained = trainFixtureBank();
+  const std::string fixture = readFile(fixturePath());
+  ASSERT_FALSE(fixture.empty()) << "missing " << fixturePath();
+  EXPECT_TRUE(oisa::ml::serializeFlatBank(trained.flatView(), 8, 1) ==
+              fixture);
+  EXPECT_EQ(servingDigest(trained), kFixtureServingDigest);
+}
+
+TEST(FlatBankFixtureTest, StoredBankServesRecordedPredictions) {
+  auto loaded = BitLevelPredictor::loadFlat(fixturePath());
+  ASSERT_TRUE(loaded.isOk()) << loaded.status().toString();
+  EXPECT_EQ(servingDigest(loaded.value()), kFixtureServingDigest);
+}
+
+TEST(FlatForestTest, TrainedFigureBanksMatchScalarPath) {
   // Banks trained from real collected traces of a paper design at every
-  // figure CPR point: the flat block path must match the pointer-forest
-  // scalar reference on every evaluation pair.
+  // figure CPR point: the flat block path must match the scalar
+  // reference on every evaluation pair.
   const auto lib = oisa::timing::CellLibrary::generic65();
   oisa::circuits::SynthesisOptions synth;
   synth.relaxSlack = true;

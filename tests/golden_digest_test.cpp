@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,9 +37,18 @@ namespace {
 using oisa::circuits::SynthesizedDesign;
 using oisa::testing::sha256Hex;
 
-// Checked-in goldens, generated from the 64-lane seed engines.
+// Checked-in goldens, generated from the 64-lane seed engines. The
+// prediction case runs every ablation_predictor variant: the three
+// non-default ones were recorded with the pointer-forest models, before
+// every model kind became a flat forest bank.
 constexpr const char* kGoldenPrediction =
     "0af15bf0e7f7fefcdbcb3714cf64742d761fc476baa97f3f3ff59af85eab2bb3";
+constexpr const char* kGoldenPredictionDecisionTree =
+    "7c02bacc04e1acc5c964a1d9fc5d8c12c9b3c01b76ada654e746e986ac240780";
+constexpr const char* kGoldenPredictionMajority =
+    "3cc832a74e8563a57970d8d37a0bf53492c001bef214595e195aefeda91f8ecb";
+constexpr const char* kGoldenPredictionNoOutputBits =
+    "a640b5f41a6c0cc78f048da1d7481456085de4dea8f26924a0b41c0044ac8561";
 constexpr const char* kGoldenCombination =
     "e9279bd98efc200916874105bb281dc9c7e7a7a2f65cbb54a3b6c33602befb9b";
 constexpr const char* kGoldenFaultScan =
@@ -69,14 +79,17 @@ std::vector<SynthesizedDesign> goldenDesigns() {
   return designs;
 }
 
-TEST(GoldenDigestTest, PredictionRowsMatchGolden) {
-  const auto designs = goldenDesigns();
+/// Canonical text of runPredictionEvaluation rows (1200/600 cycles, seed
+/// 42, one thread) for one predictor configuration.
+std::string predictionText(const std::vector<SynthesizedDesign>& designs,
+                           std::span<const double> cprs,
+                           const oisa::predict::PredictorParams& predictor) {
   oisa::experiments::PredictionOptions options;
   options.run.seed = 42;
   options.run.threads = 1;
   options.trainCycles = 1200;
   options.testCycles = 600;
-  const double cprs[] = {5.0, 15.0};
+  options.predictor = predictor;
   const auto rows =
       oisa::experiments::runPredictionEvaluation(designs, cprs, options);
 
@@ -87,8 +100,51 @@ TEST(GoldenDigestTest, PredictionRowsMatchGolden) {
             std::to_string(r.trainCycles) + "," +
             std::to_string(r.testCycles) + "\n";
   }
+  return text;
+}
+
+TEST(GoldenDigestTest, PredictionRowsMatchGolden) {
+  const double cprs[] = {5.0, 15.0};
+  const std::string text = predictionText(goldenDesigns(), cprs, {});
   EXPECT_EQ(sha256Hex(text), kGoldenPrediction) << "canonical text:\n"
                                                 << text;
+
+  // The non-default ablation_predictor variants, on its design subset at
+  // 15% CPR with default synthesis, where every design has real timing
+  // errors for the models to learn.
+  using oisa::predict::ModelKind;
+  struct Variant {
+    const char* label;
+    ModelKind model;
+    bool outputBits;
+    const char* golden;
+  };
+  const Variant variants[] = {
+      {"decision-tree", ModelKind::DecisionTree, true,
+       kGoldenPredictionDecisionTree},
+      {"majority", ModelKind::Majority, true, kGoldenPredictionMajority},
+      {"rf-no-output-bits", ModelKind::RandomForest, false,
+       kGoldenPredictionNoOutputBits},
+  };
+  const auto lib = oisa::timing::CellLibrary::generic65();
+  std::vector<SynthesizedDesign> ablationDesigns;
+  for (const auto& cfg :
+       {oisa::core::makeIsa(8, 0, 0, 4), oisa::core::makeIsa(16, 2, 0, 4),
+        oisa::core::makeExact(32)}) {
+    ablationDesigns.push_back(oisa::circuits::synthesize(
+        cfg, lib, oisa::circuits::SynthesisOptions{}));
+  }
+  const double ablationCpr[] = {15.0};
+  for (const Variant& variant : variants) {
+    oisa::predict::PredictorParams params;
+    params.model = variant.model;
+    params.includeOutputBits = variant.outputBits;
+    const std::string rows = predictionText(ablationDesigns, ablationCpr,
+                                            params);
+    EXPECT_EQ(sha256Hex(rows), variant.golden)
+        << variant.label << " canonical text:\n"
+        << rows;
+  }
 }
 
 TEST(GoldenDigestTest, ErrorCombinationRowsMatchGolden) {

@@ -1,25 +1,48 @@
-// ML substrate tests: dataset mechanics, CART splits, forest behavior,
-// baselines, metrics and serialization round-trips.
+// ML substrate tests: dataset mechanics, CART splits, forest behavior
+// and the majority baseline, all grown into flat forest banks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <random>
-#include <sstream>
 
 #include "ml/dataset.h"
-#include "ml/decision_tree.h"
-#include "ml/metrics.h"
-#include "ml/random_forest.h"
-#include "ml/serialize.h"
+#include "ml/flat_forest.h"
 
 namespace {
 
-using oisa::ml::ConfusionMatrix;
 using oisa::ml::Dataset;
-using oisa::ml::DecisionTree;
+using oisa::ml::FlatForest;
+using oisa::ml::FlatForestBank;
 using oisa::ml::ForestParams;
-using oisa::ml::MajorityClassifier;
-using oisa::ml::RandomForest;
 using oisa::ml::TreeParams;
+
+/// A bank holding one tree grown on every row of `data` (the
+/// DecisionTree model kind).
+FlatForestBank growTree(const Dataset& data, const TreeParams& params,
+                        std::uint64_t seed = 1) {
+  FlatForestBank bank(static_cast<std::uint32_t>(data.featureCount()));
+  std::vector<std::uint32_t> rows(data.rowCount());
+  std::iota(rows.begin(), rows.end(), 0u);
+  std::mt19937_64 rng(seed);
+  bank.addTree(data.packed(), rows, params, rng);
+  return bank;
+}
+
+FlatForestBank growForest(const Dataset& data, const ForestParams& params,
+                          std::uint64_t seed) {
+  FlatForestBank bank(static_cast<std::uint32_t>(data.featureCount()));
+  bank.addForest(data.packed(), params, seed);
+  return bank;
+}
+
+double accuracy(const FlatForest& model, const Dataset& data) {
+  std::size_t correct = 0;
+  for (std::size_t i = 0; i < data.rowCount(); ++i) {
+    correct += model.predict(data.row(i)) == data.label(i) ? 1 : 0;
+  }
+  return static_cast<double>(correct) / static_cast<double>(data.rowCount());
+}
 
 Dataset xorDataset(int copies) {
   // Label = f0 XOR f1, with a few irrelevant noise features.
@@ -59,12 +82,11 @@ TEST(DatasetTest, RejectsBadShapes) {
 
 TEST(DecisionTreeTest, LearnsXorExactly) {
   const Dataset data = xorDataset(25);
-  DecisionTree tree;
-  tree.fit(data, TreeParams{});
+  const FlatForestBank bank = growTree(data, TreeParams{});
+  const FlatForest tree(bank.view(), 0);
   for (std::size_t i = 0; i < data.rowCount(); ++i) {
     EXPECT_EQ(tree.predict(data.row(i)), data.label(i));
   }
-  EXPECT_GE(tree.depth(), 2);  // XOR needs two levels
 }
 
 TEST(DecisionTreeTest, PureDataYieldsSingleLeaf) {
@@ -74,11 +96,11 @@ TEST(DecisionTreeTest, PureDataYieldsSingleLeaf) {
                     static_cast<std::uint8_t>(i & 1), 1},
                 false);
   }
-  DecisionTree tree;
-  tree.fit(data, TreeParams{});
-  EXPECT_EQ(tree.nodeCount(), 1u);
+  const FlatForestBank bank = growTree(data, TreeParams{});
+  EXPECT_EQ(bank.view().nodeCount(), 1u);
+  const FlatForest tree(bank.view(), 0);
   EXPECT_FALSE(tree.predict(data.row(0)));
-  EXPECT_DOUBLE_EQ(tree.predictProbability(data.row(0)), 0.0);
+  EXPECT_DOUBLE_EQ(tree.probability(data.row(0)), 0.0);
 }
 
 TEST(DecisionTreeTest, MaxDepthZeroIsMajorityVote) {
@@ -87,30 +109,21 @@ TEST(DecisionTreeTest, MaxDepthZeroIsMajorityVote) {
     data.addRow(std::vector<std::uint8_t>{static_cast<std::uint8_t>(i & 1)},
                 i < 7);
   }
-  DecisionTree tree;
-  tree.fit(data, TreeParams{0, 2, 1, 0});
-  EXPECT_EQ(tree.nodeCount(), 1u);
+  const FlatForestBank bank = growTree(data, TreeParams{0, 2, 1, 0});
+  EXPECT_EQ(bank.view().nodeCount(), 1u);
+  const FlatForest tree(bank.view(), 0);
   EXPECT_TRUE(tree.predict(data.row(0)));
-  EXPECT_NEAR(tree.predictProbability(data.row(0)), 0.7, 1e-6);
-}
-
-TEST(DecisionTreeTest, PredictBeforeFitThrows) {
-  const DecisionTree tree;
-  const std::vector<std::uint8_t> row{0};
-  EXPECT_THROW((void)tree.predict(row), std::logic_error);
+  EXPECT_NEAR(tree.probability(data.row(0)), 0.7, 1e-6);
 }
 
 TEST(DecisionTreeTest, FitIsDeterministicGivenSeed) {
   const Dataset data = xorDataset(50);
   TreeParams params;
   params.featuresPerSplit = 2;
-  DecisionTree t1, t2;
-  t1.fit(data, params, 99);
-  t2.fit(data, params, 99);
-  ASSERT_EQ(t1.nodeCount(), t2.nodeCount());
-  for (std::size_t i = 0; i < t1.nodes().size(); ++i) {
-    EXPECT_EQ(t1.nodes()[i].feature, t2.nodes()[i].feature);
-  }
+  const FlatForestBank t1 = growTree(data, params, 99);
+  const FlatForestBank t2 = growTree(data, params, 99);
+  ASSERT_EQ(t1.view().nodeCount(), t2.view().nodeCount());
+  EXPECT_TRUE(std::ranges::equal(t1.view().feature, t2.view().feature));
 }
 
 TEST(RandomForestTest, LearnsNoisyMajorityFunction) {
@@ -130,17 +143,14 @@ TEST(RandomForestTest, LearnsNoisyMajorityFunction) {
   fill(train, 2000);
   fill(test, 1000);
 
-  RandomForest forest;
   ForestParams params;
   params.treeCount = 15;
-  forest.fit(train, params, 11);
-  const ConfusionMatrix cm = evaluate(forest, test);
-  EXPECT_GT(cm.accuracy(), 0.9);
+  const FlatForestBank forest = growForest(train, params, 11);
+  const double forestAccuracy = accuracy(FlatForest(forest.view(), 0), test);
+  EXPECT_GT(forestAccuracy, 0.9);
 
-  MajorityClassifier baseline;
-  baseline.fit(train);
-  const ConfusionMatrix base = evaluate(baseline, test);
-  EXPECT_GT(cm.accuracy(), base.accuracy());
+  const FlatForestBank baseline = growTree(train, TreeParams{0, 2, 1, 0});
+  EXPECT_GT(forestAccuracy, accuracy(FlatForest(baseline.view(), 0), test));
 }
 
 TEST(RandomForestTest, ConstantLabelsShortCircuitToOneLeaf) {
@@ -151,88 +161,60 @@ TEST(RandomForestTest, ConstantLabelsShortCircuitToOneLeaf) {
     for (auto& v : row) v = static_cast<std::uint8_t>(rng() & 1);
     data.addRow(row, false);
   }
-  RandomForest forest;
-  forest.fit(data, ForestParams{}, 1);
-  EXPECT_EQ(forest.trees().size(), 1u);
-  EXPECT_FALSE(forest.predict(data.row(0)));
+  const FlatForestBank forest = growForest(data, ForestParams{}, 1);
+  EXPECT_EQ(forest.view().roots.size(), 1u);
+  EXPECT_EQ(forest.view().nodeCount(), 1u);
+  EXPECT_FALSE(FlatForest(forest.view(), 0).predict(data.row(0)));
 }
 
 TEST(RandomForestTest, DeterministicGivenSeed) {
   const Dataset data = xorDataset(100);
   ForestParams params;
   params.treeCount = 5;
-  RandomForest f1, f2;
-  f1.fit(data, params, 21);
-  f2.fit(data, params, 21);
+  const FlatForestBank f1 = growForest(data, params, 21);
+  const FlatForestBank f2 = growForest(data, params, 21);
   std::mt19937_64 rng(23);
   for (int i = 0; i < 100; ++i) {
     std::vector<std::uint8_t> row(4);
     for (auto& v : row) v = static_cast<std::uint8_t>(rng() & 1);
-    EXPECT_DOUBLE_EQ(f1.predictProbability(row), f2.predictProbability(row));
+    EXPECT_DOUBLE_EQ(FlatForest(f1.view(), 0).probability(row),
+                     FlatForest(f2.view(), 0).probability(row));
   }
 }
 
 TEST(RandomForestTest, RejectsDegenerateParams) {
   Dataset empty(2);
-  RandomForest forest;
-  EXPECT_THROW(forest.fit(empty, ForestParams{}), std::invalid_argument);
+  FlatForestBank bank(2);
+  EXPECT_THROW(bank.addForest(empty.packed(), ForestParams{}),
+               std::invalid_argument);
   Dataset one(2);
   one.addRow(std::vector<std::uint8_t>{0, 1}, true);
   ForestParams zeroTrees;
   zeroTrees.treeCount = 0;
-  EXPECT_THROW(forest.fit(one, zeroTrees), std::invalid_argument);
+  EXPECT_THROW(bank.addForest(one.packed(), zeroTrees),
+               std::invalid_argument);
+  // A bank grows forests over one row length only.
+  FlatForestBank narrow(1);
+  EXPECT_THROW(narrow.addForest(one.packed(), ForestParams{}),
+               std::invalid_argument);
+  EXPECT_TRUE(bank.empty());
 }
 
-TEST(ConfusionMatrixTest, DerivedScores) {
-  ConfusionMatrix cm;
-  // 8 TP, 2 FN, 1 FP, 9 TN.
-  for (int i = 0; i < 8; ++i) cm.add(true, true);
-  for (int i = 0; i < 2; ++i) cm.add(false, true);
-  cm.add(true, false);
-  for (int i = 0; i < 9; ++i) cm.add(false, false);
-  EXPECT_EQ(cm.total(), 20u);
-  EXPECT_DOUBLE_EQ(cm.accuracy(), 17.0 / 20.0);
-  EXPECT_DOUBLE_EQ(cm.precision(), 8.0 / 9.0);
-  EXPECT_DOUBLE_EQ(cm.recall(), 8.0 / 10.0);
-  EXPECT_NEAR(cm.f1(),
-              2.0 * (8.0 / 9.0) * 0.8 / ((8.0 / 9.0) + 0.8), 1e-12);
-}
-
-TEST(SerializationTest, TreeRoundTripPreservesPredictions) {
-  const Dataset data = xorDataset(50);
-  DecisionTree tree;
-  tree.fit(data, TreeParams{});
-  std::stringstream ss;
-  saveTree(tree, ss);
-  const DecisionTree loaded = oisa::ml::loadTree(ss);
-  for (std::size_t i = 0; i < data.rowCount(); ++i) {
-    EXPECT_EQ(loaded.predict(data.row(i)), tree.predict(data.row(i)));
-  }
-}
-
-TEST(SerializationTest, ForestRoundTripPreservesProbabilities) {
-  const Dataset data = xorDataset(50);
-  RandomForest forest;
+TEST(FlatForestBankTest, ForestsAppendInOrder) {
+  // Each add appends one forest; the second forest's roots and children
+  // are arena-absolute, past every node of the first.
+  const Dataset data = xorDataset(40);
+  FlatForestBank bank(4);
   ForestParams params;
-  params.treeCount = 7;
-  forest.fit(data, params, 5);
-  std::stringstream ss;
-  saveForest(forest, ss);
-  const RandomForest loaded = oisa::ml::loadForest(ss);
-  ASSERT_EQ(loaded.trees().size(), forest.trees().size());
-  for (std::size_t i = 0; i < data.rowCount(); ++i) {
-    EXPECT_DOUBLE_EQ(loaded.predictProbability(data.row(i)),
-                     forest.predictProbability(data.row(i)));
-  }
-}
-
-TEST(SerializationTest, RejectsCorruptStreams) {
-  std::stringstream bad("nonsense 3");
-  EXPECT_THROW((void)oisa::ml::loadTree(bad), std::runtime_error);
-  std::stringstream truncated("tree 2\n0 1 2 0.5\n");
-  EXPECT_THROW((void)oisa::ml::loadTree(truncated), std::runtime_error);
-  std::stringstream badChild("tree 1\n0 7 9 0.5\n");
-  EXPECT_THROW((void)oisa::ml::loadTree(badChild), std::runtime_error);
+  params.treeCount = 3;
+  bank.addForest(data.packed(), params, 1);
+  const std::size_t firstNodes = bank.view().nodeCount();
+  bank.addForest(data.packed(), params, 2);
+  const auto view = bank.view();
+  ASSERT_EQ(view.forestCount(), 2u);
+  EXPECT_EQ(view.forestBegin[1], 3u);
+  EXPECT_EQ(view.roots[3], firstNodes);
+  EXPECT_TRUE(oisa::ml::validateFlatBank(view).isOk());
 }
 
 }  // namespace

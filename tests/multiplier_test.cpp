@@ -24,7 +24,7 @@ TEST(MultiplierConfigTest, ValidatesAdderWidth) {
   bad.adder = oisa::core::makeIsa(8, 0, 0, 4, 16);  // should be 32
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   EXPECT_NO_THROW(MultiplierConfig::make(16, 8, 0, 0, 4).validate());
-  EXPECT_THROW(MultiplierConfig::make(40, 8, 0, 0, 4),
+  EXPECT_THROW((void)MultiplierConfig::make(40, 8, 0, 0, 4),
                std::invalid_argument);
 }
 

@@ -1,24 +1,23 @@
 // Packed ML substrate tests: the column-major packed dataset view, the
-// popcount CART trainer's node-for-node equality with the retained
-// row-scan reference trainer, 64-lane batched inference agreement with the
-// scalar walks, the packed trace feature matrix, and serialization of
-// packed-trained forests — on random data and on a real collected trace of
-// a synthesized paper design across all 33 output bits.
+// popcount CART grower's arena equality with the retained row-scan
+// reference grower, 64-lane masked inference agreement with the scalar
+// walk, and the packed trace feature matrix — on random data and on a
+// real collected trace of a synthesized paper design across all 33
+// output bits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
+#include <numeric>
 #include <random>
-#include <sstream>
 #include <vector>
 
 #include "circuits/synthesis.h"
 #include "experiments/trace_collector.h"
 #include "experiments/workload.h"
 #include "ml/dataset.h"
-#include "ml/decision_tree.h"
-#include "ml/random_forest.h"
-#include "ml/serialize.h"
+#include "ml/flat_forest.h"
 #include "predict/bit_predictor.h"
 #include "predict/features.h"
 
@@ -27,11 +26,11 @@
 namespace {
 
 using oisa::ml::Dataset;
-using oisa::ml::DecisionTree;
+using oisa::ml::FlatBankView;
+using oisa::ml::FlatForest;
+using oisa::ml::FlatForestBank;
 using oisa::ml::ForestParams;
-using oisa::ml::MajorityClassifier;
 using oisa::ml::PackedView;
-using oisa::ml::RandomForest;
 using oisa::ml::TreeParams;
 using oisa::predict::BitLevelPredictor;
 using oisa::predict::FeatureExtractor;
@@ -40,15 +39,20 @@ using oisa::predict::TraceRecord;
 
 using oisa::testing::randomDataset;
 
-void expectSameNodes(const DecisionTree& a, const DecisionTree& b) {
-  ASSERT_EQ(a.nodes().size(), b.nodes().size());
-  for (std::size_t i = 0; i < a.nodes().size(); ++i) {
-    EXPECT_EQ(a.nodes()[i].feature, b.nodes()[i].feature) << "node " << i;
-    EXPECT_EQ(a.nodes()[i].left, b.nodes()[i].left) << "node " << i;
-    EXPECT_EQ(a.nodes()[i].right, b.nodes()[i].right) << "node " << i;
-    EXPECT_EQ(a.nodes()[i].probability, b.nodes()[i].probability)
-        << "node " << i;
+void expectSameArena(const FlatBankView& a, const FlatBankView& b) {
+  ASSERT_EQ(a.nodeCount(), b.nodeCount());
+  for (std::size_t i = 0; i < a.nodeCount(); ++i) {
+    EXPECT_EQ(a.feature[i], b.feature[i]) << "node " << i;
+    EXPECT_EQ(a.left[i], b.left[i]) << "node " << i;
+    EXPECT_EQ(a.right[i], b.right[i]) << "node " << i;
+    EXPECT_EQ(a.prob[i], b.prob[i]) << "node " << i;
   }
+  EXPECT_TRUE(std::ranges::equal(a.roots, b.roots));
+  EXPECT_TRUE(std::ranges::equal(a.forestBegin, b.forestBegin));
+}
+
+FlatForestBank emptyBank(const Dataset& data) {
+  return FlatForestBank(static_cast<std::uint32_t>(data.featureCount()));
 }
 
 TEST(PackedViewTest, MatchesByteMatrixBitForBit) {
@@ -107,8 +111,8 @@ TEST(PackedViewTest, CacheInvalidatedByAddRow) {
 }
 
 TEST(PackedTrainerTest, MatchesReferenceAcrossRandomDatasets) {
-  // Property: identical node arrays for the same rows, params and rng
-  // seed, across dataset shapes and growth-control corners.
+  // Property: identical arenas for the same rows, params and rng seed,
+  // across dataset shapes and growth-control corners.
   const TreeParams paramSets[] = {
       TreeParams{},                 // defaults
       TreeParams{3, 4, 1, 0},       // shallow
@@ -119,45 +123,50 @@ TEST(PackedTrainerTest, MatchesReferenceAcrossRandomDatasets) {
   for (const std::size_t rows : {5u, 64u, 65u, 300u}) {
     for (const std::size_t features : {3u, 17u}) {
       const Dataset data = randomDataset(rows, features, ++seed);
+      std::vector<std::uint32_t> all(data.rowCount());
+      std::iota(all.begin(), all.end(), 0u);
+      FlatForestBank packed = emptyBank(data);
+      FlatForestBank reference = emptyBank(data);
       for (const TreeParams& params : paramSets) {
-        DecisionTree packed, reference;
-        packed.fit(data, params, seed);
-        reference.fitReference(data, params, seed);
-        expectSameNodes(packed, reference);
+        std::mt19937_64 rngA(seed), rngB(seed);
+        packed.addTree(data.packed(), all, params, rngA);
+        reference.addTreeReference(data, all, params, rngB);
       }
+      expectSameArena(packed.view(), reference.view());
     }
   }
 }
 
 TEST(PackedTrainerTest, MatchesReferenceOnBootstrapMultisets) {
   // Duplicate row indices (the bootstrap case) carry multiplicity, which
-  // the packed trainer encodes as bit-planes — counts must match the
+  // the packed grower encodes as bit-planes — counts must match the
   // reference multiset semantics exactly.
   const Dataset data = randomDataset(150, 9, 77);
   std::mt19937_64 sampler(3);
+  FlatForestBank packed = emptyBank(data);
+  FlatForestBank reference = emptyBank(data);
   for (int trial = 0; trial < 5; ++trial) {
     std::vector<std::uint32_t> rows(200);
     std::uniform_int_distribution<std::uint32_t> pick(0, 149);
     for (auto& r : rows) r = pick(sampler);
     TreeParams params;
     params.featuresPerSplit = 3;
-    DecisionTree packed, reference;
     std::mt19937_64 rngA(42 + trial), rngB(42 + trial);
-    packed.fit(data.packed(), rows, params, rngA);
-    reference.fitReference(data, rows, params, rngB);
-    expectSameNodes(packed, reference);
+    packed.addTree(data.packed(), rows, params, rngA);
+    reference.addTreeReference(data, rows, params, rngB);
   }
+  expectSameArena(packed.view(), reference.view());
 }
 
 TEST(PackedTrainerTest, RejectsBadRows) {
   const Dataset data = randomDataset(10, 4, 9);
-  DecisionTree tree;
+  FlatForestBank bank = emptyBank(data);
   std::mt19937_64 rng(1);
   const std::vector<std::uint32_t> empty;
-  EXPECT_THROW(tree.fit(data.packed(), empty, TreeParams{}, rng),
+  EXPECT_THROW(bank.addTree(data.packed(), empty, TreeParams{}, rng),
                std::invalid_argument);
   const std::vector<std::uint32_t> outOfRange{0, 10};
-  EXPECT_THROW(tree.fit(data.packed(), outOfRange, TreeParams{}, rng),
+  EXPECT_THROW(bank.addTree(data.packed(), outOfRange, TreeParams{}, rng),
                std::out_of_range);
 }
 
@@ -165,13 +174,12 @@ TEST(PackedForestTest, FitMatchesReferenceTreeForTree) {
   const Dataset data = randomDataset(400, 12, 21);
   ForestParams params;
   params.treeCount = 7;
-  RandomForest packed, reference;
-  packed.fit(data, params, 33);
-  reference.fitReference(data, params, 33);
-  ASSERT_EQ(packed.trees().size(), reference.trees().size());
-  for (std::size_t t = 0; t < packed.trees().size(); ++t) {
-    expectSameNodes(packed.trees()[t], reference.trees()[t]);
-  }
+  FlatForestBank packed = emptyBank(data);
+  FlatForestBank reference = emptyBank(data);
+  packed.addForest(data.packed(), params, 33);
+  reference.addForestReference(data, params, 33);
+  ASSERT_EQ(packed.view().roots.size(), 7u);
+  expectSameArena(packed.view(), reference.view());
 }
 
 TEST(PackedForestTest, ConstantLabelShortcutMatchesReference) {
@@ -182,12 +190,12 @@ TEST(PackedForestTest, ConstantLabelShortcutMatchesReference) {
     for (auto& v : row) v = static_cast<std::uint8_t>(rng() & 1);
     data.addRow(row, true);
   }
-  RandomForest packed, reference;
-  packed.fit(data, ForestParams{}, 2);
-  reference.fitReference(data, ForestParams{}, 2);
-  ASSERT_EQ(packed.trees().size(), 1u);
-  ASSERT_EQ(reference.trees().size(), 1u);
-  expectSameNodes(packed.trees()[0], reference.trees()[0]);
+  FlatForestBank packed = emptyBank(data);
+  FlatForestBank reference = emptyBank(data);
+  packed.addForest(data.packed(), ForestParams{}, 2);
+  reference.addForestReference(data, ForestParams{}, 2);
+  ASSERT_EQ(packed.view().roots.size(), 1u);
+  expectSameArena(packed.view(), reference.view());
 }
 
 // Lane-major feature words for rows [base, base+64) of a dataset.
@@ -205,78 +213,52 @@ std::vector<std::uint64_t> laneWords(const Dataset& data, std::size_t base) {
   return words;
 }
 
-TEST(PredictBatchTest, TreeAndForestMatchScalarLaneForLane) {
+TEST(PredictWordTest, TreeAndForestMatchScalarLaneForLane) {
   const Dataset train = randomDataset(500, 10, 55);
   const Dataset test = randomDataset(200, 10, 56);
-  DecisionTree tree;
-  tree.fit(train, TreeParams{});
-  RandomForest forest;
+  FlatForestBank bank = emptyBank(train);
+  std::vector<std::uint32_t> all(train.rowCount());
+  std::iota(all.begin(), all.end(), 0u);
+  std::mt19937_64 rng(1);
+  bank.addTree(train.packed(), all, TreeParams{}, rng);  // forest 0
   ForestParams params;
   params.treeCount = 9;
-  forest.fit(train, params, 8);
+  bank.addForest(train.packed(), params, 8);  // forest 1
 
   std::array<double, 64> probs{};
-  for (std::size_t base = 0; base < test.rowCount(); base += 64) {
-    const auto words = laneWords(test, base);
-    const std::uint64_t treeBatch = tree.predictBatch(words, probs);
-    for (std::size_t lane = 0; lane < 64 && base + lane < test.rowCount();
-         ++lane) {
-      EXPECT_EQ(((treeBatch >> lane) & 1u) != 0,
-                tree.predict(test.row(base + lane)));
-      EXPECT_DOUBLE_EQ(probs[lane],
-                       tree.predictProbability(test.row(base + lane)));
-    }
-    const std::uint64_t forestBatch = forest.predictBatch(words, probs);
-    for (std::size_t lane = 0; lane < 64 && base + lane < test.rowCount();
-         ++lane) {
-      EXPECT_EQ(((forestBatch >> lane) & 1u) != 0,
-                forest.predict(test.row(base + lane)));
-      // Identical summation order: exact equality, not approximate.
-      EXPECT_EQ(probs[lane],
-                forest.predictProbability(test.row(base + lane)));
+  for (std::size_t forest = 0; forest < 2; ++forest) {
+    const FlatForest model(bank.view(), forest);
+    for (std::size_t base = 0; base < test.rowCount(); base += 64) {
+      const auto words = laneWords(test, base);
+      probs.fill(0.0);
+      const std::uint64_t batch = model.predictWord(words, probs.data());
+      for (std::size_t lane = 0; lane < 64 && base + lane < test.rowCount();
+           ++lane) {
+        EXPECT_EQ(((batch >> lane) & 1u) != 0,
+                  model.predict(test.row(base + lane)));
+        // Identical summation order: exact equality, not approximate.
+        EXPECT_EQ(probs[lane], model.probability(test.row(base + lane)));
+      }
     }
   }
 }
 
-TEST(PredictBatchTest, MajorityAndBaseClassFallbackAgree) {
+TEST(PredictWordTest, MajorityLeafPredictsOneClassOnEveryLane) {
   const Dataset data = randomDataset(100, 6, 61);
-  MajorityClassifier majority;
-  majority.fit(data);
+  FlatForestBank bank = emptyBank(data);
+  std::vector<std::uint32_t> all(data.rowCount());
+  std::iota(all.begin(), all.end(), 0u);
+  std::mt19937_64 rng(1);
+  bank.addTree(data.packed(), all, TreeParams{0, 2, 1, 0}, rng);
+  ASSERT_EQ(bank.view().nodeCount(), 1u);
+  const FlatForest majority(bank.view(), 0);
+  const double share = static_cast<double>(data.positiveCount()) / 100.0;
+  EXPECT_EQ(majority.probability(data.row(17)),
+            static_cast<double>(static_cast<float>(share)));
   std::array<double, 64> probs{};
-  const auto words = laneWords(data, 0);
-  const std::uint64_t batch = majority.predictBatch(words, probs);
-  EXPECT_EQ(batch, majority.predict(data.row(0))
-                       ? ~std::uint64_t{0}
-                       : std::uint64_t{0});
-  EXPECT_EQ(probs[17], majority.predictProbability(data.row(17)));
-
-  // The BinaryClassifier default implementation (scalar unpacking) must
-  // agree with the word-parallel overrides.
-  RandomForest forest;
-  ForestParams params;
-  params.treeCount = 3;
-  forest.fit(data, params, 4);
-  std::array<double, 64> defaultProbs{};
-  const std::uint64_t fast = forest.predictBatch(words, probs);
-  const std::uint64_t slow =
-      forest.BinaryClassifier::predictBatch(words, defaultProbs);
-  EXPECT_EQ(fast, slow);
-  for (std::size_t lane = 0; lane < 64; ++lane) {
-    EXPECT_EQ(probs[lane], defaultProbs[lane]);
-  }
-}
-
-TEST(PredictBatchTest, ValidatesArguments) {
-  const Dataset data = randomDataset(80, 5, 71);
-  RandomForest forest;
-  forest.fit(data, ForestParams{}, 1);
-  std::array<double, 64> probs{};
-  const auto words = laneWords(data, 0);
-  RandomForest untrained;
-  EXPECT_THROW((void)untrained.predictBatch(words, probs), std::logic_error);
-  std::array<double, 10> small{};
-  EXPECT_THROW((void)forest.predictBatch(words, small),
-               std::invalid_argument);
+  const std::uint64_t word =
+      majority.predictWord(laneWords(data, 0), probs.data());
+  EXPECT_EQ(word, share >= 0.5 ? ~std::uint64_t{0} : std::uint64_t{0});
 }
 
 // ---------------------------------------------------------------------
@@ -386,58 +368,6 @@ TEST(PackedPredictorTest, AllBitsAgreeWithScalarOnCollectedTrace) {
   const std::uint64_t avpeCycles = cycles - skipped;
   EXPECT_EQ(eval.avpe,
             avpeCycles ? avpeSum / static_cast<double>(avpeCycles) : 0.0);
-}
-
-TEST(PackedPredictorTest, SerializeRoundTripOnPackedTrainedForests) {
-  const Trace train = collectPaperTrace(500, 23);
-  const Trace test = collectPaperTrace(200, 29);
-  oisa::predict::PredictorParams params;
-  params.forest.treeCount = 4;
-  BitLevelPredictor predictor(32, params);
-  predictor.fit(train);
-
-  std::stringstream ss;
-  predictor.save(ss);
-  const BitLevelPredictor loaded = BitLevelPredictor::load(ss);
-  for (std::size_t t = 1; t < test.size(); ++t) {
-    const auto original = predictor.predictFlips(test[t - 1], test[t]);
-    const auto reloaded = loaded.predictFlips(test[t - 1], test[t]);
-    EXPECT_EQ(original.sumFlips, reloaded.sumFlips);
-    EXPECT_EQ(original.coutFlip, reloaded.coutFlip);
-  }
-  const auto e1 = predictor.evaluate(test);
-  const auto e2 = loaded.evaluate(test);
-  EXPECT_EQ(e1.abper, e2.abper);
-  EXPECT_EQ(e1.avpe, e2.avpe);
-}
-
-TEST(PackedPredictorTest, StandaloneForestRoundTripPreservesNodes) {
-  // saveForest/loadForest on a packed-trained forest: the node arrays
-  // themselves survive, not just the predictions.
-  const Dataset data = randomDataset(300, 8, 91);
-  RandomForest forest;
-  ForestParams params;
-  params.treeCount = 6;
-  forest.fit(data, params, 14);
-  std::stringstream ss;
-  oisa::ml::saveForest(forest, ss);
-  const RandomForest loaded = oisa::ml::loadForest(ss);
-  ASSERT_EQ(loaded.trees().size(), forest.trees().size());
-  for (std::size_t t = 0; t < forest.trees().size(); ++t) {
-    expectSameNodes(loaded.trees()[t], forest.trees()[t]);
-  }
-}
-
-TEST(PackedPredictorTest, LoadRejectsEmptyTreesAndForests) {
-  // The fast (unchecked/batched) inference paths rely on loaded models
-  // being non-empty; the serializer must reject degenerate records at the
-  // trust boundary instead of letting them reach those walks.
-  std::stringstream emptyTree("tree 0\n");
-  EXPECT_THROW((void)oisa::ml::loadTree(emptyTree), std::runtime_error);
-  std::stringstream emptyForest("forest 0\n");
-  EXPECT_THROW((void)oisa::ml::loadForest(emptyForest), std::runtime_error);
-  std::stringstream bank("bitpredictor 1 1 2\nforest 1\ntree 0\n");
-  EXPECT_THROW((void)BitLevelPredictor::load(bank), std::runtime_error);
 }
 
 TEST(PackedPredictorTest, AvpeUsesIntegerMagnitude) {

@@ -2,10 +2,11 @@
 // semantics against synthetic traces with known error processes.
 #include <gtest/gtest.h>
 
-#include <random>
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
 #include <numeric>
-#include <sstream>
+#include <random>
 
 #include "predict/bit_predictor.h"
 #include "predict/features.h"
@@ -180,46 +181,46 @@ TEST(BitPredictorTest, GuardsAgainstMisuse) {
   EXPECT_THROW((void)predictor.predictFlips(a, b), std::logic_error);
 }
 
-TEST(BitPredictorTest, SaveLoadRoundTripPreservesPredictions) {
+TEST(BitPredictorTest, EveryModelKindPersistsThroughSaveFlat) {
+  // Every kind is a flat forest bank, so every kind round-trips through
+  // envelope v2 and serves identically after the reload.
   const Trace train = deterministicTrace(3000, 71);
   const Trace test = deterministicTrace(1000, 73);
-  PredictorParams params;
-  params.forest.treeCount = 5;
-  BitLevelPredictor predictor(4, params);
-  predictor.fit(train);
-
-  std::stringstream ss;
-  predictor.save(ss);
-  const BitLevelPredictor loaded = BitLevelPredictor::load(ss);
-  EXPECT_TRUE(loaded.trained());
-  for (std::size_t t = 1; t < test.size(); ++t) {
-    const auto original = predictor.predictFlips(test[t - 1], test[t]);
-    const auto reloaded = loaded.predictFlips(test[t - 1], test[t]);
-    EXPECT_EQ(original.sumFlips, reloaded.sumFlips);
-    EXPECT_EQ(original.coutFlip, reloaded.coutFlip);
+  const auto path =
+      (std::filesystem::temp_directory_path() / "predictor_test_bank.ffb")
+          .string();
+  for (const ModelKind kind :
+       {ModelKind::RandomForest, ModelKind::DecisionTree,
+        ModelKind::Majority}) {
+    PredictorParams params;
+    params.model = kind;
+    params.forest.treeCount = 5;
+    BitLevelPredictor predictor(4, params);
+    predictor.fit(train);
+    ASSERT_TRUE(predictor.saveFlat(path).isOk());
+    auto loaded = BitLevelPredictor::loadFlat(path);
+    ASSERT_TRUE(loaded.isOk()) << loaded.status().toString();
+    for (std::size_t t = 1; t < test.size(); ++t) {
+      const auto original = predictor.predictFlips(test[t - 1], test[t]);
+      const auto reloaded = loaded.value().predictFlips(test[t - 1], test[t]);
+      EXPECT_EQ(original.sumFlips, reloaded.sumFlips);
+      EXPECT_EQ(original.coutFlip, reloaded.coutFlip);
+    }
+    const auto e1 = predictor.evaluate(test);
+    const auto e2 = loaded.value().evaluate(test);
+    EXPECT_EQ(e1.abper, e2.abper);
+    EXPECT_EQ(e1.avpe, e2.avpe);
   }
-  const auto e1 = predictor.evaluate(test);
-  const auto e2 = loaded.evaluate(test);
-  EXPECT_DOUBLE_EQ(e1.abper, e2.abper);
-  EXPECT_DOUBLE_EQ(e1.avpe, e2.avpe);
+  std::remove(path.c_str());
 }
 
-TEST(BitPredictorTest, SaveRejectsNonForestModels) {
-  PredictorParams params;
-  params.model = ModelKind::Majority;
-  BitLevelPredictor predictor(4, params);
-  predictor.fit(deterministicTrace(100, 79));
-  std::stringstream ss;
-  EXPECT_THROW(predictor.save(ss), std::logic_error);
-  BitLevelPredictor untrained(4);
-  EXPECT_THROW(untrained.save(ss), std::logic_error);
-}
-
-TEST(BitPredictorTest, LoadRejectsCorruptStreams) {
-  std::stringstream bad("wrongheader 4 1 5");
-  EXPECT_THROW((void)BitLevelPredictor::load(bad), std::runtime_error);
-  std::stringstream shortBank("bitpredictor 4 1 2\n");
-  EXPECT_THROW((void)BitLevelPredictor::load(shortBank), std::runtime_error);
+TEST(BitPredictorTest, SaveFlatRejectsUntrainedBanks) {
+  const BitLevelPredictor untrained(4);
+  const auto path =
+      (std::filesystem::temp_directory_path() / "predictor_untrained.ffb")
+          .string();
+  EXPECT_EQ(untrained.saveFlat(path).code(),
+            oisa::core::StatusCode::InvalidInput);
 }
 
 TEST(BitPredictorTest, FeatureImportanceHighlightsCausalInputs) {
