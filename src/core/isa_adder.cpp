@@ -38,18 +38,20 @@ IsaSum IsaAdder::exactAdd(std::uint64_t a, std::uint64_t b,
 }
 
 IsaSum IsaAdder::add(std::uint64_t a, std::uint64_t b, bool carryIn) const {
-  std::vector<PathTrace> traces;
-  return addTraced(a, b, carryIn, traces);
+  return addPaths(a, b, carryIn, nullptr);
 }
 
 IsaSum IsaAdder::addTraced(std::uint64_t a, std::uint64_t b, bool carryIn,
                            std::vector<PathTrace>& traces) const {
+  traces.assign(static_cast<std::size_t>(cfg_.pathCount()), PathTrace{});
+  return addPaths(a, b, carryIn, traces.data());
+}
+
+IsaSum IsaAdder::addPaths(std::uint64_t a, std::uint64_t b, bool carryIn,
+                          PathTrace* traces) const {
   a &= mask_;
   b &= mask_;
-  if (cfg_.exact) {
-    traces.assign(1, PathTrace{});
-    return exactAdd(a, b, carryIn);
-  }
+  if (cfg_.exact) return exactAdd(a, b, carryIn);
   const int k = cfg_.block;
   const int paths = cfg_.pathCount();
   const int s = cfg_.spec;
@@ -57,10 +59,13 @@ IsaSum IsaAdder::addTraced(std::uint64_t a, std::uint64_t b, bool carryIn,
   const int r = cfg_.reduction;
   const std::uint64_t topRMask = maskBits(r) << (k - r);
 
-  traces.assign(static_cast<std::size_t>(paths), PathTrace{});
-  std::vector<std::uint64_t> sums(static_cast<std::size_t>(paths), 0);
-  std::vector<bool> couts(static_cast<std::size_t>(paths), false);
-  std::vector<bool> specs(static_cast<std::size_t>(paths), false);
+  // Path i's local sum sits at bit offset i * k of `sums`, its carry-out
+  // and speculated carry at bit i of `couts` and `specs`. Compensation
+  // never carries or borrows out of a path's block, so the paths share
+  // one word without interfering.
+  std::uint64_t sums = 0;
+  std::uint64_t couts = 0;
+  std::uint64_t specs = 0;
 
   // Stage 1: concurrent speculative paths (SPEC + ADD).
   for (int i = 0; i < paths; ++i) {
@@ -82,82 +87,86 @@ IsaSum IsaAdder::addTraced(std::uint64_t a, std::uint64_t b, bool carryIn,
       spec = cfg_.speculateHigh;  // S == 0: constant speculation
     }
     const std::uint64_t raw = ai + bi + (spec ? 1u : 0u);
-    sums[static_cast<std::size_t>(i)] = raw & blockMask_;
-    couts[static_cast<std::size_t>(i)] = ((raw >> k) & 1u) != 0;
-    specs[static_cast<std::size_t>(i)] = spec;
-    traces[static_cast<std::size_t>(i)].specCarry = spec;
-    traces[static_cast<std::size_t>(i)].rawSum = raw & blockMask_;
+    sums |= (raw & blockMask_) << base;
+    couts |= ((raw >> k) & 1u) << i;
+    specs |= std::uint64_t{spec} << i;
+    if (traces != nullptr) {
+      traces[i].specCarry = spec;
+      traces[i].rawSum = raw & blockMask_;
+    }
   }
 
   // Stage 2: COMP blocks. Each path compares its speculated carry against
   // the carry-out of the preceding sub-adder, then corrects its own LSBs or
   // balances the preceding sum's MSBs.
   for (int i = 1; i < paths; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    const bool cPrev = couts[idx - 1];
-    traces[idx].trueCarryIn = cPrev;
-    const int err = static_cast<int>(cPrev) - static_cast<int>(specs[idx]);
-    traces[idx].faultDirection = err;
+    const int base = i * k;
+    const int prevBase = base - k;
+    const bool cPrev = ((couts >> (i - 1)) & 1u) != 0;
+    const bool spec = ((specs >> i) & 1u) != 0;
+    const int err = static_cast<int>(cPrev) - static_cast<int>(spec);
+    if (traces != nullptr) {
+      traces[i].trueCarryIn = cPrev;
+      traces[i].faultDirection = err;
+    }
     if (err == 0) continue;
-    const std::uint64_t lowC = sums[idx] & maskBits(c);
-    const std::int64_t blockWeight = std::int64_t{1}
-                                     << (static_cast<unsigned>(i) *
-                                         static_cast<unsigned>(k));
-    const std::int64_t prevWeight = std::int64_t{1}
-                                    << (static_cast<unsigned>(i - 1) *
-                                        static_cast<unsigned>(k));
+    const std::uint64_t lowC = (sums >> base) & maskBits(c);
+    const std::uint64_t prev = (sums >> prevBase) & blockMask_;
+    const std::int64_t blockWeight = std::int64_t{1} << base;
+    const std::int64_t prevWeight = std::int64_t{1} << prevBase;
+    bool corrected = false;
+    bool balanced = false;
+    std::int64_t contribution = 0;
     if (err > 0) {
       // Missed carry: the local sum is short of +1.
       if (c > 0 && lowC != maskBits(c)) {
-        sums[idx] += 1;  // stays within the C-bit group by the guard above
-        traces[idx].corrected = true;
+        // Stays within the C-bit group by the guard above.
+        sums += std::uint64_t{1} << base;
+        corrected = true;
       } else if (r > 0) {
         // Preceding sum is 2^k too low (its carry was dropped): saturating
         // its top R bits towards 1 shrinks the deficit below 2^(k-r).
-        const std::int64_t delta = static_cast<std::int64_t>(
-            (sums[idx - 1] | topRMask) - sums[idx - 1]);
-        traces[idx].errorContribution = -blockWeight + delta * prevWeight;
-        sums[idx - 1] |= topRMask;
-        traces[idx].balanced = true;
+        const auto delta = static_cast<std::int64_t>((prev | topRMask) - prev);
+        contribution = -blockWeight + delta * prevWeight;
+        sums |= topRMask << prevBase;
+        balanced = true;
       } else {
-        traces[idx].errorContribution = -blockWeight;
+        contribution = -blockWeight;
       }
     } else {
       // Spurious carry: the local sum is +1 too high.
       if (c > 0 && lowC != 0) {
-        sums[idx] -= 1;
-        traces[idx].corrected = true;
+        sums -= std::uint64_t{1} << base;
+        corrected = true;
       } else if (r > 0) {
-        const std::int64_t delta = static_cast<std::int64_t>(
-            sums[idx - 1] - (sums[idx - 1] & ~topRMask));
-        traces[idx].errorContribution = blockWeight - delta * prevWeight;
-        sums[idx - 1] &= ~topRMask;
-        traces[idx].balanced = true;
+        const auto delta = static_cast<std::int64_t>(prev & topRMask);
+        contribution = blockWeight - delta * prevWeight;
+        sums &= ~(topRMask << prevBase);
+        balanced = true;
       } else {
-        traces[idx].errorContribution = blockWeight;
+        contribution = blockWeight;
       }
+    }
+    if (traces != nullptr) {
+      traces[i].corrected = corrected;
+      traces[i].balanced = balanced;
+      traces[i].errorContribution = contribution;
     }
   }
 
   IsaSum result;
-  for (int i = 0; i < paths; ++i) {
-    result.sum |= sums[static_cast<std::size_t>(i)]
-                  << (static_cast<unsigned>(i) * static_cast<unsigned>(k));
-  }
-  result.sum &= mask_;
-  result.carryOut = couts[static_cast<std::size_t>(paths - 1)];
+  result.sum = sums & mask_;
+  result.carryOut = ((couts >> (paths - 1)) & 1u) != 0;
   return result;
 }
 
-std::vector<int> equivalentBitPositions(std::span<const PathTrace> traces) {
-  std::vector<int> positions;
-  for (const PathTrace& t : traces) {
-    if (t.errorContribution == 0) continue;
-    const auto magnitude = static_cast<std::uint64_t>(
-        t.errorContribution < 0 ? -t.errorContribution : t.errorContribution);
-    positions.push_back(63 - std::countl_zero(magnitude));
-  }
-  return positions;
+int equivalentBitPosition(const PathTrace& trace) noexcept {
+  if (trace.errorContribution == 0) return -1;
+  // Magnitude in unsigned space: |INT64_MIN| does not fit an int64.
+  const auto bits = static_cast<std::uint64_t>(trace.errorContribution);
+  const std::uint64_t magnitude =
+      trace.errorContribution < 0 ? std::uint64_t{0} - bits : bits;
+  return 63 - std::countl_zero(magnitude);
 }
 
 std::int64_t IsaAdder::structuralError(std::uint64_t a, std::uint64_t b,

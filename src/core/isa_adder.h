@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/isa_config.h"
@@ -49,11 +48,10 @@ struct PathTrace {
   std::int64_t errorContribution = 0;
 };
 
-/// Translates per-path fault contributions into their equivalent bit
-/// positions, floor(log2 |contribution|), as the paper does for the
-/// structural series of Fig. 10. Faults with zero contribution are skipped.
-[[nodiscard]] std::vector<int> equivalentBitPositions(
-    std::span<const PathTrace> traces);
+/// Translates one path's fault contribution into its equivalent bit
+/// position, floor(log2 |contribution|), as the paper does for the
+/// structural series of Fig. 10; -1 when the path contributes no error.
+[[nodiscard]] int equivalentBitPosition(const PathTrace& trace) noexcept;
 
 /// Behavioral Inexact Speculative Adder.
 ///
@@ -63,10 +61,12 @@ class IsaAdder {
   explicit IsaAdder(const IsaConfig& cfg);
 
   /// Adds two width-bit unsigned operands; extra high bits are ignored.
+  /// Allocation-free.
   [[nodiscard]] IsaSum add(std::uint64_t a, std::uint64_t b,
                            bool carryIn = false) const;
 
-  /// Like add(), also filling one PathTrace per speculative path.
+  /// Like add(), also filling one PathTrace per speculative path (one
+  /// default PathTrace for the exact adder).
   [[nodiscard]] IsaSum addTraced(std::uint64_t a, std::uint64_t b,
                                  bool carryIn,
                                  std::vector<PathTrace>& traces) const;
@@ -86,6 +86,11 @@ class IsaAdder {
   [[nodiscard]] std::uint64_t mask() const noexcept { return mask_; }
 
  private:
+  /// The one adder core behind add() and addTraced(); fills `traces`
+  /// (pathCount() entries) when non-null.
+  [[nodiscard]] IsaSum addPaths(std::uint64_t a, std::uint64_t b,
+                                bool carryIn, PathTrace* traces) const;
+
   IsaConfig cfg_;
   std::uint64_t mask_;
   std::uint64_t blockMask_;

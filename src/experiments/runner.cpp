@@ -204,19 +204,23 @@ std::vector<CombinationRow> runErrorCombination(
     const double period = overclockedPeriodNs(options.signOffPeriodNs, cpr);
     // Same workload seed across designs and CPRs so every design sees the
     // same stimulus, as in the paper's common random sample. The lane
-    // collector replays 64 chunks of that stream per wheel sweep;
-    // records are bit-identical to the sequential path.
+    // collector runs it window by window (records bit-identical to the
+    // sequential path), and each window folds straight into the
+    // combination in record order, so the cell holds one window however
+    // many cycles it runs.
     auto workload = workloadFor(options, design.config.width, 0);
     TraceCollector collector(design, period);
-    const predict::Trace trace = collector.collect(*workload, options.cycles);
-
     const int width = design.config.width;
     core::ErrorCombination combo;
-    for (const predict::TraceRecord& rec : trace) {
-      combo.add(core::OutputTriple{rec.diamondValue(width),
-                                   rec.goldValue(width),
-                                   rec.silverValue(width)});
-    }
+    collector.stream(
+        *workload, options.cycles,
+        [&](std::span<const predict::TraceRecord> window) {
+          for (const predict::TraceRecord& rec : window) {
+            combo.add(core::OutputTriple{rec.diamondValue(width),
+                                         rec.goldValue(width),
+                                         rec.silverValue(width)});
+          }
+        });
     CombinationRow row;
     row.design = design.config.name();
     row.cprPercent = cpr;
@@ -342,7 +346,6 @@ BitDistributionResult runBitDistribution(
       overclockedPeriodNs(options.signOffPeriodNs, cprPercent);
   auto workload = workloadFor(options, design.config.width, 0);
   TraceCollector collector(design, period);
-  const predict::Trace trace = collector.collect(*workload, options.cycles);
 
   const int width = design.config.width;
   // Positions 0..width-1 are sum bits; position `width` is the carry-out
@@ -351,25 +354,31 @@ BitDistributionResult runBitDistribution(
   // Structural series: the paper translates each independent speculative
   // fault's net arithmetic contribution into its equivalent bit position.
   // Timing series: timing errors "might span over various outputs", so they
-  // are counted bitwise (y_silver vs y_gold).
+  // are counted bitwise (y_silver vs y_gold). Both fold window by window.
   const core::IsaAdder behavioral(design.config);
   std::vector<std::uint64_t> structuralCounts(
       static_cast<std::size_t>(width + 1), 0);
   core::BitErrorDistribution timing(width + 1);
   std::vector<core::PathTrace> traces;
-  for (const predict::TraceRecord& rec : trace) {
-    (void)behavioral.addTraced(rec.a, rec.b, rec.carryIn, traces);
-    for (const int pos : core::equivalentBitPositions(traces)) {
-      if (pos <= width) {
-        ++structuralCounts[static_cast<std::size_t>(pos)];
-      }
-    }
-    const std::uint64_t coutBit = std::uint64_t{1} << width;
-    const std::uint64_t goldWord = rec.gold | (rec.goldCout ? coutBit : 0);
-    const std::uint64_t silverWord =
-        rec.silver | (rec.silverCout ? coutBit : 0);
-    timing.add(silverWord, goldWord);
-  }
+  collector.stream(
+      *workload, options.cycles,
+      [&](std::span<const predict::TraceRecord> window) {
+        for (const predict::TraceRecord& rec : window) {
+          (void)behavioral.addTraced(rec.a, rec.b, rec.carryIn, traces);
+          for (const core::PathTrace& path : traces) {
+            const int pos = core::equivalentBitPosition(path);
+            if (pos >= 0 && pos <= width) {
+              ++structuralCounts[static_cast<std::size_t>(pos)];
+            }
+          }
+          const std::uint64_t coutBit = std::uint64_t{1} << width;
+          const std::uint64_t goldWord =
+              rec.gold | (rec.goldCout ? coutBit : 0);
+          const std::uint64_t silverWord =
+              rec.silver | (rec.silverCout ? coutBit : 0);
+          timing.add(silverWord, goldWord);
+        }
+      });
   BitDistributionResult result;
   result.design = design.config.name();
   result.cprPercent = cprPercent;
@@ -377,7 +386,7 @@ BitDistributionResult runBitDistribution(
   for (std::size_t i = 0; i < structuralCounts.size(); ++i) {
     result.structuralRate[i] =
         static_cast<double>(structuralCounts[i]) /
-        static_cast<double>(trace.size());
+        static_cast<double>(options.cycles);
   }
   result.timingRate = timing.rates();
   return result;

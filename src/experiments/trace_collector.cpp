@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <stdexcept>
 
 #include "circuits/isa_netlist.h"
@@ -51,106 +52,155 @@ std::size_t TraceCollector::lanesFor(std::uint64_t cycles) const noexcept {
 
 predict::Trace TraceCollector::collect(Workload& workload,
                                        std::uint64_t cycles) {
-  // Materialize the stream once: stimuli[0] is the settled reset vector,
-  // stimuli[t + 1] drives recorded cycle t — the exact draw sequence of
-  // the sequential collector, so workload state evolves identically.
-  std::vector<Stimulus> stimuli(cycles + 1);
-  for (auto& s : stimuli) s = workload.next();
-
-  const int width = design_.config.width;
   predict::Trace trace(cycles);
-  for (std::uint64_t t = 0; t < cycles; ++t) {
-    const Stimulus& stim = stimuli[t + 1];
-    predict::TraceRecord& rec = trace[t];
-    rec.a = stim.a;
-    rec.b = stim.b;
-    rec.carryIn = stim.carryIn;
-    const core::IsaSum diamond =
-        behavioral_.exactAdd(stim.a, stim.b, stim.carryIn);
-    rec.diamond = diamond.sum;
-    rec.diamondCout = diamond.carryOut;
-    const core::IsaSum gold = behavioral_.add(stim.a, stim.b, stim.carryIn);
-    rec.gold = gold.sum;
-    rec.goldCout = gold.carryOut;
-  }
-  if (cycles == 0) return trace;
+  run(workload, cycles, trace.data(), nullptr);
+  return trace;
+}
+
+void TraceCollector::stream(Workload& workload, std::uint64_t cycles,
+                            const WindowConsumer& consume) {
+  run(workload, cycles, nullptr, consume);
+}
+
+void TraceCollector::run(Workload& workload, std::uint64_t cycles,
+                         predict::TraceRecord* inPlace,
+                         const WindowConsumer& consume) {
+  // stimuli[lead + 1 + t] drives record t of the current window; the
+  // lead + 1 stimuli before it are carried over from the previous window
+  // (at first: the settled reset vector alone). The draw sequence is the
+  // sequential collector's, so workload state evolves identically.
+  const auto wu = static_cast<std::size_t>(warmUp_);
+  const std::uint64_t capacity = maxLanes_ * kWindowSteps;
+  const auto windowCap =
+      static_cast<std::size_t>(std::min<std::uint64_t>(cycles, capacity));
+  std::vector<Stimulus> stimuli(windowCap + wu + 1);
+  stimuli[0] = workload.next();
+  if (cycles == 0) return;
+  std::vector<predict::TraceRecord> buffer(inPlace != nullptr ? 0
+                                                              : windowCap);
 
   // The lane path needs the adder port convention (2W+1 inputs, W+1
   // outputs) to fit one 64x64 output transpose per sweep; anything else —
-  // and explicit --lanes=1 style requests — takes the scalar loop.
-  const std::size_t lanes = lanesFor(cycles);
+  // and explicit --lanes=1 style requests — takes the scalar loop, whose
+  // engine persists across the run's windows.
+  const int width = design_.config.width;
   const bool adderPorts =
       width <= 63 &&
       compiled_->inputNets().size() ==
           static_cast<std::size_t>(2 * width + 1) &&
       compiled_->outputNets().size() == static_cast<std::size_t>(width + 1);
-  // Engine counters are drained here, at the collect boundary — one span
-  // and two counter adds per collect, never inside the per-cycle or
-  // per-word loops (the instrumentation-cost contract micro_obs gates).
+  std::optional<timing::TimedSimulator> scalar;
+  if (lanesFor(cycles) <= 1 || !adderPorts) {
+    scalar.emplace(compiled_, design_.delays);
+  }
+
+  // One span per collect; engine counters are drained once per window,
+  // never inside the per-cycle or per-word loops (the instrumentation-cost
+  // contract micro_obs gates).
   const obs::ObsSpan span("trace.collect", "sim", "cycles", cycles);
   static obs::Counter& eventsCommitted = obs::counter("sim.events_committed");
   static obs::Counter& laneTransitions = obs::counter("sim.lane_transitions");
   static obs::Counter& collects = obs::counter("sim.collects");
-  const std::uint64_t events0 = sampler_->simulator().eventsProcessed();
-  const std::uint64_t lanes0 = sampler_->simulator().laneTransitionsCommitted();
-  if (lanes <= 1 || !adderPorts) {
-    fillSilverScalar(stimuli, trace);
-  } else {
-    fillSilverLane(stimuli, trace, lanes);
-  }
   collects.add();
-  eventsCommitted.add(sampler_->simulator().eventsProcessed() - events0);
-  laneTransitions.add(sampler_->simulator().laneTransitionsCommitted() -
-                      lanes0);
-  return trace;
+
+  std::size_t lead = 0;
+  std::uint64_t scalarEvents = 0;
+  for (std::uint64_t first = 0; first < cycles;) {
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(cycles - first, capacity));
+    const std::span<const Stimulus> stims(stimuli.data(), lead + 1 + n);
+    for (std::size_t t = 0; t < n; ++t) {
+      stimuli[lead + 1 + t] = workload.next();
+    }
+    const std::span<predict::TraceRecord> records(
+        inPlace != nullptr ? inPlace + first : buffer.data(), n);
+    for (std::size_t t = 0; t < n; ++t) {
+      const Stimulus& stim = stims[lead + 1 + t];
+      predict::TraceRecord& rec = records[t];
+      rec.a = stim.a;
+      rec.b = stim.b;
+      rec.carryIn = stim.carryIn;
+      const core::IsaSum diamond =
+          behavioral_.exactAdd(stim.a, stim.b, stim.carryIn);
+      rec.diamond = diamond.sum;
+      rec.diamondCout = diamond.carryOut;
+      const core::IsaSum gold = behavioral_.add(stim.a, stim.b, stim.carryIn);
+      rec.gold = gold.sum;
+      rec.goldCout = gold.carryOut;
+    }
+    if (scalar) {
+      fillSilverScalar(*scalar, stims, first, records);
+      eventsCommitted.add(scalar->eventsProcessed() - scalarEvents);
+      scalarEvents = scalar->eventsProcessed();
+    } else {
+      // The sweep resets the engine: its tallies are this window's alone.
+      fillSilverLane(stims, lead, first, records);
+      eventsCommitted.add(sampler_->simulator().eventsProcessed());
+      laneTransitions.add(sampler_->simulator().laneTransitionsCommitted());
+    }
+    if (consume) consume(records);
+
+    // Carry the stimuli the next window's head chunk settles and warms up
+    // on: the one ahead of its first record and up to wu before that.
+    first += n;
+    const auto next =
+        static_cast<std::size_t>(std::min<std::uint64_t>(wu, first));
+    if (lead + n > next) {
+      std::copy(stims.end() - static_cast<std::ptrdiff_t>(next + 1),
+                stims.end(), stimuli.begin());
+    }
+    lead = next;
+  }
 }
 
-void TraceCollector::fillSilverScalar(std::span<const Stimulus> stimuli,
-                                      predict::Trace& trace) {
+void TraceCollector::fillSilverScalar(
+    timing::TimedSimulator& sim, std::span<const Stimulus> stimuli,
+    std::uint64_t first, std::span<predict::TraceRecord> window) {
   const int width = design_.config.width;
-  timing::TimedSimulator sim(compiled_, design_.delays);
   std::vector<std::uint8_t> inputs;
   std::vector<std::uint8_t> outputs;
-  circuits::packOperandsInto(stimuli[0].a, stimuli[0].b, stimuli[0].carryIn,
-                             width, inputs);
-  sim.applyInputs(inputs);
-  (void)sim.settlePs();
-  for (std::size_t t = 0; t < trace.size(); ++t) {
-    const Stimulus& stim = stimuli[t + 1];
-    circuits::packOperandsInto(stim.a, stim.b, stim.carryIn, width, inputs);
+  const auto apply = [&](const Stimulus& s) {
+    circuits::packOperandsInto(s.a, s.b, s.carryIn, width, inputs);
     sim.applyInputs(inputs);
+  };
+  // The run's first window settles the engine on the reset vector; later
+  // windows continue from where the previous one stopped.
+  if (first == 0) {
+    apply(stimuli[0]);
+    (void)sim.settlePs();
+  }
+  const auto drive = stimuli.last(window.size());
+  for (std::size_t t = 0; t < window.size(); ++t) {
+    apply(drive[t]);
     sim.advancePs(periodPs_);
     sim.sampleOutputsInto(outputs);
-    trace[t].silver = circuits::unpackSum(outputs, width);
-    trace[t].silverCout = circuits::unpackCarryOut(outputs, width);
+    window[t].silver = circuits::unpackSum(outputs, width);
+    window[t].silverCout = circuits::unpackCarryOut(outputs, width);
   }
-  // The scalar path's wheel engine is local to this fill; credit its
-  // event total to the same counter the lane path feeds.
-  static obs::Counter& eventsCommitted = obs::counter("sim.events_committed");
-  eventsCommitted.add(sim.eventsProcessed());
 }
 
 void TraceCollector::fillSilverLane(std::span<const Stimulus> stimuli,
-                                    predict::Trace& trace,
-                                    std::size_t lanes) {
+                                    std::size_t lead, std::uint64_t first,
+                                    std::span<predict::TraceRecord> window) {
   const std::size_t kWords = sampler_->wordsPerNet();
   const auto width = static_cast<std::size_t>(design_.config.width);
-  const std::size_t n = trace.size();
+  const std::size_t n = window.size();
+  const std::size_t lanes = lanesFor(n);
   const auto wu = static_cast<std::size_t>(warmUp_);
   const std::uint64_t sumMask = (std::uint64_t{1} << width) - 1;
 
-  // Contiguous chunks, sizes differing by at most one. Lane L replays
-  // stimulus indices settle(L) .. start(L) + len(L): a settle on the
-  // vector ahead of its warm-up window, wu discarded cycles, then its
-  // recorded range. Lanes with shorter schedules idle (inputs frozen,
-  // settled, zero events) at the *start*, so every lane finishes on the
-  // final sweep and the per-sweep bookkeeping stays uniform. The same
-  // argument covers every lane width: each record's value depends only on
-  // its own chunk's replay, so the chunk count (64 or 512) never shows up
-  // in the trace — only in the wall time.
+  // Contiguous chunks, sizes differing by at most one. Lane L replays a
+  // settle on the vector ahead of its warm-up window, warm(L) discarded
+  // cycles, then its recorded range. Lanes with shorter schedules idle
+  // (inputs frozen, settled, zero events) at the *start*, so every lane
+  // finishes on the final sweep and the per-sweep bookkeeping stays
+  // uniform. The same argument covers every lane width and every window
+  // boundary: each record's value depends only on its own chunk's replay,
+  // so neither the chunk count (64 or 512) nor the windowing shows up in
+  // the trace — only in the wall time.
   const std::size_t base = n / lanes;
   const std::size_t rem = n % lanes;
-  std::vector<std::size_t> start(lanes);  // first recorded cycle index
+  std::vector<std::size_t> start(lanes);  // first recorded window record
   std::vector<std::size_t> len(lanes);
   std::vector<std::size_t> warm(lanes);   // per-lane warm-up (clamped)
   std::size_t steps = 0;                  // sweeps needed (max over lanes)
@@ -158,13 +208,20 @@ void TraceCollector::fillSilverLane(std::span<const Stimulus> stimuli,
     start[L] = c;
     len[L] = base + (L < rem ? 1 : 0);
     c += len[L];
-    warm[L] = std::min(wu, start[L]);
+    // Warm-up may reach back across the window boundary, never past the
+    // run's reset vector.
+    warm[L] = static_cast<std::size_t>(
+        std::min<std::uint64_t>(wu, first + start[L]));
     steps = std::max(steps, warm[L] + len[L]);
   }
   std::vector<std::size_t> idle(lanes);
   for (std::size_t L = 0; L < lanes; ++L) {
     idle[L] = steps - warm[L] - len[L];
   }
+  // Stimulus k of lane L's replay; k = 0 is its settle vector.
+  const auto replay = [&](std::size_t L, std::size_t k) -> const Stimulus& {
+    return stimuli[lead + start[L] - warm[L] + k];
+  };
 
   // Per-lane operand state (held constant while a lane idles) and the
   // lane-major input assembly: one 64x64 transpose per operand per
@@ -204,23 +261,19 @@ void TraceCollector::fillSilverLane(std::span<const Stimulus> stimuli,
   };
 
   sampler_->simulator().reset();
-  for (std::size_t L = 0; L < lanes; ++L) {
-    setLane(L, stimuli[start[L] - warm[L]]);  // chunk's settle vector
-  }
+  for (std::size_t L = 0; L < lanes; ++L) setLane(L, replay(L, 0));
   assembleInputs();
   sampler_->initialize(inWords);
 
   for (std::size_t j = 0; j < steps; ++j) {
     for (std::size_t L = 0; L < lanes; ++L) {
-      if (j >= idle[L]) {
-        setLane(L, stimuli[start[L] - warm[L] + 1 + (j - idle[L])]);
-      }
+      if (j >= idle[L]) setLane(L, replay(L, 1 + j - idle[L]));
     }
     assembleInputs();
     sampler_->stepInto(inWords, outWords);
-    // Output words are lane-major (sub-word sb of word o = output o
-    // across lanes [64sb, 64sb + 64)); one transpose per sub-block yields
-    // each lane's packed output value in its own row.
+    // Output words are lane-major (sub-word sb of word o = output o across
+    // lanes [64sb, 64sb + 64)); one transpose per sub-block yields each
+    // lane's packed output value in its own row.
     for (std::size_t sb = 0; sb < subBlocks; ++sb) {
       for (std::size_t o = 0; o <= width; ++o) {
         outM[o] = outWords[o * kWords + sb];
@@ -232,9 +285,10 @@ void TraceCollector::fillSilverLane(std::span<const Stimulus> stimuli,
       for (std::size_t l = 0; l < laneEnd; ++l) {
         const std::size_t L = sb * 64 + l;
         if (j < idle[L] + warm[L]) continue;  // idling or warming up
-        const std::size_t rec = start[L] + (j - idle[L] - warm[L]);
-        trace[rec].silver = outM[l] & sumMask;
-        trace[rec].silverCout = ((outM[l] >> width) & 1u) != 0;
+        predict::TraceRecord& rec =
+            window[start[L] + (j - idle[L] - warm[L])];
+        rec.silver = outM[l] & sumMask;
+        rec.silverCout = ((outM[l] >> width) & 1u) != 0;
       }
     }
   }

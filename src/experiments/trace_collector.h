@@ -5,26 +5,38 @@
 // cycle the exact sum (y_diamond), the behavioral/RTL sum (y_gold) and the
 // gate-level sampled sum (y_silver).
 //
-// TraceCollector is the lane-parallel engine for that step. It
-// materializes the workload stream once, splits the run into up to W
-// contiguous chunks (W = the runtime-selected lane width, 64/256/512 —
-// see netlist/lane_width.h), and replays every chunk as an independent
-// lane of one timed sweep over the shared compiled netlist — W
-// overclocked cycles per wheel pass instead of one. The replay is
-// **bit-exact** versus the sequential scalar collector at any lane count
-// and any width: a latched output depends only on the input vectors
-// applied within one maximum-path-delay window before its edge, so
-// seeding each chunk with a settle on the stimulus just before its window
-// (plus `warmUpCycles()` replayed-but-discarded cycles when the overclock
-// is deeper than half the critical path) reproduces the mid-stream
-// simulator state exactly. tests/lane_sim_test.cpp asserts
-// record-for-record equality against the retained scalar reference
-// (collectTraceScalar), tests/lane_width_test.cpp re-asserts it at every
-// available width, and bench/micro_lane_sim.cpp re-proves it before
-// gating the speedup.
+// TraceCollector is the lane-parallel engine for that step, and one
+// windowed loop drives every run. A window holds at most
+// lanes x kWindowSteps records (lanes = the runtime-selected lane width,
+// 64/256/512 — see netlist/lane_width.h — or a smaller cap). Per window the
+// loop draws the window's stimuli, computes diamond and gold, splits the
+// window into up to `lanes` contiguous chunks and replays every chunk as an
+// independent lane of one timed sweep over the shared compiled netlist,
+// then hands the window to its consumer in record order and reuses the
+// buffers for the next. A run therefore holds one window, never the whole
+// stream: memory is flat in the cycle count.
+//
+// The replay is **bit-exact** versus the sequential scalar collector at
+// any lane count, any width and across every window boundary: a latched
+// output depends only on the input vectors applied within one
+// maximum-path-delay window before its edge, so seeding each chunk with a
+// settle on the stimulus just before its window (plus `warmUpCycles()`
+// replayed-but-discarded cycles when the overclock is deeper than half the
+// critical path) reproduces the mid-stream simulator state exactly. The
+// last min(warmUpCycles(), r0) + 1 stimuli of each window carry into the
+// next (r0 = the next window's first record), so a chunk at a window's
+// head settles and warms up exactly as a mid-window chunk does. The scalar
+// fill (one lane, or designs off the adder port convention) runs through
+// the same loop on one TimedSimulator that persists across windows.
+// tests/lane_sim_test.cpp asserts record-for-record equality against the
+// retained scalar reference (collectTraceScalar) on runs spanning several
+// windows, tests/lane_width_test.cpp re-asserts it at every available
+// width, and bench/micro_lane_sim.cpp re-proves it before gating the
+// speedup.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -37,6 +49,10 @@
 #include "predict/trace.h"
 #include "timing/lane_dispatch.h"
 #include "timing/lane_sim.h"
+
+namespace oisa::timing {
+class TimedSimulator;
+}  // namespace oisa::timing
 
 namespace oisa::experiments {
 
@@ -56,11 +72,18 @@ struct CollectedTrace {
 /// Lane-parallel timed trace collector for one (design, period) point.
 ///
 /// Construct once per point and reuse across collects (train/test streams,
-/// repeated sweeps): the netlist is compiled once and the lane simulator's
-/// buffers are recycled. Each collect() resets the simulator, so repeated
-/// runs with identically seeded workloads are bit-identical.
+/// repeated sweeps): the netlist is compiled once and the lane simulator is
+/// recycled. Every window resets the simulator, so repeated runs with
+/// identically seeded workloads are bit-identical.
 class TraceCollector {
  public:
+  /// Timed sweeps per window: a window holds lanes x kWindowSteps records.
+  static constexpr std::size_t kWindowSteps = 128;
+
+  /// Receives one window of records, in record order.
+  using WindowConsumer =
+      std::function<void(std::span<const predict::TraceRecord>)>;
+
   /// `periodNs` — the (possibly overclocked) clock period. `maxLanes`
   /// caps the independent replay streams per sweep (1 forces the scalar
   /// path; 0 means "the full selected lane width"; results are
@@ -71,9 +94,16 @@ class TraceCollector {
   /// Runs `cycles` cycles of `workload` through the design and returns the
   /// per-cycle trace. The first stimulus is used as a settled reset vector
   /// (not recorded). Bit-identical to collectTraceScalar() for the same
-  /// workload state at any lane count.
+  /// workload state at any lane count. Each window is filled in place in
+  /// the returned trace.
   [[nodiscard]] predict::Trace collect(Workload& workload,
                                        std::uint64_t cycles);
+
+  /// The records collect() would return, handed to `consume` one window at
+  /// a time in a buffer the next window reuses: memory stays O(window)
+  /// however long the run.
+  void stream(Workload& workload, std::uint64_t cycles,
+              const WindowConsumer& consume);
 
   /// collect() plus the packed bit-column emission: the collector owns
   /// each trace's single packing pass (the 64-row block shift-and-
@@ -93,14 +123,28 @@ class TraceCollector {
   /// design point (critical path < 2 periods at 5-15% CPR).
   [[nodiscard]] int warmUpCycles() const noexcept { return warmUp_; }
 
-  /// Lanes a run of `cycles` would use (chunks must cover their warm-up).
+  /// Lanes a window of `cycles` records uses (chunks must cover their
+  /// warm-up).
   [[nodiscard]] std::size_t lanesFor(std::uint64_t cycles) const noexcept;
 
  private:
-  void fillSilverLane(std::span<const Stimulus> stimuli,
-                      predict::Trace& trace, std::size_t lanes);
-  void fillSilverScalar(std::span<const Stimulus> stimuli,
-                        predict::Trace& trace);
+  /// The windowed loop. Window records land at `inPlace + r0` when
+  /// `inPlace` is set, else in a reused buffer; each finished window then
+  /// goes to `consume` when it is set.
+  void run(Workload& workload, std::uint64_t cycles,
+           predict::TraceRecord* inPlace, const WindowConsumer& consume);
+
+  // Silver fills of one window whose first record is record `first` of the
+  // run: `stimuli[lead + 1 + t]` drives window record t, and the lead + 1
+  // stimuli before it are the carried ones.
+  void fillSilverLane(std::span<const Stimulus> stimuli, std::size_t lead,
+                      std::uint64_t first,
+                      std::span<predict::TraceRecord> window);
+  /// `sim` persists across the run's windows; the first window settles it
+  /// on the reset vector, stimuli[0].
+  void fillSilverScalar(timing::TimedSimulator& sim,
+                        std::span<const Stimulus> stimuli, std::uint64_t first,
+                        std::span<predict::TraceRecord> window);
 
   const circuits::SynthesizedDesign& design_;
   core::IsaAdder behavioral_;

@@ -17,6 +17,7 @@
 #include "circuits/isa_netlist.h"
 #include "circuits/multiplier_netlist.h"
 #include "circuits/synthesis.h"
+#include "core/error_model.h"
 #include "core/isa_config.h"
 #include "core/isa_multiplier.h"
 #include "experiments/trace_collector.h"
@@ -24,6 +25,7 @@
 #include "netlist/batch_evaluator.h"
 #include "netlist/compiled_netlist.h"
 #include "netlist/gate.h"
+#include "obs/metrics.h"
 #include "timing/cell_library.h"
 #include "timing/delay_annotation.h"
 #include "timing/event_sim.h"
@@ -35,6 +37,7 @@
 namespace {
 
 using oisa::circuits::SynthesizedDesign;
+using oisa::experiments::TraceCollector;
 using oisa::netlist::CompiledNetlist;
 using oisa::netlist::GateId;
 using oisa::netlist::GateKind;
@@ -291,6 +294,115 @@ TEST(LaneTraceCollectorTest, CollectorReuseIsDeterministic) {
     return collector.collect(*wl, 200);
   }();
   expectTracesEqual(second, first);
+}
+
+/// Three full windows of `lanes` lanes plus a ragged tail of `tail`
+/// records.
+std::uint64_t multiWindowCycles(std::size_t lanes, std::uint64_t tail) {
+  return 3 * lanes * TraceCollector::kWindowSteps + tail;
+}
+
+TEST(LaneTraceCollectorTest, MultiWindowRunMatchesScalarReference) {
+  const auto design = testDesign(8, 2, 1, 4);
+  const double period = oisa::experiments::overclockedPeriodNs(0.3, 15.0);
+  TraceCollector collector(design, period, 7);
+  const std::uint64_t cycles = multiWindowCycles(7, 45);
+  auto scalarWl = oisa::experiments::makeWorkload("uniform", 32, 61);
+  auto laneWl = oisa::experiments::makeWorkload("uniform", 32, 61);
+  const auto scalar = oisa::experiments::collectTraceScalar(
+      design, period, *scalarWl, cycles);
+  expectTracesEqual(collector.collect(*laneWl, cycles), scalar);
+}
+
+TEST(LaneTraceCollectorTest, MultiWindowDeepOverclockCarriesWarmUp) {
+  // Every window's head chunk warms up on stimuli carried over from the
+  // previous window; one lane runs the scalar fill through the same loop.
+  const auto design = testDesign(8, 0, 0, 4);
+  const double period = design.criticalDelayNs * 0.35;
+  const std::uint64_t cycles = multiWindowCycles(5, 37);
+  auto scalarWl = oisa::experiments::makeWorkload("random-walk", 32, 17);
+  const auto scalar = oisa::experiments::collectTraceScalar(
+      design, period, *scalarWl, cycles);
+  for (const std::size_t lanes : {5, 1}) {
+    SCOPED_TRACE("max lanes " + std::to_string(lanes));
+    TraceCollector collector(design, period, lanes);
+    ASSERT_GE(collector.warmUpCycles(), 1);
+    auto laneWl = oisa::experiments::makeWorkload("random-walk", 32, 17);
+    expectTracesEqual(collector.collect(*laneWl, cycles), scalar);
+  }
+}
+
+void expectStatsEqual(const oisa::core::ErrorStats& a,
+                      const oisa::core::ErrorStats& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.meanAbs(), b.meanAbs());
+  EXPECT_EQ(a.rms(), b.rms());
+  EXPECT_EQ(a.errorRate(), b.errorRate());
+  EXPECT_EQ(a.minValue(), b.minValue());
+  EXPECT_EQ(a.maxValue(), b.maxValue());
+}
+
+TEST(LaneTraceCollectorTest, StreamedCombinationEqualsCollected) {
+  const auto design = testDesign(8, 2, 1, 4);
+  const double period = oisa::experiments::overclockedPeriodNs(0.3, 15.0);
+  TraceCollector collector(design, period, 7);
+  const std::uint64_t cycles = multiWindowCycles(7, 45);
+  const auto fold = [](oisa::core::ErrorCombination& combo,
+                       std::span<const oisa::predict::TraceRecord> records) {
+    for (const auto& rec : records) {
+      combo.add({rec.diamondValue(32), rec.goldValue(32),
+                 rec.silverValue(32)});
+    }
+  };
+  oisa::core::ErrorCombination collected;
+  auto wl = oisa::experiments::makeWorkload("uniform", 32, 62);
+  fold(collected, collector.collect(*wl, cycles));
+
+  oisa::core::ErrorCombination streamed;
+  std::vector<std::size_t> windows;
+  wl = oisa::experiments::makeWorkload("uniform", 32, 62);
+  collector.stream(*wl, cycles,
+                   [&](std::span<const oisa::predict::TraceRecord> window) {
+                     windows.push_back(window.size());
+                     fold(streamed, window);
+                   });
+  EXPECT_EQ(windows, (std::vector<std::size_t>{896, 896, 896, 45}));
+  EXPECT_EQ(streamed.cycles(), cycles);
+  EXPECT_EQ(streamed.skippedRelative(), collected.skippedRelative());
+  expectStatsEqual(streamed.arithStruct(), collected.arithStruct());
+  expectStatsEqual(streamed.arithTiming(), collected.arithTiming());
+  expectStatsEqual(streamed.arithJoint(), collected.arithJoint());
+  expectStatsEqual(streamed.relStruct(), collected.relStruct());
+  expectStatsEqual(streamed.relTiming(), collected.relTiming());
+  expectStatsEqual(streamed.relJoint(), collected.relJoint());
+  EXPECT_GT(streamed.arithTiming().errorRate(), 0.0);
+}
+
+TEST(LaneTraceCollectorTest, ReusedCollectorCountsEveryCollect) {
+  // Engine counters of two collects through one collector equal those of
+  // the same collects through two fresh ones.
+  const auto design = testDesign(8, 2, 1, 4);
+  const double period = oisa::experiments::overclockedPeriodNs(0.3, 15.0);
+  const auto& events = oisa::obs::counter("sim.events_committed");
+  const auto& transitions = oisa::obs::counter("sim.lane_transitions");
+  const auto counted = [&](TraceCollector& train, TraceCollector& test) {
+    const std::uint64_t e0 = events.value();
+    const std::uint64_t t0 = transitions.value();
+    auto trainWl = oisa::experiments::makeWorkload("uniform", 32, 1);
+    (void)train.collect(*trainWl, 6000);
+    auto testWl = oisa::experiments::makeWorkload("uniform", 32, 2);
+    (void)test.collect(*testWl, 3000);
+    return std::pair{events.value() - e0, transitions.value() - t0};
+  };
+  TraceCollector reused(design, period);
+  const auto reusedCounts = counted(reused, reused);
+  TraceCollector train(design, period);
+  TraceCollector test(design, period);
+  const auto freshCounts = counted(train, test);
+  EXPECT_GT(freshCounts.first, 0u);
+  EXPECT_GT(freshCounts.second, 0u);
+  EXPECT_EQ(reusedCounts, freshCounts);
 }
 
 TEST(LaneTraceCollectorTest, PackedEmissionMatchesPackTrace) {

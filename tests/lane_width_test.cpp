@@ -5,7 +5,8 @@
 // (BatchEvaluator), timed (LaneClockedSampler, including forceNet stuck
 // clamps), and PPSFP fault detection — on random DAGs, all twelve paper
 // design points and the ISCAS-85 c17 benchmark. On top of the engine
-// slices, the consumer invariants: TraceCollector traces and
+// slices, the consumer invariants: TraceCollector traces (over runs
+// spanning several windows, against the sequential reference) and
 // fault-coverage campaign results are pure functions of the stimulus
 // stream, identical at every forced width. Also pins down the
 // OISA_FORCE_LANE_WIDTH parsing/dispatch contract.
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "circuits/synthesis.h"
+#include "core/error_model.h"
 #include "core/isa_config.h"
 #include "experiments/trace_collector.h"
 #include "experiments/workload.h"
@@ -352,6 +354,60 @@ TEST(LaneWidthTest, TraceCollectorInvariantAcrossWidths) {
           << "record " << t;
       ASSERT_EQ(trace[t].a, reference[t].a) << "record " << t;
     }
+  }
+}
+
+TEST(LaneWidthTest, MultiWindowTraceMatchesScalarAtEveryWidth) {
+  // 65 lanes span two 64-lane sub-blocks at the wide widths (64 at the
+  // reference width). Three windows plus a ragged tail on a deep overclock
+  // carry warm-up stimuli across every window boundary; the streamed
+  // combination must equal the one folded from collect().
+  oisa::circuits::SynthesisOptions options;
+  options.relaxSlack = true;
+  const auto design = oisa::circuits::synthesize(
+      oisa::core::makeIsa(8, 0, 0, 4), CellLibrary::generic65(), options);
+  const double periodNs = design.criticalDelayNs * 0.35;
+  constexpr std::size_t kMaxLanes = 65;
+  const std::uint64_t cycles =
+      3 * kMaxLanes * oisa::experiments::TraceCollector::kWindowSteps + 29;
+  auto scalarWl = oisa::experiments::makeWorkload("uniform", 32, 313);
+  const auto reference = oisa::experiments::collectTraceScalar(
+      design, periodNs, *scalarWl, cycles);
+  const auto fold = [](oisa::core::ErrorCombination& combo,
+                       std::span<const oisa::predict::TraceRecord> records) {
+    for (const auto& rec : records) {
+      combo.add({rec.diamondValue(32), rec.goldValue(32),
+                 rec.silverValue(32)});
+    }
+  };
+  for (const LaneSelection sel : oisa::netlist::availableLaneSelections()) {
+    SCOPED_TRACE(oisa::netlist::laneSelectionName(sel));
+    ScopedLaneWidth env(specFor(sel));
+    oisa::experiments::TraceCollector collector(design, periodNs, kMaxLanes);
+    ASSERT_GE(collector.warmUpCycles(), 1);
+    auto wl = oisa::experiments::makeWorkload("uniform", 32, 313);
+    const auto trace = collector.collect(*wl, cycles);
+    ASSERT_EQ(trace.size(), reference.size());
+    for (std::size_t t = 0; t < trace.size(); ++t) {
+      ASSERT_EQ(trace[t].a, reference[t].a) << "record " << t;
+      ASSERT_EQ(trace[t].gold, reference[t].gold) << "record " << t;
+      ASSERT_EQ(trace[t].silver, reference[t].silver) << "record " << t;
+      ASSERT_EQ(trace[t].silverCout, reference[t].silverCout)
+          << "record " << t;
+    }
+    oisa::core::ErrorCombination collected;
+    fold(collected, trace);
+    oisa::core::ErrorCombination streamed;
+    wl = oisa::experiments::makeWorkload("uniform", 32, 313);
+    collector.stream(*wl, cycles,
+                     [&](std::span<const oisa::predict::TraceRecord> w) {
+                       fold(streamed, w);
+                     });
+    EXPECT_EQ(streamed.cycles(), cycles);
+    EXPECT_EQ(streamed.relJoint().rms(), collected.relJoint().rms());
+    EXPECT_EQ(streamed.relTiming().rms(), collected.relTiming().rms());
+    EXPECT_EQ(streamed.arithJoint().meanAbs(),
+              collected.arithJoint().meanAbs());
   }
 }
 
