@@ -288,13 +288,17 @@ inline void printShardReport(const ShardContext& ctx) {
 
 /// Minimal machine-readable bench emitter: one flat JSON object per file,
 /// so CI can track the perf trajectory across PRs (BENCH_timed.json,
-/// BENCH_batch.json, ...).
+/// BENCH_batch.json, ...). Keys and string values are escaped by the obs
+/// writers' escaper, so any value (a commit id, a hostname) stays valid
+/// JSON.
 class BenchJson {
  public:
   explicit BenchJson(std::string benchName) { add("bench", benchName); }
 
   BenchJson& add(const std::string& key, const std::string& value) {
-    fields_.emplace_back(key, '"' + value + '"');
+    std::string quoted = "\"";
+    obs::appendJsonEscaped(quoted, value);
+    fields_.emplace_back(key, quoted + '"');
     return *this;
   }
   BenchJson& add(const std::string& key, double value) {
@@ -312,7 +316,9 @@ class BenchJson {
     std::string out = "{";
     for (std::size_t i = 0; i < fields_.size(); ++i) {
       if (i > 0) out += ", ";
-      out += '"' + fields_[i].first + "\": " + fields_[i].second;
+      out += '"';
+      obs::appendJsonEscaped(out, fields_[i].first);
+      out += "\": " + fields_[i].second;
     }
     return out + "}\n";
   }

@@ -1,6 +1,6 @@
 // Throughput of the packed ML substrate against the seed per-row pipeline
 // on the paper's per-bit timing-error model (33 forests on a 32-bit-wide
-// trace) — the acceptance benchmark for the bit-packed CART rework (>= 8x
+// trace) — the acceptance benchmark for the bit-packed CART rework (>= 12x
 // combined train+predict is the CI gate).
 //
 // Self-checking, in the micro_timed_sim tradition: before any timing is

@@ -34,6 +34,17 @@ void IsaConfig::validate() const {
   if (reduction < 0 || reduction > block) {
     throw std::invalid_argument("IsaConfig: reduction must be in [0, block]");
   }
+  // The behavioral model's arithmetic is undefined on these two shapes: a
+  // 64-bit block shifts by 64, and 64 one-bit paths weigh the top path's
+  // error at 2^63, which int64 cannot negate.
+  if (block == 64) {
+    throw std::invalid_argument(
+        "IsaConfig: block=64 is unsupported (use the exact adder)");
+  }
+  if (width == 64 && block == 1) {
+    throw std::invalid_argument(
+        "IsaConfig: block=1 at width=64 is unsupported");
+  }
 }
 
 IsaConfig makeIsa(int block, int spec, int correction, int reduction,

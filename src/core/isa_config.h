@@ -40,7 +40,9 @@ struct IsaConfig {
     return exact ? 1 : width / block;
   }
 
-  /// Throws std::invalid_argument if the parameters are inconsistent.
+  /// Throws std::invalid_argument if the parameters are inconsistent, or
+  /// on the two shapes the behavioral model cannot compute (block 64, and
+  /// block 1 at width 64).
   void validate() const;
 
   friend bool operator==(const IsaConfig&, const IsaConfig&) = default;

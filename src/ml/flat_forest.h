@@ -21,11 +21,17 @@
 // zero per-node work: validate the header and CRC, then cast.
 //
 // Training runs on the packed column-major substrate: every candidate
-// split's counts come from popcount(featureWord & rowPlane), with
-// bootstrap multiplicities carried as bit-planes. The seed row-scan
-// trainer is retained as the *Reference growers, which append the
-// identical arena for the same inputs and rng state (the wheel-vs-heap
-// differential pattern applied to training).
+// split's counts come from popcount(featureWord & rowBits), with
+// bootstrap multiplicities carried as bit-planes. A node keeps, per
+// plane, only its populated words as sparse (word index, bits) records,
+// so after the bootstrap draw every step costs O(populated words): a
+// counting pass builds the root's planes, candidates are scored four at
+// a time over the records, and a split compacts the left child in place
+// while the right child goes to a per-depth buffer the tree reuses, so
+// no split allocates. The seed row-scan trainer is retained as the
+// *Reference growers, which append the identical arena for the same
+// inputs and rng state (the wheel-vs-heap differential pattern applied
+// to training).
 #pragma once
 
 #include <cstdint>
@@ -177,7 +183,7 @@ class FlatForestBank {
                          std::size_t n);
   void growPacked(const PackedView& data, std::span<const std::uint32_t> rows,
                   const TreeParams& params, std::mt19937_64& rng);
-  std::uint32_t growPackedNode(PackedGrowContext& ctx, PackedRows& rows,
+  std::uint32_t growPackedNode(PackedGrowContext& ctx, PackedRows rows,
                                int depth);
   void growReference(const Dataset& data, std::span<const std::uint32_t> rows,
                      const TreeParams& params, std::mt19937_64& rng);

@@ -59,6 +59,9 @@ void BitLevelPredictor::fit(const PackedTraceFeatures& packed) {
                      : ml::TreeParams{0, 2, 1, 0},
                  rng);
   }
+  // One add per fit, never per node: oisa_ml itself stays free of obs.
+  static obs::Counter& nodesGrown = obs::counter("ml.nodes_grown");
+  nodesGrown.add(bank.view().nodeCount());
   flatBank_ = std::move(bank);
   mappedBank_ = ml::MappedForestBank{};  // re-fit drops any mapped file
   trained_ = true;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "netlist/bitops.h"
+#include "obs/metrics.h"
 
 namespace oisa::predict {
 
@@ -188,6 +189,9 @@ PackedTraceFeatures FeatureExtractor::packTrace(const Trace& trace) const {
       out.labels[b * words + block] = labelRows[b];
     }
   }
+  // One add per packed trace, outside the block loop.
+  static obs::Counter& packRows = obs::counter("predict.pack_rows");
+  packRows.add(out.rowCount);
   return out;
 }
 

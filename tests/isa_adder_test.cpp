@@ -50,6 +50,25 @@ TEST(IsaConfigTest, ValidationRejectsBadShapes) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
+TEST(IsaConfigTest, ValidationRejectsShapesWithUndefinedArithmetic) {
+  // block 64 shifts by 64; block 1 at width 64 negates 2^63. Both are
+  // rejected by name, and their neighbours stay valid.
+  const auto message = [](int block, int width) {
+    try {
+      (void)makeIsa(block, 0, 0, 0, width);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_NE(message(64, 64).find("block=64"), std::string::npos);
+  EXPECT_NE(message(1, 64).find("block=1 at width=64"), std::string::npos);
+  EXPECT_NO_THROW((void)makeIsa(32, 0, 0, 0, 64));
+  EXPECT_NO_THROW((void)makeIsa(2, 1, 1, 1, 64));
+  EXPECT_NO_THROW((void)makeIsa(1, 1, 1, 1, 63));
+  EXPECT_NO_THROW((void)makeExact(64));
+}
+
 TEST(IsaConfigTest, PaperDesignListHasTwelveEntries) {
   const auto& designs = oisa::core::paperDesigns();
   ASSERT_EQ(designs.size(), 12u);
@@ -404,8 +423,8 @@ int randomDivisor(std::mt19937_64& rng, int width) {
 /// Per width: the exact adder, a random quadruple, an S = 0 speculate-high
 /// quadruple, a single-path (block == width) quadruple and one with
 /// C + R > K. Shapes whose arithmetic shifts by 64 or negates 2^63
-/// (block 64, and block 1 at width 64) are left out: the model's result
-/// is undefined there.
+/// (block 64, and block 1 at width 64) are left out: IsaConfig::validate
+/// rejects them.
 std::vector<IsaConfig> fenceConfigs(std::mt19937_64& rng) {
   std::vector<IsaConfig> configs;
   const auto upTo = [&](int n) {

@@ -3,7 +3,8 @@
 // the true total at a quiescent point), histograms must count/sum/max
 // exactly with log2 bucketing, the span ring must drop-and-count instead
 // of blocking on overflow, the JSON writers must emit the documented
-// schemas (CI re-validates the artifacts with python -m json.tool), and
+// schemas (CI re-validates the artifacts with python -m json.tool), the
+// BENCH_*.json emitter must escape every key and string it writes, and
 // the whole substrate must degenerate to near-nothing when disabled.
 // This binary is also in the thread-sanitizer CI leg: the hammer tests
 // double as data-race detectors there.
@@ -21,6 +22,8 @@
 #include "obs/metrics.h"
 #include "obs/run_meta.h"
 #include "obs/span.h"
+
+#include "../bench/bench_common.h"
 
 namespace {
 
@@ -305,6 +308,72 @@ TEST_F(ObsTest, DisabledEventLogIsANoOp) {
   obs::EventLog log;  // no path
   EXPECT_FALSE(log.enabled());
   log.event("ignored").u64("x", 1);  // must not crash
+}
+
+// --- bench JSON ----------------------------------------------------------
+
+/// Decodes the JSON string literal starting at doc[at] (the opening
+/// quote) and leaves `at` past its closing quote. Fails the test on
+/// anything a JSON parser would reject.
+std::string decodeJsonString(const std::string& doc, std::size_t& at) {
+  std::string out;
+  EXPECT_EQ(doc.at(at), '"');
+  for (++at; at < doc.size() && doc[at] != '"'; ++at) {
+    const char ch = doc[at];
+    EXPECT_GE(static_cast<unsigned char>(ch), 0x20) << "raw control char";
+    if (ch != '\\') {
+      out += ch;
+      continue;
+    }
+    const char esc = doc.at(++at);
+    switch (esc) {
+      case '"': case '\\': case '/': out += esc; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u':
+        out += static_cast<char>(std::stoi(doc.substr(at + 1, 4), nullptr, 16));
+        at += 4;
+        break;
+      default: ADD_FAILURE() << "bad escape \\" << esc;
+    }
+  }
+  EXPECT_LT(at, doc.size()) << "unterminated string";
+  ++at;
+  return out;
+}
+
+/// Parses BenchJson's flat object into key -> raw value (strings
+/// decoded, numbers verbatim).
+std::map<std::string, std::string> parseFlatJson(const std::string& doc) {
+  std::map<std::string, std::string> fields;
+  std::size_t at = 0;
+  EXPECT_EQ(doc.at(at++), '{');
+  while (at < doc.size() && doc[at] != '}') {
+    const std::string key = decodeJsonString(doc, at);
+    EXPECT_EQ(doc.substr(at, 2), ": ");
+    at += 2;
+    if (doc.at(at) == '"') {
+      fields[key] = decodeJsonString(doc, at);
+    } else {
+      const std::size_t end = doc.find_first_of(",}", at);
+      fields[key] = doc.substr(at, end - at);
+      at = end;
+    }
+    if (doc.at(at) == ',') at += 2;  // ", "
+  }
+  EXPECT_EQ(doc.substr(at), "}\n");
+  return fields;
+}
+
+TEST_F(ObsTest, BenchJsonEscapesKeysAndStringValues) {
+  const std::string value = "abc\"\\x\x01\ny";
+  bench::BenchJson json("micro\"test");
+  json.add("git_sha", value).add("odd\\key", std::uint64_t{7});
+  const std::map<std::string, std::string> fields = parseFlatJson(json.str());
+  EXPECT_EQ(fields.at("bench"), "micro\"test");
+  EXPECT_EQ(fields.at("git_sha"), value);
+  EXPECT_EQ(fields.at("odd\\key"), "7");
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Packed ML substrate tests: the column-major packed dataset view, the
 // popcount CART grower's arena equality with the retained row-scan
-// reference grower, 64-lane masked inference agreement with the scalar
-// walk, and the packed trace feature matrix — on random data and on a
-// real collected trace of a synthesized paper design across all 33
-// output bits.
+// reference grower (on plain subsets and on multisets up to repeat
+// counts past a byte), 64-lane masked inference agreement with the
+// scalar walk, the packed trace feature matrix, and the fit/pack layer
+// counters — on random data and on a real collected trace of a
+// synthesized paper design across all 33 output bits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "experiments/workload.h"
 #include "ml/dataset.h"
 #include "ml/flat_forest.h"
+#include "obs/metrics.h"
 #include "predict/bit_predictor.h"
 #include "predict/features.h"
 
@@ -156,6 +158,76 @@ TEST(PackedTrainerTest, MatchesReferenceOnBootstrapMultisets) {
     reference.addTreeReference(data, rows, params, rngB);
   }
   expectSameArena(packed.view(), reference.view());
+}
+
+// One tree grown by each grower on the same multiset, params and rng seed.
+void expectTreeMatchesReference(const Dataset& data,
+                                const std::vector<std::uint32_t>& rows,
+                                const TreeParams& params, std::uint64_t seed) {
+  FlatForestBank packed = emptyBank(data);
+  FlatForestBank reference = emptyBank(data);
+  std::mt19937_64 rngA(seed), rngB(seed);
+  packed.addTree(data.packed(), rows, params, rngA);
+  reference.addTreeReference(data, rows, params, rngB);
+  expectSameArena(packed.view(), reference.view());
+  // Both growers consumed the same rng draws.
+  EXPECT_EQ(rngA(), rngB());
+}
+
+TEST(PackedTrainerTest, MatchesReferenceOnMultiplicitiesPastAByte) {
+  // Repeat counts of 300 and 1000 need planes 8 and 9 — past a byte
+  // counter — alongside ordinary bootstrap draws.
+  const Dataset data = randomDataset(200, 9, 78);
+  std::mt19937_64 sampler(4);
+  std::uniform_int_distribution<std::uint32_t> pick(0, 199);
+  std::vector<std::uint32_t> rows(250);
+  for (auto& r : rows) r = pick(sampler);
+  rows.insert(rows.end(), 300, 17);
+  rows.insert(rows.end(), 1000, 130);
+  std::shuffle(rows.begin(), rows.end(), sampler);
+  TreeParams params;
+  params.featuresPerSplit = 3;
+  expectTreeMatchesReference(data, rows, params, 5);
+  expectTreeMatchesReference(data, rows, TreeParams{}, 6);
+}
+
+TEST(PackedTrainerTest, MatchesReferenceOnTheRaggedTailWord) {
+  // 150 rows: the last word holds rows 128..149 and 42 zero tail bits.
+  const Dataset data = randomDataset(150, 9, 79);
+  std::mt19937_64 sampler(5);
+  std::uniform_int_distribution<std::uint32_t> pick(128, 149);
+  std::vector<std::uint32_t> rows(120);
+  for (auto& r : rows) r = pick(sampler);
+  TreeParams params;
+  params.featuresPerSplit = 3;
+  expectTreeMatchesReference(data, rows, params, 7);
+  expectTreeMatchesReference(data, rows, TreeParams{6, 2, 1, 0}, 8);
+}
+
+TEST(PackedTrainerTest, MatchesReferenceOnASingleRepeatedRow) {
+  const Dataset data = randomDataset(100, 5, 80);
+  for (const std::size_t repeats : {1u, 7u, 256u, 700u}) {
+    const std::vector<std::uint32_t> rows(repeats, 99);
+    expectTreeMatchesReference(data, rows, TreeParams{}, 9);
+  }
+}
+
+TEST(PackedTrainerTest, MatchesReferenceOnAFig7ShapedBootstrap) {
+  // Fig. 7's forests: n draws over n rows, sqrt(F) candidates per split.
+  const std::size_t n = 4000;
+  const std::size_t features = 33;
+  const Dataset data = randomDataset(n, features, 81);
+  std::mt19937_64 sampler(6);
+  std::uniform_int_distribution<std::uint32_t> pick(
+      0, static_cast<std::uint32_t>(n - 1));
+  for (int trial = 0; trial < 2; ++trial) {
+    std::vector<std::uint32_t> rows(n);
+    for (auto& r : rows) r = pick(sampler);
+    TreeParams params;
+    params.maxDepth = 10;
+    params.featuresPerSplit = 6;  // lround(sqrt(33))
+    expectTreeMatchesReference(data, rows, params, 10 + trial);
+  }
 }
 
 TEST(PackedTrainerTest, RejectsBadRows) {
@@ -368,6 +440,21 @@ TEST(PackedPredictorTest, AllBitsAgreeWithScalarOnCollectedTrace) {
   const std::uint64_t avpeCycles = cycles - skipped;
   EXPECT_EQ(eval.avpe,
             avpeCycles ? avpeSum / static_cast<double>(avpeCycles) : 0.0);
+}
+
+TEST(PackedPredictorTest, FitAndPackCountersReportTheirLayers) {
+  oisa::obs::Counter& nodesGrown = oisa::obs::counter("ml.nodes_grown");
+  oisa::obs::Counter& packRows = oisa::obs::counter("predict.pack_rows");
+  const Trace train = collectPaperTrace(300, 23);
+  oisa::predict::PredictorParams params;
+  params.forest.treeCount = 3;
+  BitLevelPredictor predictor(32, params);
+  const std::uint64_t nodesBefore = nodesGrown.value();
+  const std::uint64_t rowsBefore = packRows.value();
+  predictor.fit(train);
+  EXPECT_EQ(nodesGrown.value() - nodesBefore,
+            predictor.flatView().nodeCount());
+  EXPECT_EQ(packRows.value() - rowsBefore, train.size() - 1);
 }
 
 TEST(PackedPredictorTest, AvpeUsesIntegerMagnitude) {
