@@ -2,22 +2,17 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <utility>
 
-#include <chrono>
-
 #include "core/crc32.h"
 #include "core/fault_inject.h"
+#include "core/file_publish.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-
-#ifndef _WIN32
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 namespace oisa::experiments {
 
@@ -55,69 +50,6 @@ std::uint64_t readU64(const char* p) {
   }
   return v;
 }
-
-/// Writes `bytes` to `path`, fsyncs, and returns IoError diagnostics on
-/// any step failing.
-core::Status writeFileSynced(const std::string& path,
-                             std::string_view bytes) {
-  if (core::fault_inject::shouldFail(core::fault_inject::kFileOpen)) {
-    return core::Status::ioError("open '" + path + "': fault injected");
-  }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return core::Status::ioError("open '" + path +
-                                 "': " + std::strerror(errno));
-  }
-  core::Status status;
-  if (!bytes.empty() &&
-      std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
-    status = core::Status::ioError("write '" + path +
-                                   "': " + std::strerror(errno));
-  }
-  if (status.isOk() && std::fflush(f) != 0) {
-    status = core::Status::ioError("flush '" + path +
-                                   "': " + std::strerror(errno));
-  }
-#ifndef _WIN32
-  if (status.isOk()) {
-    static obs::Histogram& fsyncLatency = obs::histogram("ckpt.fsync_us");
-    const auto fsyncStart = std::chrono::steady_clock::now();
-    if (::fsync(::fileno(f)) != 0) {
-      status = core::Status::ioError("fsync '" + path +
-                                     "': " + std::strerror(errno));
-    }
-    fsyncLatency.record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - fsyncStart)
-            .count()));
-  }
-#endif
-  if (std::fclose(f) != 0 && status.isOk()) {
-    status = core::Status::ioError("close '" + path +
-                                   "': " + std::strerror(errno));
-  }
-  if (status.isOk()) {
-    static obs::Counter& bytesWritten = obs::counter("ckpt.bytes_written");
-    bytesWritten.add(bytes.size());
-  }
-  return status;
-}
-
-#ifndef _WIN32
-/// Fsyncs the directory containing `path` so the rename itself is
-/// durable (best effort: some filesystems refuse directory fds).
-void syncParentDir(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    (void)::fsync(fd);
-    (void)::close(fd);
-  }
-}
-#endif
 
 }  // namespace
 
@@ -235,28 +167,26 @@ core::Status GridCheckpoint::saveTo(const std::string& path) const {
   appendU32(bytes, core::crc32(bytes));
 
   if (core::fault_inject::shouldFail(core::fault_inject::kCheckpointWrite)) {
-    // Torn-write simulation: half the snapshot lands in the *final*
-    // path, as if the crash hit a filesystem without atomic rename. The
+    // Torn-write simulation: half the snapshot is published at the *final*
+    // path, as a crash on a filesystem without atomic rename leaves it. The
     // next load must detect this via CRC and recompute. The save itself
     // reports failure — an incomplete snapshot is not a successful save.
-    (void)writeFileSynced(
+    (void)core::publishFile(
         path, std::string_view(bytes).substr(0, bytes.size() / 2));
     return core::Status::ioError("write '" + path +
                                  "': fault injected (torn write)");
   }
 
-  const std::string tmp = path + ".tmp";
-  if (core::Status s = writeFileSynced(tmp, bytes); !s.isOk()) return s;
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const core::Status s = core::Status::ioError(
-        "rename '" + tmp + "' -> '" + path + "': " + std::strerror(errno));
-    (void)std::remove(tmp.c_str());
-    return s;
-  }
-#ifndef _WIN32
-  syncParentDir(path);
-#endif
-  return core::Status::ok();
+  static obs::Histogram& publishLatency = obs::histogram("ckpt.publish_us");
+  static obs::Counter& bytesWritten = obs::counter("ckpt.bytes_written");
+  const auto publishStart = std::chrono::steady_clock::now();
+  const core::Status status = core::publishFile(path, bytes);
+  publishLatency.record(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - publishStart)
+          .count()));
+  if (status.isOk()) bytesWritten.add(bytes.size());
+  return status;
 }
 
 core::StatusOr<GridCheckpoint> GridCheckpoint::loadFrom(

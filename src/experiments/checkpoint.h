@@ -17,18 +17,18 @@
 //   recordCount × { u64 cell, u64 payloadSize, payload bytes }
 //   u32 CRC-32 of every preceding byte
 //
-// all little-endian. Writes are atomic: serialize to memory, write to
-// `path + ".tmp"`, fsync, rename over `path`, fsync the directory — a
-// SIGKILL at any instant leaves either the previous snapshot or the new
-// one, never a torn file. The CRC catches the remaining ways a snapshot
-// can rot (partial copies, bit rot, truncation); loaders report
-// StatusCode::Corruption and campaigns fall back to recomputing.
+// all little-endian. Writes are atomic: serialize to memory and publish
+// through core::publishFile (write `path + ".tmp"`, fsync, rename over
+// `path`, fsync the directory) — a SIGKILL at any instant leaves either
+// the previous snapshot or the new one, never a torn file. The CRC
+// catches the remaining ways a snapshot can rot (partial copies, bit rot,
+// truncation); loaders report StatusCode::Corruption and campaigns fall
+// back to recomputing.
 //
 // Fault-injection sites (core/fault_inject.h): "checkpoint.write"
-// simulates a torn write (half the bytes land in the final path,
-// bypassing the tmp+rename dance), "checkpoint.read" a failing disk
-// read, "file.open" a failing open — the robustness tests drive every
-// recovery path through them.
+// simulates a torn write (half the bytes are published at the final
+// path), "checkpoint.read" a failing disk read, "file.open" a failing
+// open — the robustness tests drive every recovery path through them.
 #pragma once
 
 #include <cstdint>

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <optional>
-#include <thread>
 
 #include "core/error_model.h"
 #include "core/fault_inject.h"
-#include "core/isa_adder.h"
 #include "experiments/grid_scheduler.h"
 #include "experiments/trace_collector.h"
 #include "experiments/workload.h"
@@ -16,176 +13,35 @@
 #include "fault/fault_universe.h"
 #include "fault/ppsfp.h"
 #include "fault/timed_fault.h"
-#include "netlist/bitops.h"
 #include "netlist/compiled_netlist.h"
-#include "timing/lane_dispatch.h"
-#include "timing/lane_sim.h"
-#include "timing/sta.h"
 
 namespace oisa::experiments {
 
 namespace {
 
-/// Cycles replayed (and discarded) ahead of a mid-stream chunk so its
-/// first measured cycle sees the exact stream state — the TraceCollector
-/// warm-up bound: smallest W with (W + 2) * period > critical path.
-int timedWarmUpCycles(const circuits::SynthesizedDesign& design,
-                      timing::TimePs periodPs) {
-  const timing::TimePs d =
-      timing::quantizeSpanPs(
-          timing::criticalDelayNs(design.netlist, design.delays)) +
-      1;
-  int warmUp = 0;
-  while ((static_cast<timing::TimePs>(warmUp) + 2) * periodPs <= d) {
-    ++warmUp;
-  }
-  return warmUp;
-}
-
-/// Runs `timedCycles` overclocked cycles with an optional stem defect
-/// clamped in, and returns the relative-E_joint RMS of the sampled
-/// outputs against the exact adder.
-///
-/// The measurement is defined by the 64-lane reference schedule — 64
-/// independent stimulus streams, stream l settling on draw l and then
-/// measuring draw 64 + 64b + l at cycle b, accumulated in draw order —
-/// and stays **byte-identical** at any engine width: RMS accumulation is
-/// order-sensitive in floating point, so wider engines never reorder it.
-/// A W = 64K lane engine instead splits each stream's measured cycles
-/// into K contiguous chunks (settle + warm-up replay ahead of each
-/// mid-stream chunk, short chunks idling at the start — the
-/// TraceCollector scheme, which reproduces mid-stream state exactly),
-/// maps stream l's chunk j onto wide lane 64j + l, buffers every silver
-/// sample by its draw index, and only then folds the triples into the
-/// accumulator in the reference order.
-double measureTimedRelJoint(
-    const std::shared_ptr<const netlist::CompiledNetlist>& compiled,
-    const circuits::SynthesizedDesign& design, double periodNs,
-    const fault::Fault* defect, std::uint64_t timedCycles,
-    std::uint64_t seed, const RunOptions& run) {
-  const int width = design.config.width;
-  const core::IsaAdder behavioral(design.config);
-  const auto sampler =
-      timing::makeLaneSampler(compiled, design.delays, periodNs);
+/// Runs `options.timedCycles` overclocked cycles with an optional stem
+/// defect clamped in and returns the relative-E_joint RMS of the sampled
+/// outputs against the exact adder. The run is a 64-stream collector run
+/// (stream l settles on draw l, then measures draw 64 + 64b + l at its
+/// cycle b) over the workload seeded one past the coverage phase's. Its
+/// records fold in draw order at any engine width, so the order-sensitive
+/// floating-point RMS is **byte-identical** at every width. Throws
+/// core::StatusError(InvalidInput) for a design off the adder port
+/// convention.
+double measureTimedRelJoint(const circuits::SynthesizedDesign& design,
+                            double periodNs, const fault::Fault* defect,
+                            const FaultScanOptions& options) {
+  constexpr std::size_t kStreams = 64;
+  TraceCollector collector(design, periodNs, 0, kStreams);
   if (defect != nullptr) {
-    fault::injectStuckAt(sampler->simulator(), *defect);
+    fault::injectStuckAt(collector.simulator(), *defect);
   }
-  const auto workload = makeWorkload(run.workload, width, seed);
-  if (timedCycles == 0) return core::ErrorCombination{}.relJoint().rms();
-
-  // Materialize the reference draw sequence: 64 settle vectors, then the
-  // measured stream (draw 64 + m drives measurement m; stream l of the
-  // reference schedule owns measurements m with m % 64 == l).
-  std::array<Stimulus, 64> settle{};
-  for (auto& s : settle) s = workload->next();
-  std::vector<Stimulus> measured(static_cast<std::size_t>(timedCycles));
-  for (auto& s : measured) s = workload->next();
-  const auto streamLen = [&](std::size_t l) {
-    return static_cast<std::size_t>((timedCycles + 63 - l) / 64);
-  };
-  // Stream l's stimulus sequence: index 0 = its settle vector, index
-  // c + 1 = its measurement c.
-  const auto streamStim = [&](std::size_t l, std::size_t idx) -> Stimulus {
-    return idx == 0 ? settle[l] : measured[(idx - 1) * 64 + l];
-  };
-
-  const std::size_t kW = sampler->wordsPerNet();
-  const auto wu =
-      static_cast<std::size_t>(timedWarmUpCycles(design, sampler->periodPs()));
-
-  // Chunk schedule: stream l's chunk j runs on wide lane 64j + l.
-  std::vector<std::size_t> start(64 * kW);
-  std::vector<std::size_t> len(64 * kW);
-  std::vector<std::size_t> warm(64 * kW);
-  std::size_t steps = 0;
-  for (std::size_t l = 0; l < 64; ++l) {
-    const std::size_t n = streamLen(l);
-    const std::size_t base = n / kW;
-    const std::size_t rem = n % kW;
-    for (std::size_t j = 0, c = 0; j < kW; ++j) {
-      const std::size_t L = 64 * j + l;
-      start[L] = c;
-      len[L] = base + (j < rem ? 1 : 0);
-      c += len[L];
-      warm[L] = std::min(wu, start[L]);
-      steps = std::max(steps, warm[L] + len[L]);
-    }
-  }
-  std::vector<std::size_t> idle(64 * kW);
-  for (std::size_t L = 0; L < 64 * kW; ++L) {
-    idle[L] = steps - warm[L] - len[L];
-  }
-
-  const std::size_t inputCount = compiled->inputNets().size();
-  std::vector<std::uint64_t> inWords(inputCount * kW, 0);
-  std::vector<std::uint64_t> subWords(inputCount, 0);
-  std::vector<std::uint64_t> outWords;
-  std::vector<Stimulus> cur(64 * kW);
-  std::array<Stimulus, 64> subStims{};
-  std::array<std::uint64_t, 64> sM{};
-  std::vector<std::uint64_t> silver(measured.size(), 0);
-
-  const auto assembleInputs = [&] {
-    for (std::size_t j = 0; j < kW; ++j) {
-      std::copy_n(cur.begin() + static_cast<std::ptrdiff_t>(64 * j), 64,
-                  subStims.begin());
-      packStimulusBlock(subStims, width, subWords);
-      for (std::size_t i = 0; i < inputCount; ++i) {
-        inWords[i * kW + j] = subWords[i];
-      }
-    }
-  };
-
-  // Settle every chunk on the stimulus ahead of its warm-up window (not
-  // measured), mirroring the trace collectors' initialize step.
-  for (std::size_t L = 0; L < 64 * kW; ++L) {
-    cur[L] = streamStim(L % 64, start[L] - warm[L]);
-  }
-  assembleInputs();
-  sampler->initialize(inWords);
-
-  for (std::size_t s = 0; s < steps; ++s) {
-    for (std::size_t L = 0; L < 64 * kW; ++L) {
-      if (s >= idle[L]) {
-        cur[L] = streamStim(L % 64, start[L] - warm[L] + 1 + (s - idle[L]));
-      }
-    }
-    assembleInputs();
-    sampler->stepInto(inWords, outWords);
-
-    for (std::size_t j = 0; j < kW; ++j) {
-      for (int i = 0; i < width; ++i) {
-        sM[static_cast<std::size_t>(i)] =
-            outWords[static_cast<std::size_t>(i) * kW + j];
-      }
-      std::fill(sM.begin() + width, sM.end(), 0);
-      const std::uint64_t coutWord =
-          outWords[static_cast<std::size_t>(width) * kW + j];
-      netlist::transpose64(sM);
-      for (std::size_t l = 0; l < 64; ++l) {
-        const std::size_t L = 64 * j + l;
-        if (s < idle[L] + warm[L]) continue;  // idling or warming up
-        const std::size_t c = start[L] + (s - idle[L] - warm[L]);
-        std::uint64_t value = sM[l];
-        if (width < 64 && ((coutWord >> l) & 1u) != 0) {
-          value |= std::uint64_t{1} << width;
-        }
-        silver[c * 64 + l] = value;
-      }
-    }
-  }
-
-  // Fold in reference draw order: measurement m of the 64-lane schedule
-  // is block m / 64, lane m % 64 — exactly ascending m.
-  core::ErrorCombination combo;
-  for (std::size_t m = 0; m < measured.size(); ++m) {
-    const Stimulus& stim = measured[m];
-    combo.add(core::OutputTriple{
-        behavioral.exactAdd(stim.a, stim.b, stim.carryIn).value(width),
-        behavioral.add(stim.a, stim.b, stim.carryIn).value(width),
-        silver[m]});
-  }
-  return combo.relJoint().rms();
+  const int width = design.config.width;
+  const auto workload =
+      makeWorkload(options.run.workload, width, options.run.seed + 1);
+  return combineErrors(collector, *workload, options.timedCycles, width)
+      .relJoint()
+      .rms();
 }
 
 std::string encodeFaultScanRow(const FaultScanRow& row) {
@@ -257,25 +113,19 @@ std::vector<FaultScanRow> runFaultErrorScan(
     }
     core::fault_inject::maybeThrow(core::fault_inject::kGridCell,
                                    core::StatusCode::IoError);
-    const int width = design.config.width;
-    const auto compiled = netlist::CompiledNetlist::compile(design.netlist);
-    // packStimulusBlock assumes the adder port convention (a0..aN-1,
-    // b0..bN-1, cin); reject anything else (e.g. a multiplier ISA) up
-    // front rather than writing past the input-word span.
-    if (compiled->inputNets().size() !=
-        static_cast<std::size_t>(2 * width + 1)) {
-      throw std::invalid_argument(
-          "runFaultErrorScan: design '" + design.config.name() +
-          "' does not follow the adder port convention (expected " +
-          std::to_string(2 * width + 1) + " primary inputs, got " +
-          std::to_string(compiled->inputNets().size()) + ")");
-    }
-
     FaultScanRow row;
     row.design = design.config.name();
     row.cprPercent = options.cprPercent;
     row.periodNs =
         overclockedPeriodNs(options.run.signOffPeriodNs, options.cprPercent);
+    // The timed phase's healthy baseline runs first: its collector
+    // rejects a design off the adder port convention (e.g. a multiplier
+    // ISA) with InvalidInput before the coverage phase packs stimuli that
+    // assume it.
+    row.rmsRelJointHealthy =
+        measureTimedRelJoint(design, row.periodNs, nullptr, options);
+    const int width = design.config.width;
+    const auto compiled = netlist::CompiledNetlist::compile(design.netlist);
 
     // Phase 1: PPSFP coverage under the experiment workload. Every design
     // sees the same stimulus stream (shared seed), as in the paper's
@@ -324,8 +174,7 @@ std::vector<FaultScanRow> runFaultErrorScan(
     row.patterns = cov.patternsApplied;
 
     // Phase 2: timed defective runs on a deterministic sample of the
-    // detected stem classes, against a paired healthy baseline (same
-    // workload seed, same period).
+    // detected stem classes, against the healthy baseline.
     std::vector<fault::Fault> detectedStems;
     const auto classes = universe.collapsed();
     for (std::size_t ci = 0; ci < classes.size(); ++ci) {
@@ -333,14 +182,10 @@ std::vector<FaultScanRow> runFaultErrorScan(
     }
     const std::vector<fault::Fault> sample =
         fault::selectTimedFaults(detectedStems, options.timedFaults);
-    row.rmsRelJointHealthy = measureTimedRelJoint(
-        compiled, design, row.periodNs, nullptr, options.timedCycles,
-        options.run.seed + 1, options.run);
     double sum = 0.0;
     for (const fault::Fault& f : sample) {
-      const double rms = measureTimedRelJoint(
-          compiled, design, row.periodNs, &f, options.timedCycles,
-          options.run.seed + 1, options.run);
+      const double rms = measureTimedRelJoint(design, row.periodNs, &f,
+                                              options);
       sum += rms;
       row.worstRelJointFaulty = std::max(row.worstRelJointFaulty, rms);
     }

@@ -8,10 +8,10 @@
 //  1. a stuck-at fault-coverage campaign: the collapsed fault universe of
 //     the synthesized netlist simulated against the experiment workload
 //     through the PPSFP engine (64 patterns per sweep, fault dropping);
-//  2. a timed defect phase: a sample of detected stem-fault classes is
-//     clamped into the 64-lane timed engine and the *defective* design is
-//     re-measured under overclocked sampling, yielding the E_joint shift
-//     a defect adds on top of the healthy structural+timing error.
+//  2. a timed defect phase: each sampled detected stem-fault class is
+//     clamped into a 64-stream TraceCollector's lane engine to re-measure
+//     the *defective* design under overclocked sampling, yielding the
+//     E_joint shift a defect adds on top of the healthy error.
 //
 // Rows emit like every other experiment (ASCII table + CSV via
 // bench/fault_coverage.cpp).

@@ -210,17 +210,8 @@ std::vector<CombinationRow> runErrorCombination(
     // many cycles it runs.
     auto workload = workloadFor(options, design.config.width, 0);
     TraceCollector collector(design, period);
-    const int width = design.config.width;
-    core::ErrorCombination combo;
-    collector.stream(
-        *workload, options.cycles,
-        [&](std::span<const predict::TraceRecord> window) {
-          for (const predict::TraceRecord& rec : window) {
-            combo.add(core::OutputTriple{rec.diamondValue(width),
-                                         rec.goldValue(width),
-                                         rec.silverValue(width)});
-          }
-        });
+    const core::ErrorCombination combo = combineErrors(
+        collector, *workload, options.cycles, design.config.width);
     CombinationRow row;
     row.design = design.config.name();
     row.cprPercent = cpr;

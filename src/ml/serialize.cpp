@@ -4,7 +4,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <ostream>
 #include <sstream>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -16,6 +15,7 @@
 #endif
 
 #include "core/crc32.h"
+#include "core/file_publish.h"
 
 namespace oisa::ml {
 
@@ -142,26 +142,10 @@ std::string serializeFlatBank(const FlatBankView& bank, std::uint32_t meta0,
   return out;
 }
 
-void writeFlatBank(std::ostream& os, const FlatBankView& bank,
-                   std::uint32_t meta0, std::uint32_t meta1) {
-  const std::string image = serializeFlatBank(bank, meta0, meta1);
-  os.write(image.data(), static_cast<std::streamsize>(image.size()));
-}
-
 core::Status writeFlatBankFile(const std::string& path,
                                const FlatBankView& bank, std::uint32_t meta0,
                                std::uint32_t meta1) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) {
-    return Status::ioError("flat bank: cannot open '" + path +
-                           "' for writing");
-  }
-  writeFlatBank(os, bank, meta0, meta1);
-  os.flush();
-  if (!os) {
-    return Status::ioError("flat bank: write to '" + path + "' failed");
-  }
-  return Status::ok();
+  return core::publishFile(path, serializeFlatBank(bank, meta0, meta1));
 }
 
 core::StatusOr<MappedForestBank> MappedForestBank::parse(

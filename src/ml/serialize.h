@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 
@@ -31,10 +30,9 @@ namespace oisa::ml {
                                             std::uint32_t meta0 = 0,
                                             std::uint32_t meta1 = 0);
 
-void writeFlatBank(std::ostream& os, const FlatBankView& bank,
-                   std::uint32_t meta0 = 0, std::uint32_t meta1 = 0);
-
-/// Writes the v2 image to `path` (IoError on any filesystem failure).
+/// Publishes the v2 image at `path` through core::publishFile (tmp +
+/// fsync + rename): a reader that has the old bank mapped keeps serving
+/// it. IoError on any filesystem failure.
 [[nodiscard]] core::Status writeFlatBankFile(const std::string& path,
                                              const FlatBankView& bank,
                                              std::uint32_t meta0 = 0,

@@ -12,16 +12,17 @@
 
 namespace oisa::predict {
 
-/// One clock cycle of stimulus and responses.
+/// One clock cycle of stimulus and responses. The five words come first
+/// and the four flags share the tail word: 48 bytes instead of 72.
 struct TraceRecord {
   std::uint64_t a = 0;
   std::uint64_t b = 0;
-  bool carryIn = false;
   std::uint64_t diamond = 0;      ///< exact sum bits
-  bool diamondCout = false;
   std::uint64_t gold = 0;         ///< behavioral/RTL inexact sum bits
-  bool goldCout = false;
   std::uint64_t silver = 0;       ///< gate-level overclocked sampled sum bits
+  bool carryIn = false;
+  bool diamondCout = false;
+  bool goldCout = false;
   bool silverCout = false;
 
   /// Full unsigned output values (carry-out composed above the sum bits);

@@ -20,8 +20,12 @@
 #include <random>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "circuits/synthesis.h"
+#include "experiments/trace_collector.h"
+#include "experiments/workload.h"
 #include "fault/fault_model.h"
 #include "fault/ppsfp_dispatch.h"
 #include "ml/dataset.h"
@@ -29,6 +33,7 @@
 #include "netlist/gate.h"
 #include "netlist/lane_width.h"
 #include "netlist/netlist.h"
+#include "predict/trace.h"
 #include "timing/cell_library.h"
 #include "timing/delay_annotation.h"
 #include "timing/lane_dispatch.h"
@@ -286,6 +291,79 @@ inline void expectLaneBitExact(fault::AnyPpsfpEngine& reference,
             << "round " << round << " sub-word " << j << " fault " << fi;
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Trace collector against the sequential reference collector.
+// ---------------------------------------------------------------------------
+
+/// Record-for-record equality of every TraceRecord field.
+inline void expectTracesEqual(const predict::Trace& lane,
+                              const predict::Trace& scalar) {
+  ASSERT_EQ(lane.size(), scalar.size());
+  for (std::size_t t = 0; t < lane.size(); ++t) {
+    SCOPED_TRACE("record " + std::to_string(t));
+    ASSERT_EQ(lane[t].a, scalar[t].a);
+    ASSERT_EQ(lane[t].b, scalar[t].b);
+    ASSERT_EQ(lane[t].carryIn, scalar[t].carryIn);
+    ASSERT_EQ(lane[t].diamond, scalar[t].diamond);
+    ASSERT_EQ(lane[t].diamondCout, scalar[t].diamondCout);
+    ASSERT_EQ(lane[t].gold, scalar[t].gold);
+    ASSERT_EQ(lane[t].goldCout, scalar[t].goldCout);
+    ASSERT_EQ(lane[t].silver, scalar[t].silver);
+    ASSERT_EQ(lane[t].silverCout, scalar[t].silverCout);
+  }
+}
+
+/// Replays a fixed draw sequence.
+class ReplayWorkload final : public experiments::Workload {
+ public:
+  explicit ReplayWorkload(std::vector<experiments::Stimulus> draws)
+      : draws_(std::move(draws)) {}
+  [[nodiscard]] experiments::Stimulus next() override {
+    return draws_.at(next_++);
+  }
+  [[nodiscard]] std::string name() const override { return "replay"; }
+
+ private:
+  std::vector<experiments::Stimulus> draws_;
+  std::size_t next_ = 0;
+};
+
+/// Streams `cycles` records of the `kind` workload (seeded `seed`) through
+/// `collector`, built with `streams` interleaved streams, and asserts that
+/// stream l's records (l, S + l, 2S + l, ...) equal the sequential
+/// reference collector over draws l, S + l, 2S + l, ... — its settle
+/// vector first.
+inline void expectStreamsMatchScalar(
+    experiments::TraceCollector& collector,
+    const circuits::SynthesizedDesign& design, std::size_t streams,
+    const std::string& kind, std::uint64_t seed, std::uint64_t cycles) {
+  const auto workload =
+      experiments::makeWorkload(kind, design.config.width, seed);
+  std::vector<experiments::Stimulus> draws(streams + cycles);
+  for (auto& d : draws) d = workload->next();
+  ReplayWorkload replay(draws);
+  predict::Trace streamed;
+  collector.stream(replay, cycles,
+                   [&](std::span<const predict::TraceRecord> window) {
+                     streamed.insert(streamed.end(), window.begin(),
+                                     window.end());
+                   });
+  ASSERT_EQ(streamed.size(), cycles);
+  for (std::size_t l = 0; l < streams; ++l) {
+    SCOPED_TRACE("stream " + std::to_string(l));
+    std::vector<experiments::Stimulus> own;
+    predict::Trace lane;
+    for (std::size_t k = l; k < draws.size(); k += streams) {
+      own.push_back(draws[k]);
+      if (k >= streams) lane.push_back(streamed[k - streams]);
+    }
+    ReplayWorkload ownWorkload(std::move(own));
+    expectTracesEqual(
+        lane, experiments::collectTraceScalar(design, collector.periodNs(),
+                                              ownWorkload, lane.size()));
   }
 }
 

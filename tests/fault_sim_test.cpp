@@ -11,9 +11,13 @@
 #include <random>
 #include <stdexcept>
 
+#include "circuits/multiplier_netlist.h"
 #include "circuits/synthesis.h"
 #include "core/isa_config.h"
+#include "core/isa_multiplier.h"
+#include "core/status.h"
 #include "experiments/fault_scan.h"
+#include "experiments/grid_scheduler.h"
 #include "fault/coverage.h"
 #include "fault/fault_universe.h"
 #include "fault/ppsfp.h"
@@ -462,6 +466,34 @@ TEST(FaultScanTest, SmallDesignScanProducesCoverageAndShift) {
     EXPECT_DOUBLE_EQ(rows2[i].rmsRelJointHealthy, rows[i].rmsRelJointHealthy);
     EXPECT_DOUBLE_EQ(rows2[i].rmsRelJointFaulty, rows[i].rmsRelJointFaulty);
     EXPECT_DOUBLE_EQ(rows2[i].eJointShift, rows[i].eJointShift);
+  }
+}
+
+TEST(FaultScanTest, RejectsDesignsOffTheAdderPortConvention) {
+  // Both phases pack stimuli as a0..aW-1, b0..bW-1, cin: a multiplier
+  // netlist fails its cell with InvalidInput naming the design, up front
+  // and without retries.
+  auto design = oisa::circuits::synthesize(
+      oisa::core::makeIsa(4, 1, 1, 2, 16),
+      oisa::timing::CellLibrary::generic65(), {});
+  design.netlist = oisa::circuits::buildMultiplierNetlist(
+      oisa::core::MultiplierConfig::make(8, 8, 2, 1, 4));
+  design.delays = oisa::timing::DelayAnnotation(
+      design.netlist, oisa::timing::CellLibrary::generic65());
+  oisa::experiments::FaultScanOptions options;
+  options.run.cycles = 64;
+  options.run.threads = 1;
+  options.timedCycles = 64;
+  try {
+    (void)oisa::experiments::runFaultErrorScan({design}, options);
+    FAIL() << "a multiplier netlist was scanned";
+  } catch (const oisa::experiments::GridError& e) {
+    ASSERT_EQ(e.failures().size(), 1u);
+    const oisa::core::Status& status = e.failures()[0].status;
+    EXPECT_EQ(status.code(), oisa::core::StatusCode::InvalidInput);
+    EXPECT_EQ(e.failures()[0].attempts, 1u);
+    EXPECT_NE(status.message().find(design.config.name()), std::string::npos)
+        << status.message();
   }
 }
 

@@ -379,6 +379,44 @@ TEST(FlatBankPersistenceTest, LoadFlatRejectsForeignBanks) {
   std::remove(path.c_str());
 }
 
+TEST(FlatBankPersistenceTest, RepublishingKeepsAMappedReaderServing) {
+  // One process serves a bank mapped from `path` (--model-in) while
+  // another republishes `path` (--model-out) with a smaller bank. The
+  // publish renames a new file over the path, so the reader keeps the old
+  // inode and keeps serving bank A; a truncating rewrite would SIGBUS its
+  // next walk past the new end of file.
+  constexpr std::size_t kFeatures = 10;
+  const FlatForestBank bankA = trainBank(6, kFeatures, 71);
+  const FlatForestBank bankB = trainBank(1, kFeatures, 72);
+  ASSERT_LT(oisa::ml::serializeFlatBank(bankB.view()).size(),
+            oisa::ml::serializeFlatBank(bankA.view()).size());
+  const auto path =
+      (std::filesystem::temp_directory_path() / "flat_bank_republish.ffb")
+          .string();
+  ASSERT_TRUE(oisa::ml::writeFlatBankFile(path, bankA.view()).isOk());
+  auto mappedOr = MappedForestBank::open(path);
+  ASSERT_TRUE(mappedOr.isOk()) << mappedOr.status().toString();
+  const MappedForestBank mapped = std::move(mappedOr).valueOrThrow();
+  EXPECT_TRUE(mapped.mapped());
+
+  ASSERT_TRUE(oisa::ml::writeFlatBankFile(path, bankB.view()).isOk());
+  std::mt19937_64 rng(73);
+  std::vector<std::uint8_t> row(kFeatures);
+  for (int r = 0; r < 64; ++r) {
+    for (auto& f : row) f = static_cast<std::uint8_t>(rng() & 1u);
+    for (std::size_t i = 0; i < bankA.view().forestCount(); ++i) {
+      ASSERT_EQ(FlatForest(mapped.view(), i).probability(row),
+                FlatForest(bankA.view(), i).probability(row))
+          << "row " << r << " forest " << i;
+    }
+  }
+  auto reopened = MappedForestBank::open(path);
+  ASSERT_TRUE(reopened.isOk()) << reopened.status().toString();
+  EXPECT_EQ(reopened.value().view().forestCount(),
+            bankB.view().forestCount());
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // On-disk compatibility fixture. tests/data/flat_bank_w8.ffb is a width-8
 // bank (3 trees per forest, depth 5, seed 5) trained on

@@ -18,10 +18,13 @@
 #include "circuits/multiplier_netlist.h"
 #include "circuits/synthesis.h"
 #include "core/error_model.h"
+#include "core/status.h"
 #include "core/isa_config.h"
 #include "core/isa_multiplier.h"
 #include "experiments/trace_collector.h"
 #include "experiments/workload.h"
+#include "fault/fault_universe.h"
+#include "fault/timed_fault.h"
 #include "netlist/batch_evaluator.h"
 #include "netlist/compiled_netlist.h"
 #include "netlist/gate.h"
@@ -51,6 +54,8 @@ using oisa::timing::TimePs;
 
 constexpr std::size_t kLanes = LaneTimedSimulator::kLanes;
 
+using oisa::testing::expectStreamsMatchScalar;
+using oisa::testing::expectTracesEqual;
 using oisa::testing::randomNetlist;
 using oisa::testing::unitLibrary;
 
@@ -203,23 +208,6 @@ TEST(LaneSimulatorTest, ResetReplaysIdentically) {
 // Lane trace collector vs the sequential reference.
 // ---------------------------------------------------------------------------
 
-void expectTracesEqual(const oisa::predict::Trace& lane,
-                       const oisa::predict::Trace& scalar) {
-  ASSERT_EQ(lane.size(), scalar.size());
-  for (std::size_t t = 0; t < lane.size(); ++t) {
-    SCOPED_TRACE("record " + std::to_string(t));
-    ASSERT_EQ(lane[t].a, scalar[t].a);
-    ASSERT_EQ(lane[t].b, scalar[t].b);
-    ASSERT_EQ(lane[t].carryIn, scalar[t].carryIn);
-    ASSERT_EQ(lane[t].diamond, scalar[t].diamond);
-    ASSERT_EQ(lane[t].diamondCout, scalar[t].diamondCout);
-    ASSERT_EQ(lane[t].gold, scalar[t].gold);
-    ASSERT_EQ(lane[t].goldCout, scalar[t].goldCout);
-    ASSERT_EQ(lane[t].silver, scalar[t].silver);
-    ASSERT_EQ(lane[t].silverCout, scalar[t].silverCout);
-  }
-}
-
 SynthesizedDesign testDesign(int block, int spec, int corr, int red) {
   oisa::circuits::SynthesisOptions options;
   options.relaxSlack = true;
@@ -274,7 +262,7 @@ TEST(LaneTraceCollectorTest, BitIdenticalAtAnyLaneCount) {
     auto wl = oisa::experiments::makeWorkload("uniform", 32, 5);
     return collector.collect(*wl, 300);
   };
-  const auto one = collectAt(1);  // scalar path
+  const auto one = collectAt(1);  // one lane
   expectTracesEqual(collectAt(7), one);
   expectTracesEqual(collectAt(64), one);
 }
@@ -316,7 +304,7 @@ TEST(LaneTraceCollectorTest, MultiWindowRunMatchesScalarReference) {
 
 TEST(LaneTraceCollectorTest, MultiWindowDeepOverclockCarriesWarmUp) {
   // Every window's head chunk warms up on stimuli carried over from the
-  // previous window; one lane runs the scalar fill through the same loop.
+  // previous window, on five lanes and on one.
   const auto design = testDesign(8, 0, 0, 4);
   const double period = design.criticalDelayNs * 0.35;
   const std::uint64_t cycles = multiWindowCycles(5, 37);
@@ -367,7 +355,8 @@ TEST(LaneTraceCollectorTest, StreamedCombinationEqualsCollected) {
                      windows.push_back(window.size());
                      fold(streamed, window);
                    });
-  EXPECT_EQ(windows, (std::vector<std::size_t>{896, 896, 896, 45}));
+  const std::size_t full = 7 * TraceCollector::kWindowSteps;
+  EXPECT_EQ(windows, (std::vector<std::size_t>{full, full, full, 45}));
   EXPECT_EQ(streamed.cycles(), cycles);
   EXPECT_EQ(streamed.skippedRelative(), collected.skippedRelative());
   expectStatsEqual(streamed.arithStruct(), collected.arithStruct());
@@ -377,6 +366,127 @@ TEST(LaneTraceCollectorTest, StreamedCombinationEqualsCollected) {
   expectStatsEqual(streamed.relTiming(), collected.relTiming());
   expectStatsEqual(streamed.relJoint(), collected.relJoint());
   EXPECT_GT(streamed.arithTiming().errorRate(), 0.0);
+}
+
+TEST(LaneTraceCollectorTest, InterleavedStreamsMatchPerStreamReferences) {
+  // Draw kS + l is stream l's k-th stimulus: a 64-stream run is 64
+  // sequential collects over the interleaved draws, whatever its window
+  // and chunk split — fewer cycles than streams, a ragged count, and three
+  // 64-lane windows plus a tail, with and without warm-up.
+  const auto shallow = testDesign(8, 2, 1, 4);
+  const double shallowPeriod =
+      oisa::experiments::overclockedPeriodNs(0.3, 15.0);
+  const auto deep = testDesign(8, 0, 0, 4);
+  const double deepPeriod = deep.criticalDelayNs * 0.35;
+  const std::uint64_t multiWindow = multiWindowCycles(64, 197);
+  struct Case {
+    const SynthesizedDesign* design;
+    double period;
+    const char* kind;
+    std::uint64_t cycles;
+    std::size_t maxLanes;
+  };
+  for (const Case& c : {Case{&shallow, shallowPeriod, "uniform", 10, 0},
+                        Case{&shallow, shallowPeriod, "random-walk", 197, 0},
+                        Case{&shallow, shallowPeriod, "uniform", multiWindow,
+                             64},
+                        Case{&deep, deepPeriod, "uniform", 10, 0},
+                        Case{&deep, deepPeriod, "uniform", 197, 0},
+                        Case{&deep, deepPeriod, "random-walk", multiWindow,
+                             64}}) {
+    SCOPED_TRACE(std::string(c.kind) + ", " + std::to_string(c.cycles) +
+                 " cycles, max lanes " + std::to_string(c.maxLanes));
+    TraceCollector collector(*c.design, c.period, c.maxLanes, 64);
+    if (c.design == &deep) {
+      ASSERT_GE(collector.warmUpCycles(), 1);
+    } else {
+      ASSERT_EQ(collector.warmUpCycles(), 0);
+    }
+    expectStreamsMatchScalar(collector, *c.design, 64, c.kind, 29, c.cycles);
+  }
+}
+
+TEST(LaneTraceCollectorTest, ClampedDefectHoldsInEveryWindow) {
+  // A stem defect clamped once through simulator() must survive the reset
+  // every window starts with: the run split over 64-lane windows equals
+  // the same run at full width, and every window shows the defect.
+  const auto design = testDesign(8, 2, 1, 4);
+  const double period = oisa::experiments::overclockedPeriodNs(0.3, 15.0);
+  const oisa::fault::FaultUniverse universe(
+      CompiledNetlist::compile(design.netlist));
+  std::vector<oisa::fault::Fault> stems;
+  for (const auto& f : universe.collapsed()) {
+    if (f.isStem()) stems.push_back(f);
+  }
+  const auto sample = oisa::fault::selectTimedFaults(stems, 8);
+  ASSERT_EQ(sample.size(), 8u);
+  const std::uint64_t cycles = multiWindowCycles(64, 197);
+  const auto collectAt = [&](std::size_t maxLanes, bool clamp) {
+    TraceCollector collector(design, period, maxLanes, 64);
+    if (clamp) oisa::fault::injectStuckAt(collector.simulator(), sample[4]);
+    auto wl = oisa::experiments::makeWorkload("uniform", 32, 41);
+    return collector.collect(*wl, cycles);
+  };
+  const auto windowed = collectAt(64, true);
+  expectTracesEqual(windowed, collectAt(0, true));
+  const auto healthy = collectAt(0, false);
+  const std::size_t window = 64 * TraceCollector::kWindowSteps;
+  for (std::size_t first = 0; first < cycles; first += window) {
+    const std::size_t end = std::min<std::size_t>(cycles, first + window);
+    std::size_t differ = 0;
+    for (std::size_t t = first; t < end; ++t) {
+      differ += windowed[t].silver != healthy[t].silver ||
+                windowed[t].silverCout != healthy[t].silverCout;
+    }
+    EXPECT_GT(differ, 0u) << "window at record " << first;
+  }
+}
+
+TEST(LaneTraceCollectorTest, Width64DesignMatchesScalarReference) {
+  // A 64-bit adder has no spare row for its carry-out in a 64x64
+  // transpose: the sum words transpose, the carry-out is read from its own
+  // word. Warm-up 0 and 1, one window, and runs across several windows.
+  oisa::circuits::SynthesisOptions options;
+  options.relaxSlack = true;
+  const auto design = oisa::circuits::synthesize(
+      oisa::core::makeIsa(8, 2, 1, 4, 64), CellLibrary::generic65(), options);
+  for (const auto& [fraction, warmUp] :
+       {std::pair{0.6, 0}, std::pair{0.45, 1}}) {
+    const double period = design.criticalDelayNs * fraction;
+    for (const std::uint64_t cycles :
+         {std::uint64_t{5}, std::uint64_t{700}, std::uint64_t{1355}}) {
+      SCOPED_TRACE("warm-up " + std::to_string(warmUp) + ", " +
+                   std::to_string(cycles) + " cycles");
+      TraceCollector collector(design, period, 7);
+      ASSERT_EQ(collector.warmUpCycles(), warmUp);
+      auto scalarWl = oisa::experiments::makeWorkload("uniform", 64, 87);
+      auto laneWl = oisa::experiments::makeWorkload("uniform", 64, 87);
+      expectTracesEqual(collector.collect(*laneWl, cycles),
+                        oisa::experiments::collectTraceScalar(
+                            design, period, *scalarWl, cycles));
+    }
+  }
+}
+
+TEST(LaneTraceCollectorTest, RejectsDesignsOffTheAdderPortConvention) {
+  // A 32-bit adder's config over an 8x8 multiplier netlist (16 inputs, 16
+  // outputs): refused at construction, naming the design and the counts.
+  auto design = testDesign(8, 2, 1, 4);
+  design.netlist = oisa::circuits::buildMultiplierNetlist(
+      oisa::core::MultiplierConfig::make(8, 8, 2, 1, 4));
+  design.delays = DelayAnnotation(design.netlist, CellLibrary::generic65());
+  try {
+    TraceCollector collector(design, 0.3);
+    FAIL() << "a multiplier netlist was accepted";
+  } catch (const oisa::core::StatusError& e) {
+    EXPECT_EQ(e.code(), oisa::core::StatusCode::InvalidInput);
+    const std::string message = e.what();
+    EXPECT_NE(message.find(design.config.name()), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("expected 65 inputs and 33 outputs, got 16 and 16"),
+              std::string::npos)
+        << message;
+  }
 }
 
 TEST(LaneTraceCollectorTest, ReusedCollectorCountsEveryCollect) {

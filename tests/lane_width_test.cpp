@@ -411,6 +411,26 @@ TEST(LaneWidthTest, MultiWindowTraceMatchesScalarAtEveryWidth) {
   }
 }
 
+TEST(LaneWidthTest, InterleavedStreamsMatchPerStreamReferencesAtEveryWidth) {
+  // The fault scan's 64-stream schedule at full width: seven 64-lane
+  // windows at the reference width, two at 256 lanes and one at 512, with
+  // several chunks per stream at the wide widths. Warm-up replays cross
+  // every chunk head.
+  oisa::circuits::SynthesisOptions options;
+  options.relaxSlack = true;
+  const auto design = oisa::circuits::synthesize(
+      oisa::core::makeIsa(8, 0, 0, 4), CellLibrary::generic65(), options);
+  const double periodNs = design.criticalDelayNs * 0.35;
+  for (const LaneSelection sel : oisa::netlist::availableLaneSelections()) {
+    SCOPED_TRACE(oisa::netlist::laneSelectionName(sel));
+    ScopedLaneWidth env(specFor(sel));
+    oisa::experiments::TraceCollector collector(design, periodNs, 0, 64);
+    ASSERT_GE(collector.warmUpCycles(), 1);
+    oisa::testing::expectStreamsMatchScalar(collector, design, 64,
+                                            "random-walk", 607, 24653);
+  }
+}
+
 TEST(LaneWidthTest, RandomCoverageInvariantAcrossWidths) {
   std::mt19937_64 rng(606);
   std::vector<std::shared_ptr<const CompiledNetlist>> compiles;
