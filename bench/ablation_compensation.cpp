@@ -11,7 +11,9 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
   const std::uint64_t samples = args.getU64("samples", 2000000);
@@ -53,4 +55,10 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, args);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oisa::bench::runGuarded([&] { return run(argc, argv); });
 }

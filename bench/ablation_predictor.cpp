@@ -9,7 +9,9 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
 
@@ -57,4 +59,10 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, args);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oisa::bench::runGuarded([&] { return run(argc, argv); });
 }

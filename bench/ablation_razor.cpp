@@ -15,7 +15,9 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
   const std::uint64_t cycles = args.getU64("cycles", 3000);
@@ -74,4 +76,10 @@ int main(int argc, char** argv) {
                "prediction/approximation route keeps the full frequency "
                "gain and accepts the joint error instead.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oisa::bench::runGuarded([&] { return run(argc, argv); });
 }

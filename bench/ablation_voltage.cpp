@@ -10,7 +10,9 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
   const std::uint64_t cycles = args.getU64("cycles", 4000);
@@ -70,4 +72,10 @@ int main(int argc, char** argv) {
                "the exact adder at iso-clock, mirroring the overclocking "
                "result.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oisa::bench::runGuarded([&] { return run(argc, argv); });
 }

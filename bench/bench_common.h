@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -15,6 +14,7 @@
 #include <vector>
 
 #include "circuits/synthesis.h"
+#include "core/file_publish.h"
 #include "core/status.h"
 #include "core/subprocess.h"
 #include "experiments/cli.h"
@@ -324,11 +324,12 @@ class BenchJson {
   }
 
   /// Writes the object to `path` when non-empty (the `--json=path` flag).
-  void writeFile(const std::string& path) const {
-    if (path.empty()) return;
-    std::ofstream os(path);
-    os << str();
+  /// Returns IoError naming the path when the write fails.
+  [[nodiscard]] core::Status writeFile(const std::string& path) const {
+    if (path.empty()) return core::Status::ok();
+    if (core::Status s = core::writeFile(path, str()); !s.isOk()) return s;
     std::cout << "(json written to " << path << ")\n";
+    return core::Status::ok();
   }
 
  private:
@@ -353,13 +354,18 @@ inline void addRunMetadata(BenchJson& json,
 /// Shared epilogue of every speedup microbench (the BENCH_*.json
 /// writers): records the headline `speedup` field plus run metadata,
 /// writes the `--json` artifact when requested, and enforces the
-/// `--min-speedup` CI gate. Returns the process exit code for main().
+/// `--min-speedup` CI gate. Returns the process exit code for main():
+/// EXIT_FAILURE when the artifact cannot be written or the gate fails.
 inline int finishSpeedupBench(BenchJson& json,
                               const experiments::ArgParser& args,
                               double speedup, double minSpeedup) {
   json.add("speedup", speedup);
   addRunMetadata(json, args);
-  json.writeFile(args.getString("json", ""));
+  if (const core::Status s = json.writeFile(args.getString("json", ""));
+      !s.isOk()) {
+    std::cerr << "error: " << s.toString() << '\n';
+    return EXIT_FAILURE;
+  }
   if (minSpeedup > 0.0 && speedup < minSpeedup) {
     std::cerr << "FAIL: speedup " << speedup << "x below required "
               << minSpeedup << "x\n";

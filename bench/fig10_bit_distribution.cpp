@@ -12,7 +12,9 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
   const auto obsCtx = bench::beginObs(args);
@@ -54,4 +56,10 @@ int main(int argc, char** argv) {
   bench::emit(table, args);
   bench::writeObsArtifacts(obsCtx, bench::ShardContext{});
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oisa::bench::runGuarded([&] { return run(argc, argv); });
 }

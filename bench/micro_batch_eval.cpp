@@ -18,7 +18,7 @@
 #include "core/isa_config.h"
 #include "experiments/cli.h"
 #include "netlist/batch_evaluator.h"
-#include "netlist/evaluator.h"
+#include "reference/evaluator.h"
 
 #include "bench_common.h"
 

@@ -25,8 +25,8 @@
 #include "fault/coverage.h"
 #include "fault/fault_universe.h"
 #include "fault/ppsfp.h"
-#include "fault/serial_fault_sim.h"
 #include "netlist/compiled_netlist.h"
+#include "reference/serial_fault_sim.h"
 #include "timing/cell_library.h"
 
 #include "bench_common.h"

@@ -20,6 +20,7 @@
 #include "experiments/cli.h"
 #include "experiments/trace_collector.h"
 #include "experiments/workload.h"
+#include "reference/scalar_collector.h"
 #include "timing/cell_library.h"
 
 #include "bench_common.h"

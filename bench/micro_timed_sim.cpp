@@ -22,8 +22,8 @@
 #include "circuits/isa_netlist.h"
 #include "core/isa_config.h"
 #include "experiments/cli.h"
+#include "reference/heap_sim.h"
 #include "timing/event_sim.h"
-#include "timing/heap_sim.h"
 #include "timing/sta.h"
 
 #include "bench_common.h"

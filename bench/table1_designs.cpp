@@ -6,7 +6,9 @@
 // Usage: table1_designs [--relax] [--csv=path]
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
   const auto designs = bench::synthesizeAll(args);
@@ -26,4 +28,10 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, args);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oisa::bench::runGuarded([&] { return run(argc, argv); });
 }

@@ -16,7 +16,9 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
   const auto lib = timing::CellLibrary::generic65();
@@ -80,4 +82,10 @@ int main(int argc, char** argv) {
     top.print(std::cout);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oisa::bench::runGuarded([&] { return run(argc, argv); });
 }

@@ -14,7 +14,6 @@
 #include "fault/coverage.h"
 #include "fault/fault_universe.h"
 #include "fault/ppsfp.h"
-#include "fault/serial_fault_sim.h"
 #include "fault/timed_fault.h"
 #include "netlist/bench_io.h"
 #include "netlist/compiled_netlist.h"

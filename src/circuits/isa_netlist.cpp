@@ -11,15 +11,15 @@ namespace oisa::circuits {
 using netlist::Netlist;
 using netlist::NetId;
 
+namespace {
+
+/// Instantiates the ISA (or exact) adder of a validated `cfg` over the
+/// cfg.width-bit operand nets `a`, `b` inside `nl` and returns the
+/// sum/carry nets.
 AdderPorts buildIsaCore(Netlist& nl, const core::IsaConfig& cfg,
                         std::span<const NetId> a, std::span<const NetId> b,
                         std::optional<NetId> carryIn,
                         const IsaBuildOptions& options) {
-  cfg.validate();
-  if (a.size() != static_cast<std::size_t>(cfg.width) ||
-      b.size() != static_cast<std::size_t>(cfg.width)) {
-    throw std::invalid_argument("buildIsaCore: operand width mismatch");
-  }
   if (cfg.exact) {
     return buildAdder(nl, a, b, carryIn, options.subAdderTopology);
   }
@@ -107,6 +107,8 @@ AdderPorts buildIsaCore(Netlist& nl, const core::IsaConfig& cfg,
     return result;
   }
 }
+
+}  // namespace
 
 netlist::Netlist buildIsaNetlist(const core::IsaConfig& cfg,
                                  const IsaBuildOptions& options) {

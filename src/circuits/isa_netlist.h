@@ -30,17 +30,6 @@ struct IsaBuildOptions {
 [[nodiscard]] netlist::Netlist buildIsaNetlist(
     const core::IsaConfig& cfg, const IsaBuildOptions& options = {});
 
-/// Embeddable form: instantiates the ISA (or exact) adder of `cfg` over
-/// existing operand nets inside `nl` and returns the sum/carry nets. Used
-/// by buildIsaNetlist and by larger datapaths (e.g. the approximate
-/// multiplier) that contain ISA adders as components.
-[[nodiscard]] AdderPorts buildIsaCore(netlist::Netlist& nl,
-                                      const core::IsaConfig& cfg,
-                                      std::span<const netlist::NetId> a,
-                                      std::span<const netlist::NetId> b,
-                                      std::optional<netlist::NetId> carryIn,
-                                      const IsaBuildOptions& options = {});
-
 /// Packs (a, b, cin) into the primary-input vector of a generated netlist.
 [[nodiscard]] std::vector<std::uint8_t> packOperands(std::uint64_t a,
                                                      std::uint64_t b,

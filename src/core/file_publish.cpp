@@ -15,8 +15,9 @@ namespace oisa::core {
 
 namespace {
 
-/// Writes `bytes` to `path` and fsyncs it.
-Status writeFileSynced(const std::string& path, std::string_view bytes) {
+/// Writes `bytes` to `path` in place, fsyncing it first when `sync`.
+Status writeBytes(const std::string& path, std::string_view bytes,
+                  [[maybe_unused]] bool sync) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     return Status::ioError("open '" + path + "': " + std::strerror(errno));
@@ -30,7 +31,7 @@ Status writeFileSynced(const std::string& path, std::string_view bytes) {
     status = Status::ioError("flush '" + path + "': " + std::strerror(errno));
   }
 #ifndef _WIN32
-  if (status.isOk() && ::fsync(::fileno(f)) != 0) {
+  if (sync && status.isOk() && ::fsync(::fileno(f)) != 0) {
     status = Status::ioError("fsync '" + path + "': " + std::strerror(errno));
   }
 #endif
@@ -63,7 +64,7 @@ Status publishFile(const std::string& path, std::string_view bytes) {
     return Status::ioError("open '" + path + "': fault injected");
   }
   const std::string tmp = path + ".tmp";
-  if (Status s = writeFileSynced(tmp, bytes); !s.isOk()) return s;
+  if (Status s = writeBytes(tmp, bytes, true); !s.isOk()) return s;
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     const Status s = Status::ioError("rename '" + tmp + "' -> '" + path +
                                      "': " + std::strerror(errno));
@@ -74,6 +75,10 @@ Status publishFile(const std::string& path, std::string_view bytes) {
   syncParentDir(path);
 #endif
   return Status::ok();
+}
+
+Status writeFile(const std::string& path, std::string_view bytes) {
+  return writeBytes(path, bytes, false);
 }
 
 }  // namespace oisa::core

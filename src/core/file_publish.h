@@ -6,6 +6,10 @@
 // fsyncing the directory. A reader keeps the old inode and keeps reading
 // the old bytes; a crash leaves either the old or the new file at `path`,
 // never a truncated one.
+//
+// Outputs nobody reads while they are written — a figure CSV, a bench
+// JSON — go through writeFile instead: it writes in place, so a target
+// like /dev/stdout stays a stream, and it still fails loudly.
 #pragma once
 
 #include <string>
@@ -20,5 +24,10 @@ namespace oisa::core {
 /// site fails the publish before the filesystem is touched.
 [[nodiscard]] Status publishFile(const std::string& path,
                                  std::string_view bytes);
+
+/// Writes `bytes` to `path` in place (truncating it). Returns IoError
+/// naming the failing step (open, write, flush or close) and the path.
+[[nodiscard]] Status writeFile(const std::string& path,
+                               std::string_view bytes);
 
 }  // namespace oisa::core

@@ -5,8 +5,7 @@
 // models that integration: a WxW -> 2W array multiplier whose partial
 // products are accumulated by a 2W-bit ISA adder per row, so every
 // structural approximation of the adder configuration propagates into the
-// product. The gate-level twin lives in oisa_circuits and is cross-checked
-// for bit-exactness.
+// product. It is a behavioral model (examples/approx_multiplier).
 #pragma once
 
 #include <cstdint>

@@ -6,9 +6,9 @@
 // recompute, an IoError is retryable, an InvalidInput is a caller bug and
 // must surface immediately, a Deadline aborts cleanly with partial
 // results. Status/StatusOr carry that taxonomy across the recoverable
-// boundaries — file import (bench/verilog), model (de)serialization,
-// checkpoint load, CLI parsing — while plain exceptions remain reserved
-// for internal invariant violations.
+// boundaries — .bench import, model (de)serialization, checkpoint load,
+// output file writes, CLI parsing — while plain exceptions remain
+// reserved for internal invariant violations.
 #pragma once
 
 #include <optional>

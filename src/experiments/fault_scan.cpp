@@ -119,9 +119,9 @@ std::vector<FaultScanRow> runFaultErrorScan(
     row.periodNs =
         overclockedPeriodNs(options.run.signOffPeriodNs, options.cprPercent);
     // The timed phase's healthy baseline runs first: its collector
-    // rejects a design off the adder port convention (e.g. a multiplier
-    // ISA) with InvalidInput before the coverage phase packs stimuli that
-    // assume it.
+    // rejects a design off the adder port convention (e.g. an imported
+    // benchmark netlist) with InvalidInput before the coverage phase packs
+    // stimuli that assume it.
     row.rmsRelJointHealthy =
         measureTimedRelJoint(design, row.periodNs, nullptr, options);
     const int width = design.config.width;

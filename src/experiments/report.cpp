@@ -1,11 +1,13 @@
 #include "experiments/report.h"
 
 #include <algorithm>
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "core/file_publish.h"
+#include "core/status.h"
 
 namespace oisa::experiments {
 
@@ -56,11 +58,9 @@ void Table::writeCsv(std::ostream& os) const {
 }
 
 void Table::writeCsvFile(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) {
-    throw std::runtime_error("Table::writeCsvFile: cannot open " + path);
-  }
+  std::ostringstream os;
   writeCsv(os);
+  core::throwIfError(core::writeFile(path, os.str()));
 }
 
 std::string formatSci(double v, int precision) {

@@ -20,7 +20,9 @@ class Table {
   /// RFC-ish CSV (no quoting needed for our numeric content).
   void writeCsv(std::ostream& os) const;
 
-  /// Writes the CSV to a file path; throws on I/O failure.
+  /// Writes the CSV to `path` in place (core::writeFile); throws
+  /// core::StatusError(IoError) naming the path when open, write, flush
+  /// or close fails.
   void writeCsvFile(const std::string& path) const;
 
   [[nodiscard]] std::size_t rowCount() const noexcept { return rows_.size(); }

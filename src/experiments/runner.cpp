@@ -1,7 +1,6 @@
 #include "experiments/runner.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -13,8 +12,6 @@
 #include "core/isa_adder.h"
 #include "experiments/grid_scheduler.h"
 #include "experiments/trace_collector.h"
-#include "netlist/batch_evaluator.h"
-#include "netlist/bitops.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -381,77 +378,6 @@ BitDistributionResult runBitDistribution(
   }
   result.timingRate = timing.rates();
   return result;
-}
-
-std::vector<FunctionalScanRow> runFunctionalErrorScan(
-    const std::vector<circuits::SynthesizedDesign>& designs,
-    const RunOptions& options) {
-  constexpr std::size_t kLanes = netlist::BatchEvaluator::kLanes;
-  std::vector<FunctionalScanRow> rows(designs.size());
-  runCampaignGrid(designs.size(), options, [&](std::size_t d) {
-    const circuits::SynthesizedDesign& design = designs[d];
-    const int width = design.config.width;
-    const core::IsaAdder behavioral(design.config);
-    const netlist::BatchEvaluator eval(design.netlist);
-    auto workload = workloadFor(options, width, 0);
-
-    // Port convention (circuits::buildIsaNetlist): inputs a0..aN-1,
-    // b0..bN-1, cin; outputs s0..sN-1, cout.
-    const std::size_t inputCount = design.netlist.primaryInputs().size();
-    std::vector<std::uint64_t> inWords(inputCount, 0);
-    std::vector<std::uint64_t> values;
-    std::array<std::uint64_t, kLanes> sM{};
-    std::array<Stimulus, kLanes> stims{};
-
-    FunctionalScanRow row;
-    row.design = design.config.name();
-    core::ErrorStats arith;
-    core::ErrorStats rel;
-    const auto pos = design.netlist.primaryOutputs();
-
-    std::uint64_t remaining = options.cycles;
-    while (remaining > 0) {
-      const std::size_t lanes =
-          static_cast<std::size_t>(std::min<std::uint64_t>(kLanes, remaining));
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        stims[lane] = workload->next();
-      }
-      packStimulusBlock(std::span(stims.data(), lanes), width, inWords);
-
-      eval.evaluateInto(inWords, values);
-      for (int i = 0; i < width; ++i) {
-        sM[static_cast<std::size_t>(i)] =
-            values[pos[static_cast<std::size_t>(i)].value];
-      }
-      std::fill(sM.begin() + width, sM.end(), 0);
-      const std::uint64_t coutWord =
-          values[pos[static_cast<std::size_t>(width)].value];
-      netlist::transpose64(sM);
-
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        const Stimulus& s = stims[lane];
-        std::uint64_t silver = sM[lane];
-        if (width < 64 && ((coutWord >> lane) & 1u) != 0) {
-          silver |= std::uint64_t{1} << width;
-        }
-        const std::uint64_t gold =
-            behavioral.add(s.a, s.b, s.carryIn).value(width);
-        const std::uint64_t diamond =
-            behavioral.exactAdd(s.a, s.b, s.carryIn).value(width);
-        if (silver != gold) row.matchesBehavioral = false;
-        const double err = core::signedErrorAsDouble(silver, diamond);
-        arith.add(err);
-        if (diamond != 0) rel.add(err / static_cast<double>(diamond));
-      }
-      remaining -= lanes;
-    }
-    row.samples = arith.count();
-    row.structErrorRate = arith.errorRate();
-    row.rmsRelStruct = rel.rms();
-    row.meanStruct = arith.mean();
-    rows[d] = std::move(row);
-  });
-  return rows;
 }
 
 }  // namespace oisa::experiments

@@ -123,28 +123,6 @@ struct BitDistributionResult {
     const circuits::SynthesizedDesign& design, double cprPercent,
     const RunOptions& options);
 
-/// One design row of the functional (zero-delay) structural-error scan.
-struct FunctionalScanRow {
-  std::string design;
-  std::uint64_t samples = 0;
-  double structErrorRate = 0.0;  ///< P(E_struct != 0), gate level
-  double rmsRelStruct = 0.0;     ///< RMS of E_struct / y_diamond
-  double meanStruct = 0.0;       ///< mean signed E_struct
-  /// Netlist output == behavioral y_gold on every sample (golden-model
-  /// cross-check riding along with the scan for free).
-  bool matchesBehavioral = true;
-};
-
-/// Gate-level structural-error characterization with no timing involved:
-/// drives each design's synthesized netlist with the workload through the
-/// word-parallel BatchEvaluator, 64 stimuli per topological sweep. This is
-/// the default engine for structural-only metrics — per-pattern netlist
-/// evaluation is reserved for the timed (overclocked) pipelines above,
-/// where event ordering matters.
-[[nodiscard]] std::vector<FunctionalScanRow> runFunctionalErrorScan(
-    const std::vector<circuits::SynthesizedDesign>& designs,
-    const RunOptions& options);
-
 /// Fans task(0..count-1) across a GridScheduler pool sized to the owned
 /// cells, applying the RunOptions failure policy (retry/backoff,
 /// deadline), shard-slice filtering, and progress/heartbeat monitoring.

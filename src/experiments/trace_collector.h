@@ -33,8 +33,8 @@
 // chunk does. A net force clamped through simulator() survives the
 // per-window reset, so a defective design replays just as exactly.
 // tests/lane_sim_test.cpp asserts record-for-record equality against the
-// retained scalar reference (collectTraceScalar, one call per stream) on
-// runs spanning several windows, tests/lane_width_test.cpp re-asserts it
+// sequential reference collector (collectTraceScalar in oisa_reference,
+// one call per stream) on runs spanning several windows, tests/lane_width_test.cpp re-asserts it
 // at every available width, and bench/micro_lane_sim.cpp re-proves it
 // before gating the speedup.
 #pragma once
@@ -176,13 +176,5 @@ class TraceCollector {
                                                    Workload& workload,
                                                    std::uint64_t cycles,
                                                    int width);
-
-/// The retained sequential reference collector (the seed path): one
-/// scalar wheel-engine cycle per stimulus. Differential tests and
-/// micro_lane_sim compare the lane collector against this record for
-/// record.
-[[nodiscard]] predict::Trace collectTraceScalar(
-    const circuits::SynthesizedDesign& design, double periodNs,
-    Workload& workload, std::uint64_t cycles);
 
 }  // namespace oisa::experiments

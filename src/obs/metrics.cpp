@@ -4,6 +4,8 @@
 #include <memory>
 #include <mutex>
 
+#include "core/file_publish.h"
+
 namespace oisa::obs {
 
 namespace detail {
@@ -206,17 +208,7 @@ core::Status writeMetricsJson(const std::string& path,
                               const std::map<std::string, std::string>& meta,
                               const std::map<std::string, std::uint64_t>* fleet) {
   const std::string doc = metricsJson(snapshotMetrics(), meta, fleet);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return core::Status::ioError("metrics: cannot open '" + path +
-                                 "' for writing");
-  }
-  const std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  if (written != doc.size() || !closed) {
-    return core::Status::ioError("metrics: short write to '" + path + "'");
-  }
-  return core::Status::ok();
+  return core::writeFile(path, doc);
 }
 
 }  // namespace oisa::obs

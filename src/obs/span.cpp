@@ -4,11 +4,11 @@
 
 #include <bit>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <mutex>
 #include <vector>
 
+#include "core/file_publish.h"
 #include "obs/metrics.h"
 
 namespace oisa::obs {
@@ -244,17 +244,7 @@ std::string drainTraceJson() {
 
 core::Status writeTraceJson(const std::string& path) {
   const std::string doc = drainTraceJson();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return core::Status::ioError("trace: cannot open '" + path +
-                                 "' for writing");
-  }
-  const std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  if (written != doc.size() || !closed) {
-    return core::Status::ioError("trace: short write to '" + path + "'");
-  }
-  return core::Status::ok();
+  return core::writeFile(path, doc);
 }
 
 }  // namespace oisa::obs

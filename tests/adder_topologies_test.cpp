@@ -6,7 +6,7 @@
 #include <tuple>
 
 #include "circuits/adder_topologies.h"
-#include "netlist/evaluator.h"
+#include "reference/evaluator.h"
 
 namespace {
 

@@ -1,7 +1,6 @@
 // Word-parallel batch evaluation: lane-for-lane equivalence against the
 // scalar Evaluator on every adder topology and ISA design, the 64x64 bit
-// transpose, the pattern-major packing edge cases, and the batch-backed
-// functional error scan pipeline.
+// transpose, and the pattern-major packing edge cases.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,13 +9,9 @@
 
 #include "circuits/adder_topologies.h"
 #include "circuits/isa_netlist.h"
-#include "circuits/synthesis.h"
-#include "core/analysis.h"
-#include "experiments/runner.h"
 #include "netlist/batch_evaluator.h"
 #include "netlist/bitops.h"
-#include "netlist/evaluator.h"
-#include "timing/cell_library.h"
+#include "reference/evaluator.h"
 
 namespace {
 
@@ -178,32 +173,6 @@ TEST(BatchEvaluatorTest, RejectsBadShapes) {
   EXPECT_THROW((void)wideBatch.evaluateWords(one), std::invalid_argument);
   const std::vector<std::uint64_t> zeros(wide.primaryInputs().size(), 0);
   EXPECT_NO_THROW((void)wideBatch.evaluateOutputs(zeros));
-}
-
-TEST(FunctionalErrorScanTest, MatchesBehavioralModelAndClosedForms) {
-  const auto lib = oisa::timing::CellLibrary::generic65();
-  std::vector<oisa::circuits::SynthesizedDesign> designs;
-  designs.push_back(oisa::circuits::synthesize(oisa::core::makeIsa(8, 0, 0, 0), lib));
-  designs.push_back(oisa::circuits::synthesize(oisa::core::makeIsa(8, 2, 1, 4), lib));
-  designs.push_back(oisa::circuits::synthesize(oisa::core::makeExact(32), lib));
-
-  oisa::experiments::RunOptions options;
-  options.cycles = 20000;
-  options.threads = 1;
-  const auto rows = oisa::experiments::runFunctionalErrorScan(designs, options);
-  ASSERT_EQ(rows.size(), designs.size());
-  for (const auto& row : rows) {
-    EXPECT_EQ(row.samples, options.cycles) << row.design;
-    // The scan's golden-model cross-check: gate-level functional output
-    // must equal the behavioral y_gold on every sample.
-    EXPECT_TRUE(row.matchesBehavioral) << row.design;
-  }
-  // The exact design never errs; the speculative ones track the closed form.
-  EXPECT_EQ(rows[2].structErrorRate, 0.0);
-  const double predicted =
-      oisa::core::structuralErrorRateApprox(designs[0].config);
-  EXPECT_NEAR(rows[0].structErrorRate, predicted, 0.1 * predicted + 0.01);
-  EXPECT_GT(rows[0].structErrorRate, rows[1].structErrorRate);
 }
 
 }  // namespace

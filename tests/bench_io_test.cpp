@@ -6,9 +6,9 @@
 #include <stdexcept>
 
 #include "netlist/bench_io.h"
-#include "netlist/evaluator.h"
 #include "netlist/gate.h"
 #include "netlist/netlist.h"
+#include "reference/evaluator.h"
 
 namespace {
 

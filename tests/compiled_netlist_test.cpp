@@ -7,9 +7,9 @@
 
 #include "netlist/batch_evaluator.h"
 #include "netlist/compiled_netlist.h"
-#include "netlist/evaluator.h"
 #include "netlist/gate.h"
 #include "netlist/netlist.h"
+#include "reference/evaluator.h"
 
 namespace {
 

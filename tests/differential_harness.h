@@ -34,6 +34,7 @@
 #include "netlist/lane_width.h"
 #include "netlist/netlist.h"
 #include "predict/trace.h"
+#include "reference/scalar_collector.h"
 #include "timing/cell_library.h"
 #include "timing/delay_annotation.h"
 #include "timing/lane_dispatch.h"

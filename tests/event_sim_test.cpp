@@ -7,7 +7,7 @@
 
 #include "circuits/isa_netlist.h"
 #include "core/isa_adder.h"
-#include "netlist/evaluator.h"
+#include "reference/evaluator.h"
 #include "timing/cell_library.h"
 #include "timing/event_sim.h"
 #include "timing/sta.h"

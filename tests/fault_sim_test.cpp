@@ -11,21 +11,19 @@
 #include <random>
 #include <stdexcept>
 
-#include "circuits/multiplier_netlist.h"
 #include "circuits/synthesis.h"
 #include "core/isa_config.h"
-#include "core/isa_multiplier.h"
 #include "core/status.h"
 #include "experiments/fault_scan.h"
 #include "experiments/grid_scheduler.h"
 #include "fault/coverage.h"
 #include "fault/fault_universe.h"
 #include "fault/ppsfp.h"
-#include "fault/serial_fault_sim.h"
 #include "fault/timed_fault.h"
 #include "netlist/bench_io.h"
 #include "netlist/compiled_netlist.h"
 #include "netlist/gate.h"
+#include "reference/serial_fault_sim.h"
 #include "timing/cell_library.h"
 #include "timing/delay_annotation.h"
 #include "timing/lane_sim.h"
@@ -470,14 +468,13 @@ TEST(FaultScanTest, SmallDesignScanProducesCoverageAndShift) {
 }
 
 TEST(FaultScanTest, RejectsDesignsOffTheAdderPortConvention) {
-  // Both phases pack stimuli as a0..aW-1, b0..bW-1, cin: a multiplier
-  // netlist fails its cell with InvalidInput naming the design, up front
-  // and without retries.
+  // Both phases pack stimuli as a0..aW-1, b0..bW-1, cin: the c17 netlist
+  // (5 inputs, 2 outputs) fails its cell with InvalidInput naming the
+  // design and the counts, up front and without retries.
   auto design = oisa::circuits::synthesize(
       oisa::core::makeIsa(4, 1, 1, 2, 16),
       oisa::timing::CellLibrary::generic65(), {});
-  design.netlist = oisa::circuits::buildMultiplierNetlist(
-      oisa::core::MultiplierConfig::make(8, 8, 2, 1, 4));
+  design.netlist = oisa::netlist::readBenchString(kC17, "c17");
   design.delays = oisa::timing::DelayAnnotation(
       design.netlist, oisa::timing::CellLibrary::generic65());
   oisa::experiments::FaultScanOptions options;
@@ -486,13 +483,15 @@ TEST(FaultScanTest, RejectsDesignsOffTheAdderPortConvention) {
   options.timedCycles = 64;
   try {
     (void)oisa::experiments::runFaultErrorScan({design}, options);
-    FAIL() << "a multiplier netlist was scanned";
+    FAIL() << "the c17 netlist was scanned";
   } catch (const oisa::experiments::GridError& e) {
     ASSERT_EQ(e.failures().size(), 1u);
     const oisa::core::Status& status = e.failures()[0].status;
     EXPECT_EQ(status.code(), oisa::core::StatusCode::InvalidInput);
     EXPECT_EQ(e.failures()[0].attempts, 1u);
     EXPECT_NE(status.message().find(design.config.name()), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("got 5 and 2"), std::string::npos)
         << status.message();
   }
 }

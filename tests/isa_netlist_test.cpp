@@ -11,7 +11,7 @@
 #include "circuits/isa_netlist.h"
 #include "circuits/speculator.h"
 #include "core/isa_adder.h"
-#include "netlist/evaluator.h"
+#include "reference/evaluator.h"
 
 namespace {
 

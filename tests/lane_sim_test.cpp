@@ -2,8 +2,8 @@
 // the lane-parallel trace collector against their scalar references. The
 // lane engine must match 64 independent scalar TimedSimulator runs
 // bit-exactly — per-cycle sampled outputs, settle behavior, final net
-// state — on random netlists, all twelve paper design points and the
-// multiplier ISA; the lane TraceCollector must reproduce the sequential
+// state — on random netlists, all twelve paper design points and a deep
+// ripple-carry chain; the lane TraceCollector must reproduce the sequential
 // collector record for record at any lane count, including deep
 // overclocks that need chunk warm-up cycles. Also covers the shared
 // CompiledNetlist substrate and the bounded-event-budget guard against
@@ -14,21 +14,22 @@
 #include <random>
 #include <stdexcept>
 
+#include "circuits/adder_topologies.h"
 #include "circuits/isa_netlist.h"
-#include "circuits/multiplier_netlist.h"
 #include "circuits/synthesis.h"
 #include "core/error_model.h"
 #include "core/status.h"
 #include "core/isa_config.h"
-#include "core/isa_multiplier.h"
 #include "experiments/trace_collector.h"
 #include "experiments/workload.h"
 #include "fault/fault_universe.h"
 #include "fault/timed_fault.h"
 #include "netlist/batch_evaluator.h"
+#include "netlist/bench_io.h"
 #include "netlist/compiled_netlist.h"
 #include "netlist/gate.h"
 #include "obs/metrics.h"
+#include "reference/scalar_collector.h"
 #include "timing/cell_library.h"
 #include "timing/delay_annotation.h"
 #include "timing/event_sim.h"
@@ -160,12 +161,22 @@ TEST(LaneSimulatorTest, ExactAgreementOnAllPaperDesigns) {
   }
 }
 
-TEST(LaneSimulatorTest, ExactAgreementOnMultiplierIsa) {
-  // The multiplier ISA datapath: 8x8 array multiplier whose row adders are
-  // 16-bit speculative ISAs — a different port convention and much deeper
-  // logic than the adder designs.
-  const auto cfg = oisa::core::MultiplierConfig::make(8, 8, 2, 1, 4);
-  const Netlist nl = oisa::circuits::buildMultiplierNetlist(cfg);
+TEST(LaneSimulatorTest, ExactAgreementOnDeepRippleChain) {
+  // A 66-bit ripple-carry adder: one carry chain far deeper than any paper
+  // design, over more than 64 inputs and outputs.
+  constexpr int kWidth = 66;
+  Netlist nl("ripple66");
+  std::vector<NetId> a;
+  std::vector<NetId> b;
+  for (int i = 0; i < kWidth; ++i) a.push_back(nl.input("a" + std::to_string(i)));
+  for (int i = 0; i < kWidth; ++i) b.push_back(nl.input("b" + std::to_string(i)));
+  const NetId cin = nl.input("cin");
+  const auto ports = oisa::circuits::buildAdder(
+      nl, a, b, cin, oisa::circuits::AdderTopology::RippleCarry);
+  for (int i = 0; i < kWidth; ++i) {
+    nl.output("s" + std::to_string(i), ports.sum[static_cast<std::size_t>(i)]);
+  }
+  nl.output("cout", ports.carryOut);
   const DelayAnnotation delays(nl, CellLibrary::generic65());
   const double critical = criticalDelayNs(nl, delays);
   for (const double frac : {0.5, 0.85}) {
@@ -469,21 +480,20 @@ TEST(LaneTraceCollectorTest, Width64DesignMatchesScalarReference) {
 }
 
 TEST(LaneTraceCollectorTest, RejectsDesignsOffTheAdderPortConvention) {
-  // A 32-bit adder's config over an 8x8 multiplier netlist (16 inputs, 16
-  // outputs): refused at construction, naming the design and the counts.
+  // A 32-bit adder's config over the c17 netlist (5 inputs, 2 outputs):
+  // refused at construction, naming the design and the counts.
   auto design = testDesign(8, 2, 1, 4);
-  design.netlist = oisa::circuits::buildMultiplierNetlist(
-      oisa::core::MultiplierConfig::make(8, 8, 2, 1, 4));
+  design.netlist = oisa::netlist::readBenchString(oisa::testing::kC17, "c17");
   design.delays = DelayAnnotation(design.netlist, CellLibrary::generic65());
   try {
     TraceCollector collector(design, 0.3);
-    FAIL() << "a multiplier netlist was accepted";
+    FAIL() << "the c17 netlist was accepted";
   } catch (const oisa::core::StatusError& e) {
     EXPECT_EQ(e.code(), oisa::core::StatusCode::InvalidInput);
     const std::string message = e.what();
     EXPECT_NE(message.find(design.config.name()), std::string::npos)
         << message;
-    EXPECT_NE(message.find("expected 65 inputs and 33 outputs, got 16 and 16"),
+    EXPECT_NE(message.find("expected 65 inputs and 33 outputs, got 5 and 2"),
               std::string::npos)
         << message;
   }

@@ -30,6 +30,7 @@
 #include "netlist/bench_io.h"
 #include "netlist/compiled_netlist.h"
 #include "netlist/lane_width.h"
+#include "reference/scalar_collector.h"
 #include "timing/cell_library.h"
 #include "timing/delay_annotation.h"
 #include "timing/lane_dispatch.h"

@@ -1,22 +1,15 @@
 // ISA-based approximate multiplier tests: behavioral semantics, exactness
-// with exact row adders, netlist/behavioral equivalence, and error scaling
-// with the adder configuration.
+// with exact row adders, and error scaling with the adder configuration.
 #include <gtest/gtest.h>
 
 #include <random>
 
-#include "circuits/multiplier_netlist.h"
 #include "core/isa_multiplier.h"
-#include "netlist/evaluator.h"
 
 namespace {
 
-using oisa::circuits::buildMultiplierNetlist;
-using oisa::circuits::packMultiplierOperands;
-using oisa::circuits::unpackProduct;
 using oisa::core::IsaMultiplier;
 using oisa::core::MultiplierConfig;
-using oisa::netlist::Evaluator;
 
 TEST(MultiplierConfigTest, ValidatesAdderWidth) {
   MultiplierConfig bad;
@@ -88,73 +81,6 @@ TEST(MultiplierTest, CoarserAdderGivesLargerErrors) {
   }
   EXPECT_GT(meanCoarse, meanBalanced);
   EXPECT_GT(meanBalanced, meanFine);
-}
-
-class MultiplierEquivalenceTest
-    : public ::testing::TestWithParam<oisa::core::IsaConfig> {};
-
-TEST_P(MultiplierEquivalenceTest, NetlistMatchesBehavioralModel) {
-  const oisa::core::IsaConfig rowCfg = GetParam();
-  MultiplierConfig cfg;
-  cfg.width = 8;
-  cfg.adder = rowCfg;
-  cfg.adder.width = 16;
-  if (!cfg.adder.exact && 16 % cfg.adder.block != 0) {
-    GTEST_SKIP() << "block does not divide 2W";
-  }
-  cfg.validate();
-
-  const IsaMultiplier behavioral(cfg);
-  const auto nl = buildMultiplierNetlist(cfg);
-  const Evaluator eval(nl);
-
-  std::mt19937_64 rng(13);
-  for (int i = 0; i < 400; ++i) {
-    const std::uint64_t a = rng() & 0xffu;
-    const std::uint64_t b = rng() & 0xffu;
-    const auto out =
-        eval.evaluateOutputs(packMultiplierOperands(a, b, 8));
-    EXPECT_EQ(unpackProduct(out, 8), behavioral.multiply(a, b))
-        << rowCfg.name() << " a=" << a << " b=" << b;
-  }
-  // Corner vectors.
-  for (const std::uint64_t a : {0ull, 1ull, 0xffull, 0xaaull, 0x55ull}) {
-    for (const std::uint64_t b : {0ull, 1ull, 0xffull, 0x80ull}) {
-      const auto out =
-          eval.evaluateOutputs(packMultiplierOperands(a, b, 8));
-      EXPECT_EQ(unpackProduct(out, 8), behavioral.multiply(a, b));
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    RowAdders, MultiplierEquivalenceTest,
-    ::testing::Values(oisa::core::makeExact(16),
-                      oisa::core::makeIsa(8, 0, 0, 0, 16),
-                      oisa::core::makeIsa(8, 0, 0, 4, 16),
-                      oisa::core::makeIsa(8, 2, 1, 4, 16),
-                      oisa::core::makeIsa(4, 2, 1, 2, 16)),
-    [](const auto& info) {
-      std::string name;
-      for (char ch : info.param.name()) {
-        if (std::isalnum(static_cast<unsigned char>(ch))) name += ch;
-        if (ch == ',') name += '_';
-      }
-      return name;
-    });
-
-TEST(MultiplierNetlistTest, ProductPortConvention) {
-  const auto cfg = MultiplierConfig::make(8, 8, 0, 0, 4);
-  const auto nl = buildMultiplierNetlist(cfg);
-  EXPECT_EQ(nl.primaryInputs().size(), 16u);
-  EXPECT_EQ(nl.primaryOutputs().size(), 16u);
-  EXPECT_EQ(nl.outputName(0), "p0");
-  EXPECT_EQ(nl.outputName(15), "p15");
-}
-
-TEST(MultiplierNetlistTest, UnpackRejectsShortVector) {
-  const std::vector<std::uint8_t> tooShort(3, 0);
-  EXPECT_THROW((void)unpackProduct(tooShort, 8), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // Unit tests for the gate-level IR: construction, invariants, evaluation.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 
-#include "netlist/dot.h"
-#include "netlist/evaluator.h"
 #include "netlist/netlist.h"
+#include "reference/evaluator.h"
 
 namespace {
 
@@ -178,18 +177,6 @@ TEST(EvaluatorTest, EvaluateWordPacksPorts) {
   EXPECT_EQ(eval.evaluateWord(0b11u), 0b10u);
   // a=1, b=0 -> xor=1, and=0 -> output word 0b01.
   EXPECT_EQ(eval.evaluateWord(0b01u), 0b01u);
-}
-
-TEST(DotExportTest, ProducesWellFormedDigraph) {
-  Netlist nl("demo");
-  const NetId a = nl.input("a");
-  nl.output("y", nl.gate1(GateKind::Inv, a));
-  std::ostringstream os;
-  oisa::netlist::writeDot(nl, os);
-  const std::string dot = os.str();
-  EXPECT_NE(dot.find("digraph \"demo\""), std::string::npos);
-  EXPECT_NE(dot.find("INV"), std::string::npos);
-  EXPECT_NE(dot.find("->"), std::string::npos);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "netlist/evaluator.h"
+#include "reference/evaluator.h"
 
 #include <stdexcept>
 

@@ -1,8 +1,10 @@
-// oisa_netlist: zero-delay functional evaluation.
+// oisa_reference: zero-delay functional evaluation, one pattern at a time.
 //
-// Evaluates a netlist as a pure boolean function. Used as the golden
-// reference for the timed simulator (T -> infinity must agree with this) and
-// by equivalence tests between generated netlists and behavioral models.
+// Evaluates a netlist as a pure boolean function, one byte per net. The
+// golden reference the shipped engines are judged against: BatchEvaluator
+// lane for lane, the timed simulators as T -> infinity, and generated
+// netlists against their behavioral models. bench/micro_batch_eval uses it
+// as the speedup baseline.
 #pragma once
 
 #include <cstdint>

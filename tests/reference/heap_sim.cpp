@@ -1,9 +1,9 @@
-#include "timing/heap_sim.h"
+#include "reference/heap_sim.h"
 
 #include <algorithm>
 #include <stdexcept>
 
-#include "netlist/evaluator.h"
+#include "reference/evaluator.h"
 
 namespace oisa::timing {
 

@@ -1,4 +1,4 @@
-// oisa_timing: the seed binary-heap event engine, retained as a reference.
+// oisa_reference: the seed binary-heap event engine.
 //
 // This is the original TimedSimulator implementation (std::push_heap over
 // (time, seq) events, per-sample vector allocation), kept verbatim except
@@ -6,8 +6,8 @@
 // engine — timestamps are integers stored in double, so arithmetic and
 // comparisons are exact and the wheel engine must match it event for
 // event. Used by the differential tests (tests/wheel_sim_test.cpp) and as
-// the baseline of bench/micro_timed_sim.cpp; production code should use
-// TimedSimulator.
+// the baseline of bench/micro_timed_sim.cpp; shipped code uses
+// timing::TimedSimulator.
 #pragma once
 
 #include <cstdint>

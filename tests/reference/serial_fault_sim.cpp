@@ -1,4 +1,4 @@
-#include "fault/serial_fault_sim.h"
+#include "reference/serial_fault_sim.h"
 
 #include <stdexcept>
 #include <string>

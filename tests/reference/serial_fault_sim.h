@@ -1,4 +1,4 @@
-// oisa_fault: serial single-pattern stuck-at reference simulator.
+// oisa_reference: serial single-pattern stuck-at reference simulator.
 //
 // The textbook baseline every fast fault simulator is validated against:
 // for one input pattern and one fault, re-simulate the whole netlist with

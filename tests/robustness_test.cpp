@@ -1,29 +1,22 @@
 // Robustness boundaries: every malformed input in tests/data/malformed/
-// comes back as a diagnostic Status (never a crash, never UB), the
-// Verilog import/export round-trip is functionally exact, and the
+// comes back as a diagnostic Status (never a crash, never UB), and the
 // file.open fault-injection site drives the IoError paths. Model-file
 // integrity (flip-any-byte, truncate-anywhere) lives with the binary
 // envelope in flat_forest_test.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/fault_inject.h"
 #include "core/status.h"
 #include "netlist/bench_io.h"
-#include "netlist/equivalence.h"
 #include "netlist/netlist.h"
-#include "netlist/verilog.h"
 
 namespace {
 
 using oisa::core::ScopedFaultPlan;
 using oisa::core::StatusCode;
-using oisa::netlist::GateKind;
-using oisa::netlist::Netlist;
 
 std::string dataPath(const std::string& name) {
   return std::string(OISA_TEST_DATA_DIR) + "/malformed/" + name;
@@ -86,106 +79,6 @@ TEST(MalformedBenchTest, FileOpenInjectionFiresBeforeTheFilesystem) {
   ASSERT_FALSE(result.isOk());
   EXPECT_EQ(result.status().code(), StatusCode::IoError);
   EXPECT_NE(result.status().message().find("file.open"), std::string::npos);
-}
-
-// --- Verilog corpus and round-trip ------------------------------------
-
-TEST(MalformedVerilogTest, EveryCorpusFileReturnsDiagnosticStatus) {
-  const std::vector<CorpusCase> corpus = {
-      {"unterminated.v", "endmodule"},
-      {"duplicate_net.v", "assigned twice"},
-      {"self_ref.v", "cycle"},
-      {"bad_literal.v", "literal"},
-      {"missing_semicolon.v", ""},
-      {"garbage.bin", ""},
-  };
-  for (const CorpusCase& c : corpus) {
-    const auto result = oisa::netlist::readVerilogFile(dataPath(c.file));
-    ASSERT_FALSE(result.isOk()) << c.file << " should have been rejected";
-    EXPECT_EQ(result.status().code(), StatusCode::InvalidInput) << c.file;
-    EXPECT_FALSE(result.status().message().empty()) << c.file;
-    if (c.expectInMessage[0] != '\0') {
-      EXPECT_NE(result.status().message().find(c.expectInMessage),
-                std::string::npos)
-          << c.file << ": got '" << result.status().message() << "'";
-    }
-  }
-}
-
-/// A netlist exercising every gate kind writeVerilog can emit.
-Netlist allKindsNetlist() {
-  Netlist nl("all_kinds");
-  const auto a = nl.input("a");
-  const auto b = nl.input("b");
-  const auto c = nl.input("c");
-  const auto inv = nl.gate1(GateKind::Inv, a, "inv");
-  const auto buf = nl.gate1(GateKind::Buf, b, "buf_n");
-  const auto and2 = nl.gate2(GateKind::And2, a, b, "and2");
-  const auto or2 = nl.gate2(GateKind::Or2, inv, c, "or2");
-  const auto nand2 = nl.gate2(GateKind::Nand2, a, c, "nand2");
-  const auto nor2 = nl.gate2(GateKind::Nor2, b, c, "nor2");
-  const auto xor2 = nl.gate2(GateKind::Xor2, a, b, "xor2");
-  const auto xnor2 = nl.gate2(GateKind::Xnor2, and2, or2, "xnor2");
-  const auto and3 = nl.gate3(GateKind::And3, a, b, c, "and3");
-  const auto or3 = nl.gate3(GateKind::Or3, inv, buf, c, "or3");
-  const auto aoi = nl.gate3(GateKind::Aoi21, a, b, c, "aoi");
-  const auto oai = nl.gate3(GateKind::Oai21, a, b, c, "oai");
-  const auto mux = nl.gate3(GateKind::Mux2, nand2, nor2, c, "mux");
-  const auto maj = nl.gate3(GateKind::Maj3, a, b, c, "maj");
-  const auto k0 = nl.constant(false);
-  const auto k1 = nl.constant(true);
-  const auto withConst = nl.gate2(GateKind::Or2, k0, xor2, "with_const0");
-  const auto withConst1 = nl.gate2(GateKind::And2, k1, xnor2, "with_const1");
-  nl.output("y0", and3);
-  nl.output("y1", or3);
-  nl.output("y2", aoi);
-  nl.output("y3", oai);
-  nl.output("y4", mux);
-  nl.output("y5", maj);
-  nl.output("y6", withConst);
-  nl.output("y7", withConst1);
-  nl.validate();
-  return nl;
-}
-
-TEST(VerilogRoundTripTest, AllGateKindsSurviveFunctionally) {
-  const Netlist original = allKindsNetlist();
-  std::ostringstream verilog;
-  oisa::netlist::writeVerilog(original, verilog);
-  auto reread = oisa::netlist::readVerilogString(verilog.str());
-  ASSERT_TRUE(reread.isOk()) << reread.status().toString();
-  // Decomposition differs (~(a&b) becomes Inv(And2), not Nand2), so the
-  // round-trip contract is functional equivalence, not gate identity.
-  const auto eq =
-      oisa::netlist::checkEquivalence(original, reread.value());
-  EXPECT_TRUE(eq.equivalent) << eq.message;
-}
-
-TEST(VerilogRoundTripTest, RereadOutputMatchesPortShape) {
-  const Netlist original = allKindsNetlist();
-  std::ostringstream verilog;
-  oisa::netlist::writeVerilog(original, verilog);
-  auto reread = oisa::netlist::readVerilogString(verilog.str());
-  ASSERT_TRUE(reread.isOk()) << reread.status().toString();
-  EXPECT_EQ(reread.value().primaryInputs().size(),
-            original.primaryInputs().size());
-  EXPECT_EQ(reread.value().primaryOutputs().size(),
-            original.primaryOutputs().size());
-  EXPECT_EQ(reread.value().name(), original.name());
-}
-
-TEST(VerilogReaderTest, FileOpenInjectionAndMissingFileAreIoErrors) {
-  {
-    ScopedFaultPlan plan("file.open:*");
-    const auto result =
-        oisa::netlist::readVerilogFile(dataPath("duplicate_net.v"));
-    ASSERT_FALSE(result.isOk());
-    EXPECT_EQ(result.status().code(), StatusCode::IoError);
-  }
-  const auto missing =
-      oisa::netlist::readVerilogFile(dataPath("does_not_exist.v"));
-  ASSERT_FALSE(missing.isOk());
-  EXPECT_EQ(missing.status().code(), StatusCode::IoError);
 }
 
 // --- fault-plan hygiene ------------------------------------------------

@@ -16,10 +16,10 @@
 #include "experiments/grid_scheduler.h"
 #include "experiments/runner.h"
 #include "netlist/gate.h"
+#include "reference/heap_sim.h"
 #include "timing/cell_library.h"
 #include "timing/delay_annotation.h"
 #include "timing/event_sim.h"
-#include "timing/heap_sim.h"
 #include "timing/sta.h"
 
 #include "differential_harness.h"
