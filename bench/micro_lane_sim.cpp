@@ -1,13 +1,15 @@
-// Throughput of the 64-lane timed trace collector (experiments::
-// TraceCollector over timing::LaneTimedSimulator) against the retained
-// sequential reference (collectTraceScalar, one scalar wheel-engine cycle
-// per stimulus) on an overclocked 32-bit ISA design — the acceptance
-// benchmark for the lane rework (>= 4x single-thread is the CI gate).
+// Throughput of the timed trace collector (experiments::TraceCollector,
+// which evaluates the design's unrolled sampled-output netlist one
+// batch-evaluator sweep per lane block — see timing/unroll.h) against the
+// retained sequential reference (collectTraceScalar, one scalar
+// wheel-engine cycle per stimulus) on an overclocked 32-bit ISA design.
+// Single-thread; the CI gate is in .github/workflows/ci.yml.
 //
 // Self-checking: before any timing is reported, both collectors run the
 // same seeded workload and every trace record must match field for field
-// (the lane replay is bit-exact, not approximate — see
-// tests/lane_sim_test.cpp for the full differential suite).
+// (the unrolled netlist is exact, not approximate — see
+// tests/lane_sim_test.cpp and tests/unroll_test.cpp for the differential
+// suites).
 //
 // Usage: micro_lane_sim [--cycles=N] [--check-cycles=N] [--cpr=15]
 //                       [--min-speedup=X] [--json=path]
@@ -55,9 +57,9 @@ int main(int argc, char** argv) {
             << design.netlist.gateCount() << " gates, critical "
             << design.criticalDelayNs << " ns)\n"
             << "period:  " << period << " ns (" << cpr << "% CPR)\n"
-            << "lanes:   " << collector.lanesFor(cycles) << " (warm-up "
-            << collector.warmUpCycles() << " cycles/chunk)\ncycles:  "
-            << cycles << "\n\n";
+            << "unrolled: " << collector.unrolledGates()
+            << " gates over " << collector.historyDepth()
+            << " stimuli per record\ncycles:  " << cycles << "\n\n";
 
   // Correctness gate: identical records from identically-seeded streams.
   {
@@ -93,7 +95,7 @@ int main(int argc, char** argv) {
     for (const auto& rec : trace) checksum += rec.silver;
   }
 
-  // Lane path: 64 chunked replay streams per wheel sweep.
+  // Collector path: one batch sweep of the unrolled netlist per lane block.
   double laneSec = 0.0;
   {
     experiments::UniformWorkload workload(32, 7);
@@ -112,11 +114,11 @@ int main(int argc, char** argv) {
   const double scalarRate = total / scalarSec;
   const double laneRate = total / laneSec;
   const double speedup = scalarRate > 0 ? laneRate / scalarRate : 0.0;
-  std::cout << "scalar collector:  " << scalarSec << " s  ("
+  std::cout << "scalar collector:   " << scalarSec << " s  ("
             << scalarRate / 1e3 << " kcycles/s)\n"
-            << "lane collector:    " << laneSec << " s  ("
+            << "unrolled collector: " << laneSec << " s  ("
             << laneRate / 1e3 << " kcycles/s)\n"
-            << "speedup:           " << speedup << "x\n";
+            << "speedup:            " << speedup << "x\n";
 
   bench::BenchJson json("micro_lane_sim");
   json.add("design", design.config.name())
@@ -124,9 +126,9 @@ int main(int argc, char** argv) {
       .add("cycles", cycles)
       .add("period_ns", period)
       .add("cpr_percent", cpr)
-      .add("lanes", static_cast<std::uint64_t>(collector.lanesFor(cycles)))
-      .add("warmup_cycles",
-           static_cast<std::uint64_t>(collector.warmUpCycles()))
+      .add("unrolled_gates",
+           static_cast<std::uint64_t>(collector.unrolledGates()))
+      .add("history", static_cast<std::uint64_t>(collector.historyDepth()))
       .add("scalar_cycles_per_sec", scalarRate)
       .add("lane_cycles_per_sec", laneRate);
   return bench::finishSpeedupBench(json, args, speedup, minSpeedup);

@@ -110,11 +110,11 @@ int main(int argc, char** argv) {
     };
     const std::uint64_t cells = delta("grid.cells_completed");
     const std::uint64_t evalRows = delta("predict.eval_rows");
-    const std::uint64_t simEvents = delta("sim.events_committed");
-    if (cells == 0 || evalRows == 0 || simEvents == 0) {
+    const std::uint64_t simRecords = delta("sim.records_sampled");
+    if (cells == 0 || evalRows == 0 || simRecords == 0) {
       std::cerr << "MISMATCH: armed run recorded no counters (cells " << cells
-                << ", eval rows " << evalRows << ", sim events " << simEvents
-                << ")\n";
+                << ", eval rows " << evalRows << ", sim records "
+                << simRecords << ")\n";
       return EXIT_FAILURE;
     }
     if (trace.find("\"name\": \"cell\"") == std::string::npos) {

@@ -20,22 +20,20 @@ namespace oisa::experiments {
 namespace {
 
 /// Runs `options.timedCycles` overclocked cycles with an optional stem
-/// defect clamped in and returns the relative-E_joint RMS of the sampled
-/// outputs against the exact adder. The run is a 64-stream collector run
-/// (stream l settles on draw l, then measures draw 64 + 64b + l at its
-/// cycle b) over the workload seeded one past the coverage phase's. Its
-/// records fold in draw order at any engine width, so the order-sensitive
-/// floating-point RMS is **byte-identical** at every width. Throws
-/// core::StatusError(InvalidInput) for a design off the adder port
-/// convention.
+/// defect held at its stuck value and returns the relative-E_joint RMS of
+/// the sampled outputs against the exact adder. The run is a 64-stream
+/// collector run (stream l settles on draw l, then measures draw
+/// 64 + 64b + l at its cycle b) over the workload seeded one past the
+/// coverage phase's. Its records fold in draw order at any engine width,
+/// so the order-sensitive floating-point RMS is **byte-identical** at
+/// every width. Throws core::StatusError(InvalidInput) for a design off
+/// the adder port convention.
 double measureTimedRelJoint(const circuits::SynthesizedDesign& design,
-                            double periodNs, const fault::Fault* defect,
+                            double periodNs,
+                            std::optional<fault::Fault> defect,
                             const FaultScanOptions& options) {
   constexpr std::size_t kStreams = 64;
-  TraceCollector collector(design, periodNs, 0, kStreams);
-  if (defect != nullptr) {
-    fault::injectStuckAt(collector.simulator(), *defect);
-  }
+  TraceCollector collector(design, periodNs, 0, kStreams, defect);
   const int width = design.config.width;
   const auto workload =
       makeWorkload(options.run.workload, width, options.run.seed + 1);
@@ -123,7 +121,7 @@ std::vector<FaultScanRow> runFaultErrorScan(
     // benchmark netlist) with InvalidInput before the coverage phase packs
     // stimuli that assume it.
     row.rmsRelJointHealthy =
-        measureTimedRelJoint(design, row.periodNs, nullptr, options);
+        measureTimedRelJoint(design, row.periodNs, std::nullopt, options);
     const int width = design.config.width;
     const auto compiled = netlist::CompiledNetlist::compile(design.netlist);
 
@@ -184,8 +182,8 @@ std::vector<FaultScanRow> runFaultErrorScan(
         fault::selectTimedFaults(detectedStems, options.timedFaults);
     double sum = 0.0;
     for (const fault::Fault& f : sample) {
-      const double rms = measureTimedRelJoint(design, row.periodNs, &f,
-                                              options);
+      const double rms =
+          measureTimedRelJoint(design, row.periodNs, f, options);
       sum += rms;
       row.worstRelJointFaulty = std::max(row.worstRelJointFaulty, rms);
     }

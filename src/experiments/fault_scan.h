@@ -9,7 +9,7 @@
 //     the synthesized netlist simulated against the experiment workload
 //     through the PPSFP engine (64 patterns per sweep, fault dropping);
 //  2. a timed defect phase: each sampled detected stem-fault class is
-//     clamped into a 64-stream TraceCollector's lane engine to re-measure
+//     held at its stuck value by a 64-stream TraceCollector to re-measure
 //     the *defective* design under overclocked sampling, yielding the
 //     E_joint shift a defect adds on top of the healthy error.
 //

@@ -200,7 +200,7 @@ std::vector<CombinationRow> runErrorCombination(
                                    core::StatusCode::IoError);
     const double period = overclockedPeriodNs(options.signOffPeriodNs, cpr);
     // Same workload seed across designs and CPRs so every design sees the
-    // same stimulus, as in the paper's common random sample. The lane
+    // same stimulus, as in the paper's common random sample. The
     // collector runs it window by window (records bit-identical to the
     // sequential path), and each window folds straight into the
     // combination in record order, so the cell holds one window however
@@ -263,8 +263,8 @@ std::vector<PredictionRow> runPredictionEvaluation(
     const double period =
         overclockedPeriodNs(options.run.signOffPeriodNs, cpr);
     // Train and test stimuli come from differently-seeded streams. One
-    // TraceCollector per point shares its compiled netlist and lane
-    // simulator across both collections and owns each trace's single
+    // TraceCollector per point shares its unrolled netlist and batch
+    // evaluator across both collections and owns each trace's single
     // packing pass (the block shift-and-transpose of packTrace), so the
     // predictor consumes packed feature/label words directly — popcount
     // training and 64-lane batched evaluation with no per-record

@@ -7,37 +7,64 @@
 
 #include "core/status.h"
 #include "netlist/bitops.h"
+#include "netlist/compiled_netlist.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "timing/sta.h"
 
 namespace oisa::experiments {
 
 TraceCollector::TraceCollector(const circuits::SynthesizedDesign& design,
                                double periodNs, std::size_t maxLanes,
-                               std::size_t streams)
+                               std::size_t streams,
+                               std::optional<fault::Fault> defect)
     : design_(design),
       behavioral_(design.config),
-      compiled_(netlist::CompiledNetlist::compile(design.netlist)),
-      sampler_(timing::makeLaneSampler(compiled_, design.delays, periodNs)),
       periodNs_(periodNs),
-      periodPs_(sampler_->periodPs()),
+      periodPs_(periodNs > 0.0 ? timing::quantizeSpanPs(periodNs) : 0),
       streams_(streams) {
+  const auto reject = [&](const std::string& why) {
+    throw core::StatusError(core::Status::invalidInput(
+        "TraceCollector: design '" + design.config.name() + "' " + why));
+  };
   // Inputs pack through packStimulusBlock and outputs unpack as W sum
   // words plus the carry-out word, so the netlist must follow the adder
   // port convention.
+  const auto compiled = netlist::CompiledNetlist::compile(design.netlist);
   const auto width = static_cast<std::size_t>(design.config.width);
-  const std::size_t inputs = compiled_->inputNets().size();
-  const std::size_t outputs = compiled_->outputNets().size();
+  const std::size_t inputs = compiled->inputNets().size();
+  const std::size_t outputs = compiled->outputNets().size();
   if (inputs != 2 * width + 1 || outputs != width + 1) {
-    throw core::StatusError(core::Status::invalidInput(
-        "TraceCollector: design '" + design.config.name() +
-        "' is off the adder port convention: expected " +
-        std::to_string(2 * width + 1) + " inputs and " +
-        std::to_string(width + 1) + " outputs, got " +
-        std::to_string(inputs) + " and " + std::to_string(outputs)));
+    reject("is off the adder port convention: expected " +
+           std::to_string(2 * width + 1) + " inputs and " +
+           std::to_string(width + 1) + " outputs, got " +
+           std::to_string(inputs) + " and " + std::to_string(outputs));
   }
-  const std::size_t lanes = sampler_->lanes();
+  if (!compiled->acyclic()) reject("has a combinational cycle");
+  if (periodPs_ <= 0) {
+    reject("cannot be clocked at " + std::to_string(periodNs) + " ns");
+  }
+  std::vector<timing::NetClamp> clamps;
+  if (defect) {
+    if (!defect->isStem()) {
+      reject("cannot hold branch fault " + std::to_string(defect->branch) +
+             " of net " + std::to_string(defect->net) +
+             ": a defect must be a stem fault");
+    }
+    if (defect->net >= compiled->netCount()) {
+      reject("has no net " + std::to_string(defect->net) + " to hold");
+    }
+    clamps.push_back({defect->net, defect->stuck == fault::StuckAt::SA1});
+  }
+  {
+    obs::ObsSpan span("trace.unroll", "sim");
+    unrolled_ =
+        timing::unrollSampled(*compiled, design.delays, periodPs_, clamps);
+    span.arg("gates", unrolled_.netlist.gateCount());
+    span.arg("history", static_cast<std::uint64_t>(unrolled_.history));
+  }
+  evaluator_ = netlist::makeBatchEvaluator(
+      netlist::CompiledNetlist::compile(unrolled_.netlist));
+  const std::size_t lanes = evaluator_->lanes();
   if (streams == 0 || streams > lanes) {
     throw std::invalid_argument("TraceCollector: streams must be in 1.." +
                                 std::to_string(lanes));
@@ -45,30 +72,6 @@ TraceCollector::TraceCollector(const circuits::SynthesizedDesign& design,
   const std::size_t cap = std::clamp<std::size_t>(
       maxLanes == 0 ? lanes : maxLanes, streams, lanes);
   maxLanes_ = cap / streams * streams;
-  // Warm-up bound: a latched output depends on primary-input values within
-  // one maximum output path delay D before its edge. With settle + W
-  // replayed cycles ahead of a chunk, all input samples a recorded cycle
-  // can reach are reproduced exactly iff (W + 2) * period > D. The STA
-  // critical delay bounds D (per-gate quantization floors); +1 ps absorbs
-  // double-summation noise in the ns-domain STA.
-  const timing::TimePs d =
-      timing::quantizeSpanPs(
-          timing::criticalDelayNs(design.netlist, design.delays)) +
-      1;
-  while ((static_cast<timing::TimePs>(warmUp_) + 2) * periodPs_ <= d) {
-    ++warmUp_;
-  }
-}
-
-std::size_t TraceCollector::lanesFor(std::uint64_t cycles) const noexcept {
-  // Every chunk must hold at least warm-up + 1 of its stream's cycles so
-  // its settle vector exists inside the stream; degenerate runs collapse
-  // to one chunk per stream.
-  const auto perChunk = static_cast<std::uint64_t>(warmUp_) + 1;
-  const std::uint64_t chunks = cycles / streams_ / perChunk;
-  return static_cast<std::size_t>(
-             std::clamp<std::uint64_t>(chunks, 1, maxLanes_ / streams_)) *
-         streams_;
 }
 
 predict::Trace TraceCollector::collect(Workload& workload,
@@ -86,44 +89,42 @@ void TraceCollector::stream(Workload& workload, std::uint64_t cycles,
 void TraceCollector::run(Workload& workload, std::uint64_t cycles,
                          predict::TraceRecord* inPlace,
                          const WindowConsumer& consume) {
-  // stimuli[head + t] drives record t of the current window; the
-  // head = (lead + 1) * S stimuli before it are carried over from the
-  // previous window (at first: the streams' settled reset vectors). The
-  // draw sequence is the sequential collector's, so workload state
-  // evolves identically.
+  // stimuli[head + t] drives record t of the current window, and the
+  // head = (k - 1)S stimuli before it are its records' history: at first
+  // each stream's settle vector, repeated; later the previous window's
+  // tail. The draw sequence is the sequential collector's, so workload
+  // state evolves identically.
   const std::size_t s = streams_;
-  const auto wu = static_cast<std::size_t>(warmUp_);
+  std::vector<Stimulus> settle(s);
+  for (Stimulus& stim : settle) stim = workload.next();
+  if (cycles == 0) return;
+  const std::size_t head = static_cast<std::size_t>(historyDepth() - 1) * s;
   const std::uint64_t capacity = maxLanes_ * kWindowSteps;
   const auto windowCap =
       static_cast<std::size_t>(std::min<std::uint64_t>(cycles, capacity));
-  std::vector<Stimulus> stimuli(windowCap + (wu + 1) * s);
-  for (std::size_t l = 0; l < s; ++l) stimuli[l] = workload.next();
-  if (cycles == 0) return;
+  std::vector<Stimulus> stimuli(head + windowCap);
+  for (std::size_t p = 0; p < head; ++p) stimuli[p] = settle[p % s];
   std::vector<predict::TraceRecord> buffer(inPlace != nullptr ? 0
                                                               : windowCap);
 
-  // One span per collect; engine counters are drained once per window,
-  // never inside the per-cycle or per-word loops (the instrumentation-cost
-  // contract micro_obs gates).
+  // One span per collect; the record counter is bumped once per window,
+  // never inside the per-record or per-word loops (the instrumentation-
+  // cost contract micro_obs gates).
   const obs::ObsSpan span("trace.collect", "sim", "cycles", cycles);
-  static obs::Counter& eventsCommitted = obs::counter("sim.events_committed");
-  static obs::Counter& laneTransitions = obs::counter("sim.lane_transitions");
+  static obs::Counter& recordsSampled = obs::counter("sim.records_sampled");
   static obs::Counter& collects = obs::counter("sim.collects");
   collects.add();
 
-  std::size_t lead = 0;
   for (std::uint64_t first = 0; first < cycles;) {
     const auto n = static_cast<std::size_t>(
         std::min<std::uint64_t>(cycles - first, capacity));
-    const std::size_t head = (lead + 1) * s;
-    const std::span<const Stimulus> stims(stimuli.data(), head + n);
     for (std::size_t t = 0; t < n; ++t) {
       stimuli[head + t] = workload.next();
     }
     const std::span<predict::TraceRecord> records(
         inPlace != nullptr ? inPlace + first : buffer.data(), n);
     for (std::size_t t = 0; t < n; ++t) {
-      const Stimulus& stim = stims[head + t];
+      const Stimulus& stim = stimuli[head + t];
       predict::TraceRecord& rec = records[t];
       rec.a = stim.a;
       rec.b = stim.b;
@@ -136,123 +137,85 @@ void TraceCollector::run(Workload& workload, std::uint64_t cycles,
       rec.gold = gold.sum;
       rec.goldCout = gold.carryOut;
     }
-    // The sweep resets the engine: its tallies are this window's alone.
-    fillSilver(stims, lead, first, records);
-    eventsCommitted.add(sampler_->simulator().eventsProcessed());
-    laneTransitions.add(sampler_->simulator().laneTransitionsCommitted());
+    sampleWindow(std::span<const Stimulus>(stimuli.data(), head + n), records);
+    recordsSampled.add(n);
     if (consume) consume(records);
 
-    // Carry what the next window's head chunks settle and warm up on: per
-    // stream, the stimulus ahead of its next cycle and up to wu before
-    // that. Only the last window may end mid-cycle, and it carries nothing.
+    // The window's last (k - 1)S stimuli are the next window's history.
+    // Only the last window may end mid-cycle, and it carries nothing.
     first += n;
-    const auto next =
-        static_cast<std::size_t>(std::min<std::uint64_t>(wu, first / s));
-    const std::size_t keep = (next + 1) * s;
-    if (head + n > keep) {
-      std::copy(stims.end() - static_cast<std::ptrdiff_t>(keep), stims.end(),
-                stimuli.begin());
-    }
-    lead = next;
+    std::copy(stimuli.begin() + static_cast<std::ptrdiff_t>(n),
+              stimuli.begin() + static_cast<std::ptrdiff_t>(n + head),
+              stimuli.begin());
   }
 }
 
-void TraceCollector::fillSilver(std::span<const Stimulus> stimuli,
-                                std::size_t lead, std::uint64_t first,
-                                std::span<predict::TraceRecord> window) {
-  const std::size_t kWords = sampler_->wordsPerNet();
+void TraceCollector::sampleWindow(
+    std::span<const Stimulus> stimuli,
+    std::span<predict::TraceRecord> window) const {
   const int width = design_.config.width;
   const auto w = static_cast<std::size_t>(width);
-  const std::size_t s = streams_;
+  const std::size_t ports = 2 * w + 1;
   const std::size_t n = window.size();
-  const std::size_t lanes = lanesFor(n);
-  const std::size_t chunks = lanes / s;
-  const auto wu = static_cast<std::size_t>(warmUp_);
-  const std::uint64_t done = first / s;  // every stream's cycles so far
+  const std::size_t head = stimuli.size() - n;
+  const std::size_t lanes = evaluator_->lanes();
+  const std::size_t kW = evaluator_->wordsPerNet();
+  const auto planes = static_cast<std::size_t>(historyDepth());
 
-  // Stream l's window cycles split into contiguous chunks, sizes differing
-  // by at most one; chunk j runs on lane jS + l. A lane replays a settle
-  // on its stream's vector ahead of its warm-up window (stimuli[from];
-  // its k-th replay stimulus is stimuli[from + kS]), warm(L) discarded
-  // cycles, then its recorded range. Lanes with shorter schedules idle
-  // (inputs frozen, settled, zero events) at the *start*, so every lane
-  // finishes on the final sweep and the per-sweep bookkeeping stays
-  // uniform. The same argument covers every lane width and every window
-  // boundary: each record's value depends only on its own chunk's replay,
-  // so neither the chunk count (64 or 512) nor the windowing shows up in
-  // the trace — only in the wall time.
-  std::vector<std::size_t> len(lanes);
-  std::vector<std::size_t> warm(lanes);  // per-lane warm-up (clamped)
-  std::vector<std::size_t> from(lanes);  // `stimuli` index of the settle
-  std::vector<std::size_t> to(lanes);    // `window` index of the 1st record
-  std::size_t steps = 0;                 // sweeps needed (max over lanes)
-  for (std::size_t l = 0; l < s; ++l) {
-    const std::size_t own = (n + s - 1 - l) / s;  // stream l's records
-    for (std::size_t j = 0, c = 0; j < chunks; ++j) {
-      const std::size_t L = j * s + l;
-      len[L] = own / chunks + (j < own % chunks ? 1 : 0);
-      // Warm-up may reach back across the window boundary, never past the
-      // stream's settle vector.
-      warm[L] = static_cast<std::size_t>(
-          std::min<std::uint64_t>(wu, done + c));
-      from[L] = (lead + c - warm[L]) * s + l;
-      to[L] = c * s + l;
-      c += len[L];
-      steps = std::max(steps, warm[L] + len[L]);
+  // Each input port's bit stream over the window's stimuli: bit p of word
+  // p / 64 is stimulus p's value of that port. Every stimulus is packed
+  // once; the history planes are shifted reads of the same streams. The
+  // trailing words let a sweep's partly filled last block read past the
+  // end (its spare lanes are never unpacked).
+  const std::size_t streamWords = (stimuli.size() + 63) / 64 + kW + 1;
+  std::vector<std::uint64_t> bits(ports * streamWords, 0);
+  std::vector<std::uint64_t> block(ports);
+  for (std::size_t p = 0; p < stimuli.size(); p += 64) {
+    packStimulusBlock(
+        stimuli.subspan(p, std::min<std::size_t>(64, stimuli.size() - p)),
+        width, block);
+    for (std::size_t i = 0; i < ports; ++i) {
+      bits[i * streamWords + p / 64] = block[i];
     }
   }
-  std::vector<std::size_t> idle(lanes);
-  for (std::size_t L = 0; L < lanes; ++L) {
-    idle[L] = steps - warm[L] - len[L];
-  }
 
-  // Per-lane stimulus (held while a lane idles; lanes past `lanes` stay
-  // all-zero), packed per 64-lane sub-block into the engine's lane-major
-  // input words: sub-word sb of input i carries lanes [64sb, 64sb + 64).
-  const std::size_t subBlocks = (lanes + 63) / 64;
-  std::vector<Stimulus> cur(subBlocks * 64);
-  std::vector<std::uint64_t> subWords(2 * w + 1);
-  std::vector<std::uint64_t> inWords((2 * w + 1) * kWords, 0);
-  std::vector<std::uint64_t> outWords;
+  // One sweep per `lanes` records: lane L of plane j is the stimulus jS
+  // records before record b + L, i.e. stream position head + b + L - jS.
+  std::vector<std::uint64_t> inWords(planes * ports * kW);
+  std::vector<std::uint64_t> values;
+  const auto outputNets = evaluator_->compiled()->outputNets();
   std::array<std::uint64_t, 64> sumM{};
-  const auto assembleInputs = [&] {
-    for (std::size_t sb = 0; sb < subBlocks; ++sb) {
-      packStimulusBlock(std::span(cur).subspan(sb * 64, 64), width,
-                        subWords);
-      for (std::size_t i = 0; i < subWords.size(); ++i) {
-        inWords[i * kWords + sb] = subWords[i];
+  for (std::size_t b = 0; b < n; b += lanes) {
+    for (std::size_t j = 0; j < planes; ++j) {
+      const std::size_t at = head + b - j * streams_;
+      const std::size_t shift = at % 64;
+      for (std::size_t i = 0; i < ports; ++i) {
+        const std::uint64_t* src = bits.data() + i * streamWords + at / 64;
+        std::uint64_t* dst = inWords.data() + (j * ports + i) * kW;
+        for (std::size_t x = 0; x < kW; ++x) {
+          dst[x] = shift == 0
+                       ? src[x]
+                       : (src[x] >> shift) | (src[x + 1] << (64 - shift));
+        }
       }
     }
-  };
-
-  sampler_->simulator().reset();
-  for (std::size_t L = 0; L < lanes; ++L) cur[L] = stimuli[from[L]];
-  assembleInputs();
-  sampler_->initialize(inWords);
-
-  for (std::size_t j = 0; j < steps; ++j) {
-    for (std::size_t L = 0; L < lanes; ++L) {
-      if (j >= idle[L]) cur[L] = stimuli[from[L] + (1 + j - idle[L]) * s];
-    }
-    assembleInputs();
-    sampler_->stepInto(inWords, outWords);
+    evaluator_->evaluateInto(inWords, values);
     // Output words are lane-major: one transpose of the W sum words per
-    // sub-block yields each lane's sum in its own row, and the carry-out
-    // is read straight from its word (so width 64 fits too).
-    for (std::size_t sb = 0; sb < subBlocks; ++sb) {
+    // 64-lane sub-block yields each record's sum in its own row, and the
+    // carry-out is read straight from its word (so width 64 fits too).
+    const std::size_t count = std::min(lanes, n - b);
+    for (std::size_t sb = 0; sb * 64 < count; ++sb) {
       for (std::size_t o = 0; o < w; ++o) {
-        sumM[o] = outWords[o * kWords + sb];
+        sumM[o] = values[std::size_t{outputNets[o]} * kW + sb];
       }
       std::fill(sumM.begin() + static_cast<std::ptrdiff_t>(w), sumM.end(),
                 0);
       netlist::transpose64(sumM);
-      const std::uint64_t coutWord = outWords[w * kWords + sb];
-      const std::size_t laneEnd = std::min<std::size_t>(lanes - sb * 64, 64);
-      for (std::size_t l = 0; l < laneEnd; ++l) {
-        const std::size_t L = sb * 64 + l;
-        if (j < idle[L] + warm[L]) continue;  // idling or warming up
-        predict::TraceRecord& rec =
-            window[to[L] + (j - idle[L] - warm[L]) * s];
+      const std::uint64_t coutWord =
+          values[std::size_t{outputNets[w]} * kW + sb];
+      const std::size_t end = std::min<std::size_t>(count - sb * 64, 64);
+      for (std::size_t l = 0; l < end; ++l) {
+        predict::TraceRecord& rec = window[b + sb * 64 + l];
         rec.silver = sumM[l];
         rec.silverCout = ((coutWord >> l) & 1u) != 0;
       }

@@ -1,47 +1,46 @@
 // oisa_experiments: gate-level trace collection.
 //
 // The paper's "Data Collection" step: drive the synthesized design with a
-// workload through the overclocked event-driven simulator, recording per
-// cycle the exact sum (y_diamond), the behavioral/RTL sum (y_gold) and the
-// gate-level sampled sum (y_silver).
+// workload at an overclocked period, recording per cycle the exact sum
+// (y_diamond), the behavioral/RTL sum (y_gold) and the sum the gate-level
+// netlist latches at each edge (y_silver).
 //
-// TraceCollector is the lane-parallel engine for that step, and one
-// windowed loop drives every run — the figure pipelines and the fault
-// scan's defect runs alike. It replays S interleaved streams of one draw
-// sequence (S = 1 for the figures, 64 for the fault scan): draw kS + l is
-// stream l's k-th stimulus, k = 0 its settle vector, and record r is draw
-// S + r, cycle r / S of stream r mod S. A window holds at most
-// lanes x kWindowSteps records (lanes = the runtime-selected lane width,
-// 64/256/512 — see netlist/lane_width.h — or a smaller cap, a multiple of
-// S). Per window the loop draws the window's stimuli, computes diamond and
-// gold, splits each stream's window cycles into contiguous chunks, replays
-// chunk j of stream l on lane jS + l of one timed sweep over the shared
-// compiled netlist, then hands the window to its consumer in record order
-// and reuses the buffers for the next. A run therefore holds one window,
-// never the whole stream: memory is flat in the cycle count.
+// TraceCollector is the engine for that step, and one windowed loop
+// drives every run — the figure pipelines and the fault scan's defect runs
+// alike. It replays S interleaved streams of one draw sequence (S = 1 for
+// the figures, 64 for the fault scan): draw kS + l is stream l's k-th
+// stimulus, k = 0 its settle vector, and record r is draw S + r, cycle
+// r / S of stream r mod S. A window holds at most lanes x kWindowSteps
+// records (lanes = the runtime-selected lane width, 64/256/512 — see
+// netlist/lane_width.h — or a smaller cap, a multiple of S). Per window
+// the loop draws the window's stimuli, computes diamond and gold, samples
+// silver, then hands the window to its consumer in record order and reuses
+// the buffers for the next. A run therefore holds one window, never the
+// whole stream: memory is flat in the cycle count.
 //
-// The replay is **bit-exact** versus the sequential scalar collector (per
-// stream) at any lane count, any width and across every window boundary:
-// a latched output depends only on the input vectors applied within one
-// maximum-path-delay window before its edge, so seeding each chunk with a
-// settle on its stream's stimulus just before its window (plus
-// `warmUpCycles()` replayed-but-discarded cycles when the overclock is
-// deeper than half the critical path) reproduces the mid-stream simulator
-// state exactly. The last min(warmUpCycles(), c) + 1 stimuli of every
-// stream (c = the stream cycles done) carry into the next window, so a
-// chunk at a window's head settles and warms up exactly as a mid-window
-// chunk does. A net force clamped through simulator() survives the
-// per-window reset, so a defective design replays just as exactly.
-// tests/lane_sim_test.cpp asserts record-for-record equality against the
-// sequential reference collector (collectTraceScalar in oisa_reference,
-// one call per stream) on runs spanning several windows, tests/lane_width_test.cpp re-asserts it
-// at every available width, and bench/micro_lane_sim.cpp re-proves it
-// before gating the speedup.
+// Silver is event-free. At construction the collector unrolls the design
+// at its period into the sampled-output netlist (timing/unroll.h): a
+// combinational function of a record's stimulus and the k - 1 before it
+// on its stream, records r - S, ..., r - (k - 1)S. Its exactness rests on
+// the transport-delay recursion unroll.h derives, not on any replay: there
+// is no settle, warm-up or chunking. Per window every input's bit stream
+// is packed once; each history plane is that stream shifted by jS lanes,
+// and one batch-evaluator sweep samples `lanes` records. The window's last
+// (k - 1)S stimuli carry into the next as its history, and each stream's
+// settle vector stands in for history before its first record. A stem
+// defect passed at construction is a constant on every unrolled copy of
+// its net. tests/lane_sim_test.cpp and tests/lane_width_test.cpp assert
+// record-for-record equality against the sequential reference collector
+// (collectTraceScalar in oisa_reference, one call per stream) across
+// windows and at every width, tests/unroll_test.cpp asserts the unrolled
+// netlist against the lane wheel engine, and bench/micro_lane_sim.cpp
+// re-proves it before gating the speedup.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -49,10 +48,12 @@
 #include "core/error_model.h"
 #include "core/isa_adder.h"
 #include "experiments/workload.h"
-#include "netlist/compiled_netlist.h"
+#include "fault/fault_model.h"
+#include "netlist/lane_width.h"
 #include "predict/features.h"
 #include "predict/trace.h"
-#include "timing/lane_dispatch.h"
+#include "timing/delay_annotation.h"
+#include "timing/unroll.h"
 
 namespace oisa::experiments {
 
@@ -69,15 +70,15 @@ struct CollectedTrace {
   predict::PackedTraceFeatures packed;
 };
 
-/// Lane-parallel timed trace collector for one (design, period) point.
+/// Timed trace collector for one (design, period) point.
 ///
 /// Construct once per point and reuse across collects (train/test streams,
-/// repeated sweeps): the netlist is compiled once and the lane simulator is
-/// recycled. Every window resets the simulator, so repeated runs with
-/// identically seeded workloads are bit-identical.
+/// repeated sweeps): the design is unrolled once, and repeated runs with
+/// identically seeded workloads are bit-identical. Holds the addresses of
+/// its own netlist, so it is neither copied nor moved.
 class TraceCollector {
  public:
-  /// Timed sweeps per window: a window holds lanes x kWindowSteps records.
+  /// Sweeps per window: a window holds lanes x kWindowSteps records.
   static constexpr std::size_t kWindowSteps = 64;
 
   /// Receives one window of records, in record order.
@@ -85,15 +86,23 @@ class TraceCollector {
       std::function<void(std::span<const predict::TraceRecord>)>;
 
   /// `periodNs` — the (possibly overclocked) clock period. `maxLanes`
-  /// caps the lanes per sweep, rounded down to a multiple of `streams`
-  /// (at least `streams`; 0 means "the full selected lane width"; results
-  /// are bit-identical at any value). `streams` (1 ..= the lane width)
-  /// interleaves that many independent circuits over one draw sequence.
-  /// Throws core::StatusError(InvalidInput) when the design's netlist is
-  /// off the adder port convention (a0..aW-1, b0..bW-1, cin in; W sum
-  /// bits and the carry-out out).
+  /// caps a window at maxLanes x kWindowSteps records, rounded down to a
+  /// multiple of `streams` (at least `streams`; 0 means "the full selected
+  /// lane width"; results are bit-identical at any value). `streams`
+  /// (1 ..= the lane width) interleaves that many independent circuits
+  /// over one draw sequence. `defect`, a stem stuck-at fault of the
+  /// design's netlist, holds its net at the stuck value in every cycle.
+  /// Throws core::StatusError(InvalidInput), naming the design, when its
+  /// netlist is off the adder port convention (a0..aW-1, b0..bW-1, cin in;
+  /// W sum bits and the carry-out out) or has a combinational cycle, when
+  /// the period is not positive, or when `defect` is a branch fault or
+  /// names a net the netlist does not have.
   TraceCollector(const circuits::SynthesizedDesign& design, double periodNs,
-                 std::size_t maxLanes = 0, std::size_t streams = 1);
+                 std::size_t maxLanes = 0, std::size_t streams = 1,
+                 std::optional<fault::Fault> defect = std::nullopt);
+
+  TraceCollector(const TraceCollector&) = delete;
+  TraceCollector& operator=(const TraceCollector&) = delete;
 
   /// Runs `cycles` cycles of `workload` through the design and returns the
   /// per-cycle trace. The first `streams` stimuli are the streams' settled
@@ -122,21 +131,16 @@ class TraceCollector {
   [[nodiscard]] double periodNs() const noexcept { return periodNs_; }
   [[nodiscard]] timing::TimePs periodPs() const noexcept { return periodPs_; }
 
-  /// Cycles replayed (and discarded) ahead of each chunk so the chunk's
-  /// first recorded cycle sees the exact mid-stream simulator state: the
-  /// smallest W with (W + 2) * period > critical path. 0 for every paper
-  /// design point (critical path < 2 periods at 5-15% CPR).
-  [[nodiscard]] int warmUpCycles() const noexcept { return warmUp_; }
+  /// k: a record's sampled outputs depend on its own stimulus and the
+  /// k - 1 before it on its stream. 1 or 2 at every paper design point
+  /// (critical path < 2 periods at 5-15% CPR).
+  [[nodiscard]] int historyDepth() const noexcept {
+    return unrolled_.history;
+  }
 
-  /// Lanes a window of `cycles` records uses: a multiple of the stream
-  /// count (every stream gets as many chunks), and each chunk covers its
-  /// warm-up.
-  [[nodiscard]] std::size_t lanesFor(std::uint64_t cycles) const noexcept;
-
-  /// The lane engine, e.g. for fault::injectStuckAt: net forces survive
-  /// the reset every window starts with.
-  [[nodiscard]] timing::AnyLaneSimulator& simulator() noexcept {
-    return sampler_->simulator();
+  /// Gates of the unrolled sampled-output netlist.
+  [[nodiscard]] std::size_t unrolledGates() const noexcept {
+    return unrolled_.netlist.gateCount();
   }
 
  private:
@@ -146,21 +150,19 @@ class TraceCollector {
   void run(Workload& workload, std::uint64_t cycles,
            predict::TraceRecord* inPlace, const WindowConsumer& consume);
 
-  /// Silver fill of one window whose first record is record `first` of
-  /// the run: `stimuli[(lead + 1) * S + t]` drives window record t, and the
-  /// (lead + 1) * S stimuli before it are the carried ones.
-  void fillSilver(std::span<const Stimulus> stimuli, std::size_t lead,
-                  std::uint64_t first, std::span<predict::TraceRecord> window);
+  /// Silver of one window: the last window.size() of `stimuli` drive its
+  /// records, and the (k - 1)S before them are their history.
+  void sampleWindow(std::span<const Stimulus> stimuli,
+                    std::span<predict::TraceRecord> window) const;
 
   const circuits::SynthesizedDesign& design_;
   core::IsaAdder behavioral_;
-  std::shared_ptr<const netlist::CompiledNetlist> compiled_;
-  std::unique_ptr<timing::AnyLaneSampler> sampler_;
   double periodNs_;
   timing::TimePs periodPs_;
-  int warmUp_ = 0;
   std::size_t streams_;
-  std::size_t maxLanes_;
+  std::size_t maxLanes_ = 0;
+  timing::UnrolledSampler unrolled_;
+  std::unique_ptr<netlist::AnyBatchEvaluator> evaluator_;
 };
 
 /// Convenience wrapper: one lane-parallel collection over a fresh

@@ -3,8 +3,8 @@
 // Home of the 64x64 bit-matrix transpose that every 64-lane subsystem uses
 // to convert between pattern-major words (one word per pattern/row) and
 // lane-major words (one word per net/feature, bit L = lane L): the
-// functional BatchEvaluator, the lane-parallel timed trace collector, and
-// the packed ML feature extraction.
+// functional BatchEvaluator, the timed trace collector, and the packed ML
+// feature extraction.
 #pragma once
 
 #include <cstdint>

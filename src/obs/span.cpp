@@ -57,8 +57,10 @@ ThreadTraceState& threadTraceState() noexcept {
 }
 
 void pushEvent(const char* name, const char* cat, std::uint64_t tsUs,
-               std::uint64_t durUs, std::uint32_t depth, const char* argKey,
-               std::uint64_t argValue, char phase) noexcept {
+               std::uint64_t durUs, std::uint32_t depth,
+               const std::array<const char*, 2>& argKeys,
+               const std::array<std::uint64_t, 2>& argValues,
+               char phase) noexcept {
   TraceRing* ring = gRing.load(std::memory_order_acquire);
   if (ring == nullptr) return;
   TraceEvent ev;
@@ -69,8 +71,8 @@ void pushEvent(const char* name, const char* cat, std::uint64_t tsUs,
   ev.durUs = durUs;
   ev.tid = threadTraceState().tid;
   ev.depth = depth;
-  ev.argKey = argKey;
-  ev.argValue = argValue;
+  ev.argKeys = argKeys;
+  ev.argValues = argValues;
   ev.phase = phase;
   (void)ring->tryPush(ev);  // full ring => counted drop, never a stall
 }
@@ -172,8 +174,8 @@ ObsSpan::ObsSpan(const char* name, const char* cat, const char* argKey,
   armed_ = true;
   name_ = name;
   cat_ = cat;
-  argKey_ = argKey;
-  argValue_ = argValue;
+  argKeys_[0] = argKey;
+  argValues_[0] = argValue;
   ThreadTraceState& state = threadTraceState();
   depth_ = state.depth;
   if (state.depth < ThreadTraceState::kMaxStack) {
@@ -194,12 +196,23 @@ ObsSpan::~ObsSpan() {
     }
   }
   pushEvent(name_, cat_, startUs_, end > startUs_ ? end - startUs_ : 0,
-            depth_, argKey_, argValue_, 'X');
+            depth_, argKeys_, argValues_, 'X');
+}
+
+void ObsSpan::arg(const char* key, std::uint64_t value) noexcept {
+  if (!armed_) return;
+  for (std::size_t i = 0; i < argKeys_.size(); ++i) {
+    if (argKeys_[i] == nullptr) {
+      argKeys_[i] = key;
+      argValues_[i] = value;
+      return;
+    }
+  }
 }
 
 void traceInstant(const char* name, const char* cat) noexcept {
   if (!gTracing.load(std::memory_order_relaxed)) return;
-  pushEvent(name, cat, nowUs(), 0, threadTraceState().depth, nullptr, 0, 'i');
+  pushEvent(name, cat, nowUs(), 0, threadTraceState().depth, {}, {}, 'i');
 }
 
 std::string drainTraceJson() {
@@ -228,10 +241,11 @@ std::string drainTraceJson() {
     out += ", \"pid\": " + std::to_string(pid) +
            ", \"tid\": " + std::to_string(ev.tid) + ", \"args\": {\"depth\": " +
            std::to_string(ev.depth);
-    if (ev.argKey != nullptr) {
+    for (std::size_t i = 0; i < ev.argKeys.size(); ++i) {
+      if (ev.argKeys[i] == nullptr) continue;
       out += ", \"";
-      appendJsonEscaped(out, ev.argKey);
-      out += "\": " + std::to_string(ev.argValue);
+      appendJsonEscaped(out, ev.argKeys[i]);
+      out += "\": " + std::to_string(ev.argValues[i]);
     }
     out += "}}";
   }

@@ -23,6 +23,7 @@
 // not start order; trace viewers sort by `ts` themselves.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -33,8 +34,8 @@
 namespace oisa::obs {
 
 /// Fixed-size POD trace record. `name` is copied (truncated) so spans can
-/// label themselves with stack-built strings; `cat` and `argKey` must be
-/// string literals (or otherwise outlive the tracing session).
+/// label themselves with stack-built strings; `cat` and the argument keys
+/// must be string literals (or otherwise outlive the tracing session).
 struct TraceEvent {
   static constexpr std::size_t kNameCapacity = 48;
   char name[kNameCapacity];
@@ -43,8 +44,9 @@ struct TraceEvent {
   std::uint64_t durUs = 0;  ///< span duration in µs
   std::uint32_t tid = 0;    ///< dense per-thread id (order of first span)
   std::uint32_t depth = 0;  ///< nesting depth at open (0 = top level)
-  const char* argKey = nullptr;  ///< optional single argument, nullptr = none
-  std::uint64_t argValue = 0;
+  /// Up to two numeric arguments; a null key marks an unused slot.
+  std::array<const char*, 2> argKeys{};
+  std::array<std::uint64_t, 2> argValues{};
   char phase = 'X';  ///< Chrome phase: 'X' complete span, 'i' instant
 };
 
@@ -111,6 +113,11 @@ class ObsSpan {
   ObsSpan(const char* name, const char* cat, const char* argKey,
           std::uint64_t argValue) noexcept;
 
+  /// Attaches a numeric argument known only once the scope has done its
+  /// work, e.g. the size of what it built. `key` must be a literal; a span
+  /// carries at most two arguments and ignores any beyond that.
+  void arg(const char* key, std::uint64_t value) noexcept;
+
   ObsSpan(const ObsSpan&) = delete;
   ObsSpan& operator=(const ObsSpan&) = delete;
 
@@ -120,8 +127,8 @@ class ObsSpan {
   std::uint64_t startUs_ = 0;
   const char* name_ = nullptr;
   const char* cat_ = nullptr;
-  const char* argKey_ = nullptr;
-  std::uint64_t argValue_ = 0;
+  std::array<const char*, 2> argKeys_{};
+  std::array<std::uint64_t, 2> argValues_{};
   std::uint32_t depth_ = 0;
   bool armed_ = false;
 };

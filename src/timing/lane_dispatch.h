@@ -1,8 +1,8 @@
 // oisa_timing: width-erased interfaces over the templated timed engines,
 // plus the factories the runtime lane-width dispatcher (see
-// netlist/lane_width.h) routes through. TraceCollector and the defect
-// scan hold these instead of concrete LaneTimedSimulatorT widths, so
-// wider SIMD blocks flow through the experiment pipelines transparently.
+// netlist/lane_width.h) routes through. Callers that drive the lane
+// wheel directly (the differential tests, the benchmark's timed rebuild)
+// hold these instead of concrete LaneTimedSimulatorT widths.
 #pragma once
 
 #include <cstdint>

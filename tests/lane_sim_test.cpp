@@ -1,16 +1,20 @@
 // Differential tests of the 64-lane timed engine (LaneTimedSimulator) and
-// the lane-parallel trace collector against their scalar references. The
+// the trace collector against their scalar references. The
 // lane engine must match 64 independent scalar TimedSimulator runs
 // bit-exactly — per-cycle sampled outputs, settle behavior, final net
 // state — on random netlists, all twelve paper design points and a deep
-// ripple-carry chain; the lane TraceCollector must reproduce the sequential
+// ripple-carry chain; the TraceCollector must reproduce the sequential
 // collector record for record at any lane count, including deep
-// overclocks that need chunk warm-up cycles. Also covers the shared
+// overclocks whose records depend on several earlier stimuli, and must
+// refuse designs it cannot sample with typed errors. Also covers the shared
 // CompiledNetlist substrate and the bounded-event-budget guard against
 // non-settling/cyclic netlists.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <functional>
+#include <optional>
 #include <random>
 #include <stdexcept>
 
@@ -250,12 +254,12 @@ TEST(LaneTraceCollectorTest, MatchesScalarReferenceAcrossCprAndWorkloads) {
 }
 
 TEST(LaneTraceCollectorTest, MatchesScalarOnDeepOverclockWithWarmUp) {
-  // Period far below half the critical path: chunk replay needs real
-  // warm-up cycles for bit-exactness (warmUpCycles() >= 1).
+  // Period far below half the critical path: a record's sampled outputs
+  // depend on two or more stimuli before its own (historyDepth() >= 3).
   const auto design = testDesign(8, 0, 0, 4);
   const double period = design.criticalDelayNs * 0.35;
   oisa::experiments::TraceCollector collector(design, period);
-  ASSERT_GE(collector.warmUpCycles(), 1);
+  ASSERT_GE(collector.historyDepth(), 3);
 
   auto scalarWl = oisa::experiments::makeWorkload("uniform", 32, 13);
   auto laneWl = oisa::experiments::makeWorkload("uniform", 32, 13);
@@ -314,8 +318,8 @@ TEST(LaneTraceCollectorTest, MultiWindowRunMatchesScalarReference) {
 }
 
 TEST(LaneTraceCollectorTest, MultiWindowDeepOverclockCarriesWarmUp) {
-  // Every window's head chunk warms up on stimuli carried over from the
-  // previous window, on five lanes and on one.
+  // Every window's first records take their history from stimuli carried
+  // over from the previous window, on five lanes and on one.
   const auto design = testDesign(8, 0, 0, 4);
   const double period = design.criticalDelayNs * 0.35;
   const std::uint64_t cycles = multiWindowCycles(5, 37);
@@ -325,7 +329,7 @@ TEST(LaneTraceCollectorTest, MultiWindowDeepOverclockCarriesWarmUp) {
   for (const std::size_t lanes : {5, 1}) {
     SCOPED_TRACE("max lanes " + std::to_string(lanes));
     TraceCollector collector(design, period, lanes);
-    ASSERT_GE(collector.warmUpCycles(), 1);
+    ASSERT_GE(collector.historyDepth(), 3);
     auto laneWl = oisa::experiments::makeWorkload("random-walk", 32, 17);
     expectTracesEqual(collector.collect(*laneWl, cycles), scalar);
   }
@@ -382,8 +386,8 @@ TEST(LaneTraceCollectorTest, StreamedCombinationEqualsCollected) {
 TEST(LaneTraceCollectorTest, InterleavedStreamsMatchPerStreamReferences) {
   // Draw kS + l is stream l's k-th stimulus: a 64-stream run is 64
   // sequential collects over the interleaved draws, whatever its window
-  // and chunk split — fewer cycles than streams, a ragged count, and three
-  // 64-lane windows plus a tail, with and without warm-up.
+  // split — fewer cycles than streams, a ragged count, and three 64-lane
+  // windows plus a tail, at history depth 2 and deeper.
   const auto shallow = testDesign(8, 2, 1, 4);
   const double shallowPeriod =
       oisa::experiments::overclockedPeriodNs(0.3, 15.0);
@@ -409,18 +413,18 @@ TEST(LaneTraceCollectorTest, InterleavedStreamsMatchPerStreamReferences) {
                  " cycles, max lanes " + std::to_string(c.maxLanes));
     TraceCollector collector(*c.design, c.period, c.maxLanes, 64);
     if (c.design == &deep) {
-      ASSERT_GE(collector.warmUpCycles(), 1);
+      ASSERT_GE(collector.historyDepth(), 3);
     } else {
-      ASSERT_EQ(collector.warmUpCycles(), 0);
+      ASSERT_EQ(collector.historyDepth(), 2);
     }
     expectStreamsMatchScalar(collector, *c.design, 64, c.kind, 29, c.cycles);
   }
 }
 
 TEST(LaneTraceCollectorTest, ClampedDefectHoldsInEveryWindow) {
-  // A stem defect clamped once through simulator() must survive the reset
-  // every window starts with: the run split over 64-lane windows equals
-  // the same run at full width, and every window shows the defect.
+  // A stem defect passed at construction must hold in every window: the
+  // run split over 64-lane windows equals the same run at full width, and
+  // every window shows the defect.
   const auto design = testDesign(8, 2, 1, 4);
   const double period = oisa::experiments::overclockedPeriodNs(0.3, 15.0);
   const oisa::fault::FaultUniverse universe(
@@ -433,8 +437,9 @@ TEST(LaneTraceCollectorTest, ClampedDefectHoldsInEveryWindow) {
   ASSERT_EQ(sample.size(), 8u);
   const std::uint64_t cycles = multiWindowCycles(64, 197);
   const auto collectAt = [&](std::size_t maxLanes, bool clamp) {
-    TraceCollector collector(design, period, maxLanes, 64);
-    if (clamp) oisa::fault::injectStuckAt(collector.simulator(), sample[4]);
+    TraceCollector collector(
+        design, period, maxLanes, 64,
+        clamp ? std::optional(sample[4]) : std::nullopt);
     auto wl = oisa::experiments::makeWorkload("uniform", 32, 41);
     return collector.collect(*wl, cycles);
   };
@@ -456,20 +461,21 @@ TEST(LaneTraceCollectorTest, ClampedDefectHoldsInEveryWindow) {
 TEST(LaneTraceCollectorTest, Width64DesignMatchesScalarReference) {
   // A 64-bit adder has no spare row for its carry-out in a 64x64
   // transpose: the sum words transpose, the carry-out is read from its own
-  // word. Warm-up 0 and 1, one window, and runs across several windows.
+  // word. History depth 2 and 3, one window, and runs across several
+  // windows.
   oisa::circuits::SynthesisOptions options;
   options.relaxSlack = true;
   const auto design = oisa::circuits::synthesize(
       oisa::core::makeIsa(8, 2, 1, 4, 64), CellLibrary::generic65(), options);
-  for (const auto& [fraction, warmUp] :
-       {std::pair{0.6, 0}, std::pair{0.45, 1}}) {
+  for (const auto& [fraction, history] :
+       {std::pair{0.6, 2}, std::pair{0.45, 3}}) {
     const double period = design.criticalDelayNs * fraction;
     for (const std::uint64_t cycles :
          {std::uint64_t{5}, std::uint64_t{700}, std::uint64_t{1355}}) {
-      SCOPED_TRACE("warm-up " + std::to_string(warmUp) + ", " +
+      SCOPED_TRACE("history " + std::to_string(history) + ", " +
                    std::to_string(cycles) + " cycles");
       TraceCollector collector(design, period, 7);
-      ASSERT_EQ(collector.warmUpCycles(), warmUp);
+      ASSERT_EQ(collector.historyDepth(), history);
       auto scalarWl = oisa::experiments::makeWorkload("uniform", 64, 87);
       auto laneWl = oisa::experiments::makeWorkload("uniform", 64, 87);
       expectTracesEqual(collector.collect(*laneWl, cycles),
@@ -499,29 +505,82 @@ TEST(LaneTraceCollectorTest, RejectsDesignsOffTheAdderPortConvention) {
   }
 }
 
+/// Constructs a collector and returns the InvalidInput message it throws
+/// (fails the test when it throws nothing or another code).
+std::string invalidInputMessage(const std::function<void()>& construct) {
+  try {
+    construct();
+  } catch (const oisa::core::StatusError& e) {
+    EXPECT_EQ(e.code(), oisa::core::StatusCode::InvalidInput) << e.what();
+    return e.what();
+  }
+  ADD_FAILURE() << "construction succeeded";
+  return {};
+}
+
+TEST(LaneTraceCollectorTest, RejectsCyclicNetlistNamingTheDesign) {
+  // A gate reading its own output closes a combinational loop; the
+  // collector refuses it at construction with a typed error.
+  auto design = testDesign(8, 2, 1, 4);
+  const auto g = oisa::netlist::GateId{
+      design.netlist.net(design.netlist.primaryOutputs()[3]).driverGate};
+  design.netlist.replaceGateInput(g, 0, design.netlist.gateAt(g).out);
+  const std::string message = invalidInputMessage(
+      [&] { TraceCollector collector(design, 0.255); });
+  EXPECT_NE(message.find(design.config.name()), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("combinational cycle"), std::string::npos)
+      << message;
+}
+
+TEST(LaneTraceCollectorTest, RejectsBranchFaultDefect) {
+  // Only a stem fault holds a whole net; a pin-level branch fault passed
+  // as a defect is refused, naming the design.
+  const auto design = testDesign(8, 2, 1, 4);
+  const oisa::fault::FaultUniverse universe(
+      CompiledNetlist::compile(design.netlist));
+  const auto branch =
+      std::find_if(universe.all().begin(), universe.all().end(),
+                   [](const oisa::fault::Fault& f) { return !f.isStem(); });
+  ASSERT_NE(branch, universe.all().end());
+  const std::string message = invalidInputMessage([&] {
+    TraceCollector collector(design, 0.255, 0, 64, *branch);
+  });
+  EXPECT_NE(message.find(design.config.name()), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("stem fault"), std::string::npos) << message;
+  // An out-of-range stem is refused the same way.
+  const std::string range = invalidInputMessage([&] {
+    TraceCollector collector(
+        design, 0.255, 0, 64,
+        oisa::fault::Fault{static_cast<std::uint32_t>(
+                               design.netlist.netCount()),
+                           oisa::fault::Fault::kStem,
+                           oisa::fault::StuckAt::SA1});
+  });
+  EXPECT_NE(range.find(design.config.name()), std::string::npos) << range;
+}
+
 TEST(LaneTraceCollectorTest, ReusedCollectorCountsEveryCollect) {
-  // Engine counters of two collects through one collector equal those of
-  // the same collects through two fresh ones.
+  // The sampled-record counter of two collects through one collector
+  // equals that of the same collects through two fresh ones.
   const auto design = testDesign(8, 2, 1, 4);
   const double period = oisa::experiments::overclockedPeriodNs(0.3, 15.0);
-  const auto& events = oisa::obs::counter("sim.events_committed");
-  const auto& transitions = oisa::obs::counter("sim.lane_transitions");
+  const auto& records = oisa::obs::counter("sim.records_sampled");
   const auto counted = [&](TraceCollector& train, TraceCollector& test) {
-    const std::uint64_t e0 = events.value();
-    const std::uint64_t t0 = transitions.value();
+    const std::uint64_t r0 = records.value();
     auto trainWl = oisa::experiments::makeWorkload("uniform", 32, 1);
     (void)train.collect(*trainWl, 6000);
     auto testWl = oisa::experiments::makeWorkload("uniform", 32, 2);
     (void)test.collect(*testWl, 3000);
-    return std::pair{events.value() - e0, transitions.value() - t0};
+    return records.value() - r0;
   };
   TraceCollector reused(design, period);
   const auto reusedCounts = counted(reused, reused);
   TraceCollector train(design, period);
   TraceCollector test(design, period);
   const auto freshCounts = counted(train, test);
-  EXPECT_GT(freshCounts.first, 0u);
-  EXPECT_GT(freshCounts.second, 0u);
+  EXPECT_GT(freshCounts, 0u);
   EXPECT_EQ(reusedCounts, freshCounts);
 }
 

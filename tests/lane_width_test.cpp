@@ -361,7 +361,7 @@ TEST(LaneWidthTest, TraceCollectorInvariantAcrossWidths) {
 TEST(LaneWidthTest, MultiWindowTraceMatchesScalarAtEveryWidth) {
   // 65 lanes span two 64-lane sub-blocks at the wide widths (64 at the
   // reference width). Three windows plus a ragged tail on a deep overclock
-  // carry warm-up stimuli across every window boundary; the streamed
+  // carry history stimuli across every window boundary; the streamed
   // combination must equal the one folded from collect().
   oisa::circuits::SynthesisOptions options;
   options.relaxSlack = true;
@@ -385,7 +385,7 @@ TEST(LaneWidthTest, MultiWindowTraceMatchesScalarAtEveryWidth) {
     SCOPED_TRACE(oisa::netlist::laneSelectionName(sel));
     ScopedLaneWidth env(specFor(sel));
     oisa::experiments::TraceCollector collector(design, periodNs, kMaxLanes);
-    ASSERT_GE(collector.warmUpCycles(), 1);
+    ASSERT_GE(collector.historyDepth(), 3);
     auto wl = oisa::experiments::makeWorkload("uniform", 32, 313);
     const auto trace = collector.collect(*wl, cycles);
     ASSERT_EQ(trace.size(), reference.size());
@@ -414,9 +414,8 @@ TEST(LaneWidthTest, MultiWindowTraceMatchesScalarAtEveryWidth) {
 
 TEST(LaneWidthTest, InterleavedStreamsMatchPerStreamReferencesAtEveryWidth) {
   // The fault scan's 64-stream schedule at full width: seven 64-lane
-  // windows at the reference width, two at 256 lanes and one at 512, with
-  // several chunks per stream at the wide widths. Warm-up replays cross
-  // every chunk head.
+  // windows at the reference width, two at 256 lanes and one at 512. Each
+  // record's history reaches two or more of its stream's cycles back.
   oisa::circuits::SynthesisOptions options;
   options.relaxSlack = true;
   const auto design = oisa::circuits::synthesize(
@@ -426,7 +425,7 @@ TEST(LaneWidthTest, InterleavedStreamsMatchPerStreamReferencesAtEveryWidth) {
     SCOPED_TRACE(oisa::netlist::laneSelectionName(sel));
     ScopedLaneWidth env(specFor(sel));
     oisa::experiments::TraceCollector collector(design, periodNs, 0, 64);
-    ASSERT_GE(collector.warmUpCycles(), 1);
+    ASSERT_GE(collector.historyDepth(), 3);
     oisa::testing::expectStreamsMatchScalar(collector, design, 64,
                                             "random-walk", 607, 24653);
   }

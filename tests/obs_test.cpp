@@ -199,6 +199,29 @@ TEST_F(ObsTest, SpansRecordNameCategoryDurationAndNesting) {
   EXPECT_NE(doc.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
 }
 
+TEST_F(ObsTest, ArgumentsAddedAfterOpeningLandOnTheSpan) {
+  // A scope that learns its numbers while it runs (e.g. the size of what
+  // it built) attaches them before closing; a span keeps two arguments.
+  obs::startTracing();
+  {
+    obs::ObsSpan span("built", "test", "cells", 7);
+    span.arg("gates", 421);
+    span.arg("history", 2);  // beyond the two slots: dropped
+  }
+  {
+    obs::ObsSpan span("late", "test");
+    span.arg("gates", 93);
+    span.arg("history", 4);
+  }
+  const std::string doc = obs::drainTraceJson();
+  obs::stopTracing();
+  EXPECT_NE(doc.find("\"cells\": 7, \"gates\": 421}"), std::string::npos)
+      << doc;
+  EXPECT_NE(doc.find("\"gates\": 93, \"history\": 4}"), std::string::npos)
+      << doc;
+  EXPECT_EQ(doc.find("\"history\": 2"), std::string::npos) << doc;
+}
+
 TEST_F(ObsTest, DisarmedSpansCostNothingAndRecordNothing) {
   // No startTracing: spans are disarmed no-ops.
   {
