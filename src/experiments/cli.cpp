@@ -1,6 +1,7 @@
 #include "experiments/cli.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -78,9 +79,11 @@ double ArgParser::getDouble(const std::string& key, double fallback) const {
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
+  // strtod also parses "nan" and "inf"; no flag means either, and a NaN
+  // slips past every range check (`nan > 0.0` is false).
   if (text.empty() || errno == ERANGE ||
-      end != text.c_str() + text.size()) {
-    failValue(key, "a number", text);
+      end != text.c_str() + text.size() || !std::isfinite(value)) {
+    failValue(key, "a finite number", text);
   }
   return value;
 }

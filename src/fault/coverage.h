@@ -14,7 +14,9 @@
 // sits in bit p%64 of sub-word p/64), first-detection indices are read
 // off the earliest detecting sub-word, and the applied-pattern counter
 // advances per 64-pattern sub-block — so CoverageResult is a pure
-// function of the pattern stream, not of the engine width.
+// function of the pattern stream, not of the engine width. A pattern
+// source that packs one word per input is a 64-lane source: run it on
+// makePpsfpEngine(compiled, {}), the 64-lane engine.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +25,6 @@
 #include <vector>
 
 #include "fault/fault_universe.h"
-#include "fault/ppsfp.h"
 #include "fault/ppsfp_dispatch.h"
 
 namespace oisa::fault {
@@ -74,16 +75,6 @@ using PatternBlockSource =
 /// the next sub-block), so any width replays the 64-lane draw sequence.
 [[nodiscard]] CoverageResult runRandomCoverage(const FaultUniverse& universe,
                                                AnyPpsfpEngine& engine,
-                                               const CoverageOptions& options);
-
-/// Reference-width overloads over a concrete 64-lane engine (the
-/// original API; all existing call sites and tests).
-[[nodiscard]] CoverageResult runCoverage(const FaultUniverse& universe,
-                                         PpsfpEngine& engine,
-                                         const CoverageOptions& options,
-                                         const PatternBlockSource& source);
-[[nodiscard]] CoverageResult runRandomCoverage(const FaultUniverse& universe,
-                                               PpsfpEngine& engine,
                                                const CoverageOptions& options);
 
 }  // namespace oisa::fault

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "fault/fault_model.h"
-#include "timing/lane_dispatch.h"
 #include "timing/lane_sim.h"
 
 namespace oisa::fault {
@@ -25,12 +24,6 @@ namespace oisa::fault {
 /// keep simulating the good machine — differential runs in one sweep).
 /// Throws std::invalid_argument for branch faults.
 void injectStuckAt(timing::LaneTimedSimulator& sim, const Fault& f,
-                   std::uint64_t laneMask = ~std::uint64_t{0});
-
-/// Width-agnostic overload over the dispatched simulator interface. The
-/// 64-bit `laneMask` is broadcast across every 64-lane sub-block (a
-/// defect in "lane L" exists in lane L of each sub-block).
-void injectStuckAt(timing::AnyLaneSimulator& sim, const Fault& f,
                    std::uint64_t laneMask = ~std::uint64_t{0});
 
 /// Deterministically picks up to `count` stem faults from `candidates`

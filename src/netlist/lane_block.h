@@ -26,7 +26,6 @@
 // x86-64-v2-only hosts. Runtime selection lives in netlist/lane_width.h.
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -109,12 +108,6 @@ struct LaneBlock {
     for (std::size_t i = 0; i < kWords; ++i) acc |= w[i];
     return acc != 0;
   }
-  /// Set-lane count across the whole block.
-  [[nodiscard]] int popcount() const noexcept {
-    int n = 0;
-    for (std::size_t i = 0; i < kWords; ++i) n += std::popcount(w[i]);
-    return n;
-  }
 };
 
 #if defined(__AVX2__)
@@ -168,12 +161,6 @@ struct LaneBlock<256, LaneArch::Avx2> {
   [[nodiscard]] bool any() const noexcept {
     return _mm256_testz_si256(v, v) == 0;
   }
-  [[nodiscard]] int popcount() const noexcept {
-    alignas(32) std::uint64_t tmp[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), v);
-    return std::popcount(tmp[0]) + std::popcount(tmp[1]) +
-           std::popcount(tmp[2]) + std::popcount(tmp[3]);
-  }
 };
 #endif  // __AVX2__
 
@@ -225,13 +212,6 @@ struct LaneBlock<512, LaneArch::Avx512> {
   }
   [[nodiscard]] bool any() const noexcept {
     return _mm512_test_epi64_mask(v, v) != 0;
-  }
-  [[nodiscard]] int popcount() const noexcept {
-    alignas(64) std::uint64_t tmp[8];
-    _mm512_store_si512(tmp, v);
-    int n = 0;
-    for (const std::uint64_t x : tmp) n += std::popcount(x);
-    return n;
   }
 };
 #endif  // __AVX512F__

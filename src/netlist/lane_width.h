@@ -1,11 +1,11 @@
 // oisa_netlist: runtime lane-width selection + the type-erased evaluator.
 //
-// The templated engines (BatchEvaluatorT, timing::LaneTimedSimulatorT,
-// fault::PpsfpEngineT) are compile-time constructs; this header is the
-// runtime face: a LaneSelection names a (width, arch) pair, the dispatcher
-// picks the widest one the CPU supports (AVX-512 -> 512, AVX2 -> 256, else
-// the 64-lane reference), and the OISA_FORCE_LANE_WIDTH environment
-// variable overrides it for testing:
+// The two templated engines (BatchEvaluatorT, fault::PpsfpEngineT) are
+// compile-time constructs; this header is the runtime face: a
+// LaneSelection names a (width, arch) pair, the dispatcher picks the
+// widest one the CPU supports (AVX-512 -> 512, AVX2 -> 256, else the
+// 64-lane reference), and the OISA_FORCE_LANE_WIDTH environment variable
+// overrides it for testing:
 //
 //   OISA_FORCE_LANE_WIDTH=64          reference engine
 //   OISA_FORCE_LANE_WIDTH=256 / 512   vector width (falls back to the
@@ -14,10 +14,11 @@
 //   OISA_FORCE_LANE_WIDTH=portable256 / portable512   explicit portables
 //
 // AnyBatchEvaluator is the width-erased evaluator the experiment layer
-// holds; the timing and fault layers have matching Any* interfaces
-// (timing/lane_dispatch.h, fault/ppsfp_dispatch.h). All erased APIs speak
-// flat uint64 spans with wordsPerNet() words per net, so the 64-lane data
-// layout generalizes by a stride, not a new format.
+// holds; the fault layer has the matching AnyPpsfpEngine
+// (fault/ppsfp_dispatch.h). Both speak flat uint64 spans with
+// wordsPerNet() words per net, so the 64-lane data layout generalizes by
+// a stride, not a new format. The timed lane wheel (timing/lane_sim.h)
+// has one width, 64 lanes, and no dispatch.
 #pragma once
 
 #include <cstdint>

@@ -1,21 +1,19 @@
-// oisa_timing: word-parallel (W-lane) timed event simulation.
+// oisa_timing: word-parallel (64-lane) timed event simulation.
 //
-// LaneTimedSimulatorT is the timed counterpart of netlist::BatchEvaluatorT:
-// it simulates W independent instances ("lanes") of one annotated netlist
-// at once. Every net holds W/64 64-bit value words (bit L of sub-word j =
-// lane 64j+L's value), an event is (timePs, net) carrying the freshly
-// recomputed W-lane output block, and a gate schedules fanout only when
-// *any* lane changes. Because all lanes share the netlist and its
-// quantized delays, transition times coincide across lanes and one event
-// covers every lane that toggles at that (time, net) — the denser the
-// activity, the closer the engine gets to W scalar simulations for the
-// price of one.
+// LaneTimedSimulator is the timed counterpart of netlist::BatchEvaluator:
+// it simulates 64 independent instances ("lanes") of one annotated
+// netlist at once. Every net holds one 64-bit value word (bit L = lane
+// L's value), an event is (timePs, net) carrying the freshly recomputed
+// output word, and a gate schedules fanout only when *any* lane changes.
+// Because all lanes share the netlist and its quantized delays, transition
+// times coincide across lanes and one event covers every lane that toggles
+// at that (time, net) — the denser the activity, the closer the engine
+// gets to 64 scalar simulations for the price of one.
 //
-// The template parameter is a netlist::LaneBlock; the original 64-lane
-// engine is the `LaneTimedSimulator` alias and stays the canonical
-// reference (it keeps its uint64-word API via `requires` clauses). Wider
-// widths are proven bit-exact against it by slicing blocks into 64-lane
-// sub-runs — see tests/lane_width_test.cpp.
+// No campaign runs this engine: sampled outputs come from the unrolled
+// netlist (timing/unroll.h). It is the reference the unroller is proven
+// against (tests/unroll_test.cpp) and the engine the benchmark's timed
+// fault rebuild still times.
 //
 // Per-lane semantics are bit-exact versus the scalar TimedSimulator: a
 // lane's committed waveform, sampled outputs and settle behavior equal a
@@ -44,31 +42,27 @@
 #include <string>
 #include <vector>
 
+#include "netlist/batch_evaluator.h"
 #include "netlist/compiled_netlist.h"
-#include "netlist/lane_block.h"
 #include "netlist/netlist.h"
 #include "timing/delay_annotation.h"
 
 namespace oisa::timing {
 
-/// W-lane integer-time event-driven simulator over one netlist.
-template <class Block>
-class LaneTimedSimulatorT {
+/// 64-lane integer-time event-driven simulator over one netlist.
+class LaneTimedSimulator {
  public:
   /// Number of independent simulation lanes per instance.
-  static constexpr std::size_t kLanes = Block::kBits;
-  /// uint64 words per net in every lane-major span.
-  static constexpr std::size_t kWords = Block::kWords;
+  static constexpr std::size_t kLanes = 64;
 
   /// Compiles `nl` privately.
-  LaneTimedSimulatorT(const netlist::Netlist& nl,
-                      const DelayAnnotation& delays)
-      : LaneTimedSimulatorT(netlist::CompiledNetlist::compile(nl), delays) {}
+  LaneTimedSimulator(const netlist::Netlist& nl,
+                     const DelayAnnotation& delays)
+      : LaneTimedSimulator(netlist::CompiledNetlist::compile(nl), delays) {}
 
   /// Shares an existing compile with other engines over the same design.
-  LaneTimedSimulatorT(
-      std::shared_ptr<const netlist::CompiledNetlist> compiled,
-      const DelayAnnotation& delays)
+  LaneTimedSimulator(std::shared_ptr<const netlist::CompiledNetlist> compiled,
+                     const DelayAnnotation& delays)
       : compiled_(std::move(compiled)) {
     if (delays.gateCount() != compiled_->gateCount()) {
       throw std::invalid_argument(
@@ -95,7 +89,7 @@ class LaneTimedSimulatorT {
       rec.kind = static_cast<std::uint32_t>(g.kind);
       maxDelay = std::max(maxDelay, d);
     }
-    lastSched_.resize(gates_.size() * kWords);
+    lastSched_.resize(gates_.size());
     const auto slots =
         std::bit_ceil(static_cast<std::uint64_t>(maxDelay) + 1);
     wheel_.resize(slots);
@@ -103,25 +97,16 @@ class LaneTimedSimulatorT {
     reset();
   }
 
-  /// Applies primary-input words at the current simulation time: kWords
-  /// words per primary input (declaration order, input-major), bit L of
-  /// sub-word j = lane 64j+L's value.
+  /// Applies primary-input words at the current simulation time: one word
+  /// per primary input (declaration order), bit L = lane L's value.
   void applyInputs(std::span<const std::uint64_t> inputWords) {
-    if (inputWords.size() != inputNets_.size() * kWords) {
+    if (inputWords.size() != inputNets_.size()) {
       throw std::invalid_argument(
           "LaneTimedSimulator: wrong input word count");
     }
     for (std::size_t i = 0; i < inputNets_.size(); ++i) {
       const std::uint32_t net = inputNets_[i];
-      const Block w =
-          clampBlock(net, Block::load(inputWords.data() + i * kWords));
-      const Block old = loadNet(net);
-      if (!(old == w)) {
-        laneTransitions_ +=
-            static_cast<std::uint64_t>((old ^ w).popcount());
-        storeNet(net, w);
-        scheduleReaders(net, now_);
-      }
+      commit(net, clampWord(net, inputWords[i]));
     }
   }
 
@@ -135,9 +120,6 @@ class LaneTimedSimulatorT {
     runUntil(now_ + deltaPs);
     now_ += deltaPs;
   }
-
-  /// Nanosecond convenience form (rounds the span up to the ps grid).
-  void advance(double deltaNs) { advancePs(quantizeSpanPs(deltaNs)); }
 
   /// Processes every pending event in every lane. Returns the timestamp of
   /// the last processed event. Throws std::runtime_error with a diagnostic
@@ -155,8 +137,7 @@ class LaneTimedSimulatorT {
     return last;
   }
 
-  /// Current value words of the primary outputs, in declaration order
-  /// (output-major, kWords words each).
+  /// Current value words of the primary outputs, in declaration order.
   [[nodiscard]] std::vector<std::uint64_t> sampleOutputs() const {
     std::vector<std::uint64_t> out;
     sampleOutputsInto(out);
@@ -166,19 +147,12 @@ class LaneTimedSimulatorT {
   /// Allocation-free sampling: writes the primary-output words into `out`.
   void sampleOutputsInto(std::vector<std::uint64_t>& out) const {
     const auto pos = compiled_->outputNets();
-    out.resize(pos.size() * kWords);
-    for (std::size_t i = 0; i < pos.size(); ++i) {
-      for (std::size_t j = 0; j < kWords; ++j) {
-        out[i * kWords + j] = values_[std::size_t{pos[i]} * kWords + j];
-      }
-    }
+    out.resize(pos.size());
+    for (std::size_t i = 0; i < pos.size(); ++i) out[i] = values_[pos[i]];
   }
 
-  /// Current 64-lane value word of an arbitrary net (64-lane engine only;
-  /// wider engines slice netWords() by kWords).
-  [[nodiscard]] std::uint64_t netWord(netlist::NetId net) const noexcept
-    requires(Block::kWords == 1)
-  {
+  /// Current 64-lane value word of an arbitrary net.
+  [[nodiscard]] std::uint64_t netWord(netlist::NetId net) const noexcept {
     return values_[net.value];
   }
 
@@ -198,7 +172,6 @@ class LaneTimedSimulatorT {
   void setEventBudget(std::uint64_t maxEventsPerCall) noexcept {
     budget_ = maxEventsPerCall;
   }
-  [[nodiscard]] std::uint64_t eventBudget() const noexcept { return budget_; }
 
   /// Resets every lane to the settled all-inputs-low state at time 0 with
   /// no events. A cyclic netlist instead powers up all-zero with the
@@ -208,11 +181,10 @@ class LaneTimedSimulatorT {
   void reset() {
     // Broadcast the compiled settled all-inputs-low state to every lane.
     const auto zero = compiled_->zeroState();
-    values_.resize(zero.size() * kWords);
+    values_.resize(zero.size());
     for (std::size_t n = 0; n < zero.size(); ++n) {
-      storeNet(static_cast<std::uint32_t>(n),
-               clampBlock(static_cast<std::uint32_t>(n),
-                          zero[n] ? Block::ones() : Block::zero()));
+      values_[n] = clampWord(static_cast<std::uint32_t>(n),
+                             zero[n] ? ~std::uint64_t{0} : 0);
     }
     for (Slot& slot : wheel_) slot.len = 0;
     pending_ = 0;
@@ -222,13 +194,9 @@ class LaneTimedSimulatorT {
     laneTransitions_ = 0;
     for (std::uint32_t gi = 0; gi < gates_.size(); ++gi) {
       const GateRec& rec = gates_[gi];
-      const Block out = clampBlock(
-          rec.out, netlist::evalGateBlock<Block>(
-                       static_cast<netlist::GateKind>(rec.kind),
-                       loadNet(rec.in[0]), loadNet(rec.in[1]),
-                       loadNet(rec.in[2])));
-      out.store(lastSched_.data() + std::size_t{gi} * kWords);
-      if (!(out == loadNet(rec.out))) [[unlikely]] {
+      const std::uint64_t out = evalGate(rec);
+      lastSched_[gi] = out;
+      if (out != values_[rec.out]) [[unlikely]] {
         pushEvent(wheel_[rec.delayPs & wheelMask_], rec.out, out);
       }
     }
@@ -239,10 +207,7 @@ class LaneTimedSimulatorT {
   /// `bits` — the clamp rewrites every word committed to the net (input
   /// application, scheduled gate output, reset state), so readers and
   /// output sampling only ever see the forced value while healthy lanes
-  /// keep simulating unchanged. The 64-bit mask/bits pattern applies to
-  /// every 64-lane sub-word alike, so a fault injected "in lane L" exists
-  /// in lane L of each sub-block — the convention the defect scan's
-  /// stream-chunking relies on. Takes effect immediately at the current
+  /// keep simulating unchanged. Takes effect immediately at the current
   /// time: a clamp that changes the net's value schedules its readers
   /// like any other committed change. Repeated calls accumulate per net.
   void forceNet(netlist::NetId net, std::uint64_t laneMask,
@@ -256,47 +221,14 @@ class LaneTimedSimulatorT {
       forceMask_.assign(values_.size(), 0);
       forceBits_.assign(values_.size(), 0);
     }
-    const Block mask =
-        Block::splat(laneMask) |
-        Block::load(forceMask_.data() + std::size_t{net.value} * kWords);
-    const Block oldBits =
-        Block::load(forceBits_.data() + std::size_t{net.value} * kWords);
-    const Block newBits = (oldBits & ~Block::splat(laneMask)) |
-                          (Block::splat(bits) & Block::splat(laneMask));
-    mask.store(forceMask_.data() + std::size_t{net.value} * kWords);
-    newBits.store(forceBits_.data() + std::size_t{net.value} * kWords);
+    forceMask_[net.value] |= laneMask;
+    forceBits_[net.value] =
+        (forceBits_[net.value] & ~laneMask) | (bits & laneMask);
     forced_ = true;
     // Commit the clamp immediately at the current time, exactly like an
     // input change: readers of a net whose value flips react after their
     // own delays.
-    const Block old = loadNet(net.value);
-    const Block w = clampBlock(net.value, old);
-    if (!(old == w)) {
-      laneTransitions_ += static_cast<std::uint64_t>((old ^ w).popcount());
-      storeNet(net.value, w);
-      scheduleReaders(net.value, now_);
-    }
-  }
-
-  /// Drops every net force. Already-committed forced values stay on the
-  /// nets until re-driven (or until reset()).
-  void clearNetForces() {
-    if (!forced_) return;
-    forced_ = false;
-    std::fill(forceMask_.begin(), forceMask_.end(), 0);
-    std::fill(forceBits_.begin(), forceBits_.end(), 0);
-  }
-
-  [[nodiscard]] bool hasNetForces() const noexcept { return forced_; }
-
-  /// All current net value words, indexed by NetId * kWords.
-  [[nodiscard]] const std::vector<std::uint64_t>& netWords() const noexcept {
-    return values_;
-  }
-
-  [[nodiscard]] const std::shared_ptr<const netlist::CompiledNetlist>&
-  compiled() const noexcept {
-    return compiled_;
+    commit(net.value, clampWord(net.value, values_[net.value]));
   }
 
  private:
@@ -315,46 +247,52 @@ class LaneTimedSimulatorT {
   static constexpr std::uint64_t kDefaultEventBudget = std::uint64_t{1}
                                                        << 22;
 
-  /// One scheduled net change carrying the full W-lane block; the
+  /// One scheduled net change carrying the full 64-lane word; the
   /// timestamp is implied by the wheel slot.
   struct SlotEvent {
     std::uint32_t net;
-    std::array<std::uint64_t, kWords> word;
+    std::uint64_t word;
   };
   struct Slot {
     std::vector<SlotEvent> data;
     std::uint32_t len = 0;
   };
 
-  [[nodiscard]] inline Block loadNet(std::uint32_t net) const {
-    return Block::load(values_.data() + std::size_t{net} * kWords);
-  }
-  inline void storeNet(std::uint32_t net, Block w) {
-    w.store(values_.data() + std::size_t{net} * kWords);
-  }
-
-  /// Applies the net-override clamp to a block about to be scheduled or
+  /// Applies the net-override clamp to a word about to be scheduled or
   /// committed for `net`. The `forced_` flag keeps the fault-free hot
   /// path at one predictable branch.
-  [[nodiscard]] inline Block clampBlock(std::uint32_t net, Block word) const {
+  [[nodiscard]] inline std::uint64_t clampWord(std::uint32_t net,
+                                               std::uint64_t word) const {
     if (!forced_) [[likely]] {
       return word;
     }
-    const Block mask =
-        Block::load(forceMask_.data() + std::size_t{net} * kWords);
-    const Block bits =
-        Block::load(forceBits_.data() + std::size_t{net} * kWords);
-    return (word & ~mask) | bits;
+    return (word & ~forceMask_[net]) | forceBits_[net];
   }
 
-  inline void pushEvent(Slot& slot, std::uint32_t net, Block word) {
+  /// The gate's clamped output word over the current net values.
+  [[nodiscard]] inline std::uint64_t evalGate(const GateRec& rec) const {
+    return clampWord(rec.out,
+                     netlist::evalGateWord(
+                         static_cast<netlist::GateKind>(rec.kind),
+                         values_[rec.in[0]], values_[rec.in[1]],
+                         values_[rec.in[2]]));
+  }
+
+  /// Commits `word` to an input or forced net at the current time; a
+  /// change schedules the net's readers.
+  inline void commit(std::uint32_t net, std::uint64_t word) {
+    const std::uint64_t old = values_[net];
+    if (old == word) return;
+    laneTransitions_ += static_cast<std::uint64_t>(std::popcount(old ^ word));
+    values_[net] = word;
+    scheduleReaders(net, now_);
+  }
+
+  inline void pushEvent(Slot& slot, std::uint32_t net, std::uint64_t word) {
     if (slot.len == slot.data.size()) [[unlikely]] {
       slot.data.resize(std::max<std::size_t>(8, slot.data.size() * 2));
     }
-    SlotEvent& e = slot.data[slot.len];
-    e.net = net;
-    word.store(e.word.data());
-    ++slot.len;
+    slot.data[slot.len++] = SlotEvent{net, word};
     ++pending_;
   }
 
@@ -368,21 +306,15 @@ class LaneTimedSimulatorT {
     for (std::uint32_t i = begin; i < end; ++i) {
       const std::uint32_t g = readers_[i] >> 3;
       const GateRec& rec = gates_[g];
-      // Recompute the full W-lane output block. Lanes whose inputs did not
+      // Recompute the full 64-lane output word. Lanes whose inputs did not
       // change recompute the value they already scheduled, so the dedup
-      // below drops pure no-ops and a partially-changed block re-commits
+      // below drops pure no-ops and a partially-changed word re-commits
       // quiet lanes' bits harmlessly. Forced (stuck) lanes of the output
       // net are clamped before the dedup, so a defective net never
       // schedules its healthy value.
-      const Block out = clampBlock(
-          rec.out, netlist::evalGateBlock<Block>(
-                       static_cast<netlist::GateKind>(rec.kind),
-                       loadNet(rec.in[0]), loadNet(rec.in[1]),
-                       loadNet(rec.in[2])));
-      const Block last =
-          Block::load(lastSched_.data() + std::size_t{g} * kWords);
-      if (out == last) continue;
-      out.store(lastSched_.data() + std::size_t{g} * kWords);
+      const std::uint64_t out = evalGate(rec);
+      if (out == lastSched_[g]) continue;
+      lastSched_[g] = out;
       pushEvent(wheel_[(atTime + rec.delayPs) & wheelMask_], rec.out, out);
     }
   }
@@ -400,12 +332,12 @@ class LaneTimedSimulatorT {
       const SlotEvent e = slot.data[i];
       // Re-clamp at commit: an event scheduled before a forceNet call
       // still carries the healthy word.
-      const Block word = clampBlock(e.net, Block::load(e.word.data()));
-      const Block old = loadNet(e.net);
+      const std::uint64_t word = clampWord(e.net, e.word);
+      const std::uint64_t old = values_[e.net];
       if (old == word) continue;
-      storeNet(e.net, word);
+      values_[e.net] = word;
       laneTransitions_ +=
-          static_cast<std::uint64_t>((old ^ word).popcount());
+          static_cast<std::uint64_t>(std::popcount(old ^ word));
       if (++eventCount_ > failAt_) [[unlikely]] {
         throwBudgetExceeded();
       }
@@ -440,12 +372,12 @@ class LaneTimedSimulatorT {
 
   std::shared_ptr<const netlist::CompiledNetlist> compiled_;
   std::vector<GateRec> gates_;
-  /// Per gate: last scheduled block (kWords words each).
+  /// Per gate: last scheduled output word.
   std::vector<std::uint64_t> lastSched_;
   std::span<const std::uint32_t> fanoutOffset_;  // shared CSR (compiled_)
   std::span<const std::uint32_t> readers_;
   std::span<const std::uint32_t> inputNets_;
-  std::vector<std::uint64_t> values_;  // indexed by NetId * kWords
+  std::vector<std::uint64_t> values_;  // indexed by NetId
   std::vector<Slot> wheel_;
   std::uint32_t wheelMask_ = 0;
   std::uint64_t pending_ = 0;
@@ -455,43 +387,35 @@ class LaneTimedSimulatorT {
   std::uint64_t laneTransitions_ = 0;
   std::uint64_t budget_ = kDefaultEventBudget;
   std::uint64_t failAt_ = ~std::uint64_t{0};
-  /// Net-override state (empty until the first forceNet call),
-  /// kWords words per net.
+  /// Net-override state (empty until the first forceNet call).
   std::vector<std::uint64_t> forceMask_;
   std::vector<std::uint64_t> forceBits_;
   bool forced_ = false;
 };
 
-/// The canonical 64-lane reference engine (original API: one word per
-/// net/input/output).
-using LaneTimedSimulator = LaneTimedSimulatorT<netlist::LaneBlock64>;
-
-/// Drives a LaneTimedSimulatorT like W clocked register stages sharing one
-/// clock: per step, W input vectors (one per lane, lane-major words) are
-/// applied at a common edge and all lanes' outputs latch one period later.
-/// The shared cursor makes the scalar engine's strictly-before-edge latch
-/// semantics hold for every lane.
-template <class Block>
-class LaneClockedSamplerT {
+/// Drives a LaneTimedSimulator like 64 clocked register stages sharing one
+/// clock: per step, 64 input vectors (one per lane) are applied at a
+/// common edge and all lanes' outputs latch one period later. The shared
+/// cursor makes the scalar engine's strictly-before-edge latch semantics
+/// hold for every lane.
+class LaneClockedSampler {
  public:
-  static constexpr std::size_t kLanes = Block::kBits;
-  static constexpr std::size_t kWords = Block::kWords;
-
-  LaneClockedSamplerT(
-      std::shared_ptr<const netlist::CompiledNetlist> compiled,
-      const DelayAnnotation& delays, double periodNs)
+  LaneClockedSampler(std::shared_ptr<const netlist::CompiledNetlist> compiled,
+                     const DelayAnnotation& delays, double periodNs)
       : sim_(std::move(compiled), delays),
-        periodNs_(periodNs),
         periodPs_(quantizeSpanPs(periodNs)) {
     if (periodNs <= 0.0 || periodPs_ <= 0) {
       throw std::invalid_argument(
           "LaneClockedSampler: period must be positive");
     }
   }
-  LaneClockedSamplerT(const netlist::Netlist& nl,
-                      const DelayAnnotation& delays, double periodNs)
-      : LaneClockedSamplerT(netlist::CompiledNetlist::compile(nl), delays,
-                            periodNs) {}
+
+  /// uint64 words per net in every span: always 1. Kept only for the
+  /// benchmark's timed fault rebuild (perfbench/campaign.cpp); it goes
+  /// when that rebuild stops asking for it.
+  [[nodiscard]] static constexpr std::size_t wordsPerNet() noexcept {
+    return 1;
+  }
 
   /// Settles every lane on an initial vector (reset cycle; no sampling).
   void initialize(std::span<const std::uint64_t> inputWords) {
@@ -508,27 +432,12 @@ class LaneClockedSamplerT {
     sim_.sampleOutputsInto(out);
   }
 
-  [[nodiscard]] double periodNs() const noexcept { return periodNs_; }
   [[nodiscard]] TimePs periodPs() const noexcept { return periodPs_; }
-  [[nodiscard]] LaneTimedSimulatorT<Block>& simulator() noexcept {
-    return sim_;
-  }
+  [[nodiscard]] LaneTimedSimulator& simulator() noexcept { return sim_; }
 
  private:
-  LaneTimedSimulatorT<Block> sim_;
-  double periodNs_;
+  LaneTimedSimulator sim_;
   TimePs periodPs_;
 };
-
-using LaneClockedSampler = LaneClockedSamplerT<netlist::LaneBlock64>;
-
-// Portable widths are instantiated once in lane_sim.cpp (baseline flags);
-// the intrinsic widths live in the per-arch dispatch TUs.
-extern template class LaneTimedSimulatorT<netlist::LaneBlock<64>>;
-extern template class LaneTimedSimulatorT<netlist::LaneBlock<256>>;
-extern template class LaneTimedSimulatorT<netlist::LaneBlock<512>>;
-extern template class LaneClockedSamplerT<netlist::LaneBlock<64>>;
-extern template class LaneClockedSamplerT<netlist::LaneBlock<256>>;
-extern template class LaneClockedSamplerT<netlist::LaneBlock<512>>;
 
 }  // namespace oisa::timing

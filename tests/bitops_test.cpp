@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <random>
 
@@ -136,8 +135,6 @@ TYPED_TEST(LaneBlockTest, SplatZeroOnes) {
   }
   EXPECT_FALSE(Block::zero().any());
   EXPECT_TRUE(Block::ones().any());
-  EXPECT_EQ(Block::zero().popcount(), 0);
-  EXPECT_EQ(Block::ones().popcount(), static_cast<int>(Block::kBits));
 }
 
 TYPED_TEST(LaneBlockTest, BitwiseOpsMatchScalarPerWord) {
@@ -160,7 +157,7 @@ TYPED_TEST(LaneBlockTest, BitwiseOpsMatchScalarPerWord) {
   }
 }
 
-TYPED_TEST(LaneBlockTest, EqualityAnyAndPopcount) {
+TYPED_TEST(LaneBlockTest, EqualityAndAny) {
   using Block = TypeParam;
   OISA_TRACE_SEED(13);
   std::mt19937_64 rng(13);
@@ -170,11 +167,6 @@ TYPED_TEST(LaneBlockTest, EqualityAnyAndPopcount) {
     const Block a = Block::load(wa.data());
     ASSERT_TRUE(a == Block::load(wa.data()));
     ASSERT_FALSE((a ^ a).any());
-    ASSERT_EQ((a ^ a).popcount(), 0);
-
-    int expected = 0;
-    for (const auto w : wa) expected += std::popcount(w);
-    ASSERT_EQ(a.popcount(), expected);
 
     // Flip exactly one lane: equality must break, the XOR must expose
     // exactly that lane in exactly that sub-word ("any-lane-changed").
@@ -185,7 +177,6 @@ TYPED_TEST(LaneBlockTest, EqualityAnyAndPopcount) {
     ASSERT_FALSE(a == d);
     const Block x = a ^ d;
     ASSERT_TRUE(x.any());
-    ASSERT_EQ(x.popcount(), 1);
     for (std::size_t j = 0; j < Block::kWords; ++j) {
       ASSERT_EQ(x.word(j), j == lane / 64
                                ? std::uint64_t{1} << (lane % 64)

@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <random>
 #include <span>
@@ -36,8 +35,6 @@
 #include "predict/trace.h"
 #include "reference/scalar_collector.h"
 #include "timing/cell_library.h"
-#include "timing/delay_annotation.h"
-#include "timing/lane_dispatch.h"
 
 namespace oisa::testing {
 
@@ -176,68 +173,6 @@ inline void expectLaneBitExact(netlist::AnyBatchEvaluator& reference,
         ASSERT_EQ(wideOut[o * kW + j], refOut[o])
             << "round " << round << " sub-word " << j << " output " << o;
       }
-    }
-  }
-}
-
-/// Timed engine: builds a `wideSel` clocked sampler and, per 64-lane
-/// sub-block, a fresh 64-lane reference sampler, drives both through the
-/// same settle + `cycles` overclocked cycles of random stimulus, and
-/// asserts every sampled output word and every final net word agree.
-/// `prepare` (optional) is applied to each simulator before its run —
-/// e.g. a stuck-at injection, to prove forceNet clamps slice exactly.
-inline void expectLaneBitExact(
-    const std::shared_ptr<const netlist::CompiledNetlist>& compiled,
-    const timing::DelayAnnotation& delays, double periodNs,
-    netlist::LaneSelection wideSel, int cycles, std::mt19937_64& rng,
-    const std::function<void(timing::AnyLaneSimulator&)>& prepare = {}) {
-  const auto wide = timing::makeLaneSampler(compiled, delays, periodNs,
-                                            wideSel);
-  if (prepare) prepare(wide->simulator());
-  const std::size_t kW = wide->wordsPerNet();
-  const std::size_t inputs = compiled->inputNets().size();
-  const std::size_t outputs = compiled->outputNets().size();
-  const std::size_t nets = compiled->netCount();
-
-  // Materialize the stimulus plane: step 0 is the settled reset vector.
-  std::vector<std::vector<std::uint64_t>> stimuli(
-      static_cast<std::size_t>(cycles) + 1);
-  for (auto& step : stimuli) step = randomWords(rng, inputs * kW);
-
-  std::vector<std::vector<std::uint64_t>> wideOut(
-      static_cast<std::size_t>(cycles));
-  wide->initialize(stimuli[0]);
-  for (int t = 0; t < cycles; ++t) {
-    wide->stepInto(stimuli[static_cast<std::size_t>(t) + 1],
-                   wideOut[static_cast<std::size_t>(t)]);
-  }
-  const auto wideNets = wide->simulator().netWords();
-
-  std::vector<std::uint64_t> refIn(inputs);
-  std::vector<std::uint64_t> refOut;
-  for (std::size_t j = 0; j < kW; ++j) {
-    const auto ref = timing::makeLaneSampler(
-        compiled, delays, periodNs,
-        netlist::LaneSelection{64, netlist::LaneArch::Portable});
-    if (prepare) prepare(ref->simulator());
-    for (std::size_t i = 0; i < inputs; ++i) {
-      refIn[i] = stimuli[0][i * kW + j];
-    }
-    ref->initialize(refIn);
-    for (int t = 0; t < cycles; ++t) {
-      const auto& step = stimuli[static_cast<std::size_t>(t) + 1];
-      for (std::size_t i = 0; i < inputs; ++i) refIn[i] = step[i * kW + j];
-      ref->stepInto(refIn, refOut);
-      for (std::size_t o = 0; o < outputs; ++o) {
-        ASSERT_EQ(wideOut[static_cast<std::size_t>(t)][o * kW + j],
-                  refOut[o])
-            << "cycle " << t << " sub-word " << j << " output " << o;
-      }
-    }
-    const auto refNets = ref->simulator().netWords();
-    for (std::size_t n = 0; n < nets; ++n) {
-      ASSERT_EQ(wideNets[n * kW + j], refNets[n])
-          << "final state sub-word " << j << " net " << n;
     }
   }
 }

@@ -110,6 +110,21 @@ TEST(CliTest, DiagnosesMalformedValues) {
   }
   EXPECT_THROW((void)args.getDouble("cpr", 0.0), oisa::core::StatusError);
   EXPECT_THROW((void)args.getBool("relax", false), oisa::core::StatusError);
+  // strtod parses these, but no flag takes a non-finite value: a NaN
+  // would pass every `> 0` gate unchecked.
+  const char* argv3[] = {"prog", "--min-speedup=nan", "--deadline=inf",
+                         "--margin=-inf"};
+  const ArgParser args3(4, argv3);
+  for (const char* key : {"min-speedup", "deadline", "margin"}) {
+    try {
+      (void)args3.getDouble(key, 1.0);
+      FAIL() << "expected StatusError for --" << key;
+    } catch (const oisa::core::StatusError& e) {
+      EXPECT_EQ(e.status().code(), oisa::core::StatusCode::InvalidInput);
+      EXPECT_NE(e.status().message().find(std::string("--") + key),
+                std::string::npos);
+    }
+  }
   // Negative and hex spellings are rejected for unsigned flags instead
   // of wrapping.
   const char* argv2[] = {"prog", "--cycles=-5", "--seed=0x10"};

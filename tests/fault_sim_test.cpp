@@ -19,6 +19,7 @@
 #include "fault/coverage.h"
 #include "fault/fault_universe.h"
 #include "fault/ppsfp.h"
+#include "fault/ppsfp_dispatch.h"
 #include "fault/timed_fault.h"
 #include "netlist/bench_io.h"
 #include "netlist/compiled_netlist.h"
@@ -237,38 +238,41 @@ TEST(CoverageTest, DroppingDoesNotChangeTheDetectedSet) {
   const Netlist nl = randomNetlist(rng, 8, 40);
   const auto compiled = CompiledNetlist::compile(nl);
   FaultUniverse universe(compiled);
-  PpsfpEngine dropEngine(compiled);
-  PpsfpEngine keepEngine(compiled);
+  // 64-lane engines: 512 patterns span eight blocks, so dropping has
+  // later blocks to save work on.
+  const auto dropEngine = oisa::fault::makePpsfpEngine(compiled, {});
+  const auto keepEngine = oisa::fault::makePpsfpEngine(compiled, {});
   CoverageOptions options;
   options.patterns = 512;
   options.seed = 11;
   options.dropDetected = true;
   const auto dropped =
-      oisa::fault::runRandomCoverage(universe, dropEngine, options);
+      oisa::fault::runRandomCoverage(universe, *dropEngine, options);
   options.dropDetected = false;
   const auto kept =
-      oisa::fault::runRandomCoverage(universe, keepEngine, options);
+      oisa::fault::runRandomCoverage(universe, *keepEngine, options);
   EXPECT_EQ(dropped.detected, kept.detected);
   EXPECT_EQ(dropped.detectedClasses, kept.detectedClasses);
   EXPECT_EQ(dropped.firstDetectedAt, kept.firstDetectedAt);
   EXPECT_EQ(dropped.patternsApplied, kept.patternsApplied);
   EXPECT_GT(dropped.detectedClasses, 0u);
   // Dropping strictly saves work once anything was detected early.
-  EXPECT_LT(dropEngine.faultsSimulated(), keepEngine.faultsSimulated());
+  EXPECT_LT(dropEngine->faultsSimulated(), keepEngine->faultsSimulated());
 }
 
 TEST(CoverageTest, C17ReachesFullCoverageExhaustively) {
   const Netlist nl = oisa::netlist::readBenchString(kC17, "c17");
   const auto compiled = CompiledNetlist::compile(nl);
   FaultUniverse universe(compiled);
-  PpsfpEngine engine(compiled);
+  // The source below packs one word per input: a 64-lane engine.
+  const auto engine = oisa::fault::makePpsfpEngine(compiled, {});
   // 5 inputs: 64 random patterns all but surely include the needed ones;
   // use exhaustive stimuli via the block source for determinism.
   CoverageOptions options;
   options.patterns = 32;
   bool served = false;
   const auto result = oisa::fault::runCoverage(
-      universe, engine, options,
+      universe, *engine, options,
       [&](std::span<std::uint64_t> words) -> std::size_t {
         if (served) return 0;
         served = true;

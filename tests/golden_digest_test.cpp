@@ -1,7 +1,8 @@
 // Golden-digest regression tests (the ROADMAP's `.ans.sha` scheme): the
 // fig7/fig8 prediction rows, fig9 error-combination rows, fault-coverage
-// scan rows and a c17 random-coverage campaign are serialized to a
-// canonical text form and SHA-256-digested against checked-in goldens.
+// scan rows, a c17 random-coverage campaign and the scalar wheel's power
+// and Razor numbers are serialized to a canonical text form and
+// SHA-256-digested against checked-in goldens.
 // Every number is printed in hexfloat, so the digest pins the exact bit
 // pattern of every double — a data-plane refactor (e.g. widening the
 // 64-lane engines to 256/512 SIMD blocks) cannot silently drift an
@@ -16,21 +17,25 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "circuits/isa_netlist.h"
 #include "circuits/synthesis.h"
 #include "core/isa_config.h"
 #include "experiments/fault_scan.h"
 #include "experiments/runner.h"
 #include "fault/coverage.h"
 #include "fault/fault_universe.h"
-#include "fault/ppsfp.h"
+#include "fault/ppsfp_dispatch.h"
 #include "netlist/bench_io.h"
 #include "netlist/compiled_netlist.h"
 #include "sha256.h"
 #include "timing/cell_library.h"
+#include "timing/power.h"
+#include "timing/razor.h"
 
 namespace {
 
@@ -55,6 +60,8 @@ constexpr const char* kGoldenFaultScan =
     "537e3eb217f0477eb85d6b9160428a15e4473a55afdf18aa88e33bbb1064044b";
 constexpr const char* kGoldenC17Coverage =
     "f33d7c3e03c65a6b2a4b46ea2b9b1b643a47eb3845b26bd1566cb03e2cbce09a";
+constexpr const char* kGoldenPowerRazor =
+    "a3acaf84fb67d4210094a3e6e3c36d0e5c2167661be133e074d18a35077c34da";
 
 /// Exact, locale-independent double rendering (C99 %a hexfloat).
 std::string hexd(double v) {
@@ -218,12 +225,12 @@ OUTPUT(23)
   const auto compiled = oisa::netlist::CompiledNetlist::compile(
       oisa::netlist::readBenchString(kC17, "c17"));
   oisa::fault::FaultUniverse universe(compiled);
-  oisa::fault::PpsfpEngine engine(compiled);
+  const auto engine = oisa::fault::makePpsfpEngine(compiled);
   oisa::fault::CoverageOptions options;
   options.patterns = 256;
   options.seed = 1;
   const auto result =
-      oisa::fault::runRandomCoverage(universe, engine, options);
+      oisa::fault::runRandomCoverage(universe, *engine, options);
 
   std::string text = std::to_string(result.universeFaults) + "," +
                      std::to_string(result.collapsedClasses) + "," +
@@ -236,6 +243,46 @@ OUTPUT(23)
   }
   EXPECT_EQ(sha256Hex(text), kGoldenC17Coverage) << "canonical text:\n"
                                                  << text;
+}
+
+TEST(GoldenDigestTest, PowerAndRazorMatchGolden) {
+  // The scalar wheel's shipped outputs (table3_power, ablation_razor):
+  // every PowerReport field, and Razor cycle and detection counts at a
+  // mild and a deep overclock.
+  const auto power = oisa::timing::PowerLibrary::generic65();
+  std::string text =
+      "design,cycles,toggles,dynamic_fj,energy_per_op_fj,dynamic_uw,"
+      "leakage_uw,total_uw,toggles_per_cycle\n";
+  for (const auto& design : goldenDesigns()) {
+    const int width = design.config.width;
+    std::mt19937_64 rng(2017);
+    std::vector<std::vector<std::uint8_t>> stimuli;
+    for (int i = 0; i < 300; ++i) {
+      stimuli.push_back(
+          oisa::circuits::packOperands(rng(), rng(), false, width));
+    }
+    const auto r = oisa::timing::measurePower(design.netlist, design.delays,
+                                              power, 0.3, stimuli);
+    text += design.config.name() + "," + std::to_string(r.cycles) + "," +
+            std::to_string(r.toggles) + "," + hexd(r.dynamicEnergyFj) + "," +
+            hexd(r.energyPerOpFj) + "," + hexd(r.dynamicPowerUw) + "," +
+            hexd(r.leakagePowerUw) + "," + hexd(r.totalPowerUw) + "," +
+            hexd(r.meanTogglesPerCycle) + "\n";
+    for (const double frac : {0.8, 0.5}) {
+      const double periodNs = design.criticalDelayNs * frac;
+      oisa::timing::RazorSampler razor(design.netlist, design.delays,
+                                       periodNs, 0.5 * periodNs);
+      razor.initialize(stimuli.front());
+      for (std::size_t i = 1; i < stimuli.size(); ++i) {
+        (void)razor.step(stimuli[i]);
+      }
+      text += "razor," + hexd(periodNs) + "," +
+              std::to_string(razor.cycles()) + "," +
+              std::to_string(razor.detections()) + "\n";
+    }
+  }
+  EXPECT_EQ(sha256Hex(text), kGoldenPowerRazor) << "canonical text:\n"
+                                                << text;
 }
 
 }  // namespace

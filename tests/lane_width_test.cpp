@@ -2,9 +2,8 @@
 // instantiate (64-lane reference, portable 256/512, AVX2 256, AVX-512
 // 512) is driven against the 64-lane reference engines through the
 // differential harness and must agree bit-for-bit — functional
-// (BatchEvaluator), timed (LaneClockedSampler, including forceNet stuck
-// clamps), and PPSFP fault detection — on random DAGs, all twelve paper
-// design points and the ISCAS-85 c17 benchmark. On top of the engine
+// (BatchEvaluator) and PPSFP fault detection — on random DAGs, all twelve
+// paper design points and the ISCAS-85 c17 benchmark. On top of the engine
 // slices, the consumer invariants: TraceCollector traces (over runs
 // spanning several windows, against the sequential reference) and
 // fault-coverage campaign results are pure functions of the stimulus
@@ -26,15 +25,11 @@
 #include "fault/coverage.h"
 #include "fault/fault_universe.h"
 #include "fault/ppsfp_dispatch.h"
-#include "fault/timed_fault.h"
 #include "netlist/bench_io.h"
 #include "netlist/compiled_netlist.h"
 #include "netlist/lane_width.h"
 #include "reference/scalar_collector.h"
 #include "timing/cell_library.h"
-#include "timing/delay_annotation.h"
-#include "timing/lane_dispatch.h"
-#include "timing/sta.h"
 
 #include "differential_harness.h"
 
@@ -45,10 +40,8 @@ using oisa::netlist::LaneArch;
 using oisa::netlist::LaneSelection;
 using oisa::netlist::Netlist;
 using oisa::timing::CellLibrary;
-using oisa::timing::DelayAnnotation;
 using oisa::testing::kC17;
 using oisa::testing::randomNetlist;
-using oisa::testing::unitLibrary;
 
 constexpr LaneSelection kReference{64, LaneArch::Portable};
 
@@ -159,16 +152,11 @@ TEST(LaneWidthTest, EnginesReportTheirSelection) {
   std::mt19937_64 rng(77);
   const Netlist nl = randomNetlist(rng, 8, 30);
   const auto compiled = CompiledNetlist::compile(nl);
-  const DelayAnnotation delays(nl, unitLibrary());
   for (const LaneSelection sel : oisa::netlist::availableLaneSelections()) {
     const auto evaluator = oisa::netlist::makeBatchEvaluator(compiled, sel);
     EXPECT_TRUE(evaluator->selection() == sel);
     EXPECT_EQ(evaluator->lanes(), sel.width);
     EXPECT_EQ(evaluator->wordsPerNet(), sel.wordsPerNet());
-    const auto sampler = oisa::timing::makeLaneSampler(compiled, delays,
-                                                       1.0, sel);
-    EXPECT_TRUE(sampler->selection() == sel);
-    EXPECT_EQ(sampler->lanes(), sel.width);
     const auto engine = oisa::fault::makePpsfpEngine(compiled, sel);
     EXPECT_TRUE(engine->selection() == sel);
     EXPECT_EQ(engine->lanes(), sel.width);
@@ -216,73 +204,6 @@ TEST(LaneWidthTest, BatchEvaluatorBitExactOnAllPaperDesignsAndC17) {
       const auto wide = oisa::netlist::makeBatchEvaluator(compiled, sel);
       oisa::testing::expectLaneBitExact(*reference, *wide, rng, 2);
     }
-  }
-}
-
-TEST(LaneWidthTest, TimedSamplerBitExactOnRandomNetlists) {
-  OISA_TRACE_SEED(909);
-  std::mt19937_64 rng(909);
-  for (int trial = 0; trial < 3; ++trial) {
-    const Netlist nl = randomNetlist(rng, 10, 60);
-    DelayAnnotation delays(nl, CellLibrary::generic65());
-    delays.applyVariation(rng, 0.35);  // off-grid doubles: quantization
-    const double critical = criticalDelayNs(nl, delays);
-    for (const double frac : {0.4, 1.2}) {
-      const double periodNs = std::max(critical * frac, 0.001);
-      for (const LaneSelection sel : wideSelections()) {
-        SCOPED_TRACE("trial " + std::to_string(trial) + " frac " +
-                     std::to_string(frac) + " " +
-                     oisa::netlist::laneSelectionName(sel));
-        oisa::testing::expectLaneBitExact(CompiledNetlist::compile(nl),
-                                          delays, periodNs, sel, 10, rng);
-      }
-    }
-  }
-}
-
-TEST(LaneWidthTest, TimedSamplerBitExactOnAllPaperDesigns) {
-  OISA_TRACE_SEED(4242);
-  std::mt19937_64 rng(4242);
-  oisa::circuits::SynthesisOptions options;
-  options.relaxSlack = true;  // exercise relaxation-mutated delays
-  const auto designs = oisa::circuits::synthesizePaperDesigns(
-      CellLibrary::generic65(), options);
-  ASSERT_EQ(designs.size(), 12u);
-  const double periodNs = oisa::experiments::overclockedPeriodNs(0.3, 15.0);
-  for (const auto& design : designs) {
-    const auto compiled = CompiledNetlist::compile(design.netlist);
-    for (const LaneSelection sel : wideSelections()) {
-      SCOPED_TRACE(design.config.name() + " " +
-                   oisa::netlist::laneSelectionName(sel));
-      oisa::testing::expectLaneBitExact(compiled, design.delays, periodNs,
-                                        sel, 6, rng);
-    }
-  }
-}
-
-TEST(LaneWidthTest, TimedSamplerBitExactWithStuckClampOnC17) {
-  // forceNet at wide widths broadcasts the 64-bit lane mask across every
-  // sub-block; a defective run must slice exactly like a healthy one.
-  OISA_TRACE_SEED(31);
-  std::mt19937_64 rng(31);
-  const Netlist nl = oisa::netlist::readBenchString(kC17, "c17");
-  const auto compiled = CompiledNetlist::compile(nl);
-  const DelayAnnotation delays(nl, unitLibrary());
-  oisa::fault::FaultUniverse universe(compiled);
-  std::vector<oisa::fault::Fault> stems;
-  for (const auto& f : universe.all()) {
-    if (f.isStem()) stems.push_back(f);
-  }
-  ASSERT_FALSE(stems.empty());
-  for (const LaneSelection sel : wideSelections()) {
-    const auto& fault = stems[rng() % stems.size()];
-    const std::uint64_t laneMask = rng() | 1;  // nonempty lane subset
-    SCOPED_TRACE(oisa::netlist::laneSelectionName(sel));
-    oisa::testing::expectLaneBitExact(
-        compiled, delays, 2.5, sel, 8, rng,
-        [&](oisa::timing::AnyLaneSimulator& sim) {
-          oisa::fault::injectStuckAt(sim, fault, laneMask);
-        });
   }
 }
 
