@@ -1,7 +1,6 @@
 #include "experiments/fault_scan.h"
 
 #include <algorithm>
-#include <array>
 #include <optional>
 
 #include "core/error_model.h"
@@ -136,30 +135,29 @@ std::vector<FaultScanRow> runFaultErrorScan(
         makeWorkload(options.run.workload, width, options.run.seed);
     const std::size_t engineLanes = engine->lanes();
     const std::size_t kW = engine->wordsPerNet();
-    std::array<Stimulus, 64> stims{};
+    std::vector<Stimulus> stims(engineLanes);
     std::vector<std::uint64_t> subWords(compiled->inputNets().size(), 0);
     std::uint64_t remaining = coverage.patterns;
     // Wide engines consume the same workload stream the 64-lane reference
-    // would: draws stay sub-block-major (64 stimuli, then the next
-    // sub-word), so pattern p of a block is always draw p of its stream
-    // position and CoverageResult is width-independent.
+    // would: pattern p of a block is draw p of its stream position, packed
+    // into bit p%64 of sub-word p/64, so CoverageResult is
+    // width-independent.
     const fault::PatternBlockSource source =
         [&](std::span<std::uint64_t> inputWords) -> std::size_t {
       if (remaining == 0) return 0;
       const auto count = static_cast<std::size_t>(
           std::min<std::uint64_t>(remaining, engineLanes));
       remaining -= count;
+      workload->fill(std::span(stims.data(), count));
       std::fill(inputWords.begin(), inputWords.end(), 0);
-      for (std::size_t packed = 0, j = 0; packed < count; ++j) {
-        const std::size_t sub = std::min<std::size_t>(count - packed, 64);
-        for (std::size_t lane = 0; lane < sub; ++lane) {
-          stims[lane] = workload->next();
-        }
-        packStimulusBlock(std::span(stims.data(), sub), width, subWords);
+      for (std::size_t j = 0; j * 64 < count; ++j) {
+        packStimulusBlock(
+            std::span(stims.data() + j * 64,
+                      std::min<std::size_t>(count - j * 64, 64)),
+            width, subWords);
         for (std::size_t i = 0; i < subWords.size(); ++i) {
           inputWords[i * kW + j] = subWords[i];
         }
-        packed += sub;
       }
       return count;
     };

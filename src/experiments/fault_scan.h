@@ -7,7 +7,9 @@
 //
 //  1. a stuck-at fault-coverage campaign: the collapsed fault universe of
 //     the synthesized netlist simulated against the experiment workload
-//     through the PPSFP engine (64 patterns per sweep, fault dropping);
+//     through the PPSFP engine (the selected lane width's 64-512 patterns
+//     per sweep, fault dropping, and no simulation of classes the
+//     workload's held inputs make undetectable — see fault/coverage.h);
 //  2. a timed defect phase: each sampled detected stem-fault class is
 //     held at its stuck value by a 64-stream TraceCollector to re-measure
 //     the *defective* design under overclocked sampling, yielding the

@@ -96,7 +96,7 @@ void TraceCollector::run(Workload& workload, std::uint64_t cycles,
   // state evolves identically.
   const std::size_t s = streams_;
   std::vector<Stimulus> settle(s);
-  for (Stimulus& stim : settle) stim = workload.next();
+  workload.fill(settle);
   if (cycles == 0) return;
   const std::size_t head = static_cast<std::size_t>(historyDepth() - 1) * s;
   const std::uint64_t capacity = maxLanes_ * kWindowSteps;
@@ -118,9 +118,7 @@ void TraceCollector::run(Workload& workload, std::uint64_t cycles,
   for (std::uint64_t first = 0; first < cycles;) {
     const auto n = static_cast<std::size_t>(
         std::min<std::uint64_t>(cycles - first, capacity));
-    for (std::size_t t = 0; t < n; ++t) {
-      stimuli[head + t] = workload.next();
-    }
+    workload.fill(std::span(stimuli).subspan(head, n));
     const std::span<predict::TraceRecord> records(
         inPlace != nullptr ? inPlace + first : buffer.data(), n);
     for (std::size_t t = 0; t < n; ++t) {

@@ -27,6 +27,12 @@ Stimulus UniformWorkload::next() {
   return s;
 }
 
+// The fill overrides call next() by its qualified name: a direct,
+// inlinable call instead of one virtual dispatch per stimulus.
+void UniformWorkload::fill(std::span<Stimulus> out) {
+  for (Stimulus& s : out) s = UniformWorkload::next();
+}
+
 RandomWalkWorkload::RandomWalkWorkload(int width, int stepBits,
                                        std::uint64_t seed)
     : rng_(seed), mask_(maskBits(width)), stepMask_(maskBits(stepBits)) {
@@ -41,6 +47,10 @@ Stimulus RandomWalkWorkload::next() {
   a_ = ((rng_() & 1u) ? a_ + stepA : a_ - stepA) & mask_;
   b_ = ((rng_() & 1u) ? b_ + stepB : b_ - stepB) & mask_;
   return Stimulus{a_, b_, false};
+}
+
+void RandomWalkWorkload::fill(std::span<Stimulus> out) {
+  for (Stimulus& s : out) s = RandomWalkWorkload::next();
 }
 
 SparseToggleWorkload::SparseToggleWorkload(int width,
@@ -61,6 +71,10 @@ Stimulus SparseToggleWorkload::next() {
     if (coin(rng_) < toggleProbability_) b_ ^= std::uint64_t{1} << i;
   }
   return Stimulus{a_, b_, false};
+}
+
+void SparseToggleWorkload::fill(std::span<Stimulus> out) {
+  for (Stimulus& s : out) s = SparseToggleWorkload::next();
 }
 
 std::unique_ptr<Workload> makeWorkload(const std::string& kind, int width,
@@ -89,25 +103,33 @@ void packStimulusBlock(std::span<const Stimulus> stims, int width,
         " input words (adder port convention), got " +
         std::to_string(inputWords.size()));
   }
+  // Lane-major packing: after a transpose, row i holds bit i of every
+  // lane's word. Up to 32 bits a and b share one transpose, a in the low
+  // half of each lane's word and b in the high half; wider operands take
+  // one transpose each.
+  const bool shared = width <= 32;
+  const std::uint64_t mask = maskBits(width);
   std::array<std::uint64_t, kLanes> aM{};
   std::array<std::uint64_t, kLanes> bM{};
   std::uint64_t cinWord = 0;
   for (std::size_t lane = 0; lane < kLanes; ++lane) {
     const Stimulus& s = stims[lane < stims.size() ? lane : 0];
-    aM[lane] = s.a;
-    bM[lane] = s.b;
+    if (shared) {
+      aM[lane] = (s.a & mask) | (s.b & mask) << 32;
+    } else {
+      aM[lane] = s.a;
+      bM[lane] = s.b;
+    }
     if (lane < stims.size() && s.carryIn) {
       cinWord |= std::uint64_t{1} << lane;
     }
   }
-  // Lane-major packing: after the transpose, aM[i] holds operand bit i
-  // across all lanes, i.e. the 64-lane word of primary input a_i.
   netlist::transpose64(aM);
-  netlist::transpose64(bM);
-  for (int i = 0; i < width; ++i) {
-    inputWords[static_cast<std::size_t>(i)] = aM[static_cast<std::size_t>(i)];
-    inputWords[static_cast<std::size_t>(width + i)] =
-        bM[static_cast<std::size_t>(i)];
+  if (!shared) netlist::transpose64(bM);
+  const std::uint64_t* bRows = shared ? aM.data() + 32 : bM.data();
+  for (std::size_t i = 0; i < static_cast<std::size_t>(width); ++i) {
+    inputWords[i] = aM[i];
+    inputWords[static_cast<std::size_t>(width) + i] = bRows[i];
   }
   inputWords[static_cast<std::size_t>(2 * width)] = cinWord;
 }

@@ -27,6 +27,11 @@ class Workload {
  public:
   virtual ~Workload() = default;
   [[nodiscard]] virtual Stimulus next() = 0;
+  /// Draws `out.size()` stimuli: the sequence that many next() calls
+  /// return. The concrete workloads override it with a devirtualized loop.
+  virtual void fill(std::span<Stimulus> out) {
+    for (Stimulus& s : out) s = next();
+  }
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
@@ -35,6 +40,7 @@ class UniformWorkload final : public Workload {
  public:
   UniformWorkload(int width, std::uint64_t seed);
   [[nodiscard]] Stimulus next() override;
+  void fill(std::span<Stimulus> out) override;
   [[nodiscard]] std::string name() const override { return "uniform"; }
 
  private:
@@ -49,6 +55,7 @@ class RandomWalkWorkload final : public Workload {
   /// `stepBits` — maximum step magnitude is 2^stepBits.
   RandomWalkWorkload(int width, int stepBits, std::uint64_t seed);
   [[nodiscard]] Stimulus next() override;
+  void fill(std::span<Stimulus> out) override;
   [[nodiscard]] std::string name() const override { return "random-walk"; }
 
  private:
@@ -66,6 +73,7 @@ class SparseToggleWorkload final : public Workload {
   SparseToggleWorkload(int width, double toggleProbability,
                        std::uint64_t seed);
   [[nodiscard]] Stimulus next() override;
+  void fill(std::span<Stimulus> out) override;
   [[nodiscard]] std::string name() const override { return "sparse-toggle"; }
 
  private:
@@ -83,11 +91,12 @@ class SparseToggleWorkload final : public Workload {
 
 /// Packs up to 64 stimuli into lane-major primary-input words for a
 /// generated adder netlist (port convention a0..aN-1, b0..bN-1, cin):
-/// bit L of word i is stimulus L's value of primary input i. Lanes
-/// beyond `stims.size()` replicate stimulus 0 with carry-in low
-/// (don't-care lanes; callers mask them out). `inputWords` must span
-/// exactly 2*width + 1 words. The single owner of the adder port-layout
-/// assumption for lane-major pipelines (functional scan, fault scan).
+/// bit L of word i is stimulus L's value of primary input i. Operand bits
+/// at or above `width` are ignored. Lanes beyond `stims.size()` replicate
+/// stimulus 0 with carry-in low (don't-care lanes; callers mask them
+/// out). `inputWords` must span exactly 2*width + 1 words. The single
+/// owner of the adder port-layout assumption for lane-major pipelines
+/// (trace collector, fault scan).
 void packStimulusBlock(std::span<const Stimulus> stims, int width,
                        std::span<std::uint64_t> inputWords);
 

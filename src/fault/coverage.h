@@ -8,6 +8,17 @@
 // hard-fault tails). The detected set is independent of dropping; only
 // the work saved changes.
 //
+// Nor is a class simulated while no pattern applied so far could detect
+// it. After each block the campaign narrows the *held set*: the primary
+// inputs that kept one value on every valid lane of every block so far
+// (the paper's workloads hold carry-in low throughout). The set only
+// shrinks, and each time it does, untestableClasses() re-flags the
+// classes no pattern honouring it can detect — at most inputs + 1 passes
+// per campaign. Every pattern applied while a class is flagged honours
+// the held set it was flagged under, so skipping it changes no detected
+// flag, first-detection index or pattern count: CoverageResult equals a
+// campaign that simulates every class.
+//
 // The campaign accepts any engine width through AnyPpsfpEngine and keeps
 // its results byte-identical to the 64-lane reference: patterns stream
 // through the block in sub-block-major lane order (pattern p of a block
@@ -21,6 +32,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -31,7 +43,7 @@ namespace oisa::fault {
 
 /// Campaign controls.
 struct CoverageOptions {
-  std::uint64_t patterns = 1 << 14;  ///< stimuli to apply (rounded up to 64)
+  std::uint64_t patterns = 1 << 14;  ///< stimuli to apply
   std::uint64_t seed = 1;            ///< RNG seed (random-pattern campaigns)
   bool dropDetected = true;          ///< classic fault dropping
 };
@@ -69,6 +81,22 @@ using PatternBlockSource =
                                          AnyPpsfpEngine& engine,
                                          const CoverageOptions& options,
                                          const PatternBlockSource& source);
+
+/// Per collapsed class of `universe`: 1 when no pattern that gives each
+/// primary input i (declaration order) the value `held[i]` — any value
+/// where it is nullopt — can detect the class, else 0. Sound, not
+/// complete. Ternary constants propagate from the held inputs through the
+/// gates' truth tables; a net is observable when it is a primary output or
+/// some reader with an observable output is sensitive to the net's pins
+/// under the constants. A class is flagged when its net is constant at
+/// the stuck value (never excited), or when the fault site is
+/// unobservable — for a site constant at the opposite value, under only
+/// the constants the good and the faulty machine agree on, since the
+/// fault moves constants downstream of it. runCoverage derives `held`
+/// from the patterns it applies. Throws std::invalid_argument when `held`
+/// does not have one entry per primary input.
+[[nodiscard]] std::vector<std::uint8_t> untestableClasses(
+    const FaultUniverse& universe, std::span<const std::optional<bool>> held);
 
 /// Convenience campaign: uniform random primary-input patterns. The RNG
 /// stream is drawn one 64-pattern sub-block at a time (all inputs, then

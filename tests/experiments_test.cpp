@@ -2,7 +2,10 @@
 // runs of the figure pipelines.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "core/isa_adder.h"
 #include "core/status.h"
@@ -11,6 +14,7 @@
 #include "experiments/runner.h"
 #include "experiments/trace_collector.h"
 #include "experiments/workload.h"
+#include "netlist/bitops.h"
 
 namespace {
 
@@ -75,6 +79,71 @@ TEST(WorkloadTest, FactoryKnowsAllKindsAndRejectsOthers) {
   }
   EXPECT_THROW((void)oisa::experiments::makeWorkload("nope", 32, 1),
                std::invalid_argument);
+}
+
+TEST(WorkloadTest, FillDrawsTheSequenceNextReturns) {
+  for (const char* kind : {"uniform", "random-walk", "sparse-toggle"}) {
+    SCOPED_TRACE(kind);
+    const auto filled = oisa::experiments::makeWorkload(kind, 32, 23);
+    const auto stepped = oisa::experiments::makeWorkload(kind, 32, 23);
+    for (const std::size_t size :
+         std::array<std::size_t, 5>{0, 1, 63, 64, 1000}) {
+      std::vector<Stimulus> batch(size);
+      filled->fill(batch);
+      for (const Stimulus& got : batch) {
+        const Stimulus want = stepped->next();
+        ASSERT_EQ(got.a, want.a);
+        ASSERT_EQ(got.b, want.b);
+        ASSERT_EQ(got.carryIn, want.carryIn);
+      }
+      // A next() between batches must resume where fill() stopped.
+      const Stimulus got = filled->next();
+      const Stimulus want = stepped->next();
+      ASSERT_EQ(got.a, want.a);
+      ASSERT_EQ(got.b, want.b);
+    }
+  }
+}
+
+/// packStimulusBlock as it packed before a and b shared one transpose:
+/// one 64 x 64 transpose per operand.
+std::vector<std::uint64_t> packTwoTransposes(std::span<const Stimulus> stims,
+                                             int width) {
+  std::array<std::uint64_t, 64> aM{};
+  std::array<std::uint64_t, 64> bM{};
+  std::uint64_t cinWord = 0;
+  for (std::size_t lane = 0; lane < 64; ++lane) {
+    const Stimulus& s = stims[lane < stims.size() ? lane : 0];
+    aM[lane] = s.a;
+    bM[lane] = s.b;
+    if (lane < stims.size() && s.carryIn) cinWord |= std::uint64_t{1} << lane;
+  }
+  oisa::netlist::transpose64(aM);
+  oisa::netlist::transpose64(bM);
+  const auto w = static_cast<std::size_t>(width);
+  std::vector<std::uint64_t> words(2 * w + 1);
+  for (std::size_t i = 0; i < w; ++i) {
+    words[i] = aM[i];
+    words[w + i] = bM[i];
+  }
+  words[2 * w] = cinWord;
+  return words;
+}
+
+TEST(WorkloadTest, PackStimulusBlockMatchesTheTwoTransposePacking) {
+  std::mt19937_64 rng(31);
+  for (const int width : {1, 8, 31, 32, 33, 63, 64}) {
+    for (std::size_t count = 1; count <= 64; ++count) {
+      // Full 64-bit operands set bits above the width; carry-in is set
+      // in some lanes.
+      std::vector<Stimulus> stims(count);
+      for (Stimulus& s : stims) s = Stimulus{rng(), rng(), (rng() & 1) != 0};
+      std::vector<std::uint64_t> words(2 * static_cast<std::size_t>(width) + 1);
+      oisa::experiments::packStimulusBlock(stims, width, words);
+      ASSERT_EQ(words, packTwoTransposes(stims, width))
+          << "width " << width << ", " << count << " stimuli";
+    }
+  }
 }
 
 TEST(CliTest, ParsesKeyValueAndFlags) {

@@ -4,10 +4,16 @@
 // designs; structural equivalence collapsing is proven sound by checking
 // every universe member against its class representative; and the timed
 // injection hook (LaneTimedSimulator::forceNet) is cross-checked against
-// the functional faulty machine at a settling period.
+// the functional faulty machine at a settling period. The coverage
+// campaign's untestable skip is proven sound (no flagged class is detected
+// by a pattern honouring the held inputs) and invisible (runCoverage
+// equals a campaign that simulates every undetected class).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <functional>
+#include <optional>
 #include <random>
 #include <stdexcept>
 
@@ -16,6 +22,7 @@
 #include "core/status.h"
 #include "experiments/fault_scan.h"
 #include "experiments/grid_scheduler.h"
+#include "experiments/workload.h"
 #include "fault/coverage.h"
 #include "fault/fault_universe.h"
 #include "fault/ppsfp.h"
@@ -288,6 +295,282 @@ TEST(CoverageTest, C17ReachesFullCoverageExhaustively) {
   EXPECT_DOUBLE_EQ(result.coverage(), 1.0);
   for (const std::uint64_t at : result.firstDetectedAt) {
     EXPECT_LT(at, 32u);
+  }
+}
+
+/// The campaign loop with no untestable skip: every undetected class is
+/// simulated on every block. runCoverage must return exactly this.
+oisa::fault::CoverageResult coverageSimulatingEveryClass(
+    const FaultUniverse& universe, oisa::fault::AnyPpsfpEngine& engine,
+    std::uint64_t patterns, const oisa::fault::PatternBlockSource& source) {
+  const auto classes = universe.collapsed();
+  const std::size_t words = engine.wordsPerNet();
+  oisa::fault::CoverageResult result;
+  result.universeFaults = universe.all().size();
+  result.collapsedClasses = classes.size();
+  result.detected.assign(classes.size(), 0);
+  result.firstDetectedAt.assign(classes.size(), ~std::uint64_t{0});
+  std::vector<std::uint64_t> inputWords(
+      universe.compiled()->inputNets().size() * words);
+  std::vector<std::uint64_t> det(words);
+  while (result.patternsApplied < patterns &&
+         result.detectedClasses < result.collapsedClasses) {
+    const std::size_t count = source(inputWords);
+    if (count == 0) break;
+    engine.loadPatterns(inputWords, count);
+    std::size_t lastWord = 0;
+    for (std::size_t ci = 0; ci < classes.size(); ++ci) {
+      if (result.detected[ci] != 0) continue;
+      engine.detectLanesInto(classes[ci], det);
+      std::size_t j = 0;
+      while (j < words && det[j] == 0) ++j;
+      if (j == words) continue;
+      result.detected[ci] = 1;
+      ++result.detectedClasses;
+      result.firstDetectedAt[ci] = result.patternsApplied + 64 * j +
+                                   static_cast<std::uint64_t>(
+                                       std::countr_zero(det[j]));
+      lastWord = std::max(lastWord, j);
+    }
+    result.patternsApplied +=
+        result.detectedClasses == result.collapsedClasses
+            ? std::min<std::uint64_t>(count, 64 * (lastWord + 1))
+            : count;
+  }
+  return result;
+}
+
+/// Adder-port block source: block k packs blockSize(k) stimuli (capped at
+/// the engine's lanes and the budget), each from draw(k, rng).
+struct AdderBlockSource {
+  int width = 0;
+  std::size_t lanes = 0;
+  std::size_t words = 0;
+  std::uint64_t remaining = 0;
+  std::function<std::size_t(std::size_t)> blockSize;
+  std::function<oisa::experiments::Stimulus(std::size_t, std::mt19937_64&)>
+      draw;
+  std::mt19937_64 rng{1};
+  std::size_t block = 0;
+
+  std::size_t operator()(std::span<std::uint64_t> inputWords) {
+    if (remaining == 0) return 0;
+    const std::size_t count = std::min<std::uint64_t>(
+        {remaining, lanes, blockSize(block)});
+    remaining -= count;
+    std::vector<oisa::experiments::Stimulus> stims(count);
+    for (auto& s : stims) s = draw(block, rng);
+    ++block;
+    std::fill(inputWords.begin(), inputWords.end(), 0);
+    std::vector<std::uint64_t> sub(2 * static_cast<std::size_t>(width) + 1);
+    for (std::size_t j = 0; j * 64 < count; ++j) {
+      oisa::experiments::packStimulusBlock(
+          std::span(stims).subspan(j * 64, std::min<std::size_t>(
+                                               count - j * 64, 64)),
+          width, sub);
+      for (std::size_t i = 0; i < sub.size(); ++i) {
+        inputWords[i * words + j] = sub[i];
+      }
+    }
+    return count;
+  }
+};
+
+TEST(CoverageTest, ReconvergentFanoutMovesConstantsInTheFaultyMachine) {
+  // g = AND(n, AND(n, y)) with n = AND(cin, x) and cin held low: the good
+  // machine holds n, the inner AND and g at 0, so on its constants alone
+  // n looks unobservable. Stuck at 1, n makes g = y: n/SA1 and cin/SA1
+  // are detected, and the faulty machine's constants must say so.
+  Netlist nl("reconvergent");
+  const NetId x = nl.input("x");
+  const NetId y = nl.input("y");
+  const NetId cin = nl.input("cin");
+  const NetId n = nl.gate2(GateKind::And2, cin, x, "n");
+  const NetId inner = nl.gate2(GateKind::And2, n, y, "inner");
+  nl.output("g", nl.gate2(GateKind::And2, n, inner, "g"));
+  const auto compiled = CompiledNetlist::compile(nl);
+  FaultUniverse universe(compiled);
+  const std::vector<std::optional<bool>> held = {std::nullopt, std::nullopt,
+                                                 false};
+  const auto flags = oisa::fault::untestableClasses(universe, held);
+  ASSERT_EQ(flags.size(), universe.collapsed().size());
+  EXPECT_THROW((void)oisa::fault::untestableClasses(
+                   universe, std::span(held).first(2)),
+               std::invalid_argument);
+
+  // Every pattern with cin low, in one block: x = bit 0, y = bit 1.
+  const auto engine = oisa::fault::makePpsfpEngine(compiled, {});
+  CoverageOptions options;
+  options.patterns = 4;
+  bool served = false;
+  const auto result = oisa::fault::runCoverage(
+      universe, *engine, options,
+      [&](std::span<std::uint64_t> words) -> std::size_t {
+        if (served) return 0;
+        served = true;
+        words[0] = 0b1010;
+        words[1] = 0b1100;
+        words[2] = 0;
+        return 4;
+      });
+  for (const NetId net : {n, cin}) {
+    const Fault sa1{net.value, Fault::kStem, StuckAt::SA1};
+    const auto it = std::find(universe.all().begin(), universe.all().end(),
+                              sa1);
+    ASSERT_NE(it, universe.all().end());
+    const std::size_t ci = universe.classOf(
+        static_cast<std::size_t>(it - universe.all().begin()));
+    const std::string name = oisa::fault::describeFault(*compiled, sa1);
+    EXPECT_EQ(flags[ci], 0u) << name;
+    EXPECT_EQ(result.detected[ci], 1u) << name;
+  }
+  // The flags are sound, so whatever is left undetected includes them.
+  for (std::size_t ci = 0; ci < flags.size(); ++ci) {
+    if (flags[ci] != 0) EXPECT_EQ(result.detected[ci], 0u);
+  }
+}
+
+TEST(CoverageTest, FlaggedClassesAreNeverDetectedUnderTheHeldInputs) {
+  OISA_TRACE_SEED(41);
+  std::mt19937_64 rng(41);
+  std::vector<Netlist> netlists;
+  netlists.push_back(oisa::netlist::readBenchString(kC17, "c17"));
+  for (int trial = 0; trial < 50; ++trial) {
+    netlists.push_back(randomNetlist(rng, 4 + static_cast<int>(rng() % 13),
+                                     20 + static_cast<int>(rng() % 41)));
+  }
+  std::size_t flaggedTotal = 0;
+  for (const Netlist& nl : netlists) {
+    const auto compiled = CompiledNetlist::compile(nl);
+    FaultUniverse universe(compiled);
+    const std::size_t inputs = compiled->inputNets().size();
+    std::vector<std::optional<bool>> held(inputs);
+    std::vector<std::size_t> free;
+    for (std::size_t i = 0; i < inputs; ++i) {
+      if (rng() % 2 == 0) {
+        held[i] = rng() % 2 == 0;
+      } else {
+        free.push_back(i);
+      }
+    }
+    const auto flags = oisa::fault::untestableClasses(universe, held);
+    flaggedTotal += static_cast<std::size_t>(
+        std::count(flags.begin(), flags.end(), std::uint8_t{1}));
+    // Every pattern honouring the held inputs when at most 12 are free,
+    // else 32 random blocks of them.
+    const bool exhaustive = free.size() <= 12;
+    const std::uint64_t patterns =
+        exhaustive ? std::uint64_t{1} << free.size() : 32 * 64;
+    PpsfpEngine engine(compiled);
+    std::vector<std::uint64_t> words(inputs);
+    for (std::uint64_t first = 0; first < patterns; first += 64) {
+      const auto count = static_cast<std::size_t>(
+          std::min<std::uint64_t>(64, patterns - first));
+      for (std::size_t i = 0; i < inputs; ++i) {
+        words[i] = held[i] ? (*held[i] ? ~std::uint64_t{0} : 0) : rng();
+      }
+      if (exhaustive) {
+        for (std::size_t k = 0; k < free.size(); ++k) {
+          std::uint64_t w = 0;
+          for (std::size_t lane = 0; lane < count; ++lane) {
+            w |= (((first + lane) >> k) & 1u) << lane;
+          }
+          words[free[k]] = w;
+        }
+      }
+      engine.loadPatterns(words, count);
+      for (std::size_t ci = 0; ci < flags.size(); ++ci) {
+        if (flags[ci] == 0) continue;
+        ASSERT_EQ(engine.detectLanes(universe.collapsed()[ci]), 0u)
+            << nl.name() << ": flagged "
+            << oisa::fault::describeFault(*compiled,
+                                          universe.collapsed()[ci])
+            << " detected";
+      }
+    }
+  }
+  EXPECT_GT(flaggedTotal, 0u);
+}
+
+TEST(CoverageTest, SkippingFlaggedClassesMatchesSimulatingEveryClass) {
+  const auto designs = oisa::circuits::synthesizePaperDesigns(
+      oisa::timing::CellLibrary::generic65(), {});
+  ASSERT_EQ(designs.size(), 12u);
+  using oisa::experiments::Stimulus;
+  for (const auto& design : designs) {
+    SCOPED_TRACE(design.config.name());
+    const int width = design.config.width;
+    const std::uint64_t mask =
+        width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+    const auto compiled = CompiledNetlist::compile(design.netlist);
+    FaultUniverse universe(compiled);
+    // 64k uniform patterns with carry-in low, as the fault scan draws.
+    const auto uniform = [mask](std::size_t, std::mt19937_64& rng) {
+      return Stimulus{rng() & mask, rng() & mask, false};
+    };
+    // Carry-in and the top 8 bits of each operand held for 16 blocks,
+    // then released one input per block: the held set shrinks 17 times.
+    const auto releasing = [mask, width](std::size_t block,
+                                         std::mt19937_64& rng) {
+      Stimulus s{rng() & mask, rng() & mask, (rng() & 1) != 0};
+      for (std::size_t h = block < 16 ? 0 : block - 15; h < 17; ++h) {
+        if (h == 0) {
+          s.carryIn = false;
+          continue;
+        }
+        const std::size_t k = (h - 1) / 2;
+        const std::uint64_t bit = std::uint64_t{1} << (width - 1 -
+                                                       static_cast<int>(k));
+        std::uint64_t& op = (h - 1) % 2 == 0 ? s.a : s.b;
+        op = ((0xa5u >> k) & 1u) != 0 ? op | bit : op & ~bit;
+      }
+      return s;
+    };
+    struct Scenario {
+      const char* name;
+      std::function<std::size_t(std::size_t)> blockSize;
+      std::function<Stimulus(std::size_t, std::mt19937_64&)> draw;
+      std::uint64_t blocks;  // budget in engine blocks, or 0: 64k patterns
+    };
+    const std::size_t full = ~std::size_t{0};
+    const Scenario scenarios[] = {
+        {"uniform 64k", [=](std::size_t) { return full; }, uniform, 0},
+        {"releasing", [=](std::size_t) { return full; }, releasing, 40},
+        {"1-pattern first block",
+         [=](std::size_t block) { return block == 0 ? 1 : full; }, uniform,
+         24},
+    };
+    for (const bool wide : {true, false}) {
+      for (const Scenario& sc : scenarios) {
+        SCOPED_TRACE(std::string(sc.name) + (wide ? ", default width"
+                                                  : ", 64 lanes"));
+        const auto makeEngine = [&] {
+          return wide ? oisa::fault::makePpsfpEngine(compiled)
+                      : oisa::fault::makePpsfpEngine(compiled, {});
+        };
+        const auto skipping = makeEngine();
+        const auto reference = makeEngine();
+        CoverageOptions options;
+        options.patterns =
+            sc.blocks == 0 ? 1 << 16 : sc.blocks * skipping->lanes();
+        const auto source = [&] {
+          return oisa::fault::PatternBlockSource(AdderBlockSource{
+              width, skipping->lanes(), skipping->wordsPerNet(),
+              options.patterns, sc.blockSize, sc.draw});
+        };
+        const auto got =
+            oisa::fault::runCoverage(universe, *skipping, options, source());
+        const auto want = coverageSimulatingEveryClass(
+            universe, *reference, options.patterns, source());
+        EXPECT_EQ(got.universeFaults, want.universeFaults);
+        EXPECT_EQ(got.collapsedClasses, want.collapsedClasses);
+        EXPECT_EQ(got.detectedClasses, want.detectedClasses);
+        EXPECT_EQ(got.patternsApplied, want.patternsApplied);
+        EXPECT_EQ(got.detected, want.detected);
+        EXPECT_EQ(got.firstDetectedAt, want.firstDetectedAt);
+        EXPECT_LT(skipping->faultsSimulated(), reference->faultsSimulated());
+      }
+    }
   }
 }
 
