@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "core/error_stats.h"
 
@@ -28,11 +29,14 @@ struct OutputTriple {
   std::uint64_t silver = 0;   ///< over-clocked inexact circuit
 };
 
-/// Signed per-cycle error decomposition.
+/// Signed per-cycle error decomposition. Each error is the wrapped
+/// difference of two composed values, read as two's complement: composed
+/// values may use bit 63 at widths 63-64, where int64 casts of the values
+/// would overflow.
 struct ErrorSample {
   std::int64_t eStruct = 0;
   std::int64_t eTiming = 0;
-  std::int64_t eJoint = 0;                 ///< == eStruct + eTiming always
+  std::int64_t eJoint = 0;  ///< == eStruct + eTiming (mod 2^64) always
   std::optional<double> reStruct;          ///< empty when y_diamond == 0
   std::optional<double> reTiming;
   std::optional<double> reJoint;
@@ -49,6 +53,11 @@ class ErrorCombination {
   /// arithmetic statistics but are skipped for relative errors (division by
   /// the exact result is undefined); `skippedRelative()` counts them.
   void add(const OutputTriple& t) noexcept;
+
+  /// Records `triples` in order, bit for bit like one add() per triple,
+  /// folding each contribution's zero errors as one count
+  /// (ErrorStats::addZeros: no term is -0.0, so +0.0 never moves a sum).
+  void add(std::span<const OutputTriple> triples) noexcept;
 
   [[nodiscard]] const ErrorStats& arithStruct() const noexcept {
     return eStruct_;

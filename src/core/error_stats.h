@@ -35,6 +35,17 @@ class ErrorStats {
     if (error != 0.0) nonzero_ += 1;
   }
 
+  /// Records `count` observations of +0.0, bit for bit like `count` calls
+  /// of add(0.0): a sum that starts at +0.0 is never -0.0 (under
+  /// round-to-nearest an exact-zero sum is +0.0), and adding +0.0 to any
+  /// other value returns it unchanged.
+  void addZeros(std::uint64_t count) noexcept {
+    if (count == 0) return;
+    n_ += count;
+    minV_ = std::min(minV_, 0.0);
+    maxV_ = std::max(maxV_, 0.0);
+  }
+
   /// Merges another accumulator (for sharded/parallel runs).
   void merge(const ErrorStats& o) noexcept {
     n_ += o.n_;

@@ -20,23 +20,6 @@ IsaAdder::IsaAdder(const IsaConfig& cfg) : cfg_(cfg) {
   blockMask_ = cfg_.exact ? mask_ : maskBits(cfg_.block);
 }
 
-IsaSum IsaAdder::exactAdd(std::uint64_t a, std::uint64_t b,
-                          bool carryIn) const {
-  a &= mask_;
-  b &= mask_;
-  // Split the top bit off so width-64 carry-out is computable without
-  // 65-bit arithmetic.
-  const std::uint64_t low = (a & (mask_ >> 1)) + (b & (mask_ >> 1)) +
-                            (carryIn ? 1u : 0u);
-  const int top = cfg_.width - 1;
-  const std::uint64_t topSum = ((a >> top) & 1u) + ((b >> top) & 1u) +
-                               ((low >> top) & 1u);
-  IsaSum r;
-  r.sum = ((low & maskBits(top)) | ((topSum & 1u) << top)) & mask_;
-  r.carryOut = (topSum >> 1) != 0;
-  return r;
-}
-
 IsaSum IsaAdder::add(std::uint64_t a, std::uint64_t b, bool carryIn) const {
   return addPaths(a, b, carryIn, nullptr);
 }

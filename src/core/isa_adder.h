@@ -71,9 +71,25 @@ class IsaAdder {
                                  bool carryIn,
                                  std::vector<PathTrace>& traces) const;
 
-  /// Exact width-bit reference (y_diamond).
+  /// Exact width-bit reference (y_diamond). Defined here so the trace
+  /// collector's per-record call inlines.
   [[nodiscard]] IsaSum exactAdd(std::uint64_t a, std::uint64_t b,
-                                bool carryIn = false) const;
+                                bool carryIn = false) const noexcept {
+    a &= mask_;
+    b &= mask_;
+    // Split the top bit off so width-64 carry-out is computable without
+    // 65-bit arithmetic.
+    const std::uint64_t lowMask = mask_ >> 1;
+    const std::uint64_t low = (a & lowMask) + (b & lowMask) +
+                              (carryIn ? 1u : 0u);
+    const int top = cfg_.width - 1;
+    const std::uint64_t topSum = ((a >> top) & 1u) + ((b >> top) & 1u) +
+                                 ((low >> top) & 1u);
+    IsaSum r;
+    r.sum = ((low & lowMask) | ((topSum & 1u) << top)) & mask_;
+    r.carryOut = (topSum >> 1) != 0;
+    return r;
+  }
 
   /// Signed structural error  E_struct = y_gold - y_diamond  of one
   /// addition, over full composed values (sum plus carry-out).

@@ -13,6 +13,28 @@
 
 namespace oisa::experiments {
 
+namespace {
+
+/// Throws core::StatusError(Internal), naming the design and the operands,
+/// unless run record `r`'s gold is the behavioral sum of its operands.
+void checkGold(const core::IsaAdder& behavioral,
+               const predict::TraceRecord& rec, std::uint64_t r) {
+  const core::IsaSum gold = behavioral.add(rec.a, rec.b, rec.carryIn);
+  if (gold.sum == rec.gold && gold.carryOut == rec.goldCout) return;
+  const auto sum = [](std::uint64_t value, bool carryOut) {
+    return std::to_string(value) + " carry " + (carryOut ? "1" : "0");
+  };
+  throw core::StatusError(core::Status::internal(
+      "TraceCollector: design '" + behavioral.config().name() +
+      "': the settled netlist disagrees with the behavioral adder at record " +
+      std::to_string(r) + " (a = " + std::to_string(rec.a) + ", b = " +
+      std::to_string(rec.b) + ", carry-in " + (rec.carryIn ? "1" : "0") +
+      "): netlist " + sum(rec.gold, rec.goldCout) + ", behavioral " +
+      sum(gold.sum, gold.carryOut)));
+}
+
+}  // namespace
+
 TraceCollector::TraceCollector(const circuits::SynthesizedDesign& design,
                                double periodNs, std::size_t maxLanes,
                                std::size_t streams,
@@ -107,14 +129,19 @@ void TraceCollector::run(Workload& workload, std::uint64_t cycles,
   std::vector<predict::TraceRecord> buffer(inPlace != nullptr ? 0
                                                               : windowCap);
 
-  // One span per collect; the record counter is bumped once per window,
-  // never inside the per-record or per-word loops (the instrumentation-
-  // cost contract micro_obs gates).
+  // One span per collect; the counters are bumped once per window, never
+  // inside the per-record or per-word loops (the instrumentation-cost
+  // contract micro_obs gates).
   const obs::ObsSpan span("trace.collect", "sim", "cycles", cycles);
   static obs::Counter& recordsSampled = obs::counter("sim.records_sampled");
+  static obs::Counter& goldChecks = obs::counter("sim.gold_checks");
   static obs::Counter& collects = obs::counter("sim.collects");
   collects.add();
 
+  // Every window but the last holds a multiple of 64 records, so window
+  // record t is run record first + t and t % 64 == 0 picks the run's
+  // records r % 64 == 0.
+  static_assert(kWindowSteps % 64 == 0);
   for (std::uint64_t first = 0; first < cycles;) {
     const auto n = static_cast<std::size_t>(
         std::min<std::uint64_t>(cycles - first, capacity));
@@ -131,12 +158,13 @@ void TraceCollector::run(Workload& workload, std::uint64_t cycles,
           behavioral_.exactAdd(stim.a, stim.b, stim.carryIn);
       rec.diamond = diamond.sum;
       rec.diamondCout = diamond.carryOut;
-      const core::IsaSum gold = behavioral_.add(stim.a, stim.b, stim.carryIn);
-      rec.gold = gold.sum;
-      rec.goldCout = gold.carryOut;
     }
     sampleWindow(std::span<const Stimulus>(stimuli.data(), head + n), records);
+    for (std::size_t t = 0; t < n; t += 64) {
+      checkGold(behavioral_, records[t], first + t);
+    }
     recordsSampled.add(n);
+    goldChecks.add((n + 63) / 64);
     if (consume) consume(records);
 
     // The window's last (k - 1)S stimuli are the next window's history.
@@ -182,7 +210,17 @@ void TraceCollector::sampleWindow(
   std::vector<std::uint64_t> inWords(planes * ports * kW);
   std::vector<std::uint64_t> values;
   const auto outputNets = evaluator_->compiled()->outputNets();
-  std::array<std::uint64_t, 64> sumM{};
+  // Output words are lane-major, silver's W + 1 first, then gold's. Up to
+  // 32 bits both sums share one transpose (silver in rows 0..W-1, gold in
+  // rows 32..32+W-1, as packStimulusBlock packs a and b); wider sums take
+  // one each. Rows past the sums are never cleared: the transpose moves
+  // them to bits the width mask drops. Carry-outs are read straight from
+  // their words, so width 64 fits too.
+  const bool shared = w <= 32;
+  const std::uint64_t mask = behavioral_.mask();
+  std::array<std::uint64_t, 64> silverM{};
+  std::array<std::uint64_t, 64> goldM{};
+  std::uint64_t* goldRows = shared ? silverM.data() + 32 : goldM.data();
   for (std::size_t b = 0; b < n; b += lanes) {
     for (std::size_t j = 0; j < planes; ++j) {
       const std::size_t at = head + b - j * streams_;
@@ -198,24 +236,26 @@ void TraceCollector::sampleWindow(
       }
     }
     evaluator_->evaluateInto(inWords, values);
-    // Output words are lane-major: one transpose of the W sum words per
-    // 64-lane sub-block yields each record's sum in its own row, and the
-    // carry-out is read straight from its word (so width 64 fits too).
     const std::size_t count = std::min(lanes, n - b);
     for (std::size_t sb = 0; sb * 64 < count; ++sb) {
+      const auto word = [&](std::size_t o) {
+        return values[std::size_t{outputNets[o]} * kW + sb];
+      };
       for (std::size_t o = 0; o < w; ++o) {
-        sumM[o] = values[std::size_t{outputNets[o]} * kW + sb];
+        silverM[o] = word(o);
+        goldRows[o] = word(w + 1 + o);
       }
-      std::fill(sumM.begin() + static_cast<std::ptrdiff_t>(w), sumM.end(),
-                0);
-      netlist::transpose64(sumM);
-      const std::uint64_t coutWord =
-          values[std::size_t{outputNets[w]} * kW + sb];
+      netlist::transpose64(silverM);
+      if (!shared) netlist::transpose64(goldM);
+      const std::uint64_t silverCout = word(w);
+      const std::uint64_t goldCout = word(2 * w + 1);
       const std::size_t end = std::min<std::size_t>(count - sb * 64, 64);
       for (std::size_t l = 0; l < end; ++l) {
         predict::TraceRecord& rec = window[b + sb * 64 + l];
-        rec.silver = sumM[l];
-        rec.silverCout = ((coutWord >> l) & 1u) != 0;
+        rec.silver = silverM[l] & mask;
+        rec.gold = (shared ? silverM[l] >> 32 : goldM[l]) & mask;
+        rec.silverCout = ((silverCout >> l) & 1u) != 0;
+        rec.goldCout = ((goldCout >> l) & 1u) != 0;
       }
     }
   }
@@ -245,14 +285,22 @@ core::ErrorCombination combineErrors(TraceCollector& collector,
                                      Workload& workload, std::uint64_t cycles,
                                      int width) {
   core::ErrorCombination combo;
-  collector.stream(workload, cycles,
-                   [&](std::span<const predict::TraceRecord> window) {
-                     for (const predict::TraceRecord& rec : window) {
-                       combo.add(core::OutputTriple{rec.diamondValue(width),
-                                                    rec.goldValue(width),
-                                                    rec.silverValue(width)});
-                     }
-                   });
+  collector.stream(
+      workload, cycles, [&](std::span<const predict::TraceRecord> window) {
+        // A fixed stack chunk: a window-sized triple buffer per cell would
+        // grow the campaign's peak RSS.
+        std::array<core::OutputTriple, 256> chunk;
+        for (std::size_t first = 0; first < window.size();
+             first += chunk.size()) {
+          const std::size_t n = std::min(chunk.size(), window.size() - first);
+          for (std::size_t i = 0; i < n; ++i) {
+            const predict::TraceRecord& rec = window[first + i];
+            chunk[i] = {rec.diamondValue(width), rec.goldValue(width),
+                        rec.silverValue(width)};
+          }
+          combo.add(std::span<const core::OutputTriple>(chunk.data(), n));
+        }
+      });
   return combo;
 }
 

@@ -2,8 +2,8 @@
 //
 // The paper's "Data Collection" step: drive the synthesized design with a
 // workload at an overclocked period, recording per cycle the exact sum
-// (y_diamond), the behavioral/RTL sum (y_gold) and the sum the gate-level
-// netlist latches at each edge (y_silver).
+// (y_diamond), the sum the correctly clocked circuit computes (y_gold) and
+// the sum the gate-level netlist latches at each edge (y_silver).
 //
 // TraceCollector is the engine for that step, and one windowed loop
 // drives every run — the figure pipelines and the fault scan's defect runs
@@ -13,28 +13,36 @@
 // r / S of stream r mod S. A window holds at most lanes x kWindowSteps
 // records (lanes = the runtime-selected lane width, 64/256/512 — see
 // netlist/lane_width.h — or a smaller cap, a multiple of S). Per window
-// the loop draws the window's stimuli, computes diamond and gold, samples
-// silver, then hands the window to its consumer in record order and reuses
-// the buffers for the next. A run therefore holds one window, never the
-// whole stream: memory is flat in the cycle count.
+// the loop draws the window's stimuli, computes diamond (a word add),
+// samples silver and gold, checks gold, then hands the window to its
+// consumer in record order and reuses the buffers for the next. A run
+// therefore holds one window, never the whole stream: memory is flat in
+// the cycle count.
 //
-// Silver is event-free. At construction the collector unrolls the design
-// at its period into the sampled-output netlist (timing/unroll.h): a
-// combinational function of a record's stimulus and the k - 1 before it
-// on its stream, records r - S, ..., r - (k - 1)S. Its exactness rests on
+// Silver and gold are event-free. At construction the collector unrolls
+// the design at its period into the sampled-output netlist (timing/
+// unroll.h): a combinational function of a record's stimulus and the
+// k - 1 before it on its stream, records r - S, ..., r - (k - 1)S, that
+// also carries the outputs settled under the record's own stimulus with
+// no defect held. Those are gold, so one sweep yields both. The
+// behavioral adder (core::IsaAdder) recomputes gold on every record
+// r % 64 == 0 of every run; a mismatch is core::StatusError(Internal)
+// naming the design and the operands. Silver's exactness rests on
 // the transport-delay recursion unroll.h derives, not on any replay: there
 // is no settle, warm-up or chunking. Per window every input's bit stream
 // is packed once; each history plane is that stream shifted by jS lanes,
 // and one batch-evaluator sweep samples `lanes` records. The window's last
 // (k - 1)S stimuli carry into the next as its history, and each stream's
 // settle vector stands in for history before its first record. A stem
-// defect passed at construction is a constant on every unrolled copy of
-// its net. tests/lane_sim_test.cpp and tests/lane_width_test.cpp assert
-// record-for-record equality against the sequential reference collector
-// (collectTraceScalar in oisa_reference, one call per stream) across
-// windows and at every width, tests/unroll_test.cpp asserts the unrolled
-// netlist against the lane wheel engine, and bench/micro_lane_sim.cpp
-// re-proves it before gating the speedup.
+// defect passed at construction is a constant on every sampled copy of
+// its net and never reaches gold. tests/lane_sim_test.cpp and
+// tests/lane_width_test.cpp assert record-for-record equality against the
+// sequential reference collector (collectTraceScalar in oisa_reference,
+// one call per stream) across windows and at every width,
+// tests/unroll_test.cpp asserts the unrolled netlist against the lane
+// wheel engine (sampled outputs) and the zero-delay evaluator (settled
+// outputs), and bench/micro_lane_sim.cpp re-proves it before gating the
+// speedup.
 #pragma once
 
 #include <cstdint>
@@ -110,6 +118,8 @@ class TraceCollector {
   /// collectTraceScalar() for the same workload state at any lane count;
   /// stream l's records equal collectTraceScalar() over draws l, S + l,
   /// 2S + l, ... Each window is filled in place in the returned trace.
+  /// Throws core::StatusError(Internal), naming the design and the
+  /// operands, when a checked record's gold is not the behavioral sum.
   [[nodiscard]] predict::Trace collect(Workload& workload,
                                        std::uint64_t cycles);
 
@@ -138,7 +148,7 @@ class TraceCollector {
     return unrolled_.history;
   }
 
-  /// Gates of the unrolled sampled-output netlist.
+  /// Gates of the unrolled netlist (sampled and settled outputs).
   [[nodiscard]] std::size_t unrolledGates() const noexcept {
     return unrolled_.netlist.gateCount();
   }
@@ -150,12 +160,13 @@ class TraceCollector {
   void run(Workload& workload, std::uint64_t cycles,
            predict::TraceRecord* inPlace, const WindowConsumer& consume);
 
-  /// Silver of one window: the last window.size() of `stimuli` drive its
-  /// records, and the (k - 1)S before them are their history.
+  /// Silver and gold of one window: the last window.size() of `stimuli`
+  /// drive its records, and the (k - 1)S before them are their history.
   void sampleWindow(std::span<const Stimulus> stimuli,
                     std::span<predict::TraceRecord> window) const;
 
   const circuits::SynthesizedDesign& design_;
+  /// Diamond of every record, and the check of gold on every 64th.
   core::IsaAdder behavioral_;
   double periodNs_;
   timing::TimePs periodPs_;
@@ -165,8 +176,8 @@ class TraceCollector {
   std::unique_ptr<netlist::AnyBatchEvaluator> evaluator_;
 };
 
-/// Convenience wrapper: one lane-parallel collection over a fresh
-/// TraceCollector. All figure/table pipelines route through this.
+/// Convenience wrapper: one collect() over a fresh TraceCollector, for
+/// callers that need one whole trace of one (design, period).
 [[nodiscard]] predict::Trace collectTrace(
     const circuits::SynthesizedDesign& design, double periodNs,
     Workload& workload, std::uint64_t cycles);
@@ -174,6 +185,7 @@ class TraceCollector {
 /// Streams `cycles` records through `collector` and folds each, in record
 /// (= draw) order, into one ErrorCombination of the `width`-bit design's
 /// full output values: runErrorCombination's and the fault scan's E_joint.
+/// Bit-identical to one ErrorCombination::add per record.
 [[nodiscard]] core::ErrorCombination combineErrors(TraceCollector& collector,
                                                    Workload& workload,
                                                    std::uint64_t cycles,

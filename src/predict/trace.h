@@ -1,10 +1,11 @@
 // oisa_predict: per-cycle trace records of an overclocked circuit.
 //
 // One record captures everything the paper's data-collection step needs at
-// a cycle: the input vector x[t], the pure-RTL output yRTL[t] (here: the
-// behavioral ISA output, i.e. y_gold), and the gate-level sampled output
-// y[t] (y_silver) at the overclocked period. The exact sum y_diamond is
-// also carried for the error-combination study.
+// a cycle: the input vector x[t], the pure-RTL output yRTL[t] (here y_gold:
+// the gate-level netlist's output settled under x[t], which the collector
+// checks against the behavioral ISA model), and the gate-level sampled
+// output y[t] (y_silver) at the overclocked period. The exact sum
+// y_diamond is also carried for the error-combination study.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +19,7 @@ struct TraceRecord {
   std::uint64_t a = 0;
   std::uint64_t b = 0;
   std::uint64_t diamond = 0;      ///< exact sum bits
-  std::uint64_t gold = 0;         ///< behavioral/RTL inexact sum bits
+  std::uint64_t gold = 0;         ///< settled (correctly clocked) sum bits
   std::uint64_t silver = 0;       ///< gate-level overclocked sampled sum bits
   bool carryIn = false;
   bool diamondCout = false;

@@ -40,7 +40,9 @@ class Unroller {
         residues_(compiled.netCount()),
         longest_(compiled.netCount(), -1),
         constant_(compiled.netCount(), 0),
-        memo_(compiled.netCount()) {
+        memo_(compiled.netCount()),
+        settled_(compiled.netCount()),
+        share_(clamps.empty()) {
     std::vector<std::int8_t> clamp(compiled.netCount(), -1);
     for (const NetClamp& c : clamps) {
       if (c.net >= compiled.netCount()) {
@@ -114,6 +116,10 @@ class Unroller {
     for (std::size_t o = 0; o < outputs.size(); ++o) {
       out.netlist.output(source.outputName(o), node(outputs[o], periodPs_ - 1));
     }
+    for (std::size_t o = 0; o < outputs.size(); ++o) {
+      out.netlist.output(source.outputName(o) + "@settled",
+                         settled(outputs[o]));
+    }
     return out;
   }
 
@@ -123,6 +129,8 @@ class Unroller {
   netlist::NetId node(std::uint32_t net, TimePs t) {
     const std::vector<TimePs>& residues = residues_[net];
     if (residues.empty()) return out_->constant(constant_[net] != 0);
+    // Every path into the net samples the current stimulus.
+    if (share_ && t >= longest_[net]) return settled(net);
     // The latest potential change at or before t.
     const TimePs phase = floorMod(t, periodPs_);
     const auto after =
@@ -137,17 +145,36 @@ class Unroller {
       if (time == t) return id;
     }
     const std::uint32_t gi = driver_[net];
+    const netlist::NetId id = copyGate(gi, [&](std::uint32_t in) {
+      return node(in, t - delaysPs_[gi]);
+    });
+    memo_[net].emplace_back(t, id);
+    return id;
+  }
+
+  /// Net `net` settled under the current stimulus with no clamp held, as a
+  /// net of the unrolled netlist.
+  netlist::NetId settled(std::uint32_t net) {
+    netlist::NetId& id = settled_[net];
+    if (id.valid()) return id;
+    if (port_[net] != kNone) return id = inputs_[port_[net]];
+    return id = copyGate(driver_[net],
+                         [&](std::uint32_t in) { return settled(in); });
+  }
+
+  /// Gate `gi` of the source as a gate of the unrolled netlist, reading
+  /// `input(net)` for each of its input nets.
+  template <class Input>
+  netlist::NetId copyGate(std::uint32_t gi, Input input) {
     const netlist::CompiledNetlist::GateRec& g = compiled_.gate(gi);
     const int arity = netlist::gateArity(g.kind);
     std::array<netlist::NetId, 3> ins{};
     for (int pin = 0; pin < arity; ++pin) {
       ins[static_cast<std::size_t>(pin)] =
-          node(g.in[static_cast<std::size_t>(pin)], t - delaysPs_[gi]);
+          input(g.in[static_cast<std::size_t>(pin)]);
     }
-    const netlist::NetId id = out_->gate(
-        g.kind, std::span(ins.data(), static_cast<std::size_t>(arity)));
-    memo_[net].emplace_back(t, id);
-    return id;
+    return out_->gate(g.kind,
+                      std::span(ins.data(), static_cast<std::size_t>(arity)));
   }
 
   const netlist::CompiledNetlist& compiled_;
@@ -159,6 +186,10 @@ class Unroller {
   std::vector<TimePs> longest_;  ///< -1: no unclamped input reaches the net
   std::vector<std::uint8_t> constant_;
   std::vector<std::vector<std::pair<TimePs, netlist::NetId>>> memo_;
+  std::vector<netlist::NetId> settled_;
+  /// No clamp is held, so a sampled net whose every path reads the
+  /// current stimulus is its settled node.
+  bool share_;
   std::vector<netlist::NetId> inputs_;
   netlist::Netlist* out_ = nullptr;
 };

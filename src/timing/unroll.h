@@ -28,6 +28,14 @@
 //
 // A clamped net (a stem stuck-at defect, a tied input) is a constant, and
 // so is every net no unclamped primary input reaches.
+//
+// Settled outputs. Beside the sampled outputs the netlist carries each
+// output settled under the current stimulus alone with no clamp held: the
+// correctly clocked, fault-free circuit (the paper's y_gold). With no
+// clamp held the two copies share nodes: a sampled probe of net n at
+// t >= longest(n), the longest input-to-n path, reads the current
+// stimulus on every path, so it is n's settled node. Under a clamp the
+// settled copy is built apart from the clamped one and stays fault-free.
 #pragma once
 
 #include <cstdint>
@@ -49,10 +57,13 @@ struct NetClamp {
 struct UnrolledSampler {
   /// Combinational netlist. Primary input j * I + i (I = the source's
   /// input count) is source input i of the stimulus applied j cycles
-  /// before the sampled one, j in [0, history); primary output o is what
-  /// source output o latches at the end of the current cycle.
+  /// before the sampled one, j in [0, history). With O the source's output
+  /// count, primary output o < O is what source output o latches at the
+  /// end of the current cycle, and output O + o is source output o settled
+  /// under the current stimulus (inputs [0, I)) with no clamp held.
   netlist::Netlist netlist;
-  /// k: the current stimulus plus the k - 1 before it. At least 1.
+  /// k: the sampled outputs read the current stimulus plus the k - 1
+  /// before it. At least 1.
   int history = 1;
 };
 

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <functional>
 #include <optional>
 #include <random>
@@ -22,8 +23,12 @@
 #include "circuits/isa_netlist.h"
 #include "circuits/synthesis.h"
 #include "core/error_model.h"
+#include "core/isa_adder.h"
 #include "core/status.h"
 #include "core/isa_config.h"
+#include "experiments/checkpoint.h"
+#include "experiments/grid_scheduler.h"
+#include "experiments/runner.h"
 #include "experiments/trace_collector.h"
 #include "experiments/workload.h"
 #include "fault/fault_universe.h"
@@ -456,6 +461,111 @@ TEST(LaneTraceCollectorTest, ClampedDefectHoldsInEveryWindow) {
     }
     EXPECT_GT(differ, 0u) << "window at record " << first;
   }
+}
+
+TEST(LaneTraceCollectorTest, HeldDefectLeavesGoldFaultFree) {
+  // Gold is the design settled with no defect held: under each sampled
+  // stem defect, every record of a 64-stream multi-window run carries the
+  // behavioral sum, while silver shows the defect.
+  const auto design = testDesign(8, 2, 1, 4);
+  const double period = oisa::experiments::overclockedPeriodNs(0.3, 15.0);
+  const oisa::core::IsaAdder behavioral(design.config);
+  const oisa::fault::FaultUniverse universe(
+      CompiledNetlist::compile(design.netlist));
+  std::vector<oisa::fault::Fault> stems;
+  for (const auto& f : universe.collapsed()) {
+    if (f.isStem()) stems.push_back(f);
+  }
+  const std::uint64_t cycles = multiWindowCycles(64, 197);
+  for (const auto& defect : oisa::fault::selectTimedFaults(stems, 4)) {
+    SCOPED_TRACE("net " + std::to_string(defect.net));
+    TraceCollector collector(design, period, 64, 64, defect);
+    auto wl = oisa::experiments::makeWorkload("uniform", 32, 43);
+    const auto trace = collector.collect(*wl, cycles);
+    std::size_t shifted = 0;
+    for (std::size_t r = 0; r < trace.size(); ++r) {
+      const auto& rec = trace[r];
+      const oisa::core::IsaSum gold =
+          behavioral.add(rec.a, rec.b, rec.carryIn);
+      ASSERT_EQ(rec.gold, gold.sum) << "record " << r;
+      ASSERT_EQ(rec.goldCout, gold.carryOut) << "record " << r;
+      shifted += rec.silver != rec.gold || rec.silverCout != rec.goldCout;
+    }
+    EXPECT_GT(shifted, 0u);
+  }
+}
+
+/// `design` with one pin of its top sum bit's driver rewired to a0.
+SynthesizedDesign withBrokenTopSumBit(SynthesizedDesign design) {
+  Netlist& nl = design.netlist;
+  const NetId top = nl.primaryOutputs()[static_cast<std::size_t>(
+      design.config.width - 1)];
+  nl.replaceGateInput(nl.net(top).driverGate, 0, nl.primaryInputs()[0]);
+  return design;
+}
+
+TEST(LaneTraceCollectorTest, BrokenNetlistFailsLoudly) {
+  // The behavioral adder checks gold on every 64th record of every run, so
+  // a netlist that no longer computes its design fails the collect with
+  // Internal, naming the design, instead of shifting the timing errors.
+  oisa::circuits::SynthesisOptions options;
+  options.relaxSlack = true;
+  const auto designs = oisa::circuits::synthesizePaperDesigns(
+      CellLibrary::generic65(), options);
+  ASSERT_EQ(designs.size(), 12u);
+  const double period = oisa::experiments::overclockedPeriodNs(0.3, 15.0);
+  for (const auto& healthy : designs) {
+    SCOPED_TRACE(healthy.config.name());
+    const SynthesizedDesign broken = withBrokenTopSumBit(healthy);
+    TraceCollector collector(broken, period);
+    auto wl = oisa::experiments::makeWorkload("uniform",
+                                              broken.config.width, 42);
+    try {
+      (void)collector.collect(*wl, 4096);
+      ADD_FAILURE() << "the broken netlist was collected";
+    } catch (const oisa::core::StatusError& e) {
+      EXPECT_EQ(e.code(), oisa::core::StatusCode::Internal) << e.what();
+      EXPECT_NE(std::string(e.what()).find("'" + broken.config.name() + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
+  // In a campaign over one healthy design and the twelve broken ones, each
+  // broken design's cell fails with that Internal status and commits no
+  // row; the healthy design's cell still does.
+  std::vector<SynthesizedDesign> campaign = {designs[0]};
+  for (const auto& healthy : designs) {
+    campaign.push_back(withBrokenTopSumBit(healthy));
+  }
+  const std::string path =
+      ::testing::TempDir() + "oisa_broken_netlist_ckpt.bin";
+  std::remove(path.c_str());
+  oisa::experiments::RunOptions run;
+  run.cycles = 4096;
+  run.threads = 2;
+  run.checkpoint.path = path;
+  run.checkpoint.everyCells = 1;
+  const std::vector<double> cprs = {15.0};
+  try {
+    (void)oisa::experiments::runErrorCombination(campaign, cprs, run);
+    ADD_FAILURE() << "the campaign over broken netlists succeeded";
+  } catch (const oisa::experiments::GridError& e) {
+    ASSERT_EQ(e.failures().size(), designs.size());
+    for (const auto& failure : e.failures()) {
+      ASSERT_GE(failure.cell, 1u);
+      ASSERT_LT(failure.cell, campaign.size());
+      EXPECT_EQ(failure.status.code(), oisa::core::StatusCode::Internal);
+      EXPECT_NE(failure.status.message().find(
+                    "'" + campaign[failure.cell].config.name() + "'"),
+                std::string::npos)
+          << failure.status.message();
+    }
+  }
+  const auto snapshot = oisa::experiments::GridCheckpoint::loadFrom(path);
+  ASSERT_TRUE(snapshot.isOk()) << snapshot.status().toString();
+  EXPECT_EQ(snapshot.value().cellIndices(), std::vector<std::uint64_t>{0});
+  std::remove(path.c_str());
 }
 
 TEST(LaneTraceCollectorTest, Width64DesignMatchesScalarReference) {

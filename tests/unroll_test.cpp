@@ -7,8 +7,10 @@
 // netlists with random quantized delays, zero-delay gates and reconvergent
 // fanout; on all twelve paper designs at 5-75% CPR under uniform,
 // random-walk and sparse-toggle stimulus; under stem and primary-input
-// clamps; and on the width-64 design. The collector is checked against the
-// same wheel at 64 interleaved streams.
+// clamps; and on the width-64 design. Its settled outputs, on the same
+// netlists and under the same clamps, must equal the zero-delay batch
+// evaluator of the unclamped source on each record's own step. The
+// collector is checked against the same wheel at 64 interleaved streams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,7 +58,9 @@ using oisa::timing::TimePs;
 using Steps = std::vector<std::vector<std::uint64_t>>;
 
 /// Asserts that the unrolled netlist latches what the lane wheel latches
-/// for every record of `steps`, and returns its history depth in `history`.
+/// for every record of `steps` and settles where the unclamped source
+/// settles on the record's step, and returns its history depth in
+/// `history`.
 void expectMatchesWheel(const Netlist& nl, const DelayAnnotation& delays,
                         double periodNs, const Steps& steps,
                         std::span<const NetClamp> clamps, int& history) {
@@ -66,9 +70,10 @@ void expectMatchesWheel(const Netlist& nl, const DelayAnnotation& delays,
   history = unrolled.history;
   ASSERT_EQ(unrolled.netlist.primaryInputs().size(),
             static_cast<std::size_t>(history) * nl.primaryInputs().size());
-  ASSERT_EQ(unrolled.netlist.primaryOutputs().size(),
-            nl.primaryOutputs().size());
+  const std::size_t outputs = nl.primaryOutputs().size();
+  ASSERT_EQ(unrolled.netlist.primaryOutputs().size(), 2 * outputs);
   const oisa::netlist::BatchEvaluator sampled(unrolled.netlist);
+  const oisa::netlist::BatchEvaluator settled(nl);
 
   oisa::timing::LaneClockedSampler wheel(compiled, delays, periodNs);
   for (const NetClamp& c : clamps) {
@@ -91,7 +96,12 @@ void expectMatchesWheel(const Netlist& nl, const DelayAnnotation& delays,
       std::copy(step.begin(), step.end(),
                 planes.begin() + static_cast<std::ptrdiff_t>(j * inputs));
     }
-    ASSERT_EQ(sampled.evaluateOutputs(planes), latched) << "record " << t;
+    const std::vector<std::uint64_t> words = sampled.evaluateOutputs(planes);
+    const auto mid = words.begin() + static_cast<std::ptrdiff_t>(outputs);
+    ASSERT_EQ(std::vector(words.begin(), mid), latched) << "record " << t;
+    ASSERT_EQ(std::vector(mid, words.end()),
+              settled.evaluateOutputs(steps[t + 1]))
+        << "record " << t << ", settled";
   }
 }
 
