@@ -1,12 +1,9 @@
 // Shared helpers for the figure-regeneration benches.
 #pragma once
 
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
-#include <memory>
-#include <optional>
-#include <set>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -16,7 +13,6 @@
 #include "circuits/synthesis.h"
 #include "core/file_publish.h"
 #include "core/status.h"
-#include "core/subprocess.h"
 #include "experiments/cli.h"
 #include "experiments/grid_scheduler.h"
 #include "experiments/report.h"
@@ -29,10 +25,25 @@
 
 namespace oisa::bench {
 
+/// An unsigned flag that must fit `unsigned`. A larger value is
+/// InvalidInput naming the flag: a plain cast would wrap it, and for
+/// --threads and --retries the wrapped 0 means something else entirely.
+inline unsigned unsignedOption(const experiments::ArgParser& args,
+                               const std::string& key, unsigned fallback) {
+  const std::uint64_t value = args.getU64(key, fallback);
+  if (value > std::numeric_limits<unsigned>::max()) {
+    throw core::StatusError(core::Status::invalidInput(
+        "--" + key + ": expected at most " +
+        std::to_string(std::numeric_limits<unsigned>::max()) + ", got '" +
+        args.getString(key, "") + "'"));
+  }
+  return static_cast<unsigned>(value);
+}
+
 /// `--threads=N` worker-thread count for grid sweeps (0 = hardware
 /// concurrency, the default). Results are bit-identical at any value.
 inline unsigned threadsOption(const experiments::ArgParser& args) {
-  return static_cast<unsigned>(args.getU64("threads", 0));
+  return unsignedOption(args, "threads", 0);
 }
 
 /// Crash-safety CLI surface shared by every grid bench:
@@ -42,8 +53,9 @@ inline unsigned threadsOption(const experiments::ArgParser& args) {
 ///                            rejected — it would disable autosaving the
 ///                            flag exists to provide)
 ///   --retries=N              per-cell attempts on transient failure
-///   --deadline=S             wall-clock budget in seconds (0 = none)
-///   --progress               periodic one-line progress heartbeat on
+///   --deadline=S             wall-clock budget in seconds (0 = none;
+///                            negative is rejected, not read as none)
+///   --progress               periodic one-line progress report on
 ///                            stderr (cells done/total, retries, ETA)
 /// Resumed campaigns are byte-identical to uninterrupted ones.
 inline void applyRobustnessOptions(const experiments::ArgParser& args,
@@ -51,8 +63,13 @@ inline void applyRobustnessOptions(const experiments::ArgParser& args,
   run.checkpoint.path = args.getString("checkpoint", "");
   run.checkpoint.resume = args.getBool("resume", false);
   run.checkpoint.everyCells = args.getPositiveU64("checkpoint-every", 8);
-  run.cellAttempts = static_cast<unsigned>(args.getU64("retries", 1));
+  run.cellAttempts = unsignedOption(args, "retries", 1);
   run.deadlineSeconds = args.getDouble("deadline", 0.0);
+  if (run.deadlineSeconds < 0.0) {
+    throw core::StatusError(core::Status::invalidInput(
+        "--deadline: expected a non-negative number of seconds, got '" +
+        args.getString("deadline", "") + "'"));
+  }
   run.progress = args.getBool("progress", false);
 }
 
@@ -62,7 +79,6 @@ inline void applyRobustnessOptions(const experiments::ArgParser& args,
 ///   --model-in=base    mmap-load each cell's bank from the same scheme
 ///                      instead of collecting a training trace — rows
 ///                      (and CSVs) are byte-identical to the trained run
-/// Both forward to shard workers: every worker owns its cells' banks.
 inline void applyModelOptions(const experiments::ArgParser& args,
                               experiments::PredictionOptions& options) {
   options.modelOut = args.getString("model-out", "");
@@ -72,11 +88,10 @@ inline void applyModelOptions(const experiments::ArgParser& args,
 /// Observability CLI surface shared by every figure/fault bench:
 ///   --metrics-out=FILE  write the metrics registry snapshot as JSON
 ///                       (schema oisa-metrics-v1) at exit; the registry
-///                       itself is always on (sharded fleet rollups need
-///                       it flag-free) — the flag only adds the artifact
+///                       itself is always on — the flag only adds the
+///                       artifact
 ///   --trace-out=FILE    record RAII spans into the bounded ring; write
 ///                       Chrome trace-event JSON (open in Perfetto) at exit
-///   --events-out=FILE   supervisor-side JSONL fleet lifecycle log
 ///   --trace-buffer=N    span ring capacity in events (default 65536;
 ///                       overflow drops events and counts the drops)
 /// Telemetry is side-effect-only by construction: every CSV and table is
@@ -85,7 +100,6 @@ inline void applyModelOptions(const experiments::ArgParser& args,
 struct ObsContext {
   std::string metricsOut;
   std::string traceOut;
-  std::string eventsOut;
 };
 
 /// Parses the obs flags and arms the requested sinks. Call before the
@@ -94,7 +108,6 @@ inline ObsContext beginObs(const experiments::ArgParser& args) {
   ObsContext ctx;
   ctx.metricsOut = args.getString("metrics-out", "");
   ctx.traceOut = args.getString("trace-out", "");
-  ctx.eventsOut = args.getString("events-out", "");
   if (!ctx.traceOut.empty()) {
     obs::startTracing(
         static_cast<std::size_t>(args.getPositiveU64("trace-buffer", 65536)));
@@ -102,149 +115,12 @@ inline ObsContext beginObs(const experiments::ArgParser& args) {
   return ctx;
 }
 
-/// What setupSharding decided this process is.
-struct ShardContext {
-  /// False in shard workers: they compute and checkpoint, the supervisor
-  /// process prints the tables/CSV after the merge.
-  bool emitOutput = true;
-  /// Set in the supervisor after runShardSupervisor finished.
-  std::optional<experiments::ShardReport> report;
-  /// Owned by the context in worker mode; run.heartbeat points at it.
-  std::unique_ptr<experiments::HeartbeatEmitter> heartbeat;
-};
-
-/// Forwards this invocation's argv to a shard worker, minus everything
-/// the supervisor owns (shard topology, checkpoint/resume plumbing,
-/// output paths) — the supervisor re-appends those per shard. Workers
-/// that were not given --threads default to a fair share of the machine
-/// so N shards do not oversubscribe it N times.
-inline std::vector<std::string> forwardedWorkerArgs(
-    const experiments::ArgParser& args, unsigned shards) {
-  static const std::set<std::string> kSupervisorOnly = {
-      "shards",      "shard-worker", "shard-strikes", "shard-timeout",
-      "shard-backoff", "quarantine", "checkpoint",    "resume",
-      "csv",         "json",         "progress",      "threads",
-      "metrics-out", "trace-out",    "events-out"};
-  std::vector<std::string> out;
-  for (const auto& [key, value] : args.all()) {
-    if (kSupervisorOnly.count(key) != 0) continue;
-    out.push_back("--" + key + "=" + value);
-  }
-  unsigned threads = static_cast<unsigned>(args.getU64("threads", 0));
-  if (threads == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = 1;
-    threads = (hw + shards - 1) / shards;
-  }
-  out.push_back("--threads=" + std::to_string(threads));
-  return out;
-}
-
-/// Multi-process campaign execution (experiments/shard.h). Three modes:
-///
-///   --shard-worker=i/N   this process is a supervised worker: compute
-///                        the slice's cells into <checkpoint>.shard<i>,
-///                        report over the heartbeat pipe, emit nothing;
-///   --shards=N (N > 1)   supervise N workers (spawn/monitor/restart/
-///                        quarantine), merge their snapshots into the
-///                        base checkpoint, then fall through and run the
-///                        campaign in-process with --resume — every
-///                        surviving cell is served from the merged
-///                        snapshot, so the output is byte-identical to
-///                        an unsharded run and goes through the
-///                        identical emission path;
-///   neither              plain single-process run (ctx is inert).
-///
-/// `cellCount` is the full campaign grid size (designs × CPR points).
-/// Throws StatusError on bad shard flags or a failed supervision run.
-inline ShardContext setupSharding(const experiments::ArgParser& args,
-                                  const char* argv0,
-                                  experiments::RunOptions& run,
-                                  std::size_t cellCount) {
-  ShardContext ctx;
-  const std::string workerSpec = args.getString("shard-worker", "");
-  if (!workerSpec.empty()) {
-    const auto spec =
-        experiments::ShardWorkerSpec::parse(workerSpec).valueOrThrow();
-    const std::string base = args.getString("checkpoint", "");
-    if (base.empty()) {
-      throw core::StatusError(core::Status::invalidInput(
-          "--shard-worker requires --checkpoint=<path> (the shard snapshot "
-          "derives from it)"));
-    }
-    run.shard.index = spec.index;
-    run.shard.count = spec.count;
-    run.shard.skipCells =
-        experiments::parseCellList(args.getString("quarantine", ""))
-            .valueOrThrow();
-    // Private snapshot, keyed by *global* cell index with the full-grid
-    // shape and fingerprint — that is what makes shard snapshots
-    // merge-compatible with each other and with the base.
-    run.checkpoint.path = experiments::shardCheckpointPath(base, spec.index);
-    run.checkpoint.resume = true;  // restarts adopt the previous attempt
-    run.progress = false;          // the supervisor owns the terminal
-    ctx.heartbeat = experiments::HeartbeatEmitter::fromEnv();
-    run.heartbeat = ctx.heartbeat.get();
-    ctx.emitOutput = false;
-    return ctx;
-  }
-  const unsigned shards =
-      static_cast<unsigned>(args.getPositiveU64("shards", 1));
-  if (shards <= 1) return ctx;
-  if (run.checkpoint.path.empty()) {
-    throw core::StatusError(core::Status::invalidInput(
-        "--shards requires --checkpoint=<path> (shard results merge "
-        "through it)"));
-  }
-  experiments::ShardSupervisorOptions sup;
-  sup.shards = shards;
-  sup.binary = core::selfExecutablePath(argv0);
-  sup.workerArgs = forwardedWorkerArgs(args, shards);
-  sup.checkpointBase = run.checkpoint.path;
-  sup.resumeBase = run.checkpoint.resume;
-  sup.cellCount = cellCount;
-  sup.maxCellStrikes =
-      static_cast<unsigned>(args.getPositiveU64("shard-strikes", 3));
-  sup.heartbeatTimeoutSec = args.getDouble("shard-timeout", 30.0);
-  sup.restartBackoffMs = args.getU64("shard-backoff", 200);
-  sup.progress = run.progress;
-  // Fleet observability: the supervisor keeps the aggregate artifacts
-  // (events log, merged metrics with the fleet rollup) and hands every
-  // worker a private --metrics-out/--trace-out derived from the same base
-  // so per-shard JSON lands next to the supervisor's.
-  sup.eventLogPath = args.getString("events-out", "");
-  sup.workerMetricsBase = args.getString("metrics-out", "");
-  sup.workerTraceBase = args.getString("trace-out", "");
-  ctx.report = experiments::runShardSupervisor(sup).valueOrThrow();
-  // Final in-process pass over the *whole* grid: --resume against the
-  // merged snapshot serves every completed cell; only quarantined cells
-  // are skipped (their rows stay empty and the emitters drop them).
-  run.checkpoint.resume = true;
-  run.shard = {};
-  for (const auto& q : ctx.report->quarantined) {
-    run.shard.skipCells.push_back(q.cell);
-  }
-  std::sort(run.shard.skipCells.begin(), run.shard.skipCells.end());
-  return ctx;
-}
-
-/// Writes the per-process telemetry artifacts. Call at the end of every
-/// bench main, *before* the worker-mode early return — shard workers
-/// write their own metrics/trace files (the supervisor pointed them at
-/// <base>.shard<i>) even though they emit no tables. The heartbeat flush
-/// runs first so the supervisor's fleet rollup and this worker's metrics
-/// file agree exactly on a clean run (nothing increments counters between
-/// the flush and the snapshot).
-inline void writeObsArtifacts(const ObsContext& obsCtx,
-                              const ShardContext& shard) {
-  if (shard.heartbeat != nullptr) shard.heartbeat->metricsFlush();
+/// Writes the telemetry artifacts the obs flags asked for. Call once the
+/// campaign has run, so its counters and spans are in them.
+inline void writeObsArtifacts(const ObsContext& obsCtx) {
   if (!obsCtx.metricsOut.empty()) {
-    const std::map<std::string, std::uint64_t>* fleet =
-        shard.report.has_value() && !shard.report->fleetCounters.empty()
-            ? &shard.report->fleetCounters
-            : nullptr;
     if (const core::Status s =
-            obs::writeMetricsJson(obsCtx.metricsOut, obs::runMetadata(), fleet);
+            obs::writeMetricsJson(obsCtx.metricsOut, obs::runMetadata());
         !s.isOk()) {
       std::cerr << "warning: " << s.toString() << "\n";
     } else {
@@ -260,29 +136,6 @@ inline void writeObsArtifacts(const ObsContext& obsCtx,
       std::cerr << "(trace written to " << obsCtx.traceOut << ")\n";
     }
     obs::stopTracing();
-  }
-}
-
-/// Human-readable tail of a supervised campaign: what was restarted,
-/// quarantined, or absolved (on stderr, after the tables), plus the
-/// fleet-wide counter rollup streamed over the heartbeat pipes.
-inline void printShardReport(const ShardContext& ctx) {
-  if (!ctx.report.has_value()) return;
-  const experiments::ShardReport& r = *ctx.report;
-  std::cerr << "shards: " << r.cellsDone << " cell completion(s) observed, "
-            << r.restarts << " worker restart(s)\n";
-  for (const auto& [name, value] : r.fleetCounters) {
-    std::cerr << "  fleet " << name << " = " << value << "\n";
-  }
-  for (const experiments::QuarantinedCell& q : r.quarantined) {
-    std::cerr << "  quarantined cell " << q.cell << " (shard " << q.shard
-              << "): worker died with " << q.lastExit.toString()
-              << (q.stalled ? " after a heartbeat stall" : "") << ", "
-              << q.strikes << " strike(s) — row omitted\n";
-  }
-  for (const std::uint64_t cell : r.absolved) {
-    std::cerr << "  absolved cell " << cell
-              << ": completed despite strikes (lost heartbeat)\n";
   }
 }
 

@@ -9,10 +9,8 @@
 //                       [--cpr=15] [--timed-cycles=N] [--timed-faults=N]
 //                       [--threads=N] [--relax] [--checkpoint=path]
 //                       [--resume] [--checkpoint-every=N] [--retries=N]
-//                       [--deadline=S] [--progress] [--shards=N]
-//                       [--shard-strikes=K] [--shard-timeout=S]
-//                       [--csv=path] [--trace-out=f] [--metrics-out=f]
-//                       [--events-out=f]
+//                       [--deadline=S] [--progress] [--csv=path]
+//                       [--trace-out=f] [--metrics-out=f]
 #include <iostream>
 
 #include "experiments/fault_scan.h"
@@ -38,12 +36,9 @@ int main(int argc, char** argv) {
   options.timedCycles = args.getU64("timed-cycles", 8192);
   options.timedFaults =
       static_cast<std::size_t>(args.getU64("timed-faults", 8));
-  const auto shard =
-      bench::setupSharding(args, argv[0], options.run, designs.size());
 
   const auto rows = runFaultErrorScan(designs, options);
-  bench::writeObsArtifacts(obsCtx, shard);
-  if (!shard.emitOutput) return 0;  // worker: the supervisor prints
+  bench::writeObsArtifacts(obsCtx);
 
   std::cout << "== Stuck-at coverage + defect-aware E_joint shift ==\n"
             << "(coverage: " << options.run.cycles << " "
@@ -56,7 +51,6 @@ int main(int argc, char** argv) {
                             "coverage[%]", "joint-healthy[%]",
                             "joint-defective[%]", "shift[%]"});
   for (const auto& row : rows) {
-    if (row.design.empty()) continue;  // quarantined cell: row omitted
     table.addRow(
         {row.design, std::to_string(row.universeFaults),
          std::to_string(row.collapsedClasses),
@@ -77,7 +71,6 @@ int main(int argc, char** argv) {
        "rms_rel_joint_healthy", "rms_rel_joint_faulty", "e_joint_shift",
        "worst_rel_joint_faulty", "timed_faults"});
   for (const auto& row : rows) {
-    if (row.design.empty()) continue;  // quarantined cell: row omitted
     csv.addRow({row.design, std::to_string(row.universeFaults),
                 std::to_string(row.collapsedClasses),
                 std::to_string(row.detectedClasses),
@@ -96,7 +89,6 @@ int main(int argc, char** argv) {
     csv.writeCsvFile(csvPath);
     std::cout << "\n(csv written to " << csvPath << ")\n";
   }
-  bench::printShardReport(shard);
   return 0;
   });
 }

@@ -54,7 +54,7 @@ int run(int argc, char** argv) {
                       std::string(static_cast<std::size_t>(tBar), '*')});
   }
   bench::emit(table, args);
-  bench::writeObsArtifacts(obsCtx, bench::ShardContext{});
+  bench::writeObsArtifacts(obsCtx);
   return 0;
 }
 

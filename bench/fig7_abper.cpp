@@ -6,9 +6,8 @@
 //                   [--depth=D] [--seed=S] [--relax] [--threads=N]
 //                   [--checkpoint=path] [--resume] [--checkpoint-every=N]
 //                   [--retries=N] [--deadline=S] [--progress]
-//                   [--shards=N] [--shard-strikes=K] [--shard-timeout=S]
 //                   [--csv=path] [--model-out=base] [--model-in=base]
-//                   [--trace-out=f] [--metrics-out=f] [--events-out=f]
+//                   [--trace-out=f] [--metrics-out=f]
 #include "experiments/runner.h"
 
 #include "bench_common.h"
@@ -30,14 +29,10 @@ int main(int argc, char** argv) {
   options.predictor.forest.tree.maxDepth =
       static_cast<int>(args.getU64("depth", 10));
   bench::applyModelOptions(args, options);
-  const auto shard = bench::setupSharding(
-      args, argv[0], options.run,
-      designs.size() * bench::paperCprs().size());
 
   const auto rows =
       runPredictionEvaluation(designs, bench::paperCprs(), options);
-  bench::writeObsArtifacts(obsCtx, shard);
-  if (!shard.emitOutput) return 0;  // worker: the supervisor prints
+  bench::writeObsArtifacts(obsCtx);
 
   std::cout << "== Fig. 7: ABPER of the bit-level timing-error model ==\n"
             << "(train " << options.trainCycles << " / test "
@@ -58,7 +53,6 @@ int main(int argc, char** argv) {
     table.addRow({design.config.name(), cells[0], cells[1], cells[2]});
   }
   bench::emit(table, args);
-  bench::printShardReport(shard);
   return 0;
   });
 }

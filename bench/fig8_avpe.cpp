@@ -6,10 +6,9 @@
 // Usage: fig8_avpe [--train-cycles=N] [--test-cycles=N] [--trees=T]
 //                  [--seed=S] [--relax] [--threads=N] [--checkpoint=path]
 //                  [--resume] [--checkpoint-every=N] [--retries=N]
-//                  [--deadline=S] [--progress] [--shards=N]
-//                  [--shard-strikes=K] [--shard-timeout=S] [--csv=path]
+//                  [--deadline=S] [--progress] [--csv=path]
 //                  [--model-out=base] [--model-in=base]
-//                  [--trace-out=f] [--metrics-out=f] [--events-out=f]
+//                  [--trace-out=f] [--metrics-out=f]
 #include "experiments/runner.h"
 
 #include "bench_common.h"
@@ -29,14 +28,10 @@ int main(int argc, char** argv) {
   bench::applyRobustnessOptions(args, options.run);
   options.predictor.forest.treeCount = args.getU64("trees", 10);
   bench::applyModelOptions(args, options);
-  const auto shard = bench::setupSharding(
-      args, argv[0], options.run,
-      designs.size() * bench::paperCprs().size());
 
   const auto rows =
       runPredictionEvaluation(designs, bench::paperCprs(), options);
-  bench::writeObsArtifacts(obsCtx, shard);
-  if (!shard.emitOutput) return 0;  // worker: the supervisor prints
+  bench::writeObsArtifacts(obsCtx);
 
   std::cout << "== Fig. 8: AVPE of the bit-level timing-error model ==\n\n";
   experiments::Table table(
@@ -54,7 +49,6 @@ int main(int argc, char** argv) {
     table.addRow({design.config.name(), cells[0], cells[1], cells[2]});
   }
   bench::emit(table, args);
-  bench::printShardReport(shard);
   return 0;
   });
 }

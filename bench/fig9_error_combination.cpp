@@ -7,11 +7,8 @@
 //                               [--workload=uniform] [--threads=N]
 //                               [--checkpoint=path] [--resume]
 //                               [--checkpoint-every=N] [--retries=N]
-//                               [--deadline=S] [--progress]
-//                               [--shards=N] [--shard-strikes=K]
-//                               [--shard-timeout=S] [--csv=path]
+//                               [--deadline=S] [--progress] [--csv=path]
 //                               [--trace-out=f] [--metrics-out=f]
-//                               [--events-out=f]
 #include "experiments/runner.h"
 #include "experiments/trace_collector.h"
 
@@ -30,13 +27,10 @@ int main(int argc, char** argv) {
   options.threads = bench::threadsOption(args);
   options.workload = args.getString("workload", "uniform");
   bench::applyRobustnessOptions(args, options);
-  const auto shard = bench::setupSharding(
-      args, argv[0], options, designs.size() * bench::paperCprs().size());
 
   const auto rows =
       runErrorCombination(designs, bench::paperCprs(), options);
-  bench::writeObsArtifacts(obsCtx, shard);
-  if (!shard.emitOutput) return 0;  // worker: the supervisor prints
+  bench::writeObsArtifacts(obsCtx);
 
   std::cout << "== Fig. 9: relative error RMS (%) under overclocking ==\n"
             << "(cycles per point: " << options.cycles
@@ -49,7 +43,6 @@ int main(int argc, char** argv) {
     experiments::Table table({"design", "structural[%]", "timing[%]",
                               "joint[%]", "timing-err-rate"});
     for (const auto& row : rows) {
-      if (row.design.empty()) continue;  // quarantined cell: row omitted
       if (row.cprPercent != cpr) continue;
       table.addRow(
           {row.design,
@@ -70,7 +63,6 @@ int main(int argc, char** argv) {
                           "rms_rel_struct", "rms_rel_timing",
                           "rms_rel_joint"});
   for (const auto& row : rows) {
-    if (row.design.empty()) continue;  // quarantined cell: row omitted
     csv.addRow({row.design, experiments::formatFixed(row.cprPercent, 1),
                 experiments::formatFixed(row.periodNs, 4),
                 experiments::formatSci(row.rmsRelStruct, 6),
@@ -82,7 +74,6 @@ int main(int argc, char** argv) {
     csv.writeCsvFile(path);
     std::cout << "(csv written to " << path << ")\n";
   }
-  bench::printShardReport(shard);
   return 0;
   });
 }

@@ -81,15 +81,4 @@ void ErrorCombination::add(std::span<const OutputTriple> triples) noexcept {
       triples, eJoint_, reJoint_);
 }
 
-void ErrorCombination::merge(const ErrorCombination& o) noexcept {
-  eStruct_.merge(o.eStruct_);
-  eTiming_.merge(o.eTiming_);
-  eJoint_.merge(o.eJoint_);
-  reStruct_.merge(o.reStruct_);
-  reTiming_.merge(o.reTiming_);
-  reJoint_.merge(o.reJoint_);
-  skipped_ += o.skipped_;
-  cycles_ += o.cycles_;
-}
-
 }  // namespace oisa::core

@@ -82,8 +82,6 @@ class ErrorCombination {
   }
   [[nodiscard]] std::uint64_t cycles() const noexcept { return cycles_; }
 
-  void merge(const ErrorCombination& o) noexcept;
-
  private:
   ErrorStats eStruct_, eTiming_, eJoint_;
   ErrorStats reStruct_, reTiming_, reJoint_;

@@ -46,17 +46,6 @@ class ErrorStats {
     maxV_ = std::max(maxV_, 0.0);
   }
 
-  /// Merges another accumulator (for sharded/parallel runs).
-  void merge(const ErrorStats& o) noexcept {
-    n_ += o.n_;
-    sum_ += o.sum_;
-    sumAbs_ += o.sumAbs_;
-    sumSq_ += o.sumSq_;
-    minV_ = std::min(minV_, o.minV_);
-    maxV_ = std::max(maxV_, o.maxV_);
-    nonzero_ += o.nonzero_;
-  }
-
   [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept {
     return n_ ? sum_ / static_cast<double>(n_) : 0.0;

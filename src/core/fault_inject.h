@@ -48,8 +48,6 @@ inline constexpr const char* kCheckpointWrite = "checkpoint.write";
 inline constexpr const char* kCheckpointRead = "checkpoint.read";
 inline constexpr const char* kFileOpen = "file.open";
 inline constexpr const char* kGridCell = "grid.cell";
-inline constexpr const char* kWorkerSpawn = "worker.spawn";
-inline constexpr const char* kWorkerHeartbeat = "worker.heartbeat";
 
 /// True when this hit of `site` must fail according to the armed plan.
 /// Compiles to a single untaken branch when nothing is armed.

@@ -1,11 +1,11 @@
 // oisa_core: typed error taxonomy for recoverable boundaries.
 //
-// The campaign layer (checkpointing, sharded grids, the serving daemon to
-// come) needs to tell *what kind* of failure happened so it can pick the
-// right recovery: a Corruption from a checkpoint load falls back to
-// recompute, an IoError is retryable, an InvalidInput is a caller bug and
-// must surface immediately, a Deadline aborts cleanly with partial
-// results. Status/StatusOr carry that taxonomy across the recoverable
+// The campaign layer (checkpointing, retried grid cells) needs to tell
+// *what kind* of failure happened so it can pick the right recovery: a
+// Corruption from a checkpoint load falls back to recompute, an IoError
+// is retryable, an InvalidInput is a caller bug and must surface
+// immediately, a Deadline aborts cleanly with partial results.
+// Status/StatusOr carry that taxonomy across the recoverable
 // boundaries — .bench import, model (de)serialization, checkpoint load,
 // output file writes, CLI parsing — while plain exceptions remain
 // reserved for internal invariant violations.

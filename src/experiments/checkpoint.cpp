@@ -145,10 +145,6 @@ std::vector<std::uint64_t> GridCheckpoint::cellIndices() const {
   return cells;  // std::map iteration order is already ascending
 }
 
-void GridCheckpoint::mergeFrom(const GridCheckpoint& other) {
-  for (const auto& [cell, payload] : other.cells_) cells_[cell] = payload;
-}
-
 core::Status GridCheckpoint::saveTo(const std::string& path) const {
   static obs::Counter& saves = obs::counter("ckpt.saves");
   const obs::ObsSpan span("ckpt.save", "ckpt", "cells", cells_.size());
@@ -253,44 +249,6 @@ core::StatusOr<GridCheckpoint> GridCheckpoint::loadFrom(
   }
   if (pos != end) return corrupt("trailing bytes after records");
   return ckpt;
-}
-
-core::StatusOr<GridCheckpoint> mergeSnapshots(
-    const std::vector<std::string>& paths) {
-  GridCheckpoint merged;
-  bool haveFirst = false;
-  std::size_t loaded = 0;
-  for (const std::string& path : paths) {
-    core::StatusOr<GridCheckpoint> one = GridCheckpoint::loadFrom(path);
-    if (!one.isOk()) {
-      // A shard that quarantined all its cells, or a snapshot torn by
-      // the very crash we are recovering from. Recomputing its cells is
-      // always safe; refusing the merge would discard the good shards.
-      std::cerr << "warning: shard merge skipping '" << path
-                << "': " << one.status().toString() << "\n";
-      continue;
-    }
-    ++loaded;
-    if (!haveFirst) {
-      merged = std::move(one).value();
-      haveFirst = true;
-      continue;
-    }
-    const GridCheckpoint& next = one.value();
-    if (next.fingerprint() != merged.fingerprint() ||
-        next.cellCount() != merged.cellCount()) {
-      return core::Status::corruption(
-          "shard merge: '" + path +
-          "' belongs to a different campaign (fingerprint/shape mismatch)");
-    }
-    merged.mergeFrom(next);
-  }
-  if (!paths.empty() && loaded == 0) {
-    return core::Status::ioError(
-        "shard merge: none of the " + std::to_string(paths.size()) +
-        " snapshot(s) could be loaded");
-  }
-  return merged;
 }
 
 // --- CampaignCheckpoint ------------------------------------------------

@@ -132,11 +132,6 @@ class GridCheckpoint {
   /// Completed cell indices, ascending.
   [[nodiscard]] std::vector<std::uint64_t> cellIndices() const;
 
-  /// Adopts every cell payload of `other`; `other` wins conflicts. The
-  /// shard-merge building block — callers are responsible for calling it
-  /// in a fixed order (mergeSnapshots does).
-  void mergeFrom(const GridCheckpoint& other);
-
   /// Atomically writes the snapshot (tmp + fsync + rename).
   [[nodiscard]] core::Status saveTo(const std::string& path) const;
 
@@ -151,18 +146,6 @@ class GridCheckpoint {
   std::uint64_t cellCount_ = 0;
   std::map<std::uint64_t, std::string> cells_;  ///< ordered for stable files
 };
-
-/// Loads the snapshot files in the given order and unions their cells
-/// (later files win conflicts — shard slices are disjoint, so in
-/// practice there are none). The fixed path order is what makes the
-/// merged snapshot, and therefore the final CSV, byte-stable across
-/// supervision runs. Files that are missing or fail integrity checks
-/// are skipped with a stderr warning — the campaign recomputes their
-/// cells, which is always safe. Corruption when the loadable snapshots
-/// disagree on fingerprint or grid shape; IoError when `paths` is
-/// non-empty but no snapshot could be loaded at all.
-[[nodiscard]] core::StatusOr<GridCheckpoint> mergeSnapshots(
-    const std::vector<std::string>& paths);
 
 // --- campaign-facing wrapper ------------------------------------------
 

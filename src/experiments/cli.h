@@ -18,7 +18,7 @@ class ArgParser {
                                      std::uint64_t fallback) const;
   /// getU64 that additionally rejects 0 — for flags where zero is a
   /// nonsense value the code would otherwise clamp or loop on
-  /// (--checkpoint-every, --shards). The diagnostic names the flag.
+  /// (--checkpoint-every, --trace-buffer). The diagnostic names the flag.
   [[nodiscard]] std::uint64_t getPositiveU64(const std::string& key,
                                              std::uint64_t fallback) const;
   [[nodiscard]] double getDouble(const std::string& key,
@@ -27,12 +27,6 @@ class ArgParser {
                                       std::string fallback) const;
   [[nodiscard]] bool getBool(const std::string& key, bool fallback) const;
   [[nodiscard]] bool has(const std::string& key) const;
-
-  /// Every parsed key=value pair (bare flags stored as "true"). Shard
-  /// supervisors use this to forward their own argv to workers.
-  [[nodiscard]] const std::map<std::string, std::string>& all() const {
-    return values_;
-  }
 
  private:
   std::map<std::string, std::string> values_;

@@ -9,7 +9,7 @@
 // made on it, cells are claimed from an atomic counter, and the calling
 // thread works alongside the pool so `threads == 1` degrades to the
 // plain serial loop. Current callers scope one scheduler per sweep
-// (sized to the grid by runner.cpp's runParallel); longer-lived sharing
+// (sized to the grid by runCampaignGrid); longer-lived sharing
 // across sweeps is supported but not yet used.
 //
 // Determinism contract: a task must derive all randomness from its cell
@@ -141,7 +141,7 @@ struct RunPolicy {
   /// Optional cooperative cancellation / wall-clock deadline.
   CancelToken* cancel = nullptr;
   /// Optional non-owning counter bumped once per retry (attempt 2+), for
-  /// progress reporting (--progress, shard heartbeats).
+  /// the --progress report.
   std::atomic<std::uint64_t>* retryCounter = nullptr;
 };
 

@@ -1,9 +1,11 @@
 #include "experiments/runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -118,20 +120,92 @@ std::optional<PredictionRow> decodePredictionRow(const std::string& payload) {
   return row;
 }
 
+/// The --progress report: a background thread prints one stderr line
+/// (cells done/total, retries, elapsed, ETA) every ~2 s while the grid
+/// runs, and the destructor prints the final line. Inert when disabled.
+class CampaignMonitor {
+ public:
+  CampaignMonitor(std::size_t totalCells, bool enabled)
+      : total_(totalCells), start_(std::chrono::steady_clock::now()) {
+    if (enabled) ticker_ = std::thread([this] { tickerLoop(); });
+  }
+
+  ~CampaignMonitor() {
+    if (!ticker_.joinable()) return;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    stopCv_.notify_all();
+    ticker_.join();
+    printProgress();  // final line: done == total (or error)
+  }
+
+  CampaignMonitor(const CampaignMonitor&) = delete;
+  CampaignMonitor& operator=(const CampaignMonitor&) = delete;
+
+  void cellDone() noexcept { done_.fetch_add(1, std::memory_order_relaxed); }
+  /// Wired into RunPolicy::retryCounter by the grid loop.
+  [[nodiscard]] std::atomic<std::uint64_t>* retryCounter() noexcept {
+    return &retries_;
+  }
+
+ private:
+  void tickerLoop() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (!stopCv_.wait_for(lock, std::chrono::seconds(2),
+                             [this] { return stop_; })) {
+      printProgress();
+    }
+  }
+
+  void printProgress() const {
+    const std::uint64_t done = done_.load(std::memory_order_relaxed);
+    const std::uint64_t retries = retries_.load(std::memory_order_relaxed);
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start_)
+                               .count();
+    std::string line = "progress: " + std::to_string(done) + "/" +
+                       std::to_string(total_) + " cells";
+    if (retries > 0) line += ", " + std::to_string(retries) + " retries";
+    char timing[64];
+    std::snprintf(timing, sizeof timing, ", elapsed %.1fs", elapsed);
+    line += timing;
+    if (done > 0 && done < total_) {
+      const double eta = elapsed / static_cast<double>(done) *
+                         static_cast<double>(total_ - done);
+      std::snprintf(timing, sizeof timing, ", eta %.1fs", eta);
+      line += timing;
+    }
+    line += "\n";
+    // One write, so the line never interleaves with other stderr output.
+    std::fwrite(line.data(), 1, line.size(), stderr);
+    std::fflush(stderr);
+  }
+
+  std::size_t total_;
+  std::chrono::steady_clock::time_point start_;
+  std::atomic<std::uint64_t> done_{0};
+  std::atomic<std::uint64_t> retries_{0};
+  std::mutex mutex_;
+  std::condition_variable stopCv_;
+  bool stop_ = false;
+  std::thread ticker_;
+};
+
 }  // namespace
 
 void runCampaignGrid(std::size_t count, const RunOptions& options,
                      const std::function<void(std::size_t)>& task) {
-  // Pool sized to the cells this slice actually computes (never more
-  // workers than owned cells); results are bit-identical at any thread
-  // count because every cell owns its seeded workload and simulator.
-  const std::size_t owned = options.shard.ownedCells(count);
+  // Never more workers than cells; results are bit-identical at any
+  // thread count because every cell owns its seeded workload and
+  // simulator.
   unsigned workers = options.threads == 0
                          ? std::thread::hardware_concurrency()
                          : options.threads;
   if (workers == 0) workers = 1;
   workers = static_cast<unsigned>(
-      std::min<std::size_t>(workers, std::max<std::size_t>(owned, 1)));
+      std::min<std::size_t>(workers, std::max<std::size_t>(count, 1)));
   GridScheduler pool(workers);
   CancelToken cancel;
   RunPolicy policy;
@@ -142,34 +216,13 @@ void runCampaignGrid(std::size_t count, const RunOptions& options,
         static_cast<std::int64_t>(options.deadlineSeconds * 1e9)));
     policy.cancel = &cancel;
   }
-  CampaignMonitor monitor(owned, options.progress, options.heartbeat,
-                          options.shard.skipCells.size());
+  CampaignMonitor monitor(count, options.progress);
   policy.retryCounter = monitor.retryCounter();
-  // Deterministic poison cell for quarantine tests: the named cell dies
-  // by abort() *after* announcing itself (so a supervisor sees it in
-  // flight) and *before* computing (so no checkpoint payload can absolve
-  // it). Quarantined cells never reach this — owns() filters them first.
-  static const char* abortEnv = std::getenv("OISA_ABORT_ON_CELL");
-  static const std::uint64_t abortCell =
-      abortEnv != nullptr && *abortEnv != '\0'
-          ? std::strtoull(abortEnv, nullptr, 10)
-          : ~std::uint64_t{0};
-  static obs::Counter& cellsSkipped = obs::counter("grid.cells_not_owned");
   const auto wrapped = [&](std::size_t cell) {
-    if (!options.shard.owns(cell)) {
-      cellsSkipped.add();
-      return;
-    }
-    monitor.cellStart(cell);
-    if (cell == abortCell) {
-      std::fprintf(stderr, "OISA_ABORT_ON_CELL: aborting in cell %zu\n",
-                   cell);
-      std::abort();
-    }
     task(cell);
-    monitor.cellDone(cell);
+    monitor.cellDone();
   };
-  const obs::ObsSpan span("campaign", "grid", "owned_cells", owned);
+  const obs::ObsSpan span("campaign", "grid", "cells", count);
   pool.run(count, wrapped, policy);
 }
 

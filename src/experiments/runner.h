@@ -13,7 +13,6 @@
 #include "circuits/synthesis.h"
 #include "core/error_model.h"
 #include "experiments/checkpoint.h"
-#include "experiments/shard.h"
 #include "experiments/workload.h"
 #include "predict/bit_predictor.h"
 
@@ -43,16 +42,9 @@ struct RunOptions {
   /// sweep stops claiming cells and throws GridError (completed cells
   /// are already checkpointed when checkpointing is on).
   double deadlineSeconds = 0.0;
-  /// Multi-process sharding (experiments/shard.h): this process computes
-  /// only the cells its slice owns; quarantined cells are skipped (their
-  /// output rows stay default-constructed). The default slice owns all.
-  ShardSlice shard;
-  /// Periodic single-line progress heartbeat on stderr (cells done/total,
+  /// Periodic single-line progress report on stderr (cells done/total,
   /// retries, ETA) — the --progress flag.
   bool progress = false;
-  /// Non-owning; shard workers set this so the grid loop reports cell
-  /// starts/completions upstream over the supervisor's heartbeat pipe.
-  HeartbeatEmitter* heartbeat = nullptr;
 };
 
 /// One (design, CPR) row of the Fig. 9 study.
@@ -123,14 +115,10 @@ struct BitDistributionResult {
     const circuits::SynthesizedDesign& design, double cprPercent,
     const RunOptions& options);
 
-/// Fans task(0..count-1) across a GridScheduler pool sized to the owned
-/// cells, applying the RunOptions failure policy (retry/backoff,
-/// deadline), shard-slice filtering, and progress/heartbeat monitoring.
-/// Every campaign pipeline's grid loop goes through here, which is what
-/// makes sharded and unsharded runs byte-identical: the only difference
-/// is which cells the slice owns. Honors the OISA_ABORT_ON_CELL=<cell>
-/// environment hook (deterministic poison-cell crash for quarantine
-/// tests).
+/// Fans task(0..count-1) across a GridScheduler pool sized to the grid,
+/// applying the RunOptions failure policy (retry/backoff, deadline) and
+/// the --progress report. Every campaign pipeline's grid loop goes
+/// through here.
 void runCampaignGrid(std::size_t count, const RunOptions& options,
                      const std::function<void(std::size_t)>& task);
 

@@ -165,8 +165,7 @@ void appendObject(std::string& out, std::string_view key, const Map& m,
 }  // namespace
 
 std::string metricsJson(const MetricsSnapshot& snap,
-                        const std::map<std::string, std::string>& meta,
-                        const std::map<std::string, std::uint64_t>* fleet) {
+                        const std::map<std::string, std::string>& meta) {
   std::string out = "{\n  \"schema\": \"oisa-metrics-v1\",\n  ";
   appendObject(out, "meta", meta, [](std::string& o, const std::string& v) {
     o += '"';
@@ -194,20 +193,13 @@ std::string metricsJson(const MetricsSnapshot& snap,
         }
         o += "}}";
       });
-  if (fleet != nullptr) {
-    out += ",\n  ";
-    appendObject(
-        out, "fleet", *fleet,
-        [](std::string& o, std::uint64_t v) { o += std::to_string(v); });
-  }
   out += "\n}\n";
   return out;
 }
 
 core::Status writeMetricsJson(const std::string& path,
-                              const std::map<std::string, std::string>& meta,
-                              const std::map<std::string, std::uint64_t>* fleet) {
-  const std::string doc = metricsJson(snapshotMetrics(), meta, fleet);
+                              const std::map<std::string, std::string>& meta) {
+  const std::string doc = metricsJson(snapshotMetrics(), meta);
   return core::writeFile(path, doc);
 }
 

@@ -82,7 +82,7 @@ class Counter {
   Shard shards_[kCounterShards];
 };
 
-/// Last-write-wins instantaneous value (queue depths, fleet sizes).
+/// Last-write-wins instantaneous value (queue depths, pool sizes).
 /// Gauges are low-rate; a single atomic is enough.
 class Gauge {
  public:
@@ -176,25 +176,22 @@ void setMetricsEnabled(bool enabled) noexcept;
 /// Aggregates every registered metric (registry order = name order).
 [[nodiscard]] MetricsSnapshot snapshotMetrics();
 
-/// Zeroes every registered metric (handles stay valid). Test isolation
-/// and the baseline for delta streaming both key off this.
+/// Zeroes every registered metric (handles stay valid), for test
+/// isolation.
 void resetMetricsForTest();
 
 /// Serializes `snap` as the oisa-metrics-v1 JSON document. `meta` (may be
-/// empty) lands under "meta"; `fleet` (may be null) — the supervisor's
-/// accumulated worker counter deltas — lands under "fleet".
+/// empty) lands under "meta".
 [[nodiscard]] std::string metricsJson(
     const MetricsSnapshot& snap,
-    const std::map<std::string, std::string>& meta,
-    const std::map<std::string, std::uint64_t>* fleet);
+    const std::map<std::string, std::string>& meta);
 
 /// snapshotMetrics() + metricsJson() + write to `path`.
 [[nodiscard]] core::Status writeMetricsJson(
-    const std::string& path, const std::map<std::string, std::string>& meta,
-    const std::map<std::string, std::uint64_t>* fleet = nullptr);
+    const std::string& path, const std::map<std::string, std::string>& meta);
 
 /// Escapes `s` for inclusion inside a JSON string literal (quotes not
-/// included). Shared by the metrics, trace and event-log writers.
+/// included). Shared by the metrics and trace writers and BenchJson.
 void appendJsonEscaped(std::string& out, std::string_view s);
 
 }  // namespace oisa::obs

@@ -214,97 +214,13 @@ TEST(GridCheckpointTest, TornWriteInjectionLeavesADetectedCorpse) {
   std::remove(path.c_str());
 }
 
-// --- shard-snapshot merging --------------------------------------------
+// --- cell indices ------------------------------------------------------
 
 TEST(GridCheckpointTest, CellIndicesAreAscending) {
   GridCheckpoint ckpt(1, 10);
   for (std::uint64_t cell : {7ull, 1ull, 4ull}) ckpt.record(cell, "x");
   EXPECT_EQ(ckpt.cellIndices(), (std::vector<std::uint64_t>{1, 4, 7}));
   EXPECT_TRUE(GridCheckpoint().cellIndices().empty());
-}
-
-TEST(GridCheckpointTest, MergeFromUnionsAndOtherWinsConflicts) {
-  GridCheckpoint a(1, 8);
-  a.record(0, "a0");
-  a.record(3, "a3");
-  GridCheckpoint b(1, 8);
-  b.record(1, "b1");
-  b.record(3, "b3");  // conflict with a
-  a.mergeFrom(b);
-  EXPECT_EQ(a.completedCells(), 3u);
-  EXPECT_EQ(*a.payload(0), "a0");
-  EXPECT_EQ(*a.payload(1), "b1");
-  EXPECT_EQ(*a.payload(3), "b3");  // other wins
-}
-
-// Saves one shard snapshot holding `cells` of an 8-cell grid.
-std::string writeShardSnapshot(const std::string& name,
-                               std::uint64_t fingerprint,
-                               std::uint64_t cellCount,
-                               const std::vector<std::uint64_t>& cells) {
-  GridCheckpoint ckpt(fingerprint, cellCount);
-  for (const std::uint64_t cell : cells) {
-    ckpt.record(cell, "cell" + std::to_string(cell));
-  }
-  const std::string path = tempPath(name);
-  EXPECT_TRUE(ckpt.saveTo(path).isOk());
-  return path;
-}
-
-TEST(SnapshotMergeTest, UnionsDisjointShardsByteStably) {
-  const auto p0 = writeShardSnapshot("merge_s0.bin", 9, 8, {0, 2, 4, 6});
-  const auto p1 = writeShardSnapshot("merge_s1.bin", 9, 8, {1, 3, 5, 7});
-  const auto merged = oisa::experiments::mergeSnapshots({p0, p1});
-  ASSERT_TRUE(merged.isOk()) << merged.status().toString();
-  EXPECT_EQ(merged.value().completedCells(), 8u);
-  for (std::uint64_t cell = 0; cell < 8; ++cell) {
-    ASSERT_NE(merged.value().payload(cell), nullptr) << cell;
-    EXPECT_EQ(*merged.value().payload(cell), "cell" + std::to_string(cell));
-  }
-  // The fixed path order makes the merged file byte-stable: two
-  // supervision runs write identical base snapshots.
-  const std::string outA = tempPath("merge_outA.bin");
-  const std::string outB = tempPath("merge_outB.bin");
-  ASSERT_TRUE(merged.value().saveTo(outA).isOk());
-  const auto again = oisa::experiments::mergeSnapshots({p0, p1});
-  ASSERT_TRUE(again.isOk());
-  ASSERT_TRUE(again.value().saveTo(outB).isOk());
-  EXPECT_EQ(readFileBytes(outA), readFileBytes(outB));
-  for (const auto& p : {p0, p1, outA, outB}) std::remove(p.c_str());
-}
-
-TEST(SnapshotMergeTest, MissingFilesAreSkippedNotFatal) {
-  const auto p0 = writeShardSnapshot("merge_only.bin", 9, 8, {0, 2});
-  const auto merged = oisa::experiments::mergeSnapshots(
-      {tempPath("merge_gone.bin"), p0});
-  ASSERT_TRUE(merged.isOk()) << merged.status().toString();
-  EXPECT_EQ(merged.value().completedCells(), 2u);
-  std::remove(p0.c_str());
-}
-
-TEST(SnapshotMergeTest, ForeignSnapshotsAreCorruption) {
-  const auto p0 = writeShardSnapshot("merge_fp0.bin", 9, 8, {0});
-  const auto p1 = writeShardSnapshot("merge_fp1.bin", 10, 8, {1});
-  const auto badFp = oisa::experiments::mergeSnapshots({p0, p1});
-  ASSERT_FALSE(badFp.isOk());
-  EXPECT_EQ(badFp.status().code(), StatusCode::Corruption);
-
-  const auto p2 = writeShardSnapshot("merge_shape.bin", 9, 16, {1});
-  const auto badShape = oisa::experiments::mergeSnapshots({p0, p2});
-  ASSERT_FALSE(badShape.isOk());
-  EXPECT_EQ(badShape.status().code(), StatusCode::Corruption);
-  for (const auto& p : {p0, p1, p2}) std::remove(p.c_str());
-}
-
-TEST(SnapshotMergeTest, NothingLoadableIsIoError) {
-  const auto merged = oisa::experiments::mergeSnapshots(
-      {tempPath("merge_no1.bin"), tempPath("merge_no2.bin")});
-  ASSERT_FALSE(merged.isOk());
-  EXPECT_EQ(merged.status().code(), StatusCode::IoError);
-  // An empty path list merges to an empty snapshot (nothing to lose).
-  const auto empty = oisa::experiments::mergeSnapshots({});
-  ASSERT_TRUE(empty.isOk());
-  EXPECT_EQ(empty.value().completedCells(), 0u);
 }
 
 // --- campaign adapter --------------------------------------------------

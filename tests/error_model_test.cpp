@@ -115,121 +115,6 @@ TEST(ErrorStatsTest, EmptyAccumulatorIsAllZero) {
   EXPECT_EQ(stats.maxAbs(), 0.0);
 }
 
-TEST(ErrorStatsTest, MergeEqualsSequentialFeed) {
-  std::mt19937_64 rng(5);
-  ErrorStats whole, partA, partB;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = static_cast<double>(static_cast<std::int64_t>(rng())) /
-                     1e12;
-    whole.add(v);
-    (i % 2 ? partA : partB).add(v);
-  }
-  partA.merge(partB);
-  EXPECT_EQ(partA.count(), whole.count());
-  // Summation order differs between the merged and sequential paths, so
-  // compare with a relative floating-point tolerance.
-  EXPECT_NEAR(partA.mean(), whole.mean(), std::abs(whole.mean()) * 1e-9);
-  EXPECT_NEAR(partA.rms(), whole.rms(), whole.rms() * 1e-9);
-  EXPECT_DOUBLE_EQ(partA.maxAbs(), whole.maxAbs());
-}
-
-// Shard-merge properties: the supervisor folds per-shard accumulators
-// back together, so merge must behave like a (floating-point) monoid —
-// empty is the identity, grouping doesn't matter beyond rounding, and a
-// fixed merge order reproduces bit-identical moments across runs.
-
-std::vector<ErrorStats> shardStats(unsigned shards, int samples) {
-  std::mt19937_64 rng(11);
-  std::vector<ErrorStats> stats(shards);
-  for (int i = 0; i < samples; ++i) {
-    const double v =
-        static_cast<double>(static_cast<std::int64_t>(rng())) / 1e12;
-    stats[static_cast<unsigned>(i) % shards].add(v);
-  }
-  return stats;
-}
-
-TEST(ErrorStatsTest, MergingEmptyIsTheExactIdentity) {
-  auto stats = shardStats(1, 500);
-  ErrorStats merged = stats[0];
-  merged.merge(ErrorStats{});  // right identity
-  EXPECT_EQ(merged.count(), stats[0].count());
-  EXPECT_EQ(merged.mean(), stats[0].mean());  // bitwise, not approximate
-  EXPECT_EQ(merged.rms(), stats[0].rms());
-  EXPECT_EQ(merged.maxAbs(), stats[0].maxAbs());
-  ErrorStats fromEmpty;  // left identity
-  fromEmpty.merge(stats[0]);
-  EXPECT_EQ(fromEmpty.mean(), stats[0].mean());
-  EXPECT_EQ(fromEmpty.minValue(), stats[0].minValue());
-  EXPECT_EQ(fromEmpty.errorRate(), stats[0].errorRate());
-}
-
-TEST(ErrorStatsTest, MergePermutationsAgreeWithinRounding) {
-  const auto stats = shardStats(4, 4000);
-  std::vector<unsigned> order{0, 1, 2, 3};
-  ErrorStats reference;
-  for (const unsigned i : order) reference.merge(stats[i]);
-  do {
-    ErrorStats merged;
-    for (const unsigned i : order) merged.merge(stats[i]);
-    EXPECT_EQ(merged.count(), reference.count());
-    EXPECT_EQ(merged.errorRate(), reference.errorRate());
-    // Extremes are order-independent exactly; sums only to rounding.
-    EXPECT_EQ(merged.minValue(), reference.minValue());
-    EXPECT_EQ(merged.maxValue(), reference.maxValue());
-    EXPECT_NEAR(merged.mean(), reference.mean(),
-                std::abs(reference.mean()) * 1e-12);
-    EXPECT_NEAR(merged.rms(), reference.rms(), reference.rms() * 1e-12);
-  } while (std::next_permutation(order.begin(), order.end()));
-}
-
-TEST(ErrorStatsTest, MergeIsAssociativeWithinRounding) {
-  const auto stats = shardStats(3, 3000);
-  ErrorStats leftFold = stats[0];   // (a ⊕ b) ⊕ c
-  leftFold.merge(stats[1]);
-  leftFold.merge(stats[2]);
-  ErrorStats bc = stats[1];         // a ⊕ (b ⊕ c)
-  bc.merge(stats[2]);
-  ErrorStats rightFold = stats[0];
-  rightFold.merge(bc);
-  EXPECT_EQ(leftFold.count(), rightFold.count());
-  EXPECT_NEAR(leftFold.mean(), rightFold.mean(),
-              std::abs(rightFold.mean()) * 1e-12);
-  EXPECT_NEAR(leftFold.rms(), rightFold.rms(), rightFold.rms() * 1e-12);
-  EXPECT_EQ(leftFold.maxAbs(), rightFold.maxAbs());
-}
-
-TEST(ErrorStatsTest, FixedMergeOrderIsBitwiseReproducible) {
-  // This is the property the sharded supervisor's byte-identical CSV
-  // rests on: same shard partials, same (shard 0..N-1) order => the
-  // same doubles to the last bit, run after run.
-  const auto stats = shardStats(4, 4000);
-  ErrorStats runA, runB;
-  for (const auto& s : stats) runA.merge(s);
-  for (const auto& s : stats) runB.merge(s);
-  EXPECT_EQ(runA.mean(), runB.mean());
-  EXPECT_EQ(runA.meanAbs(), runB.meanAbs());
-  EXPECT_EQ(runA.rms(), runB.rms());
-  EXPECT_EQ(runA.errorRate(), runB.errorRate());
-  EXPECT_EQ(runA.minValue(), runB.minValue());
-  EXPECT_EQ(runA.maxValue(), runB.maxValue());
-}
-
-TEST(ErrorCombinationTest, MergeMatchesSingleStream) {
-  std::mt19937_64 rng(9);
-  ErrorCombination whole, a, b;
-  for (int i = 0; i < 2000; ++i) {
-    const OutputTriple t{rng() & 0xffffull, rng() & 0xffffull,
-                         rng() & 0xffffull};
-    whole.add(t);
-    (i % 3 == 0 ? a : b).add(t);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.cycles(), whole.cycles());
-  EXPECT_DOUBLE_EQ(a.relJoint().rms(), whole.relJoint().rms());
-  EXPECT_DOUBLE_EQ(a.arithTiming().meanAbs(), whole.arithTiming().meanAbs());
-}
-
 /// Triples mixing y_diamond = 0, all-zero errors, negative and positive
 /// errors and width-64 values.
 std::vector<OutputTriple> mixedTriples(std::size_t n, std::uint64_t seed) {

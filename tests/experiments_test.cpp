@@ -204,9 +204,9 @@ TEST(CliTest, DiagnosesMalformedValues) {
 
 TEST(CliTest, PositiveU64RejectsZeroByName) {
   // --checkpoint-every=0 would disable autosaving while claiming to
-  // checkpoint, and --shards=0 has no meaning: both are rejected up
-  // front with a diagnostic naming the flag.
-  const char* argv[] = {"prog", "--checkpoint-every=0", "--shards=4"};
+  // checkpoint, and --trace-buffer=0 would be a span ring that holds
+  // nothing: both are rejected up front with a diagnostic naming the flag.
+  const char* argv[] = {"prog", "--checkpoint-every=0", "--trace-buffer=4"};
   const ArgParser args(3, argv);
   try {
     (void)args.getPositiveU64("checkpoint-every", 8);
@@ -217,15 +217,15 @@ TEST(CliTest, PositiveU64RejectsZeroByName) {
               std::string::npos);
   }
   // Positive values and absent-flag fallbacks pass through unchanged.
-  EXPECT_EQ(args.getPositiveU64("shards", 1), 4u);
+  EXPECT_EQ(args.getPositiveU64("trace-buffer", 1), 4u);
   EXPECT_EQ(args.getPositiveU64("missing", 7), 7u);
 }
 
 TEST(CliTest, PositiveU64KeepsTheUnsignedDiagnostics) {
   // Negative spellings hit getU64's unsigned rejection first, so
-  // --retries=-1 and --shards=-2 fail with the same named diagnostic
-  // shape as every other unsigned flag.
-  const char* argv[] = {"prog", "--retries=-1", "--shards=banana"};
+  // --retries=-1 and --trace-buffer=banana fail with the same named
+  // diagnostic shape as every other unsigned flag.
+  const char* argv[] = {"prog", "--retries=-1", "--trace-buffer=banana"};
   const ArgParser args(3, argv);
   try {
     (void)args.getU64("retries", 1);
@@ -235,7 +235,7 @@ TEST(CliTest, PositiveU64KeepsTheUnsignedDiagnostics) {
     EXPECT_NE(e.status().message().find("--retries"), std::string::npos);
     EXPECT_NE(e.status().message().find("-1"), std::string::npos);
   }
-  EXPECT_THROW((void)args.getPositiveU64("shards", 1),
+  EXPECT_THROW((void)args.getPositiveU64("trace-buffer", 1),
                oisa::core::StatusError);
 }
 

@@ -1,17 +1,20 @@
 // GridScheduler failure semantics: aggregation of every cell failure
 // into one GridError (not first-exception-wins), per-cell retry with
-// backoff, cooperative cancellation with a wall-clock deadline, and the
-// documented post-error state — all at 1, 2 and 8 threads.
+// backoff, cooperative cancellation with a wall-clock deadline, the
+// documented post-error state, and runCampaignGrid's --progress report —
+// all at 1, 2 and 8 threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/fault_inject.h"
 #include "core/status.h"
 #include "experiments/grid_scheduler.h"
+#include "experiments/runner.h"
 
 namespace {
 
@@ -22,6 +25,7 @@ using oisa::core::StatusError;
 using oisa::experiments::CancelToken;
 using oisa::experiments::GridError;
 using oisa::experiments::GridScheduler;
+using oisa::experiments::RunOptions;
 using oisa::experiments::RunPolicy;
 
 const unsigned kThreadCounts[] = {1, 2, 8};
@@ -228,6 +232,33 @@ TEST(GridSchedulerCancelTest, CancellationLatches) {
   cancel.requestCancel();
   EXPECT_TRUE(cancel.cancelled());
   EXPECT_TRUE(cancel.cancelled());  // stays cancelled
+}
+
+// --- runCampaignGrid: the --progress report ----------------------------
+
+TEST(CampaignGridTest, ProgressCountsEveryCellAndRetry) {
+  // The final progress line is printed when the grid ends, so at any
+  // thread count it must show all five cells and the one retry.
+  for (const unsigned threads : kThreadCounts) {
+    RunOptions options;
+    options.threads = threads;
+    options.progress = true;
+    options.cellAttempts = 2;
+    options.retryBackoffMs = 0;
+    std::atomic<bool> failedOnce{false};
+    std::atomic<int> completed{0};
+    ::testing::internal::CaptureStderr();
+    oisa::experiments::runCampaignGrid(5, options, [&](std::size_t cell) {
+      if (cell == 3 && !failedOnce.exchange(true)) {
+        throw StatusError(Status::ioError("transient"));
+      }
+      completed.fetch_add(1);
+    });
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(completed.load(), 5) << "threads=" << threads;
+    EXPECT_NE(err.find("progress: 5/5 cells, 1 retries"), std::string::npos)
+        << "threads=" << threads << ", stderr:\n" << err;
+  }
 }
 
 }  // namespace

@@ -74,6 +74,37 @@ TEST(MiscIntegrationTest, BenchJsonWriteErrorFailsTheBench) {
             EXIT_SUCCESS);
 }
 
+TEST(MiscIntegrationTest, RobustnessFlagsRejectValuesTheyWouldIgnore) {
+  // A negative deadline would read as "no deadline", and 2^32 would wrap
+  // through a cast to unsigned into 0: one attempt for --retries, every
+  // core for --threads. Each is InvalidInput naming the flag instead.
+  for (const std::string flag :
+       {"--deadline=-1", "--retries=4294967296", "--threads=4294967296"}) {
+    const char* argv[] = {"fig", flag.c_str()};
+    const oisa::experiments::ArgParser args(2, argv);
+    oisa::experiments::RunOptions run;
+    try {
+      oisa::bench::applyRobustnessOptions(args, run);
+      run.threads = oisa::bench::threadsOption(args);
+      FAIL() << flag << " was accepted";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.code(), StatusCode::InvalidInput) << e.what();
+      const std::string name = flag.substr(0, flag.find('='));
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest values that fit still pass through unchanged.
+  const char* argv[] = {"fig", "--deadline=0", "--retries=4294967295",
+                        "--threads=4294967295"};
+  const oisa::experiments::ArgParser args(4, argv);
+  oisa::experiments::RunOptions run;
+  oisa::bench::applyRobustnessOptions(args, run);
+  EXPECT_EQ(run.deadlineSeconds, 0.0);
+  EXPECT_EQ(run.cellAttempts, 4294967295u);
+  EXPECT_EQ(oisa::bench::threadsOption(args), 4294967295u);
+}
+
 TEST(MiscIntegrationTest, CriticalPathReportNamesEndpointStages) {
   const auto design = synthesize(oisa::core::makeExact(32),
                                  CellLibrary::generic65(),

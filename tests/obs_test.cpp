@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/run_meta.h"
 #include "obs/span.h"
@@ -137,23 +136,19 @@ TEST_F(ObsTest, HistogramConcurrentHammerKeepsCountAndSumExact) {
   EXPECT_EQ(h.max(), 8u);
 }
 
-TEST_F(ObsTest, MetricsJsonCarriesSchemaMetaSectionsAndFleet) {
+TEST_F(ObsTest, MetricsJsonCarriesSchemaMetaAndSections) {
   obs::counter("test.json_counter").add(5);
   obs::gauge("test.json_gauge").set(-2);
   obs::histogram("test.json_hist").record(3);
   const std::map<std::string, std::string> meta = {{"git_sha", "abc"},
                                                    {"note", "q\"uote"}};
-  const std::map<std::string, std::uint64_t> fleet = {{"fleet.cells", 12}};
-  const std::string doc =
-      obs::metricsJson(obs::snapshotMetrics(), meta, &fleet);
+  const std::string doc = obs::metricsJson(obs::snapshotMetrics(), meta);
   EXPECT_NE(doc.find("\"schema\": \"oisa-metrics-v1\""), std::string::npos);
   EXPECT_NE(doc.find("\"git_sha\": \"abc\""), std::string::npos);
   EXPECT_NE(doc.find("q\\\"uote"), std::string::npos);  // escaped
   EXPECT_NE(doc.find("\"test.json_counter\": 5"), std::string::npos);
   EXPECT_NE(doc.find("\"test.json_gauge\": -2"), std::string::npos);
   EXPECT_NE(doc.find("\"test.json_hist\""), std::string::npos);
-  EXPECT_NE(doc.find("\"fleet\""), std::string::npos);
-  EXPECT_NE(doc.find("\"fleet.cells\": 12"), std::string::npos);
 }
 
 TEST_F(ObsTest, JsonEscaping) {
@@ -297,40 +292,6 @@ TEST_F(ObsTest, WriteTraceJsonRoundTripsThroughAFile) {
   buf << is.rdbuf();
   EXPECT_NE(buf.str().find("\"file_span\""), std::string::npos);
   std::remove(path.c_str());
-}
-
-// --- event log ---------------------------------------------------------
-
-TEST_F(ObsTest, EventLogWritesOneJsonObjectPerLine) {
-  const std::string path = ::testing::TempDir() + "obs_events.jsonl";
-  {
-    obs::EventLog log(path);
-    ASSERT_TRUE(log.enabled());
-    log.event("spawn").u64("shard", 0).u64("launch", 1);
-    log.event("quarantine")
-        .u64("cell", 5)
-        .u64("strikes", 3)
-        .str("exit", "signal 9 (\"SIGKILL\")");
-  }
-  std::ifstream is(path);
-  std::string line;
-  std::vector<std::string> lines;
-  while (std::getline(is, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("\"event\": \"spawn\""), std::string::npos);
-  EXPECT_NE(lines[0].find("\"ts_ms\": "), std::string::npos);
-  EXPECT_NE(lines[0].find("\"shard\": 0"), std::string::npos);
-  EXPECT_NE(lines[1].find("\"cell\": 5"), std::string::npos);
-  EXPECT_NE(lines[1].find("\\\"SIGKILL\\\""), std::string::npos);  // escaped
-  EXPECT_EQ(lines[0].front(), '{');
-  EXPECT_EQ(lines[0].back(), '}');
-  std::remove(path.c_str());
-}
-
-TEST_F(ObsTest, DisabledEventLogIsANoOp) {
-  obs::EventLog log;  // no path
-  EXPECT_FALSE(log.enabled());
-  log.event("ignored").u64("x", 1);  // must not crash
 }
 
 // --- bench JSON ----------------------------------------------------------

@@ -88,14 +88,14 @@ TEST(FaultPlanHygieneTest, ArmedButNeverHitSitesAreListed) {
   // A plan with a typo'd site name would silently inject nothing — the
   // registry tracks which armed rules no shouldFail() ever reached (the
   // same list the at-exit warning prints).
-  ScopedFaultPlan plan("file.open:1,worker.spwan:*");  // note the typo
+  ScopedFaultPlan plan("file.open:1,grid.cel:*");  // note the typo
   EXPECT_EQ(fi::armedUnhitSites(),
-            (std::vector<std::string>{"file.open", "worker.spwan"}));
+            (std::vector<std::string>{"file.open", "grid.cel"}));
   // Hitting a site removes it from the unhit list, even when this
   // particular hit was not scheduled to fail.
   (void)fi::shouldFail(fi::kFileOpen);
   EXPECT_EQ(fi::armedUnhitSites(),
-            (std::vector<std::string>{"worker.spwan"}));
+            (std::vector<std::string>{"grid.cel"}));
   EXPECT_EQ(fi::hitCount(fi::kFileOpen), 1u);
 }
 
