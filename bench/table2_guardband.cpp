@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "experiments/grid_scheduler.h"
 #include "experiments/runner.h"
 #include "experiments/trace_collector.h"
 #include "timing/corners.h"
@@ -31,8 +30,9 @@ int run(int argc, char** argv) {
   // thread count).
   const auto designs = core::paperDesigns();
   std::vector<timing::GuardbandReport> reports(designs.size());
-  experiments::GridScheduler pool(bench::threadsOption(args));
-  pool.run(designs.size(), [&](std::size_t i) {
+  experiments::RunOptions grid;
+  grid.threads = bench::threadsOption(args);
+  experiments::runCampaignGrid(designs.size(), grid, [&](std::size_t i) {
     // Analyze the topology the synthesis flow actually picks at 0.3 ns.
     const auto design =
         circuits::synthesize(designs[i], lib, circuits::SynthesisOptions{});

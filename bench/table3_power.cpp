@@ -7,7 +7,7 @@
 #include <optional>
 #include <random>
 
-#include "experiments/grid_scheduler.h"
+#include "experiments/runner.h"
 #include "timing/power.h"
 
 #include "bench_common.h"
@@ -43,8 +43,9 @@ int run(int argc, char** argv) {
   std::vector<
       std::optional<std::pair<circuits::SynthesizedDesign, timing::PowerReport>>>
       results(configs.size());
-  experiments::GridScheduler pool(bench::threadsOption(args));
-  pool.run(configs.size(), [&](std::size_t i) {
+  experiments::RunOptions grid;
+  grid.threads = bench::threadsOption(args);
+  experiments::runCampaignGrid(configs.size(), grid, [&](std::size_t i) {
     auto design =
         circuits::synthesize(configs[i], lib, circuits::SynthesisOptions{});
     const auto report =

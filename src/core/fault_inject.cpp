@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <mutex>
 #include <string_view>
 #include <unordered_map>
@@ -45,6 +45,15 @@ Status parseEntry(std::string_view entry, std::string& site, SiteRule& rule) {
                                 "' (expected site:N, site:N+ or site:*)");
   }
   site = std::string(entry.substr(0, colon));
+  const std::string_view known[] = {
+      fault_inject::kCheckpointWrite, fault_inject::kCheckpointRead,
+      fault_inject::kFileOpen, fault_inject::kGridCell};
+  if (std::find(std::begin(known), std::end(known), site) == std::end(known)) {
+    return Status::invalidInput("fault_inject: unknown site '" + site +
+                                "' in '" + std::string(entry) +
+                                "' (expected checkpoint.write, "
+                                "checkpoint.read, file.open or grid.cell)");
+  }
   std::string_view spec = entry.substr(colon + 1);
   if (spec == "*") {
     rule = SiteRule{1, true, 0};
@@ -86,24 +95,6 @@ struct EnvArm {
   }
 };
 const EnvArm gEnvArm;
-
-/// At-exit typo guard: a rule whose site string never matched a real
-/// shouldFail() call silently arms *nothing* — a CI smoke script with a
-/// misspelled site would pass while injecting no fault at all. Warn
-/// about every armed-but-never-reached site when the process exits with
-/// a plan still armed (tests that arm via ScopedFaultPlan reset before
-/// exit and are exempt). Uses fprintf: std::cerr may already be mid-
-/// destruction inside atexit handlers.
-void warnUnhitSitesAtExit() {
-  for (const std::string& site : fault_inject::armedUnhitSites()) {
-    std::fprintf(stderr,
-                 "warning: OISA_FAULT_INJECT site '%s' was armed but never "
-                 "hit (misspelled site name?)\n",
-                 site.c_str());
-  }
-}
-
-std::once_flag gExitWarningRegistered;
 
 }  // namespace
 
@@ -147,9 +138,6 @@ void arm(const std::string& plan) {
     r.extraHits.clear();
     gArmed.store(!r.rules.empty(), std::memory_order_relaxed);
   }
-  std::call_once(fault_inject_detail::gExitWarningRegistered, [] {
-    (void)std::atexit(fault_inject_detail::warnUnhitSitesAtExit);
-  });
 }
 
 void reset() {
@@ -170,17 +158,6 @@ std::uint64_t hitCount(const std::string& site) {
     return it->second;
   }
   return 0;
-}
-
-std::vector<std::string> armedUnhitSites() {
-  auto& r = fault_inject_detail::registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<std::string> sites;
-  for (const auto& [site, rule] : r.rules) {
-    if (rule.hits == 0) sites.push_back(site);
-  }
-  std::sort(sites.begin(), sites.end());  // deterministic warning order
-  return sites;
 }
 
 }  // namespace fault_inject

@@ -30,7 +30,6 @@
 
 #include <atomic>
 #include <string>
-#include <vector>
 
 #include "core/status.h"
 
@@ -69,7 +68,9 @@ inline void maybeThrow(const char* site,
 
 /// Arms `plan` ("" disarms), replacing any previous plan and resetting
 /// all hit counters. Throws StatusError(InvalidInput) on a malformed
-/// plan. Not meant to race with in-flight shouldFail callers.
+/// plan or a site other than the four above, naming it: a misspelled
+/// site would otherwise arm nothing and fake a passing injection run.
+/// Not meant to race with in-flight shouldFail callers.
 void arm(const std::string& plan);
 
 /// Disarms injection and resets hit counters.
@@ -77,12 +78,6 @@ void reset();
 
 /// Hits recorded so far for `site` (armed plans only; test introspection).
 [[nodiscard]] std::uint64_t hitCount(const std::string& site);
-
-/// Sites with an armed rule that no shouldFail() call ever reached —
-/// almost always a misspelled site name in a plan. The same list is
-/// warned to stderr at process exit while a plan is still armed, so a
-/// typo in a CI smoke script cannot fake a passing injection run.
-[[nodiscard]] std::vector<std::string> armedUnhitSites();
 
 }  // namespace fault_inject
 

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <numeric>
 #include <random>
 #include <stdexcept>
 #include <string>
 
+#include "netlist/bdd.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -14,114 +16,144 @@ namespace oisa::fault {
 
 namespace {
 
+using netlist::Bdd;
 using netlist::CompiledNetlist;
 
-// A ternary net value is the set of values the net can take: bit 0 set
-// when it may be 0, bit 1 when it may be 1.
-constexpr std::uint8_t kLow = 1;
-constexpr std::uint8_t kHigh = 2;
-constexpr std::uint8_t kUnknown = 3;
-
-[[nodiscard]] constexpr std::uint8_t ternary(StuckAt v) noexcept {
-  return v == StuckAt::SA1 ? kHigh : kLow;
-}
-
-// Minterms (bits of an 8-entry truth table) whose pin k reads 0.
-constexpr std::array<std::uint8_t, 3> kPinLow = {0x55, 0x33, 0x0f};
-
-/// The minterms of `g` its pins can present: a constant pin rules out
-/// half of them. Pins in `forcedPins` read `forced` instead of their net.
-[[nodiscard]] std::uint8_t minterms(const CompiledNetlist::GateRec& g,
-                                    std::span<const std::uint8_t> val,
-                                    unsigned forcedPins, std::uint8_t forced) {
-  unsigned m = 0xff;
-  for (unsigned k = 0; k < 3; ++k) {
-    const std::uint8_t v =
-        ((forcedPins >> k) & 1u) != 0 ? forced : val[g.in[k]];
-    if (v == kLow) m &= kPinLow[k];
-    if (v == kHigh) m &= ~unsigned{kPinLow[k]};
-  }
-  return static_cast<std::uint8_t>(m);
-}
-
-/// Whether flipping every pin in `pins` together can change `g`'s output
-/// while its other pins hold their constants.
-[[nodiscard]] bool sensitive(const CompiledNetlist::GateRec& g, unsigned pins,
-                             std::span<const std::uint8_t> val) {
-  unsigned flipped = g.truth;  // flipped bit m = truth(m ^ pins)
-  for (unsigned k = 0; k < 3; ++k) {
-    if (((pins >> k) & 1u) == 0) continue;
-    const unsigned shift = 1u << k;
-    flipped = ((flipped & kPinLow[k]) << shift) |
-              ((flipped & ~unsigned{kPinLow[k]} & 0xffu) >> shift);
-  }
-  return ((g.truth ^ flipped) & minterms(g, val, pins, kUnknown)) != 0;
-}
-
-/// Ternary simulation under the held inputs, with `fault` forced in when
-/// it is set.
-[[nodiscard]] std::vector<std::uint8_t> propagate(
-    const CompiledNetlist& c, std::span<const std::optional<bool>> held,
-    const Fault* fault) {
-  std::vector<std::uint8_t> val(c.netCount(), kUnknown);
-  const auto inputs = c.inputNets();
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    if (held[i]) val[inputs[i]] = *held[i] ? kHigh : kLow;
-  }
-  std::uint32_t stem = 0xffffffff;
-  std::uint32_t branchGate = 0xffffffff;
-  unsigned branchPins = 0;
-  const std::uint8_t stuck = fault != nullptr ? ternary(fault->stuck) : 0;
-  if (fault != nullptr && fault->isStem()) {
-    stem = fault->net;
-    val[stem] = stuck;
-  } else if (fault != nullptr) {
-    branchGate = c.readers()[fault->branch] >> 3;
-    branchPins = c.readers()[fault->branch] & 7u;
-  }
-  for (const std::uint32_t gi : c.topologicalOrder()) {
-    const CompiledNetlist::GateRec& g = c.gate(gi);
-    const unsigned m =
-        minterms(g, val, gi == branchGate ? branchPins : 0, stuck);
-    val[g.out] = g.out == stem ? stuck
-                               : static_cast<std::uint8_t>(
-                                     ((g.truth & m) != 0 ? kHigh : 0) |
-                                     ((~g.truth & m) != 0 ? kLow : 0));
-  }
-  return val;
-}
-
-/// Per net: whether a change on it can reach a primary output while the
-/// other nets hold `val`. One reverse-topological pass.
-[[nodiscard]] std::vector<std::uint8_t> observable(
-    const CompiledNetlist& c, std::span<const std::uint8_t> val) {
-  std::vector<std::uint8_t> obs(c.netCount(), 0);
-  for (const std::uint32_t po : c.outputNets()) obs[po] = 1;
+/// Writes flags[ci] for each class in `candidates`: 1 when no pattern
+/// honouring `held` detects it, else 0. The good machine's BDDs are
+/// built once under the held constants; each class then forces its stem,
+/// or its branch's reader pins, and rebuilds only the fanout cone in
+/// topological order, up to where every faulty node equals the good one.
+/// The class is flagged when no primary output's node differs. A class
+/// whose cone needs a node past the cap stays unflagged.
+void flagUndetectable(const FaultUniverse& universe,
+                      std::span<const std::optional<bool>> held,
+                      std::span<const std::uint32_t> candidates,
+                      std::vector<std::uint8_t>& flags) {
+  const CompiledNetlist& c = *universe.compiled();
   const auto order = c.topologicalOrder();
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const CompiledNetlist::GateRec& g = c.gate(*it);
-    if (obs[g.out] == 0) continue;
-    const int arity = netlist::gateArity(g.kind);
-    for (int k = 0; k < arity; ++k) {
-      unsigned pins = 0;  // every pin the net drives: the CSR merged mask
-      for (int j = 0; j < arity; ++j) {
-        if (g.in[j] == g.in[k]) pins |= 1u << j;
-      }
-      if (sensitive(g, pins, val)) obs[g.in[k]] = 1;
+  const auto inputs = c.inputNets();
+  constexpr std::uint32_t kNone = 0xffffffff;
+
+  // Held inputs are constants. Free inputs become variables in
+  // first-visit order of a DFS from the outputs in declaration order,
+  // which interleaves a_i with b_i; inputs no output reads come last.
+  Bdd bdd;
+  std::vector<Bdd::Node> good(c.netCount(), Bdd::kFalse);
+  std::vector<std::uint8_t> unnamed(c.netCount(), 0);  // free, no variable yet
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    if (held[i]) good[inputs[i]] = *held[i] ? Bdd::kTrue : Bdd::kFalse;
+    unnamed[inputs[i]] = held[i] ? 0 : 1;
+  }
+  std::uint32_t vars = 0;
+  const auto name = [&](std::uint32_t n) {
+    if (unnamed[n] == 0) return;
+    unnamed[n] = 0;
+    good[n] = bdd.var(vars++);
+  };
+  std::vector<std::uint32_t> drivingGate(c.netCount(), kNone);
+  for (std::uint32_t gi = 0; gi < c.gateCount(); ++gi) {
+    drivingGate[c.gate(gi).out] = gi;
+  }
+  std::vector<std::uint8_t> seen(c.netCount(), 0);
+  std::vector<std::uint32_t> stack(c.outputNets().rbegin(),
+                                   c.outputNets().rend());
+  while (!stack.empty()) {
+    const std::uint32_t n = stack.back();
+    stack.pop_back();
+    if (seen[n] != 0) continue;
+    seen[n] = 1;
+    if (drivingGate[n] == kNone) {
+      name(n);
+      continue;
+    }
+    const CompiledNetlist::GateRec& g = c.gate(drivingGate[n]);
+    for (int k = netlist::gateArity(g.kind) - 1; k >= 0; --k) {
+      stack.push_back(g.in[static_cast<std::size_t>(k)]);
     }
   }
-  return obs;
-}
+  for (const std::uint32_t n : inputs) name(n);
+  const auto eval = [&](const CompiledNetlist::GateRec& g,
+                        std::span<const Bdd::Node> val, unsigned forcedPins,
+                        Bdd::Node forced) {
+    std::array<Bdd::Node, 3> pins{};
+    for (std::size_t k = 0; k < 3; ++k) {
+      pins[k] = ((forcedPins >> k) & 1u) != 0 ? forced : val[g.in[k]];
+    }
+    return bdd.gate(g.truth, pins);
+  };
+  for (const std::uint32_t gi : order) {
+    good[c.gate(gi).out] = eval(c.gate(gi), good, 0, Bdd::kFalse);
+  }
+  bdd.mark();
 
-/// Whether fault `f`'s site (its stem, or its branch's reader pins) is
-/// observable.
-[[nodiscard]] bool siteObservable(const CompiledNetlist& c, const Fault& f,
-                                  std::span<const std::uint8_t> val,
-                                  std::span<const std::uint8_t> obs) {
-  if (f.isStem()) return obs[f.net] != 0;
-  const std::uint32_t entry = c.readers()[f.branch];
-  const CompiledNetlist::GateRec& g = c.gate(entry >> 3);
-  return obs[g.out] != 0 && sensitive(g, entry & 7u, val);
+  // Topological span of each net's readers: a change on the net can only
+  // reach gates in [firstRead, lastRead].
+  const auto gates = static_cast<std::uint32_t>(order.size());
+  std::vector<std::uint32_t> pos(c.gateCount(), 0);
+  std::vector<std::uint32_t> firstRead(c.netCount(), gates);
+  std::vector<std::uint32_t> lastRead(c.netCount(), 0);
+  for (std::uint32_t p = 0; p < gates; ++p) {
+    const CompiledNetlist::GateRec& g = c.gate(order[p]);
+    pos[order[p]] = p;
+    for (int k = 0; k < netlist::gateArity(g.kind); ++k) {
+      const std::uint32_t n = g.in[static_cast<std::size_t>(k)];
+      firstRead[n] = std::min(firstRead[n], p);
+      lastRead[n] = std::max(lastRead[n], p);
+    }
+  }
+  std::vector<std::uint8_t> isOutput(c.netCount(), 0);
+  for (const std::uint32_t po : c.outputNets()) isOutput[po] = 1;
+
+  std::vector<Bdd::Node> faulty = good;
+  std::vector<std::uint32_t> touched;
+  const auto classes = universe.collapsed();
+  for (const std::uint32_t ci : candidates) {
+    const Fault& f = classes[ci];
+    const Bdd::Node stuck =
+        f.stuck == StuckAt::SA1 ? Bdd::kTrue : Bdd::kFalse;
+    std::uint32_t forcedGate = kNone;
+    unsigned forcedPins = 0;
+    std::uint32_t next = gates;  // next topological position to rebuild
+    std::uint32_t reach = 0;     // last position a difference reaches
+    bool observed = false;       // a primary output differs
+    bool unknown = false;        // a node past the cap was needed
+    const auto differ = [&](std::uint32_t n, Bdd::Node node) {
+      faulty[n] = node;
+      touched.push_back(n);
+      reach = std::max(reach, lastRead[n]);
+      observed = observed || isOutput[n] != 0;
+    };
+    if (f.isStem()) {
+      unknown = good[f.net] == Bdd::kOverflow;
+      if (!unknown && good[f.net] != stuck) {
+        differ(f.net, stuck);
+        next = firstRead[f.net];
+      }
+    } else {
+      forcedGate = c.readers()[f.branch] >> 3;
+      forcedPins = c.readers()[f.branch] & 7u;
+      next = reach = pos[forcedGate];
+    }
+    for (; next <= reach && !observed && !unknown; ++next) {
+      const std::uint32_t gi = order[next];
+      const CompiledNetlist::GateRec& g = c.gate(gi);
+      bool dirty = gi == forcedGate;
+      for (int k = 0; k < netlist::gateArity(g.kind); ++k) {
+        const std::uint32_t n = g.in[static_cast<std::size_t>(k)];
+        dirty = dirty || faulty[n] != good[n];
+      }
+      if (!dirty) continue;
+      const Bdd::Node node =
+          eval(g, faulty, gi == forcedGate ? forcedPins : 0, stuck);
+      unknown = node == Bdd::kOverflow || good[g.out] == Bdd::kOverflow;
+      if (!unknown && node != good[g.out]) differ(g.out, node);
+    }
+    flags[ci] = !observed && !unknown ? 1 : 0;
+    for (const std::uint32_t n : touched) faulty[n] = good[n];
+    touched.clear();
+    bdd.release();
+  }
 }
 
 /// Narrows `held` to the inputs that kept their value on every valid
@@ -164,35 +196,10 @@ std::vector<std::uint8_t> untestableClasses(
         "untestableClasses: expected " + std::to_string(c.inputNets().size()) +
         " held entries, got " + std::to_string(held.size()));
   }
-  const std::vector<std::uint8_t> good = propagate(c, held, nullptr);
-  const std::vector<std::uint8_t> goodObs = observable(c, good);
-  const auto classes = universe.collapsed();
-  std::vector<std::uint8_t> flags(classes.size(), 0);
-  for (std::size_t ci = 0; ci < classes.size(); ++ci) {
-    const Fault& f = classes[ci];
-    const std::uint8_t site = good[f.net];
-    if (site == ternary(f.stuck)) {  // never excited
-      flags[ci] = 1;
-      continue;
-    }
-    // Fewer constants only make more nets observable, and the agreed
-    // constants below are a subset of the good machine's, so a site the
-    // good machine observes is observable either way.
-    if (siteObservable(c, f, good, goodObs)) continue;
-    if (site == kUnknown) {
-      // Forcing an unknown net refines the good machine's values, so
-      // its constants hold in the faulty machine too.
-      flags[ci] = 1;
-      continue;
-    }
-    // The site is constant at the opposite value: the fault can move
-    // downstream constants, so keep only those both machines agree on.
-    std::vector<std::uint8_t> agreed = propagate(c, held, &f);
-    for (std::size_t n = 0; n < agreed.size(); ++n) {
-      if (agreed[n] != good[n]) agreed[n] = kUnknown;
-    }
-    flags[ci] = siteObservable(c, f, agreed, observable(c, agreed)) ? 0 : 1;
-  }
+  std::vector<std::uint32_t> all(universe.collapsed().size());
+  std::iota(all.begin(), all.end(), 0u);
+  std::vector<std::uint8_t> flags(all.size(), 0);
+  flagUndetectable(universe, held, all, flags);
   return flags;
 }
 
@@ -220,24 +227,42 @@ CoverageResult runCoverage(const FaultUniverse& universe,
   std::vector<std::optional<bool>> held(
       universe.compiled()->inputNets().size());
   std::vector<std::uint8_t> untestable(classes.size(), 0);
+  // The classes each swept block simulates: neither flagged nor, when
+  // dropping, detected. Empty means nothing is left to find.
+  std::vector<std::uint32_t> live;
+  std::vector<std::uint32_t> undetected;
   std::uint64_t recomputes = 0;
+  std::uint64_t swept = 0;
+  std::uint64_t skipped = 0;
   while (result.patternsApplied < options.patterns &&
          result.detectedClasses < result.collapsedClasses) {
     const std::size_t count = source(inputWords);
     if (count == 0) break;  // source exhausted
-    engine.loadPatterns(inputWords, count);
-    if (narrowHeld(held, inputWords, count, kWords, recomputes == 0)) {
-      untestable = untestableClasses(universe, held);
-      ++recomputes;
+    const bool narrowed =
+        narrowHeld(held, inputWords, count, kWords, recomputes == 0);
+    if (narrowed) {
+      // This block may break the constants the old flags relied on, so
+      // it simulates every class; the new flags start with the next.
+      std::fill(untestable.begin(), untestable.end(), std::uint8_t{0});
+      live.clear();
+      for (std::uint32_t ci = 0; ci < classes.size(); ++ci) {
+        if (!options.dropDetected || result.detected[ci] == 0) {
+          live.push_back(ci);
+        }
+      }
     }
     // For byte-identity with the 64-lane reference the applied-pattern
     // counter must stop at the sub-block that completed detection, not at
     // the end of the wide block: the reference campaign would have exited
     // its loop right after that 64-pattern block.
     std::size_t lastDetectWord = 0;
-    for (std::size_t ci = 0; ci < classes.size(); ++ci) {
-      if (untestable[ci] != 0) continue;
-      if (options.dropDetected && result.detected[ci] != 0) continue;
+    if (live.empty()) {
+      ++skipped;
+    } else {
+      ++swept;
+      engine.loadPatterns(inputWords, count);
+    }
+    for (const std::uint32_t ci : live) {
       engine.detectLanesInto(classes[ci], det);
       if (result.detected[ci] != 0) continue;
       std::size_t j = 0;
@@ -250,6 +275,19 @@ CoverageResult runCoverage(const FaultUniverse& universe,
           static_cast<std::uint64_t>(std::countr_zero(det[j]));
       lastDetectWord = std::max(lastDetectWord, j);
     }
+    if (narrowed) {
+      // Flag lazily: only what this block left undetected needs a proof.
+      undetected.clear();
+      for (const std::uint32_t ci : live) {
+        if (result.detected[ci] == 0) undetected.push_back(ci);
+      }
+      flagUndetectable(universe, held, undetected, untestable);
+      ++recomputes;
+    }
+    std::erase_if(live, [&](std::uint32_t ci) {
+      return untestable[ci] != 0 ||
+             (options.dropDetected && result.detected[ci] != 0);
+    });
     if (result.detectedClasses == result.collapsedClasses) {
       result.patternsApplied +=
           std::min<std::uint64_t>(count, 64 * (lastDetectWord + 1));
@@ -264,16 +302,20 @@ CoverageResult runCoverage(const FaultUniverse& universe,
   static obs::Counter& detected = obs::counter("fault.classes_detected");
   static obs::Counter& untestableCount =
       obs::counter("fault.untestable_classes");
+  static obs::Counter& blocksSwept = obs::counter("fault.blocks_swept");
+  static obs::Counter& blocksSkipped = obs::counter("fault.blocks_skipped");
   const auto flagged = static_cast<std::uint64_t>(
       std::count(untestable.begin(), untestable.end(), std::uint8_t{1}));
-  span.arg("untestable", flagged);
-  span.arg("recomputes", recomputes);
+  span.arg("swept", swept);
+  span.arg("skipped", skipped);
   faultsSimulated.add(engine.faultsSimulated() - faults0);
   gateEvals.add(engine.gateEvaluations() - evals0);
   skips.add(engine.activationSkips() - skips0);
   patterns.add(result.patternsApplied);
   detected.add(result.detectedClasses);
   untestableCount.add(flagged);
+  blocksSwept.add(swept);
+  blocksSkipped.add(skipped);
   return result;
 }
 

@@ -12,10 +12,15 @@
 // it. After each block the campaign narrows the *held set*: the primary
 // inputs that kept one value on every valid lane of every block so far
 // (the paper's workloads hold carry-in low throughout). The set only
-// shrinks, and each time it does, untestableClasses() re-flags the
-// classes no pattern honouring it can detect — at most inputs + 1 passes
-// per campaign. Every pattern applied while a class is flagged honours
-// the held set it was flagged under, so skipping it changes no detected
+// shrinks. The block that sets or shrinks it simulates every class not
+// yet dropped; then the classes it left undetected are flagged when no
+// pattern honouring the new set can detect them (untestableClasses, at
+// most inputs + 1 passes per campaign). Later blocks simulate only the
+// classes neither flagged nor dropped, and once none is left they skip
+// the good-machine sweep too: the block is still drawn, narrows the held
+// set and counts its patterns, and a shrink re-flags and resumes
+// sweeping. Every pattern applied while a class is flagged honours the
+// held set it was flagged under, so skipping it changes no detected
 // flag, first-detection index or pattern count: CoverageResult equals a
 // campaign that simulates every class.
 //
@@ -76,7 +81,9 @@ using PatternBlockSource =
     std::function<std::size_t(std::span<std::uint64_t> inputWords)>;
 
 /// Runs a campaign over `source` blocks until `options.patterns` stimuli
-/// were applied, every class is detected, or the source runs dry.
+/// were applied, every class is detected, or the source runs dry. Blocks
+/// drawn once every class is detected or flagged are counted but not
+/// simulated.
 [[nodiscard]] CoverageResult runCoverage(const FaultUniverse& universe,
                                          AnyPpsfpEngine& engine,
                                          const CoverageOptions& options,
@@ -84,17 +91,15 @@ using PatternBlockSource =
 
 /// Per collapsed class of `universe`: 1 when no pattern that gives each
 /// primary input i (declaration order) the value `held[i]` — any value
-/// where it is nullopt — can detect the class, else 0. Sound, not
-/// complete. Ternary constants propagate from the held inputs through the
-/// gates' truth tables; a net is observable when it is a primary output or
-/// some reader with an observable output is sensitive to the net's pins
-/// under the constants. A class is flagged when its net is constant at
-/// the stuck value (never excited), or when the fault site is
-/// unobservable — for a site constant at the opposite value, under only
-/// the constants the good and the faulty machine agree on, since the
-/// fault moves constants downstream of it. runCoverage derives `held`
-/// from the patterns it applies. Throws std::invalid_argument when `held`
-/// does not have one entry per primary input.
+/// where it is nullopt — can detect the class, else 0. Exact up to the
+/// BDD node cap (netlist::Bdd::kNodeCap): the held inputs become
+/// constants and the free ones variables, the good machine is built once,
+/// and each class rebuilds only its fault's fanout cone; it is flagged
+/// when no primary output's function changes. A class whose cone needs
+/// more nodes than the cap stays 0, so a 1 is always a proof.
+/// runCoverage derives `held` from the patterns it applies. Throws
+/// std::invalid_argument when `held` does not have one entry per primary
+/// input.
 [[nodiscard]] std::vector<std::uint8_t> untestableClasses(
     const FaultUniverse& universe, std::span<const std::optional<bool>> held);
 

@@ -26,11 +26,10 @@ std::size_t threadShardSlot() noexcept {
 namespace {
 
 // One map per kind. std::map nodes are stable, so handles returned from
-// counter()/gauge()/histogram() stay valid for the process lifetime.
+// counter()/histogram() stay valid for the process lifetime.
 struct Registry {
   std::mutex mu;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms;
 };
 
@@ -59,8 +58,6 @@ Counter& counter(std::string_view name) {
   return intern(registry().counters, name);
 }
 
-Gauge& gauge(std::string_view name) { return intern(registry().gauges, name); }
-
 Histogram& histogram(std::string_view name) {
   return intern(registry().histograms, name);
 }
@@ -79,9 +76,6 @@ MetricsSnapshot snapshotMetrics() {
   MetricsSnapshot snap;
   for (const auto& [name, c] : r.counters) {
     snap.counters.emplace(name, c->value());
-  }
-  for (const auto& [name, g] : r.gauges) {
-    snap.gauges.emplace(name, g->value());
   }
   for (const auto& [name, h] : r.histograms) {
     MetricsSnapshot::HistogramSample s;
@@ -103,7 +97,6 @@ void resetMetricsForTest() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
   for (auto& [name, c] : r.counters) c->resetForTest();
-  for (auto& [name, g] : r.gauges) g->resetForTest();
   for (auto& [name, h] : r.histograms) h->resetForTest();
 }
 
@@ -175,9 +168,6 @@ std::string metricsJson(const MetricsSnapshot& snap,
   out += ",\n  ";
   appendObject(out, "counters", snap.counters,
                [](std::string& o, std::uint64_t v) { o += std::to_string(v); });
-  out += ",\n  ";
-  appendObject(out, "gauges", snap.gauges,
-               [](std::string& o, std::int64_t v) { o += std::to_string(v); });
   out += ",\n  ";
   appendObject(
       out, "histograms", snap.histograms,

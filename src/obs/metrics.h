@@ -5,7 +5,7 @@
 // accumulation on the hot path, aggregation deferred to snapshot time.
 //
 // Design:
-//   * `Counter` / `Gauge` / `Histogram` handles are interned by name in a
+//   * `Counter` / `Histogram` handles are interned by name in a
 //     process-global registry and never move or die, so call sites cache
 //     the reference in a function-local static and pay one init-guard
 //     check plus one relaxed atomic add per update.
@@ -82,27 +82,6 @@ class Counter {
   Shard shards_[kCounterShards];
 };
 
-/// Last-write-wins instantaneous value (queue depths, pool sizes).
-/// Gauges are low-rate; a single atomic is enough.
-class Gauge {
- public:
-  void set(std::int64_t v) noexcept {
-    if (!detail::gMetricsEnabled.load(std::memory_order_relaxed)) return;
-    v_.store(v, std::memory_order_relaxed);
-  }
-  void add(std::int64_t d) noexcept {
-    if (!detail::gMetricsEnabled.load(std::memory_order_relaxed)) return;
-    v_.fetch_add(d, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::int64_t value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-  void resetForTest() noexcept { v_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> v_{0};
-};
-
 /// Log2-bucketed value distribution with exact count/sum and a max.
 /// record() is lock-free: three relaxed adds plus a CAS max loop that
 /// only spins while the recorded value is a new maximum.
@@ -158,14 +137,12 @@ struct MetricsSnapshot {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;
   };
   std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, std::int64_t> gauges;
   std::map<std::string, HistogramSample> histograms;
 };
 
 /// Interns `name` (cold path, mutex) and returns the stable handle. Call
 /// sites cache it: `static obs::Counter& c = obs::counter("grid.retries");`
 [[nodiscard]] Counter& counter(std::string_view name);
-[[nodiscard]] Gauge& gauge(std::string_view name);
 [[nodiscard]] Histogram& histogram(std::string_view name);
 
 /// Master switch. Off (the default is ON) every update degenerates to a

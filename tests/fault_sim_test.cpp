@@ -5,17 +5,22 @@
 // every universe member against its class representative; and the timed
 // injection hook (LaneTimedSimulator::forceNet) is cross-checked against
 // the functional faulty machine at a settling period. The coverage
-// campaign's untestable skip is proven sound (no flagged class is detected
-// by a pattern honouring the held inputs) and invisible (runCoverage
-// equals a campaign that simulates every undetected class).
+// campaign's untestable flags are proven exact (under exhaustive patterns
+// honouring the held inputs, no flagged class is detected and every
+// unflagged one is), left unset where a cone outgrows the BDD node cap,
+// and invisible (runCoverage equals a campaign that simulates every
+// undetected class, and stops sweeping only once every class is detected
+// or flagged).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <functional>
+#include <numeric>
 #include <optional>
 #include <random>
 #include <stdexcept>
+#include <tuple>
 
 #include "circuits/synthesis.h"
 #include "core/isa_config.h"
@@ -31,6 +36,7 @@
 #include "netlist/bench_io.h"
 #include "netlist/compiled_netlist.h"
 #include "netlist/gate.h"
+#include "obs/metrics.h"
 #include "reference/serial_fault_sim.h"
 #include "timing/cell_library.h"
 #include "timing/delay_annotation.h"
@@ -430,6 +436,63 @@ TEST(CoverageTest, ReconvergentFanoutMovesConstantsInTheFaultyMachine) {
   }
 }
 
+/// Applies every pattern honouring `held` (at most 16 free inputs) and
+/// checks the flags are exact: no flagged class is ever detected, and
+/// every unflagged class is detected by some pattern. Returns the number
+/// of flagged classes.
+std::size_t expectFlagsExact(const Netlist& nl,
+                             std::span<const std::optional<bool>> held) {
+  const auto compiled = CompiledNetlist::compile(nl);
+  FaultUniverse universe(compiled);
+  const std::size_t inputs = compiled->inputNets().size();
+  std::vector<std::size_t> free;
+  for (std::size_t i = 0; i < inputs; ++i) {
+    if (!held[i]) free.push_back(i);
+  }
+  if (free.size() > 16) {
+    ADD_FAILURE() << nl.name() << ": " << free.size() << " free inputs";
+    return 0;
+  }
+  const auto flags = oisa::fault::untestableClasses(universe, held);
+  const auto classes = universe.collapsed();
+  std::vector<std::uint8_t> detected(classes.size(), 0);
+  const std::uint64_t patterns = std::uint64_t{1} << free.size();
+  PpsfpEngine engine(compiled);
+  std::vector<std::uint64_t> words(inputs);
+  for (std::uint64_t first = 0; first < patterns; first += 64) {
+    const auto count = static_cast<std::size_t>(
+        std::min<std::uint64_t>(64, patterns - first));
+    for (std::size_t i = 0; i < inputs; ++i) {
+      words[i] = held[i] && *held[i] ? ~std::uint64_t{0} : 0;
+    }
+    for (std::size_t k = 0; k < free.size(); ++k) {
+      for (std::size_t lane = 0; lane < count; ++lane) {
+        words[free[k]] |= (((first + lane) >> k) & 1u) << lane;
+      }
+    }
+    engine.loadPatterns(words, count);
+    for (std::size_t ci = 0; ci < classes.size(); ++ci) {
+      if (flags[ci] == 0 && detected[ci] != 0) continue;
+      const bool hit = engine.detectLanes(classes[ci]) != 0;
+      if (flags[ci] != 0 && hit) {
+        ADD_FAILURE() << nl.name() << ": flagged "
+                      << oisa::fault::describeFault(*compiled, classes[ci])
+                      << " detected";
+        return 0;
+      }
+      detected[ci] = hit ? 1 : 0;
+    }
+  }
+  for (std::size_t ci = 0; ci < classes.size(); ++ci) {
+    EXPECT_TRUE(flags[ci] != 0 || detected[ci] != 0)
+        << nl.name() << ": "
+        << oisa::fault::describeFault(*compiled, classes[ci])
+        << " is undetectable but not flagged";
+  }
+  return static_cast<std::size_t>(
+      std::count(flags.begin(), flags.end(), std::uint8_t{1}));
+}
+
 TEST(CoverageTest, FlaggedClassesAreNeverDetectedUnderTheHeldInputs) {
   OISA_TRACE_SEED(41);
   std::mt19937_64 rng(41);
@@ -441,55 +504,33 @@ TEST(CoverageTest, FlaggedClassesAreNeverDetectedUnderTheHeldInputs) {
   }
   std::size_t flaggedTotal = 0;
   for (const Netlist& nl : netlists) {
-    const auto compiled = CompiledNetlist::compile(nl);
-    FaultUniverse universe(compiled);
-    const std::size_t inputs = compiled->inputNets().size();
-    std::vector<std::optional<bool>> held(inputs);
-    std::vector<std::size_t> free;
-    for (std::size_t i = 0; i < inputs; ++i) {
-      if (rng() % 2 == 0) {
-        held[i] = rng() % 2 == 0;
-      } else {
-        free.push_back(i);
-      }
+    std::vector<std::optional<bool>> held(nl.primaryInputs().size());
+    for (auto& h : held) {
+      if (rng() % 2 == 0) h = rng() % 2 == 0;
     }
-    const auto flags = oisa::fault::untestableClasses(universe, held);
-    flaggedTotal += static_cast<std::size_t>(
-        std::count(flags.begin(), flags.end(), std::uint8_t{1}));
-    // Every pattern honouring the held inputs when at most 12 are free,
-    // else 32 random blocks of them.
-    const bool exhaustive = free.size() <= 12;
-    const std::uint64_t patterns =
-        exhaustive ? std::uint64_t{1} << free.size() : 32 * 64;
-    PpsfpEngine engine(compiled);
-    std::vector<std::uint64_t> words(inputs);
-    for (std::uint64_t first = 0; first < patterns; first += 64) {
-      const auto count = static_cast<std::size_t>(
-          std::min<std::uint64_t>(64, patterns - first));
-      for (std::size_t i = 0; i < inputs; ++i) {
-        words[i] = held[i] ? (*held[i] ? ~std::uint64_t{0} : 0) : rng();
-      }
-      if (exhaustive) {
-        for (std::size_t k = 0; k < free.size(); ++k) {
-          std::uint64_t w = 0;
-          for (std::size_t lane = 0; lane < count; ++lane) {
-            w |= (((first + lane) >> k) & 1u) << lane;
-          }
-          words[free[k]] = w;
-        }
-      }
-      engine.loadPatterns(words, count);
-      for (std::size_t ci = 0; ci < flags.size(); ++ci) {
-        if (flags[ci] == 0) continue;
-        ASSERT_EQ(engine.detectLanes(universe.collapsed()[ci]), 0u)
-            << nl.name() << ": flagged "
-            << oisa::fault::describeFault(*compiled,
-                                          universe.collapsed()[ci])
-            << " detected";
-      }
-    }
+    flaggedTotal += expectFlagsExact(nl, held);
   }
   EXPECT_GT(flaggedTotal, 0u);
+
+  // The paper's five block-8 designs, synthesized 16 bits wide so the
+  // second path's speculation and compensation logic is present. Carry-in
+  // and the second path's operand bits are held low: 16 free inputs,
+  // 65,536 patterns.
+  const auto lib = oisa::timing::CellLibrary::generic65();
+  for (const oisa::core::IsaConfig& paper : oisa::core::paperDesigns()) {
+    if (paper.exact || paper.block != 8) continue;
+    const auto design = oisa::circuits::synthesize(
+        oisa::core::makeIsa(8, paper.spec, paper.correction, paper.reduction,
+                            16),
+        lib);
+    SCOPED_TRACE(design.config.name());
+    std::vector<std::optional<bool>> held(33, false);  // a0-15, b0-15, cin
+    for (std::size_t i = 0; i < 8; ++i) {
+      held[i] = std::nullopt;
+      held[16 + i] = std::nullopt;
+    }
+    EXPECT_GT(expectFlagsExact(design.netlist, held), 0u);
+  }
 }
 
 TEST(CoverageTest, SkippingFlaggedClassesMatchesSimulatingEveryClass) {
@@ -572,6 +613,248 @@ TEST(CoverageTest, SkippingFlaggedClassesMatchesSimulatingEveryClass) {
       }
     }
   }
+}
+
+/// Forwards to a real engine and records which source block each
+/// loadPatterns() sweeps (`drawn` counts the blocks drawn so far).
+class CountingEngine final : public oisa::fault::AnyPpsfpEngine {
+ public:
+  CountingEngine(std::unique_ptr<oisa::fault::AnyPpsfpEngine> inner,
+                 const std::size_t& drawn)
+      : inner_(std::move(inner)), drawn_(drawn) {}
+
+  std::size_t lanes() const noexcept override { return inner_->lanes(); }
+  std::size_t wordsPerNet() const noexcept override {
+    return inner_->wordsPerNet();
+  }
+  oisa::netlist::LaneSelection selection() const noexcept override {
+    return inner_->selection();
+  }
+  void loadPatterns(std::span<const std::uint64_t> inputWords,
+                    std::size_t patternCount) override {
+    swept.push_back(drawn_ - 1);
+    inner_->loadPatterns(inputWords, patternCount);
+  }
+  void detectLanesInto(const Fault& f, std::span<std::uint64_t> out) override {
+    inner_->detectLanesInto(f, out);
+  }
+  std::uint64_t faultsSimulated() const noexcept override {
+    return inner_->faultsSimulated();
+  }
+  std::uint64_t gateEvaluations() const noexcept override {
+    return inner_->gateEvaluations();
+  }
+  std::uint64_t activationSkips() const noexcept override {
+    return inner_->activationSkips();
+  }
+  const std::shared_ptr<const CompiledNetlist>& compiled()
+      const noexcept override {
+    return inner_->compiled();
+  }
+
+  std::vector<std::size_t> swept;  ///< source block of each sweep
+
+ private:
+  std::unique_ptr<oisa::fault::AnyPpsfpEngine> inner_;
+  const std::size_t& drawn_;
+};
+
+TEST(CoverageTest, StopsSweepingOnceEveryClassIsDetectedOrFlagged) {
+  oisa::obs::Counter& untestableCounter =
+      oisa::obs::counter("fault.untestable_classes");
+  const auto designs = oisa::circuits::synthesizePaperDesigns(
+      oisa::timing::CellLibrary::generic65(), {});
+  using oisa::experiments::Stimulus;
+  std::size_t resolved = 0;
+  std::size_t resumed = 0;
+  for (const auto& design : designs) {
+    SCOPED_TRACE(design.config.name());
+    const int width = design.config.width;
+    const std::uint64_t mask =
+        width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+    const auto compiled = CompiledNetlist::compile(design.netlist);
+    FaultUniverse universe(compiled);
+    const auto full = [](std::size_t) { return ~std::size_t{0}; };
+    const auto run = [&](std::size_t blocks, const auto& draw) {
+      std::size_t drawn = 0;
+      CountingEngine engine(oisa::fault::makePpsfpEngine(compiled, {}),
+                            drawn);
+      CoverageOptions options;
+      options.patterns = blocks * 64;
+      AdderBlockSource adder{width, 64, 1, options.patterns, full, draw};
+      // SkippingFlaggedClassesMatchesSimulatingEveryClass proves these
+      // campaigns' results; this test checks which blocks they sweep and
+      // how many classes end flagged.
+      const std::uint64_t flagged0 = untestableCounter.value();
+      const auto got = oisa::fault::runCoverage(
+          universe, engine, options,
+          [&](std::span<std::uint64_t> words) {
+            ++drawn;
+            return adder(words);
+          });
+      return std::tuple(got, engine.swept,
+                        untestableCounter.value() - flagged0);
+    };
+    // The classes no pattern honouring `held` detects.
+    const auto proven = [&](std::span<const std::optional<bool>> held) {
+      const auto flags = oisa::fault::untestableClasses(universe, held);
+      return static_cast<std::uint64_t>(
+          std::count(flags.begin(), flags.end(), std::uint8_t{1}));
+    };
+
+    // Uniform patterns hold only carry-in low: the sweeps stop with the
+    // block holding the last detection once the rest is flagged.
+    const auto uniform = [mask](std::size_t, std::mt19937_64& rng) {
+      return Stimulus{rng() & mask, rng() & mask, false};
+    };
+    const auto [cov, swept, flagged] = run(1024, uniform);
+    std::vector<std::optional<bool>> held(compiled->inputNets().size());
+    held.back() = false;
+    EXPECT_EQ(flagged, proven(held));
+    std::uint64_t last = 0;
+    for (std::size_t ci = 0; ci < cov.detected.size(); ++ci) {
+      if (cov.detected[ci] != 0) {
+        last = std::max(last, cov.firstDetectedAt[ci] / 64);
+      }
+    }
+    const bool done = cov.detectedClasses + flagged == cov.collapsedClasses;
+    resolved += done ? 1 : 0;
+    std::vector<std::size_t> want(done ? last + 1 : 1024);
+    std::iota(want.begin(), want.end(), std::size_t{0});
+    EXPECT_EQ(swept, want);
+
+    // Carry-in and the top 8 bits of each operand held for 16 blocks,
+    // then released one input per block: every block 16..32 narrows the
+    // held set, so each must be swept, whatever was skipped before.
+    const auto releasing = [mask, width](std::size_t block,
+                                         std::mt19937_64& rng) {
+      Stimulus s{rng() & mask, rng() & mask, (rng() & 1) != 0};
+      for (std::size_t h = block < 16 ? 0 : block - 15; h < 17; ++h) {
+        if (h == 0) {
+          s.carryIn = false;
+          continue;
+        }
+        const std::size_t k = (h - 1) / 2;
+        const std::uint64_t bit = std::uint64_t{1} << (width - 1 -
+                                                       static_cast<int>(k));
+        std::uint64_t& op = (h - 1) % 2 == 0 ? s.a : s.b;
+        op = ((0xa5u >> k) & 1u) != 0 ? op | bit : op & ~bit;
+      }
+      return s;
+    };
+    const auto [released, sweeps, flaggedAtEnd] = run(40, releasing);
+    // Block 32 released the last held input: the final flags are every
+    // class no pattern at all detects, and none of them was detected.
+    held.back() = std::nullopt;
+    EXPECT_EQ(flaggedAtEnd, proven(held));
+    for (std::size_t block = 16; block <= 32; ++block) {
+      EXPECT_TRUE(std::find(sweeps.begin(), sweeps.end(), block) !=
+                  sweeps.end())
+          << "block " << block << " narrowed the held set but was skipped";
+    }
+    if (std::find(sweeps.begin(), sweeps.end(), 15) == sweeps.end()) {
+      ++resumed;
+    }
+  }
+  // The five block-8 designs resolve within 64k patterns; some design
+  // skips block 15 under the held top bits and sweeps again at 16.
+  EXPECT_GE(resolved, 5u);
+  EXPECT_GT(resumed, 0u);
+}
+
+TEST(CoverageTest, ClassesWhoseConeOutgrowsTheNodeCapStayUnflagged) {
+  // An n x n array multiplier whose product bit n also drives
+  // y = OR(p_n, AND(p_n, z)). AND/SA0 (with z/SA0) is redundant — y
+  // equals p_n either way — and the BDD proves it for a small n. For a
+  // large n the middle product bits need more nodes than the cap, so the
+  // class stays unflagged, and the campaign still equals simulating
+  // every class.
+  const auto multiplier = [](int n) {
+    Netlist nl("mul" + std::to_string(n));
+    std::vector<NetId> a;
+    std::vector<NetId> b;
+    for (int i = 0; i < n; ++i) a.push_back(nl.input("a" + std::to_string(i)));
+    for (int i = 0; i < n; ++i) b.push_back(nl.input("b" + std::to_string(i)));
+    const NetId z = nl.input("z");
+    std::vector<NetId> acc;  // running sum, bit k of weight 2^k
+    for (int i = 0; i < n; ++i) {
+      std::vector<NetId> row;
+      for (int j = 0; j < n; ++j) row.push_back(nl.gate2(GateKind::And2, a[j], b[i]));
+      if (i == 0) {
+        acc = row;
+        continue;
+      }
+      // Add row << i into acc with a ripple-carry adder.
+      std::optional<NetId> carry;
+      for (int j = 0; j < n; ++j) {
+        const std::size_t k = static_cast<std::size_t>(i + j);
+        if (k >= acc.size()) {
+          if (carry) {
+            acc.push_back(nl.gate2(GateKind::Xor2, row[j], *carry));
+            carry = nl.gate2(GateKind::And2, row[j], *carry);
+          } else {
+            acc.push_back(row[j]);
+          }
+          continue;
+        }
+        const NetId x = nl.gate2(GateKind::Xor2, acc[k], row[j]);
+        if (carry) {
+          const NetId c = *carry;
+          carry = nl.gate3(GateKind::Maj3, acc[k], row[j], c);
+          acc[k] = nl.gate2(GateKind::Xor2, x, c);
+        } else {
+          carry = nl.gate2(GateKind::And2, acc[k], row[j]);
+          acc[k] = x;
+        }
+      }
+      if (carry) acc.push_back(*carry);
+    }
+    for (std::size_t k = 0; k < acc.size(); ++k) {
+      nl.output("p" + std::to_string(k), acc[k]);
+    }
+    const NetId pn = acc[static_cast<std::size_t>(n)];
+    const NetId masked = nl.gate2(GateKind::And2, pn, z);
+    nl.output("y", nl.gate2(GateKind::Or2, pn, masked));
+    return std::pair(std::move(nl), masked);
+  };
+  // The redundant class's flag with every input free.
+  const auto redundantFlag = [](NetId masked, const FaultUniverse& u) {
+    const Fault sa0{masked.value, Fault::kStem, StuckAt::SA0};
+    const auto it = std::find(u.all().begin(), u.all().end(), sa0);
+    EXPECT_NE(it, u.all().end());
+    const std::vector<std::optional<bool>> held(
+        u.compiled()->inputNets().size());
+    return oisa::fault::untestableClasses(u, held)[u.classOf(
+        static_cast<std::size_t>(it - u.all().begin()))];
+  };
+
+  const auto [small, smallMasked] = multiplier(4);
+  EXPECT_EQ(redundantFlag(smallMasked,
+                          FaultUniverse(CompiledNetlist::compile(small))),
+            1u);
+
+  const auto [big, bigMasked] = multiplier(16);
+  const auto compiled = CompiledNetlist::compile(big);
+  FaultUniverse universe(compiled);
+  EXPECT_EQ(redundantFlag(bigMasked, universe), 0u);
+  const auto random = [&] {
+    return [rng = std::mt19937_64(7), inputs = compiled->inputNets().size()](
+               std::span<std::uint64_t> words) mutable -> std::size_t {
+      for (std::size_t i = 0; i < inputs; ++i) words[i] = rng();
+      return 64;
+    };
+  };
+  const auto engine = oisa::fault::makePpsfpEngine(compiled, {});
+  const auto reference = oisa::fault::makePpsfpEngine(compiled, {});
+  CoverageOptions options;
+  options.patterns = 16 * 64;
+  const auto got =
+      oisa::fault::runCoverage(universe, *engine, options, random());
+  const auto want = coverageSimulatingEveryClass(universe, *reference,
+                                                 options.patterns, random());
+  EXPECT_EQ(got.detected, want.detected);
+  EXPECT_EQ(got.firstDetectedAt, want.firstDetectedAt);
+  EXPECT_EQ(got.patternsApplied, want.patternsApplied);
 }
 
 TEST(FaultModelTest, RejectsCyclicAndBranchMisuse) {

@@ -84,15 +84,6 @@ TEST_F(ObsTest, DisabledMetricsRecordNothing) {
   EXPECT_EQ(c.value(), 1u);  // re-enabled handle keeps working
 }
 
-TEST_F(ObsTest, GaugeSetAndAdd) {
-  obs::Gauge& g = obs::gauge("test.gauge");
-  g.set(10);
-  g.add(-3);
-  EXPECT_EQ(g.value(), 7);
-  const obs::MetricsSnapshot snap = obs::snapshotMetrics();
-  EXPECT_EQ(snap.gauges.at("test.gauge"), 7);
-}
-
 TEST_F(ObsTest, HistogramExactCountSumMaxAndLog2Buckets) {
   obs::Histogram& h = obs::histogram("test.hist");
   h.record(0);   // bucket 0 (zeros)
@@ -138,7 +129,6 @@ TEST_F(ObsTest, HistogramConcurrentHammerKeepsCountAndSumExact) {
 
 TEST_F(ObsTest, MetricsJsonCarriesSchemaMetaAndSections) {
   obs::counter("test.json_counter").add(5);
-  obs::gauge("test.json_gauge").set(-2);
   obs::histogram("test.json_hist").record(3);
   const std::map<std::string, std::string> meta = {{"git_sha", "abc"},
                                                    {"note", "q\"uote"}};
@@ -147,7 +137,6 @@ TEST_F(ObsTest, MetricsJsonCarriesSchemaMetaAndSections) {
   EXPECT_NE(doc.find("\"git_sha\": \"abc\""), std::string::npos);
   EXPECT_NE(doc.find("q\\\"uote"), std::string::npos);  // escaped
   EXPECT_NE(doc.find("\"test.json_counter\": 5"), std::string::npos);
-  EXPECT_NE(doc.find("\"test.json_gauge\": -2"), std::string::npos);
   EXPECT_NE(doc.find("\"test.json_hist\""), std::string::npos);
 }
 

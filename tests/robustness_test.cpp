@@ -83,30 +83,20 @@ TEST(MalformedBenchTest, FileOpenInjectionFiresBeforeTheFilesystem) {
 
 // --- fault-plan hygiene ------------------------------------------------
 
-TEST(FaultPlanHygieneTest, ArmedButNeverHitSitesAreListed) {
+TEST(FaultPlanHygieneTest, ArmingAnUnknownSiteNamesIt) {
   namespace fi = oisa::core::fault_inject;
-  // A plan with a typo'd site name would silently inject nothing — the
-  // registry tracks which armed rules no shouldFail() ever reached (the
-  // same list the at-exit warning prints).
-  ScopedFaultPlan plan("file.open:1,grid.cel:*");  // note the typo
-  EXPECT_EQ(fi::armedUnhitSites(),
-            (std::vector<std::string>{"file.open", "grid.cel"}));
-  // Hitting a site removes it from the unhit list, even when this
-  // particular hit was not scheduled to fail.
-  (void)fi::shouldFail(fi::kFileOpen);
-  EXPECT_EQ(fi::armedUnhitSites(),
-            (std::vector<std::string>{"grid.cel"}));
-  EXPECT_EQ(fi::hitCount(fi::kFileOpen), 1u);
-}
-
-TEST(FaultPlanHygieneTest, ResetClearsTheUnhitList) {
-  namespace fi = oisa::core::fault_inject;
-  {
-    ScopedFaultPlan plan("checkpoint.write:3");
-    EXPECT_FALSE(fi::armedUnhitSites().empty());
+  // A typo'd site would silently inject nothing, so arm() refuses it
+  // and leaves nothing armed.
+  try {
+    fi::arm("file.open:1,grid.cel:*");
+    fi::reset();
+    FAIL() << "arm accepted an unknown site";
+  } catch (const oisa::core::StatusError& e) {
+    EXPECT_EQ(e.status().code(), StatusCode::InvalidInput);
+    EXPECT_NE(e.status().message().find("'grid.cel'"), std::string::npos)
+        << e.status().message();
   }
-  // Disarmed: nothing is pending, so nothing can warn at exit.
-  EXPECT_TRUE(fi::armedUnhitSites().empty());
+  EXPECT_FALSE(fi::shouldFail(fi::kFileOpen));
 }
 
 }  // namespace
