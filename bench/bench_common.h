@@ -198,7 +198,7 @@ inline void addRunMetadata(BenchJson& json,
     json.add(key, value);
   }
   json.add("lane_selection",
-           netlist::laneSelectionName(netlist::selectLaneWidth()));
+           netlist::laneSelectionName(netlist::defaultLaneSelection()));
   unsigned threads = threadsOption(args);
   if (threads == 0) threads = std::thread::hardware_concurrency();
   json.add("threads", static_cast<std::uint64_t>(threads));

@@ -1,7 +1,6 @@
 #include "core/bit_distribution.h"
 
 #include <bit>
-#include <numeric>
 #include <stdexcept>
 
 namespace oisa::core {
@@ -25,19 +24,13 @@ void BitErrorDistribution::add(std::uint64_t observed,
   }
 }
 
-double BitErrorDistribution::rate(int position) const {
-  const auto f = flips_.at(static_cast<std::size_t>(position));
-  return cycles_ ? static_cast<double>(f) / static_cast<double>(cycles_) : 0.0;
-}
-
 std::vector<double> BitErrorDistribution::rates() const {
-  std::vector<double> r(static_cast<std::size_t>(width_));
-  for (int i = 0; i < width_; ++i) r[static_cast<std::size_t>(i)] = rate(i);
+  std::vector<double> r(flips_.size(), 0.0);
+  if (cycles_ == 0) return r;
+  for (std::size_t i = 0; i < flips_.size(); ++i) {
+    r[i] = static_cast<double>(flips_[i]) / static_cast<double>(cycles_);
+  }
   return r;
-}
-
-std::uint64_t BitErrorDistribution::totalFlips() const noexcept {
-  return std::accumulate(flips_.begin(), flips_.end(), std::uint64_t{0});
 }
 
 }  // namespace oisa::core

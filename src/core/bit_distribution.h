@@ -21,10 +21,8 @@ class BitErrorDistribution {
   /// Records one cycle: every differing bit position gets one flip count.
   void add(std::uint64_t observed, std::uint64_t reference) noexcept;
 
-  /// Internal error rate of bit `position` (flips / cycles).
-  [[nodiscard]] double rate(int position) const;
-
-  /// All per-position rates, LSB first.
+  /// Internal error rate of every bit position (flips / cycles), LSB
+  /// first.
   [[nodiscard]] std::vector<double> rates() const;
 
   [[nodiscard]] int width() const noexcept { return width_; }
@@ -32,8 +30,6 @@ class BitErrorDistribution {
   [[nodiscard]] std::uint64_t flips(int position) const {
     return flips_.at(static_cast<std::size_t>(position));
   }
-  /// Total flips across all positions (for quick "any error" checks).
-  [[nodiscard]] std::uint64_t totalFlips() const noexcept;
 
  private:
   int width_;

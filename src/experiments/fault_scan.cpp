@@ -84,6 +84,10 @@ std::optional<FaultScanRow> decodeFaultScanRow(const std::string& payload) {
 std::vector<FaultScanRow> runFaultErrorScan(
     const std::vector<circuits::SynthesizedDesign>& designs,
     const FaultScanOptions& options) {
+  requireAtLeast("runFaultErrorScan", "cycles (--cycles)", options.run.cycles,
+                 1);
+  requireAtLeast("runFaultErrorScan", "timedCycles (--timed-cycles)",
+                 options.timedCycles, 1);
   std::vector<FaultScanRow> rows(designs.size());
   CampaignFingerprint fp("runFaultErrorScan");
   fp.mix(static_cast<std::uint64_t>(designs.size()));

@@ -59,6 +59,8 @@ struct FaultScanRow {
 
 /// Runs the scan over every design; one row per design, grid-scheduled
 /// like the other experiment sweeps (bit-identical at any thread count).
+/// Throws core::StatusError(InvalidInput) before any cell runs when
+/// `run.cycles` or `timedCycles` is 0.
 [[nodiscard]] std::vector<FaultScanRow> runFaultErrorScan(
     const std::vector<circuits::SynthesizedDesign>& designs,
     const FaultScanOptions& options);

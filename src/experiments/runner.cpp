@@ -195,6 +195,15 @@ class CampaignMonitor {
 
 }  // namespace
 
+void requireAtLeast(const char* pipeline, const char* option,
+                    std::uint64_t value, std::uint64_t minimum) {
+  if (value < minimum) {
+    throw core::StatusError(core::Status::invalidInput(
+        std::string(pipeline) + ": " + option + " must be at least " +
+        std::to_string(minimum) + ", got " + std::to_string(value)));
+  }
+}
+
 void runCampaignGrid(std::size_t count, const RunOptions& options,
                      const std::function<void(std::size_t)>& task) {
   // Never more workers than cells; results are bit-identical at any
@@ -229,6 +238,8 @@ void runCampaignGrid(std::size_t count, const RunOptions& options,
 std::vector<CombinationRow> runErrorCombination(
     const std::vector<circuits::SynthesizedDesign>& designs,
     std::span<const double> cprPercents, const RunOptions& options) {
+  requireAtLeast("runErrorCombination", "cycles (--cycles)", options.cycles,
+                 1);
   const std::size_t points = designs.size() * cprPercents.size();
   std::vector<CombinationRow> rows(points);
   CampaignCheckpoint ckpt(
@@ -289,6 +300,12 @@ std::vector<CombinationRow> runErrorCombination(
 std::vector<PredictionRow> runPredictionEvaluation(
     const std::vector<circuits::SynthesizedDesign>& designs,
     std::span<const double> cprPercents, const PredictionOptions& options) {
+  requireAtLeast("runPredictionEvaluation", "testCycles (--test-cycles)",
+                 options.testCycles, 2);
+  if (options.modelIn.empty()) {
+    requireAtLeast("runPredictionEvaluation", "trainCycles (--train-cycles)",
+                   options.trainCycles, 2);
+  }
   const std::size_t points = designs.size() * cprPercents.size();
   std::vector<PredictionRow> rows(points);
   CampaignFingerprint fp = baseFingerprint("runPredictionEvaluation", designs,
@@ -383,6 +400,7 @@ std::vector<PredictionRow> runPredictionEvaluation(
 BitDistributionResult runBitDistribution(
     const circuits::SynthesizedDesign& design, double cprPercent,
     const RunOptions& options) {
+  requireAtLeast("runBitDistribution", "cycles (--cycles)", options.cycles, 1);
   const double period =
       overclockedPeriodNs(options.signOffPeriodNs, cprPercent);
   auto workload = workloadFor(options, design.config.width, 0);

@@ -65,6 +65,8 @@ struct CombinationRow {
 };
 
 /// Fig. 9: structural/timing/joint relative-error RMS per design per CPR.
+/// Throws core::StatusError(InvalidInput) before any cell runs when
+/// `options.cycles` is 0.
 [[nodiscard]] std::vector<CombinationRow> runErrorCombination(
     const std::vector<circuits::SynthesizedDesign>& designs,
     std::span<const double> cprPercents, const RunOptions& options);
@@ -98,7 +100,9 @@ struct PredictionOptions {
 };
 
 /// Figs. 7-8: train the bit-level model per (design, CPR), evaluate ABPER
-/// and AVPE on held-out cycles.
+/// and AVPE on held-out cycles. Throws core::StatusError(InvalidInput)
+/// before any cell runs when `testCycles` < 2, or `trainCycles` < 2 while
+/// the cells train (no `modelIn`).
 [[nodiscard]] std::vector<PredictionRow> runPredictionEvaluation(
     const std::vector<circuits::SynthesizedDesign>& designs,
     std::span<const double> cprPercents, const PredictionOptions& options);
@@ -111,6 +115,7 @@ struct BitDistributionResult {
   std::vector<double> timingRate;
 };
 
+/// Throws core::StatusError(InvalidInput) when `options.cycles` is 0.
 [[nodiscard]] BitDistributionResult runBitDistribution(
     const circuits::SynthesizedDesign& design, double cprPercent,
     const RunOptions& options);
@@ -121,5 +126,11 @@ struct BitDistributionResult {
 /// through here.
 void runCampaignGrid(std::size_t count, const RunOptions& options,
                      const std::function<void(std::size_t)>& task);
+
+/// Throws core::StatusError(InvalidInput), naming `pipeline` and
+/// `option`, when `value` < `minimum`: the pipelines' check on their
+/// cycle counts before any cell runs.
+void requireAtLeast(const char* pipeline, const char* option,
+                    std::uint64_t value, std::uint64_t minimum);
 
 }  // namespace oisa::experiments

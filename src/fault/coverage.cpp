@@ -227,8 +227,8 @@ CoverageResult runCoverage(const FaultUniverse& universe,
   std::vector<std::optional<bool>> held(
       universe.compiled()->inputNets().size());
   std::vector<std::uint8_t> untestable(classes.size(), 0);
-  // The classes each swept block simulates: neither flagged nor, when
-  // dropping, detected. Empty means nothing is left to find.
+  // The classes each swept block simulates: neither flagged nor detected.
+  // Empty means nothing is left to find.
   std::vector<std::uint32_t> live;
   std::vector<std::uint32_t> undetected;
   std::uint64_t recomputes = 0;
@@ -246,9 +246,7 @@ CoverageResult runCoverage(const FaultUniverse& universe,
       std::fill(untestable.begin(), untestable.end(), std::uint8_t{0});
       live.clear();
       for (std::uint32_t ci = 0; ci < classes.size(); ++ci) {
-        if (!options.dropDetected || result.detected[ci] == 0) {
-          live.push_back(ci);
-        }
+        if (result.detected[ci] == 0) live.push_back(ci);
       }
     }
     // For byte-identity with the 64-lane reference the applied-pattern
@@ -264,7 +262,6 @@ CoverageResult runCoverage(const FaultUniverse& universe,
     }
     for (const std::uint32_t ci : live) {
       engine.detectLanesInto(classes[ci], det);
-      if (result.detected[ci] != 0) continue;
       std::size_t j = 0;
       while (j < kWords && det[j] == 0) ++j;
       if (j == kWords) continue;
@@ -285,8 +282,7 @@ CoverageResult runCoverage(const FaultUniverse& universe,
       ++recomputes;
     }
     std::erase_if(live, [&](std::uint32_t ci) {
-      return untestable[ci] != 0 ||
-             (options.dropDetected && result.detected[ci] != 0);
+      return untestable[ci] != 0 || result.detected[ci] != 0;
     });
     if (result.detectedClasses == result.collapsedClasses) {
       result.patternsApplied +=
@@ -308,6 +304,8 @@ CoverageResult runCoverage(const FaultUniverse& universe,
       std::count(untestable.begin(), untestable.end(), std::uint8_t{1}));
   span.arg("swept", swept);
   span.arg("skipped", skipped);
+  span.arg("untestable", flagged);
+  span.arg("recomputes", recomputes);
   faultsSimulated.add(engine.faultsSimulated() - faults0);
   gateEvals.add(engine.gateEvaluations() - evals0);
   skips.add(engine.activationSkips() - skips0);

@@ -2,11 +2,11 @@
 //
 // Drives a PPSFP engine over a stream of W-pattern blocks and tracks
 // which collapsed fault classes have been detected. Detected classes are
-// dropped from later blocks by default (classic fault dropping — the
-// bulk of the universe falls in the first few blocks, so dropping turns
-// the campaign cost from classes x blocks into roughly classes +
-// hard-fault tails). The detected set is independent of dropping; only
-// the work saved changes.
+// dropped from later blocks (classic fault dropping — the bulk of the
+// universe falls in the first few blocks, so dropping turns the campaign
+// cost from classes x blocks into roughly classes + hard-fault tails).
+// The detected set is independent of dropping; only the work saved
+// changes.
 //
 // Nor is a class simulated while no pattern applied so far could detect
 // it. After each block the campaign narrows the *held set*: the primary
@@ -22,16 +22,17 @@
 // sweeping. Every pattern applied while a class is flagged honours the
 // held set it was flagged under, so skipping it changes no detected
 // flag, first-detection index or pattern count: CoverageResult equals a
-// campaign that simulates every class.
+// campaign that simulates every class on every block.
 //
-// The campaign accepts any engine width through AnyPpsfpEngine and keeps
-// its results byte-identical to the 64-lane reference: patterns stream
-// through the block in sub-block-major lane order (pattern p of a block
-// sits in bit p%64 of sub-word p/64), first-detection indices are read
-// off the earliest detecting sub-word, and the applied-pattern counter
-// advances per 64-pattern sub-block — so CoverageResult is a pure
-// function of the pattern stream, not of the engine width. A pattern
-// source that packs one word per input is a 64-lane source: run it on
+// The campaign takes its engine as an argument — any variant
+// makePpsfpEngine builds, through AnyPpsfpEngine — and keeps its results
+// byte-identical to the 64-lane reference: patterns stream through the
+// block in sub-block-major lane order (pattern p of a block sits in bit
+// p%64 of sub-word p/64), first-detection indices are read off the
+// earliest detecting sub-word, and the applied-pattern counter advances
+// per 64-pattern sub-block — so CoverageResult is a pure function of the
+// pattern stream, not of the engine width. A pattern source that packs
+// one word per input is a 64-lane source: run it on
 // makePpsfpEngine(compiled, {}), the 64-lane engine.
 #pragma once
 
@@ -50,7 +51,6 @@ namespace oisa::fault {
 struct CoverageOptions {
   std::uint64_t patterns = 1 << 14;  ///< stimuli to apply
   std::uint64_t seed = 1;            ///< RNG seed (random-pattern campaigns)
-  bool dropDetected = true;          ///< classic fault dropping
 };
 
 /// Campaign result over the collapsed universe.

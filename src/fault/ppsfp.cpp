@@ -2,10 +2,6 @@
 
 namespace oisa::fault {
 
-// The 64-lane reference plus the portable wide fallbacks; intrinsic widths
-// are instantiated only in ppsfp_avx2.cpp / ppsfp_avx512.cpp.
-template class PpsfpEngineT<netlist::LaneBlock<64>>;
-template class PpsfpEngineT<netlist::LaneBlock<256>>;
-template class PpsfpEngineT<netlist::LaneBlock<512>>;
+template class PpsfpEngineT<netlist::LaneBlock64>;
 
 }  // namespace oisa::fault

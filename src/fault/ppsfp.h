@@ -25,8 +25,11 @@
 // The template parameter is a netlist::LaneBlock; the 64-lane `PpsfpEngine`
 // alias is the canonical reference (bit-exact against the serial
 // single-pattern SerialFaultSimulator, asserted by tests/fault_sim_test.cpp
-// on random netlists, c17 and all twelve paper designs), and wider widths
-// are proven bit-exact against it by tests/lane_width_test.cpp.
+// on random netlists, c17 and all twelve paper designs), and the AVX2 and
+// AVX-512 variants are proven bit-exact against it by
+// tests/lane_width_test.cpp. Every instantiation implements AnyPpsfpEngine,
+// the width-erased interface the coverage campaigns hold; the runtime
+// factory lives in fault/ppsfp_dispatch.h.
 #pragma once
 
 #include <algorithm>
@@ -43,9 +46,36 @@
 
 namespace oisa::fault {
 
+/// Width-erased PpsfpEngineT. Pattern spans are input-major with
+/// wordsPerNet() uint64 words per primary input; detection spans hold
+/// wordsPerNet() words (bit L of sub-word j = pattern 64j+L detects).
+class AnyPpsfpEngine {
+ public:
+  virtual ~AnyPpsfpEngine() = default;
+
+  [[nodiscard]] virtual std::size_t lanes() const noexcept = 0;
+  [[nodiscard]] virtual std::size_t wordsPerNet() const noexcept = 0;
+  virtual void loadPatterns(std::span<const std::uint64_t> inputWords,
+                            std::size_t patternCount) = 0;
+  virtual void detectLanesInto(const Fault& f,
+                               std::span<std::uint64_t> out) = 0;
+  [[nodiscard]] virtual std::uint64_t faultsSimulated() const noexcept = 0;
+  [[nodiscard]] virtual std::uint64_t gateEvaluations() const noexcept = 0;
+  [[nodiscard]] virtual std::uint64_t activationSkips() const noexcept = 0;
+  [[nodiscard]] virtual const std::shared_ptr<const netlist::CompiledNetlist>&
+  compiled() const noexcept = 0;
+
+ protected:
+  AnyPpsfpEngine() = default;
+  AnyPpsfpEngine(const AnyPpsfpEngine&) = default;
+  AnyPpsfpEngine(AnyPpsfpEngine&&) = default;
+  AnyPpsfpEngine& operator=(const AnyPpsfpEngine&) = default;
+  AnyPpsfpEngine& operator=(AnyPpsfpEngine&&) = default;
+};
+
 /// W-pattern single-fault propagation engine over one compiled netlist.
 template <class Block>
-class PpsfpEngineT {
+class PpsfpEngineT final : public AnyPpsfpEngine {
  public:
   /// Patterns carried per sweep.
   static constexpr std::size_t kLanes = Block::kBits;
@@ -95,7 +125,7 @@ class PpsfpEngineT {
   /// sub-word j = pattern 64j+L's value. `patternCount` < kLanes masks
   /// the unused high lanes out of detection.
   void loadPatterns(std::span<const std::uint64_t> inputWords,
-                    std::size_t patternCount = kLanes) {
+                    std::size_t patternCount = kLanes) override {
     const auto pis = compiled_->inputNets();
     if (inputWords.size() != pis.size() * kWords) {
       throw std::invalid_argument(
@@ -159,7 +189,8 @@ class PpsfpEngineT {
 
   /// Width-generic detection: writes kWords words into `out`; bit L of
   /// sub-word j is set when pattern 64j+L detects the fault.
-  void detectLanesInto(const Fault& f, std::span<std::uint64_t> out) {
+  void detectLanesInto(const Fault& f,
+                       std::span<std::uint64_t> out) override {
     if (out.size() != kWords) {
       throw std::invalid_argument(
           "PpsfpEngine::detectLanesInto: expected " +
@@ -170,22 +201,26 @@ class PpsfpEngineT {
 
   /// Faults simulated and faulty-cone gate evaluations since
   /// construction (perf counters for benches and reports).
-  [[nodiscard]] std::uint64_t faultsSimulated() const noexcept {
+  [[nodiscard]] std::uint64_t faultsSimulated() const noexcept override {
     return faultCount_;
   }
-  [[nodiscard]] std::uint64_t gateEvaluations() const noexcept {
+  [[nodiscard]] std::uint64_t gateEvaluations() const noexcept override {
     return evalCount_;
   }
   /// Faults skipped by the activation fast exit (forced value equal to
   /// the stem's good block in every valid lane): the early-out rate the
   /// observability layer reports is activationSkips()/faultsSimulated().
-  [[nodiscard]] std::uint64_t activationSkips() const noexcept {
+  [[nodiscard]] std::uint64_t activationSkips() const noexcept override {
     return skipCount_;
   }
 
   [[nodiscard]] const std::shared_ptr<const netlist::CompiledNetlist>&
-  compiled() const noexcept {
+  compiled() const noexcept override {
     return compiled_;
+  }
+  [[nodiscard]] std::size_t lanes() const noexcept override { return kLanes; }
+  [[nodiscard]] std::size_t wordsPerNet() const noexcept override {
+    return kWords;
   }
 
  private:
@@ -305,10 +340,8 @@ class PpsfpEngineT {
 /// input, uint64 lane masks and detection words).
 using PpsfpEngine = PpsfpEngineT<netlist::LaneBlock64>;
 
-// Portable widths are instantiated once in ppsfp.cpp (baseline flags);
-// the intrinsic widths live in the per-arch dispatch TUs.
-extern template class PpsfpEngineT<netlist::LaneBlock<64>>;
-extern template class PpsfpEngineT<netlist::LaneBlock<256>>;
-extern template class PpsfpEngineT<netlist::LaneBlock<512>>;
+// The reference is instantiated once in ppsfp.cpp (baseline flags); the
+// intrinsic variants live in the per-arch dispatch TUs.
+extern template class PpsfpEngineT<netlist::LaneBlock64>;
 
 }  // namespace oisa::fault

@@ -2,61 +2,36 @@
 
 #include <stdexcept>
 
-#include "fault/ppsfp_dispatch_impl.h"
-
 namespace oisa::fault {
 
 using netlist::LaneArch;
-using netlist::LaneBlock;
 using netlist::LaneSelection;
 
 std::unique_ptr<AnyPpsfpEngine> makePpsfpEngine(
     std::shared_ptr<const netlist::CompiledNetlist> compiled) {
-  return makePpsfpEngine(std::move(compiled), netlist::selectLaneWidth());
+  return makePpsfpEngine(std::move(compiled),
+                         netlist::defaultLaneSelection());
 }
 
 std::unique_ptr<AnyPpsfpEngine> makePpsfpEngine(
     std::shared_ptr<const netlist::CompiledNetlist> compiled,
     LaneSelection sel) {
-  if (sel.arch != LaneArch::Portable &&
-      !netlist::cpuSupportsLaneArch(sel.arch)) {
+  if (!netlist::cpuSupportsLaneArch(sel.arch)) {
     throw std::invalid_argument("makePpsfpEngine: variant " +
                                 netlist::laneSelectionName(sel) +
                                 " is not runnable on this build/CPU");
   }
-  switch (sel.arch) {
-    case LaneArch::Avx2:
 #if defined(OISA_HAVE_AVX2)
-      return detail::makePpsfpEngineAvx2(std::move(compiled));
-#else
-      break;
-#endif
-    case LaneArch::Avx512:
-#if defined(OISA_HAVE_AVX512)
-      return detail::makePpsfpEngineAvx512(std::move(compiled));
-#else
-      break;
-#endif
-    case LaneArch::Portable:
-      switch (sel.width) {
-        case 64:
-          return std::make_unique<
-              detail::PpsfpEngineAdapter<LaneBlock<64>>>(
-              std::move(compiled));
-        case 256:
-          return std::make_unique<
-              detail::PpsfpEngineAdapter<LaneBlock<256>>>(
-              std::move(compiled));
-        case 512:
-          return std::make_unique<
-              detail::PpsfpEngineAdapter<LaneBlock<512>>>(
-              std::move(compiled));
-        default: break;
-      }
-      break;
+  if (sel.arch == LaneArch::Avx2) {
+    return detail::makePpsfpEngineAvx2(std::move(compiled));
   }
-  throw std::invalid_argument("makePpsfpEngine: unsupported variant " +
-                              netlist::laneSelectionName(sel));
+#endif
+#if defined(OISA_HAVE_AVX512)
+  if (sel.arch == LaneArch::Avx512) {
+    return detail::makePpsfpEngineAvx512(std::move(compiled));
+  }
+#endif
+  return std::make_unique<PpsfpEngine>(std::move(compiled));
 }
 
 }  // namespace oisa::fault

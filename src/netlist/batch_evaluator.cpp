@@ -17,12 +17,6 @@ std::shared_ptr<const CompiledNetlist> requireAcyclicBatch(
 
 }  // namespace detail
 
-// The reference width plus the portable wide fallbacks used by the runtime
-// dispatcher on machines without the matching vector ISA. The intrinsic
-// widths are instantiated only in the per-arch dispatch TUs
-// (lane_simd_avx2.cpp / lane_simd_avx512.cpp).
-template class BatchEvaluatorT<LaneBlock<64>>;
-template class BatchEvaluatorT<LaneBlock<256>>;
-template class BatchEvaluatorT<LaneBlock<512>>;
+template class BatchEvaluatorT<LaneBlock64>;
 
 }  // namespace oisa::netlist

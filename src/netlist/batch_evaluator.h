@@ -8,14 +8,16 @@
 // W x for functional Monte-Carlo sampling, equivalence checking and
 // workload replay.
 //
-// The engine is a template over netlist::LaneBlock (64-bit scalar, 256-bit
-// AVX2, 512-bit AVX-512, or any portable multiple-of-64 width); the
-// original 64-lane engine is the `BatchEvaluator` alias and stays the
-// canonical reference. Data planes are flat uint64 vectors with kWords
-// words per net (input-major: net n's lanes live at [n*kWords,
-// (n+1)*kWords)), so slicing a wide run into 64-lane sub-runs is a stride
-// — the property tests/lane_width_test.cpp uses to prove every width
-// bit-exact against the reference.
+// The engine is a template over netlist::LaneBlock, instantiated three
+// times: the 64-lane `BatchEvaluator` alias (the canonical reference) and
+// the AVX2 (256-lane) and AVX-512 (512-lane) variants the runtime
+// dispatcher (netlist/lane_width.h) builds. Each instantiation implements
+// AnyBatchEvaluator, the width-erased interface the experiment layer
+// holds. Data planes are flat uint64 vectors with kWords words per net
+// (input-major: net n's lanes live at [n*kWords, (n+1)*kWords)), so
+// slicing a wide run into 64-lane sub-runs is a stride — the property
+// tests/lane_width_test.cpp uses to prove every width bit-exact against
+// the reference.
 //
 // Runs over the shared netlist::CompiledNetlist substrate (dense gate
 // records + cached topological order), so it can share one compile with the
@@ -75,6 +77,31 @@ namespace detail {
 
 }  // namespace detail
 
+/// Width-erased BatchEvaluatorT: the interface TraceCollector and the
+/// experiment pipelines program against. Spans are input-/output-/net-major
+/// with wordsPerNet() uint64 words per port or net; sub-word j of a net
+/// holds lanes [64j, 64j + 64).
+class AnyBatchEvaluator {
+ public:
+  virtual ~AnyBatchEvaluator() = default;
+
+  [[nodiscard]] virtual std::size_t lanes() const noexcept = 0;
+  [[nodiscard]] virtual std::size_t wordsPerNet() const noexcept = 0;
+  virtual void evaluateInto(std::span<const std::uint64_t> inputWords,
+                            std::vector<std::uint64_t>& values) const = 0;
+  virtual void evaluateOutputsInto(std::span<const std::uint64_t> inputWords,
+                                   std::vector<std::uint64_t>& out) const = 0;
+  [[nodiscard]] virtual const std::shared_ptr<const CompiledNetlist>&
+  compiled() const noexcept = 0;
+
+ protected:
+  AnyBatchEvaluator() = default;
+  AnyBatchEvaluator(const AnyBatchEvaluator&) = default;
+  AnyBatchEvaluator(AnyBatchEvaluator&&) = default;
+  AnyBatchEvaluator& operator=(const AnyBatchEvaluator&) = default;
+  AnyBatchEvaluator& operator=(AnyBatchEvaluator&&) = default;
+};
+
 /// Reusable W-lane evaluator over a compiled netlist.
 ///
 /// Two layouts are supported:
@@ -86,7 +113,7 @@ namespace detail {
 ///    words in the Evaluator::evaluateWord convention (bit i = primary
 ///    input i) and transposes internally. Requires <= 64 inputs/outputs.
 template <class Block>
-class BatchEvaluatorT {
+class BatchEvaluatorT final : public AnyBatchEvaluator {
  public:
   /// Number of patterns evaluated per sweep.
   static constexpr std::size_t kLanes = Block::kBits;
@@ -118,7 +145,7 @@ class BatchEvaluatorT {
   /// Like evaluate() but writes into `values` (resized to
   /// netCount() * kWords), avoiding per-batch allocation in hot loops.
   void evaluateInto(std::span<const std::uint64_t> inputWords,
-                    std::vector<std::uint64_t>& values) const {
+                    std::vector<std::uint64_t>& values) const override {
     const auto pis = compiled_->inputNets();
     if (inputWords.size() != pis.size() * kWords) {
       throw std::invalid_argument(
@@ -144,15 +171,23 @@ class BatchEvaluatorT {
   /// (declaration order, output-major).
   [[nodiscard]] std::vector<std::uint64_t> evaluateOutputs(
       std::span<const std::uint64_t> inputWords) const {
+    std::vector<std::uint64_t> out;
+    evaluateOutputsInto(inputWords, out);
+    return out;
+  }
+
+  /// Like evaluateOutputs() but writes into `out` (resized to
+  /// outputCount * kWords).
+  void evaluateOutputsInto(std::span<const std::uint64_t> inputWords,
+                           std::vector<std::uint64_t>& out) const override {
     const auto values = evaluate(inputWords);
     const auto pos = compiled_->outputNets();
-    std::vector<std::uint64_t> out(pos.size() * kWords);
+    out.resize(pos.size() * kWords);
     for (std::size_t i = 0; i < pos.size(); ++i) {
       for (std::size_t j = 0; j < kWords; ++j) {
         out[i * kWords + j] = values[std::size_t{pos[i]} * kWords + j];
       }
     }
-    return out;
   }
 
   /// Pattern-major batch counterpart of Evaluator::evaluateWord: element p
@@ -216,8 +251,12 @@ class BatchEvaluatorT {
     return compiled_->source();
   }
   [[nodiscard]] const std::shared_ptr<const CompiledNetlist>& compiled()
-      const noexcept {
+      const noexcept override {
     return compiled_;
+  }
+  [[nodiscard]] std::size_t lanes() const noexcept override { return kLanes; }
+  [[nodiscard]] std::size_t wordsPerNet() const noexcept override {
+    return kWords;
   }
 
  private:
@@ -228,12 +267,11 @@ class BatchEvaluatorT {
 /// net, one word per input/output).
 using BatchEvaluator = BatchEvaluatorT<LaneBlock64>;
 
-// Portable widths are instantiated once in batch_evaluator.cpp (compiled
+// The reference is instantiated once in batch_evaluator.cpp (compiled
 // with the baseline flags) so TUs built with wider -m flags never emit
-// portable-width code — that keeps the dispatch binaries runnable on
-// x86-64-v2-only hosts.
-extern template class BatchEvaluatorT<LaneBlock<64>>;
-extern template class BatchEvaluatorT<LaneBlock<256>>;
-extern template class BatchEvaluatorT<LaneBlock<512>>;
+// its code — that keeps the dispatch binaries runnable on x86-64-v2-only
+// hosts. The intrinsic variants are instantiated only in the per-arch
+// dispatch TUs (lane_simd_avx2.cpp / lane_simd_avx512.cpp).
+extern template class BatchEvaluatorT<LaneBlock64>;
 
 }  // namespace oisa::netlist

@@ -11,10 +11,11 @@
 // differential tests use to prove every width bit-exact against the
 // 64-lane reference engines.
 //
-// Three architectures:
+// Three architectures, each with one width in the shipped engines:
 //  * LaneArch::Portable — std::uint64_t[kWords] with plain loops; valid
 //    for any W and the only variant normal translation units may
-//    instantiate. The 64-bit portable block is the canonical reference.
+//    instantiate. The engines instantiate it at W=64 only: the 64-bit
+//    portable block is the canonical reference.
 //  * LaneArch::Avx2 — W=256 as one __m256i; defined only when the
 //    including TU is compiled with -mavx2 (the dedicated dispatch TUs).
 //  * LaneArch::Avx512 — W=512 as one __m512i; defined only under

@@ -2,14 +2,13 @@
 // -mavx512f. Same minimality rule as lane_simd_avx2.cpp.
 #if defined(__AVX512F__)
 
-#include "netlist/lane_width_impl.h"
+#include "netlist/lane_width.h"
 
 namespace oisa::netlist::detail {
 
 std::unique_ptr<AnyBatchEvaluator> makeBatchEvaluatorAvx512(
     std::shared_ptr<const CompiledNetlist> compiled) {
-  return std::make_unique<
-      BatchEvaluatorAdapter<LaneBlock<512, LaneArch::Avx512>>>(
+  return std::make_unique<BatchEvaluatorT<LaneBlock<512, LaneArch::Avx512>>>(
       std::move(compiled));
 }
 

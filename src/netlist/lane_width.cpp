@@ -1,18 +1,13 @@
 #include "netlist/lane_width.h"
 
-#include <cstdlib>
 #include <stdexcept>
-
-#include "netlist/lane_width_impl.h"
 
 namespace oisa::netlist {
 
 std::string laneSelectionName(LaneSelection sel) {
-  std::string name = std::to_string(sel.width);
+  std::string name = std::to_string(sel.lanes());
   switch (sel.arch) {
-    case LaneArch::Portable:
-      if (sel.width > 64) name += "-portable";
-      break;
+    case LaneArch::Portable: break;
     case LaneArch::Avx2: name += "-avx2"; break;
     case LaneArch::Avx512: name += "-avx512"; break;
   }
@@ -40,99 +35,40 @@ bool cpuSupportsLaneArch(LaneArch arch) {
 
 std::vector<LaneSelection> availableLaneSelections() {
   std::vector<LaneSelection> out;
-  out.push_back({64, LaneArch::Portable});
-  out.push_back({256, LaneArch::Portable});
-  if (cpuSupportsLaneArch(LaneArch::Avx2)) {
-    out.push_back({256, LaneArch::Avx2});
-  }
-  out.push_back({512, LaneArch::Portable});
-  if (cpuSupportsLaneArch(LaneArch::Avx512)) {
-    out.push_back({512, LaneArch::Avx512});
+  for (const LaneArch arch :
+       {LaneArch::Portable, LaneArch::Avx2, LaneArch::Avx512}) {
+    if (cpuSupportsLaneArch(arch)) out.push_back({arch});
   }
   return out;
 }
 
 LaneSelection defaultLaneSelection() {
-  if (cpuSupportsLaneArch(LaneArch::Avx512)) return {512, LaneArch::Avx512};
-  if (cpuSupportsLaneArch(LaneArch::Avx2)) return {256, LaneArch::Avx2};
-  return {64, LaneArch::Portable};
-}
-
-LaneSelection parseLaneWidthSpec(std::string_view spec) {
-  if (spec == "64") return {64, LaneArch::Portable};
-  if (spec == "256") {
-    return cpuSupportsLaneArch(LaneArch::Avx2)
-               ? LaneSelection{256, LaneArch::Avx2}
-               : LaneSelection{256, LaneArch::Portable};
-  }
-  if (spec == "512") {
-    return cpuSupportsLaneArch(LaneArch::Avx512)
-               ? LaneSelection{512, LaneArch::Avx512}
-               : LaneSelection{512, LaneArch::Portable};
-  }
-  if (spec == "portable" || spec == "portable256") {
-    return {256, LaneArch::Portable};
-  }
-  if (spec == "portable512") return {512, LaneArch::Portable};
-  throw std::invalid_argument(
-      std::string(kLaneWidthEnvVar) + ": unknown lane width spec \"" +
-      std::string(spec) +
-      "\" (expected 64, 256, 512, portable, portable256 or portable512)");
-}
-
-LaneSelection selectLaneWidth() {
-  if (const char* spec = std::getenv(kLaneWidthEnvVar);
-      spec != nullptr && spec[0] != '\0') {
-    return parseLaneWidthSpec(spec);
-  }
-  return defaultLaneSelection();
+  return availableLaneSelections().back();
 }
 
 std::unique_ptr<AnyBatchEvaluator> makeBatchEvaluator(
     std::shared_ptr<const CompiledNetlist> compiled) {
-  return makeBatchEvaluator(std::move(compiled), selectLaneWidth());
+  return makeBatchEvaluator(std::move(compiled), defaultLaneSelection());
 }
 
 std::unique_ptr<AnyBatchEvaluator> makeBatchEvaluator(
     std::shared_ptr<const CompiledNetlist> compiled, LaneSelection sel) {
-  if (sel.arch != LaneArch::Portable && !cpuSupportsLaneArch(sel.arch)) {
+  if (!cpuSupportsLaneArch(sel.arch)) {
     throw std::invalid_argument("makeBatchEvaluator: variant " +
                                 laneSelectionName(sel) +
                                 " is not runnable on this build/CPU");
   }
-  switch (sel.arch) {
-    case LaneArch::Avx2:
 #if defined(OISA_HAVE_AVX2)
-      return detail::makeBatchEvaluatorAvx2(std::move(compiled));
-#else
-      break;
-#endif
-    case LaneArch::Avx512:
-#if defined(OISA_HAVE_AVX512)
-      return detail::makeBatchEvaluatorAvx512(std::move(compiled));
-#else
-      break;
-#endif
-    case LaneArch::Portable:
-      switch (sel.width) {
-        case 64:
-          return std::make_unique<
-              detail::BatchEvaluatorAdapter<LaneBlock<64>>>(
-              std::move(compiled));
-        case 256:
-          return std::make_unique<
-              detail::BatchEvaluatorAdapter<LaneBlock<256>>>(
-              std::move(compiled));
-        case 512:
-          return std::make_unique<
-              detail::BatchEvaluatorAdapter<LaneBlock<512>>>(
-              std::move(compiled));
-        default: break;
-      }
-      break;
+  if (sel.arch == LaneArch::Avx2) {
+    return detail::makeBatchEvaluatorAvx2(std::move(compiled));
   }
-  throw std::invalid_argument("makeBatchEvaluator: unsupported variant " +
-                              laneSelectionName(sel));
+#endif
+#if defined(OISA_HAVE_AVX512)
+  if (sel.arch == LaneArch::Avx512) {
+    return detail::makeBatchEvaluatorAvx512(std::move(compiled));
+  }
+#endif
+  return std::make_unique<BatchEvaluator>(std::move(compiled));
 }
 
 }  // namespace oisa::netlist

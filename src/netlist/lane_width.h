@@ -1,21 +1,16 @@
-// oisa_netlist: runtime lane-width selection + the type-erased evaluator.
+// oisa_netlist: runtime lane-width selection.
 //
 // The two templated engines (BatchEvaluatorT, fault::PpsfpEngineT) are
-// compile-time constructs; this header is the runtime face: a
-// LaneSelection names a (width, arch) pair, the dispatcher picks the
-// widest one the CPU supports (AVX-512 -> 512, AVX2 -> 256, else the
-// 64-lane reference), and the OISA_FORCE_LANE_WIDTH environment variable
-// overrides it for testing:
+// compile-time constructs; this header is the runtime face. A
+// LaneSelection names one engine variant by its arch, and the arch fixes
+// the width: the 64-lane portable reference, 256 lanes on AVX2, 512 on
+// AVX-512. The CPU alone picks the default, the widest variant it
+// supports. Tests and micro benches build the other variants the host can
+// run by passing a LaneSelection to the factories explicitly.
 //
-//   OISA_FORCE_LANE_WIDTH=64          reference engine
-//   OISA_FORCE_LANE_WIDTH=256 / 512   vector width (falls back to the
-//                                     portable variant without CPU support)
-//   OISA_FORCE_LANE_WIDTH=portable    256-bit portable fallback
-//   OISA_FORCE_LANE_WIDTH=portable256 / portable512   explicit portables
-//
-// AnyBatchEvaluator is the width-erased evaluator the experiment layer
-// holds; the fault layer has the matching AnyPpsfpEngine
-// (fault/ppsfp_dispatch.h). Both speak flat uint64 spans with
+// AnyBatchEvaluator (netlist/batch_evaluator.h) is the width-erased
+// evaluator the experiment layer holds; the fault layer has the matching
+// AnyPpsfpEngine (fault/ppsfp.h). Both speak flat uint64 spans with
 // wordsPerNet() words per net, so the 64-lane data layout generalizes by
 // a stride, not a new format. The timed lane wheel (timing/lane_sim.h)
 // has one width, 64 lanes, and no dispatch.
@@ -23,79 +18,49 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "netlist/batch_evaluator.h"
 #include "netlist/compiled_netlist.h"
 #include "netlist/lane_block.h"
 
 namespace oisa::netlist {
 
-/// Environment variable consulted by selectLaneWidth().
-inline constexpr const char* kLaneWidthEnvVar = "OISA_FORCE_LANE_WIDTH";
-
-/// One dispatchable engine variant: a lane width and the implementation
-/// flavor carrying it.
+/// One dispatchable engine variant. The arch fixes the lane count:
+/// 64 portable, 256 AVX2, 512 AVX-512.
 struct LaneSelection {
-  std::size_t width = 64;
   LaneArch arch = LaneArch::Portable;
 
+  [[nodiscard]] std::size_t lanes() const noexcept {
+    return arch == LaneArch::Avx512 ? 512 : arch == LaneArch::Avx2 ? 256 : 64;
+  }
   [[nodiscard]] std::size_t wordsPerNet() const noexcept {
-    return width / 64;
+    return lanes() / 64;
   }
   [[nodiscard]] friend bool operator==(const LaneSelection&,
                                        const LaneSelection&) noexcept =
       default;
 };
 
-/// Human-readable name, e.g. "64", "256-avx2", "512-portable".
+/// Human-readable name: "64", "256-avx2" or "512-avx512".
 [[nodiscard]] std::string laneSelectionName(LaneSelection sel);
 
 /// True when this CPU can execute the given flavor (Portable: always).
 [[nodiscard]] bool cpuSupportsLaneArch(LaneArch arch);
 
-/// Every variant instantiable on this build + CPU, narrowest first. The
-/// 64-lane reference is always element 0; intrinsic variants appear only
-/// when both the build flags and the CPU support them.
+/// Every variant this build + CPU can run, narrowest first. The 64-lane
+/// reference is always element 0; intrinsic variants appear only when
+/// both the build flags and the CPU support them.
 [[nodiscard]] std::vector<LaneSelection> availableLaneSelections();
 
-/// The widest intrinsic variant this CPU supports, else the 64-lane
-/// reference. (Portable wide variants are never chosen by default: without
-/// vector units they are strictly more work per sweep than 64 lanes.)
+/// The widest variant this CPU supports: the last element of
+/// availableLaneSelections().
 [[nodiscard]] LaneSelection defaultLaneSelection();
 
-/// Parses an OISA_FORCE_LANE_WIDTH value. Throws std::invalid_argument on
-/// an unknown spec. Forced 256/512 degrade to the portable variant when
-/// the build or CPU lacks the vector ISA.
-[[nodiscard]] LaneSelection parseLaneWidthSpec(std::string_view spec);
-
-/// defaultLaneSelection(), unless OISA_FORCE_LANE_WIDTH overrides it. Reads
-/// the environment on every call so tests can flip widths mid-process.
-[[nodiscard]] LaneSelection selectLaneWidth();
-
-/// Width-erased BatchEvaluatorT: the interface TraceCollector and the
-/// experiment pipelines program against. Spans are input-/output-/net-major
-/// with wordsPerNet() uint64 words per port or net; sub-word j of a net
-/// holds lanes [64j, 64j + 64).
-class AnyBatchEvaluator {
- public:
-  virtual ~AnyBatchEvaluator() = default;
-
-  [[nodiscard]] virtual std::size_t lanes() const noexcept = 0;
-  [[nodiscard]] virtual std::size_t wordsPerNet() const noexcept = 0;
-  [[nodiscard]] virtual LaneSelection selection() const noexcept = 0;
-  virtual void evaluateInto(std::span<const std::uint64_t> inputWords,
-                            std::vector<std::uint64_t>& values) const = 0;
-  virtual void evaluateOutputsInto(std::span<const std::uint64_t> inputWords,
-                                   std::vector<std::uint64_t>& out) const = 0;
-  [[nodiscard]] virtual const std::shared_ptr<const CompiledNetlist>&
-  compiled() const noexcept = 0;
-};
-
-/// Builds the evaluator variant for `sel` (default: selectLaneWidth()).
-/// Throws std::invalid_argument for a variant this build/CPU cannot run.
+/// Builds the evaluator variant for `sel` (default:
+/// defaultLaneSelection()). Throws std::invalid_argument for a variant
+/// this build/CPU cannot run.
 [[nodiscard]] std::unique_ptr<AnyBatchEvaluator> makeBatchEvaluator(
     std::shared_ptr<const CompiledNetlist> compiled);
 [[nodiscard]] std::unique_ptr<AnyBatchEvaluator> makeBatchEvaluator(

@@ -66,10 +66,6 @@ void setMetricsEnabled(bool enabled) noexcept {
   detail::gMetricsEnabled.store(enabled, std::memory_order_relaxed);
 }
 
-bool metricsEnabled() noexcept {
-  return detail::gMetricsEnabled.load(std::memory_order_relaxed);
-}
-
 MetricsSnapshot snapshotMetrics() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);

@@ -148,7 +148,6 @@ struct MetricsSnapshot {
 /// Master switch. Off (the default is ON) every update degenerates to a
 /// relaxed load + branch; micro_obs measures exactly this "stripped" mode.
 void setMetricsEnabled(bool enabled) noexcept;
-[[nodiscard]] bool metricsEnabled() noexcept;
 
 /// Aggregates every registered metric (registry order = name order).
 [[nodiscard]] MetricsSnapshot snapshotMetrics();

@@ -18,6 +18,7 @@ namespace {
 std::atomic<bool> gTracing{false};
 std::atomic<TraceRing*> gRing{nullptr};
 std::atomic<std::int64_t> gSessionStartNs{0};
+std::atomic<std::uint64_t> gDroppedArgs{0};  // this session's, see arg()
 
 // Rings are retired, never freed: a span racing stopTracing() may still
 // hold the old pointer, and the handful of sessions a process starts
@@ -58,12 +59,11 @@ ThreadTraceState& threadTraceState() noexcept {
 
 void pushEvent(const char* name, const char* cat, std::uint64_t tsUs,
                std::uint64_t durUs, std::uint32_t depth,
-               const std::array<const char*, 2>& argKeys,
-               const std::array<std::uint64_t, 2>& argValues,
-               char phase) noexcept {
+               const TraceEvent::ArgKeys& argKeys,
+               const TraceEvent::ArgValues& argValues) noexcept {
   TraceRing* ring = gRing.load(std::memory_order_acquire);
   if (ring == nullptr) return;
-  TraceEvent ev;
+  TraceEvent ev{};
   std::strncpy(ev.name, name, TraceEvent::kNameCapacity - 1);
   ev.name[TraceEvent::kNameCapacity - 1] = '\0';
   ev.cat = cat;
@@ -73,7 +73,6 @@ void pushEvent(const char* name, const char* cat, std::uint64_t tsUs,
   ev.depth = depth;
   ev.argKeys = argKeys;
   ev.argValues = argValues;
-  ev.phase = phase;
   (void)ring->tryPush(ev);  // full ring => counted drop, never a stall
 }
 
@@ -83,24 +82,25 @@ TraceRing::TraceRing(std::size_t capacity) {
   const std::size_t cap = std::bit_ceil(capacity < 8 ? std::size_t{8}
                                                      : capacity);
   mask_ = cap - 1;
-  slots_ = std::make_unique<Slot[]>(cap);
+  seq_ = std::make_unique<std::atomic<std::uint64_t>[]>(cap);
+  events_ = std::make_unique_for_overwrite<TraceEvent[]>(cap);
   for (std::size_t i = 0; i < cap; ++i) {
-    slots_[i].seq.store(i, std::memory_order_relaxed);
+    seq_[i].store(i, std::memory_order_relaxed);
   }
 }
 
 bool TraceRing::tryPush(const TraceEvent& ev) noexcept {
   std::uint64_t pos = head_.load(std::memory_order_relaxed);
   for (;;) {
-    Slot& slot = slots_[pos & mask_];
-    const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
+    std::atomic<std::uint64_t>& slotSeq = seq_[pos & mask_];
+    const std::uint64_t seq = slotSeq.load(std::memory_order_acquire);
     const std::int64_t dif =
         static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos);
     if (dif == 0) {
       if (head_.compare_exchange_weak(pos, pos + 1,
                                       std::memory_order_relaxed)) {
-        slot.ev = ev;
-        slot.seq.store(pos + 1, std::memory_order_release);
+        events_[pos & mask_] = ev;
+        slotSeq.store(pos + 1, std::memory_order_release);
         return true;
       }
       // CAS lost: pos was reloaded; retry with the new position.
@@ -116,15 +116,15 @@ bool TraceRing::tryPush(const TraceEvent& ev) noexcept {
 bool TraceRing::tryPop(TraceEvent& out) noexcept {
   std::uint64_t pos = tail_.load(std::memory_order_relaxed);
   for (;;) {
-    Slot& slot = slots_[pos & mask_];
-    const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
+    std::atomic<std::uint64_t>& slotSeq = seq_[pos & mask_];
+    const std::uint64_t seq = slotSeq.load(std::memory_order_acquire);
     const std::int64_t dif = static_cast<std::int64_t>(seq) -
                              static_cast<std::int64_t>(pos + 1);
     if (dif == 0) {
       if (tail_.compare_exchange_weak(pos, pos + 1,
                                       std::memory_order_relaxed)) {
-        out = slot.ev;
-        slot.seq.store(pos + mask_ + 1, std::memory_order_release);
+        out = events_[pos & mask_];
+        slotSeq.store(pos + mask_ + 1, std::memory_order_release);
         return true;
       }
     } else if (dif < 0) {
@@ -146,6 +146,7 @@ void startTracing(std::size_t capacity) {
                             std::chrono::steady_clock::now().time_since_epoch())
                             .count(),
                         std::memory_order_relaxed);
+  gDroppedArgs.store(0, std::memory_order_relaxed);
   gRing.store(new TraceRing(capacity), std::memory_order_release);
   gTracing.store(true, std::memory_order_release);
 }
@@ -157,10 +158,6 @@ void stopTracing() {
     gRing.store(nullptr, std::memory_order_release);
     retiredRings().push_back(old);
   }
-}
-
-bool tracingEnabled() noexcept {
-  return gTracing.load(std::memory_order_relaxed);
 }
 
 std::uint64_t traceDropped() noexcept {
@@ -196,7 +193,7 @@ ObsSpan::~ObsSpan() {
     }
   }
   pushEvent(name_, cat_, startUs_, end > startUs_ ? end - startUs_ : 0,
-            depth_, argKeys_, argValues_, 'X');
+            depth_, argKeys_, argValues_);
 }
 
 void ObsSpan::arg(const char* key, std::uint64_t value) noexcept {
@@ -208,11 +205,7 @@ void ObsSpan::arg(const char* key, std::uint64_t value) noexcept {
       return;
     }
   }
-}
-
-void traceInstant(const char* name, const char* cat) noexcept {
-  if (!gTracing.load(std::memory_order_relaxed)) return;
-  pushEvent(name, cat, nowUs(), 0, threadTraceState().depth, {}, {}, 'i');
+  gDroppedArgs.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::string drainTraceJson() {
@@ -220,7 +213,7 @@ std::string drainTraceJson() {
   std::string out = "{\n\"traceEvents\": [";
   const int pid = static_cast<int>(::getpid());
   bool first = true;
-  TraceEvent ev;
+  TraceEvent ev{};
   std::uint64_t drained = 0;
   while (ring != nullptr && ring->tryPop(ev)) {
     if (!first) out += ',';
@@ -230,14 +223,8 @@ std::string drainTraceJson() {
     appendJsonEscaped(out, ev.name);
     out += "\", \"cat\": \"";
     appendJsonEscaped(out, ev.cat != nullptr ? ev.cat : "");
-    out += "\", \"ph\": \"";
-    out += ev.phase;
-    out += "\", \"ts\": " + std::to_string(ev.tsUs);
-    if (ev.phase == 'X') {
-      out += ", \"dur\": " + std::to_string(ev.durUs);
-    } else {
-      out += ", \"s\": \"t\"";
-    }
+    out += "\", \"ph\": \"X\", \"ts\": " + std::to_string(ev.tsUs) +
+           ", \"dur\": " + std::to_string(ev.durUs);
     out += ", \"pid\": " + std::to_string(pid) +
            ", \"tid\": " + std::to_string(ev.tid) + ", \"args\": {\"depth\": " +
            std::to_string(ev.depth);
@@ -252,6 +239,8 @@ std::string drainTraceJson() {
   out += "\n],\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {";
   out += "\"schema\": \"oisa-trace-v1\", \"dropped\": " +
          std::to_string(ring != nullptr ? ring->dropped() : 0) +
+         ", \"dropped_args\": " +
+         std::to_string(gDroppedArgs.load(std::memory_order_relaxed)) +
          ", \"drained\": " + std::to_string(drained) + "}\n}\n";
   return out;
 }

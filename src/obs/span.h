@@ -15,6 +15,9 @@
 //     practical purposes and it NEVER blocks — when the ring is full the
 //     event is counted dropped and the worker moves on. Slow or wedged
 //     trace consumers can therefore never stall a campaign.
+//   * A span carries up to four numeric arguments; any beyond that is
+//     counted, not silently lost, and the count is reported beside the
+//     dropped events.
 //   * Every thread keeps a thread-local span stack (names + depth);
 //     events record their nesting depth so a flame view reconstructs even
 //     across ring drops.
@@ -33,21 +36,25 @@
 
 namespace oisa::obs {
 
-/// Fixed-size POD trace record. `name` is copied (truncated) so spans can
-/// label themselves with stack-built strings; `cat` and the argument keys
-/// must be string literals (or otherwise outlive the tracing session).
+/// Fixed-size POD trace record of one complete span. `name` is copied
+/// (truncated) so spans can label themselves with stack-built strings;
+/// `cat` and the argument keys must be string literals (or otherwise
+/// outlive the tracing session). Trivially constructible, so the ring's
+/// event pages stay untouched until a span lands in them.
 struct TraceEvent {
   static constexpr std::size_t kNameCapacity = 48;
+  static constexpr std::size_t kArgCapacity = 4;
   char name[kNameCapacity];
-  const char* cat = nullptr;
-  std::uint64_t tsUs = 0;   ///< span start, µs since session start
-  std::uint64_t durUs = 0;  ///< span duration in µs
-  std::uint32_t tid = 0;    ///< dense per-thread id (order of first span)
-  std::uint32_t depth = 0;  ///< nesting depth at open (0 = top level)
-  /// Up to two numeric arguments; a null key marks an unused slot.
-  std::array<const char*, 2> argKeys{};
-  std::array<std::uint64_t, 2> argValues{};
-  char phase = 'X';  ///< Chrome phase: 'X' complete span, 'i' instant
+  const char* cat;
+  std::uint64_t tsUs;   ///< span start, µs since session start
+  std::uint64_t durUs;  ///< span duration in µs
+  std::uint32_t tid;    ///< dense per-thread id (order of first span)
+  std::uint32_t depth;  ///< nesting depth at open (0 = top level)
+  using ArgKeys = std::array<const char*, kArgCapacity>;
+  using ArgValues = std::array<std::uint64_t, kArgCapacity>;
+  /// Numeric arguments; a null key marks an unused slot.
+  ArgKeys argKeys;
+  ArgValues argValues;
 };
 
 /// Bounded lock-free MPMC ring (Vyukov sequence-slot queue). tryPush on a
@@ -70,11 +77,10 @@ class TraceRing {
   [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
 
  private:
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> seq;
-    TraceEvent ev;
-  };
-  std::unique_ptr<Slot[]> slots_;
+  // Sequence numbers live apart from the events: only the sequence array
+  // is written up front.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> seq_;
+  std::unique_ptr<TraceEvent[]> events_;
   std::size_t mask_;
   alignas(64) std::atomic<std::uint64_t> head_{0};  ///< next push position
   alignas(64) std::atomic<std::uint64_t> tail_{0};  ///< next pop position
@@ -89,14 +95,16 @@ void startTracing(std::size_t capacity = std::size_t{1} << 16);
 /// Disarms tracing and discards the ring. (Primarily test isolation.)
 void stopTracing();
 
-[[nodiscard]] bool tracingEnabled() noexcept;
-
 /// Events dropped by the current session's ring (0 when disarmed).
 [[nodiscard]] std::uint64_t traceDropped() noexcept;
 
-/// Drains the ring into a Chrome trace-event JSON document:
-/// {"traceEvents":[{name,cat,ph:"X",ts,dur,pid,tid,args:{...}}...],
-///  "otherData":{"schema":"oisa-trace-v1","dropped":N}}.
+/// Drains the ring into a Chrome trace-event JSON document, one event per
+/// line:
+/// {"traceEvents":[{name,cat,ph:"X",ts,dur,pid,tid,args:{depth,...}}...],
+///  "otherData":{"schema":"oisa-trace-v1","dropped":N,"dropped_args":A,
+///               "drained":D}}.
+/// `dropped_args` counts the arguments spans were given past their
+/// TraceEvent::kArgCapacity slots this session.
 [[nodiscard]] std::string drainTraceJson();
 
 /// drainTraceJson() + write to `path`.
@@ -115,7 +123,8 @@ class ObsSpan {
 
   /// Attaches a numeric argument known only once the scope has done its
   /// work, e.g. the size of what it built. `key` must be a literal; a span
-  /// carries at most two arguments and ignores any beyond that.
+  /// carries at most TraceEvent::kArgCapacity arguments and counts any
+  /// beyond that as dropped (drainTraceJson's `dropped_args`).
   void arg(const char* key, std::uint64_t value) noexcept;
 
   ObsSpan(const ObsSpan&) = delete;
@@ -127,14 +136,10 @@ class ObsSpan {
   std::uint64_t startUs_ = 0;
   const char* name_ = nullptr;
   const char* cat_ = nullptr;
-  std::array<const char*, 2> argKeys_{};
-  std::array<std::uint64_t, 2> argValues_{};
+  TraceEvent::ArgKeys argKeys_{};
+  TraceEvent::ArgValues argValues_{};
   std::uint32_t depth_ = 0;
   bool armed_ = false;
 };
-
-/// Zero-duration instant event ("i" phase in the trace): marks a moment
-/// (worker restart, checkpoint flush) rather than a scope.
-void traceInstant(const char* name, const char* cat) noexcept;
 
 }  // namespace oisa::obs

@@ -4,15 +4,6 @@
 
 namespace oisa::timing {
 
-std::string_view cornerName(Corner corner) noexcept {
-  switch (corner) {
-    case Corner::FastFast: return "FF";
-    case Corner::TypicalTypical: return "TT";
-    case Corner::SlowSlow: return "SS";
-  }
-  return "?";
-}
-
 double cornerDeratingFactor(Corner corner) noexcept {
   // Representative 65 nm spread: ~ -15% best case, +25% worst case.
   switch (corner) {

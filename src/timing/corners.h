@@ -20,8 +20,6 @@ enum class Corner {
   SlowSlow,        ///< worst case: slow process, low V, high T
 };
 
-[[nodiscard]] std::string_view cornerName(Corner corner) noexcept;
-
 /// Delay derating factor of a corner relative to typical.
 [[nodiscard]] double cornerDeratingFactor(Corner corner) noexcept;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 
 namespace oisa::timing {
 
@@ -82,18 +81,6 @@ StaResult analyze(const Netlist& nl, const DelayAnnotation& delays,
 
 double criticalDelayNs(const Netlist& nl, const DelayAnnotation& delays) {
   return analyze(nl, delays, 0.0).criticalDelayNs;
-}
-
-std::string formatCriticalPath(const Netlist& nl, const StaResult& sta) {
-  std::ostringstream os;
-  os << "critical path (" << sta.criticalDelayNs << " ns, "
-     << sta.criticalPath.size() << " stages):\n";
-  for (const PathStep& step : sta.criticalPath) {
-    const Gate& g = nl.gateAt(step.gate);
-    os << "  " << netlist::gateName(g.kind) << " -> " << nl.net(g.out).name
-       << " @ " << step.arrivalNs << " ns\n";
-  }
-  return os.str();
 }
 
 double totalArea(const Netlist& nl, const CellLibrary& lib) {

@@ -6,7 +6,6 @@
 // the clock period, matching the paper's single-cycle adder setting.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -41,10 +40,6 @@ struct StaResult {
 /// Convenience: critical delay only (period-independent).
 [[nodiscard]] double criticalDelayNs(const netlist::Netlist& nl,
                                      const DelayAnnotation& delays);
-
-/// Human-readable critical-path report (for bench/table output).
-[[nodiscard]] std::string formatCriticalPath(const netlist::Netlist& nl,
-                                             const StaResult& sta);
 
 /// Total cell area of the netlist in NAND2-equivalents.
 [[nodiscard]] double totalArea(const netlist::Netlist& nl,

@@ -21,40 +21,4 @@ double voltageEnergyFactor(double vdd, const VoltageModel& model) {
   return ratio * ratio;
 }
 
-CellLibrary libraryAtVoltage(const CellLibrary& nominal, double vdd,
-                             const VoltageModel& model) {
-  const double factor = voltageDelayFactor(vdd, model);
-  CellLibrary scaled = nominal;
-  for (const netlist::GateKind kind : netlist::allGateKinds()) {
-    CellTiming& cell = scaled.cell(kind);
-    cell.intrinsicNs *= factor;
-    cell.perFanoutNs *= factor;
-  }
-  return scaled;
-}
-
-double voltageForDelay(double nominalCriticalNs, double periodNs,
-                       const VoltageModel& model) {
-  if (nominalCriticalNs <= 0.0 || periodNs <= 0.0) {
-    throw std::invalid_argument("voltageForDelay: delays must be positive");
-  }
-  const double targetFactor = periodNs / nominalCriticalNs;
-  // Delay factor decreases monotonically with vdd: bisect.
-  double lo = model.threshold + 1e-4;
-  double hi = model.nominalVdd * 3.0;
-  if (voltageDelayFactor(hi, model) > targetFactor) {
-    throw std::invalid_argument(
-        "voltageForDelay: period unreachable even at 3x nominal Vdd");
-  }
-  for (int iter = 0; iter < 100; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (voltageDelayFactor(mid, model) > targetFactor) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return hi;
-}
-
 }  // namespace oisa::timing

@@ -8,8 +8,6 @@
 // energy-vs-accuracy studies on the same simulation substrate.
 #pragma once
 
-#include "timing/cell_library.h"
-
 namespace oisa::timing {
 
 /// Alpha-power-law parameters (65 nm-flavored defaults).
@@ -28,19 +26,5 @@ struct VoltageModel {
 /// Dynamic-energy scaling factor at `vdd`: (V / Vnom)^2.
 [[nodiscard]] double voltageEnergyFactor(double vdd,
                                          const VoltageModel& model = {});
-
-/// Returns `nominal` with every cell delay scaled to the given supply
-/// voltage (areas unchanged).
-[[nodiscard]] CellLibrary libraryAtVoltage(const CellLibrary& nominal,
-                                           double vdd,
-                                           const VoltageModel& model = {});
-
-/// The supply at which the circuit's critical delay equals `periodNs`,
-/// given its nominal-voltage critical delay — i.e. how far voltage can be
-/// over-scaled before worst-case timing fails (bisection on the monotone
-/// delay factor). Returns the voltage in volts.
-[[nodiscard]] double voltageForDelay(double nominalCriticalNs,
-                                     double periodNs,
-                                     const VoltageModel& model = {});
 
 }  // namespace oisa::timing

@@ -216,14 +216,14 @@ TEST(BitDistributionTest, CountsFlippedPositions) {
   EXPECT_EQ(dist.flips(7), 1u);
   EXPECT_EQ(dist.flips(0), 1u);
   EXPECT_EQ(dist.flips(3), 0u);
-  EXPECT_DOUBLE_EQ(dist.rate(7), 1.0 / 3.0);
-  EXPECT_EQ(dist.totalFlips(), 2u);
+  EXPECT_DOUBLE_EQ(dist.rates()[7], 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(dist.rates()[3], 0.0);
 }
 
 TEST(BitDistributionTest, MasksBitsBeyondWidth) {
   BitErrorDistribution dist(4);
   dist.add(0xf0, 0x00);  // all flips outside the tracked width
-  EXPECT_EQ(dist.totalFlips(), 0u);
+  EXPECT_EQ(dist.rates(), std::vector<double>(4, 0.0));
 }
 
 TEST(BitDistributionTest, RejectsBadWidth) {

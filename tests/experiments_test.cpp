@@ -5,11 +5,13 @@
 #include <array>
 #include <random>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/isa_adder.h"
 #include "core/status.h"
 #include "experiments/cli.h"
+#include "experiments/grid_scheduler.h"
 #include "experiments/report.h"
 #include "experiments/runner.h"
 #include "experiments/trace_collector.h"
@@ -367,6 +369,72 @@ TEST(RunnerTest, BitDistributionSeparatesStructuralAndTiming) {
   for (const int pos : {0, 1, 2, 3}) {
     EXPECT_EQ(dist.structuralRate[static_cast<std::size_t>(pos)], 0.0);
   }
+}
+
+/// Expects `call` to throw StatusError(InvalidInput) naming `option` up
+/// front: a failure inside a cell would surface as GridError instead.
+template <class Fn>
+void expectRejectedUpFront(Fn&& call, const std::string& option) {
+  try {
+    call();
+    ADD_FAILURE() << option << " was accepted";
+  } catch (const oisa::core::StatusError& e) {
+    EXPECT_EQ(e.code(), oisa::core::StatusCode::InvalidInput) << e.what();
+    EXPECT_NE(std::string(e.what()).find(option), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(RunnerTest, ErrorCombinationRejectsZeroCycles) {
+  const std::vector<oisa::circuits::SynthesizedDesign> designs = {
+      synthesize(oisa::core::makeIsa(8, 0, 0, 4),
+                 oisa::timing::CellLibrary::generic65(), SynthesisOptions{})};
+  const std::vector<double> cprs = {15.0};
+  RunOptions options;
+  options.cycles = 0;
+  expectRejectedUpFront(
+      [&] { (void)runErrorCombination(designs, cprs, options); }, "--cycles");
+  options.cycles = 1;
+  EXPECT_EQ(runErrorCombination(designs, cprs, options).at(0).cycles, 1u);
+}
+
+TEST(RunnerTest, BitDistributionRejectsZeroCycles) {
+  const auto design =
+      synthesize(oisa::core::makeIsa(8, 0, 0, 4),
+                 oisa::timing::CellLibrary::generic65(), SynthesisOptions{});
+  RunOptions options;
+  options.cycles = 0;
+  expectRejectedUpFront(
+      [&] { (void)runBitDistribution(design, 15.0, options); }, "--cycles");
+  options.cycles = 1;
+  EXPECT_EQ(runBitDistribution(design, 15.0, options).timingRate.size(), 33u);
+}
+
+TEST(RunnerTest, PredictionRejectsTooFewTrainOrTestCycles) {
+  const std::vector<oisa::circuits::SynthesizedDesign> designs = {
+      synthesize(oisa::core::makeIsa(8, 0, 0, 4),
+                 oisa::timing::CellLibrary::generic65(), SynthesisOptions{})};
+  const std::vector<double> cprs = {15.0};
+  oisa::experiments::PredictionOptions options;
+  options.run.threads = 1;
+  options.trainCycles = 2;
+  options.testCycles = 1;
+  expectRejectedUpFront(
+      [&] { (void)runPredictionEvaluation(designs, cprs, options); },
+      "--test-cycles");
+  options.testCycles = 2;
+  options.trainCycles = 0;
+  expectRejectedUpFront(
+      [&] { (void)runPredictionEvaluation(designs, cprs, options); },
+      "--train-cycles");
+  options.trainCycles = 2;
+  EXPECT_EQ(runPredictionEvaluation(designs, cprs, options).size(), 1u);
+  // A loaded bank skips training, so the train count is not checked: the
+  // cell runs and fails on the missing bank instead.
+  options.trainCycles = 0;
+  options.modelIn = ::testing::TempDir() + "no_such_bank";
+  EXPECT_THROW((void)runPredictionEvaluation(designs, cprs, options),
+               oisa::experiments::GridError);
 }
 
 }  // namespace

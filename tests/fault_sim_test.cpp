@@ -246,33 +246,6 @@ TEST(PpsfpTest, MatchesSerialReferenceOnAllPaperDesigns) {
   }
 }
 
-TEST(CoverageTest, DroppingDoesNotChangeTheDetectedSet) {
-  std::mt19937_64 rng(5);
-  const Netlist nl = randomNetlist(rng, 8, 40);
-  const auto compiled = CompiledNetlist::compile(nl);
-  FaultUniverse universe(compiled);
-  // 64-lane engines: 512 patterns span eight blocks, so dropping has
-  // later blocks to save work on.
-  const auto dropEngine = oisa::fault::makePpsfpEngine(compiled, {});
-  const auto keepEngine = oisa::fault::makePpsfpEngine(compiled, {});
-  CoverageOptions options;
-  options.patterns = 512;
-  options.seed = 11;
-  options.dropDetected = true;
-  const auto dropped =
-      oisa::fault::runRandomCoverage(universe, *dropEngine, options);
-  options.dropDetected = false;
-  const auto kept =
-      oisa::fault::runRandomCoverage(universe, *keepEngine, options);
-  EXPECT_EQ(dropped.detected, kept.detected);
-  EXPECT_EQ(dropped.detectedClasses, kept.detectedClasses);
-  EXPECT_EQ(dropped.firstDetectedAt, kept.firstDetectedAt);
-  EXPECT_EQ(dropped.patternsApplied, kept.patternsApplied);
-  EXPECT_GT(dropped.detectedClasses, 0u);
-  // Dropping strictly saves work once anything was detected early.
-  EXPECT_LT(dropEngine->faultsSimulated(), keepEngine->faultsSimulated());
-}
-
 TEST(CoverageTest, C17ReachesFullCoverageExhaustively) {
   const Netlist nl = oisa::netlist::readBenchString(kC17, "c17");
   const auto compiled = CompiledNetlist::compile(nl);
@@ -305,10 +278,12 @@ TEST(CoverageTest, C17ReachesFullCoverageExhaustively) {
 }
 
 /// The campaign loop with no untestable skip: every undetected class is
-/// simulated on every block. runCoverage must return exactly this.
+/// simulated on every block, and with `dropDetected` false every detected
+/// one too. runCoverage must return exactly this.
 oisa::fault::CoverageResult coverageSimulatingEveryClass(
     const FaultUniverse& universe, oisa::fault::AnyPpsfpEngine& engine,
-    std::uint64_t patterns, const oisa::fault::PatternBlockSource& source) {
+    std::uint64_t patterns, const oisa::fault::PatternBlockSource& source,
+    bool dropDetected = true) {
   const auto classes = universe.collapsed();
   const std::size_t words = engine.wordsPerNet();
   oisa::fault::CoverageResult result;
@@ -326,8 +301,9 @@ oisa::fault::CoverageResult coverageSimulatingEveryClass(
     engine.loadPatterns(inputWords, count);
     std::size_t lastWord = 0;
     for (std::size_t ci = 0; ci < classes.size(); ++ci) {
-      if (result.detected[ci] != 0) continue;
+      if (dropDetected && result.detected[ci] != 0) continue;
       engine.detectLanesInto(classes[ci], det);
+      if (result.detected[ci] != 0) continue;
       std::size_t j = 0;
       while (j < words && det[j] == 0) ++j;
       if (j == words) continue;
@@ -344,6 +320,39 @@ oisa::fault::CoverageResult coverageSimulatingEveryClass(
             : count;
   }
   return result;
+}
+
+TEST(CoverageTest, DroppingDoesNotChangeTheDetectedSet) {
+  std::mt19937_64 rng(5);
+  const Netlist nl = randomNetlist(rng, 8, 40);
+  const auto compiled = CompiledNetlist::compile(nl);
+  FaultUniverse universe(compiled);
+  // 64-lane engines: 512 patterns span eight blocks, so dropping has
+  // later blocks to save work on.
+  const auto dropEngine = oisa::fault::makePpsfpEngine(compiled, {});
+  const auto keepEngine = oisa::fault::makePpsfpEngine(compiled, {});
+  CoverageOptions options;
+  options.patterns = 512;
+  const auto source = [&] {
+    return oisa::fault::PatternBlockSource(
+        [draws = std::mt19937_64(11)](
+            std::span<std::uint64_t> words) mutable -> std::size_t {
+          for (std::uint64_t& w : words) w = draws();
+          return 64;
+        });
+  };
+  const auto dropped =
+      oisa::fault::runCoverage(universe, *dropEngine, options, source());
+  const auto kept = coverageSimulatingEveryClass(
+      universe, *keepEngine, options.patterns, source(),
+      /*dropDetected=*/false);
+  EXPECT_EQ(dropped.detected, kept.detected);
+  EXPECT_EQ(dropped.detectedClasses, kept.detectedClasses);
+  EXPECT_EQ(dropped.firstDetectedAt, kept.firstDetectedAt);
+  EXPECT_EQ(dropped.patternsApplied, kept.patternsApplied);
+  EXPECT_GT(dropped.detectedClasses, 0u);
+  // Dropping strictly saves work once anything was detected early.
+  EXPECT_LT(dropEngine->faultsSimulated(), keepEngine->faultsSimulated());
 }
 
 /// Adder-port block source: block k packs blockSize(k) stimuli (capped at
@@ -626,9 +635,6 @@ class CountingEngine final : public oisa::fault::AnyPpsfpEngine {
   std::size_t lanes() const noexcept override { return inner_->lanes(); }
   std::size_t wordsPerNet() const noexcept override {
     return inner_->wordsPerNet();
-  }
-  oisa::netlist::LaneSelection selection() const noexcept override {
-    return inner_->selection();
   }
   void loadPatterns(std::span<const std::uint64_t> inputWords,
                     std::size_t patternCount) override {
@@ -1063,6 +1069,27 @@ TEST(FaultScanTest, RejectsDesignsOffTheAdderPortConvention) {
         << status.message();
     EXPECT_NE(status.message().find("got 5 and 2"), std::string::npos)
         << status.message();
+  }
+}
+
+TEST(FaultScanTest, RejectsZeroCycleCountsBeforeAnyCell) {
+  const std::vector<oisa::circuits::SynthesizedDesign> designs = {
+      oisa::circuits::synthesize(oisa::core::makeIsa(4, 1, 1, 2, 16),
+                                 oisa::timing::CellLibrary::generic65(), {})};
+  for (const bool timed : {false, true}) {
+    oisa::experiments::FaultScanOptions options;
+    options.run.threads = 1;
+    (timed ? options.timedCycles : options.run.cycles) = 0;
+    const std::string option = timed ? "--timed-cycles" : "(--cycles)";
+    try {
+      (void)oisa::experiments::runFaultErrorScan(designs, options);
+      ADD_FAILURE() << option << " = 0 was accepted";
+    } catch (const oisa::core::StatusError& e) {
+      // A StatusError, not a GridError: no cell ran.
+      EXPECT_EQ(e.code(), oisa::core::StatusCode::InvalidInput) << e.what();
+      EXPECT_NE(std::string(e.what()).find(option), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -8,8 +8,10 @@
 // 64-lane engines to 256/512 SIMD blocks) cannot silently drift an
 // output without tripping one of these.
 //
-// The digests must hold at every forced lane width: CI re-runs this test
-// with OISA_FORCE_LANE_WIDTH=64/256/portable/512.
+// The digests are taken at the lane width the host's CPU selects. They
+// hold at every width because lane_width_test.cpp proves each variant the
+// host can run bit-exact against the 64-lane reference, and coverage
+// campaigns identical across them.
 //
 // Regenerating after an *intentional* output change: run this test and
 // copy the "actual" digest from the failure message (the canonical text

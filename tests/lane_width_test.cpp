@@ -1,19 +1,17 @@
-// The wide-lane proof suite: every LaneSelection this build + CPU can
-// instantiate (64-lane reference, portable 256/512, AVX2 256, AVX-512
-// 512) is driven against the 64-lane reference engines through the
-// differential harness and must agree bit-for-bit — functional
+// The wide-lane proof suite: every LaneSelection this build + CPU can run
+// (the 64-lane reference, AVX2 256, AVX-512 512) is built by an explicit
+// factory call and driven against the 64-lane reference engines through
+// the differential harness; it must agree bit-for-bit — functional
 // (BatchEvaluator) and PPSFP fault detection — on random DAGs, all twelve
-// paper design points and the ISCAS-85 c17 benchmark. On top of the engine
-// slices, the consumer invariants: TraceCollector traces (over runs
-// spanning several windows, against the sequential reference) and
-// fault-coverage campaign results are pure functions of the stimulus
-// stream, identical at every forced width. Also pins down the
-// OISA_FORCE_LANE_WIDTH parsing/dispatch contract.
+// paper design points and the ISCAS-85 c17 benchmark. On top of the
+// engine slices, the consumer invariants: TraceCollector traces at the
+// width the host selects (over runs spanning several windows, against the
+// sequential reference) and fault-coverage campaign results, identical on
+// every variant. Also pins down the dispatch contract: the CPU alone picks
+// the default, and the arch fixes the width.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -43,40 +41,7 @@ using oisa::timing::CellLibrary;
 using oisa::testing::kC17;
 using oisa::testing::randomNetlist;
 
-constexpr LaneSelection kReference{64, LaneArch::Portable};
-
-/// The OISA_FORCE_LANE_WIDTH spelling that forces exactly `sel`.
-std::string specFor(LaneSelection sel) {
-  if (sel.width == 64) return "64";
-  if (sel.arch == LaneArch::Portable) {
-    return "portable" + std::to_string(sel.width);
-  }
-  return std::to_string(sel.width);
-}
-
-/// Temporarily pins OISA_FORCE_LANE_WIDTH, restoring on destruction.
-class ScopedLaneWidth {
- public:
-  explicit ScopedLaneWidth(const std::string& spec) {
-    const char* old = std::getenv(oisa::netlist::kLaneWidthEnvVar);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    ::setenv(oisa::netlist::kLaneWidthEnvVar, spec.c_str(), 1);
-  }
-  ~ScopedLaneWidth() {
-    if (had_) {
-      ::setenv(oisa::netlist::kLaneWidthEnvVar, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(oisa::netlist::kLaneWidthEnvVar);
-    }
-  }
-  ScopedLaneWidth(const ScopedLaneWidth&) = delete;
-  ScopedLaneWidth& operator=(const ScopedLaneWidth&) = delete;
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
+constexpr LaneSelection kReference{LaneArch::Portable};
 
 /// Every variant except the 64-lane reference itself.
 std::vector<LaneSelection> wideSelections() {
@@ -97,70 +62,40 @@ TEST(LaneWidthTest, AvailableSelectionsAreWellFormed) {
   EXPECT_TRUE(available.front() == kReference)
       << "the 64-lane reference must always be element 0";
   for (const LaneSelection sel : available) {
-    EXPECT_EQ(sel.width % 64, 0u);
-    EXPECT_EQ(sel.wordsPerNet(), sel.width / 64);
+    EXPECT_EQ(sel.wordsPerNet() * 64, sel.lanes());
     EXPECT_TRUE(oisa::netlist::cpuSupportsLaneArch(sel.arch))
         << oisa::netlist::laneSelectionName(sel);
   }
-  // The default is always instantiable, and never a wide portable variant
-  // (strictly more work per sweep than the reference without vector
-  // units).
-  const LaneSelection def = oisa::netlist::defaultLaneSelection();
-  bool found = false;
-  for (const LaneSelection sel : available) found = found || sel == def;
-  EXPECT_TRUE(found);
-  if (def.arch == LaneArch::Portable) EXPECT_EQ(def.width, 64u);
+  // The CPU alone picks the default: the widest variant it can run.
+  EXPECT_TRUE(oisa::netlist::defaultLaneSelection() == available.back());
 }
 
-TEST(LaneWidthTest, ParseLaneWidthSpecContract) {
-  using oisa::netlist::parseLaneWidthSpec;
-  EXPECT_TRUE(parseLaneWidthSpec("64") == kReference);
-  EXPECT_TRUE(parseLaneWidthSpec("portable") ==
-              (LaneSelection{256, LaneArch::Portable}));
-  EXPECT_TRUE(parseLaneWidthSpec("portable256") ==
-              (LaneSelection{256, LaneArch::Portable}));
-  EXPECT_TRUE(parseLaneWidthSpec("portable512") ==
-              (LaneSelection{512, LaneArch::Portable}));
-  // Forced 256/512 take the vector unit when this build + CPU has it and
-  // degrade to the portable flavor otherwise — never a failure.
-  const LaneSelection s256 = parseLaneWidthSpec("256");
-  EXPECT_EQ(s256.width, 256u);
-  EXPECT_TRUE(oisa::netlist::cpuSupportsLaneArch(s256.arch));
-  const LaneSelection s512 = parseLaneWidthSpec("512");
-  EXPECT_EQ(s512.width, 512u);
-  EXPECT_TRUE(oisa::netlist::cpuSupportsLaneArch(s512.arch));
-  for (const char* bad : {"", "128", "65", "avx2", "64 ", "wide"}) {
-    EXPECT_THROW((void)parseLaneWidthSpec(bad), std::invalid_argument)
-        << "spec '" << bad << "'";
-  }
+TEST(LaneWidthTest, TheArchFixesTheWidth) {
+  using oisa::netlist::laneSelectionName;
+  EXPECT_EQ(LaneSelection{LaneArch::Portable}.lanes(), 64u);
+  EXPECT_EQ(LaneSelection{LaneArch::Avx2}.lanes(), 256u);
+  EXPECT_EQ(LaneSelection{LaneArch::Avx512}.lanes(), 512u);
+  EXPECT_EQ(laneSelectionName({LaneArch::Portable}), "64");
+  EXPECT_EQ(laneSelectionName({LaneArch::Avx2}), "256-avx2");
+  EXPECT_EQ(laneSelectionName({LaneArch::Avx512}), "512-avx512");
 }
 
-TEST(LaneWidthTest, EnvOverrideIsReadPerCall) {
-  for (const LaneSelection sel : oisa::netlist::availableLaneSelections()) {
-    ScopedLaneWidth env(specFor(sel));
-    EXPECT_TRUE(oisa::netlist::selectLaneWidth() == sel)
-        << oisa::netlist::laneSelectionName(sel);
-  }
-  {
-    ScopedLaneWidth env("this-is-not-a-width");
-    EXPECT_THROW((void)oisa::netlist::selectLaneWidth(),
-                 std::invalid_argument);
-  }
-}
-
-TEST(LaneWidthTest, EnginesReportTheirSelection) {
+TEST(LaneWidthTest, FactoriesBuildTheSelectedWidth) {
   std::mt19937_64 rng(77);
   const Netlist nl = randomNetlist(rng, 8, 30);
   const auto compiled = CompiledNetlist::compile(nl);
   for (const LaneSelection sel : oisa::netlist::availableLaneSelections()) {
+    SCOPED_TRACE(oisa::netlist::laneSelectionName(sel));
     const auto evaluator = oisa::netlist::makeBatchEvaluator(compiled, sel);
-    EXPECT_TRUE(evaluator->selection() == sel);
-    EXPECT_EQ(evaluator->lanes(), sel.width);
+    EXPECT_EQ(evaluator->lanes(), sel.lanes());
     EXPECT_EQ(evaluator->wordsPerNet(), sel.wordsPerNet());
     const auto engine = oisa::fault::makePpsfpEngine(compiled, sel);
-    EXPECT_TRUE(engine->selection() == sel);
-    EXPECT_EQ(engine->lanes(), sel.width);
+    EXPECT_EQ(engine->lanes(), sel.lanes());
+    EXPECT_EQ(engine->wordsPerNet(), sel.wordsPerNet());
   }
+  const std::size_t hostLanes = oisa::netlist::defaultLaneSelection().lanes();
+  EXPECT_EQ(oisa::netlist::makeBatchEvaluator(compiled)->lanes(), hostLanes);
+  EXPECT_EQ(oisa::fault::makePpsfpEngine(compiled)->lanes(), hostLanes);
 }
 
 // ---------------------------------------------------------------------------
@@ -252,34 +187,12 @@ TEST(LaneWidthTest, PpsfpBitExactOnPaperDesigns) {
 }
 
 // ---------------------------------------------------------------------------
-// Consumer invariance: traces and coverage campaigns are pure functions
-// of the stimulus stream — identical output at every forced width.
+// Consumer invariance: the collector at the host's width reproduces the
+// sequential reference, and coverage campaigns are pure functions of the
+// stimulus stream — identical on every variant.
 // ---------------------------------------------------------------------------
 
-TEST(LaneWidthTest, TraceCollectorInvariantAcrossWidths) {
-  const auto design = oisa::circuits::synthesize(
-      oisa::core::makeIsa(8, 2, 1, 4), CellLibrary::generic65(), {});
-  const double periodNs = oisa::experiments::overclockedPeriodNs(0.3, 15.0);
-  auto collectAt = [&](const std::string& spec) {
-    ScopedLaneWidth env(spec);
-    auto wl = oisa::experiments::makeWorkload("uniform", 32, 99);
-    return oisa::experiments::collectTrace(design, periodNs, *wl, 391);
-  };
-  const auto reference = collectAt("64");
-  for (const LaneSelection sel : wideSelections()) {
-    SCOPED_TRACE(oisa::netlist::laneSelectionName(sel));
-    const auto trace = collectAt(specFor(sel));
-    ASSERT_EQ(trace.size(), reference.size());
-    for (std::size_t t = 0; t < trace.size(); ++t) {
-      ASSERT_EQ(trace[t].silver, reference[t].silver) << "record " << t;
-      ASSERT_EQ(trace[t].silverCout, reference[t].silverCout)
-          << "record " << t;
-      ASSERT_EQ(trace[t].a, reference[t].a) << "record " << t;
-    }
-  }
-}
-
-TEST(LaneWidthTest, MultiWindowTraceMatchesScalarAtEveryWidth) {
+TEST(LaneWidthTest, MultiWindowTraceMatchesScalar) {
   // 65 lanes span two 64-lane sub-blocks at the wide widths (64 at the
   // reference width). Three windows plus a ragged tail on a deep overclock
   // carry history stimuli across every window boundary; the streamed
@@ -302,38 +215,34 @@ TEST(LaneWidthTest, MultiWindowTraceMatchesScalarAtEveryWidth) {
                  rec.silverValue(32)});
     }
   };
-  for (const LaneSelection sel : oisa::netlist::availableLaneSelections()) {
-    SCOPED_TRACE(oisa::netlist::laneSelectionName(sel));
-    ScopedLaneWidth env(specFor(sel));
-    oisa::experiments::TraceCollector collector(design, periodNs, kMaxLanes);
-    ASSERT_GE(collector.historyDepth(), 3);
-    auto wl = oisa::experiments::makeWorkload("uniform", 32, 313);
-    const auto trace = collector.collect(*wl, cycles);
-    ASSERT_EQ(trace.size(), reference.size());
-    for (std::size_t t = 0; t < trace.size(); ++t) {
-      ASSERT_EQ(trace[t].a, reference[t].a) << "record " << t;
-      ASSERT_EQ(trace[t].gold, reference[t].gold) << "record " << t;
-      ASSERT_EQ(trace[t].silver, reference[t].silver) << "record " << t;
-      ASSERT_EQ(trace[t].silverCout, reference[t].silverCout)
-          << "record " << t;
-    }
-    oisa::core::ErrorCombination collected;
-    fold(collected, trace);
-    oisa::core::ErrorCombination streamed;
-    wl = oisa::experiments::makeWorkload("uniform", 32, 313);
-    collector.stream(*wl, cycles,
-                     [&](std::span<const oisa::predict::TraceRecord> w) {
-                       fold(streamed, w);
-                     });
-    EXPECT_EQ(streamed.cycles(), cycles);
-    EXPECT_EQ(streamed.relJoint().rms(), collected.relJoint().rms());
-    EXPECT_EQ(streamed.relTiming().rms(), collected.relTiming().rms());
-    EXPECT_EQ(streamed.arithJoint().meanAbs(),
-              collected.arithJoint().meanAbs());
+  oisa::experiments::TraceCollector collector(design, periodNs, kMaxLanes);
+  ASSERT_GE(collector.historyDepth(), 3);
+  auto wl = oisa::experiments::makeWorkload("uniform", 32, 313);
+  const auto trace = collector.collect(*wl, cycles);
+  ASSERT_EQ(trace.size(), reference.size());
+  for (std::size_t t = 0; t < trace.size(); ++t) {
+    ASSERT_EQ(trace[t].a, reference[t].a) << "record " << t;
+    ASSERT_EQ(trace[t].gold, reference[t].gold) << "record " << t;
+    ASSERT_EQ(trace[t].silver, reference[t].silver) << "record " << t;
+    ASSERT_EQ(trace[t].silverCout, reference[t].silverCout)
+        << "record " << t;
   }
+  oisa::core::ErrorCombination collected;
+  fold(collected, trace);
+  oisa::core::ErrorCombination streamed;
+  wl = oisa::experiments::makeWorkload("uniform", 32, 313);
+  collector.stream(*wl, cycles,
+                   [&](std::span<const oisa::predict::TraceRecord> w) {
+                     fold(streamed, w);
+                   });
+  EXPECT_EQ(streamed.cycles(), cycles);
+  EXPECT_EQ(streamed.relJoint().rms(), collected.relJoint().rms());
+  EXPECT_EQ(streamed.relTiming().rms(), collected.relTiming().rms());
+  EXPECT_EQ(streamed.arithJoint().meanAbs(),
+            collected.arithJoint().meanAbs());
 }
 
-TEST(LaneWidthTest, InterleavedStreamsMatchPerStreamReferencesAtEveryWidth) {
+TEST(LaneWidthTest, InterleavedStreamsMatchPerStreamReferences) {
   // The fault scan's 64-stream schedule at full width: seven 64-lane
   // windows at the reference width, two at 256 lanes and one at 512. Each
   // record's history reaches two or more of its stream's cycles back.
@@ -342,14 +251,10 @@ TEST(LaneWidthTest, InterleavedStreamsMatchPerStreamReferencesAtEveryWidth) {
   const auto design = oisa::circuits::synthesize(
       oisa::core::makeIsa(8, 0, 0, 4), CellLibrary::generic65(), options);
   const double periodNs = design.criticalDelayNs * 0.35;
-  for (const LaneSelection sel : oisa::netlist::availableLaneSelections()) {
-    SCOPED_TRACE(oisa::netlist::laneSelectionName(sel));
-    ScopedLaneWidth env(specFor(sel));
-    oisa::experiments::TraceCollector collector(design, periodNs, 0, 64);
-    ASSERT_GE(collector.historyDepth(), 3);
-    oisa::testing::expectStreamsMatchScalar(collector, design, 64,
-                                            "random-walk", 607, 24653);
-  }
+  oisa::experiments::TraceCollector collector(design, periodNs, 0, 64);
+  ASSERT_GE(collector.historyDepth(), 3);
+  oisa::testing::expectStreamsMatchScalar(collector, design, 64,
+                                          "random-walk", 607, 24653);
 }
 
 TEST(LaneWidthTest, RandomCoverageInvariantAcrossWidths) {

@@ -14,7 +14,6 @@
 #include "experiments/cli.h"
 #include "experiments/report.h"
 #include "netlist/netlist.h"
-#include "timing/sta.h"
 
 #include "../bench/bench_common.h"
 
@@ -103,19 +102,6 @@ TEST(MiscIntegrationTest, RobustnessFlagsRejectValuesTheyWouldIgnore) {
   EXPECT_EQ(run.deadlineSeconds, 0.0);
   EXPECT_EQ(run.cellAttempts, 4294967295u);
   EXPECT_EQ(oisa::bench::threadsOption(args), 4294967295u);
-}
-
-TEST(MiscIntegrationTest, CriticalPathReportNamesEndpointStages) {
-  const auto design = synthesize(oisa::core::makeExact(32),
-                                 CellLibrary::generic65(),
-                                 oisa::circuits::SynthesisOptions{});
-  const auto sta =
-      analyze(design.netlist, design.delays, 0.3);
-  const std::string report = formatCriticalPath(design.netlist, sta);
-  EXPECT_NE(report.find("critical path ("), std::string::npos);
-  EXPECT_NE(report.find("stages"), std::string::npos);
-  // The deepest stage count of a 32-bit prefix adder is > 5.
-  EXPECT_GT(sta.criticalPath.size(), 5u);
 }
 
 TEST(MiscIntegrationTest, RelaxedDesignKeepsFunctionalEquivalence) {

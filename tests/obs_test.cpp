@@ -163,11 +163,10 @@ TEST_F(ObsTest, SpansRecordNameCategoryDurationAndNesting) {
     const obs::ObsSpan outer("outer", "test");
     const obs::ObsSpan inner("inner", "test", "cells", 42);
   }
-  obs::traceInstant("marker", "test");
   const std::string doc = obs::drainTraceJson();
   obs::stopTracing();
   // Chrome trace-event format: inner closes first (depth 1), then outer
-  // (depth 0); the instant event carries "s": "t".
+  // (depth 0).
   EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
   const std::size_t innerPos = doc.find("\"name\": \"inner\"");
   const std::size_t outerPos = doc.find("\"name\": \"outer\"");
@@ -176,8 +175,6 @@ TEST_F(ObsTest, SpansRecordNameCategoryDurationAndNesting) {
   EXPECT_LT(innerPos, outerPos);
   EXPECT_NE(doc.find("\"cells\": 42"), std::string::npos);
   EXPECT_NE(doc.find("\"depth\": 1"), std::string::npos);
-  EXPECT_NE(doc.find("\"name\": \"marker\""), std::string::npos);
-  EXPECT_NE(doc.find("\"s\": \"t\""), std::string::npos);
   EXPECT_NE(doc.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(doc.find("\"schema\": \"oisa-trace-v1\""), std::string::npos);
   EXPECT_NE(doc.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
@@ -185,12 +182,11 @@ TEST_F(ObsTest, SpansRecordNameCategoryDurationAndNesting) {
 
 TEST_F(ObsTest, ArgumentsAddedAfterOpeningLandOnTheSpan) {
   // A scope that learns its numbers while it runs (e.g. the size of what
-  // it built) attaches them before closing; a span keeps two arguments.
+  // it built) attaches them before closing.
   obs::startTracing();
   {
     obs::ObsSpan span("built", "test", "cells", 7);
     span.arg("gates", 421);
-    span.arg("history", 2);  // beyond the two slots: dropped
   }
   {
     obs::ObsSpan span("late", "test");
@@ -203,7 +199,41 @@ TEST_F(ObsTest, ArgumentsAddedAfterOpeningLandOnTheSpan) {
       << doc;
   EXPECT_NE(doc.find("\"gates\": 93, \"history\": 4}"), std::string::npos)
       << doc;
-  EXPECT_EQ(doc.find("\"history\": 2"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"dropped_args\": 0,"), std::string::npos) << doc;
+}
+
+TEST_F(ObsTest, FourArgumentsLandAndAFifthIsCounted) {
+  obs::startTracing();
+  {
+    obs::ObsSpan span("coverage", "test", "cells", 7);
+    span.arg("swept", 421);
+    span.arg("skipped", 2);
+    span.arg("untestable", 5);
+    span.arg("recomputes", 3);  // past the four slots: counted, not kept
+  }
+  const std::string doc = obs::drainTraceJson();
+  obs::stopTracing();
+  // Still one event per line, carrying what perfbench/spans.cpp parses.
+  const std::size_t line = doc.find("{\"name\": \"coverage\"");
+  ASSERT_NE(line, std::string::npos) << doc;
+  const std::string event = doc.substr(line, doc.find('\n', line) - line);
+  for (const char* key :
+       {"\"ts\": ", "\"dur\": ", "\"tid\": ", "\"depth\": 0"}) {
+    EXPECT_NE(event.find(key), std::string::npos) << key << " in " << event;
+  }
+  EXPECT_NE(event.find("\"cells\": 7, \"swept\": 421, \"skipped\": 2, "
+                       "\"untestable\": 5}}"),
+            std::string::npos)
+      << event;
+  EXPECT_EQ(doc.find("recomputes"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"dropped\": 0, \"dropped_args\": 1, "),
+            std::string::npos)
+      << doc;
+  // A new session starts its count afresh.
+  obs::startTracing();
+  EXPECT_NE(obs::drainTraceJson().find("\"dropped_args\": 0,"),
+            std::string::npos);
+  obs::stopTracing();
 }
 
 TEST_F(ObsTest, DisarmedSpansCostNothingAndRecordNothing) {

@@ -1,18 +1,14 @@
 // Voltage-scaling model tests.
 #include <gtest/gtest.h>
 
-#include "circuits/isa_netlist.h"
-#include "timing/sta.h"
+#include <stdexcept>
+
 #include "timing/voltage.h"
 
 namespace {
 
-using oisa::timing::CellLibrary;
-using oisa::timing::libraryAtVoltage;
 using oisa::timing::voltageDelayFactor;
 using oisa::timing::voltageEnergyFactor;
-using oisa::timing::voltageForDelay;
-using oisa::timing::VoltageModel;
 
 TEST(VoltageTest, NominalVoltageIsUnityFactor) {
   EXPECT_DOUBLE_EQ(voltageDelayFactor(1.2), 1.0);
@@ -34,38 +30,6 @@ TEST(VoltageTest, LowerVoltageIsSlowerAndCheaper) {
 TEST(VoltageTest, RejectsSubThresholdSupply) {
   EXPECT_THROW((void)voltageDelayFactor(0.35), std::invalid_argument);
   EXPECT_THROW((void)voltageDelayFactor(0.1), std::invalid_argument);
-}
-
-TEST(VoltageTest, LibraryScalingMatchesFactor) {
-  const CellLibrary nominal = CellLibrary::generic65();
-  const double factor = voltageDelayFactor(1.0);
-  const CellLibrary scaled = libraryAtVoltage(nominal, 1.0);
-  for (const auto kind : oisa::netlist::allGateKinds()) {
-    EXPECT_NEAR(scaled.cell(kind).intrinsicNs,
-                nominal.cell(kind).intrinsicNs * factor, 1e-12);
-    EXPECT_DOUBLE_EQ(scaled.cell(kind).area, nominal.cell(kind).area);
-  }
-  // Whole-netlist critical delay scales linearly with the factor.
-  const auto nl =
-      oisa::circuits::buildIsaNetlist(oisa::core::makeIsa(8, 0, 0, 4));
-  const oisa::timing::DelayAnnotation base(nl, nominal);
-  const oisa::timing::DelayAnnotation slow(nl, scaled);
-  EXPECT_NEAR(criticalDelayNs(nl, slow),
-              criticalDelayNs(nl, base) * factor, 1e-9);
-}
-
-TEST(VoltageTest, VoltageForDelayInvertsTheModel) {
-  const VoltageModel model;
-  // A design with 0.26 ns nominal critical delay run at a 0.3 ns clock can
-  // scale down to the voltage where the factor is 0.3/0.26.
-  const double vdd = voltageForDelay(0.26, 0.30, model);
-  EXPECT_LT(vdd, model.nominalVdd);
-  EXPECT_NEAR(voltageDelayFactor(vdd, model), 0.30 / 0.26, 1e-6);
-  // Needing to be faster than nominal requires raising the supply.
-  const double boost = voltageForDelay(0.30, 0.26, model);
-  EXPECT_GT(boost, model.nominalVdd);
-  EXPECT_THROW((void)voltageForDelay(1.0, 0.0001), std::invalid_argument);
-  EXPECT_THROW((void)voltageForDelay(-1.0, 0.3), std::invalid_argument);
 }
 
 }  // namespace
