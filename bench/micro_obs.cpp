@@ -12,7 +12,7 @@
 //      spans land in the ring); gating a no-op would prove nothing.
 //
 // Usage: micro_obs [--train-cycles=N] [--test-cycles=N] [--trees=T]
-//                  [--seed=S] [--reps=N] [--threads=N]
+//                  [--seed=S] [--reps=N (default 31)] [--threads=N]
 //                  [--min-speedup=X] [--json=path]
 #include <chrono>
 #include <cstdlib>
@@ -125,24 +125,36 @@ int main(int argc, char** argv) {
     // -----------------------------------------------------------------
     // Timed runs, interleaved min-of-reps: stripped is the reference,
     // armed the contender; speedup = stripped/armed, so 1.0 means free
-    // and 0.97 is the 3%-overhead ceiling CI enforces.
+    // and 0.97 is the 3%-overhead ceiling CI enforces. The cell runs in a
+    // few ms, and the minimum of 7 reps swung by more than 3% between
+    // runs, so the default is 31 pairs; each pair alternates which side
+    // runs first, so drift within a pair does not always favour one side.
     // -----------------------------------------------------------------
-    const auto reps = std::max<std::uint64_t>(1, args.getU64("reps", 7));
+    const auto timedRun = [&](bool armed,
+                              std::vector<experiments::PredictionRow>& rows) {
+      obs::setMetricsEnabled(armed);
+      if (armed) obs::startTracing();
+      const auto t0 = Clock::now();
+      rows = runCell();
+      const double seconds = secondsSince(t0);
+      if (armed) obs::stopTracing();
+      return seconds;
+    };
+    const auto reps = std::max<std::uint64_t>(1, args.getU64("reps", 31));
     double strippedSec = 0.0;
     double armedSec = 0.0;
     for (std::uint64_t i = 0; i < reps; ++i) {
-      obs::setMetricsEnabled(false);
-      const auto s0 = Clock::now();
-      const auto sRows = runCell();
-      const double s = secondsSince(s0);
-
-      obs::setMetricsEnabled(true);
-      obs::startTracing();
-      const auto a0 = Clock::now();
-      const auto aRows = runCell();
-      const double a = secondsSince(a0);
-      obs::stopTracing();
-
+      std::vector<experiments::PredictionRow> sRows;
+      std::vector<experiments::PredictionRow> aRows;
+      double s = 0.0;
+      double a = 0.0;
+      if (i % 2 == 0) {
+        s = timedRun(false, sRows);
+        a = timedRun(true, aRows);
+      } else {
+        a = timedRun(true, aRows);
+        s = timedRun(false, sRows);
+      }
       if (!rowsEqual(sRows, aRows)) {
         std::cerr << "MISMATCH: timed-loop rows diverged at rep " << i << "\n";
         return EXIT_FAILURE;

@@ -1,7 +1,7 @@
 // oisa_experiments: crash-safe, resumable campaign checkpoints.
 //
 // A characterization campaign is a grid of cells, each a *pure function*
-// of (inputs, seed) — that is the GridScheduler determinism contract.
+// of (inputs, seed) — that is runCampaignGrid's determinism contract.
 // Purity makes resumption trivial in principle: persist each completed
 // cell's result, and a restarted campaign replays the missing cells and
 // copies the rest, producing byte-identical output (doubles are stored
@@ -54,9 +54,20 @@ class PayloadWriter {
   void f64(double v);
   void str(std::string_view v);  ///< length-prefixed
 
+  /// Appends `fields` in order, each by its type: a string through str(),
+  /// a double through f64(), a std::uint64_t through u64().
+  template <typename... Fields>
+  void operator()(const Fields&... fields) {
+    (put(fields), ...);
+  }
+
   [[nodiscard]] std::string take() { return std::move(bytes_); }
 
  private:
+  void put(std::string_view v) { str(v); }
+  void put(double v) { f64(v); }
+  void put(std::uint64_t v) { u64(v); }
+
   std::string bytes_;
 };
 
@@ -73,10 +84,20 @@ class PayloadReader {
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
 
+  /// Reads `fields` in order, each by its type: the mirror of
+  /// PayloadWriter's operator().
+  template <typename... Fields>
+  void operator()(Fields&... fields) {
+    (get(fields), ...);
+  }
+
   [[nodiscard]] bool ok() const noexcept { return ok_; }
   [[nodiscard]] bool atEnd() const noexcept { return pos_ == bytes_.size(); }
 
  private:
+  void get(std::string& v) { v = str(); }
+  void get(double& v) { v = f64(); }
+  void get(std::uint64_t& v) { v = u64(); }
   bool take(std::size_t n, const char** out);
 
   std::string_view bytes_;
@@ -164,8 +185,8 @@ struct CheckpointOptions {
 
 /// Thread-safe campaign adapter: resume-loads on construction, streams
 /// completed cells in, autosaves every N new cells, and persists partial
-/// results when the grid dies (the pipelines call finish() on the error
-/// path too).
+/// results when the grid dies (runCheckpointedGrid in runner.h calls
+/// finish() on the error path too).
 class CampaignCheckpoint {
  public:
   CampaignCheckpoint(const CheckpointOptions& options,

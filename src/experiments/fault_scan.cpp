@@ -4,8 +4,6 @@
 #include <optional>
 
 #include "core/error_model.h"
-#include "core/fault_inject.h"
-#include "experiments/grid_scheduler.h"
 #include "experiments/trace_collector.h"
 #include "experiments/workload.h"
 #include "fault/coverage.h"
@@ -41,43 +39,13 @@ double measureTimedRelJoint(const circuits::SynthesizedDesign& design,
       .rms();
 }
 
-std::string encodeFaultScanRow(const FaultScanRow& row) {
-  PayloadWriter w;
-  w.str(row.design);
-  w.u64(row.universeFaults);
-  w.u64(row.collapsedClasses);
-  w.u64(row.detectedClasses);
-  w.f64(row.coveragePercent);
-  w.u64(row.patterns);
-  w.f64(row.cprPercent);
-  w.f64(row.periodNs);
-  w.f64(row.rmsRelJointHealthy);
-  w.f64(row.rmsRelJointFaulty);
-  w.f64(row.eJointShift);
-  w.f64(row.worstRelJointFaulty);
-  w.u64(row.timedFaultsMeasured);
-  return w.take();
-}
-
-std::optional<FaultScanRow> decodeFaultScanRow(const std::string& payload) {
-  PayloadReader r{payload};
-  FaultScanRow row;
-  row.design = r.str();
-  row.universeFaults = r.u64();
-  row.collapsedClasses = r.u64();
-  row.detectedClasses = r.u64();
-  row.coveragePercent = r.f64();
-  row.patterns = r.u64();
-  row.cprPercent = r.f64();
-  row.periodNs = r.f64();
-  row.rmsRelJointHealthy = r.f64();
-  row.rmsRelJointFaulty = r.f64();
-  row.eJointShift = r.f64();
-  row.worstRelJointFaulty = r.f64();
-  row.timedFaultsMeasured = r.u64();
-  if (!r.ok() || !r.atEnd()) return std::nullopt;
-  return row;
-}
+/// The checkpoint row codec: a row's fields in payload order.
+constexpr auto faultScanFields = [](FaultScanRow& row, auto& io) {
+  io(row.design, row.universeFaults, row.collapsedClasses,
+     row.detectedClasses, row.coveragePercent, row.patterns, row.cprPercent,
+     row.periodNs, row.rmsRelJointHealthy, row.rmsRelJointFaulty,
+     row.eJointShift, row.worstRelJointFaulty, row.timedFaultsMeasured);
+};
 
 }  // namespace
 
@@ -88,7 +56,6 @@ std::vector<FaultScanRow> runFaultErrorScan(
                  1);
   requireAtLeast("runFaultErrorScan", "timedCycles (--timed-cycles)",
                  options.timedCycles, 1);
-  std::vector<FaultScanRow> rows(designs.size());
   CampaignFingerprint fp("runFaultErrorScan");
   fp.mix(static_cast<std::uint64_t>(designs.size()));
   for (const auto& design : designs) {
@@ -102,18 +69,8 @@ std::vector<FaultScanRow> runFaultErrorScan(
   fp.mix(options.cprPercent);
   fp.mix(options.timedCycles);
   fp.mix(static_cast<std::uint64_t>(options.timedFaults));
-  CampaignCheckpoint ckpt(options.run.checkpoint, fp.digest(),
-                          designs.size());
   const auto scanCell = [&](std::size_t d) {
     const circuits::SynthesizedDesign& design = designs[d];
-    if (const auto payload = ckpt.tryLoad(d)) {
-      if (auto row = decodeFaultScanRow(*payload)) {
-        rows[d] = *std::move(row);
-        return;
-      }
-    }
-    core::fault_inject::maybeThrow(core::fault_inject::kGridCell,
-                                   core::StatusCode::IoError);
     FaultScanRow row;
     row.design = design.config.name();
     row.cprPercent = options.cprPercent;
@@ -197,17 +154,11 @@ std::vector<FaultScanRow> runFaultErrorScan(
       row.rmsRelJointFaulty = sum / static_cast<double>(sample.size());
       row.eJointShift = row.rmsRelJointFaulty - row.rmsRelJointHealthy;
     }
-    ckpt.commit(d, encodeFaultScanRow(row));
-    rows[d] = std::move(row);
+    return row;
   };
-  try {
-    runCampaignGrid(designs.size(), options.run, scanCell);
-  } catch (...) {
-    (void)ckpt.finish();  // persist the surviving designs' rows
-    throw;
-  }
-  (void)ckpt.finish();
-  return rows;
+  return runCheckpointedGrid<FaultScanRow>(designs.size(), options.run,
+                                           fp.digest(), faultScanFields,
+                                           scanCell);
 }
 
 }  // namespace oisa::experiments

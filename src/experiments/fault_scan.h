@@ -31,7 +31,7 @@ namespace oisa::experiments {
 /// Controls for the fault scan.
 struct FaultScanOptions {
   /// cycles = coverage patterns; seed/workload drive both phases;
-  /// threads fan designs out over the grid scheduler.
+  /// threads fan designs out over runCampaignGrid.
   RunOptions run{};
   double cprPercent = 15.0;        ///< overclock point of the timed phase
   std::uint64_t timedCycles = 8192; ///< measured cycles per timed run

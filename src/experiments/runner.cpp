@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <mutex>
 #include <sstream>
 #include <thread>
 
 #include "core/bit_distribution.h"
-#include "core/fault_inject.h"
 #include "core/isa_adder.h"
 #include "experiments/grid_scheduler.h"
 #include "experiments/trace_collector.h"
@@ -57,143 +55,87 @@ CampaignFingerprint baseFingerprint(
   return fp;
 }
 
-// --- checkpoint payload codecs -----------------------------------------
-// Doubles travel as bit patterns (PayloadWriter::f64), so a resumed row
-// is byte-for-byte the row the interrupted run computed.
+// --- checkpoint row codecs ----------------------------------------------
+// Each row's fields in payload order. Doubles travel as bit patterns
+// (PayloadWriter::f64), so a resumed row is byte-for-byte the row the
+// interrupted run computed.
 
-std::string encodeCombinationRow(const CombinationRow& row) {
-  PayloadWriter w;
-  w.str(row.design);
-  w.f64(row.cprPercent);
-  w.f64(row.periodNs);
-  w.f64(row.rmsRelStruct);
-  w.f64(row.rmsRelTiming);
-  w.f64(row.rmsRelJoint);
-  w.f64(row.meanAbsJointArith);
-  w.f64(row.structErrorRate);
-  w.f64(row.timingErrorRate);
-  w.u64(row.cycles);
-  return w.take();
-}
-
-std::optional<CombinationRow> decodeCombinationRow(
-    const std::string& payload) {
-  PayloadReader r{payload};
-  CombinationRow row;
-  row.design = r.str();
-  row.cprPercent = r.f64();
-  row.periodNs = r.f64();
-  row.rmsRelStruct = r.f64();
-  row.rmsRelTiming = r.f64();
-  row.rmsRelJoint = r.f64();
-  row.meanAbsJointArith = r.f64();
-  row.structErrorRate = r.f64();
-  row.timingErrorRate = r.f64();
-  row.cycles = r.u64();
-  if (!r.ok() || !r.atEnd()) return std::nullopt;
-  return row;
-}
-
-std::string encodePredictionRow(const PredictionRow& row) {
-  PayloadWriter w;
-  w.str(row.design);
-  w.f64(row.cprPercent);
-  w.f64(row.periodNs);
-  w.f64(row.abper);
-  w.f64(row.avpe);
-  w.u64(row.trainCycles);
-  w.u64(row.testCycles);
-  return w.take();
-}
-
-std::optional<PredictionRow> decodePredictionRow(const std::string& payload) {
-  PayloadReader r{payload};
-  PredictionRow row;
-  row.design = r.str();
-  row.cprPercent = r.f64();
-  row.periodNs = r.f64();
-  row.abper = r.f64();
-  row.avpe = r.f64();
-  row.trainCycles = r.u64();
-  row.testCycles = r.u64();
-  if (!r.ok() || !r.atEnd()) return std::nullopt;
-  return row;
-}
-
-/// The --progress report: a background thread prints one stderr line
-/// (cells done/total, retries, elapsed, ETA) every ~2 s while the grid
-/// runs, and the destructor prints the final line. Inert when disabled.
-class CampaignMonitor {
- public:
-  CampaignMonitor(std::size_t totalCells, bool enabled)
-      : total_(totalCells), start_(std::chrono::steady_clock::now()) {
-    if (enabled) ticker_ = std::thread([this] { tickerLoop(); });
-  }
-
-  ~CampaignMonitor() {
-    if (!ticker_.joinable()) return;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    stopCv_.notify_all();
-    ticker_.join();
-    printProgress();  // final line: done == total (or error)
-  }
-
-  CampaignMonitor(const CampaignMonitor&) = delete;
-  CampaignMonitor& operator=(const CampaignMonitor&) = delete;
-
-  void cellDone() noexcept { done_.fetch_add(1, std::memory_order_relaxed); }
-  /// Wired into RunPolicy::retryCounter by the grid loop.
-  [[nodiscard]] std::atomic<std::uint64_t>* retryCounter() noexcept {
-    return &retries_;
-  }
-
- private:
-  void tickerLoop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stopCv_.wait_for(lock, std::chrono::seconds(2),
-                             [this] { return stop_; })) {
-      printProgress();
-    }
-  }
-
-  void printProgress() const {
-    const std::uint64_t done = done_.load(std::memory_order_relaxed);
-    const std::uint64_t retries = retries_.load(std::memory_order_relaxed);
-    const double elapsed = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start_)
-                               .count();
-    std::string line = "progress: " + std::to_string(done) + "/" +
-                       std::to_string(total_) + " cells";
-    if (retries > 0) line += ", " + std::to_string(retries) + " retries";
-    char timing[64];
-    std::snprintf(timing, sizeof timing, ", elapsed %.1fs", elapsed);
-    line += timing;
-    if (done > 0 && done < total_) {
-      const double eta = elapsed / static_cast<double>(done) *
-                         static_cast<double>(total_ - done);
-      std::snprintf(timing, sizeof timing, ", eta %.1fs", eta);
-      line += timing;
-    }
-    line += "\n";
-    // One write, so the line never interleaves with other stderr output.
-    std::fwrite(line.data(), 1, line.size(), stderr);
-    std::fflush(stderr);
-  }
-
-  std::size_t total_;
-  std::chrono::steady_clock::time_point start_;
-  std::atomic<std::uint64_t> done_{0};
-  std::atomic<std::uint64_t> retries_{0};
-  std::mutex mutex_;
-  std::condition_variable stopCv_;
-  bool stop_ = false;
-  std::thread ticker_;
+constexpr auto combinationFields = [](CombinationRow& row, auto& io) {
+  io(row.design, row.cprPercent, row.periodNs, row.rmsRelStruct,
+     row.rmsRelTiming, row.rmsRelJoint, row.meanAbsJointArith,
+     row.structErrorRate, row.timingErrorRate, row.cycles);
 };
 
+constexpr auto predictionFields = [](PredictionRow& row, auto& io) {
+  io(row.design, row.cprPercent, row.periodNs, row.abper, row.avpe,
+     row.trainCycles, row.testCycles);
+};
+
+// --- the grid ----------------------------------------------------------
+
+using Clock = std::chrono::steady_clock;
+
+/// The instant `seconds` after `start`. A budget of 0, or one too large
+/// for the clock to represent, is no deadline: Clock::time_point::max().
+Clock::time_point deadlineAfter(Clock::time_point start, double seconds) {
+  const std::chrono::duration<double> budget(seconds);
+  if (!(seconds > 0.0) || budget >= Clock::time_point::max() - start) {
+    return Clock::time_point::max();
+  }
+  return start + std::chrono::duration_cast<Clock::duration>(budget);
+}
+
+/// Retry unless the taxonomy says the failure cannot be transient.
+bool isRetryable(const core::Status& status) noexcept {
+  return status.code() != core::StatusCode::InvalidInput &&
+         status.code() != core::StatusCode::Deadline;
+}
+
+/// One --progress line on stderr: cells done/total, retries, elapsed, ETA.
+void printProgress(std::size_t done, std::size_t total, std::uint64_t retries,
+                   Clock::duration elapsedTime) {
+  const double elapsed = std::chrono::duration<double>(elapsedTime).count();
+  std::string line = "progress: " + std::to_string(done) + "/" +
+                     std::to_string(total) + " cells";
+  if (retries > 0) line += ", " + std::to_string(retries) + " retries";
+  char timing[64];
+  std::snprintf(timing, sizeof timing, ", elapsed %.1fs", elapsed);
+  line += timing;
+  if (done > 0 && done < total) {
+    const double eta = elapsed / static_cast<double>(done) *
+                       static_cast<double>(total - done);
+    std::snprintf(timing, sizeof timing, ", eta %.1fs", eta);
+    line += timing;
+  }
+  line += "\n";
+  // One write, so the line never interleaves with other stderr output.
+  std::fwrite(line.data(), 1, line.size(), stderr);
+  std::fflush(stderr);
+}
+
+std::string gridErrorMessage(const std::vector<CellFailure>& failures,
+                             std::size_t cellsNotRun) {
+  std::string msg = "campaign grid: ";
+  if (!failures.empty()) {
+    msg += std::to_string(failures.size()) + " cell(s) failed";
+    msg += " (first: cell " + std::to_string(failures.front().cell) + ": " +
+           failures.front().status.toString() + ")";
+  }
+  if (cellsNotRun > 0) {
+    if (!failures.empty()) msg += "; ";
+    msg += "cancelled with " + std::to_string(cellsNotRun) +
+           " cell(s) never claimed";
+  }
+  return msg;
+}
+
 }  // namespace
+
+GridError::GridError(std::vector<CellFailure> failures,
+                     std::size_t cellsNotRun)
+    : std::runtime_error(gridErrorMessage(failures, cellsNotRun)),
+      failures_(std::move(failures)),
+      cellsNotRun_(cellsNotRun) {}
 
 void requireAtLeast(const char* pipeline, const char* option,
                     std::uint64_t value, std::uint64_t minimum) {
@@ -206,33 +148,100 @@ void requireAtLeast(const char* pipeline, const char* option,
 
 void runCampaignGrid(std::size_t count, const RunOptions& options,
                      const std::function<void(std::size_t)>& task) {
-  // Never more workers than cells; results are bit-identical at any
-  // thread count because every cell owns its seeded workload and
-  // simulator.
-  unsigned workers = options.threads == 0
+  static obs::Counter& cellsCompleted = obs::counter("grid.cells_completed");
+  static obs::Counter& cellRetries = obs::counter("grid.retries");
+  static obs::Counter& cellFailures = obs::counter("grid.cell_failures");
+  static obs::Histogram& queueWait = obs::histogram("grid.queue_wait_us");
+  const obs::ObsSpan span("campaign", "grid", "cells", count);
+  if (count == 0) return;
+  const Clock::time_point start = Clock::now();
+  const Clock::time_point deadline =
+      deadlineAfter(start, options.deadlineSeconds);
+  const unsigned maxAttempts = std::max(options.cellAttempts, 1u);
+  const std::chrono::milliseconds backoff(options.retryBackoffMs);
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> done{0};
+  std::atomic<std::uint64_t> retries{0};
+  std::mutex mutex;  // guards failures and lastReport
+  std::vector<CellFailure> failures;
+  Clock::time_point lastReport = start;
+
+  const auto runCell = [&](std::size_t cell) {
+    const obs::ObsSpan cellSpan("cell", "grid", "cell", cell);
+    core::Status status;
+    unsigned attempt = 0;
+    for (;;) {
+      ++attempt;
+      try {
+        task(cell);
+        cellsCompleted.add();
+        done.fetch_add(1, std::memory_order_relaxed);
+        return;
+      } catch (const core::StatusError& e) {
+        status = e.status();
+      } catch (const std::exception& e) {
+        status = core::Status::internal(e.what());
+      } catch (...) {
+        status = core::Status::internal("unknown exception");
+      }
+      if (attempt >= maxAttempts || !isRetryable(status) ||
+          Clock::now() >= deadline) {
+        break;
+      }
+      cellRetries.add();
+      retries.fetch_add(1, std::memory_order_relaxed);
+      // Exponential backoff, capped at 2^10 periods so a misconfigured
+      // attempt count cannot sleep for hours.
+      std::this_thread::sleep_for(backoff * (1u << std::min(attempt - 1, 10u)));
+    }
+    cellFailures.add();
+    const std::lock_guard<std::mutex> lock(mutex);
+    failures.push_back(CellFailure{cell, std::move(status), attempt});
+  };
+
+  const auto work = [&] {
+    // The deadline is checked before every claim, so no cell is claimed
+    // after it passes; cells already running finish.
+    while (Clock::now() < deadline) {
+      const std::size_t cell = next.fetch_add(1);
+      if (cell >= count) break;
+      // Queue wait: how long this cell sat unclaimed behind the cells
+      // ahead of it.
+      queueWait.record(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                                start)
+              .count()));
+      runCell(cell);
+      if (!options.progress) continue;
+      const std::lock_guard<std::mutex> lock(mutex);
+      const Clock::time_point now = Clock::now();
+      if (now - lastReport < std::chrono::seconds(2)) continue;
+      lastReport = now;
+      printProgress(done.load(), count, retries.load(), now - start);
+    }
+  };
+
+  unsigned threads = options.threads == 0
                          ? std::thread::hardware_concurrency()
                          : options.threads;
-  if (workers == 0) workers = 1;
-  workers = static_cast<unsigned>(
-      std::min<std::size_t>(workers, std::max<std::size_t>(count, 1)));
-  GridScheduler pool(workers);
-  CancelToken cancel;
-  RunPolicy policy;
-  policy.maxAttempts = std::max(options.cellAttempts, 1u);
-  policy.retryBackoff = std::chrono::milliseconds(options.retryBackoffMs);
-  if (options.deadlineSeconds > 0.0) {
-    cancel.setTimeout(std::chrono::nanoseconds(
-        static_cast<std::int64_t>(options.deadlineSeconds * 1e9)));
-    policy.cancel = &cancel;
+  threads = static_cast<unsigned>(std::clamp<std::size_t>(threads, 1, count));
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(threads - 1);
+    for (unsigned i = 1; i < threads; ++i) helpers.emplace_back(work);
+    work();  // the calling thread is the first worker
+  }  // joins the helpers
+  if (options.progress) {
+    printProgress(done.load(), count, retries.load(), Clock::now() - start);
   }
-  CampaignMonitor monitor(count, options.progress);
-  policy.retryCounter = monitor.retryCounter();
-  const auto wrapped = [&](std::size_t cell) {
-    task(cell);
-    monitor.cellDone();
-  };
-  const obs::ObsSpan span("campaign", "grid", "cells", count);
-  pool.run(count, wrapped, policy);
+  const std::size_t cellsNotRun = count - std::min(next.load(), count);
+  if (failures.empty() && cellsNotRun == 0) return;
+  // Report order is the cell order, whichever worker failed first.
+  std::sort(failures.begin(), failures.end(),
+            [](const CellFailure& a, const CellFailure& b) {
+              return a.cell < b.cell;
+            });
+  throw GridError(std::move(failures), cellsNotRun);
 }
 
 std::vector<CombinationRow> runErrorCombination(
@@ -240,61 +249,39 @@ std::vector<CombinationRow> runErrorCombination(
     std::span<const double> cprPercents, const RunOptions& options) {
   requireAtLeast("runErrorCombination", "cycles (--cycles)", options.cycles,
                  1);
-  const std::size_t points = designs.size() * cprPercents.size();
-  std::vector<CombinationRow> rows(points);
-  CampaignCheckpoint ckpt(
-      options.checkpoint,
+  return runCheckpointedGrid<CombinationRow>(
+      designs.size() * cprPercents.size(), options,
       baseFingerprint("runErrorCombination", designs, cprPercents, options)
           .digest(),
-      points);
-  const auto sweep = [&](std::size_t point) {
-    const circuits::SynthesizedDesign& design =
-        designs[point / cprPercents.size()];
-    const double cpr = cprPercents[point % cprPercents.size()];
-    if (const auto payload = ckpt.tryLoad(point)) {
-      if (auto row = decodeCombinationRow(*payload)) {
-        rows[point] = *std::move(row);
-        return;
-      }
-    }
-    // Injection site sits *after* the resume fast path, so a plan like
-    // "grid.cell:*" makes any recomputation fail — resuming a complete
-    // checkpoint under it proves cells were loaded, not recomputed.
-    core::fault_inject::maybeThrow(core::fault_inject::kGridCell,
-                                   core::StatusCode::IoError);
-    const double period = overclockedPeriodNs(options.signOffPeriodNs, cpr);
-    // Same workload seed across designs and CPRs so every design sees the
-    // same stimulus, as in the paper's common random sample. The
-    // collector runs it window by window (records bit-identical to the
-    // sequential path), and each window folds straight into the
-    // combination in record order, so the cell holds one window however
-    // many cycles it runs.
-    auto workload = workloadFor(options, design.config.width, 0);
-    TraceCollector collector(design, period);
-    const core::ErrorCombination combo = combineErrors(
-        collector, *workload, options.cycles, design.config.width);
-    CombinationRow row;
-    row.design = design.config.name();
-    row.cprPercent = cpr;
-    row.periodNs = period;
-    row.rmsRelStruct = combo.relStruct().rms();
-    row.rmsRelTiming = combo.relTiming().rms();
-    row.rmsRelJoint = combo.relJoint().rms();
-    row.meanAbsJointArith = combo.arithJoint().meanAbs();
-    row.structErrorRate = combo.arithStruct().errorRate();
-    row.timingErrorRate = combo.arithTiming().errorRate();
-    row.cycles = combo.cycles();
-    ckpt.commit(point, encodeCombinationRow(row));
-    rows[point] = std::move(row);
-  };
-  try {
-    runCampaignGrid(points, options, sweep);
-  } catch (...) {
-    (void)ckpt.finish();  // persist the surviving cells before surfacing
-    throw;
-  }
-  (void)ckpt.finish();
-  return rows;
+      combinationFields, [&](std::size_t point) {
+        const circuits::SynthesizedDesign& design =
+            designs[point / cprPercents.size()];
+        const double cpr = cprPercents[point % cprPercents.size()];
+        const double period =
+            overclockedPeriodNs(options.signOffPeriodNs, cpr);
+        // Same workload seed across designs and CPRs so every design sees
+        // the same stimulus, as in the paper's common random sample. The
+        // collector runs it window by window (records bit-identical to the
+        // sequential path), and each window folds straight into the
+        // combination in record order, so the cell holds one window
+        // however many cycles it runs.
+        auto workload = workloadFor(options, design.config.width, 0);
+        TraceCollector collector(design, period);
+        const core::ErrorCombination combo = combineErrors(
+            collector, *workload, options.cycles, design.config.width);
+        CombinationRow row;
+        row.design = design.config.name();
+        row.cprPercent = cpr;
+        row.periodNs = period;
+        row.rmsRelStruct = combo.relStruct().rms();
+        row.rmsRelTiming = combo.relTiming().rms();
+        row.rmsRelJoint = combo.relJoint().rms();
+        row.meanAbsJointArith = combo.arithJoint().meanAbs();
+        row.structErrorRate = combo.arithStruct().errorRate();
+        row.timingErrorRate = combo.arithTiming().errorRate();
+        row.cycles = combo.cycles();
+        return row;
+      });
 }
 
 std::vector<PredictionRow> runPredictionEvaluation(
@@ -306,8 +293,6 @@ std::vector<PredictionRow> runPredictionEvaluation(
     requireAtLeast("runPredictionEvaluation", "trainCycles (--train-cycles)",
                    options.trainCycles, 2);
   }
-  const std::size_t points = designs.size() * cprPercents.size();
-  std::vector<PredictionRow> rows(points);
   CampaignFingerprint fp = baseFingerprint("runPredictionEvaluation", designs,
                                            cprPercents, options.run);
   fp.mix(options.trainCycles);
@@ -317,84 +302,61 @@ std::vector<PredictionRow> runPredictionEvaluation(
   fp.mix(options.predictor.seed);
   fp.mix(static_cast<std::uint64_t>(options.predictor.forest.treeCount));
   fp.mix(static_cast<std::uint64_t>(options.predictor.forest.tree.maxDepth));
-  CampaignCheckpoint ckpt(options.run.checkpoint, fp.digest(), points);
-  const auto sweep = [&](std::size_t point) {
-    const circuits::SynthesizedDesign& design =
-        designs[point / cprPercents.size()];
-    const double cpr = cprPercents[point % cprPercents.size()];
-    if (const auto payload = ckpt.tryLoad(point)) {
-      if (auto row = decodePredictionRow(*payload)) {
-        rows[point] = *std::move(row);
-        return;
-      }
-    }
-    core::fault_inject::maybeThrow(core::fault_inject::kGridCell,
-                                   core::StatusCode::IoError);
-    const double period =
-        overclockedPeriodNs(options.run.signOffPeriodNs, cpr);
-    // Train and test stimuli come from differently-seeded streams. One
-    // TraceCollector per point shares its unrolled netlist and batch
-    // evaluator across both collections and owns each trace's single
-    // packing pass (the block shift-and-transpose of packTrace), so the
-    // predictor consumes packed feature/label words directly — popcount
-    // training and 64-lane batched evaluation with no per-record
-    // re-extraction here. Results are bit-identical to the sequential
-    // per-trace pipeline (differential gates: bench/micro_lane_sim.cpp,
-    // bench/micro_forest.cpp).
-    TraceCollector collector(design, period);
-    auto testWorkload = workloadFor(options.run, design.config.width, 2);
-    // modelIn short-circuits training entirely: the cell's bank mmaps in
-    // (envelope v2) and only the held-out stimulus is collected. Both
-    // arms evaluate through the same flat-bank batched sweep, so the
-    // rows — and any CSV written from them — are byte-identical.
-    predict::BitLevelPredictor predictor = [&] {
-      if (!options.modelIn.empty()) {
-        return predict::BitLevelPredictor::loadFlat(
-                   bankPath(options.modelIn, design.config.name(), cpr))
-            .valueOrThrow();
-      }
-      return predict::BitLevelPredictor(design.config.width,
-                                        options.predictor);
-    }();
-    if (predictor.width() != design.config.width) {
-      throw core::StatusError(core::Status(
-          core::StatusCode::InvalidInput,
-          "model bank width does not match design " + design.config.name()));
-    }
-    if (options.modelIn.empty()) {
-      auto trainWorkload = workloadFor(options.run, design.config.width, 1);
-      const CollectedTrace train = collector.collectPacked(
-          *trainWorkload, options.trainCycles, predictor.extractor());
-      predictor.fit(train.packed);
-      if (!options.modelOut.empty()) {
-        core::throwIfError(predictor.saveFlat(
-            bankPath(options.modelOut, design.config.name(), cpr)));
-      }
-    }
-    const CollectedTrace test = collector.collectPacked(
-        *testWorkload, options.testCycles, predictor.extractor());
-    const predict::PredictorEvaluation eval =
-        predictor.evaluate(test.trace, test.packed);
-
-    PredictionRow row;
-    row.design = design.config.name();
-    row.cprPercent = cpr;
-    row.periodNs = period;
-    row.abper = eval.abper;
-    row.avpe = eval.avpe;
-    row.trainCycles = options.trainCycles;
-    row.testCycles = eval.cycles;
-    ckpt.commit(point, encodePredictionRow(row));
-    rows[point] = std::move(row);
-  };
-  try {
-    runCampaignGrid(points, options.run, sweep);
-  } catch (...) {
-    (void)ckpt.finish();
-    throw;
-  }
-  (void)ckpt.finish();
-  return rows;
+  return runCheckpointedGrid<PredictionRow>(
+      designs.size() * cprPercents.size(), options.run, fp.digest(),
+      predictionFields, [&](std::size_t point) {
+        const circuits::SynthesizedDesign& design =
+            designs[point / cprPercents.size()];
+        const double cpr = cprPercents[point % cprPercents.size()];
+        const double period =
+            overclockedPeriodNs(options.run.signOffPeriodNs, cpr);
+        // Train and test stimuli come from differently-seeded streams. One
+        // TraceCollector per point shares its unrolled netlist and batch
+        // evaluator across both collections; fit and evaluate each pack
+        // their trace once (the block shift-and-transpose of packTrace)
+        // and train and sweep on the packed feature/label words.
+        TraceCollector collector(design, period);
+        auto testWorkload = workloadFor(options.run, design.config.width, 2);
+        // modelIn short-circuits training entirely: the cell's bank mmaps
+        // in (envelope v2) and only the held-out stimulus is collected.
+        // Both arms evaluate through the same flat-bank batched sweep, so
+        // the rows — and any CSV written from them — are byte-identical.
+        predict::BitLevelPredictor predictor = [&] {
+          if (!options.modelIn.empty()) {
+            return predict::BitLevelPredictor::loadFlat(
+                       bankPath(options.modelIn, design.config.name(), cpr))
+                .valueOrThrow();
+          }
+          return predict::BitLevelPredictor(design.config.width,
+                                            options.predictor);
+        }();
+        if (predictor.width() != design.config.width) {
+          throw core::StatusError(
+              core::Status(core::StatusCode::InvalidInput,
+                           "model bank width does not match design " +
+                               design.config.name()));
+        }
+        if (options.modelIn.empty()) {
+          auto trainWorkload =
+              workloadFor(options.run, design.config.width, 1);
+          predictor.fit(collector.collect(*trainWorkload, options.trainCycles));
+          if (!options.modelOut.empty()) {
+            core::throwIfError(predictor.saveFlat(
+                bankPath(options.modelOut, design.config.name(), cpr)));
+          }
+        }
+        const predict::PredictorEvaluation eval = predictor.evaluate(
+            collector.collect(*testWorkload, options.testCycles));
+        PredictionRow row;
+        row.design = design.config.name();
+        row.cprPercent = cpr;
+        row.periodNs = period;
+        row.abper = eval.abper;
+        row.avpe = eval.avpe;
+        row.trainCycles = options.trainCycles;
+        row.testCycles = eval.cycles;
+        return row;
+      });
 }
 
 BitDistributionResult runBitDistribution(

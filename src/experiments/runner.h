@@ -4,14 +4,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include <functional>
-
 #include "circuits/synthesis.h"
 #include "core/error_model.h"
+#include "core/fault_inject.h"
 #include "experiments/checkpoint.h"
 #include "experiments/workload.h"
 #include "predict/bit_predictor.h"
@@ -38,7 +38,8 @@ struct RunOptions {
   /// are retried with exponential backoff, then aggregated in GridError.
   unsigned cellAttempts = 1;
   std::uint64_t retryBackoffMs = 100;  ///< base backoff between tries
-  /// Wall-clock budget for the whole grid; 0 = unlimited. On expiry the
+  /// Wall-clock budget for the whole grid; 0, or a budget too large for
+  /// the steady clock to represent, is unlimited. On expiry the
   /// sweep stops claiming cells and throws GridError (completed cells
   /// are already checkpointed when checkpointing is on).
   double deadlineSeconds = 0.0;
@@ -120,12 +121,73 @@ struct BitDistributionResult {
     const circuits::SynthesizedDesign& design, double cprPercent,
     const RunOptions& options);
 
-/// Fans task(0..count-1) across a GridScheduler pool sized to the grid,
-/// applying the RunOptions failure policy (retry/backoff, deadline) and
-/// the --progress report. Every campaign pipeline's grid loop goes
-/// through here.
+/// The whole grid: runs task(0..count-1) on min(options.threads, count)
+/// workers (0 threads = hardware concurrency; the calling thread is one
+/// of them) that claim cells from one atomic counter, and joins them
+/// before returning. Results are bit-identical at any thread count when
+/// every cell derives its state from its index alone.
+///  * No cell is claimed once options.deadlineSeconds have passed (0, or
+///    a budget too large to represent, is no deadline); running cells
+///    finish.
+///  * A failed cell is tried up to options.cellAttempts times in all,
+///    sleeping retryBackoffMs << (k - 1) ms before retry k, unless its
+///    code is InvalidInput or Deadline or the deadline has passed.
+///  * A failure never stops the other cells. After the join, one
+///    GridError lists every failed cell, sorted by cell, and counts the
+///    cells the deadline left unclaimed; a plain exception becomes an
+///    Internal status.
+///  * options.progress prints a stderr line (cells done/total, retries,
+///    elapsed, ETA) when a cell ends 2 s or more after the last line, and
+///    a final line before returning or throwing.
+/// Each cell runs inside one `cell` span, the grid inside one `campaign`
+/// span; grid.cells_completed, grid.retries, grid.cell_failures and the
+/// grid.queue_wait_us histogram count what the grid did.
 void runCampaignGrid(std::size_t count, const RunOptions& options,
                      const std::function<void(std::size_t)>& task);
+
+/// The checkpoint protocol the checkpointed pipelines share, over
+/// runCampaignGrid: returns `count` rows, row i computed by cell(i) or
+/// adopted from the snapshot options.checkpoint resumes. `fields(row, io)`
+/// is the row codec: it passes the row's fields, in payload order, to
+/// `io` (PayloadWriter or PayloadReader). `fingerprint` is the campaign
+/// identity a snapshot must match (CampaignCheckpoint). A snapshotted cell
+/// whose payload decodes is served without running; any other cell
+/// passes the grid.cell fault-injection site first, so "grid.cell:*"
+/// fails every recomputation, then runs and is committed. The snapshot is
+/// saved when the grid ends, on its error path too.
+template <typename Row, typename Fields, typename Cell>
+[[nodiscard]] std::vector<Row> runCheckpointedGrid(std::size_t count,
+                                                   const RunOptions& options,
+                                                   std::uint64_t fingerprint,
+                                                   Fields fields, Cell cell) {
+  std::vector<Row> rows(count);
+  CampaignCheckpoint ckpt(options.checkpoint, fingerprint, count);
+  const auto run = [&](std::size_t i) {
+    if (const auto payload = ckpt.tryLoad(i)) {
+      Row row;
+      PayloadReader reader(*payload);
+      fields(row, reader);
+      if (reader.ok() && reader.atEnd()) {
+        rows[i] = std::move(row);
+        return;
+      }
+    }
+    core::fault_inject::maybeThrow(core::fault_inject::kGridCell,
+                                   core::StatusCode::IoError);
+    rows[i] = cell(i);
+    PayloadWriter writer;
+    fields(rows[i], writer);
+    ckpt.commit(i, writer.take());
+  };
+  try {
+    runCampaignGrid(count, options, run);
+  } catch (...) {
+    (void)ckpt.finish();  // persist the surviving cells before surfacing
+    throw;
+  }
+  (void)ckpt.finish();
+  return rows;
+}
 
 /// Throws core::StatusError(InvalidInput), naming `pipeline` and
 /// `option`, when `value` < `minimum`: the pipelines' check on their

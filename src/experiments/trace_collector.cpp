@@ -261,19 +261,6 @@ void TraceCollector::sampleWindow(
   }
 }
 
-CollectedTrace TraceCollector::collectPacked(
-    Workload& workload, std::uint64_t cycles,
-    const predict::FeatureExtractor& extractor) {
-  if (extractor.width() != design_.config.width) {
-    throw std::invalid_argument(
-        "TraceCollector::collectPacked: extractor width mismatch");
-  }
-  CollectedTrace out;
-  out.trace = collect(workload, cycles);
-  out.packed = extractor.packTrace(out.trace);
-  return out;
-}
-
 predict::Trace collectTrace(const circuits::SynthesizedDesign& design,
                             double periodNs, Workload& workload,
                             std::uint64_t cycles) {

@@ -129,15 +129,6 @@ class TraceCollector {
   void stream(Workload& workload, std::uint64_t cycles,
               const WindowConsumer& consume);
 
-  /// collect() plus the packed bit-column emission: the collector owns
-  /// each trace's single packing pass (the 64-row block shift-and-
-  /// transpose of FeatureExtractor::packTrace, run once here over the
-  /// collected records), so downstream consumers (BitLevelPredictor::
-  /// fit/evaluate) take the packed blocks directly and never re-pack.
-  [[nodiscard]] CollectedTrace collectPacked(
-      Workload& workload, std::uint64_t cycles,
-      const predict::FeatureExtractor& extractor);
-
   [[nodiscard]] double periodNs() const noexcept { return periodNs_; }
   [[nodiscard]] timing::TimePs periodPs() const noexcept { return periodPs_; }
 

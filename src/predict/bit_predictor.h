@@ -86,11 +86,9 @@ class BitLevelPredictor {
   /// the shared matrix.
   void fit(const Trace& trainTrace);
 
-  /// Trains directly from pre-packed bit columns (the lane trace
-  /// collector's native output — see experiments::TraceCollector::
-  /// collectPacked), skipping the per-call packing pass. `packed` must
-  /// have been produced by an extractor configured like this bank's
-  /// (same width and output-bit ablation).
+  /// Trains directly from pre-packed bit columns, skipping the per-call
+  /// packing pass. `packed` must have been produced by an extractor
+  /// configured like this bank's (same width and output-bit ablation).
   void fit(const PackedTraceFeatures& packed);
 
   /// Predicts the timing-class vector for the cycle `current` given the

@@ -4,6 +4,7 @@
 // byte-identical to an uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -73,6 +74,33 @@ TEST(PayloadCodecTest, RoundTripIsByteExact) {
   EXPECT_EQ(r.str(), "");
   EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.atEnd());
+}
+
+TEST(PayloadCodecTest, FieldListWritesTheTypedFieldsInOrder) {
+  // The row codecs' field lists must write exactly the bytes the typed
+  // calls write, or snapshots saved before them would stop resuming.
+  const std::string design = "design (8,0,0,4)";
+  const double rms = 3.141592653589793;
+  const std::uint64_t cycles = 0x0123456789ABCDEFull;
+  PayloadWriter typed;
+  typed.str(design);
+  typed.f64(rms);
+  typed.u64(cycles);
+  PayloadWriter listed;
+  listed(design, rms, cycles);
+  const std::string bytes = listed.take();
+  EXPECT_EQ(bytes, typed.take());
+
+  std::string designBack;
+  double rmsBack = 0.0;
+  std::uint64_t cyclesBack = 0;
+  PayloadReader r(bytes);
+  r(designBack, rmsBack, cyclesBack);
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.atEnd());
+  EXPECT_EQ(designBack, design);
+  EXPECT_EQ(rmsBack, rms);
+  EXPECT_EQ(cyclesBack, cycles);
 }
 
 TEST(PayloadCodecTest, TruncatedReadsTripTheStickyError) {
@@ -349,6 +377,58 @@ TEST(ResumeEquivalenceTest, InterruptedCampaignResumesByteIdentical) {
   // Resume: recomputes only the missing cells; the full grid must be
   // byte-identical to the uninterrupted reference (threads may differ).
   auto resumed = fastRun();
+  resumed.checkpoint.path = path;
+  resumed.checkpoint.resume = true;
+  const auto rows =
+      oisa::experiments::runErrorCombination(designs, cprs, resumed);
+  expectRowsIdentical(rows, reference);
+  std::remove(path.c_str());
+}
+
+TEST(ResumeEquivalenceTest, DeadlineCutCampaignKeepsItsCellsAndResumes) {
+  const auto designs = smallDesigns();
+  const std::vector<double> cprs = {5.0, 10.0, 15.0};
+  const std::string path = tempPath("resume_deadline.bin");
+  std::remove(path.c_str());
+
+  // Reference: uninterrupted, on one worker, timed to size the deadline.
+  auto run = fastRun();
+  run.cycles = 200000;
+  run.threads = 1;
+  const auto start = std::chrono::steady_clock::now();
+  const auto reference =
+      oisa::experiments::runErrorCombination(designs, cprs, run);
+  const double cellSeconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count() /
+      static_cast<double>(cprs.size());
+
+  // Three-quarters of a cell: the one worker claims cell 0 at once, and
+  // the deadline passes before it could claim cell 2. The sparse autosave
+  // (every 8 cells) never fires, so the snapshot is the error path's.
+  auto interrupted = run;
+  interrupted.checkpoint.path = path;
+  interrupted.deadlineSeconds = 0.75 * cellSeconds;
+  std::size_t notRun = 0;
+  try {
+    (void)oisa::experiments::runErrorCombination(designs, cprs, interrupted);
+    FAIL() << "expected the deadline to cut the campaign short";
+  } catch (const oisa::experiments::GridError& e) {
+    EXPECT_TRUE(e.cancelled());
+    EXPECT_TRUE(e.failures().empty());
+    notRun = e.cellsNotRun();
+  }
+  ASSERT_GE(notRun, 1u);
+  ASSERT_LT(notRun, cprs.size());
+  {
+    const auto snapshot = GridCheckpoint::loadFrom(path);
+    ASSERT_TRUE(snapshot.isOk()) << snapshot.status().toString();
+    EXPECT_EQ(snapshot.value().completedCells(), cprs.size() - notRun);
+  }
+
+  // Resume recomputes only the unclaimed cells, at any thread count.
+  auto resumed = run;
+  resumed.threads = 2;
   resumed.checkpoint.path = path;
   resumed.checkpoint.resume = true;
   const auto rows =

@@ -1,20 +1,27 @@
-// GridScheduler failure semantics: aggregation of every cell failure
-// into one GridError (not first-exception-wins), per-cell retry with
-// backoff, cooperative cancellation with a wall-clock deadline, the
-// documented post-error state, and runCampaignGrid's --progress report —
-// all at 1, 2 and 8 threads.
+// runCampaignGrid, driven through RunOptions as every campaign drives it:
+// every cell runs exactly once, every cell failure is aggregated into one
+// GridError (not first-exception-wins), per-cell retry with backoff, the
+// wall-clock deadline (expired, passed mid-run, and too large to
+// represent), the --progress report, and the determinism contract
+// (bit-identical sweeps at any thread count) — at 1, 2 and 8 threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "circuits/synthesis.h"
 #include "core/fault_inject.h"
+#include "core/isa_config.h"
 #include "core/status.h"
 #include "experiments/grid_scheduler.h"
 #include "experiments/runner.h"
+#include "timing/cell_library.h"
 
 namespace {
 
@@ -22,22 +29,45 @@ using oisa::core::ScopedFaultPlan;
 using oisa::core::Status;
 using oisa::core::StatusCode;
 using oisa::core::StatusError;
-using oisa::experiments::CancelToken;
 using oisa::experiments::GridError;
-using oisa::experiments::GridScheduler;
 using oisa::experiments::RunOptions;
-using oisa::experiments::RunPolicy;
+using oisa::experiments::runCampaignGrid;
 
 const unsigned kThreadCounts[] = {1, 2, 8};
 
-TEST(GridSchedulerErrorTest, AggregatesEveryFailureNotJustTheFirst) {
+RunOptions gridOptions(unsigned threads) {
+  RunOptions options;
+  options.threads = threads;
+  options.retryBackoffMs = 0;
+  return options;
+}
+
+void failAtGridCellSite(std::size_t) {
+  oisa::core::fault_inject::maybeThrow(oisa::core::fault_inject::kGridCell,
+                                       StatusCode::IoError);
+}
+
+TEST(CampaignGridTest, RunsEveryCellExactlyOnce) {
   for (const unsigned threads : kThreadCounts) {
-    GridScheduler pool(threads);
-    // Cells 3, 7, 11 fail; all three must be reported, sorted by cell,
-    // and the remaining 13 cells must still have run.
+    std::vector<std::atomic<int>> hits(257);
+    runCampaignGrid(hits.size(), gridOptions(threads),
+                    [&](std::size_t i) { ++hits[i]; });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << threads << " threads";
+  }
+}
+
+TEST(CampaignGridTest, EmptyGridRunsNothing) {
+  runCampaignGrid(0, gridOptions(4),
+                  [](std::size_t) { FAIL() << "no cell to run"; });
+}
+
+TEST(CampaignGridErrorTest, AggregatesEveryFailureNotJustTheFirst) {
+  for (const unsigned threads : kThreadCounts) {
+    // Cells 3, 7, 11, 15 fail; all four must be reported, sorted by cell,
+    // and the remaining 12 cells must still have run.
     std::atomic<int> ran{0};
     try {
-      pool.run(16, [&](std::size_t cell) {
+      runCampaignGrid(16, gridOptions(threads), [&](std::size_t cell) {
         ran.fetch_add(1);
         if (cell % 4 == 3) {
           throw StatusError(Status::ioError("cell " + std::to_string(cell) +
@@ -62,25 +92,23 @@ TEST(GridSchedulerErrorTest, AggregatesEveryFailureNotJustTheFirst) {
   }
 }
 
-TEST(GridSchedulerErrorTest, SchedulerIsReusableAfterAGridError) {
-  for (const unsigned threads : kThreadCounts) {
-    GridScheduler pool(threads);
-    EXPECT_THROW(
-        pool.run(8, [](std::size_t cell) {
-          if (cell == 2) throw std::runtime_error("boom");
-        }),
-        GridError);
-    // The next run starts clean: no stale failures, all cells execute.
-    std::atomic<int> ran{0};
-    EXPECT_NO_THROW(pool.run(8, [&](std::size_t) { ran.fetch_add(1); }));
-    EXPECT_EQ(ran.load(), 8);
+TEST(CampaignGridErrorTest, GridErrorIsARuntimeError) {
+  // Pre-taxonomy catch sites catch std::runtime_error.
+  for (const unsigned threads : {1u, 4u}) {
+    EXPECT_THROW(runCampaignGrid(64, gridOptions(threads),
+                                 [](std::size_t i) {
+                                   if (i == 13) {
+                                     throw std::runtime_error("cell failed");
+                                   }
+                                 }),
+                 std::runtime_error);
   }
 }
 
-TEST(GridSchedulerErrorTest, PlainExceptionsBecomeInternalStatus) {
-  GridScheduler pool(1);
+TEST(CampaignGridErrorTest, PlainExceptionsBecomeInternalStatus) {
   try {
-    pool.run(2, [](std::size_t) { throw std::runtime_error("plain"); });
+    runCampaignGrid(2, gridOptions(1),
+                    [](std::size_t) { throw std::runtime_error("plain"); });
     FAIL();
   } catch (const GridError& e) {
     ASSERT_EQ(e.failures().size(), 2u);
@@ -90,71 +118,46 @@ TEST(GridSchedulerErrorTest, PlainExceptionsBecomeInternalStatus) {
   }
 }
 
-TEST(GridSchedulerRetryTest, TransientFailureSucceedsOnRetry) {
+TEST(CampaignGridRetryTest, TransientFailureSucceedsOnRetry) {
   // grid.cell:1 — exactly the first hit dies. With 2 attempts the retry
   // recomputes the same cell successfully.
   ScopedFaultPlan plan("grid.cell:1");
-  GridScheduler pool(1);
-  RunPolicy policy;
-  policy.maxAttempts = 2;
+  RunOptions options = gridOptions(1);
+  options.cellAttempts = 2;
   std::atomic<int> completed{0};
-  pool.run(
-      4,
-      [&](std::size_t) {
-        oisa::core::fault_inject::maybeThrow(
-            oisa::core::fault_inject::kGridCell, StatusCode::IoError);
-        completed.fetch_add(1);
-      },
-      policy);
+  runCampaignGrid(4, options, [&](std::size_t cell) {
+    failAtGridCellSite(cell);
+    completed.fetch_add(1);
+  });
   EXPECT_EQ(completed.load(), 4);
   // First attempt of the first cell + its retry + three clean cells.
   EXPECT_EQ(oisa::core::fault_inject::hitCount("grid.cell"), 5u);
 }
 
-TEST(GridSchedulerRetryTest, PermanentFailureExhaustsAttemptsThenAggregates) {
+TEST(CampaignGridRetryTest, PermanentFailureExhaustsAttemptsThenAggregates) {
   ScopedFaultPlan plan("grid.cell:1+");  // every hit fails
-  GridScheduler pool(1);
-  RunPolicy policy;
-  policy.maxAttempts = 3;
-  try {
-    pool.run(2, [&](std::size_t) {
-      oisa::core::fault_inject::maybeThrow(
-          oisa::core::fault_inject::kGridCell, StatusCode::IoError);
-    });
-    FAIL() << "expected GridError";
-  } catch (const GridError& e) {
-    // Default policy (no retry) on the 2-arg overload: attempts == 1.
-    ASSERT_EQ(e.failures().size(), 2u);
-    EXPECT_EQ(e.failures()[0].attempts, 1u);
-  }
-  try {
-    pool.run(
-        2,
-        [&](std::size_t) {
-          oisa::core::fault_inject::maybeThrow(
-              oisa::core::fault_inject::kGridCell, StatusCode::IoError);
-        },
-        policy);
-    FAIL() << "expected GridError";
-  } catch (const GridError& e) {
-    ASSERT_EQ(e.failures().size(), 2u);
-    for (const auto& f : e.failures()) EXPECT_EQ(f.attempts, 3u);
+  for (const unsigned attempts : {1u, 3u}) {
+    RunOptions options = gridOptions(1);
+    options.cellAttempts = attempts;
+    try {
+      runCampaignGrid(2, options, failAtGridCellSite);
+      FAIL() << "expected GridError";
+    } catch (const GridError& e) {
+      ASSERT_EQ(e.failures().size(), 2u);
+      for (const auto& f : e.failures()) EXPECT_EQ(f.attempts, attempts);
+    }
   }
 }
 
-TEST(GridSchedulerRetryTest, InvalidInputIsNeverRetried) {
-  GridScheduler pool(1);
-  RunPolicy policy;
-  policy.maxAttempts = 5;
+TEST(CampaignGridRetryTest, InvalidInputIsNeverRetried) {
+  RunOptions options = gridOptions(1);
+  options.cellAttempts = 5;
   std::atomic<int> attempts{0};
   try {
-    pool.run(
-        1,
-        [&](std::size_t) {
-          attempts.fetch_add(1);
-          throw StatusError(Status::invalidInput("caller bug"));
-        },
-        policy);
+    runCampaignGrid(1, options, [&](std::size_t) {
+      attempts.fetch_add(1);
+      throw StatusError(Status::invalidInput("caller bug"));
+    });
     FAIL();
   } catch (const GridError& e) {
     ASSERT_EQ(e.failures().size(), 1u);
@@ -164,16 +167,15 @@ TEST(GridSchedulerRetryTest, InvalidInputIsNeverRetried) {
   EXPECT_EQ(attempts.load(), 1);
 }
 
-TEST(GridSchedulerCancelTest, PreCancelledTokenRunsNothing) {
+TEST(CampaignGridDeadlineTest, ExpiredDeadlineRunsNothing) {
   for (const unsigned threads : kThreadCounts) {
-    GridScheduler pool(threads);
-    CancelToken cancel;
-    cancel.requestCancel();
-    RunPolicy policy;
-    policy.cancel = &cancel;
+    // The smallest positive budget rounds to a deadline at the grid's
+    // start, which has passed before the first claim.
+    RunOptions options = gridOptions(threads);
+    options.deadlineSeconds = std::numeric_limits<double>::denorm_min();
     std::atomic<int> ran{0};
     try {
-      pool.run(64, [&](std::size_t) { ran.fetch_add(1); }, policy);
+      runCampaignGrid(64, options, [&](std::size_t) { ran.fetch_add(1); });
       FAIL() << "expected GridError at " << threads << " threads";
     } catch (const GridError& e) {
       EXPECT_TRUE(e.cancelled());
@@ -184,71 +186,63 @@ TEST(GridSchedulerCancelTest, PreCancelledTokenRunsNothing) {
   }
 }
 
-TEST(GridSchedulerCancelTest, MidRunCancelStopsClaimsPromptly) {
-  // Single worker for determinism: cell 2 cancels, cells 3..9 must never
-  // be claimed (the token is checked before every claim).
-  GridScheduler pool(1);
-  CancelToken cancel;
-  RunPolicy policy;
-  policy.cancel = &cancel;
+TEST(CampaignGridDeadlineTest, DeadlinePassedMidRunStopsClaims) {
+  // Single worker for determinism: cell 2 outlasts the deadline, so cells
+  // 3..9 must never be claimed (the deadline is checked before every
+  // claim). The grid starts no later than cell 0 does, so waiting until
+  // cell 0's start plus the budget has passed waits out the deadline.
+  using Clock = std::chrono::steady_clock;
+  RunOptions options = gridOptions(1);
+  options.deadlineSeconds = 1.0;
+  Clock::time_point firstCell;
   std::set<std::size_t> ran;
   try {
-    pool.run(
-        10,
-        [&](std::size_t cell) {
-          ran.insert(cell);
-          if (cell == 2) cancel.requestCancel();
-        },
-        policy);
+    runCampaignGrid(10, options, [&](std::size_t cell) {
+      if (cell == 0) firstCell = Clock::now();
+      ran.insert(cell);
+      if (cell != 2) return;
+      while (Clock::now() - firstCell <= std::chrono::seconds(1)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+    });
     FAIL() << "expected GridError";
   } catch (const GridError& e) {
     EXPECT_TRUE(e.cancelled());
+    EXPECT_TRUE(e.failures().empty());
     EXPECT_EQ(e.cellsNotRun(), 7u);
   }
   EXPECT_EQ(ran, (std::set<std::size_t>{0, 1, 2}));
 }
 
-TEST(GridSchedulerCancelTest, ExpiredDeadlineCancels) {
-  for (const unsigned threads : kThreadCounts) {
-    GridScheduler pool(threads);
-    CancelToken cancel;
-    cancel.setTimeout(std::chrono::nanoseconds{0});  // already expired
-    RunPolicy policy;
-    policy.cancel = &cancel;
-    std::atomic<int> ran{0};
-    EXPECT_THROW(
-        pool.run(32, [&](std::size_t) { ran.fetch_add(1); }, policy),
-        GridError);
-    EXPECT_EQ(ran.load(), 0) << threads << " threads";
-    EXPECT_TRUE(cancel.cancelled());
+TEST(CampaignGridDeadlineTest, DeadlineTooLargeToRepresentIsNoDeadline) {
+  // 1e300 s (or 1e19 s, the largest a CLI user plausibly types) is far
+  // past what the steady clock can hold: the grid saturates it to no
+  // deadline instead of wrapping it into the past.
+  for (const double seconds : {1e300, 1e19, 9.3e9}) {
+    for (const unsigned threads : kThreadCounts) {
+      RunOptions options = gridOptions(threads);
+      options.deadlineSeconds = seconds;
+      std::atomic<int> ran{0};
+      EXPECT_NO_THROW(runCampaignGrid(
+          36, options, [&](std::size_t) { ran.fetch_add(1); }))
+          << seconds << " s at " << threads << " threads";
+      EXPECT_EQ(ran.load(), 36) << seconds << " s at " << threads
+                                << " threads";
+    }
   }
 }
-
-TEST(GridSchedulerCancelTest, CancellationLatches) {
-  CancelToken cancel;
-  EXPECT_FALSE(cancel.cancelled());
-  cancel.setTimeout(std::chrono::hours{24});
-  EXPECT_FALSE(cancel.cancelled());
-  cancel.requestCancel();
-  EXPECT_TRUE(cancel.cancelled());
-  EXPECT_TRUE(cancel.cancelled());  // stays cancelled
-}
-
-// --- runCampaignGrid: the --progress report ----------------------------
 
 TEST(CampaignGridTest, ProgressCountsEveryCellAndRetry) {
   // The final progress line is printed when the grid ends, so at any
   // thread count it must show all five cells and the one retry.
   for (const unsigned threads : kThreadCounts) {
-    RunOptions options;
-    options.threads = threads;
+    RunOptions options = gridOptions(threads);
     options.progress = true;
     options.cellAttempts = 2;
-    options.retryBackoffMs = 0;
     std::atomic<bool> failedOnce{false};
     std::atomic<int> completed{0};
     ::testing::internal::CaptureStderr();
-    oisa::experiments::runCampaignGrid(5, options, [&](std::size_t cell) {
+    runCampaignGrid(5, options, [&](std::size_t cell) {
       if (cell == 3 && !failedOnce.exchange(true)) {
         throw StatusError(Status::ioError("transient"));
       }
@@ -258,6 +252,44 @@ TEST(CampaignGridTest, ProgressCountsEveryCellAndRetry) {
     EXPECT_EQ(completed.load(), 5) << "threads=" << threads;
     EXPECT_NE(err.find("progress: 5/5 cells, 1 retries"), std::string::npos)
         << "threads=" << threads << ", stderr:\n" << err;
+  }
+}
+
+TEST(CampaignGridTest, ErrorCombinationIsBitIdenticalAcrossThreadCounts) {
+  const auto lib = oisa::timing::CellLibrary::generic65();
+  std::vector<oisa::circuits::SynthesizedDesign> designs;
+  designs.push_back(oisa::circuits::synthesize(
+      oisa::core::makeIsa(8, 0, 0, 4), lib, {}));
+  designs.push_back(oisa::circuits::synthesize(
+      oisa::core::makeIsa(8, 2, 1, 4), lib, {}));
+  const std::vector<double> cprs = {5.0, 15.0};
+
+  auto runAt = [&](unsigned threads) {
+    RunOptions options;
+    options.cycles = 400;
+    options.seed = 42;
+    options.threads = threads;
+    return oisa::experiments::runErrorCombination(designs, cprs, options);
+  };
+  const auto serial = runAt(1);
+  ASSERT_EQ(serial.size(), 4u);
+  for (const unsigned threads : {2u, 8u}) {
+    const auto parallel = runAt(threads);
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      SCOPED_TRACE(serial[i].design + " @ " +
+                   std::to_string(serial[i].cprPercent));
+      EXPECT_EQ(parallel[i].design, serial[i].design);
+      // Exact equality on purpose: per-cell state makes the grid result a
+      // pure function of (inputs, seed), independent of scheduling.
+      EXPECT_EQ(parallel[i].rmsRelStruct, serial[i].rmsRelStruct);
+      EXPECT_EQ(parallel[i].rmsRelTiming, serial[i].rmsRelTiming);
+      EXPECT_EQ(parallel[i].rmsRelJoint, serial[i].rmsRelJoint);
+      EXPECT_EQ(parallel[i].meanAbsJointArith, serial[i].meanAbsJointArith);
+      EXPECT_EQ(parallel[i].structErrorRate, serial[i].structErrorRate);
+      EXPECT_EQ(parallel[i].timingErrorRate, serial[i].timingErrorRate);
+      EXPECT_EQ(parallel[i].cycles, serial[i].cycles);
+    }
   }
 }
 

@@ -694,21 +694,6 @@ TEST(LaneTraceCollectorTest, ReusedCollectorCountsEveryCollect) {
   EXPECT_EQ(reusedCounts, freshCounts);
 }
 
-TEST(LaneTraceCollectorTest, PackedEmissionMatchesPackTrace) {
-  const auto design = testDesign(8, 2, 1, 4);
-  const double period = oisa::experiments::overclockedPeriodNs(0.3, 15.0);
-  oisa::experiments::TraceCollector collector(design, period);
-  const oisa::predict::FeatureExtractor extractor(32);
-  auto wl = oisa::experiments::makeWorkload("uniform", 32, 3);
-  const auto collected = collector.collectPacked(*wl, 130, extractor);
-  const auto reference = extractor.packTrace(collected.trace);
-  EXPECT_EQ(collected.packed.rowCount, reference.rowCount);
-  EXPECT_EQ(collected.packed.shared, reference.shared);
-  EXPECT_EQ(collected.packed.goldPrev, reference.goldPrev);
-  EXPECT_EQ(collected.packed.goldCur, reference.goldCur);
-  EXPECT_EQ(collected.packed.labels, reference.labels);
-}
-
 // ---------------------------------------------------------------------------
 // Shared compiled substrate.
 // ---------------------------------------------------------------------------

@@ -2,19 +2,15 @@
 // against the retained seed heap engine (HeapSimulator): both run on the
 // same integer-picosecond grid, so agreement is exact — per-cycle sampled
 // outputs, final net state, and committed-event counts. Also covers the
-// ps quantization rules, wheel-specific edge cases, and the GridScheduler
-// determinism contract (bit-identical sweeps at any thread count).
+// ps quantization rules and wheel-specific edge cases.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <random>
 #include <stdexcept>
 
 #include "circuits/isa_netlist.h"
 #include "circuits/synthesis.h"
 #include "core/isa_config.h"
-#include "experiments/grid_scheduler.h"
-#include "experiments/runner.h"
 #include "netlist/gate.h"
 #include "reference/heap_sim.h"
 #include "timing/cell_library.h"
@@ -205,67 +201,6 @@ TEST(WheelSimulatorTest, ResetReplaysIdentically) {
   EXPECT_EQ(sim.nowPs(), 0);
   EXPECT_EQ(sim.eventsProcessed(), 0u);
   EXPECT_EQ(runOnce(), first);
-}
-
-TEST(GridSchedulerTest, RunsEveryCellExactlyOnce) {
-  oisa::experiments::GridScheduler pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  pool.run(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(GridSchedulerTest, PropagatesTaskExceptions) {
-  for (const unsigned threads : {1u, 4u}) {
-    oisa::experiments::GridScheduler pool(threads);
-    EXPECT_THROW(
-        pool.run(64,
-                 [&](std::size_t i) {
-                   if (i == 13) throw std::runtime_error("cell failed");
-                 }),
-        std::runtime_error);
-    // The pool must survive a failed run and accept the next one.
-    std::atomic<int> ran{0};
-    pool.run(8, [&](std::size_t) { ++ran; });
-    EXPECT_EQ(ran.load(), 8);
-  }
-}
-
-TEST(GridSchedulerTest, ErrorCombinationIsBitIdenticalAcrossThreadCounts) {
-  const CellLibrary lib = CellLibrary::generic65();
-  std::vector<oisa::circuits::SynthesizedDesign> designs;
-  designs.push_back(oisa::circuits::synthesize(
-      oisa::core::makeIsa(8, 0, 0, 4), lib, {}));
-  designs.push_back(oisa::circuits::synthesize(
-      oisa::core::makeIsa(8, 2, 1, 4), lib, {}));
-  const std::vector<double> cprs = {5.0, 15.0};
-
-  auto runAt = [&](unsigned threads) {
-    oisa::experiments::RunOptions options;
-    options.cycles = 400;
-    options.seed = 42;
-    options.threads = threads;
-    return oisa::experiments::runErrorCombination(designs, cprs, options);
-  };
-  const auto serial = runAt(1);
-  ASSERT_EQ(serial.size(), 4u);
-  for (const unsigned threads : {2u, 8u}) {
-    const auto parallel = runAt(threads);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      SCOPED_TRACE(serial[i].design + " @ " +
-                   std::to_string(serial[i].cprPercent));
-      EXPECT_EQ(parallel[i].design, serial[i].design);
-      // Exact equality on purpose: per-cell state makes the grid result a
-      // pure function of (inputs, seed), independent of scheduling.
-      EXPECT_EQ(parallel[i].rmsRelStruct, serial[i].rmsRelStruct);
-      EXPECT_EQ(parallel[i].rmsRelTiming, serial[i].rmsRelTiming);
-      EXPECT_EQ(parallel[i].rmsRelJoint, serial[i].rmsRelJoint);
-      EXPECT_EQ(parallel[i].meanAbsJointArith, serial[i].meanAbsJointArith);
-      EXPECT_EQ(parallel[i].structErrorRate, serial[i].structErrorRate);
-      EXPECT_EQ(parallel[i].timingErrorRate, serial[i].timingErrorRate);
-      EXPECT_EQ(parallel[i].cycles, serial[i].cycles);
-    }
-  }
 }
 
 }  // namespace
