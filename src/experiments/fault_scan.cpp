@@ -95,9 +95,7 @@ std::vector<FaultScanRow> runFaultErrorScan(
     const auto workload =
         makeWorkload(options.run.workload, width, options.run.seed);
     const std::size_t engineLanes = engine->lanes();
-    const std::size_t kW = engine->wordsPerNet();
     std::vector<Stimulus> stims(engineLanes);
-    std::vector<std::uint64_t> subWords(compiled->inputNets().size(), 0);
     std::uint64_t remaining = coverage.patterns;
     // Wide engines consume the same workload stream the 64-lane reference
     // would: pattern p of a block is draw p of its stream position, packed
@@ -110,16 +108,12 @@ std::vector<FaultScanRow> runFaultErrorScan(
           std::min<std::uint64_t>(remaining, engineLanes));
       remaining -= count;
       workload->fill(std::span(stims.data(), count));
-      std::fill(inputWords.begin(), inputWords.end(), 0);
-      for (std::size_t j = 0; j * 64 < count; ++j) {
-        packStimulusBlock(
-            std::span(stims.data() + j * 64,
-                      std::min<std::size_t>(count - j * 64, 64)),
-            width, subWords);
-        for (std::size_t i = 0; i < subWords.size(); ++i) {
-          inputWords[i * kW + j] = subWords[i];
-        }
+      // Only a partial last block leaves sub-words unpacked: they read 0.
+      if (count < engineLanes) {
+        std::fill(inputWords.begin(), inputWords.end(), 0);
       }
+      packStimuli(std::span(stims.data(), count), width, inputWords,
+                  engine->wordsPerNet());
       return count;
     };
     const fault::CoverageResult cov =

@@ -48,7 +48,7 @@ TraceCollector::TraceCollector(const circuits::SynthesizedDesign& design,
     throw core::StatusError(core::Status::invalidInput(
         "TraceCollector: design '" + design.config.name() + "' " + why));
   };
-  // Inputs pack through packStimulusBlock and outputs unpack as W sum
+  // Inputs pack through packStimuli and outputs unpack as W sum
   // words plus the carry-out word, so the netlist must follow the adder
   // port convention.
   const auto compiled = netlist::CompiledNetlist::compile(design.netlist);
@@ -195,15 +195,7 @@ void TraceCollector::sampleWindow(
   // end (its spare lanes are never unpacked).
   const std::size_t streamWords = (stimuli.size() + 63) / 64 + kW + 1;
   std::vector<std::uint64_t> bits(ports * streamWords, 0);
-  std::vector<std::uint64_t> block(ports);
-  for (std::size_t p = 0; p < stimuli.size(); p += 64) {
-    packStimulusBlock(
-        stimuli.subspan(p, std::min<std::size_t>(64, stimuli.size() - p)),
-        width, block);
-    for (std::size_t i = 0; i < ports; ++i) {
-      bits[i * streamWords + p / 64] = block[i];
-    }
-  }
+  packStimuli(stimuli, width, bits, streamWords);
 
   // One sweep per `lanes` records: lane L of plane j is the stimulus jS
   // records before record b + L, i.e. stream position head + b + L - jS.
@@ -212,7 +204,7 @@ void TraceCollector::sampleWindow(
   const auto outputNets = evaluator_->compiled()->outputNets();
   // Output words are lane-major, silver's W + 1 first, then gold's. Up to
   // 32 bits both sums share one transpose (silver in rows 0..W-1, gold in
-  // rows 32..32+W-1, as packStimulusBlock packs a and b); wider sums take
+  // rows 32..32+W-1, as packStimuli packs a and b); wider sums take
   // one each. Rows past the sums are never cleared: the transpose moves
   // them to bits the width mask drops. Carry-outs are read straight from
   // their words, so width 64 fits too.

@@ -1,10 +1,10 @@
 #include "experiments/workload.h"
 
+#include <algorithm>
 #include <array>
+#include <random>
 #include <stdexcept>
 #include <string>
-
-#include "netlist/bitops.h"
 
 namespace oisa::experiments {
 
@@ -27,10 +27,19 @@ Stimulus UniformWorkload::next() {
   return s;
 }
 
-// The fill overrides call next() by its qualified name: a direct,
-// inlinable call instead of one virtual dispatch per stimulus.
 void UniformWorkload::fill(std::span<Stimulus> out) {
-  for (Stimulus& s : out) s = UniformWorkload::next();
+  // A chunk of draws at a time: the stack buffer keeps memory flat in
+  // out.size(). It is left uninitialized: every word read is drawn first.
+  constexpr std::size_t kChunk = 1024;
+  std::array<std::uint64_t, 2 * kChunk> words;
+  for (std::size_t first = 0; first < out.size(); first += kChunk) {
+    const std::size_t n = std::min(kChunk, out.size() - first);
+    rng_.fill(std::span(words.data(), 2 * n));
+    for (std::size_t i = 0; i < n; ++i) {
+      out[first + i] = Stimulus{words[2 * i] & mask_,
+                                words[2 * i + 1] & mask_, false};
+    }
+  }
 }
 
 RandomWalkWorkload::RandomWalkWorkload(int width, int stepBits,
@@ -49,6 +58,8 @@ Stimulus RandomWalkWorkload::next() {
   return Stimulus{a_, b_, false};
 }
 
+// The other fill overrides call next() by its qualified name: a direct,
+// inlinable call instead of one virtual dispatch per stimulus.
 void RandomWalkWorkload::fill(std::span<Stimulus> out) {
   for (Stimulus& s : out) s = RandomWalkWorkload::next();
 }
@@ -91,10 +102,84 @@ std::unique_ptr<Workload> makeWorkload(const std::string& kind, int width,
   throw std::invalid_argument("makeWorkload: unknown kind '" + kind + "'");
 }
 
+void packStimuli(std::span<const Stimulus> stims, int width,
+                 std::span<std::uint64_t> words, std::size_t stride) {
+  constexpr std::size_t kLanes = 64;
+  if (width > 64) {
+    throw std::invalid_argument("packStimuli: width " + std::to_string(width) +
+                                " exceeds 64 bits");
+  }
+  const auto ports = static_cast<std::size_t>(2 * width + 1);
+  if (words.size() != ports * stride) {
+    throw std::invalid_argument(
+        "packStimuli: expected " + std::to_string(2 * width + 1) + " x " +
+        std::to_string(stride) +
+        " input words (adder port convention), got " +
+        std::to_string(words.size()));
+  }
+  const std::size_t blocks = (stims.size() + kLanes - 1) / kLanes;
+  if (blocks > stride) {
+    throw std::invalid_argument("packStimuli: " +
+                                std::to_string(stims.size()) +
+                                " stimuli need a stride of at least " +
+                                std::to_string(blocks) + ", got " +
+                                std::to_string(stride));
+  }
+  // Lane-major packing: after a transpose, row i holds bit i of every
+  // lane's word. Up to 32 bits a and b share one transpose, a in the low
+  // half of each lane's word and b in the high half; wider operands take
+  // one transpose each.
+  const netlist::Transpose64Kernel transpose = netlist::transpose64Kernel();
+  const auto w = static_cast<std::size_t>(width);
+  const bool shared = w <= 32;
+  const std::uint64_t mask = maskBits(width);
+  std::array<std::uint64_t, kLanes> aM{};
+  std::array<std::uint64_t, kLanes> bM{};
+  const std::uint64_t* bRows = shared ? aM.data() + 32 : bM.data();
+  for (std::size_t j = 0; j < blocks; ++j) {
+    const std::span<const Stimulus> sub =
+        stims.subspan(j * kLanes, std::min(kLanes, stims.size() - j * kLanes));
+    const auto spare = static_cast<std::ptrdiff_t>(sub.size());
+    // Carry-ins eight lanes a step, so that most shifts are constants.
+    std::uint64_t cinWord = 0;
+    std::size_t lane = 0;
+    for (; lane + 8 <= sub.size(); lane += 8) {
+      std::uint64_t byte = 0;
+      for (std::size_t k = 0; k < 8; ++k) {
+        byte |= static_cast<std::uint64_t>(sub[lane + k].carryIn) << k;
+      }
+      cinWord |= byte << lane;
+    }
+    for (; lane < sub.size(); ++lane) {
+      cinWord |= static_cast<std::uint64_t>(sub[lane].carryIn) << lane;
+    }
+    if (shared) {
+      for (std::size_t lane = 0; lane < sub.size(); ++lane) {
+        aM[lane] = (sub[lane].a & mask) | (sub[lane].b & mask) << 32;
+      }
+      std::fill(aM.begin() + spare, aM.end(), aM[0]);
+      transpose(aM.data());
+    } else {
+      for (std::size_t lane = 0; lane < sub.size(); ++lane) {
+        aM[lane] = sub[lane].a;
+        bM[lane] = sub[lane].b;
+      }
+      std::fill(aM.begin() + spare, aM.end(), aM[0]);
+      std::fill(bM.begin() + spare, bM.end(), bM[0]);
+      transpose(aM.data());
+      transpose(bM.data());
+    }
+    for (std::size_t i = 0; i < w; ++i) {
+      words[i * stride + j] = aM[i];
+      words[(w + i) * stride + j] = bRows[i];
+    }
+    words[2 * w * stride + j] = cinWord;
+  }
+}
+
 void packStimulusBlock(std::span<const Stimulus> stims, int width,
                        std::span<std::uint64_t> inputWords) {
-  constexpr std::size_t kLanes = 64;
-  if (stims.empty() || stims.size() > kLanes) {
+  if (stims.empty() || stims.size() > 64) {
     throw std::invalid_argument("packStimulusBlock: need 1..64 stimuli");
   }
   if (inputWords.size() != static_cast<std::size_t>(2 * width + 1)) {
@@ -103,35 +188,7 @@ void packStimulusBlock(std::span<const Stimulus> stims, int width,
         " input words (adder port convention), got " +
         std::to_string(inputWords.size()));
   }
-  // Lane-major packing: after a transpose, row i holds bit i of every
-  // lane's word. Up to 32 bits a and b share one transpose, a in the low
-  // half of each lane's word and b in the high half; wider operands take
-  // one transpose each.
-  const bool shared = width <= 32;
-  const std::uint64_t mask = maskBits(width);
-  std::array<std::uint64_t, kLanes> aM{};
-  std::array<std::uint64_t, kLanes> bM{};
-  std::uint64_t cinWord = 0;
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    const Stimulus& s = stims[lane < stims.size() ? lane : 0];
-    if (shared) {
-      aM[lane] = (s.a & mask) | (s.b & mask) << 32;
-    } else {
-      aM[lane] = s.a;
-      bM[lane] = s.b;
-    }
-    if (lane < stims.size() && s.carryIn) {
-      cinWord |= std::uint64_t{1} << lane;
-    }
-  }
-  netlist::transpose64(aM);
-  if (!shared) netlist::transpose64(bM);
-  const std::uint64_t* bRows = shared ? aM.data() + 32 : bM.data();
-  for (std::size_t i = 0; i < static_cast<std::size_t>(width); ++i) {
-    inputWords[i] = aM[i];
-    inputWords[static_cast<std::size_t>(width) + i] = bRows[i];
-  }
-  inputWords[static_cast<std::size_t>(2 * width)] = cinWord;
+  packStimuli(stims, width, inputWords, 1);
 }
 
 }  // namespace oisa::experiments

@@ -9,9 +9,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <random>
 #include <span>
 #include <string>
+
+#include "netlist/bitops.h"
 
 namespace oisa::experiments {
 
@@ -22,7 +23,8 @@ struct Stimulus {
   bool carryIn = false;
 };
 
-/// Abstract stream of stimuli.
+/// Abstract stream of stimuli. The concrete workloads draw from
+/// netlist::BulkMt19937_64, which yields std::mt19937_64's sequence.
 class Workload {
  public:
   virtual ~Workload() = default;
@@ -36,15 +38,17 @@ class Workload {
 };
 
 /// Uniform random operands over the full width (the paper's setting).
+/// Stimulus s takes draws 2s (a) and 2s + 1 (b) of the stream.
 class UniformWorkload final : public Workload {
  public:
   UniformWorkload(int width, std::uint64_t seed);
   [[nodiscard]] Stimulus next() override;
+  /// Draws the 2 * out.size() words through BulkMt19937_64::fill.
   void fill(std::span<Stimulus> out) override;
   [[nodiscard]] std::string name() const override { return "uniform"; }
 
  private:
-  std::mt19937_64 rng_;
+  netlist::BulkMt19937_64 rng_;
   std::uint64_t mask_;
 };
 
@@ -59,7 +63,7 @@ class RandomWalkWorkload final : public Workload {
   [[nodiscard]] std::string name() const override { return "random-walk"; }
 
  private:
-  std::mt19937_64 rng_;
+  netlist::BulkMt19937_64 rng_;
   std::uint64_t mask_;
   std::uint64_t a_ = 0;
   std::uint64_t b_ = 0;
@@ -77,7 +81,7 @@ class SparseToggleWorkload final : public Workload {
   [[nodiscard]] std::string name() const override { return "sparse-toggle"; }
 
  private:
-  std::mt19937_64 rng_;
+  netlist::BulkMt19937_64 rng_;
   int width_;
   double toggleProbability_;
   std::uint64_t a_ = 0;
@@ -89,14 +93,25 @@ class SparseToggleWorkload final : public Workload {
                                                      int width,
                                                      std::uint64_t seed);
 
-/// Packs up to 64 stimuli into lane-major primary-input words for a
-/// generated adder netlist (port convention a0..aN-1, b0..bN-1, cin):
-/// bit L of word i is stimulus L's value of primary input i. Operand bits
-/// at or above `width` are ignored. Lanes beyond `stims.size()` replicate
-/// stimulus 0 with carry-in low (don't-care lanes; callers mask them
-/// out). `inputWords` must span exactly 2*width + 1 words. The single
-/// owner of the adder port-layout assumption for lane-major pipelines
-/// (trace collector, fault scan).
+/// Packs any number of stimuli into lane-major primary-input words for a
+/// generated adder netlist (port convention a0..aN-1, b0..bN-1, cin),
+/// one 64-stimulus sub-block at a time: bit L of sub-block j of input i
+/// is stimulus 64j + L's value of primary input i, written to
+/// words[i * stride + j]. Operand bits at or above `width` are ignored.
+/// In a partial last sub-block, the lanes past the stimuli replicate the
+/// sub-block's first stimulus with carry-in low (don't-care lanes;
+/// callers mask them out). Words of sub-blocks past the last are left
+/// untouched. `words` must span exactly (2*width + 1) * stride words, and
+/// `stride` must hold every sub-block. The single owner of the adder
+/// port-layout assumption for lane-major pipelines (trace collector,
+/// fault scan). Throws std::invalid_argument on a width above 64 or a
+/// size mismatch.
+void packStimuli(std::span<const Stimulus> stims, int width,
+                 std::span<std::uint64_t> words, std::size_t stride);
+
+/// packStimuli with stride 1 for 1..64 stimuli: bit L of word i is
+/// stimulus L's value of primary input i, and `inputWords` spans exactly
+/// 2*width + 1 words.
 void packStimulusBlock(std::span<const Stimulus> stims, int width,
                        std::span<std::uint64_t> inputWords);
 

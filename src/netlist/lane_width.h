@@ -13,7 +13,9 @@
 // AnyPpsfpEngine (fault/ppsfp.h). Both speak flat uint64 spans with
 // wordsPerNet() words per net, so the 64-lane data layout generalizes by
 // a stride, not a new format. The timed lane wheel (timing/lane_sim.h)
-// has one width, 64 lanes, and no dispatch.
+// has one width, 64 lanes, and no dispatch. The same CPU check picks the
+// kernels of netlist/bitops.h (transpose64, BulkMt19937_64), whose
+// portable bodies and selection live in lane_width.cpp.
 #pragma once
 
 #include <cstdint>

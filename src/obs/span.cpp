@@ -6,7 +6,7 @@
 #include <chrono>
 #include <cstring>
 #include <mutex>
-#include <vector>
+#include <thread>
 
 #include "core/file_publish.h"
 #include "obs/metrics.h"
@@ -19,15 +19,24 @@ std::atomic<bool> gTracing{false};
 std::atomic<TraceRing*> gRing{nullptr};
 std::atomic<std::int64_t> gSessionStartNs{0};
 std::atomic<std::uint64_t> gDroppedArgs{0};  // this session's, see arg()
-
-// Rings are retired, never freed: a span racing stopTracing() may still
-// hold the old pointer, and the handful of sessions a process starts
-// (one per CLI run, a few per test binary) make the leak irrelevant.
-std::vector<TraceRing*>& retiredRings() {
-  static std::vector<TraceRing*>* v = new std::vector<TraceRing*>();
-  return *v;
-}
+// pushEvent calls in flight. A pusher counts itself before it loads
+// gRing, so once a ring is unpublished, a zero here means no pusher can
+// still hold it.
+std::atomic<std::uint64_t> gPushers{0};
+// Serializes the session calls: start, stop, drain and the drop count.
 std::mutex gSessionMu;
+
+/// Unpublishes the current ring and frees it once no pusher can hold it.
+/// The caller holds gSessionMu and has disarmed tracing, so only spans
+/// armed before can still push, and the wait is short.
+void retireRing() {
+  TraceRing* old = gRing.exchange(nullptr, std::memory_order_seq_cst);
+  if (old == nullptr) return;
+  while (gPushers.load(std::memory_order_seq_cst) != 0) {
+    std::this_thread::yield();
+  }
+  delete old;
+}
 
 std::uint64_t nowUs() noexcept {
   const std::int64_t ns =
@@ -61,8 +70,6 @@ void pushEvent(const char* name, const char* cat, std::uint64_t tsUs,
                std::uint64_t durUs, std::uint32_t depth,
                const TraceEvent::ArgKeys& argKeys,
                const TraceEvent::ArgValues& argValues) noexcept {
-  TraceRing* ring = gRing.load(std::memory_order_acquire);
-  if (ring == nullptr) return;
   TraceEvent ev{};
   std::strncpy(ev.name, name, TraceEvent::kNameCapacity - 1);
   ev.name[TraceEvent::kNameCapacity - 1] = '\0';
@@ -73,7 +80,11 @@ void pushEvent(const char* name, const char* cat, std::uint64_t tsUs,
   ev.depth = depth;
   ev.argKeys = argKeys;
   ev.argValues = argValues;
-  (void)ring->tryPush(ev);  // full ring => counted drop, never a stall
+  gPushers.fetch_add(1, std::memory_order_seq_cst);
+  if (TraceRing* ring = gRing.load(std::memory_order_seq_cst)) {
+    (void)ring->tryPush(ev);  // full ring => counted drop, never a stall
+  }
+  gPushers.fetch_sub(1, std::memory_order_release);
 }
 
 }  // namespace
@@ -137,11 +148,8 @@ bool TraceRing::tryPop(TraceEvent& out) noexcept {
 
 void startTracing(std::size_t capacity) {
   std::lock_guard<std::mutex> lock(gSessionMu);
-  if (TraceRing* old = gRing.load(std::memory_order_relaxed)) {
-    gTracing.store(false, std::memory_order_relaxed);
-    gRing.store(nullptr, std::memory_order_release);
-    retiredRings().push_back(old);
-  }
+  gTracing.store(false, std::memory_order_relaxed);
+  retireRing();
   gSessionStartNs.store(std::chrono::duration_cast<std::chrono::nanoseconds>(
                             std::chrono::steady_clock::now().time_since_epoch())
                             .count(),
@@ -154,14 +162,12 @@ void startTracing(std::size_t capacity) {
 void stopTracing() {
   std::lock_guard<std::mutex> lock(gSessionMu);
   gTracing.store(false, std::memory_order_relaxed);
-  if (TraceRing* old = gRing.load(std::memory_order_relaxed)) {
-    gRing.store(nullptr, std::memory_order_release);
-    retiredRings().push_back(old);
-  }
+  retireRing();
 }
 
 std::uint64_t traceDropped() noexcept {
-  const TraceRing* ring = gRing.load(std::memory_order_acquire);
+  const std::lock_guard<std::mutex> lock(gSessionMu);
+  const TraceRing* ring = gRing.load(std::memory_order_relaxed);
   return ring != nullptr ? ring->dropped() : 0;
 }
 
@@ -209,13 +215,16 @@ void ObsSpan::arg(const char* key, std::uint64_t value) noexcept {
 }
 
 std::string drainTraceJson() {
-  TraceRing* ring = gRing.load(std::memory_order_acquire);
+  const std::lock_guard<std::mutex> lock(gSessionMu);
+  TraceRing* ring = gRing.load(std::memory_order_relaxed);
   std::string out = "{\n\"traceEvents\": [";
   const int pid = static_cast<int>(::getpid());
   bool first = true;
   TraceEvent ev{};
   std::uint64_t drained = 0;
-  while (ring != nullptr && ring->tryPop(ev)) {
+  // At most one ring's worth: spans that keep closing on other threads
+  // cannot hold the drain (and the session lock) indefinitely.
+  while (ring != nullptr && drained < ring->capacity() && ring->tryPop(ev)) {
     if (!first) out += ',';
     first = false;
     ++drained;

@@ -92,14 +92,15 @@ class TraceRing {
 /// (any undrained events are discarded).
 void startTracing(std::size_t capacity = std::size_t{1} << 16);
 
-/// Disarms tracing and discards the ring. (Primarily test isolation.)
+/// Disarms tracing and frees the ring once no span can still push into
+/// it. (Primarily test isolation.)
 void stopTracing();
 
 /// Events dropped by the current session's ring (0 when disarmed).
 [[nodiscard]] std::uint64_t traceDropped() noexcept;
 
-/// Drains the ring into a Chrome trace-event JSON document, one event per
-/// line:
+/// Drains the ring, at most its capacity of events, into a Chrome
+/// trace-event JSON document, one event per line:
 /// {"traceEvents":[{name,cat,ph:"X",ts,dur,pid,tid,args:{depth,...}}...],
 ///  "otherData":{"schema":"oisa-trace-v1","dropped":N,"dropped_args":A,
 ///               "drained":D}}.

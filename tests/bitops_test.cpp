@@ -1,28 +1,65 @@
 // Exhaustive-ish unit coverage of the word-level primitives everything
-// else is built on: the 64x64 bit-matrix transpose (netlist/bitops.h) and
-// the portable LaneBlock<W> register type (netlist/lane_block.h) at every
-// supported width. The intrinsic (AVX2/AVX-512) specializations are
-// deliberately not nameable here — only the -m-flagged dispatch TUs may
-// instantiate them — so their equivalence is proven end-to-end through
-// the dispatched engines in lane_width_test.cpp instead.
+// else is built on: the 64x64 bit-matrix transpose and the bulk
+// MT19937-64 engine (netlist/bitops.h), each through every kernel this
+// build + CPU runs, and the portable LaneBlock<W> register type
+// (netlist/lane_block.h) at every supported width. The intrinsic
+// (AVX2/AVX-512) LaneBlock specializations are deliberately not nameable
+// here — only the -m-flagged dispatch TUs may instantiate them — so their
+// equivalence is proven end-to-end through the dispatched engines in
+// lane_width_test.cpp instead.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <random>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "experiments/workload.h"
 #include "netlist/batch_evaluator.h"
 #include "netlist/bitops.h"
 #include "netlist/gate.h"
 #include "netlist/lane_block.h"
+#include "netlist/lane_width.h"
 
 #include "differential_harness.h"
 
 namespace {
 
+using oisa::netlist::BulkMt19937_64;
 using oisa::netlist::GateKind;
 using oisa::netlist::LaneArch;
 using oisa::netlist::LaneBlock;
+using oisa::netlist::laneSelectionName;
+
+/// Every kernel arch this build + CPU runs, portable first.
+std::vector<LaneArch> runnableArchs() {
+  std::vector<LaneArch> archs;
+  for (const auto sel : oisa::netlist::availableLaneSelections()) {
+    archs.push_back(sel.arch);
+  }
+  return archs;
+}
+
+using Matrix = std::array<std::uint64_t, 64>;
+
+/// The block-swap rounds as plain loops: the reference every transpose
+/// kernel must reproduce.
+Matrix transposeByRounds(Matrix rows) {
+  std::uint64_t m = 0x00000000ffffffffull;
+  for (std::size_t j = 32; j != 0; j >>= 1, m ^= m << j) {
+    for (std::size_t k = 0; k < 64; k = (k + j + 1) & ~j) {
+      const std::uint64_t t = ((rows[k] >> j) ^ rows[k + j]) & m;
+      rows[k] ^= t << j;
+      rows[k + j] ^= t;
+    }
+  }
+  return rows;
+}
 
 // ---------------------------------------------------------------------------
 // transpose64
@@ -80,6 +117,208 @@ TEST(Transpose64Test, FixedPoints) {
   oisa::netlist::transpose64(identity);
   for (std::size_t i = 0; i < 64; ++i) {
     EXPECT_EQ(identity[i], std::uint64_t{1} << i) << "row " << i;
+  }
+}
+
+TEST(Transpose64Test, EveryKernelMatchesThePortableRounds) {
+  std::vector<Matrix> inputs;
+  inputs.push_back({});
+  Matrix full{};
+  full.fill(~std::uint64_t{0});
+  inputs.push_back(full);
+  Matrix identity{};
+  for (std::size_t i = 0; i < 64; ++i) identity[i] = std::uint64_t{1} << i;
+  inputs.push_back(identity);
+  for (std::size_t i = 0; i < 64; ++i) {
+    for (std::size_t j = 0; j < 64; ++j) {
+      Matrix m{};
+      m[i] = std::uint64_t{1} << j;
+      inputs.push_back(m);
+    }
+  }
+  OISA_TRACE_SEED(322);
+  std::mt19937_64 rng(322);
+  for (int trial = 0; trial < 1000; ++trial) {
+    Matrix m;
+    for (auto& r : m) r = rng();
+    inputs.push_back(m);
+  }
+  for (const LaneArch arch : runnableArchs()) {
+    const auto kernel = oisa::netlist::transpose64Kernel(arch);
+    for (std::size_t n = 0; n < inputs.size(); ++n) {
+      Matrix got = inputs[n];
+      kernel(got.data());
+      ASSERT_EQ(got, transposeByRounds(inputs[n]))
+          << laneSelectionName({arch}) << " input " << n;
+    }
+  }
+  // The dispatched entry point runs one of them.
+  Matrix got = inputs.back();
+  oisa::netlist::transpose64(got);
+  EXPECT_EQ(got, transposeByRounds(inputs.back()));
+}
+
+TEST(Transpose64Test, KernelsTheHostCannotRunAreRejected) {
+  for (const LaneArch arch : {LaneArch::Avx2, LaneArch::Avx512}) {
+    if (oisa::netlist::cpuSupportsLaneArch(arch)) continue;
+    EXPECT_THROW((void)oisa::netlist::transpose64Kernel(arch),
+                 std::invalid_argument);
+    EXPECT_THROW(BulkMt19937_64(1, arch), std::invalid_argument);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// BulkMt19937_64: std::mt19937_64's sequence through every refill kernel.
+// ---------------------------------------------------------------------------
+
+constexpr std::array<std::uint64_t, 3> kEngineSeeds = {
+    0, 42, std::numeric_limits<std::uint64_t>::max()};
+
+TEST(BulkMtTest, EveryKernelYieldsStdMt19937_64ForEverySeed) {
+  for (const LaneArch arch : runnableArchs()) {
+    for (const std::uint64_t seed : kEngineSeeds) {
+      BulkMt19937_64 bulk(seed, arch);
+      std::mt19937_64 ref(seed);
+      for (int i = 0; i < 5000; ++i) {
+        ASSERT_EQ(bulk(), ref())
+            << laneSelectionName({arch}) << " seed " << seed << " draw " << i;
+      }
+    }
+  }
+  // The default constructions match too: std::mt19937_64's default seed,
+  // and the kernel the CPU picks.
+  BulkMt19937_64 bulk;
+  std::mt19937_64 ref;
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(bulk(), ref()) << "draw " << i;
+}
+
+TEST(BulkMtTest, SingleDrawsAndOddFillsInterleaveAcrossRefills) {
+  // Each schedule entry is a run of single draws (negative) or one fill
+  // call (positive); the runs put draws 311-313 and 623-625 on both
+  // sides of a call boundary, and one fill spans whole refills.
+  const std::vector<std::vector<int>> schedules = {
+      {-311, 3, -309, 1, -2, 1001, 7},
+      {309, -3, 1, -309, 3, -1, 625, -5},
+      {-1, 311, -1, 311, -1, 1, 313, 3},
+      {623, 1, 1, 1, 937, -313}};
+  for (const LaneArch arch : runnableArchs()) {
+    for (const std::uint64_t seed : kEngineSeeds) {
+      for (std::size_t s = 0; s < schedules.size(); ++s) {
+        BulkMt19937_64 bulk(seed, arch);
+        std::mt19937_64 ref(seed);
+        std::uint64_t drawn = 0;
+        for (const int run : schedules[s]) {
+          if (run < 0) {
+            for (int i = 0; i < -run; ++i, ++drawn) {
+              ASSERT_EQ(bulk(), ref()) << laneSelectionName({arch})
+                                       << " seed " << seed << " schedule "
+                                       << s << " draw " << drawn;
+            }
+            continue;
+          }
+          std::vector<std::uint64_t> words(static_cast<std::size_t>(run));
+          bulk.fill(words);
+          for (const std::uint64_t w : words) {
+            ASSERT_EQ(w, ref()) << laneSelectionName({arch}) << " seed "
+                                << seed << " schedule " << s
+                                << " filled draw " << drawn;
+            ++drawn;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BulkMtTest, DistributionsDrawTheSameValuesThroughBothEngines) {
+  for (const LaneArch arch : runnableArchs()) {
+    BulkMt19937_64 bulk(7, arch);
+    std::mt19937_64 ref(7);
+    std::uniform_int_distribution<int> dice(1, 6);
+    std::uniform_int_distribution<std::uint64_t> wide(
+        0, std::numeric_limits<std::uint64_t>::max() / 3);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::uniform_real_distribution<float> span(-2.5f, 4.0f);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(dice(bulk), dice(ref)) << laneSelectionName({arch});
+      ASSERT_EQ(wide(bulk), wide(ref)) << laneSelectionName({arch});
+      ASSERT_EQ(unit(bulk), unit(ref)) << laneSelectionName({arch});
+      ASSERT_EQ(span(bulk), span(ref)) << laneSelectionName({arch});
+    }
+  }
+}
+
+/// A workload's stream replayed on std::mt19937_64: each call returns the
+/// next stimulus.
+using Replay = std::function<oisa::experiments::Stimulus()>;
+
+Replay uniformReplay(int width, std::uint64_t seed) {
+  const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
+  return [rng = std::mt19937_64(seed), mask]() mutable {
+    const std::uint64_t a = rng() & mask;
+    return oisa::experiments::Stimulus{a, rng() & mask, false};
+  };
+}
+
+Replay randomWalkReplay(int width, int stepBits, std::uint64_t seed) {
+  const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
+  const std::uint64_t stepMask = (std::uint64_t{1} << stepBits) - 1;
+  std::mt19937_64 rng(seed);
+  const std::uint64_t a0 = rng() & mask;
+  const std::uint64_t b0 = rng() & mask;
+  return [rng, mask, stepMask, a = a0, b = b0]() mutable {
+    const std::uint64_t stepA = rng() & stepMask;
+    const std::uint64_t stepB = rng() & stepMask;
+    a = ((rng() & 1u) != 0 ? a + stepA : a - stepA) & mask;
+    b = ((rng() & 1u) != 0 ? b + stepB : b - stepB) & mask;
+    return oisa::experiments::Stimulus{a, b, false};
+  };
+}
+
+Replay sparseToggleReplay(int width, double p, std::uint64_t seed) {
+  const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
+  std::mt19937_64 rng(seed);
+  const std::uint64_t a0 = rng() & mask;
+  const std::uint64_t b0 = rng() & mask;
+  return [rng, width, p, a = a0, b = b0]() mutable {
+    std::uniform_real_distribution<double> coin(0.0, 1.0);
+    for (int i = 0; i < width; ++i) {
+      if (coin(rng) < p) a ^= std::uint64_t{1} << i;
+      if (coin(rng) < p) b ^= std::uint64_t{1} << i;
+    }
+    return oisa::experiments::Stimulus{a, b, false};
+  };
+}
+
+TEST(BulkMtTest, WorkloadStreamsEqualAStdMt19937_64Replay) {
+  constexpr int kWidth = 24;
+  constexpr std::uint64_t kSeed = 42;
+  const std::vector<std::pair<std::string, Replay>> kinds = {
+      {"uniform", uniformReplay(kWidth, kSeed)},
+      {"random-walk", randomWalkReplay(kWidth, 8, kSeed)},
+      {"sparse-toggle", sparseToggleReplay(kWidth, 0.05, kSeed)}};
+  for (const auto& [kind, replayFrom] : kinds) {
+    Replay replay = replayFrom;
+    const auto workload =
+        oisa::experiments::makeWorkload(kind, kWidth, kSeed);
+    // next() and fill() calls interleaved; the fills cross refills.
+    std::uint64_t drawn = 0;
+    for (const std::size_t size : {0, 1, 155, 157, 313, 2049, 64}) {
+      const oisa::experiments::Stimulus one = workload->next();
+      const oisa::experiments::Stimulus want = replay();
+      ASSERT_EQ(one.a, want.a) << kind << " next() at " << drawn;
+      ASSERT_EQ(one.b, want.b) << kind << " next() at " << drawn;
+      ++drawn;
+      std::vector<oisa::experiments::Stimulus> batch(size);
+      workload->fill(batch);
+      for (const auto& got : batch) {
+        const oisa::experiments::Stimulus expect = replay();
+        ASSERT_EQ(got.a, expect.a) << kind << " fill() at " << drawn;
+        ASSERT_EQ(got.b, expect.b) << kind << " fill() at " << drawn;
+        ASSERT_FALSE(got.carryIn) << kind;
+        ++drawn;
+      }
+    }
   }
 }
 

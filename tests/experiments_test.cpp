@@ -2,9 +2,12 @@
 // runs of the figure pipelines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <random>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -146,6 +149,71 @@ TEST(WorkloadTest, PackStimulusBlockMatchesTheTwoTransposePacking) {
           << "width " << width << ", " << count << " stimuli";
     }
   }
+}
+
+TEST(WorkloadTest, PackStimuliMatchesPerBlockPackingPlusScatter) {
+  std::mt19937_64 rng(37);
+  constexpr std::uint64_t kUntouched = 0x5a5a5a5a5a5a5a5aull;
+  for (const int width : {8, 32, 33, 64}) {
+    const auto ports = 2 * static_cast<std::size_t>(width) + 1;
+    for (const std::size_t count : {1, 63, 64, 65, 511, 512}) {
+      std::vector<Stimulus> stims(count);
+      for (Stimulus& s : stims) s = Stimulus{rng(), rng(), (rng() & 1) != 0};
+      const std::size_t blocks = (count + 63) / 64;
+      for (const std::size_t stride : {1, 8, 9}) {
+        std::vector<std::uint64_t> words(ports * stride, kUntouched);
+        if (blocks > stride) {
+          EXPECT_THROW(oisa::experiments::packStimuli(stims, width, words,
+                                                      stride),
+                       std::invalid_argument)
+              << count << " stimuli, stride " << stride;
+          continue;
+        }
+        oisa::experiments::packStimuli(stims, width, words, stride);
+        std::vector<std::uint64_t> want(ports * stride, kUntouched);
+        std::vector<std::uint64_t> block(ports);
+        for (std::size_t j = 0; j < blocks; ++j) {
+          const auto sub = std::span<const Stimulus>(stims).subspan(
+              64 * j, std::min<std::size_t>(64, count - 64 * j));
+          oisa::experiments::packStimulusBlock(sub, width, block);
+          for (std::size_t i = 0; i < ports; ++i) {
+            want[i * stride + j] = block[i];
+          }
+        }
+        ASSERT_EQ(words, want) << "width " << width << ", " << count
+                               << " stimuli, stride " << stride;
+        // The carry-in word holds the set carry-ins, and a partial last
+        // sub-block's spare lanes replicate its first stimulus.
+        const std::size_t last = blocks - 1;
+        const std::size_t used = count - 64 * last;
+        std::uint64_t cin = 0;
+        for (std::size_t l = 0; l < used; ++l) {
+          if (stims[64 * last + l].carryIn) cin |= std::uint64_t{1} << l;
+        }
+        ASSERT_EQ(words[(ports - 1) * stride + last], cin);
+        for (std::size_t i = 0; i + 1 < ports; ++i) {
+          const std::uint64_t word = words[i * stride + last];
+          for (std::size_t l = used; l < 64; ++l) {
+            ASSERT_EQ((word >> l) & 1u, word & 1u)
+                << "input " << i << " spare lane " << l;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(WorkloadTest, PackStimuliRejectsSizesOffThePortConvention) {
+  std::vector<Stimulus> stims(3);
+  std::vector<std::uint64_t> words(2 * 8 + 1);
+  EXPECT_THROW(oisa::experiments::packStimuli(stims, 8, words, 2),
+               std::invalid_argument);
+  std::vector<std::uint64_t> wide(2 * 65 + 1);
+  EXPECT_THROW(oisa::experiments::packStimuli(stims, 65, wide, 1),
+               std::invalid_argument);
+  // No stimuli pack nothing.
+  oisa::experiments::packStimuli({}, 8, words, 1);
+  EXPECT_EQ(words, std::vector<std::uint64_t>(2 * 8 + 1, 0));
 }
 
 TEST(CliTest, ParsesKeyValueAndFlags) {

@@ -10,6 +10,8 @@
 // double as data-race detectors there.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -282,20 +284,50 @@ TEST_F(ObsTest, ConcurrentSpansAllLandWhenTheRingIsLargeEnough) {
 }
 
 TEST_F(ObsTest, StopStartTracingIsSafeWhileSpansRace) {
-  // Lifetime guarantee under TSan: rings are retired, never freed, so a
-  // span holding the old ring across a stop/start cannot use-after-free.
+  // Lifetime guarantee under TSan and ASan: a session frees its ring only
+  // once no span can still push into it, so spans closing on four
+  // threads across stops, starts, drains and drop counts never touch a
+  // freed ring.
   std::atomic<bool> stop{false};
-  std::thread spanner([&stop] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      const obs::ObsSpan span("racer", "test");
-    }
-  });
-  for (int i = 0; i < 50; ++i) {
+  std::vector<std::thread> spanners;
+  for (int t = 0; t < 4; ++t) {
+    spanners.emplace_back([&stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const obs::ObsSpan outer("racer", "test");
+        const obs::ObsSpan inner("inner", "test");
+      }
+    });
+  }
+  for (int i = 0; i < 200; ++i) {
     obs::startTracing(64);
+    if (i % 4 == 0) (void)obs::drainTraceJson();
+    (void)obs::traceDropped();
     obs::stopTracing();
   }
   stop.store(true);
-  spanner.join();
+  for (auto& t : spanners) t.join();
+}
+
+TEST_F(ObsTest, SessionsFreeTheirRings) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer allocator holds freed memory back";
+#endif
+  const auto peakRssMb = [] {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB
+  };
+  // Each default ring writes its 512 KiB sequence array up front; 101
+  // sessions that kept their rings would grow the peak by ~50 MB.
+  const double before = peakRssMb();
+  for (int session = 0; session < 101; ++session) {
+    obs::startTracing();
+    for (int i = 0; i < 64; ++i) {
+      const obs::ObsSpan span("session", "test");
+    }
+    obs::stopTracing();
+  }
+  EXPECT_LT(peakRssMb() - before, 4.0);
 }
 
 TEST_F(ObsTest, WriteTraceJsonRoundTripsThroughAFile) {
