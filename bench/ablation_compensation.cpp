@@ -20,6 +20,8 @@ int run(int argc, char** argv) {
   const int block = static_cast<int>(args.getU64("block", 8));
   const int spec = static_cast<int>(args.getU64("spec", 0));
   const std::uint64_t seed = args.getU64("seed", 42);
+  const std::string csv = args.getString("csv", "");
+  args.rejectUnread();
 
   std::cout << "== Ablation: compensation mechanisms (block=" << block
             << ", spec=" << spec << ", " << samples << " samples) ==\n\n";
@@ -53,7 +55,7 @@ int run(int argc, char** argv) {
                     experiments::formatSci(rel.maxAbs(), 3)});
     }
   }
-  bench::emit(table, args);
+  bench::emit(table, csv);
   return 0;
 }
 

@@ -14,6 +14,13 @@ namespace {
 int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
+  const double cprs[] = {args.getDouble("cpr", 15.0)};
+  experiments::PredictionOptions options;
+  options.trainCycles = args.getU64("train-cycles", 6000);
+  options.testCycles = args.getU64("test-cycles", 3000);
+  options.run.seed = args.getU64("seed", 42);
+  const std::string csv = args.getString("csv", "");
+  args.rejectUnread();
 
   const std::vector<core::IsaConfig> subset = {
       core::makeIsa(8, 0, 0, 4), core::makeIsa(16, 2, 0, 4),
@@ -23,12 +30,6 @@ int run(int argc, char** argv) {
     designs.push_back(circuits::synthesize(
         cfg, timing::CellLibrary::generic65(), circuits::SynthesisOptions{}));
   }
-
-  const double cprs[] = {args.getDouble("cpr", 15.0)};
-  experiments::PredictionOptions options;
-  options.trainCycles = args.getU64("train-cycles", 6000);
-  options.testCycles = args.getU64("test-cycles", 3000);
-  options.run.seed = args.getU64("seed", 42);
 
   struct Variant {
     const char* label;
@@ -57,7 +58,7 @@ int run(int argc, char** argv) {
                         experiments::displayFloor(row.avpe), 3)});
     }
   }
-  bench::emit(table, args);
+  bench::emit(table, csv);
   return 0;
 }
 

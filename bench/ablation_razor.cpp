@@ -24,6 +24,8 @@ int run(int argc, char** argv) {
   const double penalty = args.getDouble("penalty", 5.0);
   const double margin = args.getDouble("margin", 0.06);
   const std::uint64_t seed = args.getU64("seed", 42);
+  const std::string csv = args.getString("csv", "");
+  args.rejectUnread();
 
   const auto lib = timing::CellLibrary::generic65();
   circuits::SynthesisOptions synth;
@@ -71,7 +73,7 @@ int run(int argc, char** argv) {
            experiments::formatFixed(0.3 / period, 3)});
     }
   }
-  bench::emit(table, args);
+  bench::emit(table, csv);
   std::cout << "\nRazor trades replay cycles for exactness; the "
                "prediction/approximation route keeps the full frequency "
                "gain and accepts the joint error instead.\n";

@@ -18,6 +18,8 @@ int run(int argc, char** argv) {
   experiments::RunOptions options;
   options.cycles = args.getU64("cycles", 4000);
   options.seed = args.getU64("seed", 42);
+  const std::string csv = args.getString("csv", "");
+  args.rejectUnread();
 
   const std::vector<core::IsaConfig> subset = {
       core::makeIsa(8, 0, 0, 4), core::makeIsa(16, 2, 1, 6),
@@ -51,7 +53,7 @@ int run(int argc, char** argv) {
                experiments::displayFloor(row.rmsRelJoint * 100.0), 3)});
     }
   }
-  bench::emit(table, args);
+  bench::emit(table, csv);
   return 0;
 }
 

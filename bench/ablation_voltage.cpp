@@ -17,6 +17,8 @@ int run(int argc, char** argv) {
   const experiments::ArgParser args(argc, argv);
   const std::uint64_t cycles = args.getU64("cycles", 4000);
   const std::uint64_t seed = args.getU64("seed", 42);
+  const std::string csv = args.getString("csv", "");
+  args.rejectUnread();
 
   const auto nominalLib = timing::CellLibrary::generic65();
   const timing::VoltageModel model;
@@ -67,7 +69,7 @@ int run(int argc, char** argv) {
                combo.relJoint().rms() * 100.0), 2)});
     }
   }
-  bench::emit(table, args);
+  bench::emit(table, csv);
   std::cout << "\nSpeculative designs tolerate deeper voltage scaling than "
                "the exact adder at iso-clock, mirroring the overclocking "
                "result.\n";

@@ -1,9 +1,13 @@
-// Shared helpers for the figure-regeneration benches.
+// Shared helpers for the figure-regeneration benches and the micro
+// benches' one timing harness (timePairs).
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,6 +25,7 @@
 #include "obs/metrics.h"
 #include "obs/run_meta.h"
 #include "obs/span.h"
+#include "predict/trace.h"
 #include "timing/cell_library.h"
 
 namespace oisa::bench {
@@ -192,39 +197,158 @@ class BenchJson {
 /// Run-provenance fields for every BENCH_*.json artifact: commit, host,
 /// lane engine, thread count — the facts that make a perf number from CI
 /// attributable weeks later.
-inline void addRunMetadata(BenchJson& json,
-                           const experiments::ArgParser& args) {
+inline void addRunMetadata(BenchJson& json, unsigned threads) {
   for (const auto& [key, value] : obs::runMetadata()) {
     json.add(key, value);
   }
   json.add("lane_selection",
            netlist::laneSelectionName(netlist::defaultLaneSelection()));
-  unsigned threads = threadsOption(args);
   if (threads == 0) threads = std::thread::hardware_concurrency();
   json.add("threads", static_cast<std::uint64_t>(threads));
 }
 
+/// The flags every speedup microbench reads, before rejectUnread:
+/// --min-speedup=X (the CI gate; 0, the default, only reports), --json=path
+/// (the BENCH_*.json artifact) and --threads=N (recorded in its metadata).
+struct GateOptions {
+  double minSpeedup = 0.0;
+  std::string jsonPath;
+  unsigned threads = 0;
+};
+
+inline GateOptions gateOptions(const experiments::ArgParser& args) {
+  return {args.getDouble("min-speedup", 0.0), args.getString("json", ""),
+          threadsOption(args)};
+}
+
 /// Shared epilogue of every speedup microbench (the BENCH_*.json
-/// writers): records the headline `speedup` field plus run metadata,
-/// writes the `--json` artifact when requested, and enforces the
-/// `--min-speedup` CI gate. Returns the process exit code for main():
-/// EXIT_FAILURE when the artifact cannot be written or the gate fails.
-inline int finishSpeedupBench(BenchJson& json,
-                              const experiments::ArgParser& args,
-                              double speedup, double minSpeedup) {
-  json.add("speedup", speedup);
-  addRunMetadata(json, args);
-  if (const core::Status s = json.writeFile(args.getString("json", ""));
-      !s.isOk()) {
+/// writers): prints and records the headline `speedup`, the median of
+/// `pairs` pair ratios, plus run metadata, writes the `--json` artifact
+/// when requested, and enforces the `--min-speedup` CI gate. Returns the
+/// process exit code for main(): EXIT_FAILURE when the artifact cannot be
+/// written or the gate fails.
+inline int finishSpeedupBench(BenchJson& json, const GateOptions& gate,
+                              double speedup, std::size_t pairs) {
+  std::cout << "speedup: " << speedup << "x (median of " << pairs
+            << " pair ratios)\n";
+  json.add("pairs", static_cast<std::uint64_t>(pairs)).add("speedup", speedup);
+  addRunMetadata(json, gate.threads);
+  if (const core::Status s = json.writeFile(gate.jsonPath); !s.isOk()) {
     std::cerr << "error: " << s.toString() << '\n';
     return EXIT_FAILURE;
   }
-  if (minSpeedup > 0.0 && speedup < minSpeedup) {
+  if (gate.minSpeedup > 0.0 && speedup < gate.minSpeedup) {
     std::cerr << "FAIL: speedup " << speedup << "x below required "
-              << minSpeedup << "x\n";
+              << gate.minSpeedup << "x\n";
     return EXIT_FAILURE;
   }
   return EXIT_SUCCESS;
+}
+
+/// Each side's seconds per pair and their medians, and `speedup`: the
+/// median of the per-pair reference/contender ratios every gate reads.
+struct PairTiming {
+  std::vector<double> referenceSecs;
+  std::vector<double> contenderSecs;
+  double referenceSec = 0.0;
+  double contenderSec = 0.0;
+  double speedup = 0.0;
+};
+
+/// The median: the mean of the middle two for an even count, 0 for none.
+inline double median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : 0.5 * (values[mid - 1] + values[mid]);
+}
+
+/// timePairs' statistics over measured pairs (referenceSecs[i],
+/// contenderSecs[i]). A contender that took no time has ratio 0.
+inline PairTiming summarizePairs(std::vector<double> referenceSecs,
+                                 std::vector<double> contenderSecs) {
+  std::vector<double> ratios(referenceSecs.size());
+  for (std::size_t i = 0; i < ratios.size(); ++i) {
+    ratios[i] =
+        contenderSecs[i] > 0.0 ? referenceSecs[i] / contenderSecs[i] : 0.0;
+  }
+  const double referenceSec = median(referenceSecs);
+  const double contenderSec = median(contenderSecs);
+  return {std::move(referenceSecs), std::move(contenderSecs), referenceSec,
+          contenderSec, median(std::move(ratios))};
+}
+
+/// The micro benches' one clock: the seconds one call of `run` takes.
+/// Ungated figures (a load time, a kernel alone) read it directly.
+template <typename Fn>
+double seconds(Fn&& run) {
+  using Clock = std::chrono::steady_clock;
+  const auto start = Clock::now();
+  run();
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// The micro benches' one timing loop: runs `reference` and `contender`
+/// back to back `pairs` times, the reference first in even pairs and the
+/// contender first in odd ones, so host drift moves both sides of a
+/// pair's ratio and the median ignores pairs a noise burst splits (Chen &
+/// Revels, arXiv:1608.04295). `prepare(contenderNext)` runs untimed
+/// before every run.
+template <typename Reference, typename Contender,
+          typename Prepare = void (*)(bool)>
+PairTiming timePairs(std::size_t pairs, Reference&& reference,
+                     Contender&& contender, Prepare&& prepare = [](bool) {}) {
+  std::vector<double> secs[2] = {std::vector<double>(pairs),
+                                 std::vector<double>(pairs)};
+  for (std::size_t i = 0; i < pairs; ++i) {
+    for (const bool isContender : {i % 2 == 1, i % 2 == 0}) {
+      prepare(isContender);
+      secs[isContender][i] =
+          isContender ? seconds(contender) : seconds(reference);
+    }
+  }
+  return summarizePairs(std::move(secs[0]), std::move(secs[1]));
+}
+
+/// The ML micro benches' synthetic overclocked-adder trace: a carry
+/// crossing bit k in {3, 11, 19, 27} flips bit k+1 when the previous
+/// cycle was quiet there, plus rare broadband noise, so the forests grow
+/// real trees; untouched low bits exercise the constant-label shortcut.
+inline predict::Trace makeTrace(int width, std::uint64_t cycles,
+                                std::uint64_t seed) {
+  const std::uint64_t mask =
+      width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+  std::mt19937_64 rng(seed);
+  predict::Trace trace;
+  trace.reserve(cycles);
+  std::uint64_t prevA = 0;
+  for (std::uint64_t t = 0; t < cycles; ++t) {
+    predict::TraceRecord rec;
+    rec.a = rng() & mask;
+    rec.b = rng() & mask;
+    const std::uint64_t sum = rec.a + rec.b;
+    rec.gold = sum & mask;
+    rec.goldCout = ((sum >> width) & 1u) != 0;
+    rec.diamond = rec.gold;
+    rec.diamondCout = rec.goldCout;
+    rec.silver = rec.gold;
+    rec.silverCout = rec.goldCout;
+    for (const int k : {3, 11, 19, 27}) {
+      if (k + 1 >= width) continue;
+      const bool carry = ((rec.a >> k) & (rec.b >> k) & 1u) != 0;
+      const bool quiet = ((prevA >> k) & 1u) == 0;
+      if (carry && quiet) rec.silver ^= std::uint64_t{1} << (k + 1);
+    }
+    if ((rng() & 0x3fu) == 0) {
+      rec.silver ^= std::uint64_t{1}
+                    << (rng() % static_cast<std::uint64_t>(width));
+    }
+    if ((rng() & 0xffu) == 0) rec.silverCout = !rec.silverCout;
+    prevA = rec.a;
+    trace.push_back(rec);
+  }
+  return trace;
 }
 
 /// Top-level error boundary for the bench mains: runs `body` and turns
@@ -265,29 +389,35 @@ inline const std::vector<double>& paperCprs() {
   return cprs;
 }
 
-/// Synthesizes the twelve paper designs with CLI-controlled options.
-/// The power-recovery (slack-relaxation) pass is ON by default — the
-/// paper's circuits were synthesized by a commercial tool that trades all
-/// positive slack for power, which is what exposes them to overclocking;
-/// pass --relax=false for raw structural timing.
-inline std::vector<circuits::SynthesizedDesign> synthesizeAll(
+/// The synthesis flags of the paper-design benches. The power-recovery
+/// (slack-relaxation) pass is ON by default — the paper's circuits were
+/// synthesized by a commercial tool that trades all positive slack for
+/// power, which is what exposes them to overclocking; pass --relax=false
+/// for raw structural timing.
+inline circuits::SynthesisOptions synthesisOptions(
     const experiments::ArgParser& args) {
   circuits::SynthesisOptions options;
   options.relaxSlack = args.getBool("relax", true);
   options.relaxation.maxSlowdown =
       args.getDouble("max-slowdown", options.relaxation.maxSlowdown);
+  return options;
+}
+
+/// Synthesizes the twelve paper designs.
+inline std::vector<circuits::SynthesizedDesign> synthesizeAll(
+    const circuits::SynthesisOptions& options) {
   return circuits::synthesizePaperDesigns(timing::CellLibrary::generic65(),
                                           options);
 }
 
-/// Prints the table and, when --csv=<path> is given, also writes a CSV.
+/// Prints the table and, when `csvPath` (the --csv flag) is non-empty,
+/// also writes a CSV.
 inline void emit(const experiments::Table& table,
-                 const experiments::ArgParser& args) {
+                 const std::string& csvPath) {
   table.print(std::cout);
-  const std::string csv = args.getString("csv", "");
-  if (!csv.empty()) {
-    table.writeCsvFile(csv);
-    std::cout << "\n(csv written to " << csv << ")\n";
+  if (!csvPath.empty()) {
+    table.writeCsvFile(csvPath);
+    std::cout << "\n(csv written to " << csvPath << ")\n";
   }
 }
 

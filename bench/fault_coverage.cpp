@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   return bench::runGuarded([&]() -> int {
   const experiments::ArgParser args(argc, argv);
   const auto obsCtx = bench::beginObs(args);
-  const auto designs = bench::synthesizeAll(args);
+  const auto synth = bench::synthesisOptions(args);
 
   experiments::FaultScanOptions options;
   options.run.cycles = args.getU64("cycles", 16384);
@@ -36,6 +36,9 @@ int main(int argc, char** argv) {
   options.timedCycles = args.getU64("timed-cycles", 8192);
   options.timedFaults =
       static_cast<std::size_t>(args.getU64("timed-faults", 8));
+  const std::string csvPath = args.getString("csv", "");
+  args.rejectUnread();
+  const auto designs = bench::synthesizeAll(synth);
 
   const auto rows = runFaultErrorScan(designs, options);
   bench::writeObsArtifacts(obsCtx);
@@ -84,7 +87,6 @@ int main(int argc, char** argv) {
                 experiments::formatSci(row.worstRelJointFaulty, 6),
                 std::to_string(row.timedFaultsMeasured)});
   }
-  const std::string csvPath = args.getString("csv", "");
   if (!csvPath.empty()) {
     csv.writeCsvFile(csvPath);
     std::cout << "\n(csv written to " << csvPath << ")\n";

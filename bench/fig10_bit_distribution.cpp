@@ -24,13 +24,15 @@ int run(int argc, char** argv) {
                                  static_cast<int>(args.getU64("corr", 0)),
                                  static_cast<int>(args.getU64("red", 4)));
   const double cpr = args.getDouble("cpr", 15.0);
-  const auto design = circuits::synthesize(
-      cfg, timing::CellLibrary::generic65(), circuits::SynthesisOptions{});
-
   experiments::RunOptions options;
   options.cycles = args.getU64("cycles", 20000);
   options.seed = args.getU64("seed", 42);
   options.threads = bench::threadsOption(args);
+  const std::string csv = args.getString("csv", "");
+  args.rejectUnread();
+
+  const auto design = circuits::synthesize(
+      cfg, timing::CellLibrary::generic65(), circuits::SynthesisOptions{});
   const auto dist = runBitDistribution(design, cpr, options);
 
   std::cout << "== Fig. 10: bit-level-equivalent error distribution in ISA "
@@ -53,7 +55,7 @@ int run(int argc, char** argv) {
                   std::string(static_cast<std::size_t>(sBar), '#') + "|" +
                       std::string(static_cast<std::size_t>(tBar), '*')});
   }
-  bench::emit(table, args);
+  bench::emit(table, csv);
   bench::writeObsArtifacts(obsCtx);
   return 0;
 }

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   return bench::runGuarded([&]() -> int {
   const experiments::ArgParser args(argc, argv);
   const auto obsCtx = bench::beginObs(args);
-  const auto designs = bench::synthesizeAll(args);
+  const auto synth = bench::synthesisOptions(args);
 
   experiments::PredictionOptions options;
   options.trainCycles = args.getU64("train-cycles", 6000);
@@ -29,6 +29,9 @@ int main(int argc, char** argv) {
   options.predictor.forest.tree.maxDepth =
       static_cast<int>(args.getU64("depth", 10));
   bench::applyModelOptions(args, options);
+  const std::string csv = args.getString("csv", "");
+  args.rejectUnread();
+  const auto designs = bench::synthesizeAll(synth);
 
   const auto rows =
       runPredictionEvaluation(designs, bench::paperCprs(), options);
@@ -52,7 +55,7 @@ int main(int argc, char** argv) {
     }
     table.addRow({design.config.name(), cells[0], cells[1], cells[2]});
   }
-  bench::emit(table, args);
+  bench::emit(table, csv);
   return 0;
   });
 }

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   return bench::runGuarded([&]() -> int {
   const experiments::ArgParser args(argc, argv);
   const auto obsCtx = bench::beginObs(args);
-  const auto designs = bench::synthesizeAll(args);
+  const auto synth = bench::synthesisOptions(args);
 
   experiments::PredictionOptions options;
   options.trainCycles = args.getU64("train-cycles", 6000);
@@ -28,6 +28,9 @@ int main(int argc, char** argv) {
   bench::applyRobustnessOptions(args, options.run);
   options.predictor.forest.treeCount = args.getU64("trees", 10);
   bench::applyModelOptions(args, options);
+  const std::string csv = args.getString("csv", "");
+  args.rejectUnread();
+  const auto designs = bench::synthesizeAll(synth);
 
   const auto rows =
       runPredictionEvaluation(designs, bench::paperCprs(), options);
@@ -48,7 +51,7 @@ int main(int argc, char** argv) {
     }
     table.addRow({design.config.name(), cells[0], cells[1], cells[2]});
   }
-  bench::emit(table, args);
+  bench::emit(table, csv);
   return 0;
   });
 }

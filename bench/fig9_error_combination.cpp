@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   return bench::runGuarded([&]() -> int {
   const experiments::ArgParser args(argc, argv);
   const auto obsCtx = bench::beginObs(args);
-  const auto designs = bench::synthesizeAll(args);
+  const auto synth = bench::synthesisOptions(args);
 
   experiments::RunOptions options;
   options.cycles = args.getU64("cycles", 20000);
@@ -27,6 +27,9 @@ int main(int argc, char** argv) {
   options.threads = bench::threadsOption(args);
   options.workload = args.getString("workload", "uniform");
   bench::applyRobustnessOptions(args, options);
+  const std::string csvPath = args.getString("csv", "");
+  args.rejectUnread();
+  const auto designs = bench::synthesizeAll(synth);
 
   const auto rows =
       runErrorCombination(designs, bench::paperCprs(), options);
@@ -69,10 +72,9 @@ int main(int argc, char** argv) {
                 experiments::formatSci(row.rmsRelTiming, 6),
                 experiments::formatSci(row.rmsRelJoint, 6)});
   }
-  const std::string path = args.getString("csv", "");
-  if (!path.empty()) {
-    csv.writeCsvFile(path);
-    std::cout << "(csv written to " << path << ")\n";
+  if (!csvPath.empty()) {
+    csv.writeCsvFile(csvPath);
+    std::cout << "(csv written to " << csvPath << ")\n";
   }
   return 0;
   });

@@ -18,15 +18,11 @@
 // training, and one fresh per-bit feature extraction + scalar forest walk
 // per cycle for prediction.
 //
-// Usage: micro_forest [--width=32] [--train-cycles=N] [--test-cycles=N]
-//                     [--trees=T] [--depth=D] [--seed=S] [--reps=N]
-//                     [--min-speedup=X] [--json=path]
+// Usage: micro_forest [--min-speedup=X] [--json=path] [--threads=N]
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <random>
 #include <vector>
 
 #include "experiments/cli.h"
@@ -38,54 +34,17 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
 using oisa::predict::FeatureExtractor;
 using oisa::predict::Trace;
 using oisa::predict::TraceRecord;
 
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Synthetic overclocked-adder trace with a learnable timing-error
-/// process: a handful of transition-sensitized bits (a carry crossing bit
-/// k flips bit k+1 when the previous cycle was quiet there) plus rare
-/// broadband noise so the forests grow real trees, and untouched low bits
-/// so the constant-label shortcut is exercised too.
-Trace makeTrace(int width, std::uint64_t cycles, std::uint64_t seed) {
-  const std::uint64_t mask =
-      width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
-  std::mt19937_64 rng(seed);
-  Trace trace;
-  trace.reserve(cycles);
-  std::uint64_t prevA = 0;
-  for (std::uint64_t t = 0; t < cycles; ++t) {
-    TraceRecord rec;
-    rec.a = rng() & mask;
-    rec.b = rng() & mask;
-    const std::uint64_t sum = rec.a + rec.b;
-    rec.gold = sum & mask;
-    rec.goldCout = ((sum >> width) & 1u) != 0;
-    rec.diamond = rec.gold;
-    rec.diamondCout = rec.goldCout;
-    rec.silver = rec.gold;
-    rec.silverCout = rec.goldCout;
-    for (const int k : {3, 11, 19, 27}) {
-      if (k + 1 >= width) continue;
-      const bool carry = ((rec.a >> k) & (rec.b >> k) & 1u) != 0;
-      const bool quiet = ((prevA >> k) & 1u) == 0;
-      if (carry && quiet) rec.silver ^= std::uint64_t{1} << (k + 1);
-    }
-    if ((rng() & 0x3fu) == 0) {
-      rec.silver ^= std::uint64_t{1}
-                    << (rng() % static_cast<std::uint64_t>(width));
-    }
-    if ((rng() & 0xffu) == 0) rec.silverCout = !rec.silverCout;
-    prevA = rec.a;
-    trace.push_back(rec);
-  }
-  return trace;
-}
+constexpr int kWidth = 32;
+constexpr std::uint64_t kTrainCycles = 6000;
+constexpr std::uint64_t kTestCycles = 3000;
+constexpr std::size_t kTrees = 10;
+constexpr int kDepth = 10;
+constexpr std::uint64_t kSeed = 42;
+constexpr std::size_t kPairs = 5;
 
 /// Seed-style per-bit dataset: one full feature extraction per output bit.
 oisa::ml::Dataset extractDataset(const FeatureExtractor& fx,
@@ -115,28 +74,28 @@ bool sameArena(const oisa::ml::FlatBankView& a,
 
 int main(int argc, char** argv) {
   using namespace oisa;
+  return bench::runGuarded([&] {
   const experiments::ArgParser args(argc, argv);
-  const int width = static_cast<int>(args.getU64("width", 32));
-  const std::uint64_t trainCycles = args.getU64("train-cycles", 6000);
-  const std::uint64_t testCycles = args.getU64("test-cycles", 3000);
-  const double minSpeedup = args.getDouble("min-speedup", 0.0);
-  const std::uint64_t baseSeed = args.getU64("seed", 42);
+  const bench::GateOptions gate = bench::gateOptions(args);
+  args.rejectUnread();
 
+  const int width = kWidth;
   predict::PredictorParams params;
-  params.forest.treeCount = args.getU64("trees", 10);
-  params.forest.tree.maxDepth = static_cast<int>(args.getU64("depth", 10));
-  params.seed = baseSeed;
+  params.forest.treeCount = kTrees;
+  params.forest.tree.maxDepth = kDepth;
+  params.seed = kSeed;
 
-  const Trace trainTrace = makeTrace(width, trainCycles, baseSeed + 101);
-  const Trace testTrace = makeTrace(width, testCycles, baseSeed + 202);
+  const Trace trainTrace = bench::makeTrace(width, kTrainCycles, kSeed + 101);
+  const Trace testTrace = bench::makeTrace(width, kTestCycles, kSeed + 202);
   const FeatureExtractor fx(width);
   const int bits = fx.outputBitCount();
 
   std::cout << "trace:  width " << width << " (" << bits
-            << " output bits), train " << trainCycles << " / test "
-            << testCycles << " cycles\nmodel:  " << params.forest.treeCount
+            << " output bits), train " << kTrainCycles << " / test "
+            << kTestCycles << " cycles\nmodel:  " << params.forest.treeCount
             << " trees/forest, depth " << params.forest.tree.maxDepth
-            << ", features " << fx.featureCount() << "\n\n";
+            << ", features " << fx.featureCount() << "\n" << kPairs
+            << " pairs per phase\n\n";
 
   // Per-bit training seeds, as BitLevelPredictor::fit derives them.
   auto bitSeed = [&](int bit) {
@@ -206,36 +165,14 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // Timed runs. Reference = the seed pipeline shape: per-bit Dataset
-  // extraction + row-scan training; per-cycle per-bit extraction + scalar
-  // forest walks for prediction. Each phase runs `--reps` times and the
-  // minimum is reported — scheduler noise only ever *adds* time, and the
-  // packed intervals are short enough for one hiccup to swamp them.
+  // Timed runs, each phase in kPairs pairs. Reference = the seed pipeline
+  // shape: per-bit Dataset extraction + row-scan training; per-cycle
+  // per-bit extraction + scalar forest walks for prediction.
   // -------------------------------------------------------------------
-  const auto reps = std::max<std::uint64_t>(1, args.getU64("reps", 3));
-  const auto timeOnce = [](auto&& phase) {
-    const auto start = Clock::now();
-    phase();
-    return secondsSince(start);
-  };
-  // Reference and packed are timed inside the *same* repetition
-  // (interleaved), so a contention window inflates both sides of the
-  // ratio instead of just one.
-  const auto timePair = [&](auto&& refPhase, auto&& packedPhase,
-                            double& refBest, double& packedBest) {
-    for (std::uint64_t i = 0; i < reps; ++i) {
-      const double refSec = timeOnce(refPhase);
-      const double packedSec = timeOnce(packedPhase);
-      if (i == 0 || refSec < refBest) refBest = refSec;
-      if (i == 0 || packedSec < packedBest) packedBest = packedSec;
-    }
-  };
-
   ml::FlatForestBank timedRef;
   predict::BitLevelPredictor predictor(width, params);
-  double refTrainSec = 0.0;
-  double packedTrainSec = 0.0;
-  timePair(
+  const bench::PairTiming train = bench::timePairs(
+      kPairs,
       [&] {
         timedRef = ml::FlatForestBank(featureCount);
         for (int bit = 0; bit < bits; ++bit) {
@@ -243,15 +180,13 @@ int main(int argc, char** argv) {
           timedRef.addForestReference(data, params.forest, bitSeed(bit));
         }
       },
-      [&] { predictor.fit(trainTrace); }, refTrainSec, packedTrainSec);
+      [&] { predictor.fit(trainTrace); });
   const ml::FlatBankView timedRefView = timedRef.view();
 
   std::vector<std::uint64_t> refWrong(static_cast<std::size_t>(bits), 0);
   double refAvpeSum = 0.0;
   std::uint64_t refSkipped = 0;
   predict::PredictorEvaluation eval;
-  double refPredictSec = 0.0;
-  double packedPredictSec = 0.0;
   const auto refPredictPhase = [&] {
     std::fill(refWrong.begin(), refWrong.end(), 0);
     refAvpeSum = 0.0;
@@ -295,8 +230,8 @@ int main(int argc, char** argv) {
       }
     }
   };
-  timePair(refPredictPhase, [&] { eval = predictor.evaluate(testTrace); },
-           refPredictSec, packedPredictSec);
+  const bench::PairTiming predict = bench::timePairs(
+      kPairs, refPredictPhase, [&] { eval = predictor.evaluate(testTrace); });
   const std::uint64_t refCycles = testTrace.size() - 1;
   // Same summation association as evaluate() (mean of per-bit rates, not
   // totalWrong / (cycles * bits)) — the exact-equality gate below depends
@@ -324,36 +259,41 @@ int main(int argc, char** argv) {
     return EXIT_FAILURE;
   }
 
-  const double refSec = refTrainSec + refPredictSec;
-  const double packedSec = packedTrainSec + packedPredictSec;
-  const double trainSpeedup =
-      packedTrainSec > 0 ? refTrainSec / packedTrainSec : 0.0;
-  const double predictSpeedup =
-      packedPredictSec > 0 ? refPredictSec / packedPredictSec : 0.0;
-  const double speedup = packedSec > 0 ? refSec / packedSec : 0.0;
+  // The gate reads the combined train + predict time of pair i on each
+  // side, so its ratio is the median of the per-pair combined ratios.
+  std::vector<double> refSecs = train.referenceSecs;
+  std::vector<double> packedSecs = train.contenderSecs;
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    refSecs[i] += predict.referenceSecs[i];
+    packedSecs[i] += predict.contenderSecs[i];
+  }
+  const double speedup =
+      bench::summarizePairs(std::move(refSecs), std::move(packedSecs))
+          .speedup;
 
   std::cout << "growers agree: " << nodesCompared
             << " nodes node-for-node across " << bits << " forests\n"
             << "inference agrees: " << refCycles << " cycles x " << bits
             << " bits lane-for-lane (abper " << eval.abper << ")\n\n"
-            << "reference (seed pipeline): train " << refTrainSec
-            << " s, predict " << refPredictSec << " s\n"
-            << "packed substrate:          train " << packedTrainSec
-            << " s, predict " << packedPredictSec << " s\n"
-            << "speedup:  train " << trainSpeedup << "x, predict "
-            << predictSpeedup << "x, combined " << speedup << "x\n";
+            << "reference (seed pipeline): train " << train.referenceSec
+            << " s, predict " << predict.referenceSec << " s\n"
+            << "packed substrate:          train " << train.contenderSec
+            << " s, predict " << predict.contenderSec << " s\n"
+            << "phase speedups: train " << train.speedup << "x, predict "
+            << predict.speedup << "x\n";
 
   bench::BenchJson json("micro_forest");
   json.add("width", static_cast<std::uint64_t>(width))
-      .add("train_cycles", trainCycles)
-      .add("test_cycles", testCycles)
+      .add("train_cycles", kTrainCycles)
+      .add("test_cycles", kTestCycles)
       .add("trees", params.forest.treeCount)
       .add("nodes_compared", nodesCompared)
-      .add("ref_train_sec", refTrainSec)
-      .add("ref_predict_sec", refPredictSec)
-      .add("packed_train_sec", packedTrainSec)
-      .add("packed_predict_sec", packedPredictSec)
-      .add("train_speedup", trainSpeedup)
-      .add("predict_speedup", predictSpeedup);
-  return bench::finishSpeedupBench(json, args, speedup, minSpeedup);
+      .add("ref_train_sec", train.referenceSec)
+      .add("ref_predict_sec", predict.referenceSec)
+      .add("packed_train_sec", train.contenderSec)
+      .add("packed_predict_sec", predict.contenderSec)
+      .add("train_speedup", train.speedup)
+      .add("predict_speedup", predict.speedup);
+  return bench::finishSpeedupBench(json, gate, speedup, kPairs);
+  });
 }

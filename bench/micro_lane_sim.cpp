@@ -9,11 +9,9 @@
 // same seeded workload and every trace record must match field for field
 // (the unrolled netlist is exact, not approximate — see
 // tests/lane_sim_test.cpp and tests/unroll_test.cpp for the differential
-// suites).
+// suites), and in every timed run.
 //
-// Usage: micro_lane_sim [--cycles=N] [--check-cycles=N] [--cpr=15]
-//                       [--min-speedup=X] [--json=path]
-#include <chrono>
+// Usage: micro_lane_sim [--min-speedup=X] [--json=path] [--threads=N]
 #include <cstdlib>
 #include <iostream>
 
@@ -27,109 +25,100 @@
 
 #include "bench_common.h"
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-}  // namespace
+constexpr double kCpr = 15.0;
+constexpr std::uint64_t kCycles = 50000;  // per run, 2+ collector windows
+constexpr std::uint64_t kCheckCycles = 4000;
+constexpr std::size_t kPairs = 5;
 
 int main(int argc, char** argv) {
   using namespace oisa;
-  const experiments::ArgParser args(argc, argv);
-  const std::uint64_t cycles = args.getU64("cycles", 30000);
-  const std::uint64_t checkCycles =
-      args.getU64("check-cycles", std::min<std::uint64_t>(cycles, 4000));
-  const double cpr = args.getDouble("cpr", 15.0);
-  const double minSpeedup = args.getDouble("min-speedup", 0.0);
+  return bench::runGuarded([&] {
+    const experiments::ArgParser args(argc, argv);
+    const bench::GateOptions gate = bench::gateOptions(args);
+    args.rejectUnread();
 
-  circuits::SynthesisOptions synth;
-  synth.relaxSlack = true;  // the benches' default sign-off flow
-  const auto design = circuits::synthesize(
-      core::makeIsa(8, 2, 1, 4), timing::CellLibrary::generic65(), synth);
-  const double period = experiments::overclockedPeriodNs(0.3, cpr);
+    circuits::SynthesisOptions synth;
+    synth.relaxSlack = true;  // the benches' default sign-off flow
+    const auto design = circuits::synthesize(
+        core::makeIsa(8, 2, 1, 4), timing::CellLibrary::generic65(), synth);
+    const double period = experiments::overclockedPeriodNs(0.3, kCpr);
 
-  experiments::TraceCollector collector(design, period);
-  std::cout << "design:  " << design.config.name() << "  ("
-            << design.netlist.gateCount() << " gates, critical "
-            << design.criticalDelayNs << " ns)\n"
-            << "period:  " << period << " ns (" << cpr << "% CPR)\n"
-            << "unrolled: " << collector.unrolledGates()
-            << " gates over " << collector.historyDepth()
-            << " stimuli per record\ncycles:  " << cycles << "\n\n";
+    experiments::TraceCollector collector(design, period);
+    std::cout << "design:  " << design.config.name() << "  ("
+              << design.netlist.gateCount() << " gates, critical "
+              << design.criticalDelayNs << " ns)\n"
+              << "period:  " << period << " ns (" << kCpr << "% CPR)\n"
+              << "unrolled: " << collector.unrolledGates()
+              << " gates over " << collector.historyDepth()
+              << " stimuli per record\ncycles:  " << kCycles << " per run, "
+              << kPairs << " pairs\n\n";
 
-  // Correctness gate: identical records from identically-seeded streams.
-  {
-    experiments::UniformWorkload scalarWl(32, 123);
-    experiments::UniformWorkload laneWl(32, 123);
-    const auto scalar = experiments::collectTraceScalar(
-        design, period, scalarWl, checkCycles);
-    const auto lane = collector.collect(laneWl, checkCycles);
-    for (std::size_t t = 0; t < scalar.size(); ++t) {
-      const auto& s = scalar[t];
-      const auto& l = lane[t];
-      if (l.a != s.a || l.b != s.b || l.carryIn != s.carryIn ||
-          l.diamond != s.diamond || l.diamondCout != s.diamondCout ||
-          l.gold != s.gold || l.goldCout != s.goldCout ||
-          l.silver != s.silver || l.silverCout != s.silverCout) {
-        std::cerr << "MISMATCH: lane and scalar collectors disagree at "
-                  << "cycle " << t << "\n";
-        return EXIT_FAILURE;
+    // Correctness gate: identical records from identically-seeded streams.
+    {
+      experiments::UniformWorkload scalarWl(32, 123);
+      experiments::UniformWorkload laneWl(32, 123);
+      const auto scalar = experiments::collectTraceScalar(
+          design, period, scalarWl, kCheckCycles);
+      const auto lane = collector.collect(laneWl, kCheckCycles);
+      for (std::size_t t = 0; t < scalar.size(); ++t) {
+        const auto& s = scalar[t];
+        const auto& l = lane[t];
+        if (l.a != s.a || l.b != s.b || l.carryIn != s.carryIn ||
+            l.diamond != s.diamond || l.diamondCout != s.diamondCout ||
+            l.gold != s.gold || l.goldCout != s.goldCout ||
+            l.silver != s.silver || l.silverCout != s.silverCout) {
+          std::cerr << "MISMATCH: lane and scalar collectors disagree at "
+                    << "cycle " << t << "\n";
+          return EXIT_FAILURE;
+        }
       }
     }
-  }
 
-  std::uint64_t checksum = 0;
+    // Each run collects kCycles records from a fresh seed-7 stream.
+    std::uint64_t scalarSum = 0;
+    std::uint64_t laneSum = 0;
+    const bench::PairTiming timing = bench::timePairs(
+        kPairs,
+        [&] {
+          experiments::UniformWorkload workload(32, 7);
+          scalarSum = 0;
+          for (const auto& rec : experiments::collectTraceScalar(
+                   design, period, workload, kCycles)) {
+            scalarSum += rec.silver;
+          }
+        },
+        [&] {
+          experiments::UniformWorkload workload(32, 7);
+          laneSum = 0;
+          for (const auto& rec : collector.collect(workload, kCycles)) {
+            laneSum += rec.silver;
+          }
+        });
+    if (scalarSum != laneSum) {
+      std::cerr << "MISMATCH: timed runs disagree (checksum " << scalarSum
+                << " vs " << laneSum << ")\n";
+      return EXIT_FAILURE;
+    }
 
-  // Sequential reference: the seed per-cycle collection loop.
-  double scalarSec = 0.0;
-  {
-    experiments::UniformWorkload workload(32, 7);
-    const auto start = Clock::now();
-    const auto trace =
-        experiments::collectTraceScalar(design, period, workload, cycles);
-    scalarSec = secondsSince(start);
-    for (const auto& rec : trace) checksum += rec.silver;
-  }
+    const auto total = static_cast<double>(kCycles);
+    const double scalarRate = total / timing.referenceSec;
+    const double laneRate = total / timing.contenderSec;
+    std::cout << "scalar collector:   " << timing.referenceSec << " s  ("
+              << scalarRate / 1e3 << " kcycles/s)\n"
+              << "unrolled collector: " << timing.contenderSec << " s  ("
+              << laneRate / 1e3 << " kcycles/s)\n";
 
-  // Collector path: one batch sweep of the unrolled netlist per lane block.
-  double laneSec = 0.0;
-  {
-    experiments::UniformWorkload workload(32, 7);
-    const auto start = Clock::now();
-    const auto trace = collector.collect(workload, cycles);
-    laneSec = secondsSince(start);
-    for (const auto& rec : trace) checksum -= rec.silver;
-  }
-  if (checksum != 0) {
-    std::cerr << "MISMATCH: timed runs disagree (checksum " << checksum
-              << ")\n";
-    return EXIT_FAILURE;
-  }
-
-  const auto total = static_cast<double>(cycles);
-  const double scalarRate = total / scalarSec;
-  const double laneRate = total / laneSec;
-  const double speedup = scalarRate > 0 ? laneRate / scalarRate : 0.0;
-  std::cout << "scalar collector:   " << scalarSec << " s  ("
-            << scalarRate / 1e3 << " kcycles/s)\n"
-            << "unrolled collector: " << laneSec << " s  ("
-            << laneRate / 1e3 << " kcycles/s)\n"
-            << "speedup:            " << speedup << "x\n";
-
-  bench::BenchJson json("micro_lane_sim");
-  json.add("design", design.config.name())
-      .add("gates", static_cast<std::uint64_t>(design.netlist.gateCount()))
-      .add("cycles", cycles)
-      .add("period_ns", period)
-      .add("cpr_percent", cpr)
-      .add("unrolled_gates",
-           static_cast<std::uint64_t>(collector.unrolledGates()))
-      .add("history", static_cast<std::uint64_t>(collector.historyDepth()))
-      .add("scalar_cycles_per_sec", scalarRate)
-      .add("lane_cycles_per_sec", laneRate);
-  return bench::finishSpeedupBench(json, args, speedup, minSpeedup);
+    bench::BenchJson json("micro_lane_sim");
+    json.add("design", design.config.name())
+        .add("gates", static_cast<std::uint64_t>(design.netlist.gateCount()))
+        .add("cycles", kCycles)
+        .add("period_ns", period)
+        .add("cpr_percent", kCpr)
+        .add("unrolled_gates",
+             static_cast<std::uint64_t>(collector.unrolledGates()))
+        .add("history", static_cast<std::uint64_t>(collector.historyDepth()))
+        .add("scalar_cycles_per_sec", scalarRate)
+        .add("lane_cycles_per_sec", laneRate);
+    return bench::finishSpeedupBench(json, gate, timing.speedup, kPairs);
+  });
 }

@@ -12,11 +12,7 @@
 //   2. liveness — the armed run must actually record (counters move,
 //      spans land in the ring); gating a no-op would prove nothing.
 //
-// Usage: micro_obs [--train-cycles=N] [--test-cycles=N] [--trees=T]
-//                  [--seed=S] [--reps=N (default 101)] [--threads=N]
-//                  [--min-speedup=X] [--json=path]
-#include <algorithm>
-#include <chrono>
+// Usage: micro_obs [--min-speedup=X] [--json=path] [--threads=N]
 #include <cstdlib>
 #include <iostream>
 #include <vector>
@@ -31,11 +27,11 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+constexpr std::uint64_t kTrainCycles = 6000;
+constexpr std::uint64_t kTestCycles = 3000;
+constexpr std::size_t kTrees = 10;
+constexpr std::uint64_t kSeed = 42;
+constexpr std::size_t kPairs = 101;
 
 bool rowsEqual(const std::vector<oisa::experiments::PredictionRow>& a,
                const std::vector<oisa::experiments::PredictionRow>& b) {
@@ -57,7 +53,8 @@ int main(int argc, char** argv) {
   using namespace oisa;
   return bench::runGuarded([&] {
     const experiments::ArgParser args(argc, argv);
-    const double minSpeedup = args.getDouble("min-speedup", 0.0);
+    const bench::GateOptions gate = bench::gateOptions(args);
+    args.rejectUnread();
 
     // One representative design at one CPR point — the same cell body
     // fig7 sweeps 36 times.
@@ -69,11 +66,11 @@ int main(int argc, char** argv) {
     const std::vector<double> cprs = {15.0};
 
     experiments::PredictionOptions options;
-    options.trainCycles = args.getU64("train-cycles", 6000);
-    options.testCycles = args.getU64("test-cycles", 3000);
-    options.run.seed = args.getU64("seed", 42);
-    options.run.threads = bench::threadsOption(args);
-    options.predictor.forest.treeCount = args.getU64("trees", 10);
+    options.trainCycles = kTrainCycles;
+    options.testCycles = kTestCycles;
+    options.run.seed = kSeed;
+    options.run.threads = gate.threads;
+    options.predictor.forest.treeCount = kTrees;
 
     const auto runCell = [&] {
       return runPredictionEvaluation(designs, cprs, options);
@@ -127,76 +124,50 @@ int main(int argc, char** argv) {
     // -----------------------------------------------------------------
     // Timed runs, in pairs: stripped is the reference, armed the
     // contender, and each pair's ratio is stripped/armed, so 1.0 means
-    // free and 0.97 is the 3%-overhead ceiling CI enforces. The gate reads
-    // the median of the pair ratios. The cell runs in a few ms, so one
-    // slow run moves a min-of-reps ratio by several percent (it read
-    // 0.967 once at 101 pairs); a pair's two runs share the host's state,
-    // and the median ignores the pairs a burst of noise hits. Each pair
-    // alternates which side runs first, so drift within a pair does not
-    // always favour one side.
+    // free and 0.97 is the 3%-overhead ceiling CI enforces. The cell runs
+    // in a few ms, so one slow run moves a single ratio by several
+    // percent; the median of the pair ratios ignores the pairs a burst of
+    // noise hits. Arming and disarming run untimed before each run: a
+    // traced campaign allocates and frees its trace ring once per
+    // session, not per cell. Every timed run's rows must equal the
+    // stripped rows of gate 1.
     // -----------------------------------------------------------------
-    const auto timedRun = [&](bool armed,
-                              std::vector<experiments::PredictionRow>& rows) {
-      obs::setMetricsEnabled(armed);
-      if (armed) obs::startTracing();
-      const auto t0 = Clock::now();
-      rows = runCell();
-      const double seconds = secondsSince(t0);
-      if (armed) obs::stopTracing();
-      return seconds;
+    std::size_t diverged = 0;
+    const auto timedRun = [&] {
+      if (!rowsEqual(runCell(), strippedRows)) ++diverged;
     };
-    const auto reps = std::max<std::uint64_t>(1, args.getU64("reps", 101));
-    std::vector<double> strippedSecs;
-    std::vector<double> armedSecs;
-    std::vector<double> ratios;
-    for (std::uint64_t i = 0; i < reps; ++i) {
-      std::vector<experiments::PredictionRow> sRows;
-      std::vector<experiments::PredictionRow> aRows;
-      double s = 0.0;
-      double a = 0.0;
-      if (i % 2 == 0) {
-        s = timedRun(false, sRows);
-        a = timedRun(true, aRows);
-      } else {
-        a = timedRun(true, aRows);
-        s = timedRun(false, sRows);
-      }
-      if (!rowsEqual(sRows, aRows)) {
-        std::cerr << "MISMATCH: timed-loop rows diverged at rep " << i << "\n";
-        return EXIT_FAILURE;
-      }
-      strippedSecs.push_back(s);
-      armedSecs.push_back(a);
-      ratios.push_back(a > 0 ? s / a : 0.0);
-    }
+    const bench::PairTiming timing = bench::timePairs(
+        kPairs, timedRun, timedRun, [](bool armed) {
+          obs::setMetricsEnabled(armed);
+          armed ? obs::startTracing() : obs::stopTracing();
+        });
+    obs::stopTracing();
     obs::setMetricsEnabled(true);  // leave the process-default state
+    if (diverged != 0) {
+      std::cerr << "MISMATCH: " << diverged
+                << " timed run(s) produced different rows\n";
+      return EXIT_FAILURE;
+    }
 
-    const auto median = [](std::vector<double> v) {
-      std::sort(v.begin(), v.end());
-      const std::size_t n = v.size();
-      return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-    };
-    const double strippedSec = median(strippedSecs);
-    const double armedSec = median(armedSecs);
-    const double speedup = median(ratios);
+    const double strippedSec = timing.referenceSec;
+    const double armedSec = timing.contenderSec;
+    const double speedup = timing.speedup;
     std::cout << "fig7 cell (" << design.config.name() << " @ 15% CPR, train "
               << options.trainCycles << " / test " << options.testCycles
               << " cycles)\nrows identical armed vs stripped; armed run: "
               << cells << " cell(s), " << evalRows
               << " eval rows, spans recorded\n\n"
-              << "stripped: " << strippedSec << " s (median of " << reps
-              << ")\narmed:    " << armedSec << " s (median of " << reps
-              << ")\nspeedup:  " << speedup
-              << "x (median pair ratio; 1.0 = telemetry free)\n";
+              << "stripped: " << strippedSec << " s (median of " << kPairs
+              << ")\narmed:    " << armedSec << " s (median of " << kPairs
+              << "); a speedup of 1.0 means telemetry is free\n";
 
     bench::BenchJson json("micro_obs");
     json.add("train_cycles", options.trainCycles)
         .add("test_cycles", options.testCycles)
         .add("cells", cells)
         .add("eval_rows", evalRows)
-        .add("pairs", reps)
         .add("stripped_sec", strippedSec)
         .add("armed_sec", armedSec);
-    return bench::finishSpeedupBench(json, args, speedup, minSpeedup);
+    return bench::finishSpeedupBench(json, gate, speedup, kPairs);
   });
 }

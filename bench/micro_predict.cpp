@@ -12,17 +12,14 @@
 //   3. a binary-envelope round trip (saveFlat -> mmap loadFlat) must
 //      reproduce the exact same predictions straight off the mapped file.
 //
-// Usage: micro_predict [--width=32] [--train-cycles=N] [--test-cycles=N]
-//                      [--trees=T] [--depth=D] [--seed=S] [--reps=N]
-//                      [--min-speedup=X] [--json=path] [--model=path]
+// Usage: micro_predict [--min-speedup=X] [--json=path] [--threads=N]
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
-#include <random>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -35,54 +32,19 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
 using oisa::predict::BitLevelPredictor;
 using oisa::predict::FeatureExtractor;
 using oisa::predict::PredictedFlips;
 using oisa::predict::Trace;
 using oisa::predict::TraceRecord;
 
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Synthetic overclocked-adder trace with a learnable timing-error
-/// process (micro_forest's generator): transition-sensitized bits plus
-/// rare broadband noise, so the forests grow real trees.
-Trace makeTrace(int width, std::uint64_t cycles, std::uint64_t seed) {
-  const std::uint64_t mask =
-      width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
-  std::mt19937_64 rng(seed);
-  Trace trace;
-  trace.reserve(cycles);
-  std::uint64_t prevA = 0;
-  for (std::uint64_t t = 0; t < cycles; ++t) {
-    TraceRecord rec;
-    rec.a = rng() & mask;
-    rec.b = rng() & mask;
-    const std::uint64_t sum = rec.a + rec.b;
-    rec.gold = sum & mask;
-    rec.goldCout = ((sum >> width) & 1u) != 0;
-    rec.diamond = rec.gold;
-    rec.diamondCout = rec.goldCout;
-    rec.silver = rec.gold;
-    rec.silverCout = rec.goldCout;
-    for (const int k : {3, 11, 19, 27}) {
-      if (k + 1 >= width) continue;
-      const bool carry = ((rec.a >> k) & (rec.b >> k) & 1u) != 0;
-      const bool quiet = ((prevA >> k) & 1u) == 0;
-      if (carry && quiet) rec.silver ^= std::uint64_t{1} << (k + 1);
-    }
-    if ((rng() & 0x3fu) == 0) {
-      rec.silver ^= std::uint64_t{1}
-                    << (rng() % static_cast<std::uint64_t>(width));
-    }
-    if ((rng() & 0xffu) == 0) rec.silverCout = !rec.silverCout;
-    prevA = rec.a;
-    trace.push_back(rec);
-  }
-  return trace;
-}
+constexpr int kWidth = 32;
+constexpr std::uint64_t kTrainCycles = 6000;
+constexpr std::uint64_t kTestCycles = 10000;  // per timed run
+constexpr std::size_t kTrees = 10;
+constexpr int kDepth = 10;
+constexpr std::uint64_t kSeed = 42;
+constexpr std::size_t kPairs = 9;
 
 /// Folds a prediction into a checksum (keeps the timed loops observable).
 std::uint64_t fold(std::uint64_t acc, const PredictedFlips& f) {
@@ -111,23 +73,20 @@ int main(int argc, char** argv) {
   using namespace oisa;
   return bench::runGuarded([&] {
     const experiments::ArgParser args(argc, argv);
-    const int width = static_cast<int>(args.getU64("width", 32));
-    const std::uint64_t trainCycles = args.getU64("train-cycles", 6000);
-    const std::uint64_t testCycles = args.getU64("test-cycles", 20000);
-    const double minSpeedup = args.getDouble("min-speedup", 0.0);
-    const std::uint64_t baseSeed = args.getU64("seed", 42);
-    const std::string modelPath = args.getString(
-        "model", (std::filesystem::temp_directory_path() /
-                  "micro_predict_bank.ffb")
-                     .string());
+    const bench::GateOptions gate = bench::gateOptions(args);
+    args.rejectUnread();
 
+    const int width = kWidth;
+    const std::string modelPath =
+        (std::filesystem::temp_directory_path() / "micro_predict_bank.ffb")
+            .string();
     predict::PredictorParams params;
-    params.forest.treeCount = args.getU64("trees", 10);
-    params.forest.tree.maxDepth = static_cast<int>(args.getU64("depth", 10));
-    params.seed = baseSeed;
+    params.forest.treeCount = kTrees;
+    params.forest.tree.maxDepth = kDepth;
+    params.seed = kSeed;
 
-    const Trace trainTrace = makeTrace(width, trainCycles, baseSeed + 101);
-    const Trace testTrace = makeTrace(width, testCycles, baseSeed + 202);
+    const Trace trainTrace = bench::makeTrace(width, kTrainCycles, kSeed + 101);
+    const Trace testTrace = bench::makeTrace(width, kTestCycles, kSeed + 202);
     const std::size_t rows = testTrace.size() - 1;
 
     BitLevelPredictor predictor(width, params);
@@ -135,8 +94,9 @@ int main(int argc, char** argv) {
     const int bits = predictor.extractor().outputBitCount();
 
     std::cout << "trace:  width " << width << " (" << bits
-              << " output bits), train " << trainCycles << " / predict "
-              << rows << " record pairs\nmodel:  " << params.forest.treeCount
+              << " output bits), train " << kTrainCycles << " / predict "
+              << rows << " record pairs per run, " << kPairs
+              << " pairs\nmodel:  " << params.forest.treeCount
               << " trees/forest, depth " << params.forest.tree.maxDepth
               << ", features " << predictor.extractor().featureCount()
               << "\n\n";
@@ -180,12 +140,12 @@ int main(int argc, char** argv) {
     // bank must reproduce the exact same predictions off the file bytes.
     // -----------------------------------------------------------------
     core::throwIfError(predictor.saveFlat(modelPath));
-    const auto loadStart = Clock::now();
-    BitLevelPredictor mapped =
-        BitLevelPredictor::loadFlat(modelPath).valueOrThrow();
-    const double loadSec = secondsSince(loadStart);
+    std::optional<BitLevelPredictor> mapped;
+    const double loadSec = bench::seconds([&] {
+      mapped = BitLevelPredictor::loadFlat(modelPath).valueOrThrow();
+    });
     std::vector<PredictedFlips> mappedFlips(rows);
-    const std::uint64_t mappedSum = runBlocks(mapped, testTrace, mappedFlips);
+    const std::uint64_t mappedSum = runBlocks(*mapped, testTrace, mappedFlips);
     if (mappedSum != blockSum) {
       std::cerr << "MISMATCH: mmap-loaded bank predictions differ\n";
       return EXIT_FAILURE;
@@ -194,41 +154,30 @@ int main(int argc, char** argv) {
     std::remove(modelPath.c_str());
 
     // -----------------------------------------------------------------
-    // Timed runs, interleaved min-of-reps (micro_forest's scheme): the
-    // reference is the scalar predictFlipsReference shape, the contender
-    // the flat batch-64 block path.
+    // Timed runs: the reference is the scalar predictFlipsReference
+    // shape, the contender the flat batch-64 block path.
     // -----------------------------------------------------------------
-    const auto reps = std::max<std::uint64_t>(1, args.getU64("reps", 5));
-    const auto timeOnce = [](auto&& phase) {
-      const auto start = Clock::now();
-      phase();
-      return secondsSince(start);
-    };
-    double refSec = 0.0;
-    double flatSec = 0.0;
     std::uint64_t refSum = 0;
     std::uint64_t timedBlockSum = 0;
-    for (std::uint64_t i = 0; i < reps; ++i) {
-      const double r = timeOnce([&] {
-        std::uint64_t acc = 0;
-        for (std::size_t t = 0; t < rows; ++t) {
-          acc = fold(acc, predictor.predictFlipsReference(testTrace[t],
-                                                          testTrace[t + 1]));
-        }
-        refSum = acc;
-      });
-      const double f = timeOnce([&] {
-        timedBlockSum = runBlocks(predictor, testTrace, blockFlips);
-      });
-      if (i == 0 || r < refSec) refSec = r;
-      if (i == 0 || f < flatSec) flatSec = f;
-    }
+    const bench::PairTiming timing = bench::timePairs(
+        kPairs,
+        [&] {
+          std::uint64_t acc = 0;
+          for (std::size_t t = 0; t < rows; ++t) {
+            acc = fold(acc, predictor.predictFlipsReference(
+                                testTrace[t], testTrace[t + 1]));
+          }
+          refSum = acc;
+        },
+        [&] { timedBlockSum = runBlocks(predictor, testTrace, blockFlips); });
     if (refSum != blockSum || timedBlockSum != blockSum) {
       std::cerr << "MISMATCH: timed-loop checksums diverged\n";
       return EXIT_FAILURE;
     }
 
-    const double speedup = flatSec > 0 ? refSec / flatSec : 0.0;
+    const double refSec = timing.referenceSec;
+    const double flatSec = timing.contenderSec;
+    const double speedup = timing.speedup;
     const double nsPerRecordRef = refSec / static_cast<double>(rows) * 1e9;
     const double nsPerRecordFlat = flatSec / static_cast<double>(rows) * 1e9;
 
@@ -239,12 +188,11 @@ int main(int argc, char** argv) {
               << " record pairs lane-for-lane, scalar vs block vs mmap\n\n"
               << "scalar reference: " << refSec << " s  (" << nsPerRecordRef
               << " ns/record)\nflat block-64:    " << flatSec << " s  ("
-              << nsPerRecordFlat << " ns/record)\nspeedup:  " << speedup
-              << "x\n";
+              << nsPerRecordFlat << " ns/record)\n";
 
     bench::BenchJson json("micro_predict");
     json.add("width", static_cast<std::uint64_t>(width))
-        .add("train_cycles", trainCycles)
+        .add("train_cycles", kTrainCycles)
         .add("record_pairs", static_cast<std::uint64_t>(rows))
         .add("trees", params.forest.treeCount)
         .add("flat_nodes", static_cast<std::uint64_t>(flat.nodeCount()))
@@ -254,6 +202,6 @@ int main(int argc, char** argv) {
         .add("flat_sec", flatSec)
         .add("ns_per_record_ref", nsPerRecordRef)
         .add("ns_per_record_flat", nsPerRecordFlat);
-    return bench::finishSpeedupBench(json, args, speedup, minSpeedup);
+    return bench::finishSpeedupBench(json, gate, speedup, kPairs);
   });
 }

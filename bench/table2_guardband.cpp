@@ -20,6 +20,11 @@ namespace {
 int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
+  experiments::RunOptions grid;
+  grid.threads = bench::threadsOption(args);
+  const bool importance = args.getBool("importance", true);
+  const std::string csv = args.getString("csv", "");
+  args.rejectUnread();
   const auto lib = timing::CellLibrary::generic65();
 
   std::cout << "== Table II: multi-corner guardband per design ==\n\n";
@@ -30,8 +35,6 @@ int run(int argc, char** argv) {
   // thread count).
   const auto designs = core::paperDesigns();
   std::vector<timing::GuardbandReport> reports(designs.size());
-  experiments::RunOptions grid;
-  grid.threads = bench::threadsOption(args);
   experiments::runCampaignGrid(designs.size(), grid, [&](std::size_t i) {
     // Analyze the topology the synthesis flow actually picks at 0.3 ns.
     const auto design =
@@ -48,9 +51,9 @@ int run(int argc, char** argv) {
                   experiments::formatFixed(
                       report.recoverableFraction() * 100.0, 1)});
   }
-  bench::emit(table, args);
+  bench::emit(table, csv);
 
-  if (args.getBool("importance", true)) {
+  if (importance) {
     // Train the predictor on an aggressively overclocked design and list
     // the most informative features.
     circuits::SynthesisOptions synth;

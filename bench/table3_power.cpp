@@ -19,6 +19,8 @@ int run(int argc, char** argv) {
   const experiments::ArgParser args(argc, argv);
   const std::uint64_t cycles = args.getU64("cycles", 400);
   const std::uint64_t seed = args.getU64("seed", 42);
+  const std::string csv = args.getString("csv", "");
+  args.rejectUnread();
 
   const auto lib = timing::CellLibrary::generic65();
   const auto power = timing::PowerLibrary::generic65();
@@ -71,7 +73,7 @@ int run(int argc, char** argv) {
                   experiments::formatFixed(report.energyPerOpFj, 1),
                   experiments::formatFixed(savings, 1)});
   }
-  bench::emit(table, args);
+  bench::emit(table, csv);
   return 0;
 }
 

@@ -19,6 +19,7 @@
 //        [--window=64] [--hold=4] [--budgets=0.001,0.01,0.05,0.2]
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <span>
 #include <sstream>
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "core/error_model.h"
+#include "core/status.h"
 #include "experiments/cli.h"
 #include "experiments/report.h"
 #include "experiments/trace_collector.h"
@@ -46,7 +48,7 @@ std::vector<double> parseBudgets(const std::string& csv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace oisa;
   using Clock = std::chrono::steady_clock;
   const experiments::ArgParser args(argc, argv);
@@ -63,6 +65,7 @@ int main(int argc, char** argv) {
   const int hold = static_cast<int>(args.getPositiveU64("hold", 4));
   const std::vector<double> budgets =
       parseBudgets(args.getString("budgets", "0.001,0.01,0.05,0.2"));
+  args.rejectUnread();
   constexpr double kSignOffNs = 0.3;
 
   circuits::SynthesisOptions synth;
@@ -201,4 +204,9 @@ int main(int argc, char** argv) {
                "residual timing-error RMS; the instant-retreat / patient-"
                "advance hysteresis keeps over-budget windows rare.\n";
   return 0;
+} catch (const oisa::core::StatusError& e) {
+  // A rejected or malformed flag, or any other typed failure: exit 1 with
+  // its message, as the benches do.
+  std::cerr << "error: " << e.status().toString() << '\n';
+  return EXIT_FAILURE;
 }

@@ -5,11 +5,13 @@
 //
 // Run: ./approx_multiplier [--samples=N] [--width=16]
 #include <cmath>
+#include <cstdlib>
 #include <iostream>
 #include <random>
 
 #include "core/error_stats.h"
 #include "core/isa_multiplier.h"
+#include "core/status.h"
 #include "experiments/cli.h"
 #include "experiments/report.h"
 
@@ -56,11 +58,12 @@ double kernelPsnr(const oisa::core::IsaMultiplier& mul, int size,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
   const std::uint64_t samples = args.getU64("samples", 100000);
   const int width = static_cast<int>(args.getU64("width", 16));
+  args.rejectUnread();
 
   std::cout << "== ISA-based " << width << "x" << width
             << " approximate multiplier ==\n\n";
@@ -106,4 +109,9 @@ int main(int argc, char** argv) {
   std::cout << "\nThe compensation mechanisms carry over from adders to "
                "multipliers: more reduction/correction, higher PSNR.\n";
   return 0;
+} catch (const oisa::core::StatusError& e) {
+  // A rejected or malformed flag, or any other typed failure: exit 1 with
+  // its message, as the benches do.
+  std::cerr << "error: " << e.status().toString() << '\n';
+  return EXIT_FAILURE;
 }

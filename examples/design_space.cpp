@@ -6,12 +6,14 @@
 //
 // Run: ./design_space [--samples=N] [--target=0.3]
 #include <algorithm>
+#include <cstdlib>
 #include <iostream>
 #include <random>
 
 #include "circuits/synthesis.h"
 #include "core/error_stats.h"
 #include "core/isa_adder.h"
+#include "core/status.h"
 #include "experiments/cli.h"
 #include "experiments/report.h"
 
@@ -27,11 +29,12 @@ struct Candidate {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
   const std::uint64_t samples = args.getU64("samples", 200000);
   const double target = args.getDouble("target", 0.3);
+  args.rejectUnread();
 
   // Candidate space: regular structures like the paper's (2x16, 4x8 blocks).
   std::vector<Candidate> candidates;
@@ -98,4 +101,9 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\n'*' marks the accuracy-delay Pareto frontier.\n";
   return 0;
+} catch (const oisa::core::StatusError& e) {
+  // A rejected or malformed flag, or any other typed failure: exit 1 with
+  // its message, as the benches do.
+  std::cerr << "error: " << e.status().toString() << '\n';
+  return EXIT_FAILURE;
 }

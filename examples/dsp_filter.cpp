@@ -8,6 +8,7 @@
 // Run: ./dsp_filter [--samples=N] [--window=8] [--cpr=0|5|10|15]
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <iostream>
 #include <numbers>
 #include <random>
@@ -15,6 +16,7 @@
 
 #include "circuits/synthesis.h"
 #include "core/isa_adder.h"
+#include "core/status.h"
 #include "experiments/cli.h"
 #include "experiments/report.h"
 #include "experiments/trace_collector.h"
@@ -74,12 +76,13 @@ double snrDb(const std::vector<double>& reference,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
   const std::size_t samples = args.getU64("samples", 4000);
   const std::size_t window = args.getU64("window", 8);
   const double cpr = args.getDouble("cpr", 0.0);
+  args.rejectUnread();
 
   const auto signal = makeSignal(samples, 9);
   const core::IsaAdder exact(core::makeExact(32));
@@ -133,4 +136,9 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nHigher SNR = closer to the exact-adder filter output.\n";
   return 0;
+} catch (const oisa::core::StatusError& e) {
+  // A rejected or malformed flag, or any other typed failure: exit 1 with
+  // its message, as the benches do.
+  std::cerr << "error: " << e.status().toString() << '\n';
+  return EXIT_FAILURE;
 }

@@ -9,8 +9,11 @@
 //
 // Usage: fault_injection
 #include <bit>
+#include <cstdlib>
 #include <iostream>
 
+#include "core/status.h"
+#include "experiments/cli.h"
 #include "fault/coverage.h"
 #include "fault/fault_universe.h"
 #include "fault/ppsfp_dispatch.h"
@@ -43,8 +46,9 @@ OUTPUT(23)
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) try {
   using namespace oisa;
+  experiments::ArgParser(argc, argv).rejectUnread();  // it takes no flags
 
   // 1. Import.
   const netlist::Netlist nl = netlist::readBenchString(kC17, "c17");
@@ -137,4 +141,9 @@ int main() {
             << ((out[0] ^ (out[0] >> 63)) & 1u ? "different" : "identical")
             << " values — the defect is live in the timed waveform.\n";
   return 0;
+} catch (const oisa::core::StatusError& e) {
+  // A rejected or malformed flag, or any other typed failure: exit 1 with
+  // its message, as the benches do.
+  std::cerr << "error: " << e.status().toString() << '\n';
+  return EXIT_FAILURE;
 }

@@ -5,15 +5,17 @@
 //
 // Run: ./overclocking_explorer [--block=8] [--spec=0] [--corr=0] [--red=4]
 //        [--exact] [--cycles=N] [--max-cpr=20] [--step=2.5] [--predict]
+#include <cstdlib>
 #include <iostream>
 
+#include "core/status.h"
 #include "experiments/cli.h"
 #include "experiments/report.h"
 #include "experiments/runner.h"
 #include "experiments/trace_collector.h"
 #include "predict/bit_predictor.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
 
@@ -28,6 +30,7 @@ int main(int argc, char** argv) {
   const double maxCpr = args.getDouble("max-cpr", 20.0);
   const double step = args.getDouble("step", 2.5);
   const bool predict = args.getBool("predict", false);
+  args.rejectUnread();
 
   const auto design = circuits::synthesize(
       cfg, timing::CellLibrary::generic65(), circuits::SynthesisOptions{});
@@ -73,4 +76,9 @@ int main(int argc, char** argv) {
                "sensitized path distribution;\nthe structural floor is "
                "clock-independent.\n";
   return 0;
+} catch (const oisa::core::StatusError& e) {
+  // A rejected or malformed flag, or any other typed failure: exit 1 with
+  // its message, as the benches do.
+  std::cerr << "error: " << e.status().toString() << '\n';
+  return EXIT_FAILURE;
 }

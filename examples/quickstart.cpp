@@ -3,17 +3,21 @@
 // and decompose the resulting errors exactly as the paper does.
 //
 // Run: ./quickstart
+#include <cstdlib>
 #include <iostream>
 
 #include "circuits/synthesis.h"
 #include "core/error_model.h"
 #include "core/isa_adder.h"
+#include "core/status.h"
+#include "experiments/cli.h"
 #include "experiments/trace_collector.h"
 #include "experiments/workload.h"
 #include "timing/sta.h"
 
-int main() {
+int main(int argc, char** argv) try {
   using namespace oisa;
+  experiments::ArgParser(argc, argv).rejectUnread();  // it takes no flags
 
   // 1. A design point in the paper's quadruple notation:
   //    8-bit blocks, no speculation window, 1-bit correction, 4-bit
@@ -77,4 +81,9 @@ int main() {
             << " %\n  RE RMS joint      = " << combo.relJoint().rms() * 100
             << " %\n";
   return 0;
+} catch (const oisa::core::StatusError& e) {
+  // A rejected or malformed flag, or any other typed failure: exit 1 with
+  // its message, as the benches do.
+  std::cerr << "error: " << e.status().toString() << '\n';
+  return EXIT_FAILURE;
 }

@@ -55,7 +55,6 @@ std::uint64_t readU64(const char* p) {
 
 // --- PayloadWriter / PayloadReader ------------------------------------
 
-void PayloadWriter::u32(std::uint32_t v) { appendU32(bytes_, v); }
 void PayloadWriter::u64(std::uint64_t v) { appendU64(bytes_, v); }
 void PayloadWriter::f64(double v) {
   std::uint64_t bits = 0;
@@ -75,11 +74,6 @@ bool PayloadReader::take(std::size_t n, const char** out) {
   *out = bytes_.data() + pos_;
   pos_ += n;
   return true;
-}
-
-std::uint32_t PayloadReader::u32() {
-  const char* p = nullptr;
-  return take(4, &p) ? readU32(p) : 0;
 }
 
 std::uint64_t PayloadReader::u64() {
@@ -136,13 +130,6 @@ const std::string* GridCheckpoint::payload(std::uint64_t cell) const {
 
 void GridCheckpoint::record(std::uint64_t cell, std::string payload) {
   cells_[cell] = std::move(payload);
-}
-
-std::vector<std::uint64_t> GridCheckpoint::cellIndices() const {
-  std::vector<std::uint64_t> cells;
-  cells.reserve(cells_.size());
-  for (const auto& [cell, payload] : cells_) cells.push_back(cell);
-  return cells;  // std::map iteration order is already ascending
 }
 
 core::Status GridCheckpoint::saveTo(const std::string& path) const {

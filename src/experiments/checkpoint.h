@@ -37,7 +37,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/status.h"
 
@@ -49,7 +48,6 @@ namespace oisa::experiments {
 /// their IEEE-754 bit pattern so round-trips are byte-exact.
 class PayloadWriter {
  public:
-  void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void f64(double v);
   void str(std::string_view v);  ///< length-prefixed
@@ -79,7 +77,6 @@ class PayloadReader {
  public:
   explicit PayloadReader(std::string_view bytes) : bytes_(bytes) {}
 
-  [[nodiscard]] std::uint32_t u32();
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
@@ -149,9 +146,6 @@ class GridCheckpoint {
 
   /// Records (or replaces) a completed cell's payload.
   void record(std::uint64_t cell, std::string payload);
-
-  /// Completed cell indices, ascending.
-  [[nodiscard]] std::vector<std::uint64_t> cellIndices() const;
 
   /// Atomically writes the snapshot (tmp + fsync + rename).
   [[nodiscard]] core::Status saveTo(const std::string& path) const;

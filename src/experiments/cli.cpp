@@ -37,30 +37,46 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
     const std::string body = token.substr(2);
     const std::size_t eq = body.find('=');
     if (eq == std::string::npos) {
-      values_[body] = "true";  // boolean flag
+      values_[body].text = "true";  // boolean flag
     } else {
-      values_[body.substr(0, eq)] = body.substr(eq + 1);
+      values_[body.substr(0, eq)].text = body.substr(eq + 1);
     }
+  }
+}
+
+const std::string* ArgParser::find(const std::string& key) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return nullptr;
+  it->second.read = true;
+  return &it->second.text;
+}
+
+void ArgParser::rejectUnread() const {
+  std::string unread;
+  for (const auto& [key, flag] : values_) {
+    if (!flag.read) unread += (unread.empty() ? "--" : ", --") + key;
+  }
+  if (!unread.empty()) {
+    throw StatusError(Status::invalidInput("unrecognized flag(s): " + unread));
   }
 }
 
 std::uint64_t ArgParser::getU64(const std::string& key,
                                 std::uint64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const std::string& text = it->second;
+  const std::string* text = find(key);
+  if (text == nullptr) return fallback;
   // strtoull accepts leading whitespace, "0x" and a minus sign (wrapping
   // huge); none of those are sane flag values, so pre-reject anything
   // that is not plain digits.
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    failValue(key, "an unsigned integer", text);
+  if (text->empty() ||
+      text->find_first_not_of("0123456789") != std::string::npos) {
+    failValue(key, "an unsigned integer", *text);
   }
   errno = 0;
   char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno == ERANGE || end != text.c_str() + text.size()) {
-    failValue(key, "an unsigned integer", text);
+  const unsigned long long value = std::strtoull(text->c_str(), &end, 10);
+  if (errno == ERANGE || end != text->c_str() + text->size()) {
+    failValue(key, "an unsigned integer", *text);
   }
   return value;
 }
@@ -73,38 +89,32 @@ std::uint64_t ArgParser::getPositiveU64(const std::string& key,
 }
 
 double ArgParser::getDouble(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const std::string& text = it->second;
+  const std::string* text = find(key);
+  if (text == nullptr) return fallback;
   errno = 0;
   char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
+  const double value = std::strtod(text->c_str(), &end);
   // strtod also parses "nan" and "inf"; no flag means either, and a NaN
   // slips past every range check (`nan > 0.0` is false).
-  if (text.empty() || errno == ERANGE ||
-      end != text.c_str() + text.size() || !std::isfinite(value)) {
-    failValue(key, "a finite number", text);
+  if (text->empty() || errno == ERANGE ||
+      end != text->c_str() + text->size() || !std::isfinite(value)) {
+    failValue(key, "a finite number", *text);
   }
   return value;
 }
 
 std::string ArgParser::getString(const std::string& key,
                                  std::string fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* found = find(key);
+  return found == nullptr ? fallback : *found;
 }
 
 bool ArgParser::getBool(const std::string& key, bool fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const std::string& text = it->second;
-  if (text == "true" || text == "1" || text == "yes") return true;
-  if (text == "false" || text == "0" || text == "no") return false;
-  failValue(key, "a boolean (true/false/1/0/yes/no)", text);
-}
-
-bool ArgParser::has(const std::string& key) const {
-  return values_.count(key) != 0;
+  const std::string* text = find(key);
+  if (text == nullptr) return fallback;
+  if (*text == "true" || *text == "1" || *text == "yes") return true;
+  if (*text == "false" || *text == "0" || *text == "no") return false;
+  failValue(key, "a boolean (true/false/1/0/yes/no)", *text);
 }
 
 }  // namespace oisa::experiments

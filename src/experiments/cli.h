@@ -9,7 +9,8 @@
 namespace oisa::experiments {
 
 /// Parses `--key=value` and boolean `--flag` arguments; anything else is
-/// rejected with an exception listing the offending token.
+/// rejected with an exception listing the offending token. Every getter
+/// marks its flag read, so rejectUnread() can tell a typo from a flag.
 class ArgParser {
  public:
   ArgParser(int argc, const char* const* argv);
@@ -26,10 +27,18 @@ class ArgParser {
   [[nodiscard]] std::string getString(const std::string& key,
                                       std::string fallback) const;
   [[nodiscard]] bool getBool(const std::string& key, bool fallback) const;
-  [[nodiscard]] bool has(const std::string& key) const;
+
+  /// Throws InvalidInput naming each given flag no getter has read. Call
+  /// it after reading every flag and before any work.
+  void rejectUnread() const;
 
  private:
-  std::map<std::string, std::string> values_;
+  struct Flag {
+    std::string text;
+    mutable bool read = false;
+  };
+  const std::string* find(const std::string& key) const;  ///< marks read
+  std::map<std::string, Flag> values_;
 };
 
 }  // namespace oisa::experiments

@@ -225,7 +225,47 @@ TEST(CliTest, ParsesKeyValueAndFlags) {
   EXPECT_EQ(args.getString("workload", "x"), "uniform");
   EXPECT_DOUBLE_EQ(args.getDouble("cpr", 0.0), 12.5);
   EXPECT_EQ(args.getU64("missing", 7), 7u);
-  EXPECT_FALSE(args.has("missing"));
+}
+
+TEST(CliTest, RejectUnreadNamesEveryFlagNoGetterRead) {
+  // A misspelled gate flag is never read, so it would leave the gate off:
+  // rejectUnread fails the run naming it instead.
+  const char* typo[] = {"prog", "--min-speedpu=100", "--json=x.json",
+                        "--help"};
+  const ArgParser args(4, typo);
+  (void)args.getDouble("min-speedup", 0.0);  // absent: the typo is not it
+  (void)args.getString("json", "");
+  try {
+    args.rejectUnread();
+    FAIL() << "expected StatusError";
+  } catch (const oisa::core::StatusError& e) {
+    EXPECT_EQ(e.status().code(), oisa::core::StatusCode::InvalidInput);
+    const std::string& message = e.status().message();
+    EXPECT_NE(message.find("--min-speedpu"), std::string::npos) << message;
+    EXPECT_NE(message.find("--help"), std::string::npos) << message;
+    EXPECT_EQ(message.find("--json"), std::string::npos) << message;
+  }
+  // Read flags and absent ones pass, whichever getter read them.
+  const char* good[] = {"prog", "--cycles=5", "--relax", "--cpr=1.5",
+                        "--csv=out.csv"};
+  const ArgParser read(5, good);
+  (void)read.getPositiveU64("cycles", 1);
+  (void)read.getBool("relax", false);
+  (void)read.getDouble("cpr", 0.0);
+  (void)read.getString("csv", "");
+  (void)read.getU64("seed", 42);
+  EXPECT_NO_THROW(read.rejectUnread());
+  EXPECT_NO_THROW(ArgParser(0, nullptr).rejectUnread());
+  // A bad value still fails at its getter, naming its flag.
+  const char* bad[] = {"prog", "--min-speedup=fast"};
+  const ArgParser badArgs(2, bad);
+  try {
+    (void)badArgs.getDouble("min-speedup", 0.0);
+    FAIL() << "expected StatusError";
+  } catch (const oisa::core::StatusError& e) {
+    EXPECT_EQ(e.status().code(), oisa::core::StatusCode::InvalidInput);
+    EXPECT_NE(e.status().message().find("--min-speedup"), std::string::npos);
+  }
 }
 
 TEST(CliTest, RejectsPositionalArguments) {

@@ -1,6 +1,6 @@
 // Cross-module integration odds and ends: CSV and bench-JSON file output
-// (including the write-error paths), report formatting, and slack
-// relaxation leaving the logic untouched.
+// (including the write-error paths), report formatting, the micro benches'
+// pair-timing harness, and slack relaxation leaving the logic untouched.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "circuits/synthesis.h"
 #include "core/status.h"
@@ -63,14 +64,47 @@ TEST(MiscIntegrationTest, BenchJsonWriteErrorFailsTheBench) {
     EXPECT_NE(status.message().find(path), std::string::npos)
         << status.toString();
     const std::string flag = "--json=" + path;
-    const char* argv[] = {"micro", flag.c_str()};
-    const oisa::experiments::ArgParser args(2, argv);
-    EXPECT_EQ(oisa::bench::finishSpeedupBench(json, args, 10.0, 1.0),
+    const char* argv[] = {"micro", flag.c_str(), "--min-speedup=1"};
+    const oisa::experiments::ArgParser args(3, argv);
+    EXPECT_EQ(oisa::bench::finishSpeedupBench(
+                  json, oisa::bench::gateOptions(args), 10.0, 1),
               EXIT_FAILURE);
   }
   const oisa::experiments::ArgParser none(0, nullptr);
-  EXPECT_EQ(oisa::bench::finishSpeedupBench(json, none, 10.0, 1.0),
+  oisa::bench::GateOptions gate = oisa::bench::gateOptions(none);
+  gate.minSpeedup = 1.0;
+  EXPECT_EQ(oisa::bench::finishSpeedupBench(json, gate, 10.0, 1),
             EXIT_SUCCESS);
+  EXPECT_EQ(oisa::bench::finishSpeedupBench(json, gate, 0.5, 1), EXIT_FAILURE);
+}
+
+TEST(BenchHarnessTest, PairsAlternateWhichSideRunsFirst) {
+  // Pair i runs the reference first when i is even and the contender
+  // first when i is odd, with the untimed prepare hook before every run.
+  std::string log;
+  const oisa::bench::PairTiming timing = oisa::bench::timePairs(
+      5, [&] { log += 'R'; }, [&] { log += 'C'; },
+      [&](bool contenderNext) { log += contenderNext ? 'c' : 'r'; });
+  EXPECT_EQ(log, "rRcC" "cCrR" "rRcC" "cCrR" "rRcC");
+  EXPECT_EQ(timing.referenceSecs.size(), 5u);
+  EXPECT_EQ(timing.contenderSecs.size(), 5u);
+}
+
+TEST(BenchHarnessTest, SpeedupIsTheMedianOfThePairRatios) {
+  // Ratios 4, 1 and 3: the gate reads their median, 3, not the ratio of
+  // the medians (4 / 1) nor of the totals (14 / 5).
+  const oisa::bench::PairTiming odd =
+      oisa::bench::summarizePairs({4.0, 1.0, 9.0}, {1.0, 1.0, 3.0});
+  EXPECT_DOUBLE_EQ(odd.speedup, 3.0);
+  EXPECT_DOUBLE_EQ(odd.referenceSec, 4.0);
+  EXPECT_DOUBLE_EQ(odd.contenderSec, 1.0);
+  EXPECT_EQ(odd.referenceSecs, (std::vector<double>{4.0, 1.0, 9.0}));
+  // An even count takes the mean of the middle two ratios (2 and 4); a
+  // contender that took no measurable time has ratio 0.
+  const oisa::bench::PairTiming even = oisa::bench::summarizePairs(
+      {2.0, 8.0, 12.0, 5.0}, {1.0, 1.0, 3.0, 0.0});
+  EXPECT_DOUBLE_EQ(even.speedup, 3.0);
+  EXPECT_DOUBLE_EQ(oisa::bench::median({}), 0.0);
 }
 
 TEST(MiscIntegrationTest, RobustnessFlagsRejectValuesTheyWouldIgnore) {
