@@ -1,8 +1,9 @@
 // Throughput of the timed trace collector (experiments::TraceCollector,
 // which evaluates the design's unrolled sampled-output netlist one
 // batch-evaluator sweep per lane block — see timing/unroll.h) against the
-// retained sequential reference (collectTraceScalar, one scalar
-// wheel-engine cycle per stimulus) on an overclocked 32-bit ISA design.
+// retained sequential reference (collectTraceScalar, one event-wheel
+// cycle per stimulus, the stream in lane 0) on an overclocked 32-bit ISA
+// design.
 // Single-thread; the CI gate is in .github/workflows/ci.yml.
 //
 // Self-checking: before any timing is reported, both collectors run the

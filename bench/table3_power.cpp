@@ -20,6 +20,8 @@ int run(int argc, char** argv) {
   const std::uint64_t cycles = args.getU64("cycles", 400);
   const std::uint64_t seed = args.getU64("seed", 42);
   const std::string csv = args.getString("csv", "");
+  experiments::RunOptions grid;
+  grid.threads = bench::threadsOption(args);
   args.rejectUnread();
 
   const auto lib = timing::CellLibrary::generic65();
@@ -45,8 +47,6 @@ int run(int argc, char** argv) {
   std::vector<
       std::optional<std::pair<circuits::SynthesizedDesign, timing::PowerReport>>>
       results(configs.size());
-  experiments::RunOptions grid;
-  grid.threads = bench::threadsOption(args);
   experiments::runCampaignGrid(configs.size(), grid, [&](std::size_t i) {
     auto design =
         circuits::synthesize(configs[i], lib, circuits::SynthesisOptions{});

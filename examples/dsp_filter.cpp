@@ -20,7 +20,8 @@
 #include "experiments/cli.h"
 #include "experiments/report.h"
 #include "experiments/trace_collector.h"
-#include "timing/event_sim.h"
+#include "netlist/compiled_netlist.h"
+#include "timing/lane_sim.h"
 
 namespace {
 
@@ -105,19 +106,29 @@ int main(int argc, char** argv) try {
                               return isa.add(x, y).sum;
                             });
     } else {
-      // Gate-level accumulator at the reduced clock period.
+      // Gate-level accumulator at the reduced clock period: one stream in
+      // lane 0 of the event wheel, operand bits a0..a31, b0..b31, cin.
       const auto design = circuits::synthesize(
           cfg, timing::CellLibrary::generic65(),
           circuits::SynthesisOptions{});
-      timing::ClockedSampler sampler(
-          design.netlist, design.delays,
+      timing::LaneClockedSampler sampler(
+          netlist::CompiledNetlist::compile(design.netlist), design.delays,
           experiments::overclockedPeriodNs(0.3, cpr));
-      sampler.initialize(circuits::packOperands(0, 0, false, 32));
+      std::vector<std::uint64_t> in(65, 0);
+      std::vector<std::uint64_t> out;
+      sampler.initialize(in);
       filtered = filterWith(
           signal, window, [&](std::uint64_t x, std::uint64_t y) {
-            const auto out =
-                sampler.step(circuits::packOperands(x, y, false, 32));
-            return circuits::unpackSum(out, 32);
+            for (int i = 0; i < 32; ++i) {
+              in[static_cast<std::size_t>(i)] = (x >> i) & 1u;
+              in[static_cast<std::size_t>(32 + i)] = (y >> i) & 1u;
+            }
+            sampler.stepInto(in, out);
+            std::uint64_t sum = 0;
+            for (int i = 0; i < 32; ++i) {
+              sum |= (out[static_cast<std::size_t>(i)] & 1u) << i;
+            }
+            return sum;
           });
     }
     double meanErr = 0.0, maxErr = 0.0;

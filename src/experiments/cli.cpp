@@ -45,6 +45,10 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
 }
 
 const std::string* ArgParser::find(const std::string& key) const {
+  if (checked_) {
+    throw std::logic_error("ArgParser: --" + key +
+                           " read after rejectUnread()");
+  }
   const auto it = values_.find(key);
   if (it == values_.end()) return nullptr;
   it->second.read = true;
@@ -52,6 +56,7 @@ const std::string* ArgParser::find(const std::string& key) const {
 }
 
 void ArgParser::rejectUnread() const {
+  checked_ = true;
   std::string unread;
   for (const auto& [key, flag] : values_) {
     if (!flag.read) unread += (unread.empty() ? "--" : ", --") + key;

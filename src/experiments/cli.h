@@ -29,7 +29,9 @@ class ArgParser {
   [[nodiscard]] bool getBool(const std::string& key, bool fallback) const;
 
   /// Throws InvalidInput naming each given flag no getter has read. Call
-  /// it after reading every flag and before any work.
+  /// it after reading every flag and before any work: from then on every
+  /// getter throws std::logic_error naming its flag, so a read placed
+  /// after the check fails on every run, not only when the flag is given.
   void rejectUnread() const;
 
  private:
@@ -39,6 +41,7 @@ class ArgParser {
   };
   const std::string* find(const std::string& key) const;  ///< marks read
   std::map<std::string, Flag> values_;
+  mutable bool checked_ = false;  ///< rejectUnread() has run
 };
 
 }  // namespace oisa::experiments

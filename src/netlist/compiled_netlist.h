@@ -5,10 +5,10 @@
 // dense per-gate input/output net indices, the levelized (topological)
 // order, and the settled all-inputs-low state. CompiledNetlist extracts
 // that one flattening into an immutable, shareable object: the functional
-// BatchEvaluator, the scalar timed wheel engine (timing::TimedSimulator)
-// and the 64-lane timed engine (timing::LaneTimedSimulator) all construct
-// from the same compiled substrate, so a pipeline that runs several
-// engines over one design compiles the netlist exactly once.
+// BatchEvaluator, the PPSFP fault engine and the timed event wheel
+// (timing::LaneTimedSimulator) all construct from the same compiled
+// substrate, so a pipeline that runs several engines over one design
+// compiles the netlist exactly once.
 //
 // A CompiledNetlist may be built from a *cyclic* netlist (e.g. after
 // transform rewiring): `acyclic()` is false, `topologicalOrder()` is empty

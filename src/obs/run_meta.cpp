@@ -13,11 +13,7 @@ std::string gitSha() {
       return sha;
     }
   }
-#ifdef OISA_BUILD_GIT_SHA
-  return OISA_BUILD_GIT_SHA;
-#else
   return "unknown";
-#endif
 }
 
 std::string hostName() {

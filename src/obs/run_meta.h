@@ -2,9 +2,10 @@
 //
 // The facts that make a perf number or a metrics dump attributable after
 // the fact: which commit, which host, how many hardware threads, which
-// process. The git sha is baked in at configure time (OISA_BUILD_GIT_SHA)
-// and can be overridden at run time via OISA_GIT_SHA or GITHUB_SHA — CI
-// checkouts often build from a tarball where `git` saw nothing.
+// process. The git sha comes from the environment when the program runs
+// (OISA_GIT_SHA, else GITHUB_SHA, which every GitHub Actions job sets):
+// a sha baked in when the build was configured goes stale on the first
+// incremental rebuild after a new commit.
 #pragma once
 
 #include <map>
@@ -12,8 +13,8 @@
 
 namespace oisa::obs {
 
-/// Commit sha: env OISA_GIT_SHA, else GITHUB_SHA, else the configure-time
-/// sha, else "unknown".
+/// Commit sha: env OISA_GIT_SHA, else GITHUB_SHA, else "unknown" (an
+/// empty variable counts as unset).
 [[nodiscard]] std::string gitSha();
 
 /// gethostname(), "unknown" on failure.

@@ -1,4 +1,13 @@
-// oisa_timing: word-parallel (64-lane) timed event simulation.
+// oisa_timing: the timed event wheel — word-parallel (64-lane)
+// event-driven gate-level simulation.
+//
+// The repo's analogue of the paper's SDF-annotated ModelSim runs. Gates
+// have transport delays from a DelayAnnotation; input vectors are applied
+// at clock edges; outputs are latched at the next edge, whether or not the
+// combinational cloud has settled. An output whose cone has not settled at
+// the edge latches whatever value the net holds at that instant: the
+// overclocking timing-error mechanism the paper studies, including its
+// dependence on the previous cycle's state.
 //
 // LaneTimedSimulator is the timed counterpart of netlist::BatchEvaluator:
 // it simulates 64 independent instances ("lanes") of one annotated
@@ -10,32 +19,44 @@
 // at that (time, net) — the denser the activity, the closer the engine
 // gets to 64 scalar simulations for the price of one.
 //
-// No campaign runs this engine: sampled outputs come from the unrolled
-// netlist (timing/unroll.h). It is the reference the unroller is proven
-// against (tests/unroll_test.cpp) and the engine the benchmark's timed
-// fault rebuild still times.
+// Engine: integer-picosecond calendar-queue time wheel. Delays are
+// quantized to the ps grid once at construction (DelayAnnotation::
+// quantizedDelaysPs), so every event timestamp is an exact integer and
+// the strictly-before latch-edge comparison needs no epsilon. Because a
+// net's pending events never lie more than the maximum gate delay ahead
+// of the processing cursor, a power-of-two wheel sized past that delay
+// holds at most one distinct timestamp per slot and event extraction is
+// O(1) — no heap, no comparisons, no allocation in steady state.
 //
-// Per-lane semantics are bit-exact versus the scalar TimedSimulator: a
-// lane's committed waveform, sampled outputs and settle behavior equal a
-// scalar run fed that lane's input stream (asserted by
-// tests/lane_sim_test.cpp on random netlists and all paper design
-// points). The key argument: when a gate re-evaluates because some lane's
-// input changed, a quiet lane's recomputed bit equals the value it
-// already scheduled — its inputs are unchanged since its own last event —
-// so the extra commit is a per-lane no-op.
+// It is the one event engine. No campaign runs it: sampled outputs come
+// from the unrolled netlist (timing/unroll.h), which tests/unroll_test.cpp
+// proves against this wheel. Power (power.h) and Razor (razor.h) run one
+// stream in lane 0, with lanes 1-63 held at the all-inputs-low reset
+// state, so every commit is a lane-0 commit; the benchmark's timed fault
+// rebuild and examples/fault_injection drive all 64 lanes.
+//
+// Per-lane semantics are bit-exact versus the seed binary-heap engine
+// (HeapSimulator in oisa_reference): a lane's sampled outputs, settle
+// behavior and final net state equal a heap run fed that lane's input
+// stream (asserted by tests/lane_sim_test.cpp on random netlists, all
+// paper design points and a deep ripple chain). The key argument: when a
+// gate re-evaluates because some lane's input changed, a quiet lane's
+// recomputed bit equals the value it already scheduled — its inputs are
+// unchanged since its own last event — so the extra commit is a per-lane
+// no-op.
 //
 // All lanes advance on one shared time wheel and cursor: clock edges are
-// common instants, and the strictly-before-edge latch semantics of the
-// scalar engine hold lane for lane (LaneClockedSampler mirrors
-// ClockedSampler). Structure comes from the shared
-// netlist::CompiledNetlist, so scalar and lane engines over one design
-// share a single compile.
+// common instants, and the strictly-before-edge latch semantics hold lane
+// for lane (LaneClockedSampler). Structure comes from the shared
+// netlist::CompiledNetlist, so the wheel and the batch evaluator over one
+// design share a single compile.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -167,15 +188,30 @@ class LaneTimedSimulator {
     return laneTransitions_;
   }
 
-  /// Per-call committed-event cap for advancePs/settlePs — the
-  /// non-settling/cyclic netlist guard (see TimedSimulator::setEventBudget).
+  /// Caps the committed events a single advancePs/settlePs call may
+  /// process before throwing std::runtime_error. This is the guard that
+  /// turns a non-settling netlist (combinational cycle, oscillator) into
+  /// a clear diagnostic instead of an unbounded loop. The default budget
+  /// (~4M events per call) is far above any legitimate single-period
+  /// advance or settle of the supported design sizes.
   void setEventBudget(std::uint64_t maxEventsPerCall) noexcept {
     budget_ = maxEventsPerCall;
   }
 
+  /// Observer invoked on every committed net change, input applications
+  /// included: (timePs, net, mask of the lanes that flipped). Pass nullptr
+  /// to disable. measurePower bills switching energy through it, in
+  /// commit order; unset, it costs one predictable branch per commit.
+  void setChangeObserver(
+      std::function<void(TimePs, netlist::NetId, std::uint64_t)> observer) {
+    observer_ = std::move(observer);
+  }
+
   /// Resets every lane to the settled all-inputs-low state at time 0 with
   /// no events. A cyclic netlist instead powers up all-zero with the
-  /// disagreeing gates scheduled to react, as in the scalar engine.
+  /// disagreeing gates scheduled to react, so the first advance/settle
+  /// converges to a logic-consistent quiescent state (or trips the event
+  /// budget).
   /// Net forces (forceNet) survive the reset and are re-applied to the
   /// power-up state.
   void reset() {
@@ -285,6 +321,9 @@ class LaneTimedSimulator {
     if (old == word) return;
     laneTransitions_ += static_cast<std::uint64_t>(std::popcount(old ^ word));
     values_[net] = word;
+    if (observer_) [[unlikely]] {
+      observer_(now_, netlist::NetId{net}, old ^ word);
+    }
     scheduleReaders(net, now_);
   }
 
@@ -341,6 +380,9 @@ class LaneTimedSimulator {
       if (++eventCount_ > failAt_) [[unlikely]] {
         throwBudgetExceeded();
       }
+      if (observer_) [[unlikely]] {
+        observer_(t, netlist::NetId{e.net}, old ^ word);
+      }
       scheduleReaders(e.net, t);
     }
     pending_ -= slot.len;
@@ -391,13 +433,16 @@ class LaneTimedSimulator {
   std::vector<std::uint64_t> forceMask_;
   std::vector<std::uint64_t> forceBits_;
   bool forced_ = false;
+  std::function<void(TimePs, netlist::NetId, std::uint64_t)> observer_;
 };
 
 /// Drives a LaneTimedSimulator like 64 clocked register stages sharing one
 /// clock: per step, 64 input vectors (one per lane) are applied at a
-/// common edge and all lanes' outputs latch one period later. The shared
-/// cursor makes the scalar engine's strictly-before-edge latch semantics
-/// hold for every lane.
+/// common edge and all lanes' outputs latch one period later. In-flight
+/// events survive across edges, so a too-short period exhibits
+/// history-dependent timing errors exactly like hardware, and the shared
+/// cursor makes the strictly-before-edge latch semantics hold for every
+/// lane.
 class LaneClockedSampler {
  public:
   LaneClockedSampler(std::shared_ptr<const netlist::CompiledNetlist> compiled,

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "timing/event_sim.h"
+#include "timing/lane_sim.h"
 
 namespace oisa::timing {
 
@@ -54,26 +54,35 @@ PowerReport measurePower(const netlist::Netlist& nl,
         cp.switchingFj + cp.perFanoutFj * static_cast<double>(extra);
   }
 
-  PowerReport report;
-  TimedSimulator sim(nl, delays);
+  // The stream runs in lane 0 and lanes 1-63 stay at the reset state, so
+  // every commit is a lane-0 commit and energy sums in commit order.
+  LaneTimedSimulator sim(nl, delays);
   double energy = 0.0;
   std::uint64_t toggles = 0;
   bool billing = false;
-  sim.setChangeObserver([&](double, netlist::NetId net, bool) {
+  sim.setChangeObserver([&](TimePs, netlist::NetId net, std::uint64_t) {
     if (!billing) return;
     energy += toggleEnergy[net.value];
     ++toggles;
   });
+  std::vector<std::uint64_t> words;
+  const auto apply = [&](std::span<const std::uint8_t> stimulus) {
+    words.assign(stimulus.begin(), stimulus.end());
+    for (auto& w : words) w = w != 0;
+    sim.applyInputs(words);
+  };
 
-  sim.applyInputs(stimuli[0]);
-  (void)sim.settle();
+  apply(stimuli[0]);
+  (void)sim.settlePs();
   billing = true;
+  const TimePs periodPs = quantizeSpanPs(periodNs);
   for (std::size_t i = 1; i < stimuli.size(); ++i) {
-    sim.applyInputs(stimuli[i]);
-    sim.advance(periodNs);
+    apply(stimuli[i]);
+    sim.advancePs(periodPs);
   }
-  (void)sim.settle();  // bill the tail of the last cycle
+  (void)sim.settlePs();  // bill the tail of the last cycle
 
+  PowerReport report;
   report.cycles = stimuli.size() - 1;
   report.toggles = toggles;
   report.dynamicEnergyFj = energy;

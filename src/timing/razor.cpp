@@ -17,19 +17,34 @@ RazorSampler::RazorSampler(const netlist::Netlist& nl,
   }
 }
 
+void RazorSampler::applyLane0(std::span<const std::uint8_t> inputValues) {
+  words_.assign(inputValues.begin(), inputValues.end());
+  for (auto& w : words_) w = w != 0;
+  sim_.applyInputs(words_);
+}
+
+std::vector<std::uint8_t> RazorSampler::sampleLane0() const {
+  const auto words = sim_.sampleOutputs();
+  std::vector<std::uint8_t> values(words.size());
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    values[i] = static_cast<std::uint8_t>(words[i] & 1u);
+  }
+  return values;
+}
+
 void RazorSampler::initialize(std::span<const std::uint8_t> inputValues) {
-  sim_.applyInputs(inputValues);
-  (void)sim_.settle();
+  applyLane0(inputValues);
+  (void)sim_.settlePs();
 }
 
 RazorSampler::StepResult RazorSampler::step(
     std::span<const std::uint8_t> inputValues) {
-  sim_.applyInputs(inputValues);
-  sim_.advance(periodNs_);
+  applyLane0(inputValues);
+  sim_.advancePs(quantizeSpanPs(periodNs_));
   StepResult result;
-  result.main = sim_.sampleOutputs();
-  sim_.advance(shadowMarginNs_);
-  result.shadow = sim_.sampleOutputs();
+  result.main = sampleLane0();
+  sim_.advancePs(quantizeSpanPs(shadowMarginNs_));
+  result.shadow = sampleLane0();
   result.detected = result.main != result.shadow;
   ++cycles_;
   if (result.detected) ++detections_;

@@ -13,13 +13,16 @@
 // cycle (a real Razor overlaps it with the next cycle after min-delay
 // fixing); detection semantics are unaffected. Errors slower than
 // period + margin escape the shadow too (true Razor behavior).
+//
+// The sampler runs its one stream in lane 0 of the event wheel
+// (lane_sim.h); lanes 1-63 stay at the all-inputs-low reset state.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "timing/event_sim.h"
+#include "timing/lane_sim.h"
 
 namespace oisa::timing {
 
@@ -69,9 +72,15 @@ class RazorSampler {
   }
 
  private:
-  TimedSimulator sim_;
+  /// Applies one stream's input values as lane-0 words.
+  void applyLane0(std::span<const std::uint8_t> inputValues);
+  /// Lane 0's primary-output values.
+  [[nodiscard]] std::vector<std::uint8_t> sampleLane0() const;
+
+  LaneTimedSimulator sim_;
   double periodNs_;
   double shadowMarginNs_;
+  std::vector<std::uint64_t> words_;  ///< lane-0 input words
   double recoveryPenaltyCycles_;
   std::uint64_t cycles_ = 0;
   std::uint64_t detections_ = 0;

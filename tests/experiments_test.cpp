@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <random>
 #include <span>
 #include <sstream>
@@ -266,6 +267,33 @@ TEST(CliTest, RejectUnreadNamesEveryFlagNoGetterRead) {
     EXPECT_EQ(e.status().code(), oisa::core::StatusCode::InvalidInput);
     EXPECT_NE(e.status().message().find("--min-speedup"), std::string::npos);
   }
+}
+
+TEST(CliTest, GetterAfterRejectUnreadThrowsLogicErrorNamingTheFlag) {
+  // A flag read after the check could never be passed: the check had
+  // already refused it as unrecognized. Every getter therefore throws once
+  // the check has run, whether or not the flag was given, so a misplaced
+  // read fails on every run.
+  const char* argv[] = {"prog", "--cycles=5"};
+  const ArgParser args(2, argv);
+  (void)args.getU64("cycles", 1);
+  args.rejectUnread();
+  const auto expectLogicError = [](const std::function<void()>& read,
+                                   const std::string& flag) {
+    try {
+      read();
+      ADD_FAILURE() << "a read of " << flag << " after rejectUnread passed";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+  };
+  expectLogicError([&] { (void)args.getU64("threads", 0); }, "--threads");
+  expectLogicError([&] { (void)args.getU64("cycles", 1); }, "--cycles");
+  expectLogicError([&] { (void)args.getPositiveU64("every", 8); }, "--every");
+  expectLogicError([&] { (void)args.getDouble("cpr", 0.0); }, "--cpr");
+  expectLogicError([&] { (void)args.getString("csv", ""); }, "--csv");
+  expectLogicError([&] { (void)args.getBool("relax", true); }, "--relax");
 }
 
 TEST(CliTest, RejectsPositionalArguments) {

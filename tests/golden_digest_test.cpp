@@ -1,6 +1,6 @@
 // Golden-digest regression tests (the ROADMAP's `.ans.sha` scheme): the
 // fig7/fig8 prediction rows, fig9 error-combination rows, fault-coverage
-// scan rows, a c17 random-coverage campaign and the scalar wheel's power
+// scan rows, a c17 random-coverage campaign and the event wheel's power
 // and Razor numbers are serialized to a canonical text form and
 // SHA-256-digested against checked-in goldens.
 // Every number is printed in hexfloat, so the digest pins the exact bit
@@ -248,7 +248,7 @@ OUTPUT(23)
 }
 
 TEST(GoldenDigestTest, PowerAndRazorMatchGolden) {
-  // The scalar wheel's shipped outputs (table3_power, ablation_razor):
+  // The event wheel's shipped outputs (table3_power, ablation_razor):
   // every PowerReport field, and Razor cycle and detection counts at a
   // mild and a deep overclock.
   const auto power = oisa::timing::PowerLibrary::generic65();

@@ -1,18 +1,19 @@
-// Differential tests of the 64-lane timed engine (LaneTimedSimulator) and
-// the trace collector against their scalar references. The
-// lane engine must match 64 independent scalar TimedSimulator runs
+// Differential tests of the event wheel (LaneTimedSimulator) and the trace
+// collector against their scalar references. Each of the wheel's 64 lanes
+// must match an independent seed heap engine (HeapSimulator) run
 // bit-exactly — per-cycle sampled outputs, settle behavior, final net
-// state — on random netlists, all twelve paper design points and a deep
-// ripple-carry chain; the TraceCollector must reproduce the sequential
-// collector record for record at any lane count, including deep
-// overclocks whose records depend on several earlier stimuli, and must
-// refuse designs it cannot sample with typed errors. Also covers the shared
-// CompiledNetlist substrate and the bounded-event-budget guard against
-// non-settling/cyclic netlists.
+// state, committed transitions — on random netlists, all twelve paper
+// design points and a deep ripple-carry chain; the TraceCollector must
+// reproduce the sequential collector record for record at any lane count,
+// including deep overclocks whose records depend on several earlier
+// stimuli, and must refuse designs it cannot sample with typed errors.
+// Also covers the shared CompiledNetlist substrate and the
+// bounded-event-budget guard against non-settling/cyclic netlists.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdio>
 #include <functional>
 #include <optional>
@@ -38,10 +39,10 @@
 #include "netlist/compiled_netlist.h"
 #include "netlist/gate.h"
 #include "obs/metrics.h"
+#include "reference/heap_sim.h"
 #include "reference/scalar_collector.h"
 #include "timing/cell_library.h"
 #include "timing/delay_annotation.h"
-#include "timing/event_sim.h"
 #include "timing/lane_sim.h"
 #include "timing/sta.h"
 
@@ -58,8 +59,8 @@ using oisa::netlist::Netlist;
 using oisa::netlist::NetId;
 using oisa::timing::CellLibrary;
 using oisa::timing::DelayAnnotation;
+using oisa::timing::HeapSimulator;
 using oisa::timing::LaneTimedSimulator;
-using oisa::timing::TimedSimulator;
 using oisa::timing::TimePs;
 
 constexpr std::size_t kLanes = LaneTimedSimulator::kLanes;
@@ -69,55 +70,57 @@ using oisa::testing::expectTracesEqual;
 using oisa::testing::randomNetlist;
 using oisa::testing::unitLibrary;
 
-/// Drives one LaneTimedSimulator and 64 scalar TimedSimulators (sharing
-/// the lane engine's compile) through `cycles` clocked cycles of random
-/// stimulus and asserts exact per-lane agreement: every sampled output
-/// every cycle, the final settle, and every net word.
-void expectLaneMatchesScalars(const Netlist& nl, const DelayAnnotation& delays,
-                              TimePs periodPs, int cycles,
-                              std::uint64_t stimulusSeed) {
-  const auto compiled = CompiledNetlist::compile(nl);
-  LaneTimedSimulator lane(compiled, delays);
-  std::vector<TimedSimulator> scalars;
-  scalars.reserve(kLanes);
-  for (std::size_t L = 0; L < kLanes; ++L) {
-    scalars.emplace_back(compiled, delays);
-  }
+/// Drives one LaneTimedSimulator and 64 HeapSimulators (lane L's stream
+/// into heap L) through `cycles` clocked cycles of random stimulus and
+/// asserts exact per-lane agreement: every sampled output every cycle, the
+/// final settle, every net word, and the committed transitions — the
+/// wheel's lane transitions, less the input flips, are the heaps' events.
+void expectLaneMatchesHeaps(const Netlist& nl, const DelayAnnotation& delays,
+                            TimePs periodPs, int cycles,
+                            std::uint64_t stimulusSeed) {
+  LaneTimedSimulator lane(nl, delays);
+  std::vector<HeapSimulator> heaps;
+  heaps.reserve(kLanes);
+  for (std::size_t L = 0; L < kLanes; ++L) heaps.emplace_back(nl, delays);
 
   std::mt19937_64 rng(stimulusSeed);
   const std::size_t inputs = nl.primaryInputs().size();
   const std::size_t outputs = nl.primaryOutputs().size();
-  std::vector<std::uint64_t> inWords(inputs);
-  std::vector<std::uint8_t> scalarIn(inputs);
+  std::vector<std::uint64_t> inWords(inputs, 0);
+  std::vector<std::uint8_t> heapIn(inputs);
   std::vector<std::uint64_t> laneOut;
-  std::vector<std::uint8_t> scalarOut;
+  std::uint64_t inputFlips = 0;
 
   const auto applyAll = [&] {
-    for (auto& w : inWords) w = rng();
+    for (auto& w : inWords) {
+      const std::uint64_t next = rng();
+      inputFlips += static_cast<std::uint64_t>(std::popcount(w ^ next));
+      w = next;
+    }
     lane.applyInputs(inWords);
     for (std::size_t L = 0; L < kLanes; ++L) {
       for (std::size_t i = 0; i < inputs; ++i) {
-        scalarIn[i] = static_cast<std::uint8_t>((inWords[i] >> L) & 1u);
+        heapIn[i] = static_cast<std::uint8_t>((inWords[i] >> L) & 1u);
       }
-      scalars[L].applyInputs(scalarIn);
+      heaps[L].applyInputs(heapIn);
     }
   };
 
   // Settled reset vector, then overclocked cycles.
   applyAll();
   (void)lane.settlePs();
-  for (auto& s : scalars) (void)s.settlePs();
+  for (auto& h : heaps) (void)h.settlePs();
 
   for (int t = 0; t < cycles; ++t) {
     applyAll();
     lane.advancePs(periodPs);
     lane.sampleOutputsInto(laneOut);
     for (std::size_t L = 0; L < kLanes; ++L) {
-      scalars[L].advancePs(periodPs);
-      scalars[L].sampleOutputsInto(scalarOut);
+      heaps[L].advancePs(periodPs);
+      const auto heapOut = heaps[L].sampleOutputs();
       for (std::size_t o = 0; o < outputs; ++o) {
         ASSERT_EQ((laneOut[o] >> L) & 1u,
-                  static_cast<std::uint64_t>(scalarOut[o]))
+                  static_cast<std::uint64_t>(heapOut[o]))
             << "cycle " << t << " lane " << L << " output " << o;
       }
     }
@@ -125,14 +128,17 @@ void expectLaneMatchesScalars(const Netlist& nl, const DelayAnnotation& delays,
 
   // Full settle must agree lane for lane too (quiescent state check).
   (void)lane.settlePs();
+  std::uint64_t heapEvents = 0;
   for (std::size_t L = 0; L < kLanes; ++L) {
-    (void)scalars[L].settlePs();
+    (void)heaps[L].settlePs();
+    heapEvents += heaps[L].eventsProcessed();
     for (std::uint32_t n = 0; n < nl.netCount(); ++n) {
       ASSERT_EQ((lane.netWord(NetId{n}) >> L) & 1u,
-                static_cast<std::uint64_t>(scalars[L].netValue(NetId{n})))
+                static_cast<std::uint64_t>(heaps[L].netValue(NetId{n})))
           << "net " << n << " lane " << L;
     }
   }
+  EXPECT_EQ(lane.laneTransitionsCommitted() - inputFlips, heapEvents);
 }
 
 TEST(LaneSimulatorTest, ExactAgreementOnRandomNetlists) {
@@ -148,7 +154,7 @@ TEST(LaneSimulatorTest, ExactAgreementOnRandomNetlists) {
     for (const double frac : {0.3, 0.7, 1.5}) {
       const TimePs period = std::max<TimePs>(
           1, oisa::timing::quantizeSpanPs(critical * frac));
-      expectLaneMatchesScalars(nl, delays, period, 30,
+      expectLaneMatchesHeaps(nl, delays, period, 30,
                                5000 + static_cast<std::uint64_t>(trial));
     }
   }
@@ -165,7 +171,7 @@ TEST(LaneSimulatorTest, ExactAgreementOnAllPaperDesigns) {
         oisa::timing::quantizeSpanPs(0.3 * (1.0 - cpr / 100.0));
     for (const auto& design : designs) {
       SCOPED_TRACE(design.config.name() + " @ " + std::to_string(cpr));
-      expectLaneMatchesScalars(design.netlist, design.delays, period, 15, 7);
+      expectLaneMatchesHeaps(design.netlist, design.delays, period, 15, 7);
     }
   }
 }
@@ -191,7 +197,7 @@ TEST(LaneSimulatorTest, ExactAgreementOnDeepRippleChain) {
   for (const double frac : {0.5, 0.85}) {
     const TimePs period =
         std::max<TimePs>(1, oisa::timing::quantizeSpanPs(critical * frac));
-    expectLaneMatchesScalars(nl, delays, period, 20, 11);
+    expectLaneMatchesHeaps(nl, delays, period, 20, 11);
   }
 }
 
@@ -714,14 +720,13 @@ TEST(CompiledNetlistTest, OneCompileServesAllEngines) {
   for (auto& w : in) w = rng();
   EXPECT_EQ(shared.evaluateOutputs(in), privat.evaluateOutputs(in));
 
-  // Timed engines from the shared compile agree with Netlist-constructed
-  // ones (spot check one overclocked cycle).
-  TimedSimulator fromCompile(compiled, delays);
-  TimedSimulator fromNetlist(nl, delays);
-  std::vector<std::uint8_t> bits(nl.primaryInputs().size());
-  for (auto& b : bits) b = static_cast<std::uint8_t>(rng() & 1);
-  fromCompile.applyInputs(bits);
-  fromNetlist.applyInputs(bits);
+  // The wheel from the shared compile agrees with a Netlist-constructed
+  // one (spot check one overclocked cycle).
+  LaneTimedSimulator fromCompile(compiled, delays);
+  LaneTimedSimulator fromNetlist(nl, delays);
+  for (auto& w : in) w = rng();
+  fromCompile.applyInputs(in);
+  fromNetlist.applyInputs(in);
   fromCompile.advancePs(255);
   fromNetlist.advancePs(255);
   EXPECT_EQ(fromCompile.sampleOutputs(), fromNetlist.sampleOutputs());
@@ -755,38 +760,23 @@ TEST(EventBudgetTest, CyclicNetlistIsDetectedNotLoopedOn) {
   EXPECT_THROW(oisa::netlist::BatchEvaluator{compiled}, std::runtime_error);
 
   const DelayAnnotation delays(nl, unitLibrary());
-  TimedSimulator sim(compiled, delays);
+  LaneTimedSimulator sim(compiled, delays);
   sim.setEventBudget(20000);
   // Stable configuration settles fine — the guard must not false-positive
   // — and converges to the *logic-consistent* quiescent state, not the
   // raw all-zero power-up values: with en=0, NAND(0, x) = 1 must
-  // propagate around the loop to the output.
-  sim.applyInputs(std::vector<std::uint8_t>{0});
-  EXPECT_NO_THROW((void)sim.settlePs());
-  EXPECT_EQ(sim.sampleOutputs(), std::vector<std::uint8_t>{1});
-  // Enabled oscillator: settle must throw the diagnostic, not hang.
-  sim.applyInputs(std::vector<std::uint8_t>{1});
-  EXPECT_THROW((void)sim.settlePs(), std::runtime_error);
-  // Bounded advance is guarded too, and reset() recovers the simulator.
-  sim.reset();
-  sim.applyInputs(std::vector<std::uint8_t>{1});
-  EXPECT_THROW(sim.advancePs(TimePs{1} << 40), std::runtime_error);
-  sim.reset();
-  sim.applyInputs(std::vector<std::uint8_t>{0});
-  EXPECT_NO_THROW((void)sim.settlePs());
-}
-
-TEST(EventBudgetTest, LaneEngineGuardsCyclicNetlistsToo) {
-  const Netlist nl = ringOscillator();
-  const DelayAnnotation delays(nl, unitLibrary());
-  LaneTimedSimulator sim(nl, delays);
-  sim.setEventBudget(20000);
+  // propagate around the loop to the output in every lane.
   sim.applyInputs(std::vector<std::uint64_t>{0});
   EXPECT_NO_THROW((void)sim.settlePs());
   EXPECT_EQ(sim.sampleOutputs(), std::vector<std::uint64_t>{~std::uint64_t{0}});
-  // Oscillate in a single lane: the shared-word engine must still detect.
+  // Oscillate in a single lane: settle must throw the diagnostic, not
+  // hang, although the other 63 lanes are stable.
   sim.applyInputs(std::vector<std::uint64_t>{std::uint64_t{1} << 17});
   EXPECT_THROW((void)sim.settlePs(), std::runtime_error);
+  // Bounded advance is guarded too, and reset() recovers the simulator.
+  sim.reset();
+  sim.applyInputs(std::vector<std::uint64_t>{1});
+  EXPECT_THROW(sim.advancePs(TimePs{1} << 40), std::runtime_error);
   sim.reset();
   sim.applyInputs(std::vector<std::uint64_t>{0});
   EXPECT_NO_THROW((void)sim.settlePs());
@@ -799,18 +789,21 @@ TEST(EventBudgetTest, BudgetIsPerCallNotCumulative) {
   const auto cfg = oisa::core::makeIsa(8, 2, 1, 4);
   const Netlist nl = oisa::circuits::buildIsaNetlist(cfg);
   const DelayAnnotation delays(nl, CellLibrary::generic65());
-  TimedSimulator sim(nl, delays);
-  sim.setEventBudget(5000);  // ~10 cycles' worth of events
+  LaneTimedSimulator sim(nl, delays);
+  sim.setEventBudget(5000);  // ~10 single-stream cycles' worth of events
   std::mt19937_64 rng(2);
+  std::vector<std::uint64_t> in(nl.primaryInputs().size());
   for (int t = 0; t < 200; ++t) {
-    sim.applyInputs(oisa::circuits::packOperands(rng(), rng(), false, 32));
+    for (auto& w : in) w = rng() & 1u;  // one stream, in lane 0
+    sim.applyInputs(in);
     EXPECT_NO_THROW(sim.advancePs(255));
   }
   EXPECT_GT(sim.eventsProcessed(), 5000u);
   // The natural "unlimited" spelling must not wrap the per-call cap into
   // an instant spurious throw (saturating arithmetic).
   sim.setEventBudget(~std::uint64_t{0});
-  sim.applyInputs(oisa::circuits::packOperands(rng(), rng(), false, 32));
+  for (auto& w : in) w = rng() & 1u;
+  sim.applyInputs(in);
   EXPECT_NO_THROW((void)sim.settlePs());
 }
 

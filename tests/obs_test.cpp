@@ -13,7 +13,9 @@
 #include <sys/resource.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -155,6 +157,39 @@ TEST_F(ObsTest, RunMetadataHasTheAttributionKeys) {
   EXPECT_EQ(meta.count("pid"), 1u);
   EXPECT_EQ(meta.count("hw_threads"), 1u);
   EXPECT_FALSE(meta.at("git_sha").empty());
+}
+
+TEST(RunMetaTest, GitShaComesFromTheEnvironmentAtRunTime) {
+  // OISA_GIT_SHA wins over GITHUB_SHA, an empty variable counts as unset,
+  // and with neither set the sha is "unknown": no build-time stamp can
+  // outlive the commit it was taken at.
+  const auto saved = [](const char* var) -> std::optional<std::string> {
+    const char* value = std::getenv(var);
+    return value != nullptr ? std::optional<std::string>(value)
+                            : std::nullopt;
+  };
+  const auto oisaSha = saved("OISA_GIT_SHA");
+  const auto githubSha = saved("GITHUB_SHA");
+
+  ::setenv("OISA_GIT_SHA", "from-oisa", 1);
+  ::setenv("GITHUB_SHA", "from-github", 1);
+  EXPECT_EQ(obs::gitSha(), "from-oisa");
+  ::setenv("OISA_GIT_SHA", "", 1);
+  EXPECT_EQ(obs::gitSha(), "from-github");
+  ::unsetenv("OISA_GIT_SHA");
+  EXPECT_EQ(obs::gitSha(), "from-github");
+  ::unsetenv("GITHUB_SHA");
+  EXPECT_EQ(obs::gitSha(), "unknown");
+  EXPECT_EQ(obs::runMetadata().at("git_sha"), "unknown");
+
+  for (const auto& [var, value] :
+       {std::pair{"OISA_GIT_SHA", oisaSha}, std::pair{"GITHUB_SHA", githubSha}}) {
+    if (value) {
+      ::setenv(var, value->c_str(), 1);
+    } else {
+      ::unsetenv(var);
+    }
+  }
 }
 
 // --- span tracing ------------------------------------------------------

@@ -1,10 +1,15 @@
-// Power-estimation and Razor-detection tests.
+// Power-estimation and Razor-detection tests, with the seed heap engine
+// (HeapSimulator) as the reference for both: power's toggles and energy
+// bits equal a per-commit sum taken through the heap's change observer,
+// and Razor's detections equal a heap run sampled at both edges.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <random>
 
 #include "circuits/synthesis.h"
 #include "core/isa_adder.h"
+#include "reference/heap_sim.h"
 #include "timing/power.h"
 #include "timing/razor.h"
 #include "timing/sta.h"
@@ -15,6 +20,7 @@ using oisa::circuits::packOperands;
 using oisa::circuits::SynthesisOptions;
 using oisa::circuits::synthesize;
 using oisa::timing::CellLibrary;
+using oisa::timing::HeapSimulator;
 using oisa::timing::measurePower;
 using oisa::timing::PowerLibrary;
 using oisa::timing::RazorSampler;
@@ -86,6 +92,98 @@ TEST(PowerTest, RejectsDegenerateStimuli) {
   EXPECT_THROW((void)measurePower(design.netlist, design.delays,
                                   PowerLibrary::generic65(), 0.3, one),
                std::invalid_argument);
+}
+
+TEST(PowerTest, MatchesHeapReferenceOnAllPaperDesigns) {
+  // table3_power's settings: 0.3 ns, 400 cycles after the settled reset,
+  // seed 42. The reference bills every committed change after the reset
+  // at the driving cell's toggle energy, summed in the heap's commit
+  // order, so the energy must match bit for bit.
+  const CellLibrary lib = CellLibrary::generic65();
+  const PowerLibrary power = PowerLibrary::generic65();
+  const auto stimuli = randomStimuli(401, 42);
+  const oisa::timing::TimePs periodPs = oisa::timing::quantizeSpanPs(0.3);
+  for (const auto& cfg : oisa::core::paperDesigns()) {
+    SCOPED_TRACE(cfg.name());
+    const auto design = synthesize(cfg, lib, SynthesisOptions{});
+    const auto& nl = design.netlist;
+    const auto fanout = nl.fanoutCounts();
+    std::vector<double> toggleEnergy(nl.netCount(), 0.0);
+    for (std::uint32_t gi = 0; gi < nl.gateCount(); ++gi) {
+      const auto& g = nl.gateAt(oisa::netlist::GateId{gi});
+      const unsigned loads = fanout[g.out.value];
+      const unsigned extra = loads > 1 ? loads - 1 : 0;
+      toggleEnergy[g.out.value] =
+          power.cell(g.kind).switchingFj +
+          power.cell(g.kind).perFanoutFj * static_cast<double>(extra);
+    }
+    HeapSimulator heap(nl, design.delays);
+    double energy = 0.0;
+    std::uint64_t toggles = 0;
+    bool billing = false;
+    heap.setChangeObserver([&](double, oisa::netlist::NetId net, bool) {
+      if (!billing) return;
+      energy += toggleEnergy[net.value];
+      ++toggles;
+    });
+    heap.applyInputs(stimuli[0]);
+    (void)heap.settlePs();
+    billing = true;
+    for (std::size_t i = 1; i < stimuli.size(); ++i) {
+      heap.applyInputs(stimuli[i]);
+      heap.advancePs(periodPs);
+    }
+    (void)heap.settlePs();
+
+    const auto report =
+        measurePower(nl, design.delays, power, 0.3, stimuli);
+    EXPECT_GT(toggles, 0u);
+    EXPECT_EQ(report.toggles, toggles);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(report.dynamicEnergyFj),
+              std::bit_cast<std::uint64_t>(energy))
+        << report.dynamicEnergyFj << " vs " << energy;
+  }
+}
+
+TEST(RazorTest, DetectionsMatchHeapSampledAtBothEdges) {
+  // ablation_razor's designs, CPRs and shadow margin: the heap engine
+  // samples at the main edge, then again a margin later, and a cycle
+  // detects when the two samples differ.
+  oisa::circuits::SynthesisOptions options;
+  options.relaxSlack = true;
+  const CellLibrary lib = CellLibrary::generic65();
+  const double margin = 0.06;
+  std::uint64_t anyDetections = 0;
+  for (const auto& cfg :
+       {oisa::core::makeIsa(8, 0, 0, 4), oisa::core::makeIsa(16, 2, 1, 6),
+        oisa::core::makeExact(32)}) {
+    const auto design = synthesize(cfg, lib, options);
+    for (const double cpr : {5.0, 10.0, 15.0}) {
+      SCOPED_TRACE(cfg.name() + " @ " + std::to_string(cpr));
+      const double period = 0.3 * (1.0 - cpr / 100.0);
+      RazorSampler razor(design.netlist, design.delays, period, margin);
+      HeapSimulator heap(design.netlist, design.delays);
+      const auto stimuli = randomStimuli(301, 53);
+      razor.initialize(stimuli[0]);
+      heap.applyInputs(stimuli[0]);
+      (void)heap.settlePs();
+      std::uint64_t heapDetections = 0;
+      for (std::size_t i = 1; i < stimuli.size(); ++i) {
+        const auto r = razor.step(stimuli[i]);
+        heap.applyInputs(stimuli[i]);
+        heap.advancePs(oisa::timing::quantizeSpanPs(period));
+        const auto main = heap.sampleOutputs();
+        heap.advancePs(oisa::timing::quantizeSpanPs(margin));
+        const auto shadow = heap.sampleOutputs();
+        ASSERT_EQ(r.main, main) << "cycle " << i;
+        ASSERT_EQ(r.shadow, shadow) << "cycle " << i;
+        heapDetections += main != shadow;
+      }
+      EXPECT_EQ(razor.detections(), heapDetections);
+      anyDetections += heapDetections;
+    }
+  }
+  EXPECT_GT(anyDetections, 0u);
 }
 
 TEST(RazorTest, SafeClockNeverDetects) {

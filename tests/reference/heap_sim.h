@@ -1,13 +1,15 @@
 // oisa_reference: the seed binary-heap event engine.
 //
-// This is the original TimedSimulator implementation (std::push_heap over
-// (time, seq) events, per-sample vector allocation), kept verbatim except
-// that event times live on the same integer-picosecond grid as the wheel
-// engine — timestamps are integers stored in double, so arithmetic and
-// comparisons are exact and the wheel engine must match it event for
-// event. Used by the differential tests (tests/wheel_sim_test.cpp) and as
+// This is the original scalar event engine (std::push_heap over (time,
+// seq) events, per-sample vector allocation), kept verbatim except that
+// event times live on the same integer-picosecond grid as the event wheel
+// — timestamps are integers stored in double, so arithmetic and
+// comparisons are exact and every lane of the wheel must match it event
+// for event. It is the wheel's one scalar reference: the differential
+// tests (tests/lane_sim_test.cpp lane for lane, tests/wheel_sim_test.cpp
+// in lane 0, tests/power_razor_test.cpp through its change observer) and
 // the baseline of bench/micro_timed_sim.cpp; shipped code uses
-// timing::TimedSimulator.
+// timing::LaneTimedSimulator.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +33,6 @@ class HeapSimulator {
   /// Advances simulation, processing all events strictly before
   /// `currentTime + deltaPs`, then sets current time to that instant.
   void advancePs(TimePs deltaPs);
-
-  /// Nanosecond convenience form; the delta quantizes exactly like
-  /// TimedSimulator::advance so both engines see identical horizons.
-  void advance(double deltaNs) { advancePs(quantizeSpanPs(deltaNs)); }
 
   /// Processes every pending event. Returns the timestamp of the last
   /// processed event.
@@ -60,9 +58,10 @@ class HeapSimulator {
   /// Resets to the all-undefined (zero) state at time 0 with no events.
   void reset();
 
-  /// Observer invoked on every committed net change, as in the seed
-  /// engine: (timePs, net, newValue). Kept so the baseline pays the same
-  /// per-event branch the seed paid.
+  /// Observer invoked on every committed net change, input applications
+  /// included, as in the seed engine: (timePs, net, newValue). The power
+  /// check sums switching energy through it, and the baseline pays the
+  /// same per-event branch the seed paid.
   void setChangeObserver(
       std::function<void(double, netlist::NetId, bool)> observer) {
     observer_ = std::move(observer);

@@ -4,7 +4,8 @@
 
 #include "circuits/isa_netlist.h"
 #include "core/isa_adder.h"
-#include "timing/event_sim.h"
+#include "netlist/compiled_netlist.h"
+#include "timing/lane_sim.h"
 
 namespace oisa::experiments {
 
@@ -13,24 +14,35 @@ predict::Trace collectTraceScalar(const circuits::SynthesizedDesign& design,
                                   std::uint64_t cycles) {
   const int width = design.config.width;
   const core::IsaAdder behavioral(design.config);
-  timing::ClockedSampler sampler(design.netlist, design.delays, periodNs);
+  timing::LaneClockedSampler sampler(
+      netlist::CompiledNetlist::compile(design.netlist), design.delays,
+      periodNs);
 
-  // Reusable input/output buffers: the per-cycle loop performs no heap
-  // allocation (trace growth aside), keeping the wheel engine's event
-  // processing the only per-cycle cost.
+  // One stream in lane 0; lanes 1-63 stay at the all-inputs-low reset
+  // state. Reusable buffers keep the per-cycle loop allocation-free
+  // (trace growth aside), so event processing is its only per-cycle cost.
   std::vector<std::uint8_t> inputs;
+  std::vector<std::uint64_t> inWords;
+  std::vector<std::uint64_t> outWords;
   std::vector<std::uint8_t> outputs;
+  const auto pack = [&](const Stimulus& stim) {
+    circuits::packOperandsInto(stim.a, stim.b, stim.carryIn, width, inputs);
+    inWords.assign(inputs.begin(), inputs.end());
+  };
 
-  const Stimulus reset = workload.next();
-  circuits::packOperandsInto(reset.a, reset.b, reset.carryIn, width, inputs);
-  sampler.initialize(inputs);
+  pack(workload.next());
+  sampler.initialize(inWords);
 
   predict::Trace trace;
   trace.reserve(cycles);
   for (std::uint64_t t = 0; t < cycles; ++t) {
     const Stimulus stim = workload.next();
-    circuits::packOperandsInto(stim.a, stim.b, stim.carryIn, width, inputs);
-    sampler.stepInto(inputs, outputs);
+    pack(stim);
+    sampler.stepInto(inWords, outWords);
+    outputs.resize(outWords.size());
+    for (std::size_t i = 0; i < outWords.size(); ++i) {
+      outputs[i] = static_cast<std::uint8_t>(outWords[i] & 1u);
+    }
 
     predict::TraceRecord rec;
     rec.a = stim.a;

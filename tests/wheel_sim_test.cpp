@@ -1,8 +1,10 @@
-// Differential tests of the integer-time wheel engine (TimedSimulator)
-// against the retained seed heap engine (HeapSimulator): both run on the
-// same integer-picosecond grid, so agreement is exact — per-cycle sampled
+// Differential tests of the event wheel (LaneTimedSimulator) against the
+// retained seed heap engine (HeapSimulator) in the configuration power,
+// Razor and the reference collector use: one stream in lane 0, lanes 1-63
+// at the all-inputs-low reset state. Both engines run on the same
+// integer-picosecond grid, so agreement is exact — per-cycle sampled
 // outputs, final net state, and committed-event counts. Also covers the
-// ps quantization rules and wheel-specific edge cases.
+// ps quantization rules and the wheel's own bookkeeping edge cases.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -15,21 +17,20 @@
 #include "reference/heap_sim.h"
 #include "timing/cell_library.h"
 #include "timing/delay_annotation.h"
-#include "timing/event_sim.h"
+#include "timing/lane_sim.h"
 #include "timing/sta.h"
 
 #include "differential_harness.h"
 
 namespace {
 
-using oisa::circuits::packOperands;
 using oisa::netlist::GateKind;
 using oisa::netlist::Netlist;
 using oisa::netlist::NetId;
 using oisa::timing::CellLibrary;
 using oisa::timing::DelayAnnotation;
 using oisa::timing::HeapSimulator;
-using oisa::timing::TimedSimulator;
+using oisa::timing::LaneTimedSimulator;
 using oisa::timing::TimePs;
 
 using oisa::testing::randomNetlist;
@@ -42,36 +43,51 @@ std::vector<std::uint8_t> randomInputs(std::mt19937_64& rng,
   return in;
 }
 
-/// Drives both engines through `cycles` clocked cycles and asserts exact
-/// agreement on every sample, the final committed-event count, and every
-/// net value.
+/// Drives the wheel (lane 0) and the heap engine through `cycles` clocked
+/// cycles and asserts exact agreement on every sample, the final
+/// committed-event count, and every net value; lanes 1-63 must stay at the
+/// reset state throughout.
 void expectEnginesAgree(const Netlist& nl, const DelayAnnotation& delays,
                         TimePs periodPs, std::uint64_t cycles,
                         std::uint64_t stimulusSeed) {
-  TimedSimulator wheel(nl, delays);
+  LaneTimedSimulator wheel(nl, delays);
   HeapSimulator heap(nl, delays);
+  const auto resetWords = [&] {
+    std::vector<std::uint64_t> words(nl.netCount());
+    for (std::uint32_t n = 0; n < nl.netCount(); ++n) {
+      words[n] = wheel.netWord(NetId{n});
+    }
+    return words;
+  }();
   std::mt19937_64 rng(stimulusSeed);
   const std::size_t inputs = nl.primaryInputs().size();
+  std::vector<std::uint64_t> words(inputs);
+  const auto apply = [&](const std::vector<std::uint8_t>& in) {
+    words.assign(in.begin(), in.end());
+    wheel.applyInputs(words);
+    heap.applyInputs(in);
+  };
 
-  const auto reset = randomInputs(rng, inputs);
-  wheel.applyInputs(reset);
-  heap.applyInputs(reset);
+  apply(randomInputs(rng, inputs));
   EXPECT_EQ(wheel.settlePs(), heap.settlePs());
 
-  std::vector<std::uint8_t> wheelOut;
+  std::vector<std::uint64_t> wheelOut;
   for (std::uint64_t t = 0; t < cycles; ++t) {
-    const auto in = randomInputs(rng, inputs);
-    wheel.applyInputs(in);
-    heap.applyInputs(in);
+    apply(randomInputs(rng, inputs));
     wheel.advancePs(periodPs);
     heap.advancePs(periodPs);
     wheel.sampleOutputsInto(wheelOut);
-    ASSERT_EQ(wheelOut, heap.sampleOutputs()) << "cycle " << t;
+    const auto heapOut = heap.sampleOutputs();
+    ASSERT_EQ(wheelOut.size(), heapOut.size());
+    for (std::size_t o = 0; o < heapOut.size(); ++o) {
+      ASSERT_EQ(wheelOut[o] & 1u, heapOut[o]) << "cycle " << t << " out " << o;
+    }
   }
   EXPECT_EQ(wheel.eventsProcessed(), heap.eventsProcessed());
   for (std::uint32_t n = 0; n < nl.netCount(); ++n) {
-    ASSERT_EQ(wheel.netValue(NetId{n}), heap.netValue(NetId{n}))
-        << "net " << n;
+    const std::uint64_t word = wheel.netWord(NetId{n});
+    ASSERT_EQ((word & 1u) != 0, heap.netValue(NetId{n})) << "net " << n;
+    ASSERT_EQ(word >> 1, resetWords[n] >> 1) << "net " << n << " lanes 1-63";
   }
 }
 
@@ -137,10 +153,10 @@ TEST(WheelSimulatorTest, SettleTimeIsExactOnTheGrid) {
   for (int i = 0; i < 3; ++i) n = nl.gate1(GateKind::Inv, n);
   nl.output("y", n);
   const DelayAnnotation delays(nl, unitLibrary());
-  TimedSimulator sim(nl, delays);
-  sim.applyInputs(std::vector<std::uint8_t>{1});
+  LaneTimedSimulator sim(nl, delays);
+  sim.applyInputs(std::vector<std::uint64_t>{1});
   EXPECT_EQ(sim.settlePs(), 3000);
-  EXPECT_DOUBLE_EQ(sim.nowNs(), 3.0);
+  EXPECT_EQ(sim.nowPs(), 3000);
 }
 
 TEST(WheelSimulatorTest, RejectsDelaysBeyondTheSupportedRange) {
@@ -151,7 +167,7 @@ TEST(WheelSimulatorTest, RejectsDelaysBeyondTheSupportedRange) {
   nl.output("y", nl.gate1(GateKind::Buf, nl.input("a")));
   DelayAnnotation delays(nl, unitLibrary());
   delays.setDelayNs(oisa::netlist::GateId{0}, 2000.0);  // 2e6 ps > 2^20
-  EXPECT_THROW(TimedSimulator(nl, delays), std::invalid_argument);
+  EXPECT_THROW(LaneTimedSimulator(nl, delays), std::invalid_argument);
   HeapSimulator heap(nl, delays);  // reference engine has no such bound
 }
 
@@ -161,12 +177,13 @@ TEST(WheelSimulatorTest, SplitAdvanceMatchesWholePeriod) {
   const auto cfg = oisa::core::makeIsa(8, 2, 1, 4);
   const Netlist nl = oisa::circuits::buildIsaNetlist(cfg);
   const DelayAnnotation delays(nl, CellLibrary::generic65());
-  TimedSimulator whole(nl, delays);
-  TimedSimulator split(nl, delays);
+  LaneTimedSimulator whole(nl, delays);
+  LaneTimedSimulator split(nl, delays);
 
   std::mt19937_64 rng(31);
+  std::vector<std::uint64_t> in(nl.primaryInputs().size());
   for (int t = 0; t < 40; ++t) {
-    const auto in = packOperands(rng(), rng(), rng() & 1, 32);
+    for (auto& w : in) w = rng();
     whole.applyInputs(in);
     split.applyInputs(in);
     whole.advancePs(230);
@@ -176,31 +193,8 @@ TEST(WheelSimulatorTest, SplitAdvanceMatchesWholePeriod) {
     ASSERT_EQ(whole.sampleOutputs(), split.sampleOutputs()) << "cycle " << t;
   }
   EXPECT_EQ(whole.eventsProcessed(), split.eventsProcessed());
+  EXPECT_EQ(whole.laneTransitionsCommitted(), split.laneTransitionsCommitted());
   EXPECT_EQ(whole.nowPs(), split.nowPs());
-}
-
-TEST(WheelSimulatorTest, ResetReplaysIdentically) {
-  const auto cfg = oisa::core::makeIsa(8, 0, 1, 6);
-  const Netlist nl = oisa::circuits::buildIsaNetlist(cfg);
-  const DelayAnnotation delays(nl, CellLibrary::generic65());
-  TimedSimulator sim(nl, delays);
-
-  auto runOnce = [&] {
-    std::vector<std::uint8_t> trace;
-    std::mt19937_64 rng(77);
-    for (int t = 0; t < 30; ++t) {
-      sim.applyInputs(packOperands(rng(), rng(), false, 32));
-      sim.advancePs(240);
-      const auto out = sim.sampleOutputs();
-      trace.insert(trace.end(), out.begin(), out.end());
-    }
-    return trace;
-  };
-  const auto first = runOnce();
-  sim.reset();
-  EXPECT_EQ(sim.nowPs(), 0);
-  EXPECT_EQ(sim.eventsProcessed(), 0u);
-  EXPECT_EQ(runOnce(), first);
 }
 
 }  // namespace
