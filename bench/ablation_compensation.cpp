@@ -17,8 +17,8 @@ int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
   const std::uint64_t samples = args.getU64("samples", 2000000);
-  const int block = static_cast<int>(args.getU64("block", 8));
-  const int spec = static_cast<int>(args.getU64("spec", 0));
+  const int block = args.getBounded<int>("block", 8);
+  const int spec = args.getBounded<int>("spec", 0);
   const std::uint64_t seed = args.getU64("seed", 42);
   const std::string csv = args.getString("csv", "");
   args.rejectUnread();
@@ -62,5 +62,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return oisa::bench::runGuarded([&] { return run(argc, argv); });
+  return oisa::experiments::runGuarded([&] { return run(argc, argv); });
 }

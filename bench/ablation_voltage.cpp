@@ -46,8 +46,8 @@ int run(int argc, char** argv) {
       }
 
       auto workload = experiments::makeWorkload("uniform", 32, seed);
-      const auto trace =
-          experiments::collectTrace(design, 0.3, *workload, cycles);
+      experiments::TraceCollector collector(design, 0.3);
+      const auto trace = collector.collect(*workload, cycles);
       core::ErrorCombination combo;
       std::uint64_t timingErrors = 0;
       for (const auto& rec : trace) {
@@ -79,5 +79,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return oisa::bench::runGuarded([&] { return run(argc, argv); });
+  return oisa::experiments::runGuarded([&] { return run(argc, argv); });
 }

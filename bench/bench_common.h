@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -18,7 +17,6 @@
 #include "core/file_publish.h"
 #include "core/status.h"
 #include "experiments/cli.h"
-#include "experiments/grid_scheduler.h"
 #include "experiments/report.h"
 #include "experiments/runner.h"
 #include "netlist/lane_width.h"
@@ -30,25 +28,10 @@
 
 namespace oisa::bench {
 
-/// An unsigned flag that must fit `unsigned`. A larger value is
-/// InvalidInput naming the flag: a plain cast would wrap it, and for
-/// --threads and --retries the wrapped 0 means something else entirely.
-inline unsigned unsignedOption(const experiments::ArgParser& args,
-                               const std::string& key, unsigned fallback) {
-  const std::uint64_t value = args.getU64(key, fallback);
-  if (value > std::numeric_limits<unsigned>::max()) {
-    throw core::StatusError(core::Status::invalidInput(
-        "--" + key + ": expected at most " +
-        std::to_string(std::numeric_limits<unsigned>::max()) + ", got '" +
-        args.getString(key, "") + "'"));
-  }
-  return static_cast<unsigned>(value);
-}
-
 /// `--threads=N` worker-thread count for grid sweeps (0 = hardware
 /// concurrency, the default). Results are bit-identical at any value.
 inline unsigned threadsOption(const experiments::ArgParser& args) {
-  return unsignedOption(args, "threads", 0);
+  return args.getBounded<unsigned>("threads", 0);
 }
 
 /// Crash-safety CLI surface shared by every grid bench:
@@ -67,8 +50,9 @@ inline void applyRobustnessOptions(const experiments::ArgParser& args,
                                    experiments::RunOptions& run) {
   run.checkpoint.path = args.getString("checkpoint", "");
   run.checkpoint.resume = args.getBool("resume", false);
-  run.checkpoint.everyCells = args.getPositiveU64("checkpoint-every", 8);
-  run.cellAttempts = unsignedOption(args, "retries", 1);
+  run.checkpoint.everyCells =
+      args.getBounded<std::uint64_t>("checkpoint-every", 8, 1);
+  run.cellAttempts = args.getBounded<unsigned>("retries", 1);
   run.deadlineSeconds = args.getDouble("deadline", 0.0);
   if (run.deadlineSeconds < 0.0) {
     throw core::StatusError(core::Status::invalidInput(
@@ -114,8 +98,7 @@ inline ObsContext beginObs(const experiments::ArgParser& args) {
   ctx.metricsOut = args.getString("metrics-out", "");
   ctx.traceOut = args.getString("trace-out", "");
   if (!ctx.traceOut.empty()) {
-    obs::startTracing(
-        static_cast<std::size_t>(args.getPositiveU64("trace-buffer", 65536)));
+    obs::startTracing(args.getBounded<std::size_t>("trace-buffer", 65536, 1));
   }
   return ctx;
 }
@@ -349,38 +332,6 @@ inline predict::Trace makeTrace(int width, std::uint64_t cycles,
     trace.push_back(rec);
   }
   return trace;
-}
-
-/// Top-level error boundary for the bench mains: runs `body` and turns
-/// typed failures into a readable report + EXIT_FAILURE instead of an
-/// unhandled-exception abort. GridError gets the full per-cell breakdown
-/// (cell index, cause, attempts) so a failed campaign is diagnosable
-/// from the log alone.
-template <typename Fn>
-int runGuarded(Fn&& body) {
-  try {
-    return body();
-  } catch (const experiments::GridError& e) {
-    std::cerr << "error: " << e.what() << '\n';
-    for (const auto& f : e.failures()) {
-      std::cerr << "  cell " << f.cell << ": " << f.status.toString()
-                << " (after " << f.attempts << " attempt"
-                << (f.attempts == 1 ? "" : "s") << ")\n";
-    }
-    if (e.cancelled()) {
-      std::cerr << "  cancelled: " << e.cellsNotRun()
-                << " cell(s) never claimed\n";
-    }
-    std::cerr << "(completed cells are in the checkpoint when --checkpoint "
-                 "was given; rerun with --resume)\n";
-    return EXIT_FAILURE;
-  } catch (const core::StatusError& e) {
-    std::cerr << "error: " << e.status().toString() << '\n';
-    return EXIT_FAILURE;
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << '\n';
-    return EXIT_FAILURE;
-  }
 }
 
 /// Paper CPR points (percent of the 0.3 ns sign-off period).

@@ -21,7 +21,7 @@
 
 int main(int argc, char** argv) {
   using namespace oisa;
-  return bench::runGuarded([&]() -> int {
+  return experiments::runGuarded([&]() -> int {
   const experiments::ArgParser args(argc, argv);
   const auto obsCtx = bench::beginObs(args);
   const auto synth = bench::synthesisOptions(args);

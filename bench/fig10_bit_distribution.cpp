@@ -19,10 +19,9 @@ int run(int argc, char** argv) {
   const experiments::ArgParser args(argc, argv);
   const auto obsCtx = bench::beginObs(args);
 
-  const auto cfg = core::makeIsa(static_cast<int>(args.getU64("block", 8)),
-                                 static_cast<int>(args.getU64("spec", 0)),
-                                 static_cast<int>(args.getU64("corr", 0)),
-                                 static_cast<int>(args.getU64("red", 4)));
+  const auto cfg = core::makeIsa(
+      args.getBounded<int>("block", 8), args.getBounded<int>("spec", 0),
+      args.getBounded<int>("corr", 0), args.getBounded<int>("red", 4));
   const double cpr = args.getDouble("cpr", 15.0);
   experiments::RunOptions options;
   options.cycles = args.getU64("cycles", 20000);
@@ -63,5 +62,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return oisa::bench::runGuarded([&] { return run(argc, argv); });
+  return oisa::experiments::runGuarded([&] { return run(argc, argv); });
 }

@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace oisa;
-  return bench::runGuarded([&]() -> int {
+  return experiments::runGuarded([&]() -> int {
   const experiments::ArgParser args(argc, argv);
   const auto obsCtx = bench::beginObs(args);
   const auto synth = bench::synthesisOptions(args);
@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
   options.run.threads = bench::threadsOption(args);
   bench::applyRobustnessOptions(args, options.run);
   options.predictor.forest.treeCount = args.getU64("trees", 10);
-  options.predictor.forest.tree.maxDepth =
-      static_cast<int>(args.getU64("depth", 10));
+  options.predictor.forest.tree.maxDepth = args.getBounded<int>("depth", 10);
   bench::applyModelOptions(args, options);
   const std::string csv = args.getString("csv", "");
   args.rejectUnread();

@@ -26,7 +26,7 @@ constexpr std::size_t kPairs = 11;
 
 int main(int argc, char** argv) {
   using namespace oisa;
-  return bench::runGuarded([&] {
+  return experiments::runGuarded([&] {
     const experiments::ArgParser args(argc, argv);
     const bench::GateOptions gate = bench::gateOptions(args);
     args.rejectUnread();

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "circuits/synthesis.h"
@@ -37,7 +38,7 @@ constexpr std::size_t kPairs = 9;
 
 int main(int argc, char** argv) {
   using namespace oisa;
-  return bench::runGuarded([&] {
+  return experiments::runGuarded([&] {
     const experiments::ArgParser args(argc, argv);
     const bench::GateOptions gate = bench::gateOptions(args);
     args.rejectUnread();
@@ -71,7 +72,7 @@ int main(int argc, char** argv) {
       std::vector<std::uint8_t> bits(inputCount);
       std::vector<std::uint64_t> detected(checked.size());
       for (std::size_t fi = 0; fi < checked.size(); ++fi) {
-        detected[fi] = engine.detectLanes(checked[fi]);
+        engine.detectLanesInto(checked[fi], std::span(&detected[fi], 1));
       }
       for (std::size_t lane = 0; lane < 64; ++lane) {
         for (std::size_t i = 0; i < inputCount; ++i) {
@@ -126,11 +127,13 @@ int main(int argc, char** argv) {
         },
         [&] {
           ppsfpDetections = 0;
+          std::uint64_t detected = 0;
           for (std::uint64_t blk = 0; blk < blocks; ++blk) {
             engine.loadPatterns(
                 {blockWords.data() + blk * inputCount, inputCount});
             for (const auto& f : classes) {
-              ppsfpDetections += std::popcount(engine.detectLanes(f));
+              engine.detectLanesInto(f, std::span(&detected, 1));
+              ppsfpDetections += std::popcount(detected);
             }
           }
         });

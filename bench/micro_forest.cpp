@@ -74,7 +74,7 @@ bool sameArena(const oisa::ml::FlatBankView& a,
 
 int main(int argc, char** argv) {
   using namespace oisa;
-  return bench::runGuarded([&] {
+  return experiments::runGuarded([&] {
   const experiments::ArgParser args(argc, argv);
   const bench::GateOptions gate = bench::gateOptions(args);
   args.rejectUnread();

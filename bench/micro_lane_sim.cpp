@@ -33,7 +33,7 @@ constexpr std::size_t kPairs = 5;
 
 int main(int argc, char** argv) {
   using namespace oisa;
-  return bench::runGuarded([&] {
+  return experiments::runGuarded([&] {
     const experiments::ArgParser args(argc, argv);
     const bench::GateOptions gate = bench::gateOptions(args);
     args.rejectUnread();

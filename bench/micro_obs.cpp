@@ -51,7 +51,7 @@ bool rowsEqual(const std::vector<oisa::experiments::PredictionRow>& a,
 
 int main(int argc, char** argv) {
   using namespace oisa;
-  return bench::runGuarded([&] {
+  return experiments::runGuarded([&] {
     const experiments::ArgParser args(argc, argv);
     const bench::GateOptions gate = bench::gateOptions(args);
     args.rejectUnread();

@@ -1,4 +1,4 @@
-// Throughput of the flat-bank batch-64 predictFlips hot path against the
+// Throughput of the flat-bank batch-64 predictFlipsBlock hot path against the
 // scalar path (per-record byte-feature extraction + one-row forest walks)
 // on the paper's per-bit timing-error model — the acceptance benchmark
 // for the flat inference substrate (>= 4x is the CI gate).
@@ -71,7 +71,7 @@ std::uint64_t runBlocks(const BitLevelPredictor& predictor, const Trace& trace,
 
 int main(int argc, char** argv) {
   using namespace oisa;
-  return bench::runGuarded([&] {
+  return experiments::runGuarded([&] {
     const experiments::ArgParser args(argc, argv);
     const bench::GateOptions gate = bench::gateOptions(args);
     args.rejectUnread();

@@ -167,7 +167,7 @@ std::uint64_t evaluateBlocks(const nl::AnyBatchEvaluator& eval,
 
 int main(int argc, char** argv) {
   using namespace oisa;
-  return bench::runGuarded([&] {
+  return experiments::runGuarded([&] {
     const experiments::ArgParser args(argc, argv);
     const bench::GateOptions gate = bench::gateOptions(args);
     const double minStimulusSpeedup =

@@ -36,5 +36,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return oisa::bench::runGuarded([&] { return run(argc, argv); });
+  return oisa::experiments::runGuarded([&] { return run(argc, argv); });
 }

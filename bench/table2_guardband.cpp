@@ -61,11 +61,10 @@ int run(int argc, char** argv) {
     const auto design = circuits::synthesize(
         core::makeIsa(16, 2, 0, 4), lib, synth);
     auto workload = experiments::makeWorkload("uniform", 32, 42);
-    const auto trace = experiments::collectTrace(
-        design, experiments::overclockedPeriodNs(0.3, 15.0), *workload,
-        6000);
+    experiments::TraceCollector collector(
+        design, experiments::overclockedPeriodNs(0.3, 15.0));
     predict::BitLevelPredictor predictor(32);
-    predictor.fit(trace);
+    predictor.fit(collector.collect(*workload, 6000));
     const auto importance = predictor.featureImportance();
     std::vector<std::size_t> order(importance.size());
     std::iota(order.begin(), order.end(), 0u);
@@ -90,5 +89,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return oisa::bench::runGuarded([&] { return run(argc, argv); });
+  return oisa::experiments::runGuarded([&] { return run(argc, argv); });
 }

@@ -19,7 +19,6 @@
 //        [--window=64] [--hold=4] [--budgets=0.001,0.01,0.05,0.2]
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <span>
 #include <sstream>
@@ -27,7 +26,6 @@
 #include <vector>
 
 #include "core/error_model.h"
-#include "core/status.h"
 #include "experiments/cli.h"
 #include "experiments/report.h"
 #include "experiments/trace_collector.h"
@@ -46,23 +44,20 @@ std::vector<double> parseBudgets(const std::string& csv) {
   return budgets;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) try {
+int run(int argc, char** argv) {
   using namespace oisa;
   using Clock = std::chrono::steady_clock;
   const experiments::ArgParser args(argc, argv);
-  const core::IsaConfig cfg =
-      core::makeIsa(static_cast<int>(args.getU64("block", 16)),
-                    static_cast<int>(args.getU64("spec", 2)),
-                    static_cast<int>(args.getU64("corr", 0)),
-                    static_cast<int>(args.getU64("red", 4)));
+  const core::IsaConfig cfg = core::makeIsa(
+      args.getBounded<int>("block", 16), args.getBounded<int>("spec", 2),
+      args.getBounded<int>("corr", 0), args.getBounded<int>("red", 4));
   const std::uint64_t trainCycles = args.getU64("train-cycles", 8000);
   const std::uint64_t evalCycles = args.getU64("eval-cycles", 4000);
-  // Predicted flips strictly below this bit are accepted as "harmless".
-  const int thresholdBit = static_cast<int>(args.getU64("threshold-bit", 8));
-  const std::size_t window = args.getPositiveU64("window", 64);
-  const int hold = static_cast<int>(args.getPositiveU64("hold", 4));
+  // Predicted flips strictly below this bit are accepted as "harmless";
+  // 63 bounds it to a valid shift of a 64-bit mask.
+  const int thresholdBit = args.getBounded<int>("threshold-bit", 8, 0, 63);
+  const std::size_t window = args.getBounded<std::size_t>("window", 64, 1);
+  const int hold = args.getBounded<int>("hold", 4, 1);
   const std::vector<double> budgets =
       parseBudgets(args.getString("budgets", "0.001,0.01,0.05,0.2"));
   args.rejectUnread();
@@ -81,29 +76,22 @@ int main(int argc, char** argv) try {
             << kSignOffNs << " ns) ==\n\n";
 
   // One predictor per overclocked ladder level (level 0 = sign-off needs
-  // none: no timing errors to predict).
+  // none: no timing errors to predict), and its evaluation trace: every
+  // ladder level runs the same inputs in lock-step (hardware would switch
+  // a clock mux; here we read the corresponding trace).
   std::vector<predict::BitLevelPredictor> predictors;
-  for (std::size_t l = 1; l < ladder.size(); ++l) {
-    auto workload = experiments::makeWorkload(
-        "uniform", 32, 100 + static_cast<std::uint64_t>(ladder[l]));
-    const auto trace = experiments::collectTrace(
-        design, experiments::overclockedPeriodNs(kSignOffNs, ladder[l]),
-        *workload, trainCycles);
-    predict::BitLevelPredictor predictor(32);
-    predictor.fit(trace);
-    predictors.push_back(std::move(predictor));
-    std::cout << "trained model @ " << ladder[l] << "% CPR\n";
-  }
-
-  // Evaluation stimulus: every ladder level runs the same inputs in
-  // lock-step (hardware would switch a clock mux; here we read the
-  // corresponding trace).
   std::vector<predict::Trace> traces;
   for (std::size_t l = 1; l < ladder.size(); ++l) {
-    auto workload = experiments::makeWorkload("uniform", 32, 999);
-    traces.push_back(experiments::collectTrace(
-        design, experiments::overclockedPeriodNs(kSignOffNs, ladder[l]),
-        *workload, evalCycles));
+    experiments::TraceCollector collector(
+        design, experiments::overclockedPeriodNs(kSignOffNs, ladder[l]));
+    auto trainWorkload = experiments::makeWorkload(
+        "uniform", 32, 100 + static_cast<std::uint64_t>(ladder[l]));
+    predict::BitLevelPredictor predictor(32);
+    predictor.fit(collector.collect(*trainWorkload, trainCycles));
+    predictors.push_back(std::move(predictor));
+    std::cout << "trained model @ " << ladder[l] << "% CPR\n";
+    auto evalWorkload = experiments::makeWorkload("uniform", 32, 999);
+    traces.push_back(collector.collect(*evalWorkload, evalCycles));
   }
   const std::size_t pairs = traces[0].size() - 1;
   const std::uint64_t harmlessMask = ~((std::uint64_t{1} << thresholdBit) - 1);
@@ -204,9 +192,10 @@ int main(int argc, char** argv) try {
                "residual timing-error RMS; the instant-retreat / patient-"
                "advance hysteresis keeps over-budget windows rare.\n";
   return 0;
-} catch (const oisa::core::StatusError& e) {
-  // A rejected or malformed flag, or any other typed failure: exit 1 with
-  // its message, as the benches do.
-  std::cerr << "error: " << e.status().toString() << '\n';
-  return EXIT_FAILURE;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oisa::experiments::runGuarded([&] { return run(argc, argv); });
 }

@@ -5,13 +5,11 @@
 //
 // Run: ./approx_multiplier [--samples=N] [--width=16]
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <random>
 
 #include "core/error_stats.h"
 #include "core/isa_multiplier.h"
-#include "core/status.h"
 #include "experiments/cli.h"
 #include "experiments/report.h"
 
@@ -56,13 +54,11 @@ double kernelPsnr(const oisa::core::IsaMultiplier& mul, int size,
   return 10.0 * std::log10(255.0 * 255.0 / mse);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) try {
+int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
   const std::uint64_t samples = args.getU64("samples", 100000);
-  const int width = static_cast<int>(args.getU64("width", 16));
+  const int width = args.getBounded<int>("width", 16);
   args.rejectUnread();
 
   std::cout << "== ISA-based " << width << "x" << width
@@ -109,9 +105,10 @@ int main(int argc, char** argv) try {
   std::cout << "\nThe compensation mechanisms carry over from adders to "
                "multipliers: more reduction/correction, higher PSNR.\n";
   return 0;
-} catch (const oisa::core::StatusError& e) {
-  // A rejected or malformed flag, or any other typed failure: exit 1 with
-  // its message, as the benches do.
-  std::cerr << "error: " << e.status().toString() << '\n';
-  return EXIT_FAILURE;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oisa::experiments::runGuarded([&] { return run(argc, argv); });
 }

@@ -6,14 +6,12 @@
 //
 // Run: ./design_space [--samples=N] [--target=0.3]
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <random>
 
 #include "circuits/synthesis.h"
 #include "core/error_stats.h"
 #include "core/isa_adder.h"
-#include "core/status.h"
 #include "experiments/cli.h"
 #include "experiments/report.h"
 
@@ -27,9 +25,7 @@ struct Candidate {
   bool pareto = false;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) try {
+int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
   const std::uint64_t samples = args.getU64("samples", 200000);
@@ -101,9 +97,10 @@ int main(int argc, char** argv) try {
   table.print(std::cout);
   std::cout << "\n'*' marks the accuracy-delay Pareto frontier.\n";
   return 0;
-} catch (const oisa::core::StatusError& e) {
-  // A rejected or malformed flag, or any other typed failure: exit 1 with
-  // its message, as the benches do.
-  std::cerr << "error: " << e.status().toString() << '\n';
-  return EXIT_FAILURE;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oisa::experiments::runGuarded([&] { return run(argc, argv); });
 }

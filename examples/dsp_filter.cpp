@@ -16,7 +16,6 @@
 
 #include "circuits/synthesis.h"
 #include "core/isa_adder.h"
-#include "core/status.h"
 #include "experiments/cli.h"
 #include "experiments/report.h"
 #include "experiments/trace_collector.h"
@@ -75,9 +74,7 @@ double snrDb(const std::vector<double>& reference,
   return 10.0 * std::log10(signal / error);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) try {
+int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
   const std::size_t samples = args.getU64("samples", 4000);
@@ -147,9 +144,10 @@ int main(int argc, char** argv) try {
   table.print(std::cout);
   std::cout << "\nHigher SNR = closer to the exact-adder filter output.\n";
   return 0;
-} catch (const oisa::core::StatusError& e) {
-  // A rejected or malformed flag, or any other typed failure: exit 1 with
-  // its message, as the benches do.
-  std::cerr << "error: " << e.status().toString() << '\n';
-  return EXIT_FAILURE;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oisa::experiments::runGuarded([&] { return run(argc, argv); });
 }

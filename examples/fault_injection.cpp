@@ -9,7 +9,6 @@
 //
 // Usage: fault_injection
 #include <bit>
-#include <cstdlib>
 #include <iostream>
 
 #include "core/status.h"
@@ -44,14 +43,13 @@ OUTPUT(23)
 23 = NAND(16, 19)
 )";
 
-}  // namespace
-
-int main(int argc, char** argv) try {
+int run(int argc, char** argv) {
   using namespace oisa;
   experiments::ArgParser(argc, argv).rejectUnread();  // it takes no flags
 
   // 1. Import.
-  const netlist::Netlist nl = netlist::readBenchString(kC17, "c17");
+  const netlist::Netlist nl =
+      netlist::readBenchString(kC17, "c17").valueOrThrow();
   std::cout << "imported " << nl.name() << ": "
             << nl.primaryInputs().size() << " inputs, "
             << nl.primaryOutputs().size() << " outputs, " << nl.gateCount()
@@ -141,9 +139,10 @@ int main(int argc, char** argv) try {
             << ((out[0] ^ (out[0] >> 63)) & 1u ? "different" : "identical")
             << " values — the defect is live in the timed waveform.\n";
   return 0;
-} catch (const oisa::core::StatusError& e) {
-  // A rejected or malformed flag, or any other typed failure: exit 1 with
-  // its message, as the benches do.
-  std::cerr << "error: " << e.status().toString() << '\n';
-  return EXIT_FAILURE;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oisa::experiments::runGuarded([&] { return run(argc, argv); });
 }

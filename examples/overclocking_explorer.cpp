@@ -5,27 +5,27 @@
 //
 // Run: ./overclocking_explorer [--block=8] [--spec=0] [--corr=0] [--red=4]
 //        [--exact] [--cycles=N] [--max-cpr=20] [--step=2.5] [--predict]
-#include <cstdlib>
 #include <iostream>
 
-#include "core/status.h"
 #include "experiments/cli.h"
 #include "experiments/report.h"
 #include "experiments/runner.h"
 #include "experiments/trace_collector.h"
 #include "predict/bit_predictor.h"
 
-int main(int argc, char** argv) try {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
 
   const core::IsaConfig cfg =
       args.getBool("exact", false)
           ? core::makeExact(32)
-          : core::makeIsa(static_cast<int>(args.getU64("block", 8)),
-                          static_cast<int>(args.getU64("spec", 0)),
-                          static_cast<int>(args.getU64("corr", 0)),
-                          static_cast<int>(args.getU64("red", 4)));
+          : core::makeIsa(args.getBounded<int>("block", 8),
+                          args.getBounded<int>("spec", 0),
+                          args.getBounded<int>("corr", 0),
+                          args.getBounded<int>("red", 4));
   const std::uint64_t cycles = args.getU64("cycles", 3000);
   const double maxCpr = args.getDouble("max-cpr", 20.0);
   const double step = args.getDouble("step", 2.5);
@@ -76,9 +76,10 @@ int main(int argc, char** argv) try {
                "sensitized path distribution;\nthe structural floor is "
                "clock-independent.\n";
   return 0;
-} catch (const oisa::core::StatusError& e) {
-  // A rejected or malformed flag, or any other typed failure: exit 1 with
-  // its message, as the benches do.
-  std::cerr << "error: " << e.status().toString() << '\n';
-  return EXIT_FAILURE;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oisa::experiments::runGuarded([&] { return run(argc, argv); });
 }

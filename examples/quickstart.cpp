@@ -3,19 +3,19 @@
 // and decompose the resulting errors exactly as the paper does.
 //
 // Run: ./quickstart
-#include <cstdlib>
 #include <iostream>
 
 #include "circuits/synthesis.h"
 #include "core/error_model.h"
 #include "core/isa_adder.h"
-#include "core/status.h"
 #include "experiments/cli.h"
 #include "experiments/trace_collector.h"
 #include "experiments/workload.h"
 #include "timing/sta.h"
 
-int main(int argc, char** argv) try {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace oisa;
   experiments::ArgParser(argc, argv).rejectUnread();  // it takes no flags
 
@@ -68,8 +68,9 @@ int main(int argc, char** argv) try {
 
   // 6. Overclock by 15% and decompose errors over a short random run.
   experiments::UniformWorkload workload(32, /*seed=*/7);
-  const auto trace = experiments::collectTrace(
-      design, experiments::overclockedPeriodNs(0.3, 15.0), workload, 2000);
+  experiments::TraceCollector collector(
+      design, experiments::overclockedPeriodNs(0.3, 15.0));
+  const auto trace = collector.collect(workload, 2000);
   core::ErrorCombination combo;
   for (const auto& rec : trace) {
     combo.add(core::OutputTriple{rec.diamondValue(32), rec.goldValue(32),
@@ -81,9 +82,10 @@ int main(int argc, char** argv) try {
             << " %\n  RE RMS joint      = " << combo.relJoint().rms() * 100
             << " %\n";
   return 0;
-} catch (const oisa::core::StatusError& e) {
-  // A rejected or malformed flag, or any other typed failure: exit 1 with
-  // its message, as the benches do.
-  std::cerr << "error: " << e.status().toString() << '\n';
-  return EXIT_FAILURE;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oisa::experiments::runGuarded([&] { return run(argc, argv); });
 }

@@ -3,9 +3,11 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 
 #include "core/status.h"
+#include "experiments/grid_scheduler.h"
 
 namespace oisa::experiments {
 
@@ -18,7 +20,8 @@ using core::StatusError;
 /// ("stoull") with no hint of which flag was wrong; every conversion
 /// failure is now an InvalidInput Status naming the flag, the expected
 /// type and the offending text.
-[[noreturn]] void failValue(const std::string& key, const char* expected,
+[[noreturn]] void failValue(const std::string& key,
+                            const std::string& expected,
                             const std::string& text) {
   throw StatusError(Status::invalidInput("--" + key + ": expected " +
                                          expected + ", got '" + text + "'"));
@@ -86,10 +89,18 @@ std::uint64_t ArgParser::getU64(const std::string& key,
   return value;
 }
 
-std::uint64_t ArgParser::getPositiveU64(const std::string& key,
-                                        std::uint64_t fallback) const {
+std::uint64_t ArgParser::boundedU64(const std::string& key,
+                                    std::uint64_t fallback, std::uint64_t min,
+                                    std::uint64_t max) const {
   const std::uint64_t value = getU64(key, fallback);
-  if (value == 0) failValue(key, "a positive integer", getString(key, "0"));
+  if (value < min || value > max) {
+    const std::string range =
+        max == std::numeric_limits<std::uint64_t>::max()
+            ? "an integer >= " + std::to_string(min)
+            : "an integer in [" + std::to_string(min) + ", " +
+                  std::to_string(max) + "]";
+    failValue(key, range, getString(key, std::to_string(value)));
+  }
   return value;
 }
 
@@ -120,6 +131,25 @@ bool ArgParser::getBool(const std::string& key, bool fallback) const {
   if (*text == "true" || *text == "1" || *text == "yes") return true;
   if (*text == "false" || *text == "0" || *text == "no") return false;
   failValue(key, "a boolean (true/false/1/0/yes/no)", *text);
+}
+
+int runGuarded(const std::function<int()>& body) {
+  try {
+    return body();
+  } catch (const GridError& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    for (const CellFailure& f : e.failures()) {
+      std::cerr << "  cell " << f.cell << ": " << f.status.toString()
+                << " (after " << f.attempts << " attempt"
+                << (f.attempts == 1 ? "" : "s") << ")\n";
+    }
+    std::cerr << "(completed cells are in the checkpoint when --checkpoint "
+                 "was given; rerun with --resume)\n";
+  } catch (const std::exception& e) {
+    // A StatusError's what() is its Status::toString().
+    std::cerr << "error: " << e.what() << '\n';
+  }
+  return EXIT_FAILURE;
 }
 
 }  // namespace oisa::experiments

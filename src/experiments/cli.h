@@ -1,8 +1,11 @@
-// oisa_experiments: tiny `--key=value` command-line parser for the bench
-// and example binaries (no external dependencies).
+// oisa_experiments: tiny `--key=value` command-line parser and the error
+// boundary of the bench and example binaries (no external dependencies).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -17,11 +20,19 @@ class ArgParser {
 
   [[nodiscard]] std::uint64_t getU64(const std::string& key,
                                      std::uint64_t fallback) const;
-  /// getU64 that additionally rejects 0 — for flags where zero is a
-  /// nonsense value the code would otherwise clamp or loop on
-  /// (--checkpoint-every, --trace-buffer). The diagnostic names the flag.
-  [[nodiscard]] std::uint64_t getPositiveU64(const std::string& key,
-                                             std::uint64_t fallback) const;
+  /// getU64 for a flag held in the integer type T: a value outside
+  /// [min, max] (by default every non-negative T) is InvalidInput naming
+  /// the flag, where a plain cast would wrap it (--block=4294967304 read
+  /// into an int would be 8). min = 1 rejects zero where the code would
+  /// otherwise clamp or loop on it (--checkpoint-every, --trace-buffer).
+  /// Requires 0 <= min <= max.
+  template <std::integral T>
+  [[nodiscard]] T getBounded(const std::string& key, T fallback, T min = 0,
+                             T max = std::numeric_limits<T>::max()) const {
+    return static_cast<T>(boundedU64(key, static_cast<std::uint64_t>(fallback),
+                                     static_cast<std::uint64_t>(min),
+                                     static_cast<std::uint64_t>(max)));
+  }
   [[nodiscard]] double getDouble(const std::string& key,
                                  double fallback) const;
   [[nodiscard]] std::string getString(const std::string& key,
@@ -40,8 +51,17 @@ class ArgParser {
     mutable bool read = false;
   };
   const std::string* find(const std::string& key) const;  ///< marks read
+  std::uint64_t boundedU64(const std::string& key, std::uint64_t fallback,
+                           std::uint64_t min, std::uint64_t max) const;
   std::map<std::string, Flag> values_;
   mutable bool checked_ = false;  ///< rejectUnread() has run
 };
+
+/// The error boundary of every bench and example main: returns `body()`,
+/// or EXIT_FAILURE after an `error:` line on stderr when it throws, so a
+/// bad flag or design parameter exits 1 with its message instead of
+/// aborting. A GridError adds one line per failed cell (index, cause,
+/// attempts).
+int runGuarded(const std::function<int()>& body);
 
 }  // namespace oisa::experiments

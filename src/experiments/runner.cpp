@@ -292,6 +292,10 @@ std::vector<PredictionRow> runPredictionEvaluation(
   if (options.modelIn.empty()) {
     requireAtLeast("runPredictionEvaluation", "trainCycles (--train-cycles)",
                    options.trainCycles, 2);
+    if (options.predictor.model == predict::ModelKind::RandomForest) {
+      requireAtLeast("runPredictionEvaluation", "forest.treeCount (--trees)",
+                     options.predictor.forest.treeCount, 1);
+    }
   }
   CampaignFingerprint fp = baseFingerprint("runPredictionEvaluation", designs,
                                            cprPercents, options.run);
@@ -312,9 +316,9 @@ std::vector<PredictionRow> runPredictionEvaluation(
             overclockedPeriodNs(options.run.signOffPeriodNs, cpr);
         // Train and test stimuli come from differently-seeded streams. One
         // TraceCollector per point shares its unrolled netlist and batch
-        // evaluator across both collections; fit and evaluate each pack
-        // their trace once (the block shift-and-transpose of packTrace)
-        // and train and sweep on the packed feature/label words.
+        // evaluator across both collections; fit trains on the packed
+        // feature/label words of its trace, and evaluate packs and scores
+        // the test trace 64 record pairs at a time.
         TraceCollector collector(design, period);
         auto testWorkload = workloadFor(options.run, design.config.width, 2);
         // modelIn short-circuits training entirely: the cell's bank mmaps

@@ -253,13 +253,6 @@ void TraceCollector::sampleWindow(
   }
 }
 
-predict::Trace collectTrace(const circuits::SynthesizedDesign& design,
-                            double periodNs, Workload& workload,
-                            std::uint64_t cycles) {
-  TraceCollector collector(design, periodNs);
-  return collector.collect(workload, cycles);
-}
-
 core::ErrorCombination combineErrors(TraceCollector& collector,
                                      Workload& workload, std::uint64_t cycles,
                                      int width) {

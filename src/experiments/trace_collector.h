@@ -167,12 +167,6 @@ class TraceCollector {
   std::unique_ptr<netlist::AnyBatchEvaluator> evaluator_;
 };
 
-/// Convenience wrapper: one collect() over a fresh TraceCollector, for
-/// callers that need one whole trace of one (design, period).
-[[nodiscard]] predict::Trace collectTrace(
-    const circuits::SynthesizedDesign& design, double periodNs,
-    Workload& workload, std::uint64_t cycles);
-
 /// Streams `cycles` records through `collector` and folds each, in record
 /// (= draw) order, into one ErrorCombination of the `width`-bit design's
 /// full output values: runErrorCombination's and the fault scan's E_joint.

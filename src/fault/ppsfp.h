@@ -162,31 +162,6 @@ class PpsfpEngineT final : public AnyPpsfpEngine {
     }
   }
 
-  /// Lanes holding valid patterns in the current block (64-lane engine
-  /// only; wider engines use laneMaskWords()).
-  [[nodiscard]] std::uint64_t laneMask() const noexcept
-    requires(Block::kWords == 1)
-  {
-    return laneMask_.word(0);
-  }
-
-  /// Good-machine value word of a net for the current block (64-lane
-  /// engine only).
-  [[nodiscard]] std::uint64_t goodWord(netlist::NetId net) const
-    requires(Block::kWords == 1)
-  {
-    return good_[net.value];
-  }
-
-  /// Simulates one fault against the loaded block; bit L of the result is
-  /// set when pattern L drives the fault effect to a primary output
-  /// (64-lane engine only; wider engines use detectLanesInto()).
-  [[nodiscard]] std::uint64_t detectLanes(const Fault& f)
-    requires(Block::kWords == 1)
-  {
-    return detectBlock(f).word(0);
-  }
-
   /// Width-generic detection: writes kWords words into `out`; bit L of
   /// sub-word j is set when pattern 64j+L detects the fault.
   void detectLanesInto(const Fault& f,
@@ -336,8 +311,8 @@ class PpsfpEngineT final : public AnyPpsfpEngine {
   std::uint64_t skipCount_ = 0;
 };
 
-/// The canonical 64-lane reference engine (original API: one word per
-/// input, uint64 lane masks and detection words).
+/// The canonical 64-lane reference engine: one word per input and one
+/// detection word per fault.
 using PpsfpEngine = PpsfpEngineT<netlist::LaneBlock64>;
 
 // The reference is instantiated once in ppsfp.cpp (baseline flags); the

@@ -58,7 +58,6 @@ struct TreeParams {
 struct ForestParams {
   std::size_t treeCount = 10;
   TreeParams tree{};  ///< tree.featuresPerSplit 0 = auto (sqrt(featureCount))
-  bool bootstrap = true;  ///< sample rows with replacement per tree
 };
 
 /// Non-owning structure-of-arrays view over a whole bank arena. Spans

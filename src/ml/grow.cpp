@@ -123,11 +123,9 @@ void FlatForestBank::growForest(std::size_t rowCount,
   }
 
   for (std::size_t t = 0; t < params.treeCount; ++t) {
-    if (params.bootstrap) {
-      std::uniform_int_distribution<std::uint32_t> pick(
-          0, static_cast<std::uint32_t>(rowCount - 1));
-      for (std::size_t i = 0; i < rowCount; ++i) rows[i] = pick(rng);
-    }
+    std::uniform_int_distribution<std::uint32_t> pick(
+        0, static_cast<std::uint32_t>(rowCount - 1));
+    for (std::size_t i = 0; i < rowCount; ++i) rows[i] = pick(rng);
     growTree(rows, treeParams, rng);
   }
   closeForest();

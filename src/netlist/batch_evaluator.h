@@ -23,10 +23,9 @@
 // records + cached topological order), so it can share one compile with the
 // timed engines. Functionally equivalent to Evaluator lane by lane
 // (cross-checked by tests/batch_evaluator_test.cpp on every adder
-// topology). The 64x64 lane transpose lives in netlist/bitops.h.
+// topology).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -34,39 +33,11 @@
 #include <string>
 #include <vector>
 
-#include "netlist/bitops.h"
 #include "netlist/compiled_netlist.h"
 #include "netlist/lane_block.h"
 #include "netlist/netlist.h"
 
 namespace oisa::netlist {
-
-/// Word-parallel gate function: each bit position of a/b/c is an independent
-/// evaluation lane. Mirrors evalGate() bit-for-bit in every lane.
-[[nodiscard]] constexpr std::uint64_t evalGateWord(GateKind kind,
-                                                   std::uint64_t a,
-                                                   std::uint64_t b,
-                                                   std::uint64_t c) noexcept {
-  switch (kind) {
-    case GateKind::Const0: return 0;
-    case GateKind::Const1: return ~std::uint64_t{0};
-    case GateKind::Buf: return a;
-    case GateKind::Inv: return ~a;
-    case GateKind::And2: return a & b;
-    case GateKind::Or2: return a | b;
-    case GateKind::Nand2: return ~(a & b);
-    case GateKind::Nor2: return ~(a | b);
-    case GateKind::Xor2: return a ^ b;
-    case GateKind::Xnor2: return ~(a ^ b);
-    case GateKind::And3: return a & b & c;
-    case GateKind::Or3: return a | b | c;
-    case GateKind::Aoi21: return ~((a & b) | c);
-    case GateKind::Oai21: return ~((a | b) & c);
-    case GateKind::Mux2: return (c & b) | (~c & a);
-    case GateKind::Maj3: return (a & b) | (a & c) | (b & c);
-  }
-  return 0;
-}
 
 namespace detail {
 
@@ -102,16 +73,10 @@ class AnyBatchEvaluator {
   AnyBatchEvaluator& operator=(AnyBatchEvaluator&&) = default;
 };
 
-/// Reusable W-lane evaluator over a compiled netlist.
-///
-/// Two layouts are supported:
-///  * lane-major ("kWords words per net"): evaluate()/evaluateOutputs()
-///    take kWords words per primary input whose bit L of sub-word j is
-///    pattern (64j + L)'s value of that input. Works for any port count —
-///    this is the hot-path API.
-///  * pattern-major ("one word per pattern"): evaluateWords() takes packed
-///    words in the Evaluator::evaluateWord convention (bit i = primary
-///    input i) and transposes internally. Requires <= 64 inputs/outputs.
+/// Reusable W-lane evaluator over a compiled netlist. evaluate() and
+/// evaluateOutputs() take kWords words per primary input whose bit L of
+/// sub-word j is pattern (64j + L)'s value of that input, for any port
+/// count.
 template <class Block>
 class BatchEvaluatorT final : public AnyBatchEvaluator {
  public:
@@ -188,63 +153,6 @@ class BatchEvaluatorT final : public AnyBatchEvaluator {
         out[i * kWords + j] = values[std::size_t{pos[i]} * kWords + j];
       }
     }
-  }
-
-  /// Pattern-major batch counterpart of Evaluator::evaluateWord: element p
-  /// of `patterns` packs primary-input bits of pattern p (bit i drives
-  /// input i); the result packs primary-output bits the same way. Accepts
-  /// 1..kLanes patterns per call and requires <= 64 inputs / outputs.
-  [[nodiscard]] std::vector<std::uint64_t> evaluateWords(
-      std::span<const std::uint64_t> patterns) const {
-    const auto pis = compiled_->inputNets();
-    const auto pos = compiled_->outputNets();
-    if (pis.size() > 64 || pos.size() > 64) {
-      throw std::invalid_argument("BatchEvaluator::evaluateWords: > 64 ports");
-    }
-    if (patterns.empty() || patterns.size() > kLanes) {
-      throw std::invalid_argument(
-          "BatchEvaluator::evaluateWords: need 1.." + std::to_string(kLanes) +
-          " patterns");
-    }
-    // Transpose pattern-major rows into lane-major columns, one 64-pattern
-    // sub-block at a time: after the transpose of sub-block j, its word i
-    // holds bit i of patterns [64j, 64j + 64), i.e. sub-word j of primary
-    // input i's lane-major value.
-    const std::size_t blocks = (patterns.size() + 63) / 64;
-    std::vector<std::uint64_t> inWords(pis.size() * kWords, 0);
-    std::array<std::uint64_t, 64> matrix{};
-    for (std::size_t j = 0; j < blocks; ++j) {
-      matrix.fill(0);
-      const std::size_t base = j * 64;
-      const std::size_t count = std::min<std::size_t>(64,
-                                                      patterns.size() - base);
-      for (std::size_t p = 0; p < count; ++p) {
-        matrix[p] = patterns[base + p];
-      }
-      transpose64(matrix);
-      for (std::size_t i = 0; i < pis.size(); ++i) {
-        inWords[i * kWords + j] = matrix[i];
-      }
-    }
-    const auto outWords = evaluateOutputs(inWords);
-    // Transpose back per sub-block: row o holds output o across the
-    // sub-block's lanes; afterwards row p packs all outputs of pattern
-    // base + p.
-    std::vector<std::uint64_t> result(patterns.size());
-    for (std::size_t j = 0; j < blocks; ++j) {
-      matrix.fill(0);
-      for (std::size_t o = 0; o < pos.size(); ++o) {
-        matrix[o] = outWords[o * kWords + j];
-      }
-      transpose64(matrix);
-      const std::size_t base = j * 64;
-      const std::size_t count = std::min<std::size_t>(64,
-                                                      patterns.size() - base);
-      for (std::size_t p = 0; p < count; ++p) {
-        result[base + p] = matrix[p];
-      }
-    }
-    return result;
   }
 
   [[nodiscard]] const Netlist& netlist() const noexcept {

@@ -262,9 +262,7 @@ std::vector<std::string> splitArgs(const std::string& payload,
   return args;
 }
 
-}  // namespace
-
-Netlist readBench(std::istream& in, std::string topName) {
+Netlist parseBench(std::istream& in, std::string topName) {
   BenchBuilder builder(std::move(topName));
   std::string line;
   std::size_t lineNo = 0;
@@ -314,50 +312,41 @@ Netlist readBench(std::istream& in, std::string topName) {
   return builder.finish();
 }
 
-Netlist readBenchString(std::string_view text, std::string topName) {
-  std::istringstream in{std::string(text)};
-  return readBench(in, std::move(topName));
-}
-
-Netlist readBenchFile(const std::string& path) {
-  core::fault_inject::maybeThrow(core::fault_inject::kFileOpen,
-                                 core::StatusCode::IoError);
-  std::ifstream in(path);
-  if (!in) {
-    throw core::StatusError(
-        core::Status::ioError("readBenchFile: cannot open " + path));
+/// Runs `parse` on the Status boundary. Netlist::validate and the builder
+/// throw plain exceptions for structural violations; here they are still
+/// a property of the input text.
+template <typename Parse>
+core::StatusOr<Netlist> guarded(Parse&& parse) {
+  try {
+    return parse();
+  } catch (const core::StatusError& e) {
+    return e.status();
+  } catch (const std::exception& e) {
+    return core::Status::invalidInput(std::string("readBench: ") + e.what());
   }
-  return readBench(in, path);
 }
 
-core::StatusOr<Netlist> readBenchStatus(std::istream& in,
+}  // namespace
+
+core::StatusOr<Netlist> readBenchString(std::string_view text,
                                         std::string topName) {
-  try {
-    return readBench(in, std::move(topName));
-  } catch (const core::StatusError& e) {
-    return e.status();
-  } catch (const std::exception& e) {
-    // Netlist::validate and the builder throw plain exceptions for
-    // structural violations; on this boundary they are still a property
-    // of the input text.
-    return core::Status::invalidInput(std::string("readBench: ") + e.what());
-  }
+  return guarded([&] {
+    std::istringstream in{std::string(text)};
+    return parseBench(in, std::move(topName));
+  });
 }
 
-core::StatusOr<Netlist> readBenchStringStatus(std::string_view text,
-                                              std::string topName) {
-  std::istringstream in{std::string(text)};
-  return readBenchStatus(in, std::move(topName));
-}
-
-core::StatusOr<Netlist> readBenchFileStatus(const std::string& path) {
-  try {
-    return readBenchFile(path);
-  } catch (const core::StatusError& e) {
-    return e.status();
-  } catch (const std::exception& e) {
-    return core::Status::invalidInput(std::string("readBench: ") + e.what());
-  }
+core::StatusOr<Netlist> readBenchFile(const std::string& path) {
+  return guarded([&] {
+    core::fault_inject::maybeThrow(core::fault_inject::kFileOpen,
+                                   core::StatusCode::IoError);
+    std::ifstream in(path);
+    if (!in) {
+      throw core::StatusError(
+          core::Status::ioError("readBenchFile: cannot open " + path));
+    }
+    return parseBench(in, path);
+  });
 }
 
 }  // namespace oisa::netlist

@@ -18,7 +18,6 @@
 // a diagnostic — the fault engine is combinational.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -33,32 +32,17 @@ namespace oisa::netlist {
 /// materializing millions of gates.
 inline constexpr std::size_t kMaxGateArity = 4096;
 
-/// Status-returning parsers: every malformed input — bad syntax,
-/// undefined/duplicated signals, unsupported or sequential cells,
-/// combinational cycles, absurd gate widths, binary garbage — comes back
-/// as StatusCode::InvalidInput with a line-numbered diagnostic; file
-/// open/read failures as IoError. No malformed byte stream crashes or
-/// throws past these.
-[[nodiscard]] core::StatusOr<Netlist> readBenchStatus(
-    std::istream& in, std::string topName = "bench");
-[[nodiscard]] core::StatusOr<Netlist> readBenchStringStatus(
-    std::string_view text, std::string topName = "bench");
-[[nodiscard]] core::StatusOr<Netlist> readBenchFileStatus(
-    const std::string& path);
-
-/// Throwing convenience wrappers over the Status parsers (they raise
-/// core::StatusError, which is-a std::runtime_error, so pre-Status
-/// callers keep working unchanged).
-[[nodiscard]] Netlist readBench(std::istream& in,
-                                std::string topName = "bench");
-
 /// Parses a `.bench`-format circuit from an in-memory string (embedded
-/// test circuits, generated netlists).
-[[nodiscard]] Netlist readBenchString(std::string_view text,
-                                      std::string topName = "bench");
+/// test circuits, generated netlists). Every malformed input — bad
+/// syntax, undefined/duplicated signals, unsupported or sequential cells,
+/// combinational cycles, absurd gate widths, binary garbage — comes back
+/// as StatusCode::InvalidInput with a line-numbered diagnostic; no
+/// malformed byte stream crashes or throws past it.
+[[nodiscard]] core::StatusOr<Netlist> readBenchString(
+    std::string_view text, std::string topName = "bench");
 
-/// Parses a `.bench` file from disk; the top name defaults to the file
-/// path.
-[[nodiscard]] Netlist readBenchFile(const std::string& path);
+/// Parses a `.bench` file from disk; the top name is the file path. A
+/// file that cannot be opened is IoError, malformed text InvalidInput.
+[[nodiscard]] core::StatusOr<Netlist> readBenchFile(const std::string& path);
 
 }  // namespace oisa::netlist

@@ -3,8 +3,8 @@
 // Home of the 64x64 bit-matrix transpose that every 64-lane subsystem uses
 // to convert between pattern-major words (one word per pattern/row) and
 // lane-major words (one word per net/feature, bit L = lane L): the
-// functional BatchEvaluator, the stimulus packer, the timed trace
-// collector, and the packed ML feature extraction. Beside it lives the
+// stimulus packer, the timed trace collector, and the packed ML feature
+// extraction and prediction. Beside it lives the
 // bulk MT19937-64 engine the workloads draw their stimuli from.
 //
 // Both primitives run one of three kernels, picked once from the CPU

@@ -221,9 +221,9 @@ struct LaneBlock<512, LaneArch::Avx512> {
 using LaneBlock64 = LaneBlock<64, LaneArch::Portable>;
 
 /// Block-parallel gate function: every lane of a/b/c is an independent
-/// evaluation. Mirrors evalGateWord (and the scalar evalGate) bit-for-bit
-/// in every lane at every width — the single definition all templated
-/// engines share.
+/// evaluation. Mirrors the scalar evalGate bit-for-bit in every lane at
+/// every width — the one gate table every lane engine shares (the event
+/// wheel calls it at LaneBlock64).
 template <class Block>
 [[nodiscard]] inline Block evalGateBlock(GateKind kind, Block a, Block b,
                                          Block c) noexcept {

@@ -48,12 +48,10 @@ std::uint64_t nowUs() noexcept {
 }
 
 // Per-thread trace state: a dense tid (assigned in order of first traced
-// span) and the span stack the nesting depth comes from.
+// span) and the nesting depth of the thread's open spans.
 struct ThreadTraceState {
-  static constexpr std::uint32_t kMaxStack = 32;
   std::uint32_t tid;
   std::uint32_t depth = 0;
-  const char* stack[kMaxStack] = {};
 
   ThreadTraceState() {
     static std::atomic<std::uint32_t> next{0};
@@ -180,11 +178,7 @@ ObsSpan::ObsSpan(const char* name, const char* cat, const char* argKey,
   argKeys_[0] = argKey;
   argValues_[0] = argValue;
   ThreadTraceState& state = threadTraceState();
-  depth_ = state.depth;
-  if (state.depth < ThreadTraceState::kMaxStack) {
-    state.stack[state.depth] = name;
-  }
-  ++state.depth;
+  depth_ = state.depth++;
   startUs_ = nowUs();
 }
 
@@ -192,12 +186,7 @@ ObsSpan::~ObsSpan() {
   if (!armed_) return;
   const std::uint64_t end = nowUs();
   ThreadTraceState& state = threadTraceState();
-  if (state.depth > 0) {
-    --state.depth;
-    if (state.depth < ThreadTraceState::kMaxStack) {
-      state.stack[state.depth] = nullptr;
-    }
-  }
+  if (state.depth > 0) --state.depth;
   pushEvent(name_, cat_, startUs_, end > startUs_ ? end - startUs_ : 0,
             depth_, argKeys_, argValues_);
 }

@@ -18,9 +18,8 @@
 //   * A span carries up to four numeric arguments; any beyond that is
 //     counted, not silently lost, and the count is reported beside the
 //     dropped events.
-//   * Every thread keeps a thread-local span stack (names + depth);
-//     events record their nesting depth so a flame view reconstructs even
-//     across ring drops.
+//   * Every thread keeps a thread-local nesting depth; events record it
+//     so a flame view reconstructs even across ring drops.
 //
 // Ordering note: events drain in ring order, which is completion order,
 // not start order; trace viewers sort by `ts` themselves.

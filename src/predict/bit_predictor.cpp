@@ -55,7 +55,7 @@ void BitLevelPredictor::fit(const PackedTraceFeatures& packed) {
     std::mt19937_64 rng(seed);
     bank.addTree(view, allRows,
                  params_.model == ModelKind::DecisionTree
-                     ? params_.tree
+                     ? ml::TreeParams{}
                      : ml::TreeParams{0, 2, 1, 0},
                  rng);
   }
@@ -121,12 +121,33 @@ core::StatusOr<BitLevelPredictor> BitLevelPredictor::loadFlat(
   return predictor;
 }
 
-PredictedFlips BitLevelPredictor::predictFlips(
-    const TraceRecord& previous, const TraceRecord& current) const {
-  const std::array<TraceRecord, 2> pair{previous, current};
-  PredictedFlips flips;
-  predictFlipsBlock(pair, std::span<PredictedFlips>(&flips, 1));
-  return flips;
+void BitLevelPredictor::predictBlock(
+    std::span<const TraceRecord> records,
+    std::array<std::uint64_t, 64>& flips) const {
+  const std::size_t shared = extractor_.sharedFeatureCount();
+  // Everything below lives on the stack: kMaxFeatureCount caps the
+  // feature columns (width <= 63) and output bits fit one 64-word block.
+  std::array<std::uint64_t, FeatureExtractor::kMaxFeatureCount> featureWords;
+  std::array<std::uint64_t, 64> goldPrevCols;
+  std::array<std::uint64_t, 64> goldCurCols;
+  extractor_.packBlock(records, std::span(featureWords).first(shared),
+                       goldPrevCols, goldCurCols);
+  const ml::FlatBankView flat = flatView();
+  std::array<double, 64> probabilities;
+  const std::span<const std::uint64_t> features(featureWords.data(),
+                                                extractor_.featureCount());
+  const auto bits = static_cast<std::size_t>(extractor_.outputBitCount());
+  flips.fill(0);
+  for (std::size_t b = 0; b < bits; ++b) {
+    if (params_.includeOutputBits) {
+      featureWords[shared] = goldPrevCols[b];
+      featureWords[shared + 1] = goldCurCols[b];
+    }
+    probabilities.fill(0.0);
+    flips[b] = ml::FlatForest(flat, b).predictWord(features,
+                                                   probabilities.data());
+  }
+  netlist::transpose64(flips);
 }
 
 void BitLevelPredictor::predictFlipsBlock(
@@ -135,48 +156,18 @@ void BitLevelPredictor::predictFlipsBlock(
   if (!trained_) {
     throw std::logic_error("BitLevelPredictor: predict before fit");
   }
-  if (records.size() < 2 || records.size() > 65) {
-    throw std::invalid_argument(
-        "BitLevelPredictor::predictFlipsBlock: need 2..65 records");
-  }
+  // packBlock rejects any record count outside 2..65.
   if (out.size() != records.size() - 1) {
     throw std::invalid_argument(
         "BitLevelPredictor::predictFlipsBlock: out must hold one entry per "
         "record pair");
   }
-  const std::size_t shared = extractor_.sharedFeatureCount();
-  const int bits = extractor_.outputBitCount();
-  const int width = extractor_.width();
-  // Everything below lives on the stack: kMaxFeatureCount caps the
-  // feature columns (width <= 63) and output bits fit one 64-word block.
-  std::array<std::uint64_t, FeatureExtractor::kMaxFeatureCount> featureWords;
-  std::array<std::uint64_t, 64> goldPrevCols;
-  std::array<std::uint64_t, 64> goldCurCols;
-  const std::size_t lanes = extractor_.packBlock(
-      records, std::span(featureWords).first(shared), goldPrevCols,
-      goldCurCols);
-  const ml::FlatBankView flat = flatView();
-  std::array<std::uint64_t, 64> predWords{};
-  std::array<double, 64> probabilities;
-  const std::span<const std::uint64_t> features(featureWords.data(),
-                                                extractor_.featureCount());
-  for (int bit = 0; bit < bits; ++bit) {
-    const auto b = static_cast<std::size_t>(bit);
-    if (params_.includeOutputBits) {
-      featureWords[shared] = goldPrevCols[b];
-      featureWords[shared + 1] = goldCurCols[b];
-    }
-    probabilities.fill(0.0);
-    predWords[b] = ml::FlatForest(flat, b).predictWord(features,
-                                                       probabilities.data());
-  }
-  // predWords rows are output bits; one transpose turns them into
-  // per-lane flip words (bit b of word L = bit b's prediction for lane L).
-  netlist::transpose64(predWords);
-  const std::uint64_t coutBit = std::uint64_t{1} << width;
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    out[lane].sumFlips = predWords[lane] & (coutBit - 1);
-    out[lane].coutFlip = (predWords[lane] & coutBit) != 0;
+  std::array<std::uint64_t, 64> flips;
+  predictBlock(records, flips);
+  const std::uint64_t coutBit = std::uint64_t{1} << extractor_.width();
+  for (std::size_t lane = 0; lane < out.size(); ++lane) {
+    out[lane].sumFlips = flips[lane] & (coutBit - 1);
+    out[lane].coutFlip = (flips[lane] & coutBit) != 0;
   }
   // Serving telemetry: three adds per <=64-record block, never per lane.
   // Occupancy tracks how full the batch-64 blocks arrive — the request
@@ -185,8 +176,8 @@ void BitLevelPredictor::predictFlipsBlock(
   static obs::Counter& recordsServed = obs::counter("predict.records_served");
   static obs::Histogram& occupancy = obs::histogram("predict.block_occupancy");
   blocksServed.add();
-  recordsServed.add(lanes);
-  occupancy.record(lanes);
+  recordsServed.add(out.size());
+  occupancy.record(out.size());
 }
 
 PredictedFlips BitLevelPredictor::predictFlipsReference(
@@ -232,81 +223,48 @@ void BitLevelPredictor::validatePacked(
   }
 }
 
-PredictorEvaluation BitLevelPredictor::evaluate(const Trace& testTrace) const {
-  // Pack the test trace once, then run the packed sweep below.
-  if (testTrace.size() < 2) {
-    throw std::invalid_argument(
-        "BitLevelPredictor::evaluate: need at least two records");
-  }
-  return evaluate(testTrace, extractor_.packTrace(testTrace));
-}
-
 PredictorEvaluation BitLevelPredictor::evaluate(
     const Trace& testTrace, const PackedTraceFeatures& packed) const {
-  if (!trained_) {
-    throw std::logic_error("BitLevelPredictor: evaluate before fit");
-  }
   validatePacked(packed);
   if (testTrace.size() < 2 || packed.rowCount != testTrace.size() - 1) {
     throw std::invalid_argument(
         "BitLevelPredictor::evaluate: packed rows must be the trace's "
         "consecutive record pairs");
   }
+  return evaluate(testTrace);
+}
+
+PredictorEvaluation BitLevelPredictor::evaluate(const Trace& testTrace) const {
+  if (!trained_) {
+    throw std::logic_error("BitLevelPredictor: evaluate before fit");
+  }
+  if (testTrace.size() < 2) {
+    throw std::invalid_argument(
+        "BitLevelPredictor::evaluate: need at least two records");
+  }
   const int width = extractor_.width();
-  const int bits = extractor_.outputBitCount();
+  const auto bits = static_cast<std::size_t>(extractor_.outputBitCount());
+  const std::uint64_t coutBit = std::uint64_t{1} << width;
+  const std::uint64_t sumMask = coutBit - 1;
   PredictorEvaluation eval;
-  std::vector<std::uint64_t> wrong(static_cast<std::size_t>(bits), 0);
-
-  // Sweep the packed columns 64 cycles at a time: per block each bit's
-  // classifier walks its forest under lane masks, the mispredictions are
-  // popcounts of prediction-vs-label words, and only the value-level
-  // (AVPE) arithmetic touches individual cycles.
-  const std::size_t words = packed.wordCount;
-  const std::size_t rows = packed.rowCount;
-  const std::size_t shared = packed.sharedCount;
-  const ml::FlatBankView flat = flatView();
-  std::vector<std::uint64_t> featureWords(extractor_.featureCount());
-  std::vector<std::uint64_t> predWords(static_cast<std::size_t>(bits));
-  std::array<double, 64> probabilities;
-
+  std::array<std::uint64_t, 64> wrong{};
+  std::array<std::uint64_t, 64> flips;
+  std::array<std::uint64_t, 64> wrongRows;
   double avpeSum = 0.0;
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::size_t lanes = std::min<std::size_t>(64, rows - w * 64);
-    const std::uint64_t active =
-        lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
-    for (std::size_t f = 0; f < shared; ++f) {
-      featureWords[f] = packed.shared[f * words + w];
-    }
-    for (int bit = 0; bit < bits; ++bit) {
-      const auto b = static_cast<std::size_t>(bit);
-      if (params_.includeOutputBits) {
-        featureWords[shared] = packed.goldPrev[b * words + w];
-        featureWords[shared + 1] = packed.goldCur[b * words + w];
-      }
-      probabilities.fill(0.0);
-      const std::uint64_t pred = ml::FlatForest(flat, b).predictWord(
-          featureWords, probabilities.data());
-      predWords[b] = pred;
-      // Bit-level accuracy (ABPER numerator): one popcount per 64 cycles.
-      wrong[b] += static_cast<std::uint64_t>(
-          std::popcount((pred ^ packed.labels[b * words + w]) & active));
-    }
+  const std::size_t rows = testTrace.size() - 1;
+  for (std::size_t base = 0; base < rows; base += 64) {
+    const std::size_t lanes = std::min<std::size_t>(64, rows - base);
+    predictBlock(std::span(testTrace).subspan(base, lanes + 1), flips);
+    wrongRows.fill(0);
     // Value-level accuracy (AVPE): deduce predicted y_silver from y_gold,
     // over full composed output values (sum plus carry-out), in cycle
     // order.
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      const TraceRecord& cur = testTrace[w * 64 + lane + 1];
-      std::uint64_t sumFlips = 0;
-      for (int bit = 0; bit < width; ++bit) {
-        const std::uint64_t flip =
-            (predWords[static_cast<std::size_t>(bit)] >> lane) & 1u;
-        sumFlips |= flip << bit;
-      }
-      const bool coutFlip =
-          ((predWords[static_cast<std::size_t>(width)] >> lane) & 1u) != 0;
-      const bool predictedCout = cur.goldCout != coutFlip;
+      const TraceRecord& cur = testTrace[base + lane + 1];
+      wrongRows[lane] = flips[lane] ^ extractor_.labelWord(cur);
+      const bool predictedCout = cur.goldCout != ((flips[lane] & coutBit) != 0);
       const std::uint64_t predictedSilver =
-          (cur.gold ^ sumFlips) |
+          (cur.gold ^ (flips[lane] & sumMask)) |
           (static_cast<std::uint64_t>(predictedCout ? 1 : 0) << width);
       const std::uint64_t realSilver = cur.silverValue(width);
       if (realSilver == 0) {
@@ -320,22 +278,28 @@ PredictorEvaluation BitLevelPredictor::evaluate(
         avpeSum +=
             static_cast<double>(diff) / static_cast<double>(realSilver);
       }
-      ++eval.cycles;
+    }
+    eval.cycles += lanes;
+    // Bit-level accuracy (ABPER numerator): back to per-bit words, one
+    // popcount per bit per block.
+    netlist::transpose64(wrongRows);
+    for (std::size_t b = 0; b < bits; ++b) {
+      wrong[b] += static_cast<std::uint64_t>(std::popcount(wrongRows[b]));
     }
   }
 
-  eval.perBitErrorRate.resize(static_cast<std::size_t>(bits));
+  eval.perBitErrorRate.resize(bits);
   double abperSum = 0.0;
-  for (int bit = 0; bit < bits; ++bit) {
-    const double rate = static_cast<double>(wrong[static_cast<std::size_t>(bit)]) /
-                        static_cast<double>(eval.cycles);
-    eval.perBitErrorRate[static_cast<std::size_t>(bit)] = rate;
+  for (std::size_t b = 0; b < bits; ++b) {
+    const double rate =
+        static_cast<double>(wrong[b]) / static_cast<double>(eval.cycles);
+    eval.perBitErrorRate[b] = rate;
     abperSum += rate;
   }
   eval.abper = abperSum / static_cast<double>(bits);
   const std::uint64_t avpeCycles = eval.cycles - eval.avpeSkipped;
   eval.avpe = avpeCycles ? avpeSum / static_cast<double>(avpeCycles) : 0.0;
-  // Two adds per evaluation sweep, outside every packed-word loop.
+  // Two adds per evaluation, outside the block loop.
   static obs::Counter& evaluations = obs::counter("predict.evaluations");
   static obs::Counter& evalRows = obs::counter("predict.eval_rows");
   evaluations.add();

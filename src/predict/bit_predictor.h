@@ -13,16 +13,17 @@
 // majority baseline a one-leaf tree. fit() extracts the shared
 // operand/transition columns once per trace (only the two yRTL_n columns
 // differ per bit) and the popcount CART grower appends every forest
-// straight into the arena; evaluate() sweeps the test trace 64 cycles at
-// a time through the lane-masked flat walk, so ABPER reduces to popcounts
-// of prediction-vs-label words. predictFlipsBlock scores up to 64 record
-// pairs per call with zero allocation: one packBlock column extraction
-// shared by all output bits, one lane-masked flat walk per bit, one 64x64
-// transpose back to per-lane flip masks. Banks persist as the binary flat
-// envelope v2 (saveFlat/loadFlat), which mmaps straight into the
-// inference arrays.
+// straight into the arena. predictFlipsBlock and evaluate() share one
+// allocation-free block step over up to 64 record pairs: one packBlock
+// column extraction shared by all output bits, one lane-masked flat walk
+// per bit, one 64x64 transpose back to per-lane flip masks. evaluate()
+// steps it over the test trace and transposes each block's mispredicted
+// bits back to per-bit words, so ABPER reduces to one popcount per bit
+// per block. Banks persist as the binary flat envelope v2
+// (saveFlat/loadFlat), which mmaps straight into the inference arrays.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -40,7 +41,7 @@ namespace oisa::predict {
 /// trains into the same flat forest bank.
 enum class ModelKind : std::uint8_t {
   RandomForest,  ///< the paper's choice
-  DecisionTree,  ///< one CART tree grown on all rows with params.tree
+  DecisionTree,  ///< one CART tree grown on all rows with TreeParams{}
   Majority,      ///< constant baseline: one leaf per bit (maxDepth 0)
 };
 
@@ -48,7 +49,6 @@ enum class ModelKind : std::uint8_t {
 struct PredictorParams {
   ModelKind model = ModelKind::RandomForest;
   ml::ForestParams forest{};   ///< used when model == RandomForest
-  ml::TreeParams tree{};       ///< used when model == DecisionTree
   bool includeOutputBits = true;  ///< feature ablation switch
   std::uint64_t seed = 1;
 };
@@ -91,12 +91,6 @@ class BitLevelPredictor {
   /// configured like this bank's (same width and output-bit ablation).
   void fit(const PackedTraceFeatures& packed);
 
-  /// Predicts the timing-class vector for the cycle `current` given the
-  /// preceding record. Thin wrapper over predictFlipsBlock (a one-lane
-  /// block); still allocation-free.
-  [[nodiscard]] PredictedFlips predictFlips(const TraceRecord& previous,
-                                            const TraceRecord& current) const;
-
   /// The batch-64 serving hot path: predicts the consecutive record pairs
   /// (records[r], records[r+1]), r = 0 .. records.size()-2, writing
   /// out[r]. Requires 2..65 records and out.size() == records.size()-1
@@ -104,7 +98,7 @@ class BitLevelPredictor {
   /// the shared operand columns are packed once for the whole block
   /// (FeatureExtractor::packBlock) and each output bit's classifier walks
   /// its flat forest once under lane masks. Lane-for-lane identical to
-  /// calling predictFlips per pair.
+  /// predictFlipsReference.
   void predictFlipsBlock(std::span<const TraceRecord> records,
                          std::span<PredictedFlips> out) const;
 
@@ -115,14 +109,15 @@ class BitLevelPredictor {
   [[nodiscard]] PredictedFlips predictFlipsReference(
       const TraceRecord& previous, const TraceRecord& current) const;
 
-  /// Runs the model over a test trace and computes ABPER / AVPE via the
-  /// 64-lane batched sweep (bit-identical to the per-cycle scalar path).
+  /// Runs the model over a test trace and computes ABPER / AVPE, 64
+  /// record pairs at a time through predictFlipsBlock's block step
+  /// (bit-identical to the per-cycle scalar path).
   [[nodiscard]] PredictorEvaluation evaluate(const Trace& testTrace) const;
 
-  /// Like evaluate(testTrace) but consuming the trace's pre-packed
-  /// columns (`packed` must be the packing of `testTrace` by an extractor
-  /// configured like this bank's); the trace itself is only read for the
-  /// value-level (AVPE) arithmetic.
+  /// Checks that `packed` is the packing of `testTrace` by an extractor
+  /// configured like this bank's, then returns evaluate(testTrace). Kept
+  /// only for the benchmark's fig7 cell (perfbench/campaign.cpp), which
+  /// packs its test trace itself; it goes when that cell stops calling it.
   [[nodiscard]] PredictorEvaluation evaluate(
       const Trace& testTrace, const PackedTraceFeatures& packed) const;
 
@@ -158,6 +153,14 @@ class BitLevelPredictor {
  private:
   /// Checks that `packed` matches this bank's extractor configuration.
   void validatePacked(const PackedTraceFeatures& packed) const;
+
+  /// The block step of predictFlipsBlock and evaluate: packs 2..65
+  /// records, walks each output bit's forest once under lane masks and
+  /// transposes the per-bit prediction words into `flips`, so bit b of
+  /// flips[L] is bit b's prediction for the pair (records[L],
+  /// records[L+1]). Words past records.size() - 2 are unspecified.
+  void predictBlock(std::span<const TraceRecord> records,
+                    std::array<std::uint64_t, 64>& flips) const;
 
   PredictorParams params_;
   FeatureExtractor extractor_;

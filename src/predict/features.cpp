@@ -58,14 +58,7 @@ void FeatureExtractor::patchBitFeatures(const TraceRecord& previous,
   out[k + 1] = goldBit(current, bit, width_) ? 1 : 0;
 }
 
-std::vector<std::uint8_t> FeatureExtractor::extract(
-    const TraceRecord& previous, const TraceRecord& current, int bit) const {
-  std::vector<std::uint8_t> out(featureCount_);
-  extract(previous, current, bit, out);
-  return out;
-}
-
-std::size_t FeatureExtractor::packBlock(
+void FeatureExtractor::packBlock(
     std::span<const TraceRecord> records, std::span<std::uint64_t> sharedOut,
     std::span<std::uint64_t> goldPrevOut,
     std::span<std::uint64_t> goldCurOut) const {
@@ -135,7 +128,6 @@ std::size_t FeatureExtractor::packBlock(
       goldCurOut[b] = goldCurRows[b];
     }
   }
-  return lanes;
 }
 
 PackedTraceFeatures FeatureExtractor::packTrace(const Trace& trace) const {
@@ -156,8 +148,6 @@ PackedTraceFeatures FeatureExtractor::packTrace(const Trace& trace) const {
   // same code the inference hot path runs), then the label columns — which
   // need the silver outputs packBlock deliberately ignores — are composed
   // and transposed here.
-  const std::uint64_t coutBit = std::uint64_t{1} << width_;
-  const std::uint64_t sumMask = coutBit - 1;
   std::array<std::uint64_t, kMaxFeatureCount> sharedCols;
   std::array<std::uint64_t, 64> goldPrevCols;
   std::array<std::uint64_t, 64> goldCurCols;
@@ -166,14 +156,12 @@ PackedTraceFeatures FeatureExtractor::packTrace(const Trace& trace) const {
   for (std::size_t block = 0; block < words; ++block) {
     const std::size_t base = block * 64;
     const std::size_t lanes = std::min<std::size_t>(64, out.rowCount - base);
-    (void)packBlock(std::span(trace).subspan(base, lanes + 1),
-                    std::span(sharedCols).first(out.sharedCount),
-                    goldPrevCols, goldCurCols);
+    packBlock(std::span(trace).subspan(base, lanes + 1),
+              std::span(sharedCols).first(out.sharedCount), goldPrevCols,
+              goldCurCols);
     labelRows.fill(0);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      const TraceRecord& cur = trace[base + lane + 1];
-      labelRows[lane] = ((cur.gold ^ cur.silver) & sumMask) |
-                        (cur.goldCout != cur.silverCout ? coutBit : 0);
+      labelRows[lane] = labelWord(trace[base + lane + 1]);
     }
     for (std::size_t f = 0; f < out.sharedCount; ++f) {
       out.shared[f * words + block] = sharedCols[f];

@@ -10,11 +10,11 @@
 //   [4W+2]     yRTL_n[t-1]     [4W+3]     yRTL_n[t]
 //
 // The operand/transition block [0, 4W+2) is *shared* by all output bits —
-// only the trailing two yRTL_n entries depend on the bit. packTrace()
-// exploits that: it extracts the shared block once per trace into packed
-// bit-columns (the ml::PackedView layout) and the per-bit gold/label
-// columns once per bit, so training and batched evaluation never touch a
-// per-(bit, row) byte matrix.
+// only the trailing two yRTL_n entries depend on the bit. packBlock()
+// exploits that: it extracts the shared block once per 64 record pairs
+// into packed bit-columns (the ml::PackedView layout) and the gold
+// columns once per bit, so training (packTrace()) and batched prediction
+// never touch a per-(bit, row) byte matrix.
 #pragma once
 
 #include <cstdint>
@@ -90,11 +90,6 @@ class FeatureExtractor {
                         const TraceRecord& current, int bit,
                         std::span<std::uint8_t> out) const;
 
-  /// Convenience allocating overload.
-  [[nodiscard]] std::vector<std::uint8_t> extract(
-      const TraceRecord& previous, const TraceRecord& current,
-      int bit) const;
-
   /// Packs one block of up to 64 consecutive record pairs
   /// (records[r], records[r+1]), r = 0 .. records.size()-2, into
   /// caller-owned single-word bit columns: sharedOut[f] = shared feature
@@ -102,14 +97,14 @@ class FeatureExtractor {
   /// bit b's yRTL[t-1] / yRTL[t] columns (untouched when the output-bit
   /// features are ablated). Tail bits past the row count are zero.
   /// Allocation-free — this is the per-block body of packTrace(), shared
-  /// with the predictFlipsBlock inference hot path so both pack
-  /// bit-identically by construction. Returns the row (lane) count.
+  /// with BitLevelPredictor's block step (predictFlipsBlock, evaluate) so
+  /// training and prediction pack bit-identically by construction.
   /// Requires 2..65 records, sharedOut.size() >= sharedFeatureCount(),
   /// and (unless ablated) gold spans of >= outputBitCount() words.
-  std::size_t packBlock(std::span<const TraceRecord> records,
-                        std::span<std::uint64_t> sharedOut,
-                        std::span<std::uint64_t> goldPrevOut,
-                        std::span<std::uint64_t> goldCurOut) const;
+  void packBlock(std::span<const TraceRecord> records,
+                 std::span<std::uint64_t> sharedOut,
+                 std::span<std::uint64_t> goldPrevOut,
+                 std::span<std::uint64_t> goldCurOut) const;
 
   /// Packs a whole trace into bit-columns: the shared block is extracted
   /// once per *trace*, the gold/label columns once per *bit* — the 33x
@@ -137,6 +132,14 @@ class FeatureExtractor {
   [[nodiscard]] static bool timingErroneous(const TraceRecord& rec, int bit,
                                             int width) noexcept {
     return goldBit(rec, bit, width) != silverBit(rec, bit, width);
+  }
+  /// Every output bit's timing class of `rec` in one word: bit b is
+  /// timingErroneous(rec, b, width()), the carry-out at bit width(). The
+  /// one label definition, shared by training (packTrace) and evaluate.
+  [[nodiscard]] std::uint64_t labelWord(const TraceRecord& rec) const noexcept {
+    const std::uint64_t coutBit = std::uint64_t{1} << width_;
+    return ((rec.gold ^ rec.silver) & (coutBit - 1)) |
+           (rec.goldCout != rec.silverCout ? coutBit : 0);
   }
 
  private:

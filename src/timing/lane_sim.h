@@ -63,8 +63,8 @@
 #include <string>
 #include <vector>
 
-#include "netlist/batch_evaluator.h"
 #include "netlist/compiled_netlist.h"
+#include "netlist/lane_block.h"
 #include "netlist/netlist.h"
 #include "timing/delay_annotation.h"
 
@@ -307,11 +307,12 @@ class LaneTimedSimulator {
 
   /// The gate's clamped output word over the current net values.
   [[nodiscard]] inline std::uint64_t evalGate(const GateRec& rec) const {
-    return clampWord(rec.out,
-                     netlist::evalGateWord(
-                         static_cast<netlist::GateKind>(rec.kind),
-                         values_[rec.in[0]], values_[rec.in[1]],
-                         values_[rec.in[2]]));
+    using Block = netlist::LaneBlock64;
+    const Block out = netlist::evalGateBlock(
+        static_cast<netlist::GateKind>(rec.kind),
+        Block::load(&values_[rec.in[0]]), Block::load(&values_[rec.in[1]]),
+        Block::load(&values_[rec.in[2]]));
+    return clampWord(rec.out, out.word(0));
   }
 
   /// Commits `word` to an input or forced net at the current time; a

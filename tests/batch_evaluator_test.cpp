@@ -1,6 +1,6 @@
 // Word-parallel batch evaluation: lane-for-lane equivalence against the
 // scalar Evaluator on every adder topology and ISA design, the 64x64 bit
-// transpose, and the pattern-major packing edge cases.
+// transpose, the gate table and the input-shape checks.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -20,9 +20,9 @@ using oisa::circuits::allTopologies;
 using oisa::circuits::buildAdder;
 using oisa::circuits::topologyName;
 using oisa::netlist::BatchEvaluator;
-using oisa::netlist::evalGateWord;
 using oisa::netlist::Evaluator;
 using oisa::netlist::GateKind;
+using oisa::netlist::LaneBlock64;
 using oisa::netlist::Netlist;
 using oisa::netlist::NetId;
 using oisa::netlist::transpose64;
@@ -63,14 +63,15 @@ TEST(TransposeTest, RoundTripsRandomMatrices) {
   }
 }
 
-TEST(BatchEvaluatorTest, GateWordMatchesScalarGateOnAllKinds) {
+TEST(BatchEvaluatorTest, GateBlockMatchesScalarGateOnAllKinds) {
   // Lane 0 = (0,0,0), lane 1 = (1,0,0), ... lane 7 = (1,1,1): every input
   // combination of every kind, all in one word per operand.
-  const std::uint64_t a = 0xaa;  // bit L = L&1
-  const std::uint64_t b = 0xcc;  // bit L = (L>>1)&1
-  const std::uint64_t c = 0xf0;  // bit L = (L>>2)&1
+  const LaneBlock64 a = LaneBlock64::splat(0xaa);  // bit L = L&1
+  const LaneBlock64 b = LaneBlock64::splat(0xcc);  // bit L = (L>>1)&1
+  const LaneBlock64 c = LaneBlock64::splat(0xf0);  // bit L = (L>>2)&1
   for (const GateKind kind : oisa::netlist::allGateKinds()) {
-    const std::uint64_t word = evalGateWord(kind, a, b, c);
+    const std::uint64_t word =
+        oisa::netlist::evalGateBlock(kind, a, b, c).word(0);
     for (int lane = 0; lane < 8; ++lane) {
       const bool expected =
           evalGate(kind, (lane & 1) != 0, (lane & 2) != 0, (lane & 4) != 0);
@@ -135,42 +136,15 @@ TEST(BatchEvaluatorTest, MatchesScalarOnIsaDesigns) {
   }
 }
 
-TEST(BatchEvaluatorTest, EvaluateWordsMatchesScalarEvaluateWord) {
-  // 16-bit adder: 33 inputs, 17 outputs — within the <= 64-port limit.
-  const Netlist nl = makeAdderNetlist(16, AdderTopology::KoggeStone);
-  const Evaluator scalar(nl);
-  const BatchEvaluator batch(nl);
-  std::mt19937_64 rng(37);
-  // Full batch of 64 and partial batches covering the edge sizes.
-  for (const std::size_t count : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{63}, std::size_t{64}}) {
-    std::vector<std::uint64_t> patterns(count);
-    const std::uint64_t portMask =
-        (std::uint64_t{1} << nl.primaryInputs().size()) - 1;
-    for (auto& p : patterns) p = rng() & portMask;
-    const auto results = batch.evaluateWords(patterns);
-    ASSERT_EQ(results.size(), count);
-    for (std::size_t p = 0; p < count; ++p) {
-      EXPECT_EQ(results[p], scalar.evaluateWord(patterns[p]))
-          << "batch size " << count << " pattern " << p;
-    }
-  }
-}
-
 TEST(BatchEvaluatorTest, RejectsBadShapes) {
   const Netlist nl = makeAdderNetlist(8, AdderTopology::RippleCarry);
   const BatchEvaluator batch(nl);
   std::vector<std::uint64_t> wrong(nl.primaryInputs().size() + 1, 0);
   EXPECT_THROW((void)batch.evaluate(wrong), std::invalid_argument);
-  EXPECT_THROW((void)batch.evaluateWords({}), std::invalid_argument);
-  const std::vector<std::uint64_t> tooMany(65, 0);
-  EXPECT_THROW((void)batch.evaluateWords(tooMany), std::invalid_argument);
 
-  // > 64 primary inputs: lane-major still works, pattern-major must throw.
+  // > 64 primary inputs: one word per input still works.
   const Netlist wide = makeAdderNetlist(32, AdderTopology::Sklansky);
   const BatchEvaluator wideBatch(wide);
-  const std::vector<std::uint64_t> one(1, 0);
-  EXPECT_THROW((void)wideBatch.evaluateWords(one), std::invalid_argument);
   const std::vector<std::uint64_t> zeros(wide.primaryInputs().size(), 0);
   EXPECT_NO_THROW((void)wideBatch.evaluateOutputs(zeros));
 }

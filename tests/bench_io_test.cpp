@@ -1,10 +1,13 @@
-// netlist::readBench — the ISCAS-85 `.bench` importer: c17 end-to-end
-// (structure + exhaustive functional equivalence against a hand-built
-// NAND network), wide-gate decomposition, and the rejection diagnostics.
+// netlist::readBenchString — the ISCAS-85 `.bench` importer: c17 end to
+// end (structure + exhaustive functional equivalence against a hand-built
+// NAND network), wide-gate decomposition, and the rejection diagnostics
+// (the file reader's are in robustness_test).
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include <string>
+#include <string_view>
 
+#include "core/status.h"
 #include "netlist/bench_io.h"
 #include "netlist/gate.h"
 #include "netlist/netlist.h"
@@ -12,11 +15,17 @@
 
 namespace {
 
+using oisa::core::StatusCode;
 using oisa::netlist::Evaluator;
 using oisa::netlist::GateKind;
 using oisa::netlist::Netlist;
 using oisa::netlist::NetId;
 using oisa::netlist::readBenchString;
+
+/// Parses `text`, failing the test on a diagnostic.
+Netlist parse(std::string_view text, std::string name = "bench") {
+  return readBenchString(text, std::move(name)).valueOrThrow();
+}
 
 constexpr const char* kC17 = R"(
 # c17 — smallest ISCAS-85 benchmark
@@ -40,7 +49,7 @@ OUTPUT(23)
 )";
 
 TEST(BenchIoTest, ParsesC17Structure) {
-  const Netlist nl = readBenchString(kC17, "c17");
+  const Netlist nl = parse(kC17, "c17");
   EXPECT_EQ(nl.name(), "c17");
   EXPECT_EQ(nl.primaryInputs().size(), 5u);
   EXPECT_EQ(nl.primaryOutputs().size(), 2u);
@@ -54,7 +63,7 @@ TEST(BenchIoTest, ParsesC17Structure) {
 }
 
 TEST(BenchIoTest, C17MatchesHandBuiltNetworkExhaustively) {
-  const Netlist parsed = readBenchString(kC17, "c17");
+  const Netlist parsed = parse(kC17, "c17");
 
   Netlist built("c17ref");
   const NetId n1 = built.input("1");
@@ -78,7 +87,7 @@ TEST(BenchIoTest, C17MatchesHandBuiltNetworkExhaustively) {
 
 TEST(BenchIoTest, StatementsResolveInAnyOrder) {
   // Definition used before it appears; outputs declared first.
-  const Netlist nl = readBenchString(R"(
+  const Netlist nl = parse(R"(
 OUTPUT(y)
 y = AND(t, b)
 t = NOT(a)
@@ -93,7 +102,7 @@ INPUT(b)
 }
 
 TEST(BenchIoTest, DecomposesWideGates) {
-  const Netlist nl = readBenchString(R"(
+  const Netlist nl = parse(R"(
 INPUT(a)
 INPUT(b)
 INPUT(c)
@@ -124,7 +133,7 @@ odd = XOR(a, b, c, d, e)
 }
 
 TEST(BenchIoTest, SupportsNand3AndBuff) {
-  const Netlist nl = readBenchString(R"(
+  const Netlist nl = parse(R"(
 INPUT(a)
 INPUT(b)
 INPUT(c)
@@ -145,32 +154,19 @@ z = BUFF(a)
 }
 
 TEST(BenchIoTest, RejectsMalformedInput) {
-  // Undefined signal.
-  EXPECT_THROW((void)readBenchString("INPUT(a)\nOUTPUT(y)\ny = AND(a, q)\n"),
-               std::runtime_error);
-  // Double definition.
-  EXPECT_THROW((void)readBenchString(
-                   "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ny = BUF(a)\n"),
-               std::runtime_error);
-  // Sequential element.
-  EXPECT_THROW(
-      (void)readBenchString("INPUT(a)\nOUTPUT(y)\ny = DFF(a)\n"),
-      std::runtime_error);
-  // Unknown cell.
-  EXPECT_THROW(
-      (void)readBenchString("INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n"),
-      std::runtime_error);
-  // Combinational cycle.
-  EXPECT_THROW((void)readBenchString(
-                   "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = NOT(y)\n"),
-               std::runtime_error);
-  // NOT arity.
-  EXPECT_THROW(
-      (void)readBenchString("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n"),
-      std::runtime_error);
-  // Garbage line.
-  EXPECT_THROW((void)readBenchString("INPUT(a)\nwhat is this\n"),
-               std::runtime_error);
+  // Undefined signal, double definition, sequential element, unknown
+  // cell, combinational cycle, NOT arity, garbage line.
+  for (const char* text : {"INPUT(a)\nOUTPUT(y)\ny = AND(a, q)\n",
+                           "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ny = BUF(a)\n",
+                           "INPUT(a)\nOUTPUT(y)\ny = DFF(a)\n",
+                           "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n",
+                           "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = NOT(y)\n",
+                           "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n",
+                           "INPUT(a)\nwhat is this\n"}) {
+    const auto result = readBenchString(text);
+    ASSERT_FALSE(result.isOk()) << text;
+    EXPECT_EQ(result.status().code(), StatusCode::InvalidInput) << text;
+  }
 }
 
 TEST(BenchIoTest, DeepChainsResolveWithoutRecursion) {
@@ -182,17 +178,12 @@ TEST(BenchIoTest, DeepChainsResolveWithoutRecursion) {
     text += "g" + std::to_string(i) + " = NOT(g" + std::to_string(i - 1) +
             ")\n";
   }
-  const Netlist nl = readBenchString(text, "chain");
+  const Netlist nl = parse(text, "chain");
   EXPECT_EQ(nl.gateCount(), static_cast<std::size_t>(kDepth));
   const Evaluator eval(nl);
   // Even inverter count: the chain is the identity.
   EXPECT_EQ(eval.evaluateWord(1), 1u);
   EXPECT_EQ(eval.evaluateWord(0), 0u);
-}
-
-TEST(BenchIoTest, MissingFileThrows) {
-  EXPECT_THROW((void)oisa::netlist::readBenchFile("/nonexistent/x.bench"),
-               std::runtime_error);
 }
 
 }  // namespace

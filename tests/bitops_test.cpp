@@ -424,7 +424,7 @@ TYPED_TEST(LaneBlockTest, EqualityAndAny) {
   }
 }
 
-TYPED_TEST(LaneBlockTest, EvalGateBlockMatchesEvalGateWordEverySubWord) {
+TYPED_TEST(LaneBlockTest, EvalGateBlockMatchesScalarGateEveryLane) {
   using Block = TypeParam;
   OISA_TRACE_SEED(14);
   std::mt19937_64 rng(14);
@@ -441,10 +441,16 @@ TYPED_TEST(LaneBlockTest, EvalGateBlockMatchesEvalGateWordEverySubWord) {
     for (const GateKind kind : oisa::netlist::allGateKinds()) {
       const Block out = oisa::netlist::evalGateBlock(kind, a, b, c);
       for (std::size_t j = 0; j < Block::kWords; ++j) {
-        ASSERT_EQ(out.word(j),
-                  oisa::netlist::evalGateWord(kind, wa[j], wb[j], wc[j]))
-            << "trial " << trial << " kind " << static_cast<int>(kind)
-            << " word " << j;
+        for (unsigned lane = 0; lane < 64; ++lane) {
+          const auto bit = [&](std::uint64_t w) {
+            return ((w >> lane) & 1u) != 0;
+          };
+          ASSERT_EQ(bit(out.word(j)),
+                    oisa::netlist::evalGate(kind, bit(wa[j]), bit(wb[j]),
+                                            bit(wc[j])))
+              << "trial " << trial << " kind " << static_cast<int>(kind)
+              << " word " << j << " lane " << lane;
+        }
       }
     }
   }

@@ -75,10 +75,15 @@ TEST(CompiledNetlistTest, MergedPinMasksEvaluateCorrectly) {
 
   const oisa::netlist::Evaluator scalar(nl);
   const BatchEvaluator batch(compiled);
+  // Lane p carries pattern p: input i is bit i of p.
+  const auto outWords =
+      batch.evaluateOutputs(std::vector<std::uint64_t>{0b1010, 0b1100});
   for (std::uint64_t p = 0; p < 4; ++p) {
-    EXPECT_EQ(batch.evaluateWords(std::vector<std::uint64_t>{p})[0],
-              scalar.evaluateWord(p))
-        << "pattern " << p;
+    std::uint64_t outputs = 0;
+    for (std::size_t o = 0; o < outWords.size(); ++o) {
+      outputs |= ((outWords[o] >> p) & 1u) << o;
+    }
+    EXPECT_EQ(outputs, scalar.evaluateWord(p)) << "pattern " << p;
   }
 }
 

@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
 #include <functional>
+#include <iostream>
 #include <random>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/isa_adder.h"
@@ -31,6 +34,7 @@ using oisa::experiments::overclockedPeriodNs;
 using oisa::experiments::RunOptions;
 using oisa::experiments::Stimulus;
 using oisa::experiments::Table;
+using oisa::experiments::TraceCollector;
 using oisa::experiments::UniformWorkload;
 
 TEST(WorkloadTest, UniformIsSeededAndBounded) {
@@ -250,7 +254,7 @@ TEST(CliTest, RejectUnreadNamesEveryFlagNoGetterRead) {
   const char* good[] = {"prog", "--cycles=5", "--relax", "--cpr=1.5",
                         "--csv=out.csv"};
   const ArgParser read(5, good);
-  (void)read.getPositiveU64("cycles", 1);
+  (void)read.getBounded<std::uint64_t>("cycles", 1, 1);
   (void)read.getBool("relax", false);
   (void)read.getDouble("cpr", 0.0);
   (void)read.getString("csv", "");
@@ -290,7 +294,7 @@ TEST(CliTest, GetterAfterRejectUnreadThrowsLogicErrorNamingTheFlag) {
   };
   expectLogicError([&] { (void)args.getU64("threads", 0); }, "--threads");
   expectLogicError([&] { (void)args.getU64("cycles", 1); }, "--cycles");
-  expectLogicError([&] { (void)args.getPositiveU64("every", 8); }, "--every");
+  expectLogicError([&] { (void)args.getBounded<int>("every", 8); }, "--every");
   expectLogicError([&] { (void)args.getDouble("cpr", 0.0); }, "--cpr");
   expectLogicError([&] { (void)args.getString("csv", ""); }, "--csv");
   expectLogicError([&] { (void)args.getBool("relax", true); }, "--relax");
@@ -343,11 +347,12 @@ TEST(CliTest, DiagnosesMalformedValues) {
 TEST(CliTest, PositiveU64RejectsZeroByName) {
   // --checkpoint-every=0 would disable autosaving while claiming to
   // checkpoint, and --trace-buffer=0 would be a span ring that holds
-  // nothing: both are rejected up front with a diagnostic naming the flag.
+  // nothing: both read with min = 1, so zero is rejected up front with a
+  // diagnostic naming the flag.
   const char* argv[] = {"prog", "--checkpoint-every=0", "--trace-buffer=4"};
   const ArgParser args(3, argv);
   try {
-    (void)args.getPositiveU64("checkpoint-every", 8);
+    (void)args.getBounded<std::uint64_t>("checkpoint-every", 8, 1);
     FAIL() << "expected StatusError";
   } catch (const oisa::core::StatusError& e) {
     EXPECT_EQ(e.status().code(), oisa::core::StatusCode::InvalidInput);
@@ -355,8 +360,8 @@ TEST(CliTest, PositiveU64RejectsZeroByName) {
               std::string::npos);
   }
   // Positive values and absent-flag fallbacks pass through unchanged.
-  EXPECT_EQ(args.getPositiveU64("trace-buffer", 1), 4u);
-  EXPECT_EQ(args.getPositiveU64("missing", 7), 7u);
+  EXPECT_EQ(args.getBounded<std::size_t>("trace-buffer", 1, 1), 4u);
+  EXPECT_EQ(args.getBounded<std::uint64_t>("missing", 7, 1), 7u);
 }
 
 TEST(CliTest, PositiveU64KeepsTheUnsignedDiagnostics) {
@@ -373,8 +378,61 @@ TEST(CliTest, PositiveU64KeepsTheUnsignedDiagnostics) {
     EXPECT_NE(e.status().message().find("--retries"), std::string::npos);
     EXPECT_NE(e.status().message().find("-1"), std::string::npos);
   }
-  EXPECT_THROW((void)args.getPositiveU64("trace-buffer", 1),
+  EXPECT_THROW((void)args.getBounded<std::size_t>("trace-buffer", 1, 1),
                oisa::core::StatusError);
+}
+
+TEST(CliTest, BoundedRejectsWhatACastWouldWrap) {
+  // 2^32 + 8 read through static_cast<int> is 8: --block=4294967304 used
+  // to run the block-8 design. Out-of-range values now fail by name.
+  const char* argv[] = {"prog", "--block=4294967304", "--hold=0", "--red=7",
+                        "--threads=4294967296"};
+  const ArgParser args(5, argv);
+  const std::pair<const char*, std::function<void()>> rejected[] = {
+      {"block", [&] { (void)args.getBounded<int>("block", 1); }},
+      {"hold", [&] { (void)args.getBounded<int>("hold", 1, 1); }},
+      {"threads", [&] { (void)args.getBounded<unsigned>("threads", 0); }}};
+  for (const auto& [key, read] : rejected) {
+    try {
+      read();
+      ADD_FAILURE() << "--" << key << " was accepted";
+    } catch (const oisa::core::StatusError& e) {
+      EXPECT_EQ(e.code(), oisa::core::StatusCode::InvalidInput) << e.what();
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + key),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(args.getBounded<int>("red", 4), 7);
+  EXPECT_EQ(args.getBounded<int>("missing", 4), 4);
+}
+
+TEST(CliTest, RunGuardedTurnsEveryFailureIntoExitFailure) {
+  // The example mains caught only StatusError, so an IsaConfig
+  // std::invalid_argument (overclocking_explorer --block=3) aborted.
+  using oisa::core::Status;
+  const std::vector<std::pair<std::function<int()>, std::string>> cases = {
+      {[]() -> int {
+         throw oisa::core::StatusError(Status::invalidInput("bad flag"));
+       },
+       "bad flag"},
+      {[]() -> int {
+         throw oisa::experiments::GridError(
+             {{2, Status::internal("cell broke"), 3}}, 0);
+       },
+       "cell 2: Internal: cell broke (after 3 attempts)"},
+      {[]() -> int { throw std::invalid_argument("block too small"); },
+       "block too small"}};
+  for (const auto& [body, expected] : cases) {
+    std::ostringstream err;
+    std::streambuf* const saved = std::cerr.rdbuf(err.rdbuf());
+    const int code = oisa::experiments::runGuarded(body);
+    std::cerr.rdbuf(saved);
+    EXPECT_EQ(code, EXIT_FAILURE);
+    EXPECT_EQ(err.str().rfind("error: ", 0), 0u) << err.str();
+    EXPECT_NE(err.str().find(expected), std::string::npos) << err.str();
+  }
+  EXPECT_EQ(oisa::experiments::runGuarded([] { return 0; }), 0);
 }
 
 TEST(ReportTest, TableAlignsAndEmitsCsv) {
@@ -410,8 +468,8 @@ TEST(TraceCollectorTest, GoldenFieldsMatchBehavioralModel) {
   const auto design =
       synthesize(oisa::core::makeIsa(8, 0, 0, 4), lib, SynthesisOptions{});
   UniformWorkload workload(32, 3);
-  const auto trace =
-      oisa::experiments::collectTrace(design, 10.0, workload, 100);
+  TraceCollector collector(design, 10.0);
+  const auto trace = collector.collect(workload, 100);
   ASSERT_EQ(trace.size(), 100u);
   const oisa::core::IsaAdder behavioral(design.config);
   for (const auto& rec : trace) {
@@ -546,7 +604,7 @@ TEST(RunnerTest, BitDistributionRejectsZeroCycles) {
   EXPECT_EQ(runBitDistribution(design, 15.0, options).timingRate.size(), 33u);
 }
 
-TEST(RunnerTest, PredictionRejectsTooFewTrainOrTestCycles) {
+TEST(RunnerTest, PredictionRejectsTooFewCyclesOrTrees) {
   const std::vector<oisa::circuits::SynthesizedDesign> designs = {
       synthesize(oisa::core::makeIsa(8, 0, 0, 4),
                  oisa::timing::CellLibrary::generic65(), SynthesisOptions{})};
@@ -564,6 +622,15 @@ TEST(RunnerTest, PredictionRejectsTooFewTrainOrTestCycles) {
       [&] { (void)runPredictionEvaluation(designs, cprs, options); },
       "--train-cycles");
   options.trainCycles = 2;
+  // Zero trees used to fail inside every cell, as a retried Internal.
+  options.predictor.forest.treeCount = 0;
+  expectRejectedUpFront(
+      [&] { (void)runPredictionEvaluation(designs, cprs, options); },
+      "--trees");
+  options.predictor.model = oisa::predict::ModelKind::DecisionTree;
+  EXPECT_EQ(runPredictionEvaluation(designs, cprs, options).size(), 1u);
+  options.predictor.model = oisa::predict::ModelKind::RandomForest;
+  options.predictor.forest.treeCount = 1;
   EXPECT_EQ(runPredictionEvaluation(designs, cprs, options).size(), 1u);
   // A loaded bank skips training, so the train count is not checked: the
   // cell runs and fails on the missing bank instead.

@@ -107,10 +107,10 @@ Trace syntheticTrace(int width, std::uint64_t cycles, std::uint64_t seed) {
   return trace;
 }
 
-/// Asserts block-path predictions equal the scalar reference pair by
-/// pair over the whole trace, sweeping in 64-lane blocks (final ragged).
-void expectBlockMatchesReference(const BitLevelPredictor& predictor,
-                                 const Trace& trace) {
+/// predictFlipsBlock over every record pair of `trace`, sweeping in
+/// 64-lane blocks (final ragged).
+std::vector<PredictedFlips> blockFlips(const BitLevelPredictor& predictor,
+                                       const Trace& trace) {
   const std::size_t rows = trace.size() - 1;
   std::vector<PredictedFlips> flips(rows);
   const std::span<const TraceRecord> records(trace);
@@ -119,7 +119,15 @@ void expectBlockMatchesReference(const BitLevelPredictor& predictor,
     predictor.predictFlipsBlock(records.subspan(base, n + 1),
                                 std::span(flips).subspan(base, n));
   }
-  for (std::size_t r = 0; r < rows; ++r) {
+  return flips;
+}
+
+/// Asserts block-path predictions equal the scalar reference pair by
+/// pair over the whole trace.
+void expectBlockMatchesReference(const BitLevelPredictor& predictor,
+                                 const Trace& trace) {
+  const std::vector<PredictedFlips> flips = blockFlips(predictor, trace);
+  for (std::size_t r = 0; r < flips.size(); ++r) {
     const PredictedFlips ref =
         predictor.predictFlipsReference(trace[r], trace[r + 1]);
     ASSERT_EQ(flips[r].sumFlips, ref.sumFlips) << "row " << r;
@@ -298,9 +306,16 @@ TEST(PredictFlipsBlockTest, GuardsAgainstMisuse) {
   EXPECT_THROW(predictor.predictFlipsBlock(records.first(5),
                                            std::span(out).first(3)),
                std::invalid_argument);
-  EXPECT_THROW(predictor.predictFlipsBlock(records.first(66),
-                                           std::span(out)),
-               std::invalid_argument);
+  // 66 records with a matching 65-entry output: only packBlock's 2..65
+  // bound, which sizes its 64-word stack arrays, can reject it.
+  std::array<PredictedFlips, 65> wide;
+  try {
+    predictor.predictFlipsBlock(records.first(66), wide);
+    ADD_FAILURE() << "66 records were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("2..65"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FlatBankPersistenceTest, SaveFlatLoadFlatServesIdentically) {
@@ -326,11 +341,11 @@ TEST(FlatBankPersistenceTest, SaveFlatLoadFlatServesIdentically) {
   const auto evalB = loaded.evaluate(test);
   EXPECT_EQ(evalA.abper, evalB.abper);
   EXPECT_EQ(evalA.avpe, evalB.avpe);
-  for (std::size_t r = 0; r + 1 < test.size(); ++r) {
-    const PredictedFlips a = predictor.predictFlips(test[r], test[r + 1]);
-    const PredictedFlips b = loaded.predictFlips(test[r], test[r + 1]);
-    ASSERT_EQ(a.sumFlips, b.sumFlips);
-    ASSERT_EQ(a.coutFlip, b.coutFlip);
+  const std::vector<PredictedFlips> a = blockFlips(predictor, test);
+  const std::vector<PredictedFlips> b = blockFlips(loaded, test);
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    ASSERT_EQ(a[r].sumFlips, b[r].sumFlips) << "row " << r;
+    ASSERT_EQ(a[r].coutFlip, b[r].coutFlip) << "row " << r;
   }
 }
 
@@ -459,15 +474,7 @@ std::string servingDigest(const BitLevelPredictor& predictor) {
                 static_cast<unsigned long long>(eval.cycles),
                 static_cast<unsigned long long>(eval.avpeSkipped));
   std::string text = buf;
-  const std::size_t rows = test.size() - 1;
-  std::vector<PredictedFlips> flips(rows);
-  const std::span<const TraceRecord> records(test);
-  for (std::size_t base = 0; base < rows; base += 64) {
-    const std::size_t n = std::min<std::size_t>(64, rows - base);
-    predictor.predictFlipsBlock(records.subspan(base, n + 1),
-                                std::span(flips).subspan(base, n));
-  }
-  for (const PredictedFlips& f : flips) {
+  for (const PredictedFlips& f : blockFlips(predictor, test)) {
     text += std::to_string(f.sumFlips) + (f.coutFlip ? "c\n" : "\n");
   }
   return oisa::testing::sha256Hex(text);
@@ -508,10 +515,9 @@ TEST(FlatForestTest, TrainedFigureBanksMatchScalarPath) {
     const double period = oisa::experiments::overclockedPeriodNs(0.3, cpr);
     auto trainWl = oisa::experiments::makeWorkload("uniform", 32, 7);
     auto testWl = oisa::experiments::makeWorkload("uniform", 32, 8);
-    const Trace train =
-        oisa::experiments::collectTrace(design, period, *trainWl, 700);
-    const Trace test =
-        oisa::experiments::collectTrace(design, period, *testWl, 200);
+    oisa::experiments::TraceCollector collector(design, period);
+    const Trace train = collector.collect(*trainWl, 700);
+    const Trace test = collector.collect(*testWl, 200);
     PredictorParams params;
     params.forest.treeCount = 5;
     BitLevelPredictor predictor(32, params);

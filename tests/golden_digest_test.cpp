@@ -225,7 +225,7 @@ OUTPUT(23)
 23 = NAND(16, 19)
 )";
   const auto compiled = oisa::netlist::CompiledNetlist::compile(
-      oisa::netlist::readBenchString(kC17, "c17"));
+      oisa::netlist::readBenchString(kC17, "c17").valueOrThrow());
   oisa::fault::FaultUniverse universe(compiled);
   const auto engine = oisa::fault::makePpsfpEngine(compiled);
   oisa::fault::CoverageOptions options;

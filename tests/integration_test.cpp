@@ -103,10 +103,9 @@ TEST(IntegrationTest, PredictorTracksOverclockedIsa) {
 
   auto train = oisa::experiments::makeWorkload("uniform", 32, 101);
   auto test = oisa::experiments::makeWorkload("uniform", 32, 202);
-  const auto trainTrace =
-      oisa::experiments::collectTrace(design, period, *train, 4000);
-  const auto testTrace =
-      oisa::experiments::collectTrace(design, period, *test, 2000);
+  oisa::experiments::TraceCollector collector(design, period);
+  const auto trainTrace = collector.collect(*train, 4000);
+  const auto testTrace = collector.collect(*test, 2000);
 
   // There must actually be timing errors to learn.
   std::uint64_t errors = 0;
@@ -166,9 +165,9 @@ TEST(IntegrationTest, JointDecompositionHoldsOnRealTraces) {
   // gate-level traces, not just algebraically.
   const auto design = synthRelaxed(oisa::core::makeIsa(16, 1, 0, 2));
   auto workload = oisa::experiments::makeWorkload("uniform", 32, 77);
-  const auto trace = oisa::experiments::collectTrace(
-      design, oisa::experiments::overclockedPeriodNs(0.3, 15.0), *workload,
-      1500);
+  oisa::experiments::TraceCollector collector(
+      design, oisa::experiments::overclockedPeriodNs(0.3, 15.0));
+  const auto trace = collector.collect(*workload, 1500);
   for (const auto& rec : trace) {
     const auto s = oisa::core::decomposeErrors(oisa::core::OutputTriple{
         rec.diamondValue(32), rec.goldValue(32), rec.silverValue(32)});

@@ -246,6 +246,7 @@ TEST(LaneTraceCollectorTest, MatchesScalarReferenceAcrossCprAndWorkloads) {
   const auto design = testDesign(8, 2, 1, 4);
   for (const double cpr : {5.0, 15.0}) {
     const double period = oisa::experiments::overclockedPeriodNs(0.3, cpr);
+    TraceCollector collector(design, period);
     for (const char* kind : {"uniform", "random-walk"}) {
       SCOPED_TRACE(std::string(kind) + " @ " + std::to_string(cpr));
       // Non-multiple-of-64 cycle count: uneven chunks + tail lanes.
@@ -256,9 +257,7 @@ TEST(LaneTraceCollectorTest, MatchesScalarReferenceAcrossCprAndWorkloads) {
         auto laneWl = oisa::experiments::makeWorkload(kind, 32, 77);
         const auto scalar = oisa::experiments::collectTraceScalar(
             design, period, *scalarWl, cycles);
-        const auto lane =
-            oisa::experiments::collectTrace(design, period, *laneWl, cycles);
-        expectTracesEqual(lane, scalar);
+        expectTracesEqual(collector.collect(*laneWl, cycles), scalar);
       }
     }
   }
@@ -606,7 +605,8 @@ TEST(LaneTraceCollectorTest, RejectsDesignsOffTheAdderPortConvention) {
   // A 32-bit adder's config over the c17 netlist (5 inputs, 2 outputs):
   // refused at construction, naming the design and the counts.
   auto design = testDesign(8, 2, 1, 4);
-  design.netlist = oisa::netlist::readBenchString(oisa::testing::kC17, "c17");
+  design.netlist =
+      oisa::netlist::readBenchString(oisa::testing::kC17, "c17").valueOrThrow();
   design.delays = DelayAnnotation(design.netlist, CellLibrary::generic65());
   try {
     TraceCollector collector(design, 0.3);

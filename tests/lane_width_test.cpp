@@ -130,7 +130,7 @@ TEST(LaneWidthTest, BatchEvaluatorBitExactOnAllPaperDesignsAndC17) {
     compiles.push_back(CompiledNetlist::compile(design.netlist));
   }
   compiles.push_back(CompiledNetlist::compile(
-      oisa::netlist::readBenchString(kC17, "c17")));
+      oisa::netlist::readBenchString(kC17, "c17").valueOrThrow()));
   for (const auto& compiled : compiles) {
     const auto reference =
         oisa::netlist::makeBatchEvaluator(compiled, kReference);
@@ -151,7 +151,7 @@ TEST(LaneWidthTest, PpsfpBitExactOnRandomNetlistsAndC17) {
         CompiledNetlist::compile(randomNetlist(rng, 8, 40, 6)));
   }
   compiles.push_back(CompiledNetlist::compile(
-      oisa::netlist::readBenchString(kC17, "c17")));
+      oisa::netlist::readBenchString(kC17, "c17").valueOrThrow()));
   for (const auto& compiled : compiles) {
     oisa::fault::FaultUniverse universe(compiled);
     const auto reference =
@@ -261,7 +261,7 @@ TEST(LaneWidthTest, RandomCoverageInvariantAcrossWidths) {
   std::mt19937_64 rng(606);
   std::vector<std::shared_ptr<const CompiledNetlist>> compiles;
   compiles.push_back(CompiledNetlist::compile(
-      oisa::netlist::readBenchString(kC17, "c17")));
+      oisa::netlist::readBenchString(kC17, "c17").valueOrThrow()));
   compiles.push_back(
       CompiledNetlist::compile(randomNetlist(rng, 8, 40, 6)));
   oisa::fault::CoverageOptions options;

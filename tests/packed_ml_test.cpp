@@ -348,7 +348,8 @@ Trace collectPaperTrace(std::uint64_t cycles, std::uint64_t seed) {
   const double period = design.criticalDelayNs * 0.85;
   auto workload =
       oisa::experiments::makeWorkload("uniform", design.config.width, seed);
-  return oisa::experiments::collectTrace(design, period, *workload, cycles);
+  oisa::experiments::TraceCollector collector(design, period);
+  return collector.collect(*workload, cycles);
 }
 
 TEST(PackedTraceTest, ColumnsMatchScalarExtraction) {
@@ -387,59 +388,66 @@ TEST(PackedTraceTest, AblatedExtractorDropsGoldColumns) {
 
 TEST(PackedPredictorTest, AllBitsAgreeWithScalarOnCollectedTrace) {
   const Trace train = collectPaperTrace(600, 17);
-  const Trace test = collectPaperTrace(400, 19);
+  const Trace full = collectPaperTrace(400, 19);
   oisa::predict::PredictorParams params;
   params.forest.treeCount = 5;
   BitLevelPredictor predictor(32, params);
   predictor.fit(train);
 
-  // evaluate()'s batched sweep must equal the scalar per-cycle pipeline:
-  // recompute ABPER/AVPE through the public predictFlips path.
-  const auto eval = predictor.evaluate(test);
-  std::vector<std::uint64_t> wrong(33, 0);
-  double avpeSum = 0.0;
-  std::uint64_t skipped = 0;
-  for (std::size_t t = 1; t < test.size(); ++t) {
-    const auto flips = predictor.predictFlips(test[t - 1], test[t]);
-    for (int bit = 0; bit <= 32; ++bit) {
-      const bool predicted = bit == 32
-                                 ? flips.coutFlip
-                                 : ((flips.sumFlips >> bit) & 1u) != 0;
-      if (predicted !=
-          FeatureExtractor::timingErroneous(test[t], bit, 32)) {
-        ++wrong[static_cast<std::size_t>(bit)];
+  // evaluate() scores 64 record pairs per block: it must equal the scalar
+  // per-cycle pipeline (predictFlipsReference) on both sides of every
+  // block edge, from one pair up to several ragged blocks.
+  for (const std::size_t length : {2, 64, 65, 66, 129, 400}) {
+    SCOPED_TRACE("trace length " + std::to_string(length));
+    const Trace test(full.begin(),
+                     full.begin() + static_cast<std::ptrdiff_t>(length));
+    const auto eval = predictor.evaluate(test);
+    std::vector<std::uint64_t> wrong(33, 0);
+    double avpeSum = 0.0;
+    std::uint64_t skipped = 0;
+    for (std::size_t t = 1; t < test.size(); ++t) {
+      const auto flips = predictor.predictFlipsReference(test[t - 1], test[t]);
+      for (int bit = 0; bit <= 32; ++bit) {
+        const bool predicted = bit == 32
+                                   ? flips.coutFlip
+                                   : ((flips.sumFlips >> bit) & 1u) != 0;
+        if (predicted !=
+            FeatureExtractor::timingErroneous(test[t], bit, 32)) {
+          ++wrong[static_cast<std::size_t>(bit)];
+        }
+      }
+      const bool predictedCout = test[t].goldCout != flips.coutFlip;
+      const std::uint64_t predictedSilver =
+          flips.predictedSilver(test[t].gold) |
+          (static_cast<std::uint64_t>(predictedCout ? 1 : 0) << 32);
+      const std::uint64_t realSilver = test[t].silverValue(32);
+      if (realSilver == 0) {
+        ++skipped;
+      } else {
+        const std::uint64_t diff = predictedSilver >= realSilver
+                                       ? predictedSilver - realSilver
+                                       : realSilver - predictedSilver;
+        avpeSum +=
+            static_cast<double>(diff) / static_cast<double>(realSilver);
       }
     }
-    const bool predictedCout = test[t].goldCout != flips.coutFlip;
-    const std::uint64_t predictedSilver =
-        flips.predictedSilver(test[t].gold) |
-        (static_cast<std::uint64_t>(predictedCout ? 1 : 0) << 32);
-    const std::uint64_t realSilver = test[t].silverValue(32);
-    if (realSilver == 0) {
-      ++skipped;
-    } else {
-      const std::uint64_t diff = predictedSilver >= realSilver
-                                     ? predictedSilver - realSilver
-                                     : realSilver - predictedSilver;
-      avpeSum += static_cast<double>(diff) / static_cast<double>(realSilver);
+    const std::uint64_t cycles = test.size() - 1;
+    ASSERT_EQ(eval.cycles, cycles);
+    EXPECT_EQ(eval.avpeSkipped, skipped);
+    double abperSum = 0.0;
+    for (int bit = 0; bit <= 32; ++bit) {
+      const double rate =
+          static_cast<double>(wrong[static_cast<std::size_t>(bit)]) /
+          static_cast<double>(cycles);
+      EXPECT_EQ(eval.perBitErrorRate[static_cast<std::size_t>(bit)], rate)
+          << "bit " << bit;
+      abperSum += rate;
     }
+    EXPECT_EQ(eval.abper, abperSum / 33.0);
+    const std::uint64_t avpeCycles = cycles - skipped;
+    EXPECT_EQ(eval.avpe,
+              avpeCycles ? avpeSum / static_cast<double>(avpeCycles) : 0.0);
   }
-  const std::uint64_t cycles = test.size() - 1;
-  ASSERT_EQ(eval.cycles, cycles);
-  EXPECT_EQ(eval.avpeSkipped, skipped);
-  double abperSum = 0.0;
-  for (int bit = 0; bit <= 32; ++bit) {
-    const double rate =
-        static_cast<double>(wrong[static_cast<std::size_t>(bit)]) /
-        static_cast<double>(cycles);
-    EXPECT_EQ(eval.perBitErrorRate[static_cast<std::size_t>(bit)], rate)
-        << "bit " << bit;
-    abperSum += rate;
-  }
-  EXPECT_EQ(eval.abper, abperSum / 33.0);
-  const std::uint64_t avpeCycles = cycles - skipped;
-  EXPECT_EQ(eval.avpe,
-            avpeCycles ? avpeSum / static_cast<double>(avpeCycles) : 0.0);
 }
 
 TEST(PackedPredictorTest, FitAndPackCountersReportTheirLayers) {

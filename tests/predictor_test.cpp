@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <numeric>
 #include <random>
+#include <span>
+#include <vector>
 
 #include "predict/bit_predictor.h"
 #include "predict/features.h"
@@ -40,7 +43,8 @@ TEST(FeatureExtractorTest, LayoutMatchesDocumentation) {
   TraceRecord prev = makeRecord(0b0001, 0b0010, 0b0011, 0b0011);
   prev.carryIn = true;
   const TraceRecord cur = makeRecord(0b1000, 0b0100, 0b1100, 0b1100);
-  const auto f = fx.extract(prev, cur, /*bit=*/2);
+  std::vector<std::uint8_t> f(fx.featureCount());
+  fx.extract(prev, cur, /*bit=*/2, f);
 
   // Current cycle: a=1000 (bit3 set), b=0100 (bit2 set), cin=0.
   EXPECT_EQ(f[0], 0);  // a0[t]
@@ -177,8 +181,11 @@ TEST(BitPredictorTest, GuardsAgainstMisuse) {
   EXPECT_THROW(predictor.fit(tiny), std::invalid_argument);
   const Trace two(2);
   EXPECT_THROW((void)predictor.evaluate(two), std::logic_error);
-  TraceRecord a, b;
-  EXPECT_THROW((void)predictor.predictFlips(a, b), std::logic_error);
+  PredictedFlips flips;
+  EXPECT_THROW(predictor.predictFlipsBlock(two, std::span(&flips, 1)),
+               std::logic_error);
+  EXPECT_THROW((void)predictor.predictFlipsReference(two[0], two[1]),
+               std::logic_error);
 }
 
 TEST(BitPredictorTest, EveryModelKindPersistsThroughSaveFlat) {
@@ -200,11 +207,26 @@ TEST(BitPredictorTest, EveryModelKindPersistsThroughSaveFlat) {
     ASSERT_TRUE(predictor.saveFlat(path).isOk());
     auto loaded = BitLevelPredictor::loadFlat(path);
     ASSERT_TRUE(loaded.isOk()) << loaded.status().toString();
-    for (std::size_t t = 1; t < test.size(); ++t) {
-      const auto original = predictor.predictFlips(test[t - 1], test[t]);
-      const auto reloaded = loaded.value().predictFlips(test[t - 1], test[t]);
-      EXPECT_EQ(original.sumFlips, reloaded.sumFlips);
-      EXPECT_EQ(original.coutFlip, reloaded.coutFlip);
+    // The serving block path of both banks, pair by pair in 64-pair blocks
+    // (the last one ragged), and the scalar reference of the reload.
+    const std::span<const TraceRecord> records(test);
+    std::array<PredictedFlips, 64> original;
+    std::array<PredictedFlips, 64> reloaded;
+    for (std::size_t base = 0; base + 1 < test.size(); base += 64) {
+      const std::size_t n = std::min<std::size_t>(64, test.size() - 1 - base);
+      predictor.predictFlipsBlock(records.subspan(base, n + 1),
+                                  std::span(original).first(n));
+      loaded.value().predictFlipsBlock(records.subspan(base, n + 1),
+                                       std::span(reloaded).first(n));
+      for (std::size_t lane = 0; lane < n; ++lane) {
+        const std::size_t t = base + lane + 1;
+        const PredictedFlips reference =
+            loaded.value().predictFlipsReference(test[t - 1], test[t]);
+        ASSERT_EQ(original[lane].sumFlips, reloaded[lane].sumFlips) << t;
+        ASSERT_EQ(original[lane].coutFlip, reloaded[lane].coutFlip) << t;
+        ASSERT_EQ(reloaded[lane].sumFlips, reference.sumFlips) << t;
+        ASSERT_EQ(reloaded[lane].coutFlip, reference.coutFlip) << t;
+      }
     }
     const auto e1 = predictor.evaluate(test);
     const auto e2 = loaded.value().evaluate(test);

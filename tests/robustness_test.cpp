@@ -40,7 +40,7 @@ TEST(MalformedBenchTest, EveryCorpusFileReturnsDiagnosticStatus) {
       {"garbage.bin", ""},
   };
   for (const CorpusCase& c : corpus) {
-    const auto result = oisa::netlist::readBenchFileStatus(dataPath(c.file));
+    const auto result = oisa::netlist::readBenchFile(dataPath(c.file));
     ASSERT_FALSE(result.isOk()) << c.file << " should have been rejected";
     EXPECT_EQ(result.status().code(), StatusCode::InvalidInput) << c.file;
     EXPECT_FALSE(result.status().message().empty()) << c.file;
@@ -59,7 +59,7 @@ TEST(MalformedBenchTest, ValidBenchStillParses) {
       "OUTPUT(G22)\nOUTPUT(G23)\n"
       "G10 = NAND(G1, G3)\nG11 = NAND(G3, G6)\nG16 = NAND(G2, G11)\n"
       "G19 = NAND(G11, G7)\nG22 = NAND(G10, G16)\nG23 = NAND(G16, G19)\n";
-  const auto result = oisa::netlist::readBenchStringStatus(c17, "c17");
+  const auto result = oisa::netlist::readBenchString(c17, "c17");
   ASSERT_TRUE(result.isOk()) << result.status().toString();
   EXPECT_EQ(result.value().primaryInputs().size(), 5u);
   EXPECT_EQ(result.value().primaryOutputs().size(), 2u);
@@ -67,7 +67,7 @@ TEST(MalformedBenchTest, ValidBenchStillParses) {
 
 TEST(MalformedBenchTest, MissingFileIsIoError) {
   const auto result =
-      oisa::netlist::readBenchFileStatus(dataPath("does_not_exist.bench"));
+      oisa::netlist::readBenchFile(dataPath("does_not_exist.bench"));
   ASSERT_FALSE(result.isOk());
   EXPECT_EQ(result.status().code(), StatusCode::IoError);
 }
@@ -75,7 +75,7 @@ TEST(MalformedBenchTest, MissingFileIsIoError) {
 TEST(MalformedBenchTest, FileOpenInjectionFiresBeforeTheFilesystem) {
   ScopedFaultPlan plan("file.open:*");
   const auto result =
-      oisa::netlist::readBenchFileStatus(dataPath("unterminated.bench"));
+      oisa::netlist::readBenchFile(dataPath("unterminated.bench"));
   ASSERT_FALSE(result.isOk());
   EXPECT_EQ(result.status().code(), StatusCode::IoError);
   EXPECT_NE(result.status().message().find("file.open"), std::string::npos);

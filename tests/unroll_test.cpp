@@ -355,7 +355,8 @@ TEST(UnrollTest, RejectsInputsItCannotUnroll) {
           << e.what();
     }
   };
-  Netlist nl = oisa::netlist::readBenchString(oisa::testing::kC17, "c17");
+  Netlist nl =
+      oisa::netlist::readBenchString(oisa::testing::kC17, "c17").valueOrThrow();
   const DelayAnnotation delays(nl, oisa::timing::CellLibrary::generic65());
   const auto compiled = CompiledNetlist::compile(nl);
   expectInvalid(
@@ -369,7 +370,7 @@ TEST(UnrollTest, RejectsInputsItCannotUnroll) {
       },
       "to clamp");
   const Netlist other = oisa::netlist::readBenchString(
-      "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "inv");
+      "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "inv").valueOrThrow();
   const DelayAnnotation otherDelays(other,
                                     oisa::timing::CellLibrary::generic65());
   expectInvalid(
