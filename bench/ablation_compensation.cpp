@@ -1,13 +1,11 @@
 // Ablation C: what each COMP mechanism buys. Sweeps correction and
 // reduction sizes at fixed block/spec and reports structural relative-error
-// RMS and error rate (behavioral model only: fast, paper-scale samples).
+// RMS and error rate (behavioral model only: fast, paper-scale samples)
+// of full output values (sum plus carry-out), relative to the exact sum.
 //
 // Usage: ablation_compensation [--samples=N] [--block=8] [--spec=0]
 //                              [--seed=S] [--csv=path]
-#include <random>
-
-#include "core/error_stats.h"
-#include "core/isa_adder.h"
+#include "core/analysis.h"
 
 #include "bench_common.h"
 
@@ -31,27 +29,14 @@ int run(int argc, char** argv) {
   for (const int corr : {0, 1, 2}) {
     for (const int red : {0, 2, 4, 6}) {
       const auto cfg = core::makeIsa(block, spec, corr, red);
-      const core::IsaAdder isa(cfg);
-      core::ErrorStats rel;
-      core::ErrorStats arith;
-      std::mt19937_64 rng(seed);
-      for (std::uint64_t i = 0; i < samples; ++i) {
-        const std::uint64_t a = rng() & 0xffffffffull;
-        const std::uint64_t b = rng() & 0xffffffffull;
-        const core::IsaSum gold = isa.add(a, b);
-        const core::IsaSum diamond = isa.exactAdd(a, b);
-        const auto e = static_cast<double>(
-            static_cast<std::int64_t>(gold.sum) -
-            static_cast<std::int64_t>(diamond.sum));
-        arith.add(e);
-        if (diamond.sum != 0) {
-          rel.add(e / static_cast<double>(diamond.sum));
-        }
-      }
+      const core::ErrorCombination errors =
+          core::sampleStructuralErrors(cfg, samples, seed).errors;
+      const core::ErrorStats& rel = errors.relStruct();
       table.addRow({cfg.name(), std::to_string(corr), std::to_string(red),
                     experiments::formatSci(
                         experiments::displayFloor(rel.rms() * 100.0), 3),
-                    experiments::formatSci(arith.errorRate(), 3),
+                    experiments::formatSci(errors.arithStruct().errorRate(),
+                                           3),
                     experiments::formatSci(rel.maxAbs(), 3)});
     }
   }

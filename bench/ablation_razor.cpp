@@ -52,10 +52,13 @@ int run(int argc, char** argv) {
       timing::RazorSampler razor(design.netlist, design.delays, period,
                                  margin, penalty);
       std::mt19937_64 rng(seed);
-      razor.initialize(circuits::packOperands(rng(), rng(), false, 32));
-      for (std::uint64_t i = 0; i < cycles; ++i) {
-        (void)razor.step(circuits::packOperands(rng(), rng(), false, 32));
-      }
+      const auto draw = [&] {
+        const std::uint64_t b = rng();  // b first: the pinned stimulus order
+        const std::uint64_t a = rng();
+        return circuits::packOperands(a, b, false, 32);
+      };
+      razor.initialize(draw());
+      for (std::uint64_t i = 0; i < cycles; ++i) (void)razor.step(draw());
 
       // Approximate arm: run open-loop and measure the joint error.
       experiments::RunOptions options;

@@ -4,8 +4,6 @@
 // error methodology applies, with energy scaling as Vdd^2.
 //
 // Usage: ablation_voltage [--cycles=N] [--seed=S] [--csv=path]
-#include "core/error_model.h"
-#include "experiments/trace_collector.h"
 #include "timing/voltage.h"
 
 #include "bench_common.h"
@@ -27,47 +25,45 @@ int run(int argc, char** argv) {
       core::makeExact(32)};
   const double voltages[] = {1.20, 1.10, 1.05, 1.00, 0.95};
 
+  // Relax slack against the unchanged 0.3 ns constraint at nominal
+  // voltage, then derate the annotation to each scaled voltage; every
+  // derated design runs at the 0.3 ns sign-off clock (0% CPR).
+  circuits::SynthesisOptions synth;
+  synth.relaxSlack = true;
+  std::vector<circuits::SynthesizedDesign> designs;
+  for (const auto& cfg : subset) {
+    const auto nominal = circuits::synthesize(cfg, nominalLib, synth);
+    for (const double vdd : voltages) {
+      auto& design = designs.emplace_back(nominal);
+      const double factor = timing::voltageDelayFactor(vdd, model);
+      for (std::uint32_t g = 0; g < design.netlist.gateCount(); ++g) {
+        design.delays.scale(netlist::GateId{g}, factor);
+      }
+    }
+  }
+  experiments::RunOptions options;
+  options.cycles = cycles;
+  options.seed = seed;
+  const double cprPercents[] = {0.0};
+  const auto rows =
+      experiments::runErrorCombination(designs, cprPercents, options);
+
   std::cout << "== Ablation: voltage over-scaling at a fixed 0.3 ns clock "
                "==\n(alpha-power-law delay, energy ~ Vdd^2)\n\n";
   experiments::Table table({"design", "vdd[V]", "delay-factor",
                             "energy-factor", "timing-err-rate",
                             "joint-rms[%]"});
-  for (const auto& cfg : subset) {
-    for (const double vdd : voltages) {
-      // Scale the library, re-synthesize timing at that voltage, relax
-      // slack against the unchanged 0.3 ns constraint at nominal voltage.
-      circuits::SynthesisOptions synth;
-      synth.relaxSlack = true;
-      auto design = circuits::synthesize(cfg, nominalLib, synth);
-      // Derate the relaxed annotation to the scaled voltage.
-      const double factor = timing::voltageDelayFactor(vdd, model);
-      for (std::uint32_t g = 0; g < design.netlist.gateCount(); ++g) {
-        design.delays.scale(netlist::GateId{g}, factor);
-      }
-
-      auto workload = experiments::makeWorkload("uniform", 32, seed);
-      experiments::TraceCollector collector(design, 0.3);
-      const auto trace = collector.collect(*workload, cycles);
-      core::ErrorCombination combo;
-      std::uint64_t timingErrors = 0;
-      for (const auto& rec : trace) {
-        combo.add(core::OutputTriple{rec.diamondValue(32),
-                                     rec.goldValue(32),
-                                     rec.silverValue(32)});
-        timingErrors += rec.silverValue(32) != rec.goldValue(32);
-      }
-      table.addRow(
-          {cfg.name(), experiments::formatFixed(vdd, 2),
-           experiments::formatFixed(factor, 3),
-           experiments::formatFixed(timing::voltageEnergyFactor(vdd, model),
-                                    3),
-           experiments::formatSci(
-               static_cast<double>(timingErrors) /
-                   static_cast<double>(trace.size()),
-               2),
-           experiments::formatSci(experiments::displayFloor(
-               combo.relJoint().rms() * 100.0), 2)});
-    }
+  // Rows come design-major, one per CPR point; with the single 0% point
+  // row i is designs[i], which was filled config-major, voltage-minor.
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double vdd = voltages[i % std::size(voltages)];
+    table.addRow(
+        {rows[i].design, experiments::formatFixed(vdd, 2),
+         experiments::formatFixed(timing::voltageDelayFactor(vdd, model), 3),
+         experiments::formatFixed(timing::voltageEnergyFactor(vdd, model), 3),
+         experiments::formatSci(rows[i].timingErrorRate, 2),
+         experiments::formatSci(
+             experiments::displayFloor(rows[i].rmsRelJoint * 100.0), 2)});
   }
   bench::emit(table, csv);
   std::cout << "\nSpeculative designs tolerate deeper voltage scaling than "

@@ -31,7 +31,9 @@ int run(int argc, char** argv) {
   std::vector<std::vector<std::uint8_t>> stimuli;
   stimuli.reserve(cycles + 1);
   for (std::uint64_t i = 0; i <= cycles; ++i) {
-    stimuli.push_back(circuits::packOperands(rng(), rng(), false, 32));
+    const std::uint64_t b = rng();  // b first: the pinned stimulus order
+    const std::uint64_t a = rng();
+    stimuli.push_back(circuits::packOperands(a, b, false, 32));
   }
 
   std::cout << "== Table III: area / delay / power at 0.3 ns, " << cycles

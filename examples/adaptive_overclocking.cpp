@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <iostream>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,14 +33,18 @@
 
 namespace {
 
+/// `--budgets`: comma-separated whole finite numbers, each read like a
+/// --key=number flag; any other item, the empty one before, between or
+/// after commas included, is InvalidInput naming the flag.
 std::vector<double> parseBudgets(const std::string& csv) {
   std::vector<double> budgets;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) budgets.push_back(std::stod(item));
+  for (std::size_t begin = 0;;) {
+    const std::size_t end = csv.find(',', begin);
+    budgets.push_back(oisa::experiments::parseFiniteDouble(
+        "budgets", csv.substr(begin, end - begin)));
+    if (end == std::string::npos) return budgets;
+    begin = end + 1;
   }
-  return budgets;
 }
 
 int run(int argc, char** argv) {

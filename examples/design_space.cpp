@@ -7,11 +7,9 @@
 // Run: ./design_space [--samples=N] [--target=0.3]
 #include <algorithm>
 #include <iostream>
-#include <random>
 
 #include "circuits/synthesis.h"
-#include "core/error_stats.h"
-#include "core/isa_adder.h"
+#include "core/analysis.h"
 #include "experiments/cli.h"
 #include "experiments/report.h"
 
@@ -43,19 +41,8 @@ int run(int argc, char** argv) {
           if (red > block) continue;
           Candidate c;
           c.cfg = core::makeIsa(block, spec, corr, red);
-
-          const core::IsaAdder isa(c.cfg);
-          core::ErrorStats rel;
-          std::mt19937_64 rng(42);
-          for (std::uint64_t i = 0; i < samples; ++i) {
-            const std::uint64_t a = rng() & 0xffffffffull;
-            const std::uint64_t b = rng() & 0xffffffffull;
-            const auto diamond = isa.exactAdd(a, b).sum;
-            if (diamond == 0) continue;
-            rel.add(static_cast<double>(isa.structuralError(a, b)) /
-                    static_cast<double>(diamond));
-          }
-          c.rmsRel = rel.rms();
+          const auto mc = core::sampleStructuralErrors(c.cfg, samples, 42);
+          c.rmsRel = mc.errors.relStruct().rms();
 
           circuits::SynthesisOptions synth;
           synth.targetPeriodNs = target;

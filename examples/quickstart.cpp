@@ -70,12 +70,8 @@ int run(int argc, char** argv) {
   experiments::UniformWorkload workload(32, /*seed=*/7);
   experiments::TraceCollector collector(
       design, experiments::overclockedPeriodNs(0.3, 15.0));
-  const auto trace = collector.collect(workload, 2000);
-  core::ErrorCombination combo;
-  for (const auto& rec : trace) {
-    combo.add(core::OutputTriple{rec.diamondValue(32), rec.goldValue(32),
-                                 rec.silverValue(32)});
-  }
+  const core::ErrorCombination combo =
+      experiments::combineErrors(collector, workload, 2000, 32);
   std::cout << "\n15% CPR over 2000 random cycles:\n"
             << "  RE RMS structural = " << combo.relStruct().rms() * 100
             << " %\n  RE RMS timing     = " << combo.relTiming().rms() * 100

@@ -23,11 +23,6 @@ namespace oisa::circuits {
 /// Synthesis controls.
 struct SynthesisOptions {
   double targetPeriodNs = 0.3;  ///< the paper's 3.3 GHz constraint
-  /// Optional selection guardband: topology selection prefers structures
-  /// meeting the constraint with this much margin before falling back to
-  /// ones merely meeting it. 0 reproduces a synthesis tool's area-first
-  /// policy (the default; the paper's designs hug the 0.3 ns constraint).
-  double selectionMargin = 0.0;
   bool relaxSlack = false;      ///< run the power-recovery sizing pass
   timing::RelaxationOptions relaxation{};  ///< pass controls (period is
                                            ///< overridden by targetPeriodNs)

@@ -148,13 +148,13 @@ StructuralMonteCarlo sampleStructuralErrors(const IsaConfig& cfg,
   for (std::uint64_t i = 0; i < samples; ++i) {
     const std::uint64_t a = rng();
     const std::uint64_t b = rng();
-    const IsaSum gold = isa.addTraced(a, b, false, traces);
-    const IsaSum diamond = isa.exactAdd(a, b, false);
+    const std::uint64_t gold =
+        isa.addTraced(a, b, false, traces).value(cfg.width);
+    const std::uint64_t diamond = isa.exactAdd(a, b, false).value(cfg.width);
     for (std::size_t p = 0; p < traces.size(); ++p) {
       if (traces[p].faultDirection != 0) ++result.pathFaults[p];
     }
-    result.errors.add(signedErrorAsDouble(gold.value(cfg.width),
-                                          diamond.value(cfg.width)));
+    result.errors.add(OutputTriple{diamond, gold, gold});
   }
   return result;
 }

@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/error_stats.h"
+#include "core/error_model.h"
 #include "core/isa_config.h"
 
 namespace oisa::core {
@@ -49,11 +49,14 @@ namespace oisa::core {
 
 /// Monte-Carlo measurement of the behavioral model's structural errors
 /// under uniform random operands — the empirical counterpart of the closed
-/// forms above (property tests cross-check the two; benches quote both).
+/// forms above (property tests cross-check the two; ablation_compensation
+/// and design_space read their error columns from it).
 struct StructuralMonteCarlo {
   std::uint64_t samples = 0;
   std::vector<std::uint64_t> pathFaults;  ///< speculation faults per path
-  ErrorStats errors;                      ///< signed E_struct stream
+  /// Every sample's full output values (y_diamond, y_gold, y_gold): read
+  /// E_struct from arithStruct() and its relative form from relStruct().
+  ErrorCombination errors;
 
   /// Measured counterpart of faultProbability(cfg, path).
   [[nodiscard]] double faultRate(int path) const;
@@ -61,8 +64,8 @@ struct StructuralMonteCarlo {
   [[nodiscard]] double meanFaultsPerAddition() const;
 };
 
-/// Draws `samples` uniform operand pairs (carry-in 0) through the
-/// behavioral adder and accumulates fault counts and error statistics.
+/// Draws `samples` uniform operand pairs (carry-in 0; a, then b) through
+/// the behavioral adder and accumulates fault counts and error statistics.
 /// Deterministic for a given seed; samples are drawn in 64-bit words so
 /// results are independent of the adder width.
 [[nodiscard]] StructuralMonteCarlo sampleStructuralErrors(

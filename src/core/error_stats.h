@@ -4,6 +4,8 @@
 // mean, mean absolute, RMS (the paper's headline metric for relative
 // errors), error rate and worst case. The accumulator is single-pass and
 // O(1) memory so ten-million-sample characterizations stream through it.
+// Only ErrorCombination (error_model.h) feeds it the errors of output
+// values; every study reads its statistics from there.
 #pragma once
 
 #include <algorithm>
@@ -12,14 +14,6 @@
 #include <limits>
 
 namespace oisa::core {
-
-/// Signed difference `a - b` of two unsigned composed output values, as a
-/// double. Computed in unsigned space: composed values may use bit 63 at
-/// adder widths 63-64, where int64 casts of the operands would overflow.
-[[nodiscard]] constexpr double signedErrorAsDouble(std::uint64_t a,
-                                                   std::uint64_t b) noexcept {
-  return a >= b ? static_cast<double>(a - b) : -static_cast<double>(b - a);
-}
 
 /// Single-pass accumulator over a stream of (signed) error values.
 class ErrorStats {

@@ -59,10 +59,4 @@ std::uint64_t IsaMultiplier::exactMultiply(std::uint64_t a,
   return (a & operandMask_) * (b & operandMask_);
 }
 
-std::int64_t IsaMultiplier::structuralError(std::uint64_t a,
-                                            std::uint64_t b) const {
-  return static_cast<std::int64_t>(multiply(a, b)) -
-         static_cast<std::int64_t>(exactMultiply(a, b));
-}
-
 }  // namespace oisa::core

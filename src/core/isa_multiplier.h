@@ -43,10 +43,6 @@ class IsaMultiplier {
   [[nodiscard]] std::uint64_t exactMultiply(std::uint64_t a,
                                             std::uint64_t b) const noexcept;
 
-  /// Signed structural error of one product.
-  [[nodiscard]] std::int64_t structuralError(std::uint64_t a,
-                                             std::uint64_t b) const;
-
   [[nodiscard]] const MultiplierConfig& config() const noexcept {
     return cfg_;
   }

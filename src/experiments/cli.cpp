@@ -104,19 +104,22 @@ std::uint64_t ArgParser::boundedU64(const std::string& key,
   return value;
 }
 
-double ArgParser::getDouble(const std::string& key, double fallback) const {
-  const std::string* text = find(key);
-  if (text == nullptr) return fallback;
+double parseFiniteDouble(const std::string& key, const std::string& text) {
   errno = 0;
   char* end = nullptr;
-  const double value = std::strtod(text->c_str(), &end);
+  const double value = std::strtod(text.c_str(), &end);
   // strtod also parses "nan" and "inf"; no flag means either, and a NaN
   // slips past every range check (`nan > 0.0` is false).
-  if (text->empty() || errno == ERANGE ||
-      end != text->c_str() + text->size() || !std::isfinite(value)) {
-    failValue(key, "a finite number", *text);
+  if (text.empty() || errno == ERANGE || end != text.c_str() + text.size() ||
+      !std::isfinite(value)) {
+    failValue(key, "a finite number", text);
   }
   return value;
+}
+
+double ArgParser::getDouble(const std::string& key, double fallback) const {
+  const std::string* text = find(key);
+  return text == nullptr ? fallback : parseFiniteDouble(key, *text);
 }
 
 std::string ArgParser::getString(const std::string& key,

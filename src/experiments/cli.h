@@ -57,6 +57,13 @@ class ArgParser {
   mutable bool checked_ = false;  ///< rejectUnread() has run
 };
 
+/// Reads `text` as a whole finite number, the rule getDouble applies to
+/// the value of `--key`: anything else (empty, "nan", "inf", "1e-3x", out
+/// of double range) is InvalidInput naming the flag. A flag whose value is
+/// a list reads each item through it.
+[[nodiscard]] double parseFiniteDouble(const std::string& key,
+                                       const std::string& text);
+
 /// The error boundary of every bench and example main: returns `body()`,
 /// or EXIT_FAILURE after an `error:` line on stderr when it throws, so a
 /// bad flag or design parameter exits 1 with its message instead of

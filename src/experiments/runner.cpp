@@ -396,12 +396,7 @@ BitDistributionResult runBitDistribution(
               ++structuralCounts[static_cast<std::size_t>(pos)];
             }
           }
-          const std::uint64_t coutBit = std::uint64_t{1} << width;
-          const std::uint64_t goldWord =
-              rec.gold | (rec.goldCout ? coutBit : 0);
-          const std::uint64_t silverWord =
-              rec.silver | (rec.silverCout ? coutBit : 0);
-          timing.add(silverWord, goldWord);
+          timing.add(rec.silverValue(width), rec.goldValue(width));
         }
       });
   BitDistributionResult result;

@@ -12,12 +12,14 @@ namespace {
 
 using oisa::core::carryProbability;
 using oisa::core::correctionProbability;
+using oisa::core::ErrorCombination;
 using oisa::core::expectedStructuralErrorApprox;
 using oisa::core::faultProbability;
 using oisa::core::IsaAdder;
 using oisa::core::IsaConfig;
 using oisa::core::makeIsa;
 using oisa::core::meanFaultsPerAddition;
+using oisa::core::OutputTriple;
 using oisa::core::PathTrace;
 using oisa::core::sampleStructuralErrors;
 using oisa::core::structuralErrorRateApprox;
@@ -123,7 +125,7 @@ TEST(AnalysisTest, ErrorRateApproxTracksMonteCarlo) {
        {makeIsa(8, 0, 0, 0), makeIsa(8, 0, 1, 0), makeIsa(16, 2, 0, 0),
         makeIsa(16, 2, 1, 0)}) {
     const auto mc = sampleStructuralErrors(cfg, n, 11);
-    const double measured = mc.errors.errorRate();
+    const double measured = mc.errors.arithStruct().errorRate();
     const double predicted = structuralErrorRateApprox(cfg);
     // Cross-boundary correlation makes this approximate: allow 10% rel.
     EXPECT_NEAR(measured, predicted, 0.1 * predicted + 0.005) << cfg.name();
@@ -135,7 +137,7 @@ TEST(AnalysisTest, ExpectedErrorApproxTracksMonteCarlo) {
   for (const IsaConfig& cfg :
        {makeIsa(8, 0, 0, 0), makeIsa(8, 0, 0, 4), makeIsa(16, 1, 0, 2)}) {
     const auto mc = sampleStructuralErrors(cfg, n, 13);
-    const double measured = mc.errors.mean();
+    const double measured = mc.errors.arithStruct().mean();
     const double predicted = expectedStructuralErrorApprox(cfg);
     EXPECT_LT(measured, 0.0);
     EXPECT_LT(predicted, 0.0);
@@ -143,6 +145,33 @@ TEST(AnalysisTest, ExpectedErrorApproxTracksMonteCarlo) {
     EXPECT_NEAR(measured, predicted, std::abs(predicted) * 0.25)
         << cfg.name();
   }
+}
+
+TEST(AnalysisTest, RelativeErrorsUseFullOutputValues) {
+  // The paper's metric divides by the exact result over full output values
+  // (sum plus carry-out). Over truncated 32-bit sums, a fault that changes
+  // the carry-out would read an error near 2^32, and relative errors far
+  // above 1.
+  const auto cfg = makeIsa(8, 0, 0, 0);
+  const std::uint64_t n = 20000;
+  const auto mc = sampleStructuralErrors(cfg, n, 21);
+  const IsaAdder isa(cfg);
+  ErrorCombination expected;
+  std::mt19937_64 rng(21);
+  std::uint64_t overflows = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t a = rng();
+    const std::uint64_t b = rng();
+    const auto diamond = isa.exactAdd(a, b);
+    const std::uint64_t gold = isa.add(a, b).value(cfg.width);
+    overflows += diamond.carryOut ? 1 : 0;
+    expected.add(OutputTriple{diamond.value(cfg.width), gold, gold});
+  }
+  ASSERT_GT(overflows, n / 4);
+  ASSERT_GT(mc.errors.arithStruct().errorRate(), 0.0);
+  EXPECT_EQ(mc.errors.relStruct().rms(), expected.relStruct().rms());
+  EXPECT_EQ(mc.errors.arithStruct().rms(), expected.arithStruct().rms());
+  EXPECT_LT(mc.errors.relStruct().maxAbs(), 1.0);
 }
 
 TEST(AnalysisTest, WiderWindowsMonotonicallyReduceFaultRate) {

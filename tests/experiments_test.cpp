@@ -31,6 +31,7 @@ using oisa::circuits::SynthesisOptions;
 using oisa::circuits::synthesize;
 using oisa::experiments::ArgParser;
 using oisa::experiments::overclockedPeriodNs;
+using oisa::experiments::parseFiniteDouble;
 using oisa::experiments::RunOptions;
 using oisa::experiments::Stimulus;
 using oisa::experiments::Table;
@@ -334,6 +335,18 @@ TEST(CliTest, DiagnosesMalformedValues) {
       EXPECT_EQ(e.status().code(), oisa::core::StatusCode::InvalidInput);
       EXPECT_NE(e.status().message().find(std::string("--") + key),
                 std::string::npos);
+    }
+  }
+  // The items of a list flag (adaptive_overclocking --budgets) follow the
+  // same rule, and a bad one names the flag.
+  EXPECT_DOUBLE_EQ(parseFiniteDouble("budgets", "0.05"), 0.05);
+  for (const char* item : {"abc", "nan", "1e-3x", ""}) {
+    try {
+      (void)parseFiniteDouble("budgets", item);
+      FAIL() << "expected StatusError for '" << item << "'";
+    } catch (const oisa::core::StatusError& e) {
+      EXPECT_EQ(e.status().code(), oisa::core::StatusCode::InvalidInput);
+      EXPECT_NE(e.status().message().find("--budgets"), std::string::npos);
     }
   }
   // Negative and hex spellings are rejected for unsigned flags instead

@@ -25,13 +25,19 @@ using oisa::timing::measurePower;
 using oisa::timing::PowerLibrary;
 using oisa::timing::RazorSampler;
 
+/// One random 32-bit stimulus, b drawn before a: the order these tests'
+/// expectations were set with.
+std::vector<std::uint8_t> randomStimulus(std::mt19937_64& rng) {
+  const std::uint64_t b = rng();
+  const std::uint64_t a = rng();
+  return packOperands(a, b, false, 32);
+}
+
 std::vector<std::vector<std::uint8_t>> randomStimuli(int cycles,
                                                      std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::vector<std::vector<std::uint8_t>> stimuli;
-  for (int i = 0; i < cycles; ++i) {
-    stimuli.push_back(packOperands(rng(), rng(), false, 32));
-  }
+  for (int i = 0; i < cycles; ++i) stimuli.push_back(randomStimulus(rng));
   return stimuli;
 }
 
@@ -193,9 +199,9 @@ TEST(RazorTest, SafeClockNeverDetects) {
   RazorSampler razor(design.netlist, design.delays, /*period=*/0.5,
                      /*margin=*/0.2);
   std::mt19937_64 rng(11);
-  razor.initialize(packOperands(rng(), rng(), false, 32));
+  razor.initialize(randomStimulus(rng));
   for (int i = 0; i < 300; ++i) {
-    const auto r = razor.step(packOperands(rng(), rng(), false, 32));
+    const auto r = razor.step(randomStimulus(rng));
     EXPECT_FALSE(r.detected);
   }
   EXPECT_EQ(razor.detections(), 0u);
@@ -212,10 +218,10 @@ TEST(RazorTest, AggressiveClockDetectsLatePaths) {
   RazorSampler razor(design.netlist, design.delays, critical * 0.55,
                      critical);
   std::mt19937_64 rng(13);
-  razor.initialize(packOperands(rng(), rng(), false, 32));
+  razor.initialize(randomStimulus(rng));
   int detections = 0;
   for (int i = 0; i < 400; ++i) {
-    detections += razor.step(packOperands(rng(), rng(), false, 32)).detected;
+    detections += razor.step(randomStimulus(rng)).detected;
   }
   EXPECT_GT(detections, 0);
   EXPECT_EQ(razor.detections(), static_cast<std::uint64_t>(detections));
@@ -233,7 +239,7 @@ TEST(RazorTest, ShadowWithFullMarginMatchesSettledOutputs) {
   RazorSampler razor(design.netlist, design.delays, 0.255,
                      design.criticalDelayNs);
   std::mt19937_64 rng(17);
-  razor.initialize(packOperands(rng(), rng(), false, 32));
+  razor.initialize(randomStimulus(rng));
   for (int i = 0; i < 300; ++i) {
     const std::uint64_t a = rng();
     const std::uint64_t b = rng();
@@ -254,9 +260,9 @@ TEST(RazorTest, ThroughputGainAccountsForReplay) {
   RazorSampler razor(design.netlist, design.delays, 0.15, 0.3,
                      /*penalty=*/5.0);
   std::mt19937_64 rng(19);
-  razor.initialize(packOperands(rng(), rng(), false, 32));
+  razor.initialize(randomStimulus(rng));
   for (int i = 0; i < 200; ++i) {
-    (void)razor.step(packOperands(rng(), rng(), false, 32));
+    (void)razor.step(randomStimulus(rng));
   }
   // 0.3 / 0.15 = 2x frequency, discounted by replays.
   const double gain = razor.throughputGain(0.3);
