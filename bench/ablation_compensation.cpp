@@ -14,7 +14,8 @@ namespace {
 int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
-  const std::uint64_t samples = args.getU64("samples", 2000000);
+  const std::uint64_t samples =
+      args.getBounded<std::uint64_t>("samples", 2000000, 1);
   const int block = args.getBounded<int>("block", 8);
   const int spec = args.getBounded<int>("spec", 0);
   const std::uint64_t seed = args.getU64("seed", 42);
@@ -30,7 +31,7 @@ int run(int argc, char** argv) {
     for (const int red : {0, 2, 4, 6}) {
       const auto cfg = core::makeIsa(block, spec, corr, red);
       const core::ErrorCombination errors =
-          core::sampleStructuralErrors(cfg, samples, seed).errors;
+          core::sampleStructuralErrors(cfg, samples, seed);
       const core::ErrorStats& rel = errors.relStruct();
       table.addRow({cfg.name(), std::to_string(corr), std::to_string(red),
                     experiments::formatSci(

@@ -19,7 +19,6 @@ int run(int argc, char** argv) {
   args.rejectUnread();
 
   const auto nominalLib = timing::CellLibrary::generic65();
-  const timing::VoltageModel model;
   const std::vector<core::IsaConfig> subset = {
       core::makeIsa(8, 0, 0, 4), core::makeIsa(16, 2, 1, 6),
       core::makeExact(32)};
@@ -35,7 +34,7 @@ int run(int argc, char** argv) {
     const auto nominal = circuits::synthesize(cfg, nominalLib, synth);
     for (const double vdd : voltages) {
       auto& design = designs.emplace_back(nominal);
-      const double factor = timing::voltageDelayFactor(vdd, model);
+      const double factor = timing::voltageDelayFactor(vdd);
       for (std::uint32_t g = 0; g < design.netlist.gateCount(); ++g) {
         design.delays.scale(netlist::GateId{g}, factor);
       }
@@ -59,8 +58,8 @@ int run(int argc, char** argv) {
     const double vdd = voltages[i % std::size(voltages)];
     table.addRow(
         {rows[i].design, experiments::formatFixed(vdd, 2),
-         experiments::formatFixed(timing::voltageDelayFactor(vdd, model), 3),
-         experiments::formatFixed(timing::voltageEnergyFactor(vdd, model), 3),
+         experiments::formatFixed(timing::voltageDelayFactor(vdd), 3),
+         experiments::formatFixed(timing::voltageEnergyFactor(vdd), 3),
          experiments::formatSci(rows[i].timingErrorRate, 2),
          experiments::formatSci(
              experiments::displayFloor(rows[i].rmsRelJoint * 100.0), 2)});

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -76,12 +77,16 @@ inline void applyModelOptions(const experiments::ArgParser& args,
 
 /// Observability CLI surface shared by every figure/fault bench:
 ///   --metrics-out=FILE  write the metrics registry snapshot as JSON
-///                       (schema oisa-metrics-v1) at exit; the registry
-///                       itself is always on — the flag only adds the
-///                       artifact
-///   --trace-out=FILE    record RAII spans into the bounded ring; write
-///                       Chrome trace-event JSON (open in Perfetto) at exit
-///   --trace-buffer=N    span ring capacity in events (default 65536;
+///                       (schema oisa-metrics-v1, with runMetadata under
+///                       "meta") at exit; the registry itself is always
+///                       on — the flag only adds the artifact
+///   --trace-out=FILE    record RAII spans into the session's buffer;
+///                       write Chrome trace-event JSON (open in Perfetto)
+///                       at exit
+///   --trace-buffer=N    span buffer capacity in events, reserved up
+///                       front and rounded up to a power of two (default
+///                       65536, ~270x the 241 spans of a default
+///                       fault_coverage run; at most kMaxTraceBuffer;
 ///                       overflow drops events and counts the drops)
 /// Telemetry is side-effect-only by construction: every CSV and table is
 /// byte-identical with and without these flags (cross-check #11 in
@@ -91,6 +96,11 @@ struct ObsContext {
   std::string traceOut;
 };
 
+/// The largest --trace-buffer: 2^20 events (151 MB reserved), ~4,000x the
+/// spans of any default run. Past 2^63 the power-of-two round-up
+/// overflows, and far below that the reservation fails.
+inline constexpr std::size_t kMaxTraceBuffer = std::size_t{1} << 20;
+
 /// Parses the obs flags and arms the requested sinks. Call before the
 /// campaign body so spans/counters from the run land in the artifacts.
 inline ObsContext beginObs(const experiments::ArgParser& args) {
@@ -98,17 +108,33 @@ inline ObsContext beginObs(const experiments::ArgParser& args) {
   ctx.metricsOut = args.getString("metrics-out", "");
   ctx.traceOut = args.getString("trace-out", "");
   if (!ctx.traceOut.empty()) {
-    obs::startTracing(args.getBounded<std::size_t>("trace-buffer", 65536, 1));
+    obs::startTracing(args.getBounded<std::size_t>("trace-buffer", 65536, 1,
+                                                   kMaxTraceBuffer));
   }
   return ctx;
 }
 
+/// Run-provenance facts for every artifact a bench writes (BENCH_*.json
+/// and --metrics-out): obs::runMetadata's commit, host, pid and hardware
+/// threads, plus the lane engine and the worker-thread count `threads`
+/// (the --threads value; 0 = hardware concurrency) — the facts that make
+/// a perf number from CI attributable weeks later.
+inline std::map<std::string, std::string> runMetadata(unsigned threads) {
+  std::map<std::string, std::string> meta = obs::runMetadata();
+  meta.emplace("lane_selection",
+               netlist::laneSelectionName(netlist::defaultLaneSelection()));
+  if (threads == 0) threads = std::thread::hardware_concurrency();
+  meta.emplace("threads", std::to_string(threads));
+  return meta;
+}
+
 /// Writes the telemetry artifacts the obs flags asked for. Call once the
-/// campaign has run, so its counters and spans are in them.
-inline void writeObsArtifacts(const ObsContext& obsCtx) {
+/// campaign has run, so its counters and spans are in them; `threads` is
+/// the campaign's --threads value.
+inline void writeObsArtifacts(const ObsContext& obsCtx, unsigned threads) {
   if (!obsCtx.metricsOut.empty()) {
     if (const core::Status s =
-            obs::writeMetricsJson(obsCtx.metricsOut, obs::runMetadata());
+            obs::writeMetricsJson(obsCtx.metricsOut, runMetadata(threads));
         !s.isOk()) {
       std::cerr << "warning: " << s.toString() << "\n";
     } else {
@@ -116,7 +142,7 @@ inline void writeObsArtifacts(const ObsContext& obsCtx) {
     }
   }
   if (!obsCtx.traceOut.empty()) {
-    // Drain before stopTracing — stopping retires the ring.
+    // Drain before stopTracing — stopping frees the session's buffer.
     if (const core::Status s = obs::writeTraceJson(obsCtx.traceOut);
         !s.isOk()) {
       std::cerr << "warning: " << s.toString() << "\n";
@@ -177,17 +203,9 @@ class BenchJson {
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 
-/// Run-provenance fields for every BENCH_*.json artifact: commit, host,
-/// lane engine, thread count — the facts that make a perf number from CI
-/// attributable weeks later.
+/// Adds runMetadata(threads) to a BENCH_*.json artifact.
 inline void addRunMetadata(BenchJson& json, unsigned threads) {
-  for (const auto& [key, value] : obs::runMetadata()) {
-    json.add(key, value);
-  }
-  json.add("lane_selection",
-           netlist::laneSelectionName(netlist::defaultLaneSelection()));
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  json.add("threads", static_cast<std::uint64_t>(threads));
+  for (const auto& [key, value] : runMetadata(threads)) json.add(key, value);
 }
 
 /// The flags every speedup microbench reads, before rejectUnread:

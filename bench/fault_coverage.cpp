@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   const auto designs = bench::synthesizeAll(synth);
 
   const auto rows = runFaultErrorScan(designs, options);
-  bench::writeObsArtifacts(obsCtx);
+  bench::writeObsArtifacts(obsCtx, options.run.threads);
 
   std::cout << "== Stuck-at coverage + defect-aware E_joint shift ==\n"
             << "(coverage: " << options.run.cycles << " "

@@ -55,7 +55,7 @@ int run(int argc, char** argv) {
                       std::string(static_cast<std::size_t>(tBar), '*')});
   }
   bench::emit(table, csv);
-  bench::writeObsArtifacts(obsCtx);
+  bench::writeObsArtifacts(obsCtx, options.threads);
   return 0;
 }
 

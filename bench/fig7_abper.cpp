@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
 
   const auto rows =
       runPredictionEvaluation(designs, bench::paperCprs(), options);
-  bench::writeObsArtifacts(obsCtx);
+  bench::writeObsArtifacts(obsCtx, options.run.threads);
 
   std::cout << "== Fig. 7: ABPER of the bit-level timing-error model ==\n"
             << "(train " << options.trainCycles << " / test "

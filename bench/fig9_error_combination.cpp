@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
   const auto rows =
       runErrorCombination(designs, bench::paperCprs(), options);
-  bench::writeObsArtifacts(obsCtx);
+  bench::writeObsArtifacts(obsCtx, options.threads);
 
   std::cout << "== Fig. 9: relative error RMS (%) under overclocking ==\n"
             << "(cycles per point: " << options.cycles

@@ -1,16 +1,16 @@
 // Telemetry overhead gate: the fig7 cell path (train the per-bit forest,
 // evaluate ABPER/AVPE) run with the obs substrate fully armed (metrics
-// registry on + span tracing into the ring) versus stripped (metrics
-// master switch off, tracing disarmed). The CI gate is --min-speedup=0.97
-// on the median of the per-pair stripped/armed ratios: instrumentation
-// may cost at most ~3% on the real campaign path.
+// registry on + span tracing into the session buffer) versus stripped
+// (metrics master switch off, tracing disarmed). The CI gate is
+// --min-speedup=0.97 on the median of the per-pair stripped/armed
+// ratios: instrumentation may cost at most ~3% on the real campaign path.
 //
 // Self-checking before any timing is reported:
 //   1. byte-identity — the evaluation rows produced with telemetry armed
 //      must equal the stripped rows bit for bit (cross-check #11: the
 //      substrate is side-effect-only);
 //   2. liveness — the armed run must actually record (counters move,
-//      spans land in the ring); gating a no-op would prove nothing.
+//      spans land in the buffer); gating a no-op would prove nothing.
 //
 // Usage: micro_obs [--min-speedup=X] [--json=path] [--threads=N]
 #include <cstdlib>
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
     // in a few ms, so one slow run moves a single ratio by several
     // percent; the median of the pair ratios ignores the pairs a burst of
     // noise hits. Arming and disarming run untimed before each run: a
-    // traced campaign allocates and frees its trace ring once per
+    // traced campaign allocates and frees its trace buffer once per
     // session, not per cell. Every timed run's rows must equal the
     // stripped rows of gate 1.
     // -----------------------------------------------------------------

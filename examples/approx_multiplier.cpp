@@ -57,7 +57,8 @@ double kernelPsnr(const oisa::core::IsaMultiplier& mul, int size,
 int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
-  const std::uint64_t samples = args.getU64("samples", 100000);
+  const std::uint64_t samples =
+      args.getBounded<std::uint64_t>("samples", 100000, 1);
   const int width = args.getBounded<int>("width", 16);
   args.rejectUnread();
 

@@ -26,7 +26,8 @@ struct Candidate {
 int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
-  const std::uint64_t samples = args.getU64("samples", 200000);
+  const std::uint64_t samples =
+      args.getBounded<std::uint64_t>("samples", 200000, 1);
   const double target = args.getDouble("target", 0.3);
   args.rejectUnread();
 
@@ -41,8 +42,9 @@ int run(int argc, char** argv) {
           if (red > block) continue;
           Candidate c;
           c.cfg = core::makeIsa(block, spec, corr, red);
-          const auto mc = core::sampleStructuralErrors(c.cfg, samples, 42);
-          c.rmsRel = mc.errors.relStruct().rms();
+          c.rmsRel = core::sampleStructuralErrors(c.cfg, samples, 42)
+                         .relStruct()
+                         .rms();
 
           circuits::SynthesisOptions synth;
           synth.targetPeriodNs = target;

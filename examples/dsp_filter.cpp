@@ -77,8 +77,11 @@ double snrDb(const std::vector<double>& reference,
 int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
-  const std::size_t samples = args.getU64("samples", 4000);
-  const std::size_t window = args.getU64("window", 8);
+  // A window wider than the signal (or empty) filters nothing: every row
+  // would read inf/nan.
+  const std::size_t samples = args.getBounded<std::size_t>("samples", 4000, 1);
+  const std::size_t window =
+      args.getBounded<std::size_t>("window", 8, 1, samples);
   const double cpr = args.getDouble("cpr", 0.0);
   args.rejectUnread();
 

@@ -6,7 +6,9 @@
 // Run: ./overclocking_explorer [--block=8] [--spec=0] [--corr=0] [--red=4]
 //        [--exact] [--cycles=N] [--max-cpr=20] [--step=2.5] [--predict]
 #include <iostream>
+#include <string>
 
+#include "core/status.h"
 #include "experiments/cli.h"
 #include "experiments/report.h"
 #include "experiments/runner.h"
@@ -14,6 +16,9 @@
 #include "predict/bit_predictor.h"
 
 namespace {
+
+/// The most CPR points one sweep runs.
+constexpr std::size_t kMaxCprPoints = 10000;
 
 int run(int argc, char** argv) {
   using namespace oisa;
@@ -30,17 +35,32 @@ int run(int argc, char** argv) {
   const double maxCpr = args.getDouble("max-cpr", 20.0);
   const double step = args.getDouble("step", 2.5);
   const bool predict = args.getBool("predict", false);
+  const auto invalid = [&](const std::string& key, const std::string& want) {
+    return core::StatusError(core::Status::invalidInput(
+        "--" + key + ": expected " + want + ", got '" +
+        args.getString(key, "") + "'"));
+  };
+  // A 100% reduction leaves no clock period, and a step of 0 or less
+  // never reaches --max-cpr.
+  if (!(maxCpr >= 0.0 && maxCpr < 100.0)) {
+    throw invalid("max-cpr", "a percentage in [0, 100)");
+  }
+  if (step <= 0.0) throw invalid("step", "a positive percentage");
+  std::vector<double> cprs;
+  for (double cpr = 0.0; cpr <= maxCpr + 1e-9; cpr += step) {
+    if (cprs.size() == kMaxCprPoints) {
+      throw invalid("step", "a step sweeping at most " +
+                                std::to_string(kMaxCprPoints) +
+                                " CPR points up to --max-cpr");
+    }
+    cprs.push_back(cpr);
+  }
   args.rejectUnread();
 
   const auto design = circuits::synthesize(
       cfg, timing::CellLibrary::generic65(), circuits::SynthesisOptions{});
   std::cout << "== Overclocking " << cfg.name() << " (critical path "
             << design.criticalDelayNs << " ns, sign-off 0.3 ns) ==\n\n";
-
-  std::vector<double> cprs;
-  for (double cpr = 0.0; cpr <= maxCpr + 1e-9; cpr += step) {
-    cprs.push_back(cpr);
-  }
 
   experiments::RunOptions options;
   options.cycles = cycles;

@@ -35,8 +35,7 @@ enum class AdderTopology {
 /// Topologies the constraint-driven synthesis selector walks (cheapest
 /// first). Excludes CarrySelect: its duplicated dual-rail datapath roughly
 /// doubles switching activity, which a power-driven flow (our synthesis
-/// model runs power recovery) rejects; it stays available through
-/// SynthesisOptions::forcedTopology.
+/// model runs power recovery) rejects.
 [[nodiscard]] std::span<const AdderTopology> selectionTopologies() noexcept;
 
 /// Nets produced by an adder builder.

@@ -1,5 +1,7 @@
 #include "circuits/synthesis.h"
 
+#include <optional>
+
 #include "timing/sta.h"
 
 namespace oisa::circuits {
@@ -25,9 +27,6 @@ SynthesizedDesign synthesize(const core::IsaConfig& cfg,
                              const timing::CellLibrary& lib,
                              const SynthesisOptions& options) {
   SynthesizedDesign best = [&] {
-    if (options.forcedTopology) {
-      return elaborate(cfg, lib, *options.forcedTopology);
-    }
     // Constraint-driven selection, a synthesis tool's area-first policy:
     // the cheapest topology meeting the target (the paper's designs hug
     // the 0.3 ns constraint); failing that, the fastest available.

@@ -8,7 +8,6 @@
 // annotation, and sign-off numbers.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "circuits/isa_netlist.h"
@@ -26,8 +25,6 @@ struct SynthesisOptions {
   bool relaxSlack = false;      ///< run the power-recovery sizing pass
   timing::RelaxationOptions relaxation{};  ///< pass controls (period is
                                            ///< overridden by targetPeriodNs)
-  /// Force one topology instead of constraint-driven selection.
-  std::optional<AdderTopology> forcedTopology;
 };
 
 /// A signed-off design: netlist + frozen delays + report numbers.

@@ -119,44 +119,21 @@ double expectedStructuralErrorApprox(const IsaConfig& cfg) {
   return expected;
 }
 
-double StructuralMonteCarlo::faultRate(int path) const {
-  if (path < 0 || static_cast<std::size_t>(path) >= pathFaults.size()) {
-    throw std::invalid_argument("StructuralMonteCarlo: bad path index");
-  }
-  if (samples == 0) return 0.0;
-  return static_cast<double>(pathFaults[static_cast<std::size_t>(path)]) /
-         static_cast<double>(samples);
-}
-
-double StructuralMonteCarlo::meanFaultsPerAddition() const {
-  if (samples == 0) return 0.0;
-  std::uint64_t total = 0;
-  for (const std::uint64_t f : pathFaults) total += f;
-  return static_cast<double>(total) / static_cast<double>(samples);
-}
-
-StructuralMonteCarlo sampleStructuralErrors(const IsaConfig& cfg,
-                                            std::uint64_t samples,
-                                            std::uint64_t seed) {
+ErrorCombination sampleStructuralErrors(const IsaConfig& cfg,
+                                        std::uint64_t samples,
+                                        std::uint64_t seed) {
   cfg.validate();
   const IsaAdder isa(cfg);
-  StructuralMonteCarlo result;
-  result.samples = samples;
-  result.pathFaults.assign(static_cast<std::size_t>(cfg.pathCount()), 0);
+  ErrorCombination errors;
   std::mt19937_64 rng(seed);
-  std::vector<PathTrace> traces;
   for (std::uint64_t i = 0; i < samples; ++i) {
     const std::uint64_t a = rng();
     const std::uint64_t b = rng();
-    const std::uint64_t gold =
-        isa.addTraced(a, b, false, traces).value(cfg.width);
+    const std::uint64_t gold = isa.add(a, b, false).value(cfg.width);
     const std::uint64_t diamond = isa.exactAdd(a, b, false).value(cfg.width);
-    for (std::size_t p = 0; p < traces.size(); ++p) {
-      if (traces[p].faultDirection != 0) ++result.pathFaults[p];
-    }
-    result.errors.add(OutputTriple{diamond, gold, gold});
+    errors.add(OutputTriple{diamond, gold, gold});
   }
-  return result;
+  return errors;
 }
 
 }  // namespace oisa::core

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/error_model.h"
 #include "core/isa_config.h"
@@ -50,25 +49,15 @@ namespace oisa::core {
 /// Monte-Carlo measurement of the behavioral model's structural errors
 /// under uniform random operands — the empirical counterpart of the closed
 /// forms above (property tests cross-check the two; ablation_compensation
-/// and design_space read their error columns from it).
-struct StructuralMonteCarlo {
-  std::uint64_t samples = 0;
-  std::vector<std::uint64_t> pathFaults;  ///< speculation faults per path
-  /// Every sample's full output values (y_diamond, y_gold, y_gold): read
-  /// E_struct from arithStruct() and its relative form from relStruct().
-  ErrorCombination errors;
-
-  /// Measured counterpart of faultProbability(cfg, path).
-  [[nodiscard]] double faultRate(int path) const;
-  /// Measured counterpart of meanFaultsPerAddition(cfg).
-  [[nodiscard]] double meanFaultsPerAddition() const;
-};
-
-/// Draws `samples` uniform operand pairs (carry-in 0; a, then b) through
-/// the behavioral adder and accumulates fault counts and error statistics.
+/// and design_space read their error columns from it). Draws `samples`
+/// uniform operand pairs (carry-in 0; a, then b, from
+/// std::mt19937_64(seed)) through the behavioral adder and folds each
+/// sample's full output values (y_diamond, y_gold, y_gold): read E_struct
+/// from arithStruct() and its relative form from relStruct().
 /// Deterministic for a given seed; samples are drawn in 64-bit words so
 /// results are independent of the adder width.
-[[nodiscard]] StructuralMonteCarlo sampleStructuralErrors(
-    const IsaConfig& cfg, std::uint64_t samples, std::uint64_t seed);
+[[nodiscard]] ErrorCombination sampleStructuralErrors(const IsaConfig& cfg,
+                                                      std::uint64_t samples,
+                                                      std::uint64_t seed);
 
 }  // namespace oisa::core

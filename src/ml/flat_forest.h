@@ -44,11 +44,10 @@
 
 namespace oisa::ml {
 
-/// Tree growth controls.
+/// Tree growth controls. A node under 4 rows stays a leaf, and a split
+/// must leave at least one row on each side.
 struct TreeParams {
   int maxDepth = 12;
-  std::size_t minSamplesSplit = 4;  ///< below this a node becomes a leaf
-  std::size_t minSamplesLeaf = 1;   ///< both split sides must keep this many
   /// Features examined per split: 0 = all (plain CART); forests pass
   /// ~sqrt(featureCount) for decorrelation.
   std::size_t featuresPerSplit = 0;

@@ -19,6 +19,11 @@ namespace oisa::ml {
 
 namespace {
 
+/// A node with fewer rows stays a leaf.
+constexpr std::size_t kMinSamplesSplit = 4;
+/// Each side of a split keeps at least this many rows.
+constexpr std::size_t kMinSamplesLeaf = 1;
+
 /// Gini impurity of a node with `pos` positives out of `n`.
 [[nodiscard]] double gini(std::size_t pos, std::size_t n) noexcept {
   if (n == 0) return 0.0;
@@ -117,7 +122,7 @@ void FlatForestBank::growForest(std::size_t rowCount,
   // Degenerate case short-cut: constant labels need a single leaf (frequent
   // for timing bits that never fail at a mild overclock).
   if (positiveCount == 0 || positiveCount == rowCount) {
-    growTree(rows, TreeParams{0, 2, 1, 0}, rng);
+    growTree(rows, TreeParams{.maxDepth = 0}, rng);
     closeForest();
     return;
   }
@@ -381,8 +386,7 @@ std::uint32_t FlatForestBank::growPackedNode(PackedGrowContext& ctx,
   const std::uint32_t nodeIndex = pushNode(ctx.root, pos, n);
 
   const bool pure = pos == 0 || pos == n;
-  if (pure || depth >= ctx.params.maxDepth ||
-      n < ctx.params.minSamplesSplit) {
+  if (pure || depth >= ctx.params.maxDepth || n < kMinSamplesSplit) {
     return nodeIndex;  // leaf
   }
 
@@ -417,10 +421,7 @@ std::uint32_t FlatForestBank::growPackedNode(PackedGrowContext& ctx,
     for (std::size_t j = 0; j < block; ++j) {
       const std::size_t n0 = n - n1[j];
       const std::size_t pos0 = pos - pos1[j];
-      if (n0 < ctx.params.minSamplesLeaf ||
-          n1[j] < ctx.params.minSamplesLeaf) {
-        continue;
-      }
+      if (n0 < kMinSamplesLeaf || n1[j] < kMinSamplesLeaf) continue;
       const double childImpurity =
           (static_cast<double>(n0) * gini(pos0, n0) +
            static_cast<double>(n1[j]) * gini(pos1[j], n1[j])) /
@@ -507,7 +508,7 @@ std::uint32_t FlatForestBank::growReferenceNode(
   const std::uint32_t nodeIndex = pushNode(root, pos, n);
 
   const bool pure = pos == 0 || pos == n;
-  if (pure || depth >= params.maxDepth || n < params.minSamplesSplit) {
+  if (pure || depth >= params.maxDepth || n < kMinSamplesSplit) {
     return nodeIndex;  // leaf
   }
 
@@ -527,7 +528,7 @@ std::uint32_t FlatForestBank::growReferenceNode(
     }
     const std::size_t n0 = n - n1;
     const std::size_t pos0 = pos - pos1;
-    if (n0 < params.minSamplesLeaf || n1 < params.minSamplesLeaf) continue;
+    if (n0 < kMinSamplesLeaf || n1 < kMinSamplesLeaf) continue;
     const double childImpurity =
         (static_cast<double>(n0) * gini(pos0, n0) +
          static_cast<double>(n1) * gini(pos1, n1)) /

@@ -12,15 +12,6 @@ namespace detail {
 
 std::atomic<bool> gMetricsEnabled{true};
 
-std::size_t threadShardSlot() noexcept {
-  // Dense per-thread slots (0, 1, 2, ...) spread a thread pool evenly
-  // over the shards; a hashed thread::id would collide at small counts.
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return slot;
-}
-
 }  // namespace detail
 
 namespace {

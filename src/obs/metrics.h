@@ -1,18 +1,19 @@
 // oisa_obs: lock-free metrics registry.
 //
 // The always-on counting substrate every long-lived run stands on:
-// handles registered once by static name, per-thread sharded atomic
-// accumulation on the hot path, aggregation deferred to snapshot time.
+// handles registered once by static name, one relaxed atomic add on the
+// hot path, aggregation deferred to snapshot time.
 //
 // Design:
 //   * `Counter` / `Histogram` handles are interned by name in a
 //     process-global registry and never move or die, so call sites cache
 //     the reference in a function-local static and pay one init-guard
 //     check plus one relaxed atomic add per update.
-//   * `Counter` spreads its adds over cache-line-padded shards indexed by
-//     a per-thread slot, so concurrent writers on different cores do not
-//     bounce one line. Snapshots sum the shards — exact at any quiescent
-//     point (all relaxed adds are individually atomic; nothing is lost).
+//   * A `Counter` is one relaxed atomic. Every counter in src/ adds once
+//     per campaign, cell, collect, window, fit, packed trace, evaluation,
+//     checkpoint save/load/commit or served block of at most 64 records,
+//     never inside a word loop, so concurrent adds rarely meet on its
+//     cache line. Counters and histograms never take a lock.
 //   * The whole registry sits behind one process-global enable flag
 //     (`setMetricsEnabled`). Disabled, every update is a single relaxed
 //     load and a branch — the "no sink attached" cost that bench/micro_obs
@@ -40,46 +41,31 @@ namespace oisa::obs {
 namespace detail {
 /// Process-global kill switch, checked (relaxed) by every update.
 extern std::atomic<bool> gMetricsEnabled;
-/// Stable small id for the calling thread, used to pick a counter shard.
-[[nodiscard]] std::size_t threadShardSlot() noexcept;
 }  // namespace detail
-
-/// Counter shard fan-out. Power of two; 16 lines = 1 KiB per counter,
-/// enough to keep an 8-16 thread grid pool off each other's lines.
-inline constexpr std::size_t kCounterShards = 16;
 
 /// Log2 histogram buckets: bucket 0 holds zeros, bucket i (1..64) holds
 /// values with bit_width i, i.e. [2^(i-1), 2^i).
 inline constexpr std::size_t kHistogramBuckets = 65;
 
-/// Monotonic event counter. add() is wait-free: one relaxed fetch_add on
-/// the caller's shard.
+/// Monotonic event counter. add() is wait-free: one relaxed fetch_add.
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
     if (!detail::gMetricsEnabled.load(std::memory_order_relaxed)) return;
-    shards_[detail::threadShardSlot() & (kCounterShards - 1)].v.fetch_add(
-        n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Snapshot sum over all shards. Exact whenever no add() is in flight.
+  /// Exact whenever no add() is in flight.
   [[nodiscard]] std::uint64_t value() const noexcept {
-    std::uint64_t total = 0;
-    for (const Shard& s : shards_) {
-      total += s.v.load(std::memory_order_relaxed);
-    }
-    return total;
+    return value_.load(std::memory_order_relaxed);
   }
 
   void resetForTest() noexcept {
-    for (Shard& s : shards_) s.v.store(0, std::memory_order_relaxed);
+    value_.store(0, std::memory_order_relaxed);
   }
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> v{0};
-  };
-  Shard shards_[kCounterShards];
+  std::atomic<std::uint64_t> value_{0};
 };
 
 /// Log2-bucketed value distribution with exact count/sum and a max.

@@ -20,9 +20,10 @@ namespace oisa::obs {
 /// gethostname(), "unknown" on failure.
 [[nodiscard]] std::string hostName();
 
-/// Baseline attribution map: git_sha, hostname, pid, hw_threads. Callers
-/// (bench_common) extend it with bench-specific facts (lane width/arch,
-/// configured thread count) before embedding it in a JSON epilogue.
+/// Baseline attribution map: git_sha, hostname, pid, hw_threads. The
+/// benches' bench::runMetadata(threads) adds the lane selection and the
+/// worker-thread count, and writes that one map into every BENCH_*.json
+/// and every --metrics-out file.
 [[nodiscard]] std::map<std::string, std::string> runMetadata();
 
 }  // namespace oisa::obs

@@ -2,11 +2,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstring>
 #include <mutex>
-#include <thread>
+#include <vector>
 
 #include "core/file_publish.h"
 #include "obs/metrics.h"
@@ -16,27 +18,21 @@ namespace oisa::obs {
 namespace {
 
 std::atomic<bool> gTracing{false};
-std::atomic<TraceRing*> gRing{nullptr};
 std::atomic<std::int64_t> gSessionStartNs{0};
 std::atomic<std::uint64_t> gDroppedArgs{0};  // this session's, see arg()
-// pushEvent calls in flight. A pusher counts itself before it loads
-// gRing, so once a ring is unpublished, a zero here means no pusher can
-// still hold it.
-std::atomic<std::uint64_t> gPushers{0};
-// Serializes the session calls: start, stop, drain and the drop count.
-std::mutex gSessionMu;
 
-/// Unpublishes the current ring and frees it once no pusher can hold it.
-/// The caller holds gSessionMu and has disarmed tracing, so only spans
-/// armed before can still push, and the wait is short.
-void retireRing() {
-  TraceRing* old = gRing.exchange(nullptr, std::memory_order_seq_cst);
-  if (old == nullptr) return;
-  while (gPushers.load(std::memory_order_seq_cst) != 0) {
-    std::this_thread::yield();
-  }
-  delete old;
-}
+// One tracing session: the events closed since the last drain, in a
+// buffer reserved to `capacity` at start that never grows past it.
+struct Session {
+  std::vector<TraceEvent> events;
+  std::size_t capacity = 0;  ///< 0 when no session is armed
+  std::uint64_t dropped = 0;
+};
+
+// Serializes everything that touches gSession: start, stop, drain, the
+// drop count and every span close's append.
+std::mutex gSessionMu;
+Session gSession;
 
 std::uint64_t nowUs() noexcept {
   const std::int64_t ns =
@@ -64,109 +60,30 @@ ThreadTraceState& threadTraceState() noexcept {
   return state;
 }
 
-void pushEvent(const char* name, const char* cat, std::uint64_t tsUs,
-               std::uint64_t durUs, std::uint32_t depth,
-               const TraceEvent::ArgKeys& argKeys,
-               const TraceEvent::ArgValues& argValues) noexcept {
-  TraceEvent ev{};
-  std::strncpy(ev.name, name, TraceEvent::kNameCapacity - 1);
-  ev.name[TraceEvent::kNameCapacity - 1] = '\0';
-  ev.cat = cat;
-  ev.tsUs = tsUs;
-  ev.durUs = durUs;
-  ev.tid = threadTraceState().tid;
-  ev.depth = depth;
-  ev.argKeys = argKeys;
-  ev.argValues = argValues;
-  gPushers.fetch_add(1, std::memory_order_seq_cst);
-  if (TraceRing* ring = gRing.load(std::memory_order_seq_cst)) {
-    (void)ring->tryPush(ev);  // full ring => counted drop, never a stall
-  }
-  gPushers.fetch_sub(1, std::memory_order_release);
-}
-
 }  // namespace
 
-TraceRing::TraceRing(std::size_t capacity) {
-  const std::size_t cap = std::bit_ceil(capacity < 8 ? std::size_t{8}
-                                                     : capacity);
-  mask_ = cap - 1;
-  seq_ = std::make_unique<std::atomic<std::uint64_t>[]>(cap);
-  events_ = std::make_unique_for_overwrite<TraceEvent[]>(cap);
-  for (std::size_t i = 0; i < cap; ++i) {
-    seq_[i].store(i, std::memory_order_relaxed);
-  }
-}
-
-bool TraceRing::tryPush(const TraceEvent& ev) noexcept {
-  std::uint64_t pos = head_.load(std::memory_order_relaxed);
-  for (;;) {
-    std::atomic<std::uint64_t>& slotSeq = seq_[pos & mask_];
-    const std::uint64_t seq = slotSeq.load(std::memory_order_acquire);
-    const std::int64_t dif =
-        static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos);
-    if (dif == 0) {
-      if (head_.compare_exchange_weak(pos, pos + 1,
-                                      std::memory_order_relaxed)) {
-        events_[pos & mask_] = ev;
-        slotSeq.store(pos + 1, std::memory_order_release);
-        return true;
-      }
-      // CAS lost: pos was reloaded; retry with the new position.
-    } else if (dif < 0) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return false;  // full
-    } else {
-      pos = head_.load(std::memory_order_relaxed);
-    }
-  }
-}
-
-bool TraceRing::tryPop(TraceEvent& out) noexcept {
-  std::uint64_t pos = tail_.load(std::memory_order_relaxed);
-  for (;;) {
-    std::atomic<std::uint64_t>& slotSeq = seq_[pos & mask_];
-    const std::uint64_t seq = slotSeq.load(std::memory_order_acquire);
-    const std::int64_t dif = static_cast<std::int64_t>(seq) -
-                             static_cast<std::int64_t>(pos + 1);
-    if (dif == 0) {
-      if (tail_.compare_exchange_weak(pos, pos + 1,
-                                      std::memory_order_relaxed)) {
-        out = events_[pos & mask_];
-        slotSeq.store(pos + mask_ + 1, std::memory_order_release);
-        return true;
-      }
-    } else if (dif < 0) {
-      return false;  // empty
-    } else {
-      pos = tail_.load(std::memory_order_relaxed);
-    }
-  }
-}
-
 void startTracing(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(gSessionMu);
-  gTracing.store(false, std::memory_order_relaxed);
-  retireRing();
+  const std::lock_guard<std::mutex> lock(gSessionMu);
+  gSession = Session{};  // frees the previous buffer before reserving
+  gSession.capacity = std::bit_ceil(std::max(capacity, std::size_t{8}));
+  gSession.events.reserve(gSession.capacity);
   gSessionStartNs.store(std::chrono::duration_cast<std::chrono::nanoseconds>(
                             std::chrono::steady_clock::now().time_since_epoch())
                             .count(),
                         std::memory_order_relaxed);
   gDroppedArgs.store(0, std::memory_order_relaxed);
-  gRing.store(new TraceRing(capacity), std::memory_order_release);
-  gTracing.store(true, std::memory_order_release);
+  gTracing.store(true, std::memory_order_relaxed);
 }
 
 void stopTracing() {
-  std::lock_guard<std::mutex> lock(gSessionMu);
+  const std::lock_guard<std::mutex> lock(gSessionMu);
   gTracing.store(false, std::memory_order_relaxed);
-  retireRing();
+  gSession = Session{};
 }
 
 std::uint64_t traceDropped() noexcept {
   const std::lock_guard<std::mutex> lock(gSessionMu);
-  const TraceRing* ring = gRing.load(std::memory_order_relaxed);
-  return ring != nullptr ? ring->dropped() : 0;
+  return gSession.dropped;
 }
 
 ObsSpan::ObsSpan(const char* name, const char* cat, const char* argKey,
@@ -187,8 +104,21 @@ ObsSpan::~ObsSpan() {
   const std::uint64_t end = nowUs();
   ThreadTraceState& state = threadTraceState();
   if (state.depth > 0) --state.depth;
-  pushEvent(name_, cat_, startUs_, end > startUs_ ? end - startUs_ : 0,
-            depth_, argKeys_, argValues_);
+  TraceEvent ev{};  // zeroed, so the truncated name stays terminated
+  std::strncpy(ev.name, name_, TraceEvent::kNameCapacity - 1);
+  ev.cat = cat_;
+  ev.tsUs = startUs_;
+  ev.durUs = end > startUs_ ? end - startUs_ : 0;
+  ev.tid = state.tid;
+  ev.depth = depth_;
+  ev.argKeys = argKeys_;
+  ev.argValues = argValues_;
+  const std::lock_guard<std::mutex> lock(gSessionMu);
+  if (gSession.events.size() < gSession.capacity) {
+    gSession.events.push_back(ev);  // within the reservation: no allocation
+  } else if (gSession.capacity != 0) {
+    ++gSession.dropped;  // full buffer => counted drop, never a stall
+  }
 }
 
 void ObsSpan::arg(const char* key, std::uint64_t value) noexcept {
@@ -204,19 +134,26 @@ void ObsSpan::arg(const char* key, std::uint64_t value) noexcept {
 }
 
 std::string drainTraceJson() {
-  const std::lock_guard<std::mutex> lock(gSessionMu);
-  TraceRing* ring = gRing.load(std::memory_order_relaxed);
+  // Copy out under the lock and format outside it, so spans closing on
+  // other threads wait for one copy, not for the JSON. clear() keeps the
+  // reservation: freeing a multi-megabyte block here would raise glibc's
+  // mmap threshold and leave later large buffers resident.
+  std::vector<TraceEvent> events;
+  std::uint64_t dropped = 0;
+  std::uint64_t droppedArgs = 0;
+  {
+    const std::lock_guard<std::mutex> lock(gSessionMu);
+    events.assign(gSession.events.begin(), gSession.events.end());
+    gSession.events.clear();
+    dropped = gSession.dropped;
+    droppedArgs = gDroppedArgs.load(std::memory_order_relaxed);
+  }
   std::string out = "{\n\"traceEvents\": [";
   const int pid = static_cast<int>(::getpid());
   bool first = true;
-  TraceEvent ev{};
-  std::uint64_t drained = 0;
-  // At most one ring's worth: spans that keep closing on other threads
-  // cannot hold the drain (and the session lock) indefinitely.
-  while (ring != nullptr && drained < ring->capacity() && ring->tryPop(ev)) {
+  for (const TraceEvent& ev : events) {
     if (!first) out += ',';
     first = false;
-    ++drained;
     out += "\n{\"name\": \"";
     appendJsonEscaped(out, ev.name);
     out += "\", \"cat\": \"";
@@ -236,10 +173,9 @@ std::string drainTraceJson() {
   }
   out += "\n],\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {";
   out += "\"schema\": \"oisa-trace-v1\", \"dropped\": " +
-         std::to_string(ring != nullptr ? ring->dropped() : 0) +
-         ", \"dropped_args\": " +
-         std::to_string(gDroppedArgs.load(std::memory_order_relaxed)) +
-         ", \"drained\": " + std::to_string(drained) + "}\n}\n";
+         std::to_string(dropped) +
+         ", \"dropped_args\": " + std::to_string(droppedArgs) +
+         ", \"drained\": " + std::to_string(events.size()) + "}\n}\n";
   return out;
 }
 

@@ -1,34 +1,36 @@
 // oisa_obs: span tracing.
 //
-// RAII `ObsSpan` scopes record wall-time intervals into a bounded
-// lock-free ring buffer and serialize as Chrome trace-event JSON — the
-// `{"traceEvents": [...]}` format chrome://tracing and Perfetto open
-// directly (https://ui.perfetto.dev, drag the file in).
+// RAII `ObsSpan` scopes record wall-time intervals into a bounded buffer
+// and serialize as Chrome trace-event JSON — the `{"traceEvents": [...]}`
+// format chrome://tracing and Perfetto open directly
+// (https://ui.perfetto.dev, drag the file in).
 //
 // Hot-path contract:
 //   * Tracing is off by default. A disarmed ObsSpan costs one relaxed
 //     atomic load and a branch — cheap enough to leave in per-cell and
 //     per-collect code permanently.
 //   * Armed, the span captures a steady_clock timestamp at open and
-//     pushes one fixed-size POD event at close. The push is a bounded
-//     MPMC ring insert (Vyukov sequence-slot scheme): wait-free for
-//     practical purposes and it NEVER blocks — when the ring is full the
-//     event is counted dropped and the worker moves on. Slow or wedged
-//     trace consumers can therefore never stall a campaign.
+//     appends one fixed-size POD event at close. Spans open only at layer
+//     boundaries, never inside word loops, so the traffic is small: at
+//     default sizes fig9_error_combination closes 109 spans, fig7_abper
+//     145 and fault_coverage 241. A session is therefore one event buffer
+//     reserved at startTracing and guarded by the session mutex: a span
+//     close holds that mutex for one append, and when the buffer is full
+//     the event is counted dropped and the worker moves on. The buffer
+//     never grows, so a close never allocates. (Counters and histograms
+//     never take a lock.)
 //   * A span carries up to four numeric arguments; any beyond that is
 //     counted, not silently lost, and the count is reported beside the
 //     dropped events.
 //   * Every thread keeps a thread-local nesting depth; events record it
-//     so a flame view reconstructs even across ring drops.
+//     so a flame view reconstructs even across dropped events.
 //
-// Ordering note: events drain in ring order, which is completion order,
-// not start order; trace viewers sort by `ts` themselves.
+// Ordering note: events drain in append order, which is completion
+// order, not start order; trace viewers sort by `ts` themselves.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "core/status.h"
@@ -38,8 +40,8 @@ namespace oisa::obs {
 /// Fixed-size POD trace record of one complete span. `name` is copied
 /// (truncated) so spans can label themselves with stack-built strings;
 /// `cat` and the argument keys must be string literals (or otherwise
-/// outlive the tracing session). Trivially constructible, so the ring's
-/// event pages stay untouched until a span lands in them.
+/// outlive the tracing session). Trivially copyable, so an append and a
+/// drain copy bytes.
 struct TraceEvent {
   static constexpr std::size_t kNameCapacity = 48;
   static constexpr std::size_t kArgCapacity = 4;
@@ -56,50 +58,24 @@ struct TraceEvent {
   ArgValues argValues;
 };
 
-/// Bounded lock-free MPMC ring (Vyukov sequence-slot queue). tryPush on a
-/// full ring drops the event and bumps the drop counter instead of ever
-/// waiting; tryPop drains in FIFO order.
-class TraceRing {
- public:
-  /// `capacity` is rounded up to a power of two, minimum 8.
-  explicit TraceRing(std::size_t capacity);
-
-  TraceRing(const TraceRing&) = delete;
-  TraceRing& operator=(const TraceRing&) = delete;
-
-  [[nodiscard]] bool tryPush(const TraceEvent& ev) noexcept;
-  [[nodiscard]] bool tryPop(TraceEvent& out) noexcept;
-
-  [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
-
- private:
-  // Sequence numbers live apart from the events: only the sequence array
-  // is written up front.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> seq_;
-  std::unique_ptr<TraceEvent[]> events_;
-  std::size_t mask_;
-  alignas(64) std::atomic<std::uint64_t> head_{0};  ///< next push position
-  alignas(64) std::atomic<std::uint64_t> tail_{0};  ///< next pop position
-  alignas(64) std::atomic<std::uint64_t> dropped_{0};
-};
-
-/// Arms tracing with a fresh ring of `capacity` events and restarts the
-/// session clock. Idempotent per session: a second call replaces the ring
-/// (any undrained events are discarded).
+/// Arms tracing with a fresh buffer of `capacity` events (rounded up to a
+/// power of two, minimum 8) and restarts the session clock. Idempotent
+/// per session: a second call replaces the buffer (any undrained events
+/// are discarded).
 void startTracing(std::size_t capacity = std::size_t{1} << 16);
 
-/// Disarms tracing and frees the ring once no span can still push into
-/// it. (Primarily test isolation.)
+/// Disarms tracing and frees the session's buffer. A span armed before
+/// the stop that closes after it records nothing. (Primarily test
+/// isolation.)
 void stopTracing();
 
-/// Events dropped by the current session's ring (0 when disarmed).
+/// Events the current session dropped on a full buffer (0 when
+/// disarmed).
 [[nodiscard]] std::uint64_t traceDropped() noexcept;
 
-/// Drains the ring, at most its capacity of events, into a Chrome
-/// trace-event JSON document, one event per line:
+/// Drains the events recorded since the last drain (at most the buffer's
+/// capacity) into a Chrome trace-event JSON document, one event per line;
+/// the buffer keeps its reserved memory for the events still to come:
 /// {"traceEvents":[{name,cat,ph:"X",ts,dur,pid,tid,args:{depth,...}}...],
 ///  "otherData":{"schema":"oisa-trace-v1","dropped":N,"dropped_args":A,
 ///               "drained":D}}.

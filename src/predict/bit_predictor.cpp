@@ -56,7 +56,7 @@ void BitLevelPredictor::fit(const PackedTraceFeatures& packed) {
     bank.addTree(view, allRows,
                  params_.model == ModelKind::DecisionTree
                      ? ml::TreeParams{}
-                     : ml::TreeParams{0, 2, 1, 0},
+                     : ml::TreeParams{.maxDepth = 0},
                  rng);
   }
   // One add per fit, never per node: oisa_ml itself stays free of obs.

@@ -12,6 +12,13 @@ using netlist::GateId;
 using netlist::Netlist;
 using netlist::NetId;
 
+namespace {
+
+// Fraction of a gate's share of its path slack taken per round.
+constexpr double kDamping = 0.5;
+
+}  // namespace
+
 RelaxationReport relaxSlack(const Netlist& nl, DelayAnnotation& delays,
                             const RelaxationOptions& options) {
   const auto order = nl.topologicalOrder();
@@ -53,7 +60,7 @@ RelaxationReport relaxSlack(const Netlist& nl, DelayAnnotation& delays,
       const int pathGates =
           std::max(1, fwdDepth[g.out.value] - 1 + bwdDepth[gi]);
       const double share =
-          options.damping * slack / static_cast<double>(pathGates);
+          kDamping * slack / static_cast<double>(pathGates);
       const double cap = original[gi] * options.maxSlowdown;
       const double next = std::min(delays.delayNs(gid) + share, cap);
       if (next > delays.delayNs(gid) + 1e-9) {

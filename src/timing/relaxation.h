@@ -18,7 +18,6 @@ namespace oisa::timing {
 struct RelaxationOptions {
   double targetPeriodNs = 0.3;  ///< constraint the design was signed off at
   double maxSlowdown = 1.05;    ///< per-instance delay growth cap (sizing range)
-  double damping = 0.5;         ///< fraction of distributed slack taken per round
   int iterations = 12;          ///< rounds of the zero-slack loop
 };
 

@@ -5,19 +5,28 @@
 
 namespace oisa::timing {
 
-double voltageDelayFactor(double vdd, const VoltageModel& model) {
-  if (vdd <= model.threshold) {
+namespace {
+
+// Alpha-power-law parameters (65 nm-flavored).
+constexpr double kNominalVdd = 1.2;  // library characterization voltage (V)
+constexpr double kThreshold = 0.35;  // effective Vth (V)
+constexpr double kAlpha = 1.5;       // velocity-saturation exponent
+
+}  // namespace
+
+double voltageDelayFactor(double vdd) {
+  if (vdd <= kThreshold) {
     throw std::invalid_argument(
         "voltageDelayFactor: vdd must exceed the threshold voltage");
   }
-  const auto alphaPower = [&](double v) {
-    return v / std::pow(v - model.threshold, model.alpha);
+  const auto alphaPower = [](double v) {
+    return v / std::pow(v - kThreshold, kAlpha);
   };
-  return alphaPower(vdd) / alphaPower(model.nominalVdd);
+  return alphaPower(vdd) / alphaPower(kNominalVdd);
 }
 
-double voltageEnergyFactor(double vdd, const VoltageModel& model) {
-  const double ratio = vdd / model.nominalVdd;
+double voltageEnergyFactor(double vdd) {
+  const double ratio = vdd / kNominalVdd;
   return ratio * ratio;
 }
 

@@ -10,21 +10,13 @@
 
 namespace oisa::timing {
 
-/// Alpha-power-law parameters (65 nm-flavored defaults).
-struct VoltageModel {
-  double nominalVdd = 1.2;   ///< library characterization voltage (V)
-  double threshold = 0.35;   ///< effective Vth (V)
-  double alpha = 1.5;        ///< velocity-saturation exponent
-};
-
 /// Delay derating factor at `vdd` relative to the nominal supply:
-/// delay(V) ∝ V / (V - Vth)^alpha. Returns 1.0 at the nominal voltage.
-/// Throws std::invalid_argument unless vdd > threshold.
-[[nodiscard]] double voltageDelayFactor(double vdd,
-                                        const VoltageModel& model = {});
+/// delay(V) ∝ V / (V - Vth)^alpha, with 65 nm-flavored alpha-power-law
+/// parameters (nominal 1.2 V, Vth 0.35 V, alpha 1.5). Returns 1.0 at the
+/// nominal voltage. Throws std::invalid_argument unless vdd > Vth.
+[[nodiscard]] double voltageDelayFactor(double vdd);
 
 /// Dynamic-energy scaling factor at `vdd`: (V / Vnom)^2.
-[[nodiscard]] double voltageEnergyFactor(double vdd,
-                                         const VoltageModel& model = {});
+[[nodiscard]] double voltageEnergyFactor(double vdd);
 
 }  // namespace oisa::timing

@@ -111,14 +111,6 @@ TEST_F(CalibrationTest, SynthesisSelectorPrefersCheapTopologies) {
   EXPECT_TRUE(tight.meetsTiming);
 }
 
-TEST_F(CalibrationTest, ForcedTopologyIsHonored) {
-  const CellLibrary lib = CellLibrary::generic65();
-  SynthesisOptions options;
-  options.forcedTopology = oisa::circuits::AdderTopology::KoggeStone;
-  const auto d = synthesize(oisa::core::makeIsa(8, 0, 0, 4), lib, options);
-  EXPECT_EQ(d.topology, oisa::circuits::AdderTopology::KoggeStone);
-}
-
 TEST_F(CalibrationTest, RelaxationKeepsSignOff) {
   const CellLibrary lib = CellLibrary::generic65();
   SynthesisOptions options;

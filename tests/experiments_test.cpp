@@ -359,7 +359,7 @@ TEST(CliTest, DiagnosesMalformedValues) {
 
 TEST(CliTest, PositiveU64RejectsZeroByName) {
   // --checkpoint-every=0 would disable autosaving while claiming to
-  // checkpoint, and --trace-buffer=0 would be a span ring that holds
+  // checkpoint, and --trace-buffer=0 would be a span buffer that holds
   // nothing: both read with min = 1, so zero is rejected up front with a
   // diagnostic naming the flag.
   const char* argv[] = {"prog", "--checkpoint-every=0", "--trace-buffer=4"};

@@ -109,7 +109,7 @@ TEST(DecisionTreeTest, MaxDepthZeroIsMajorityVote) {
     data.addRow(std::vector<std::uint8_t>{static_cast<std::uint8_t>(i & 1)},
                 i < 7);
   }
-  const FlatForestBank bank = growTree(data, TreeParams{0, 2, 1, 0});
+  const FlatForestBank bank = growTree(data, TreeParams{.maxDepth = 0});
   EXPECT_EQ(bank.view().nodeCount(), 1u);
   const FlatForest tree(bank.view(), 0);
   EXPECT_TRUE(tree.predict(data.row(0)));
@@ -149,7 +149,7 @@ TEST(RandomForestTest, LearnsNoisyMajorityFunction) {
   const double forestAccuracy = accuracy(FlatForest(forest.view(), 0), test);
   EXPECT_GT(forestAccuracy, 0.9);
 
-  const FlatForestBank baseline = growTree(train, TreeParams{0, 2, 1, 0});
+  const FlatForestBank baseline = growTree(train, TreeParams{.maxDepth = 0});
   EXPECT_GT(forestAccuracy, accuracy(FlatForest(baseline.view(), 0), test));
 }
 

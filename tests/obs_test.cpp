@@ -1,17 +1,21 @@
 // oisa_obs: the telemetry substrate's own guarantees. Counters must be
-// exact under concurrent hammering (sharded relaxed atomics still sum to
-// the true total at a quiescent point), histograms must count/sum/max
-// exactly with log2 bucketing, the span ring must drop-and-count instead
-// of blocking on overflow, the JSON writers must emit the documented
-// schemas (CI re-validates the artifacts with python -m json.tool), the
-// BENCH_*.json emitter must escape every key and string it writes, and
-// the whole substrate must degenerate to near-nothing when disabled.
-// This binary is also in the thread-sanitizer CI leg: the hammer tests
-// double as data-race detectors there.
+// exact under concurrent hammering (one relaxed atomic per counter sums
+// to the true total at a quiescent point), histograms must count/sum/max
+// exactly with log2 bucketing, the span buffer must drop-and-count
+// instead of blocking or growing on overflow, a drain must hand every
+// closed span to exactly one document while spans keep closing, the JSON
+// writers must emit the documented schemas (CI re-validates the
+// artifacts with python -m json.tool), the BENCH_*.json emitter must
+// escape every key and string it writes, and the whole substrate must
+// degenerate to near-nothing when disabled. This binary is also in the
+// thread-sanitizer CI leg: the hammer tests double as data-race
+// detectors there.
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -59,7 +63,7 @@ TEST_F(ObsTest, CounterSumIsExactUnderConcurrentHammer) {
     });
   }
   for (auto& t : threads) t.join();
-  // Quiescent point: every writer joined, so the shard sum is exact.
+  // Quiescent point: every writer joined, so the value is exact.
   EXPECT_EQ(c.value(), kThreads * kPerThread);
   const obs::MetricsSnapshot snap = obs::snapshotMetrics();
   EXPECT_EQ(snap.counters.at("test.hammer"), kThreads * kPerThread);
@@ -319,10 +323,10 @@ TEST_F(ObsTest, ConcurrentSpansAllLandWhenTheRingIsLargeEnough) {
 }
 
 TEST_F(ObsTest, StopStartTracingIsSafeWhileSpansRace) {
-  // Lifetime guarantee under TSan and ASan: a session frees its ring only
-  // once no span can still push into it, so spans closing on four
-  // threads across stops, starts, drains and drop counts never touch a
-  // freed ring.
+  // Lifetime guarantee under TSan and ASan: a span close appends under
+  // the session mutex that start and stop free the buffer under, so spans
+  // closing on four threads across stops, starts, drains and drop counts
+  // never touch a freed buffer.
   std::atomic<bool> stop{false};
   std::vector<std::thread> spanners;
   for (int t = 0; t < 4; ++t) {
@@ -343,6 +347,70 @@ TEST_F(ObsTest, StopStartTracingIsSafeWhileSpansRace) {
   for (auto& t : spanners) t.join();
 }
 
+/// The unsigned number after `key` at or past `from` in `doc`.
+std::uint64_t numberAfter(const std::string& doc, const std::string& key,
+                          std::size_t from = 0) {
+  const std::size_t at = doc.find(key, from);
+  EXPECT_NE(at, std::string::npos) << key << " in " << doc;
+  return at == std::string::npos
+             ? 0
+             : std::stoull(doc.substr(at + key.size(), 20));
+}
+
+TEST_F(ObsTest, DrainsWhileSpansCloseHandEverySpanToExactlyOneDocument) {
+  // A drain copies the recorded events out and empties the buffer under
+  // the session mutex, so with four threads closing spans while the main
+  // thread drains, each span lands in exactly one document: the drained
+  // counts sum to the spans closed and every span's id appears once.
+  // Halfway through, each thread waits for two more drains: the second
+  // starts after the thread's first half closed, so every thread's spans
+  // reach at least two documents.
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 2000;
+  obs::startTracing(kThreads * kPerThread);  // room for all: no drops
+  std::atomic<int> running{kThreads};
+  std::atomic<int> drains{0};
+  std::vector<std::thread> spanners;
+  for (int t = 0; t < kThreads; ++t) {
+    spanners.emplace_back([&running, &drains, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        if (i == kPerThread / 2) {
+          const int seen = drains.load();
+          while (drains.load() < seen + 2) std::this_thread::yield();
+        }
+        const obs::ObsSpan span("drained", "test", "id",
+                                static_cast<std::uint64_t>(t) * kPerThread + i);
+      }
+      running.fetch_sub(1);
+    });
+  }
+  std::vector<std::string> docs;
+  while (running.load() > 0) {
+    docs.push_back(obs::drainTraceJson());
+    drains.fetch_add(1);
+  }
+  for (auto& t : spanners) t.join();
+  docs.push_back(obs::drainTraceJson());  // whatever closed after the last
+  obs::stopTracing();
+
+  std::uint64_t drained = 0;
+  std::vector<int> seen(kThreads * kPerThread, 0);
+  for (const std::string& doc : docs) {
+    drained += numberAfter(doc, "\"drained\": ");
+    EXPECT_EQ(numberAfter(doc, "\"dropped\": "), 0u);
+    for (std::size_t at = doc.find("\"id\": "); at != std::string::npos;
+         at = doc.find("\"id\": ", at + 1)) {
+      const std::uint64_t id = numberAfter(doc, "\"id\": ", at);
+      ASSERT_LT(id, seen.size());
+      ++seen[id];
+    }
+  }
+  EXPECT_GT(docs.size(), 1u);
+  EXPECT_EQ(drained, kThreads * kPerThread);
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+            static_cast<std::ptrdiff_t>(seen.size()));
+}
+
 TEST_F(ObsTest, SessionsFreeTheirRings) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "the sanitizer allocator holds freed memory back";
@@ -352,17 +420,46 @@ TEST_F(ObsTest, SessionsFreeTheirRings) {
     getrusage(RUSAGE_SELF, &ru);
     return static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB
   };
-  // Each default ring writes its 512 KiB sequence array up front; 101
-  // sessions that kept their rings would grow the peak by ~50 MB.
+  // A buffer's pages stay untouched until spans land in them, so each
+  // session fills its 4,096-event buffer (576 KiB): 101 sessions that
+  // kept their buffers would grow the peak by ~58 MB.
+  constexpr int kEvents = 1 << 12;
   const double before = peakRssMb();
   for (int session = 0; session < 101; ++session) {
-    obs::startTracing();
-    for (int i = 0; i < 64; ++i) {
+    obs::startTracing(kEvents);
+    for (int i = 0; i < kEvents; ++i) {
       const obs::ObsSpan span("session", "test");
     }
     obs::stopTracing();
   }
   EXPECT_LT(peakRssMb() - before, 4.0);
+}
+
+TEST_F(ObsTest, TraceBufferAboveItsCapIsRejectedByName) {
+  // 2^64 - 1 used to overflow the power-of-two round-up (a spin at 100%
+  // CPU, or a one-event buffer), and 2^62 failed the reservation with an
+  // error naming no flag.
+  for (const char* flag :
+       {"--trace-buffer=1048577", "--trace-buffer=4611686018427387904",
+        "--trace-buffer=18446744073709551615"}) {
+    const char* argv[] = {"prog", "--trace-out=unused.json", flag};
+    const experiments::ArgParser args(3, argv);
+    try {
+      (void)bench::beginObs(args);
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const core::StatusError& e) {
+      EXPECT_NE(std::string(e.what()).find("--trace-buffer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const char* argv[] = {"prog", "--trace-out=unused.json",
+                        "--trace-buffer=1048576"};
+  (void)bench::beginObs(experiments::ArgParser(3, argv));
+  {
+    const obs::ObsSpan span("capped", "test");
+  }
+  EXPECT_NE(obs::drainTraceJson().find("\"drained\": 1}"), std::string::npos);
 }
 
 TEST_F(ObsTest, WriteTraceJsonRoundTripsThroughAFile) {

@@ -116,10 +116,10 @@ TEST(PackedTrainerTest, MatchesReferenceAcrossRandomDatasets) {
   // Property: identical arenas for the same rows, params and rng seed,
   // across dataset shapes and growth-control corners.
   const TreeParams paramSets[] = {
-      TreeParams{},                 // defaults
-      TreeParams{3, 4, 1, 0},       // shallow
-      TreeParams{12, 2, 3, 4},      // feature subsampling + leaf minimum
-      TreeParams{20, 8, 1, 5},      // deep, subsampled
+      TreeParams{},                                       // defaults
+      TreeParams{.maxDepth = 3},                          // shallow
+      TreeParams{.maxDepth = 12, .featuresPerSplit = 4},  // subsampled
+      TreeParams{.maxDepth = 20, .featuresPerSplit = 5},  // deep, subsampled
   };
   std::uint64_t seed = 1000;
   for (const std::size_t rows : {5u, 64u, 65u, 300u}) {
@@ -201,7 +201,7 @@ TEST(PackedTrainerTest, MatchesReferenceOnTheRaggedTailWord) {
   TreeParams params;
   params.featuresPerSplit = 3;
   expectTreeMatchesReference(data, rows, params, 7);
-  expectTreeMatchesReference(data, rows, TreeParams{6, 2, 1, 0}, 8);
+  expectTreeMatchesReference(data, rows, TreeParams{.maxDepth = 6}, 8);
 }
 
 TEST(PackedTrainerTest, MatchesReferenceOnASingleRepeatedRow) {
@@ -321,7 +321,7 @@ TEST(PredictWordTest, MajorityLeafPredictsOneClassOnEveryLane) {
   std::vector<std::uint32_t> all(data.rowCount());
   std::iota(all.begin(), all.end(), 0u);
   std::mt19937_64 rng(1);
-  bank.addTree(data.packed(), all, TreeParams{0, 2, 1, 0}, rng);
+  bank.addTree(data.packed(), all, TreeParams{.maxDepth = 0}, rng);
   ASSERT_EQ(bank.view().nodeCount(), 1u);
   const FlatForest majority(bank.view(), 0);
   const double share = static_cast<double>(data.positiveCount()) / 100.0;
