@@ -25,6 +25,14 @@ int run(int argc, char** argv) {
   const double margin = args.getDouble("margin", 0.06);
   const std::uint64_t seed = args.getU64("seed", 42);
   const std::string csv = args.getString("csv", "");
+  const auto invalid = [&](const std::string& key) {
+    return core::StatusError(core::Status::invalidInput(
+        "--" + key + ": expected a value >= 0, got '" +
+        args.getString(key, "") + "'"));
+  };
+  // RazorSampler has no negative shadow margin or replay penalty.
+  if (margin < 0.0) throw invalid("margin");
+  if (penalty < 0.0) throw invalid("penalty");
   args.rejectUnread();
 
   const auto lib = timing::CellLibrary::generic65();

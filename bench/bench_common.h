@@ -367,8 +367,7 @@ inline circuits::SynthesisOptions synthesisOptions(
     const experiments::ArgParser& args) {
   circuits::SynthesisOptions options;
   options.relaxSlack = args.getBool("relax", true);
-  options.relaxation.maxSlowdown =
-      args.getDouble("max-slowdown", options.relaxation.maxSlowdown);
+  options.maxSlowdown = args.getDouble("max-slowdown", options.maxSlowdown);
   return options;
 }
 

@@ -17,7 +17,8 @@ namespace {
 int run(int argc, char** argv) {
   using namespace oisa;
   const experiments::ArgParser args(argc, argv);
-  const std::uint64_t cycles = args.getU64("cycles", 400);
+  // measurePower needs a reset vector plus at least one cycle.
+  const auto cycles = args.getBounded<std::uint64_t>("cycles", 400, 1);
   const std::uint64_t seed = args.getU64("seed", 42);
   const std::string csv = args.getString("csv", "");
   experiments::RunOptions grid;

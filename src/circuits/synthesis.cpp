@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "timing/relaxation.h"
 #include "timing/sta.h"
 
 namespace oisa::circuits {
@@ -44,9 +45,8 @@ SynthesizedDesign synthesize(const core::IsaConfig& cfg,
   }();
 
   if (options.relaxSlack) {
-    timing::RelaxationOptions relax = options.relaxation;
-    relax.targetPeriodNs = options.targetPeriodNs;
-    (void)timing::relaxSlack(best.netlist, best.delays, relax);
+    (void)timing::relaxSlack(best.netlist, best.delays, options.targetPeriodNs,
+                             options.maxSlowdown);
     best.criticalDelayNs =
         timing::criticalDelayNs(best.netlist, best.delays);
   }

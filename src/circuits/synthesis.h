@@ -15,7 +15,6 @@
 #include "netlist/netlist.h"
 #include "timing/cell_library.h"
 #include "timing/delay_annotation.h"
-#include "timing/relaxation.h"
 
 namespace oisa::circuits {
 
@@ -23,8 +22,7 @@ namespace oisa::circuits {
 struct SynthesisOptions {
   double targetPeriodNs = 0.3;  ///< the paper's 3.3 GHz constraint
   bool relaxSlack = false;      ///< run the power-recovery sizing pass
-  timing::RelaxationOptions relaxation{};  ///< pass controls (period is
-                                           ///< overridden by targetPeriodNs)
+  double maxSlowdown = 1.05;    ///< the pass's per-gate delay growth cap
 };
 
 /// A signed-off design: netlist + frozen delays + report numbers.

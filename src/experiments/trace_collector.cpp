@@ -61,7 +61,6 @@ TraceCollector::TraceCollector(const circuits::SynthesizedDesign& design,
            std::to_string(width + 1) + " outputs, got " +
            std::to_string(inputs) + " and " + std::to_string(outputs));
   }
-  if (!compiled->acyclic()) reject("has a combinational cycle");
   if (periodPs_ <= 0) {
     reject("cannot be clocked at " + std::to_string(periodNs) + " ns");
   }

@@ -22,16 +22,17 @@ using netlist::CompiledNetlist;
 /// Writes flags[ci] for each class in `candidates`: 1 when no pattern
 /// honouring `held` detects it, else 0. The good machine's BDDs are
 /// built once under the held constants; each class then forces its stem,
-/// or its branch's reader pins, and rebuilds only the fanout cone in
-/// topological order, up to where every faulty node equals the good one.
-/// The class is flagged when no primary output's node differs. A class
-/// whose cone needs a node past the cap stays unflagged.
+/// or its branch's reader pins, and rebuilds only the gates a difference
+/// reaches, a level at a time (a gate's level is one past its deepest
+/// driving gate), so the walk meets the shallowest differing output before
+/// any deeper gate. The class is flagged when no primary output's node
+/// differs. A class whose cone needs a node past the cap stays unflagged.
 void flagUndetectable(const FaultUniverse& universe,
                       std::span<const std::optional<bool>> held,
                       std::span<const std::uint32_t> candidates,
                       std::vector<std::uint8_t>& flags) {
   const CompiledNetlist& c = *universe.compiled();
-  const auto order = c.topologicalOrder();
+  const auto gates = static_cast<std::uint32_t>(c.gateCount());
   const auto inputs = c.inputNets();
   constexpr std::uint32_t kNone = 0xffffffff;
 
@@ -52,7 +53,7 @@ void flagUndetectable(const FaultUniverse& universe,
     good[n] = bdd.var(vars++);
   };
   std::vector<std::uint32_t> drivingGate(c.netCount(), kNone);
-  for (std::uint32_t gi = 0; gi < c.gateCount(); ++gi) {
+  for (std::uint32_t gi = 0; gi < gates; ++gi) {
     drivingGate[c.gate(gi).out] = gi;
   }
   std::vector<std::uint8_t> seen(c.netCount(), 0);
@@ -82,26 +83,29 @@ void flagUndetectable(const FaultUniverse& universe,
     }
     return bdd.gate(g.truth, pins);
   };
-  for (const std::uint32_t gi : order) {
+  for (std::uint32_t gi = 0; gi < gates; ++gi) {
     good[c.gate(gi).out] = eval(c.gate(gi), good, 0, Bdd::kFalse);
   }
   bdd.mark();
 
-  // Topological span of each net's readers: a change on the net can only
-  // reach gates in [firstRead, lastRead].
-  const auto gates = static_cast<std::uint32_t>(order.size());
-  std::vector<std::uint32_t> pos(c.gateCount(), 0);
-  std::vector<std::uint32_t> firstRead(c.netCount(), gates);
-  std::vector<std::uint32_t> lastRead(c.netCount(), 0);
-  for (std::uint32_t p = 0; p < gates; ++p) {
-    const CompiledNetlist::GateRec& g = c.gate(order[p]);
-    pos[order[p]] = p;
+  // Levels in gate order (a topological order); one bucket per level.
+  std::vector<std::uint32_t> level(gates, 0);
+  std::vector<std::uint32_t> netLevel(c.netCount(), 0);
+  std::size_t levels = 0;
+  for (std::uint32_t gi = 0; gi < gates; ++gi) {
+    const CompiledNetlist::GateRec& g = c.gate(gi);
     for (int k = 0; k < netlist::gateArity(g.kind); ++k) {
       const std::uint32_t n = g.in[static_cast<std::size_t>(k)];
-      firstRead[n] = std::min(firstRead[n], p);
-      lastRead[n] = std::max(lastRead[n], p);
+      level[gi] = std::max(level[gi], netLevel[n]);
     }
+    netLevel[g.out] = level[gi] + 1;
+    levels = std::max<std::size_t>(levels, netLevel[g.out]);
   }
+  std::vector<std::vector<std::uint32_t>> bucket(levels);
+  std::vector<std::uint32_t> queuedAt(gates, 0);  // walk that queued the gate
+  std::uint32_t walk = 0;
+  const auto offsets = c.fanoutOffsets();
+  const auto readers = c.readers();
   std::vector<std::uint8_t> isOutput(c.netCount(), 0);
   for (const std::uint32_t po : c.outputNets()) isOutput[po] = 1;
 
@@ -112,43 +116,48 @@ void flagUndetectable(const FaultUniverse& universe,
     const Fault& f = classes[ci];
     const Bdd::Node stuck =
         f.stuck == StuckAt::SA1 ? Bdd::kTrue : Bdd::kFalse;
+    ++walk;
     std::uint32_t forcedGate = kNone;
     unsigned forcedPins = 0;
-    std::uint32_t next = gates;  // next topological position to rebuild
-    std::uint32_t reach = 0;     // last position a difference reaches
-    bool observed = false;       // a primary output differs
-    bool unknown = false;        // a node past the cap was needed
+    std::size_t lvl = levels;  // shallowest level holding a queued gate
+    bool observed = false;     // a primary output differs
+    bool unknown = false;      // a node past the cap was needed
+    const auto queue = [&](std::uint32_t gi) {
+      if (queuedAt[gi] == walk) return;
+      queuedAt[gi] = walk;
+      bucket[level[gi]].push_back(gi);
+      lvl = std::min<std::size_t>(lvl, level[gi]);
+    };
     const auto differ = [&](std::uint32_t n, Bdd::Node node) {
       faulty[n] = node;
       touched.push_back(n);
-      reach = std::max(reach, lastRead[n]);
       observed = observed || isOutput[n] != 0;
+      for (std::uint32_t i = offsets[n]; i < offsets[n + 1]; ++i) {
+        queue(readers[i] >> 3);
+      }
     };
     if (f.isStem()) {
       unknown = good[f.net] == Bdd::kOverflow;
-      if (!unknown && good[f.net] != stuck) {
-        differ(f.net, stuck);
-        next = firstRead[f.net];
-      }
+      if (!unknown && good[f.net] != stuck) differ(f.net, stuck);
     } else {
-      forcedGate = c.readers()[f.branch] >> 3;
-      forcedPins = c.readers()[f.branch] & 7u;
-      next = reach = pos[forcedGate];
+      forcedGate = readers[f.branch] >> 3;
+      forcedPins = readers[f.branch] & 7u;
+      queue(forcedGate);
     }
-    for (; next <= reach && !observed && !unknown; ++next) {
-      const std::uint32_t gi = order[next];
-      const CompiledNetlist::GateRec& g = c.gate(gi);
-      bool dirty = gi == forcedGate;
-      for (int k = 0; k < netlist::gateArity(g.kind); ++k) {
-        const std::uint32_t n = g.in[static_cast<std::size_t>(k)];
-        dirty = dirty || faulty[n] != good[n];
+    // A gate's inputs sit at shallower levels, so each queued gate is
+    // rebuilt once, after every difference that reaches it.
+    for (; lvl < levels && !observed && !unknown; ++lvl) {
+      for (std::size_t i = 0; i < bucket[lvl].size() && !observed && !unknown;
+           ++i) {
+        const std::uint32_t gi = bucket[lvl][i];
+        const CompiledNetlist::GateRec& g = c.gate(gi);
+        const Bdd::Node node =
+            eval(g, faulty, gi == forcedGate ? forcedPins : 0, stuck);
+        unknown = node == Bdd::kOverflow || good[g.out] == Bdd::kOverflow;
+        if (!unknown && node != good[g.out]) differ(g.out, node);
       }
-      if (!dirty) continue;
-      const Bdd::Node node =
-          eval(g, faulty, gi == forcedGate ? forcedPins : 0, stuck);
-      unknown = node == Bdd::kOverflow || good[g.out] == Bdd::kOverflow;
-      if (!unknown && node != good[g.out]) differ(g.out, node);
     }
+    for (auto& queued : bucket) queued.clear();
     flags[ci] = !observed && !unknown ? 1 : 0;
     for (const std::uint32_t n : touched) faulty[n] = good[n];
     touched.clear();

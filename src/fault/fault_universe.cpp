@@ -1,7 +1,6 @@
 #include "fault/fault_universe.h"
 
 #include <array>
-#include <stdexcept>
 #include <utility>
 
 namespace oisa::fault {
@@ -88,10 +87,6 @@ class UnionFind {
 FaultUniverse::FaultUniverse(
     std::shared_ptr<const CompiledNetlist> compiled)
     : compiled_(std::move(compiled)) {
-  if (!compiled_ || !compiled_->acyclic()) {
-    throw std::runtime_error(
-        "FaultUniverse: fault simulation needs an acyclic netlist");
-  }
   const std::size_t nets = compiled_->netCount();
   const auto offsets = compiled_->fanoutOffsets();
 

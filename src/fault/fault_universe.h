@@ -34,11 +34,10 @@
 
 namespace oisa::fault {
 
-/// Full + collapsed stuck-at universe over one compiled (acyclic) netlist.
+/// Full + collapsed stuck-at universe over one compiled netlist.
 class FaultUniverse {
  public:
-  /// Builds and collapses the universe. Throws std::runtime_error on a
-  /// cyclic compile (fault simulation needs a topological order).
+  /// Builds and collapses the universe.
   explicit FaultUniverse(
       std::shared_ptr<const netlist::CompiledNetlist> compiled);
 

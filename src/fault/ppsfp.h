@@ -3,7 +3,7 @@
 // The classic fast stuck-at simulation scheme on the repo's word-parallel
 // substrate: load W input patterns as W/64 uint64_t lane words per primary
 // input (bit L of sub-word j = pattern 64j+L), simulate the good machine
-// once with a single BatchEvaluator-style topological sweep, then for each
+// once with a single BatchEvaluator-style gate-order sweep, then for each
 // fault propagate only the faulty cone:
 //
 //  * injection is a forced W-lane block at the fault site — the whole
@@ -82,14 +82,9 @@ class PpsfpEngineT final : public AnyPpsfpEngine {
   /// uint64 words per net in every lane-major span.
   static constexpr std::size_t kWords = Block::kWords;
 
-  /// Throws std::runtime_error on a cyclic compile.
   explicit PpsfpEngineT(
       std::shared_ptr<const netlist::CompiledNetlist> compiled)
       : compiled_(std::move(compiled)) {
-    if (!compiled_ || !compiled_->acyclic()) {
-      throw std::runtime_error(
-          "PpsfpEngine: fault simulation needs an acyclic netlist");
-    }
     const std::size_t nets = compiled_->netCount();
     const std::size_t gates = compiled_->gateCount();
     good_.assign(nets * kWords, 0);
@@ -102,14 +97,14 @@ class PpsfpEngineT final : public AnyPpsfpEngine {
       isOutput_[po] = true;
     }
 
-    // Levelize off the topological order: a gate's level is one past the
-    // deepest driving gate, so every input net of a level-l gate is
-    // committed while draining buckets < l — one evaluation per gate per
-    // fault suffices.
+    // Levelize in gate order (a topological order): a gate's level is one
+    // past the deepest driving gate, so every input net of a level-l gate
+    // is committed while draining buckets < l — one evaluation per gate
+    // per fault suffices.
     level_.assign(gates, 0);
     std::vector<std::uint32_t> netLevel(nets, 0);
     std::uint32_t maxLevel = 0;
-    for (const std::uint32_t gi : compiled_->topologicalOrder()) {
+    for (std::uint32_t gi = 0; gi < gates; ++gi) {
       const netlist::CompiledNetlist::GateRec& g = compiled_->gate(gi);
       std::uint32_t lvl = 0;
       for (const std::uint32_t in : g.in) lvl = std::max(lvl, netLevel[in]);
@@ -153,7 +148,7 @@ class PpsfpEngineT final : public AnyPpsfpEngine {
       Block::load(inputWords.data() + i * kWords)
           .store(good_.data() + std::size_t{pis[i]} * kWords);
     }
-    for (const std::uint32_t gi : compiled_->topologicalOrder()) {
+    for (std::uint32_t gi = 0; gi < compiled_->gateCount(); ++gi) {
       const netlist::CompiledNetlist::GateRec& g = compiled_->gate(gi);
       const Block out = netlist::evalGateBlock<Block>(
           g.kind, goodBlock(g.in[0]), goodBlock(g.in[1]),
@@ -299,7 +294,7 @@ class PpsfpEngineT final : public AnyPpsfpEngine {
   std::vector<std::uint64_t> valEpoch_;
   std::vector<std::uint64_t> gateEpoch_;  // frontier membership stamp
   std::vector<std::uint64_t> outEpoch_;   // touched-output stamp
-  std::vector<std::uint32_t> level_;      // per gate, from the topo order
+  std::vector<std::uint32_t> level_;      // per gate
   std::vector<std::vector<std::uint32_t>> frontier_;  // bucket per level
   std::vector<std::uint32_t> touchedOutputs_;
   std::vector<bool> isOutput_;

@@ -2,7 +2,7 @@
 //
 // Packs W independent input patterns into W/64 std::uint64_t words per net
 // — bit L of sub-word j belongs to pattern 64j + L — and evaluates all of
-// them in a single topological sweep using bitwise gate functions. This is
+// them in a single gate-order sweep using bitwise gate functions. This is
 // the classic bit-parallel fault-simulation idiom: the sweep cost is
 // identical to one scalar Evaluator pass, so throughput improves by up to
 // W x for functional Monte-Carlo sampling, equivalence checking and
@@ -20,8 +20,8 @@
 // the reference.
 //
 // Runs over the shared netlist::CompiledNetlist substrate (dense gate
-// records + cached topological order), so it can share one compile with the
-// timed engines. Functionally equivalent to Evaluator lane by lane
+// records in gate order, which is a topological order), so it can share one
+// compile with the timed engines. Functionally equivalent to Evaluator lane by lane
 // (cross-checked by tests/batch_evaluator_test.cpp on every adder
 // topology).
 #pragma once
@@ -38,15 +38,6 @@
 #include "netlist/netlist.h"
 
 namespace oisa::netlist {
-
-namespace detail {
-
-/// Shared cycle guard for all BatchEvaluatorT widths (single definition,
-/// single error message). Defined in batch_evaluator.cpp.
-[[nodiscard]] std::shared_ptr<const CompiledNetlist> requireAcyclicBatch(
-    std::shared_ptr<const CompiledNetlist> compiled);
-
-}  // namespace detail
 
 /// Width-erased BatchEvaluatorT: the interface TraceCollector and the
 /// experiment pipelines program against. Spans are input-/output-/net-major
@@ -85,15 +76,14 @@ class BatchEvaluatorT final : public AnyBatchEvaluator {
   /// uint64 words per net in every lane-major span.
   static constexpr std::size_t kWords = Block::kWords;
 
-  /// Compiles `nl` privately. Throws std::runtime_error on a cyclic
-  /// netlist (functional evaluation needs a topological order).
+  /// Compiles `nl` privately.
   explicit BatchEvaluatorT(const Netlist& nl)
       : BatchEvaluatorT(CompiledNetlist::compile(nl)) {}
 
   /// Shares an existing compile (e.g. with a timed engine over the same
-  /// design). Same cycle check as the Netlist constructor.
+  /// design).
   explicit BatchEvaluatorT(std::shared_ptr<const CompiledNetlist> compiled)
-      : compiled_(detail::requireAcyclicBatch(std::move(compiled))) {}
+      : compiled_(std::move(compiled)) {}
 
   /// Evaluates kLanes patterns at once. `inputWords` holds kWords words per
   /// primary input (declaration order, input-major). Returns kWords words
@@ -122,7 +112,7 @@ class BatchEvaluatorT final : public AnyBatchEvaluator {
       Block::load(inputWords.data() + i * kWords)
           .store(values.data() + std::size_t{pis[i]} * kWords);
     }
-    for (const std::uint32_t gi : compiled_->topologicalOrder()) {
+    for (std::uint32_t gi = 0; gi < compiled_->gateCount(); ++gi) {
       const CompiledNetlist::GateRec& g = compiled_->gate(gi);
       const Block out = evalGateBlock<Block>(
           g.kind, Block::load(values.data() + std::size_t{g.in[0]} * kWords),

@@ -87,7 +87,6 @@ class BenchBuilder {
     for (const auto& [name, line] : outputs_) {
       nl_.output(name, resolve(name, line));
     }
-    nl_.validate();
     return std::move(nl_);
   }
 

@@ -1,23 +1,9 @@
 #include "netlist/compiled_netlist.h"
 
-#include <stdexcept>
-
 namespace oisa::netlist {
 
 CompiledNetlist::CompiledNetlist(const Netlist& nl)
     : nl_(&nl), netCount_(nl.netCount()) {
-  // Same malformed-input guard the engines previously inherited from
-  // Netlist::topologicalOrder: an undriven net read by a gate is a hard
-  // error at compile, never a silent constant 0. (Cycles, by contrast,
-  // are representable — acyclic() reports them.)
-  for (std::uint32_t gi = 0; gi < nl.gateCount(); ++gi) {
-    for (const NetId in : nl.gateAt(GateId{gi}).inputs()) {
-      if (nl.net(in).driver == DriverKind::None) {
-        throw std::runtime_error("CompiledNetlist: gate reads undriven net " +
-                                 nl.net(in).name);
-      }
-    }
-  }
   inputNets_.reserve(nl.primaryInputs().size());
   for (const NetId pi : nl.primaryInputs()) inputNets_.push_back(pi.value);
   outputNets_.reserve(nl.primaryOutputs().size());
@@ -82,45 +68,10 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl)
     }
   }
 
-  // Kahn levelization over the merged CSR. Unlike Netlist::
-  // topologicalOrder this does not throw on a cycle: the order stays
-  // partial (and is discarded), acyclic() reports false, and cycle-capable
-  // consumers (the timed engines) construct anyway.
-  {
-    // Pending counts come from the merged CSR (one entry per (net, gate)
-    // even for multi-pin connections), so each entry traversed below
-    // decrements exactly one count.
-    std::vector<std::uint32_t> pending(nl.gateCount(), 0);
-    for (std::uint32_t net = 0; net < netCount_; ++net) {
-      if (nl.net(NetId{net}).driver != DriverKind::Gate) continue;
-      for (std::uint32_t i = fanoutOffsets_[net]; i < fanoutOffsets_[net + 1];
-           ++i) {
-        ++pending[readers_[i] >> 3];
-      }
-    }
-    order_.reserve(nl.gateCount());
-    for (std::uint32_t gi = 0; gi < nl.gateCount(); ++gi) {
-      if (pending[gi] == 0) order_.push_back(gi);
-    }
-    for (std::size_t head = 0; head < order_.size(); ++head) {
-      const GateRec& g = gates_[order_[head]];
-      const std::uint32_t begin = fanoutOffsets_[g.out];
-      const std::uint32_t end = fanoutOffsets_[g.out + 1];
-      for (std::uint32_t i = begin; i < end; ++i) {
-        const std::uint32_t reader = readers_[i] >> 3;
-        if (--pending[reader] == 0) order_.push_back(reader);
-      }
-    }
-    acyclic_ = order_.size() == nl.gateCount();
-    if (!acyclic_) order_.clear();
-  }
-
-  // Settled all-inputs-low state: one zero-delay sweep in topological
-  // order (this also assigns constant nets their value). Cyclic netlists
-  // have no settled state; they reset to all-zeros.
+  // Settled all-inputs-low state: one zero-delay sweep in gate order
+  // (this also assigns constant nets their value).
   zeroState_.assign(netCount_, 0);
-  for (const std::uint32_t gi : order_) {
-    const GateRec& g = gates_[gi];
+  for (const GateRec& g : gates_) {
     const unsigned minterm = static_cast<unsigned>(zeroState_[g.in[0]]) |
                              (static_cast<unsigned>(zeroState_[g.in[1]]) << 1) |
                              (static_cast<unsigned>(zeroState_[g.in[2]]) << 2);

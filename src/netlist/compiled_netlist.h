@@ -2,19 +2,16 @@
 //
 // Every evaluation engine used to flatten the same structure privately at
 // construction: CSR fanout with packed pin masks, 8-entry truth tables,
-// dense per-gate input/output net indices, the levelized (topological)
-// order, and the settled all-inputs-low state. CompiledNetlist extracts
-// that one flattening into an immutable, shareable object: the functional
-// BatchEvaluator, the PPSFP fault engine and the timed event wheel
-// (timing::LaneTimedSimulator) all construct from the same compiled
-// substrate, so a pipeline that runs several engines over one design
-// compiles the netlist exactly once.
+// dense per-gate input/output net indices, and the settled all-inputs-low
+// state. CompiledNetlist extracts that one flattening into an immutable,
+// shareable object: the functional BatchEvaluator, the PPSFP fault engine
+// and the timed event wheel (timing::LaneTimedSimulator) all construct
+// from the same compiled substrate, so a pipeline that runs several
+// engines over one design compiles the netlist exactly once.
 //
-// A CompiledNetlist may be built from a *cyclic* netlist (e.g. after
-// transform rewiring): `acyclic()` is false, `topologicalOrder()` is empty
-// and the zero state is all-zeros. Functional evaluators require an
-// acyclic compile; the timed engines construct either way and rely on
-// their event budgets to diagnose non-settling runs.
+// Gate records keep the Netlist's gate indices, and a Netlist's gate index
+// order is a topological order (see netlist.h): every engine that needs
+// dependency order sweeps gate(0) .. gate(gateCount() - 1).
 #pragma once
 
 #include <cstdint>
@@ -81,16 +78,8 @@ class CompiledNetlist {
     return readers_;
   }
 
-  /// Gates in dependency order; empty when the netlist is cyclic.
-  [[nodiscard]] std::span<const std::uint32_t> topologicalOrder()
-      const noexcept {
-    return order_;
-  }
-  [[nodiscard]] bool acyclic() const noexcept { return acyclic_; }
-
   /// The settled "powered up with all primary inputs low" net values (one
   /// byte per net, indexed by NetId) — the timed engines' reset state.
-  /// All-zeros when the netlist is cyclic (no settled state exists).
   [[nodiscard]] std::span<const std::uint8_t> zeroState() const noexcept {
     return zeroState_;
   }
@@ -103,9 +92,7 @@ class CompiledNetlist {
   std::vector<std::uint32_t> outputNets_;
   std::vector<std::uint32_t> fanoutOffsets_;
   std::vector<std::uint32_t> readers_;
-  std::vector<std::uint32_t> order_;
   std::vector<std::uint8_t> zeroState_;
-  bool acyclic_ = false;
 };
 
 }  // namespace oisa::netlist

@@ -80,60 +80,6 @@ void Netlist::output(std::string name, NetId net) {
   outputNames_.push_back(std::move(name));
 }
 
-void Netlist::replaceGateInput(GateId gate, int pin, NetId net) {
-  if (!gate.valid() || gate.value >= gates_.size()) {
-    throw std::invalid_argument("Netlist::replaceGateInput: invalid gate");
-  }
-  Gate& g = gates_[gate.value];
-  if (pin < 0 || pin >= gateArity(g.kind)) {
-    throw std::invalid_argument("Netlist::replaceGateInput: invalid pin");
-  }
-  if (!net.valid() || net.value >= nets_.size()) {
-    throw std::invalid_argument("Netlist::replaceGateInput: invalid net");
-  }
-  g.in[static_cast<std::size_t>(pin)] = net;
-}
-
-std::vector<GateId> Netlist::topologicalOrder() const {
-  // Kahn's algorithm over the gate graph. A gate is ready once all of its
-  // input nets are driven by primary inputs or already-emitted gates.
-  std::vector<std::uint32_t> pending(gates_.size(), 0);
-  std::vector<std::vector<GateId>> readers(nets_.size());
-  for (std::uint32_t gi = 0; gi < gates_.size(); ++gi) {
-    const Gate& g = gates_[gi];
-    for (NetId in : g.inputs()) {
-      const Net& n = nets_[in.value];
-      if (n.driver == DriverKind::Gate) {
-        ++pending[gi];
-        readers[in.value].push_back(GateId{gi});
-      } else if (n.driver == DriverKind::None) {
-        throw std::runtime_error("Netlist: gate reads undriven net " +
-                                 n.name);
-      }
-    }
-  }
-  std::vector<GateId> order;
-  order.reserve(gates_.size());
-  std::vector<GateId> ready;
-  for (std::uint32_t gi = 0; gi < gates_.size(); ++gi) {
-    if (pending[gi] == 0) ready.push_back(GateId{gi});
-  }
-  while (!ready.empty()) {
-    GateId gid = ready.back();
-    ready.pop_back();
-    order.push_back(gid);
-    const Gate& g = gates_[gid.value];
-    for (GateId reader : readers[g.out.value]) {
-      if (--pending[reader.value] == 0) ready.push_back(reader);
-    }
-  }
-  if (order.size() != gates_.size()) {
-    throw std::runtime_error("Netlist '" + name_ +
-                             "': combinational cycle detected");
-  }
-  return order;
-}
-
 std::vector<std::vector<GateId>> Netlist::fanoutMap() const {
   std::vector<std::vector<GateId>> fanout(nets_.size());
   for (std::uint32_t gi = 0; gi < gates_.size(); ++gi) {
@@ -159,32 +105,6 @@ GateHistogram Netlist::histogram() const {
     ++h.counts[static_cast<std::size_t>(g.kind)];
   }
   return h;
-}
-
-void Netlist::validate() const {
-  for (const Net& n : nets_) {
-    if (n.driver == DriverKind::None) {
-      throw std::runtime_error("Netlist '" + name_ + "': undriven net " +
-                               n.name);
-    }
-    if (n.driver == DriverKind::Gate &&
-        (!n.driverGate.valid() || n.driverGate.value >= gates_.size())) {
-      throw std::runtime_error("Netlist '" + name_ +
-                               "': dangling driver for net " + n.name);
-    }
-  }
-  for (const Gate& g : gates_) {
-    if (!g.out.valid() || g.out.value >= nets_.size()) {
-      throw std::runtime_error("Netlist '" + name_ + "': gate without output");
-    }
-    for (NetId in : g.inputs()) {
-      if (!in.valid() || in.value >= nets_.size()) {
-        throw std::runtime_error("Netlist '" + name_ +
-                                 "': gate with invalid input");
-      }
-    }
-  }
-  (void)topologicalOrder();  // throws on cycles
 }
 
 }  // namespace oisa::netlist

@@ -2,9 +2,8 @@
 //
 // A Netlist owns nets and gates. Every net has exactly one driver (a gate, a
 // primary input, or a constant) and any number of readers. The builder API
-// (`input`, `gate`, `output`, ...) is what circuit generators use; analysis
-// passes (topological order, fanout maps, stats) live here too because they
-// are pure structure queries.
+// (`input`, `gate`, `output`, ...) is what circuit generators use; fanout
+// maps and stats live here too because they are pure structure queries.
 #pragma once
 
 #include <cstdint>
@@ -51,12 +50,12 @@ struct Gate {
 };
 
 /// How a net is driven.
-enum class DriverKind : std::uint8_t { None, PrimaryInput, Gate };
+enum class DriverKind : std::uint8_t { PrimaryInput, Gate };
 
 /// A single-bit signal.
 struct Net {
   std::string name;
-  DriverKind driver = DriverKind::None;
+  DriverKind driver = DriverKind::PrimaryInput;
   GateId driverGate{};  ///< valid iff driver == DriverKind::Gate
 };
 
@@ -72,10 +71,11 @@ struct GateHistogram {
 
 /// Gate-level netlist with single-output gates and named ports.
 ///
-/// Invariants (checked by `validate()`):
-///  * every net has exactly one driver once the netlist is complete;
-///  * gate input nets exist and are driven;
-///  * the combinational graph is acyclic (checked by `topologicalOrder`).
+/// Invariant, enforced by the builder alone: `gate` reads only nets that
+/// already exist, so every gate reads only primary inputs and outputs of
+/// lower-indexed gates. Gate index order is therefore a topological
+/// order: passes that need dependency order sweep gates 0..n-1 (or
+/// n-1..0 backwards), and no netlist can hold a combinational cycle.
 class Netlist {
  public:
   explicit Netlist(std::string name = "top") : name_(std::move(name)) {}
@@ -101,13 +101,6 @@ class Netlist {
   /// Declares `net` as a primary output named `name`.
   void output(std::string name, NetId net);
 
-  /// Rewires input pin `pin` of `gate` to read `net` (transform/rewiring
-  /// primitive). This can create combinational cycles: `validate()` and
-  /// `topologicalOrder()` report them, functional evaluators refuse them,
-  /// and the timed engines construct anyway, relying on their event
-  /// budgets to diagnose non-settling runs.
-  void replaceGateInput(GateId gate, int pin, NetId net);
-
   // --- structure queries --------------------------------------------------
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -129,10 +122,6 @@ class Netlist {
     return outputNames_.at(i);
   }
 
-  /// Gates in dependency order (inputs before readers).
-  /// Throws std::runtime_error on a combinational cycle.
-  [[nodiscard]] std::vector<GateId> topologicalOrder() const;
-
   /// Readers of each net: fanout[net] = gates whose inputs include net.
   [[nodiscard]] std::vector<std::vector<GateId>> fanoutMap() const;
 
@@ -142,9 +131,6 @@ class Netlist {
 
   /// Gate population per kind.
   [[nodiscard]] GateHistogram histogram() const;
-
-  /// Checks structural invariants; throws std::runtime_error on violation.
-  void validate() const;
 
  private:
   NetId makeNet(std::string name, DriverKind driver, GateId driverGate);

@@ -60,7 +60,6 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "netlist/compiled_netlist.h"
@@ -137,16 +136,15 @@ class LaneTimedSimulator {
     if (deltaPs < 0) {
       throw std::invalid_argument("LaneTimedSimulator: negative advance");
     }
-    armBudget();
     runUntil(now_ + deltaPs);
     now_ += deltaPs;
   }
 
   /// Processes every pending event in every lane. Returns the timestamp of
-  /// the last processed event. Throws std::runtime_error with a diagnostic
-  /// if the event budget is exceeded (non-settling or cyclic netlist).
+  /// the last processed event. A netlist is a DAG with finite delays (see
+  /// netlist.h), so each input change commits finitely many events and the
+  /// wheel always drains.
   TimePs settlePs() {
-    armBudget();
     TimePs last = now_;
     while (pending_ > 0) {
       if (wheel_[cursor_ & wheelMask_].len != 0) last = cursor_;
@@ -188,16 +186,6 @@ class LaneTimedSimulator {
     return laneTransitions_;
   }
 
-  /// Caps the committed events a single advancePs/settlePs call may
-  /// process before throwing std::runtime_error. This is the guard that
-  /// turns a non-settling netlist (combinational cycle, oscillator) into
-  /// a clear diagnostic instead of an unbounded loop. The default budget
-  /// (~4M events per call) is far above any legitimate single-period
-  /// advance or settle of the supported design sizes.
-  void setEventBudget(std::uint64_t maxEventsPerCall) noexcept {
-    budget_ = maxEventsPerCall;
-  }
-
   /// Observer invoked on every committed net change, input applications
   /// included: (timePs, net, mask of the lanes that flipped). Pass nullptr
   /// to disable. measurePower bills switching energy through it, in
@@ -208,12 +196,10 @@ class LaneTimedSimulator {
   }
 
   /// Resets every lane to the settled all-inputs-low state at time 0 with
-  /// no events. A cyclic netlist instead powers up all-zero with the
-  /// disagreeing gates scheduled to react, so the first advance/settle
-  /// converges to a logic-consistent quiescent state (or trips the event
-  /// budget).
-  /// Net forces (forceNet) survive the reset and are re-applied to the
-  /// power-up state.
+  /// no events. Net forces (forceNet) survive the reset and are re-applied
+  /// to the power-up state: gates that disagree with a clamped net are
+  /// scheduled to react, so the first advance/settle converges to the
+  /// clamped circuit's quiescent state.
   void reset() {
     // Broadcast the compiled settled all-inputs-low state to every lane.
     const auto zero = compiled_->zeroState();
@@ -280,8 +266,6 @@ class LaneTimedSimulator {
     std::uint32_t pad1_ = 0;
   };
   static constexpr TimePs kMaxDelayPs = TimePs{1} << 20;
-  static constexpr std::uint64_t kDefaultEventBudget = std::uint64_t{1}
-                                                       << 22;
 
   /// One scheduled net change carrying the full 64-lane word; the
   /// timestamp is implied by the wheel slot.
@@ -378,9 +362,7 @@ class LaneTimedSimulator {
       values_[e.net] = word;
       laneTransitions_ +=
           static_cast<std::uint64_t>(std::popcount(old ^ word));
-      if (++eventCount_ > failAt_) [[unlikely]] {
-        throwBudgetExceeded();
-      }
+      ++eventCount_;
       if (observer_) [[unlikely]] {
         observer_(t, netlist::NetId{e.net}, old ^ word);
       }
@@ -398,21 +380,6 @@ class LaneTimedSimulator {
     if (cursor_ < horizon) cursor_ = horizon;  // nothing pending: skip ahead
   }
 
-  /// Saturating: a budget of ~0 ("unlimited") must not wrap failAt_.
-  inline void armBudget() noexcept {
-    failAt_ = eventCount_ > ~std::uint64_t{0} - budget_
-                  ? ~std::uint64_t{0}
-                  : eventCount_ + budget_;
-  }
-
-  [[noreturn]] void throwBudgetExceeded() const {
-    throw std::runtime_error(
-        "LaneTimedSimulator: event budget of " + std::to_string(budget_) +
-        " committed events exceeded within one advance/settle call — "
-        "non-settling or cyclic netlist? (the simulator state is "
-        "inconsistent; call reset() before reuse)");
-  }
-
   std::shared_ptr<const netlist::CompiledNetlist> compiled_;
   std::vector<GateRec> gates_;
   /// Per gate: last scheduled output word.
@@ -428,8 +395,6 @@ class LaneTimedSimulator {
   TimePs cursor_ = 0;
   std::uint64_t eventCount_ = 0;
   std::uint64_t laneTransitions_ = 0;
-  std::uint64_t budget_ = kDefaultEventBudget;
-  std::uint64_t failAt_ = ~std::uint64_t{0};
   /// Net-override state (empty until the first forceNet call).
   std::vector<std::uint64_t> forceMask_;
   std::vector<std::uint64_t> forceBits_;

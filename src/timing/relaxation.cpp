@@ -16,31 +16,34 @@ namespace {
 
 // Fraction of a gate's share of its path slack taken per round.
 constexpr double kDamping = 0.5;
+// Rounds of the zero-slack loop.
+constexpr int kIterations = 12;
 
 }  // namespace
 
 RelaxationReport relaxSlack(const Netlist& nl, DelayAnnotation& delays,
-                            const RelaxationOptions& options) {
-  const auto order = nl.topologicalOrder();
+                            double periodNs, double maxSlowdown) {
   RelaxationReport report;
   report.criticalBeforeNs = criticalDelayNs(nl, delays);
 
   // Number of gates on the longest PI->PO path through each gate, used to
-  // split a path's slack fairly among its gates.
+  // split a path's slack fairly among its gates. Gate order is a
+  // topological order, so one sweep each way settles both depths.
+  const auto gates = static_cast<std::uint32_t>(nl.gateCount());
   std::vector<int> fwdDepth(nl.netCount(), 0);
-  std::vector<int> bwdDepth(nl.gateCount(), 1);
-  for (GateId gid : order) {
-    const Gate& g = nl.gateAt(gid);
+  std::vector<int> bwdDepth(gates, 1);
+  for (std::uint32_t gi = 0; gi < gates; ++gi) {
+    const Gate& g = nl.gateAt(GateId{gi});
     int d = 0;
     for (NetId in : g.inputs()) d = std::max(d, fwdDepth[in.value]);
     fwdDepth[g.out.value] = d + 1;
   }
   std::vector<int> netBwd(nl.netCount(), 0);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const Gate& g = nl.gateAt(*it);
-    bwdDepth[it->value] = netBwd[g.out.value] + 1;
+  for (std::uint32_t gi = gates; gi-- > 0;) {
+    const Gate& g = nl.gateAt(GateId{gi});
+    bwdDepth[gi] = netBwd[g.out.value] + 1;
     for (NetId in : g.inputs()) {
-      netBwd[in.value] = std::max(netBwd[in.value], bwdDepth[it->value]);
+      netBwd[in.value] = std::max(netBwd[in.value], bwdDepth[gi]);
     }
   }
 
@@ -49,8 +52,8 @@ RelaxationReport relaxSlack(const Netlist& nl, DelayAnnotation& delays,
     original[gi] = delays.delayNs(GateId{gi});
   }
 
-  for (int round = 0; round < options.iterations; ++round) {
-    const StaResult sta = analyze(nl, delays, options.targetPeriodNs);
+  for (int round = 0; round < kIterations; ++round) {
+    const StaResult sta = analyze(nl, delays, periodNs);
     bool changed = false;
     for (std::uint32_t gi = 0; gi < nl.gateCount(); ++gi) {
       const GateId gid{gi};
@@ -61,7 +64,7 @@ RelaxationReport relaxSlack(const Netlist& nl, DelayAnnotation& delays,
           std::max(1, fwdDepth[g.out.value] - 1 + bwdDepth[gi]);
       const double share =
           kDamping * slack / static_cast<double>(pathGates);
-      const double cap = original[gi] * options.maxSlowdown;
+      const double cap = original[gi] * maxSlowdown;
       const double next = std::min(delays.delayNs(gid) + share, cap);
       if (next > delays.delayNs(gid) + 1e-9) {
         delays.setDelayNs(gid, next);
@@ -73,8 +76,8 @@ RelaxationReport relaxSlack(const Netlist& nl, DelayAnnotation& delays,
 
   // Safety: the damped shares should never overshoot, but guard the
   // sign-off invariant explicitly (only if the design met timing before).
-  if (report.criticalBeforeNs <= options.targetPeriodNs) {
-    while (criticalDelayNs(nl, delays) > options.targetPeriodNs) {
+  if (report.criticalBeforeNs <= periodNs) {
+    while (criticalDelayNs(nl, delays) > periodNs) {
       for (std::uint32_t gi = 0; gi < nl.gateCount(); ++gi) {
         const GateId gid{gi};
         const double d = delays.delayNs(gid);

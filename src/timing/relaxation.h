@@ -14,13 +14,6 @@
 
 namespace oisa::timing {
 
-/// Controls for the slack-relaxation pass.
-struct RelaxationOptions {
-  double targetPeriodNs = 0.3;  ///< constraint the design was signed off at
-  double maxSlowdown = 1.05;    ///< per-instance delay growth cap (sizing range)
-  int iterations = 12;          ///< rounds of the zero-slack loop
-};
-
 /// Statistics returned by the pass, for reports and tests.
 struct RelaxationReport {
   double criticalBeforeNs = 0.0;
@@ -28,11 +21,13 @@ struct RelaxationReport {
   double meanSlowdown = 1.0;  ///< average per-gate delay growth factor
 };
 
-/// Consumes positive slack in `delays` (in place). Never pushes the
-/// critical delay above `targetPeriodNs` if it was below it before; gates
-/// already critical are left untouched.
+/// Consumes positive slack in `delays` (in place) against the sign-off
+/// constraint `periodNs`, growing no gate's delay past `maxSlowdown` times
+/// its original (the sizing range). Never pushes the critical delay above
+/// `periodNs` if it was below it before; gates already critical are left
+/// untouched.
 RelaxationReport relaxSlack(const netlist::Netlist& nl,
-                            DelayAnnotation& delays,
-                            const RelaxationOptions& options);
+                            DelayAnnotation& delays, double periodNs,
+                            double maxSlowdown);
 
 }  // namespace oisa::timing

@@ -13,13 +13,15 @@ using netlist::NetId;
 
 StaResult analyze(const Netlist& nl, const DelayAnnotation& delays,
                   double periodNs) {
-  const auto order = nl.topologicalOrder();
+  const auto gates = static_cast<std::uint32_t>(nl.gateCount());
   StaResult r;
   r.periodNs = periodNs;
   r.arrival.assign(nl.netCount(), 0.0);
 
-  // Forward pass: arrival times. Primary inputs and constants arrive at 0.
-  for (GateId gid : order) {
+  // Forward pass in gate order (a topological order): arrival times.
+  // Primary inputs and constants arrive at 0.
+  for (std::uint32_t gi = 0; gi < gates; ++gi) {
+    const GateId gid{gi};
     const Gate& g = nl.gateAt(gid);
     double worst = 0.0;
     for (NetId in : g.inputs()) {
@@ -37,17 +39,18 @@ StaResult analyze(const Netlist& nl, const DelayAnnotation& delays,
   for (NetId out : nl.primaryOutputs()) {
     required[out.value] = std::min(required[out.value], periodNs);
   }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const Gate& g = nl.gateAt(*it);
-    const double inRequired = required[g.out.value] - delays.delayNs(*it);
+  for (std::uint32_t gi = gates; gi-- > 0;) {
+    const GateId gid{gi};
+    const Gate& g = nl.gateAt(gid);
+    const double inRequired = required[g.out.value] - delays.delayNs(gid);
     for (NetId in : g.inputs()) {
       required[in.value] = std::min(required[in.value], inRequired);
     }
   }
-  r.gateSlack.assign(nl.gateCount(), kInf);
-  for (GateId gid : order) {
-    const Gate& g = nl.gateAt(gid);
-    r.gateSlack[gid.value] = required[g.out.value] - r.arrival[g.out.value];
+  r.gateSlack.assign(gates, kInf);
+  for (std::uint32_t gi = 0; gi < gates; ++gi) {
+    const Gate& g = nl.gateAt(GateId{gi});
+    r.gateSlack[gi] = required[g.out.value] - r.arrival[g.out.value];
   }
 
   // Critical path: backtrack from the worst output through worst inputs.

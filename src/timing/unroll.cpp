@@ -61,10 +61,10 @@ class Unroller {
         constant_[net] = static_cast<std::uint8_t>(clamp[net]);
       }
     }
-    // Per net, in dependency order: the input-to-net path delays modulo P
-    // (empty: no unclamped input reaches the net, which is then a
-    // constant), the longest such path, and a constant net's value.
-    for (const std::uint32_t gi : compiled.topologicalOrder()) {
+    // Per net, in gate order (a topological order): the input-to-net path
+    // delays modulo P (empty: no unclamped input reaches the net, which is
+    // then a constant), the longest such path, and a constant net's value.
+    for (std::uint32_t gi = 0; gi < compiled.gateCount(); ++gi) {
       const netlist::CompiledNetlist::GateRec& g = compiled.gate(gi);
       driver_[g.out] = gi;
       if (clamp[g.out] >= 0) {
@@ -199,7 +199,6 @@ class Unroller {
 UnrolledSampler unrollSampled(const netlist::CompiledNetlist& compiled,
                               const DelayAnnotation& delays, TimePs periodPs,
                               std::span<const NetClamp> clamps) {
-  if (!compiled.acyclic()) reject(compiled, "has a combinational cycle");
   if (delays.gateCount() != compiled.gateCount()) {
     reject(compiled, "has " + std::to_string(compiled.gateCount()) +
                          " gates but the annotation has " +

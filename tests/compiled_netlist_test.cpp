@@ -1,9 +1,7 @@
 // CompiledNetlist edge cases: dangling (reader-less) nets, one net feeding
-// several pins of the same gate (the merged pin-mask CSR path), single-gate
-// and port-only designs, and the undriven-net compile guard.
+// several pins of the same gate (the merged pin-mask CSR path), and
+// single-gate and port-only designs.
 #include <gtest/gtest.h>
-
-#include <stdexcept>
 
 #include "netlist/batch_evaluator.h"
 #include "netlist/compiled_netlist.h"
@@ -31,7 +29,6 @@ TEST(CompiledNetlistTest, DanglingNetsCompileWithEmptyFanout) {
   nl.output("y", nl.gate1(GateKind::Buf, a, "y"));
 
   const auto compiled = CompiledNetlist::compile(nl);
-  EXPECT_TRUE(compiled->acyclic());
   const auto offsets = compiled->fanoutOffsets();
   EXPECT_EQ(offsets[spare.value + 1] - offsets[spare.value], 0u);
   EXPECT_EQ(offsets[tap.value + 1] - offsets[tap.value], 0u);
@@ -98,10 +95,7 @@ TEST(CompiledNetlistTest, SingleGateDesigns) {
     }
     nl.output("y", nl.gate(kind, ins, "y"));
     const auto compiled = CompiledNetlist::compile(nl);
-    EXPECT_TRUE(compiled->acyclic());
     EXPECT_EQ(compiled->gateCount(), 1u);
-    ASSERT_EQ(compiled->topologicalOrder().size(), 1u);
-    EXPECT_EQ(compiled->topologicalOrder()[0], 0u);
     // Settled all-low state matches the gate function at minterm 0.
     EXPECT_EQ(compiled->zeroState()[compiled->gate(0).out],
               oisa::netlist::evalGate(kind, false, false, false) ? 1u : 0u);
@@ -113,7 +107,6 @@ TEST(CompiledNetlistTest, ConstantOnlyDesignCompiles) {
   Netlist nl("const");
   nl.output("y", nl.constant(true));
   const auto compiled = CompiledNetlist::compile(nl);
-  EXPECT_TRUE(compiled->acyclic());
   EXPECT_EQ(compiled->inputNets().size(), 0u);
   ASSERT_EQ(compiled->outputNets().size(), 1u);
   EXPECT_EQ(compiled->zeroState()[compiled->outputNets()[0]], 1u);
@@ -129,26 +122,9 @@ TEST(CompiledNetlistTest, PrimaryInputAsOutputPassesThrough) {
   nl.output("y", a);
   const auto compiled = CompiledNetlist::compile(nl);
   EXPECT_EQ(compiled->gateCount(), 0u);
-  EXPECT_TRUE(compiled->acyclic());
   const BatchEvaluator eval(compiled);
   const std::uint64_t w = 0x123456789abcdef0ull;
   EXPECT_EQ(eval.evaluateOutputs(std::vector<std::uint64_t>{w})[0], w);
-}
-
-TEST(CompiledNetlistTest, SingleGateCycleCompilesAsCyclic) {
-  // Smallest possible cycle: one gate rewired to read its own output.
-  // The compile must succeed with acyclic() == false, an empty order and
-  // an all-zero settled state, and the functional evaluator must refuse.
-  Netlist nl("loop");
-  const NetId a = nl.input("a");
-  const NetId y = nl.gate2(GateKind::Or2, a, a, "y");
-  nl.output("y", y);
-  nl.replaceGateInput(oisa::netlist::GateId{0}, 1, y);
-  const auto compiled = CompiledNetlist::compile(nl);
-  EXPECT_FALSE(compiled->acyclic());
-  EXPECT_TRUE(compiled->topologicalOrder().empty());
-  EXPECT_EQ(compiled->zeroState()[y.value], 0u);
-  EXPECT_THROW(BatchEvaluator{compiled}, std::runtime_error);
 }
 
 }  // namespace

@@ -873,22 +873,6 @@ TEST(CoverageTest, ClassesWhoseConeOutgrowsTheNodeCapStayUnflagged) {
   EXPECT_EQ(got.patternsApplied, want.patternsApplied);
 }
 
-TEST(FaultModelTest, RejectsCyclicAndBranchMisuse) {
-  // Cyclic compile (self-referential through replaceGateInput).
-  Netlist nl("cyc");
-  const NetId a = nl.input("a");
-  const NetId x = nl.gate2(GateKind::And2, a, a, "x");
-  const NetId y = nl.gate1(GateKind::Buf, x, "y");
-  nl.output("y", y);
-  nl.replaceGateInput(oisa::netlist::GateId{0}, 1,
-                      y);  // x now reads y: cycle
-  const auto compiled = CompiledNetlist::compile(nl);
-  ASSERT_FALSE(compiled->acyclic());
-  EXPECT_THROW(FaultUniverse{compiled}, std::runtime_error);
-  EXPECT_THROW(PpsfpEngine{compiled}, std::runtime_error);
-  EXPECT_THROW(SerialFaultSimulator{compiled}, std::runtime_error);
-}
-
 // --- timing-aware injection ---------------------------------------------
 
 oisa::timing::CellLibrary unitLibrary() {

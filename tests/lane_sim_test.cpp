@@ -7,8 +7,7 @@
 // reproduce the sequential collector record for record at any lane count,
 // including deep overclocks whose records depend on several earlier
 // stimuli, and must refuse designs it cannot sample with typed errors.
-// Also covers the shared CompiledNetlist substrate and the
-// bounded-event-budget guard against non-settling/cyclic netlists.
+// Also covers the shared CompiledNetlist substrate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -500,13 +499,16 @@ TEST(LaneTraceCollectorTest, HeldDefectLeavesGoldFaultFree) {
   }
 }
 
-/// `design` with one pin of its top sum bit's driver rewired to a0.
-SynthesizedDesign withBrokenTopSumBit(SynthesizedDesign design) {
-  Netlist& nl = design.netlist;
-  const NetId top = nl.primaryOutputs()[static_cast<std::size_t>(
-      design.config.width - 1)];
-  nl.replaceGateInput(nl.net(top).driverGate, 0, nl.primaryInputs()[0]);
-  return design;
+/// Paper design `i`'s config over the netlist and delays of the design six
+/// places along the list (all twelve are 32-bit adders; the 8-bit-block
+/// designs pair with the 16-bit-block ones, the 16-bit no-speculation
+/// design with the exact adder): a netlist on the adder port convention
+/// that does not compute the design it is collected as.
+SynthesizedDesign withForeignNetlist(
+    const std::vector<SynthesizedDesign>& designs, std::size_t i) {
+  SynthesizedDesign broken = designs[(i + 6) % designs.size()];
+  broken.config = designs[i].config;
+  return broken;
 }
 
 TEST(LaneTraceCollectorTest, BrokenNetlistFailsLoudly) {
@@ -519,9 +521,9 @@ TEST(LaneTraceCollectorTest, BrokenNetlistFailsLoudly) {
       CellLibrary::generic65(), options);
   ASSERT_EQ(designs.size(), 12u);
   const double period = oisa::experiments::overclockedPeriodNs(0.3, 15.0);
-  for (const auto& healthy : designs) {
-    SCOPED_TRACE(healthy.config.name());
-    const SynthesizedDesign broken = withBrokenTopSumBit(healthy);
+  for (std::size_t i = 0; i < designs.size(); ++i) {
+    SCOPED_TRACE(designs[i].config.name());
+    const SynthesizedDesign broken = withForeignNetlist(designs, i);
     TraceCollector collector(broken, period);
     auto wl = oisa::experiments::makeWorkload("uniform",
                                               broken.config.width, 42);
@@ -540,8 +542,8 @@ TEST(LaneTraceCollectorTest, BrokenNetlistFailsLoudly) {
   // broken design's cell fails with that Internal status and commits no
   // row; the healthy design's cell still does.
   std::vector<SynthesizedDesign> campaign = {designs[0]};
-  for (const auto& healthy : designs) {
-    campaign.push_back(withBrokenTopSumBit(healthy));
+  for (std::size_t i = 0; i < designs.size(); ++i) {
+    campaign.push_back(withForeignNetlist(designs, i));
   }
   const std::string path =
       ::testing::TempDir() + "oisa_broken_netlist_ckpt.bin";
@@ -635,21 +637,6 @@ std::string invalidInputMessage(const std::function<void()>& construct) {
   return {};
 }
 
-TEST(LaneTraceCollectorTest, RejectsCyclicNetlistNamingTheDesign) {
-  // A gate reading its own output closes a combinational loop; the
-  // collector refuses it at construction with a typed error.
-  auto design = testDesign(8, 2, 1, 4);
-  const auto g = oisa::netlist::GateId{
-      design.netlist.net(design.netlist.primaryOutputs()[3]).driverGate};
-  design.netlist.replaceGateInput(g, 0, design.netlist.gateAt(g).out);
-  const std::string message = invalidInputMessage(
-      [&] { TraceCollector collector(design, 0.255); });
-  EXPECT_NE(message.find(design.config.name()), std::string::npos)
-      << message;
-  EXPECT_NE(message.find("combinational cycle"), std::string::npos)
-      << message;
-}
-
 TEST(LaneTraceCollectorTest, RejectsBranchFaultDefect) {
   // Only a stem fault holds a whole net; a pin-level branch fault passed
   // as a defect is refused, naming the design.
@@ -710,7 +697,6 @@ TEST(CompiledNetlistTest, OneCompileServesAllEngines) {
   const Netlist nl = oisa::circuits::buildIsaNetlist(cfg);
   const DelayAnnotation delays(nl, CellLibrary::generic65());
   const auto compiled = CompiledNetlist::compile(nl);
-  ASSERT_TRUE(compiled->acyclic());
 
   // Functional engine from the shared compile == private compile.
   const oisa::netlist::BatchEvaluator shared(compiled);
@@ -731,80 +717,6 @@ TEST(CompiledNetlistTest, OneCompileServesAllEngines) {
   fromNetlist.advancePs(255);
   EXPECT_EQ(fromCompile.sampleOutputs(), fromNetlist.sampleOutputs());
   EXPECT_EQ(fromCompile.eventsProcessed(), fromNetlist.eventsProcessed());
-}
-
-// ---------------------------------------------------------------------------
-// Non-settling / cyclic netlist guard.
-// ---------------------------------------------------------------------------
-
-/// NAND-gated ring oscillator: en=0 holds the loop stable, en=1 makes it
-/// oscillate forever. Built with the rewiring primitive (the builder API
-/// alone cannot create cycles).
-Netlist ringOscillator() {
-  Netlist nl("osc");
-  const NetId en = nl.input("en");
-  const NetId n1 = nl.gate2(GateKind::Nand2, en, en);  // pin 1 rewired below
-  const NetId n2 = nl.gate1(GateKind::Buf, n1);
-  const NetId n3 = nl.gate1(GateKind::Buf, n2);
-  nl.output("y", n3);
-  nl.replaceGateInput(GateId{0}, 1, n3);  // close the loop
-  return nl;
-}
-
-TEST(EventBudgetTest, CyclicNetlistIsDetectedNotLoopedOn) {
-  const Netlist nl = ringOscillator();
-  EXPECT_THROW(nl.validate(), std::runtime_error);
-  const auto compiled = CompiledNetlist::compile(nl);
-  EXPECT_FALSE(compiled->acyclic());
-  // Functional evaluation requires an order and must refuse.
-  EXPECT_THROW(oisa::netlist::BatchEvaluator{compiled}, std::runtime_error);
-
-  const DelayAnnotation delays(nl, unitLibrary());
-  LaneTimedSimulator sim(compiled, delays);
-  sim.setEventBudget(20000);
-  // Stable configuration settles fine — the guard must not false-positive
-  // — and converges to the *logic-consistent* quiescent state, not the
-  // raw all-zero power-up values: with en=0, NAND(0, x) = 1 must
-  // propagate around the loop to the output in every lane.
-  sim.applyInputs(std::vector<std::uint64_t>{0});
-  EXPECT_NO_THROW((void)sim.settlePs());
-  EXPECT_EQ(sim.sampleOutputs(), std::vector<std::uint64_t>{~std::uint64_t{0}});
-  // Oscillate in a single lane: settle must throw the diagnostic, not
-  // hang, although the other 63 lanes are stable.
-  sim.applyInputs(std::vector<std::uint64_t>{std::uint64_t{1} << 17});
-  EXPECT_THROW((void)sim.settlePs(), std::runtime_error);
-  // Bounded advance is guarded too, and reset() recovers the simulator.
-  sim.reset();
-  sim.applyInputs(std::vector<std::uint64_t>{1});
-  EXPECT_THROW(sim.advancePs(TimePs{1} << 40), std::runtime_error);
-  sim.reset();
-  sim.applyInputs(std::vector<std::uint64_t>{0});
-  EXPECT_NO_THROW((void)sim.settlePs());
-}
-
-TEST(EventBudgetTest, BudgetIsPerCallNotCumulative) {
-  // A legitimate long run must never trip the guard: total committed
-  // events exceed the per-call budget many times over, but each advance
-  // stays far below it.
-  const auto cfg = oisa::core::makeIsa(8, 2, 1, 4);
-  const Netlist nl = oisa::circuits::buildIsaNetlist(cfg);
-  const DelayAnnotation delays(nl, CellLibrary::generic65());
-  LaneTimedSimulator sim(nl, delays);
-  sim.setEventBudget(5000);  // ~10 single-stream cycles' worth of events
-  std::mt19937_64 rng(2);
-  std::vector<std::uint64_t> in(nl.primaryInputs().size());
-  for (int t = 0; t < 200; ++t) {
-    for (auto& w : in) w = rng() & 1u;  // one stream, in lane 0
-    sim.applyInputs(in);
-    EXPECT_NO_THROW(sim.advancePs(255));
-  }
-  EXPECT_GT(sim.eventsProcessed(), 5000u);
-  // The natural "unlimited" spelling must not wrap the per-call cap into
-  // an instant spurious throw (saturating arithmetic).
-  sim.setEventBudget(~std::uint64_t{0});
-  for (auto& w : in) w = rng() & 1u;
-  sim.applyInputs(in);
-  EXPECT_NO_THROW((void)sim.settlePs());
 }
 
 }  // namespace

@@ -1,14 +1,23 @@
 // Unit tests for the gate-level IR: construction, invariants, evaluation.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <span>
 #include <string>
 
+#include "circuits/synthesis.h"
+#include "differential_harness.h"
+#include "experiments/trace_collector.h"
+#include "netlist/bench_io.h"
+#include "netlist/compiled_netlist.h"
 #include "netlist/netlist.h"
 #include "reference/evaluator.h"
+#include "timing/unroll.h"
 
 namespace {
 
 using oisa::netlist::Evaluator;
+using oisa::netlist::GateId;
 using oisa::netlist::GateKind;
 using oisa::netlist::Netlist;
 using oisa::netlist::NetId;
@@ -71,7 +80,7 @@ TEST(NetlistTest, BuildsHalfAdder) {
   const NetId c = nl.gate2(GateKind::And2, a, b);
   nl.output("s", s);
   nl.output("c", c);
-  nl.validate();
+  EXPECT_TRUE(oisa::testing::inGateOrder(nl));
 
   EXPECT_EQ(nl.gateCount(), 2u);
   EXPECT_EQ(nl.netCount(), 4u);
@@ -113,23 +122,56 @@ TEST(NetlistTest, ConstantsAreCached) {
   EXPECT_EQ(nl.gateCount(), 2u);
 }
 
-TEST(NetlistTest, TopologicalOrderRespectsDependencies) {
-  Netlist nl;
-  const NetId a = nl.input("a");
-  const NetId x = nl.gate1(GateKind::Inv, a);
-  const NetId y = nl.gate1(GateKind::Inv, x);
-  const NetId z = nl.gate2(GateKind::And2, x, y);
-  nl.output("z", z);
-
-  const auto order = nl.topologicalOrder();
-  ASSERT_EQ(order.size(), 3u);
-  std::vector<std::uint32_t> position(nl.gateCount());
-  for (std::uint32_t i = 0; i < order.size(); ++i) {
-    position[order[i].value] = i;
+TEST(NetlistTest, EveryPipelineNetlistIsInGateOrder) {
+  // Every engine sweeps gates in index order, so every netlist the
+  // pipelines build must read only primary inputs and outputs of
+  // lower-indexed gates: the twelve paper designs, relaxed and raw; each
+  // one's sampled-output unrolling at the studies' CPRs, with and
+  // without a stem clamp; c17 from the .bench reader; and the harness's
+  // random DAGs.
+  std::size_t checked = 0;
+  const auto expectInGateOrder = [&](const Netlist& nl) {
+    EXPECT_TRUE(oisa::testing::inGateOrder(nl));
+    ++checked;
+  };
+  for (const bool relax : {true, false}) {
+    oisa::circuits::SynthesisOptions options;
+    options.relaxSlack = relax;
+    const auto designs = oisa::circuits::synthesizePaperDesigns(
+        oisa::timing::CellLibrary::generic65(), options);
+    ASSERT_EQ(designs.size(), 12u);
+    for (const auto& design : designs) {
+      SCOPED_TRACE(design.config.name());
+      const Netlist& nl = design.netlist;
+      expectInGateOrder(nl);
+      const auto compiled = oisa::netlist::CompiledNetlist::compile(nl);
+      // A stem halfway through the gates, held at 1 like a defect.
+      const oisa::timing::NetClamp clamp{
+          nl.gateAt(GateId{static_cast<std::uint32_t>(nl.gateCount() / 2)})
+              .out.value,
+          true};
+      for (const double cpr : {0.0, 5.0, 10.0, 15.0, 20.0, 50.0}) {
+        const auto period = oisa::timing::quantizeSpanPs(
+            oisa::experiments::overclockedPeriodNs(0.3, cpr));
+        expectInGateOrder(
+            oisa::timing::unrollSampled(*compiled, design.delays, period)
+                .netlist);
+        expectInGateOrder(oisa::timing::unrollSampled(*compiled,
+                                                      design.delays, period,
+                                                      std::span(&clamp, 1))
+                              .netlist);
+      }
+    }
   }
-  // gate 0 (x) before gate 1 (y) before gate 2 (z).
-  EXPECT_LT(position[0], position[1]);
-  EXPECT_LT(position[1], position[2]);
+  expectInGateOrder(oisa::netlist::readBenchString(oisa::testing::kC17, "c17")
+                        .valueOrThrow());
+  std::mt19937_64 rng(32);
+  for (int i = 0; i < 16; ++i) {
+    expectInGateOrder(oisa::testing::randomNetlist(
+        rng, 4 + static_cast<int>(rng() % 13),
+        10 + static_cast<int>(rng() % 90)));
+  }
+  EXPECT_EQ(checked, 2u * 12u * (1u + 6u * 2u) + 1u + 16u);
 }
 
 TEST(NetlistTest, FanoutCountsIncludeOutputs) {

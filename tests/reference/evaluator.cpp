@@ -4,7 +4,7 @@
 
 namespace oisa::netlist {
 
-Evaluator::Evaluator(const Netlist& nl) : nl_(nl), order_(nl.topologicalOrder()) {}
+Evaluator::Evaluator(const Netlist& nl) : nl_(nl) {}
 
 std::vector<std::uint8_t> Evaluator::evaluate(
     std::span<const std::uint8_t> inputValues) const {
@@ -18,8 +18,8 @@ std::vector<std::uint8_t> Evaluator::evaluate(
   for (std::size_t i = 0; i < pis.size(); ++i) {
     values[pis[i].value] = inputValues[i] ? 1 : 0;
   }
-  for (GateId gid : order_) {
-    const Gate& g = nl_.gateAt(gid);
+  for (std::uint32_t gi = 0; gi < nl_.gateCount(); ++gi) {
+    const Gate& g = nl_.gateAt(GateId{gi});
     const auto ins = g.inputs();
     const bool a = !ins.empty() && values[ins[0].value] != 0;
     const bool b = ins.size() > 1 && values[ins[1].value] != 0;

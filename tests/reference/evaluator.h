@@ -15,8 +15,8 @@
 
 namespace oisa::netlist {
 
-/// Reusable zero-delay evaluator. Caches the topological order so repeated
-/// evaluations of the same netlist are a single linear sweep.
+/// Reusable zero-delay evaluator: each evaluation is one sweep over the
+/// gates in index order, which the builder makes a topological order.
 class Evaluator {
  public:
   explicit Evaluator(const Netlist& nl);
@@ -41,7 +41,6 @@ class Evaluator {
 
  private:
   const Netlist& nl_;
-  std::vector<GateId> order_;
 };
 
 }  // namespace oisa::netlist

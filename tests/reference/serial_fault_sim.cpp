@@ -9,12 +9,7 @@ using netlist::CompiledNetlist;
 
 SerialFaultSimulator::SerialFaultSimulator(
     std::shared_ptr<const CompiledNetlist> compiled)
-    : compiled_(std::move(compiled)) {
-  if (!compiled_ || !compiled_->acyclic()) {
-    throw std::runtime_error(
-        "SerialFaultSimulator: fault simulation needs an acyclic netlist");
-  }
-}
+    : compiled_(std::move(compiled)) {}
 
 void SerialFaultSimulator::setPattern(
     std::span<const std::uint8_t> inputBits) {
@@ -73,7 +68,7 @@ void SerialFaultSimulator::simulate(std::span<const std::uint8_t> inputBits,
     values[pis[i]] = inputBits[i] ? 1 : 0;
   }
   if (stem) values[f->net] = stuck;
-  for (const std::uint32_t gi : compiled_->topologicalOrder()) {
+  for (std::uint32_t gi = 0; gi < compiled_->gateCount(); ++gi) {
     const CompiledNetlist::GateRec& g = compiled_->gate(gi);
     unsigned a = values[g.in[0]];
     unsigned b = values[g.in[1]];

@@ -22,7 +22,6 @@ namespace oisa::fault {
 /// One-pattern-at-a-time reference fault simulator.
 class SerialFaultSimulator {
  public:
-  /// Throws std::runtime_error on a cyclic compile.
   explicit SerialFaultSimulator(
       std::shared_ptr<const netlist::CompiledNetlist> compiled);
 
